@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,10 +153,7 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
 
     torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
     rng = np.random.default_rng(cfg.seed + p)
-    if n == 1:
-        rep = weil.linearize(pm)
-    else:
-        rep = weil.linearize_on_torus(torus, pm, rng=rng, root_index=0)
+    rep = weil.linearize(pm)
 
     table = None
     decomposition = None
@@ -187,8 +185,9 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
                               witnesses=[{"error": f"{type(e).__name__}: {e}"}])
         results.append(res)
 
+    routes = Counter(rep.tags.values())
     return {"p": p, "n": n, "split_type": torus.split_type,
-            "torus_order": torus.order,
+            "torus_order": torus.order, "routes": dict(sorted(routes.items())),
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
 
 
@@ -216,10 +215,9 @@ def _check_egorov(elem, pm, torus, rep, rng, get_table, get_dec):
             dev = weil.egorov_deviation(rep.op(b), b, pm, xis)
             worst = max(worst, dev)
     else:
-        gamma = _monoid_gamma(pm)
         for word in _random_monoid_words(pm, rng, 25):
             b = weil.word_matrix(word, pm)
-            dense = weil.word_operator(word, pm, gamma)
+            dense = weil.word_operator(word, pm, rep.gamma)
             dev = weil.egorov_deviation(dense, b, pm, xis)
             worst = max(worst, dev)
     ok = worst <= tol
@@ -317,7 +315,7 @@ def _check_factorization(elem, pm, torus, rep, rng, get_table, get_dec):
     if pm.n != 2 or torus.split_type != "split":
         return CheckResult("factorization", "skip",
                            witnesses=[{"reason": "needs a fully split n = 2 prime"}])
-    rpt = quevaluator.factorization_check(elem, pm, rng)
+    rpt = quevaluator.factorization_check(elem, pm, table=get_table())
     return CheckResult("factorization", "pass" if rpt.ok else "fail",
                        max_dev=rpt.max_rel_err,
                        witnesses=[{"generic_pairs": rpt.generic_pairs,
@@ -372,10 +370,6 @@ def _random_monoid_words(pm, rng, count):
                 word.append(weil.SpFactor("fourier"))
         words.append(word)
     return words
-
-
-def _monoid_gamma(pm):
-    return weil.solve_gamma(pm)
 
 
 def _random_symmetric(pm, rng):
@@ -498,11 +492,15 @@ def run(cfg: SweepConfig) -> int:
 
 
 def _measured_conventions(n: int, primes: list) -> dict:
-    """Orientation signs, measured once and frozen into the report header."""
+    """Orientation signs, measured once and frozen into the report header.
+
+    The relation sign is read from the one pair that fixes it; the per-prime
+    `relations` check still validates the whole pair grid.
+    """
     if not primes:
         return {}
     pm = PrimeModulus(primes[0], n)
-    out = {"relation_sign": check_relations(pm).epsilon}
+    out = {"relation_sign": check_relations(pm, exhaustive=False).epsilon}
     if n == 1:
         rep = weil.linearize(pm)
         out["trace_formula_sign"] = quevaluator.measure_split_sign(pm, rep)
@@ -627,13 +625,7 @@ def main(argv=None) -> int:
         except (ConfigError, ValidationError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
-        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
-        if args.n == 1:
-            rep = weil.linearize(pm)
-        else:
-            rep = weil.linearize_on_torus(torus, pm,
-                                          rng=np.random.default_rng(0))
-        rows, meta = quevaluator.cyclic_vs_hecke_demo(elem, pm, rep)
+        rows, meta = quevaluator.cyclic_vs_hecke_demo(elem, pm, weil.linearize(pm))
         print(f"p={args.p} |<A>|={meta['cyclic_order']} |C_A|={meta['torus_order']}"
               f" bound={meta['bound']:.6f}")
         print(f"{'vector':>22} {'|cyclic avg|':>14} {'|torus avg|':>14} {'integral':>9}")

@@ -110,19 +110,6 @@ def mat_vec(a: Mat, v: tuple[int, ...], mod: int | None = None) -> tuple[int, ..
     return tuple(out)
 
 
-def mat_pow(a: Mat, e: int, mod: int | None = None) -> Mat:
-    if e < 0:
-        raise ValueError("negative power; invert first")
-    out = identity_mat(len(a))
-    base = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, base, mod)
-        base = mat_mul(base, base, mod)
-        e >>= 1
-    return out
-
-
 def mat_transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 

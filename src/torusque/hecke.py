@@ -254,12 +254,6 @@ class EigenspaceDecomposition:
     def pattern(self) -> tuple:
         return tuple(self.dims)
 
-    def dim_of(self, chi: TorusCharacter) -> int:
-        for c, _, dim in self.entries:
-            if c.exps == chi.exps:
-                return dim
-        raise KeyError(chi)
-
 
 def projector(chi: TorusCharacter, torus: HeckeTorus, rep) -> np.ndarray:
     """Orthogonal projector onto {v : rho(B) v = chi(B) v for all B in T}."""

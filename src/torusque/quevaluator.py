@@ -600,38 +600,27 @@ class FactorizationReport:
 
 
 def factorization_check(elem: ErgodicElement, pm: PrimeModulus,
-                        rng: np.random.Generator | None = None,
+                        table: TraceTable | None = None,
                         rtol: float = 1e-6) -> FactorizationReport:
     """a_chi factorizes into n = 1 diagonal-torus sums at fully split primes.
 
-    The torus representation used here is the conjugated-standard one,
-    rho(B) = W rho_std(t) W^-1 with W a Schur intertwiner for the frame
-    change, so the per-character transport is exact and needs no root choice.
-    Both routes are compared on every (xi != 0, chi) pair, fully vectorized.
+    `table` must be the trace table of the canonical rho (weil.linearize) on
+    the centralizer torus of elem; without one it is built here.  Because rho
+    is a representation, rho(S0 t S0^-1) = rho(S0) dilate(t) rho(S0)^-1 for
+    the split frame S0 and every diagonal t, so the per-character transport
+    to the diagonal frame is exact and needs no root choice.  Both routes are
+    compared on every (xi != 0, chi) pair, fully vectorized.
     """
     if pm.n != 2:
         raise ValueError("factorization check targets the 4-dimensional case")
     p, n = pm.p, pm.n
-    torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
+    if table is None:
+        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
+        table = build_trace_table(torus, weil.linearize(pm))
+    torus = table.torus
     if torus.split_type != "split":
         raise ValueError(f"p = {p} is not fully split for this element")
     transport = build_split_transport(elem.matrix, pm, elem.charpoly)
-    if rng is None:
-        rng = np.random.default_rng(1514)
-    w = weil.schur_intertwiner(transport.s0, pm, rng)
-
-    # conjugated-standard linearization of the torus
-    ops = {}
-    for b_key in torus.dlog:
-        t_std = mat_mul(mat_mul(transport.s0_inv, b_key, mod=p), transport.s0, mod=p)
-        m_block = ((t_std[0][0], t_std[0][1]), (t_std[1][0], t_std[1][1]))
-        ops[b_key] = w @ weil.dilate_op(m_block, pm).dense() @ w.conj().T
-
-    class _Rep:
-        def op(self, b):
-            return ops[mat_mod(mat(b), p)]
-
-    table = build_trace_table(torus, _Rep())
     achi = character_sum_table(table)
     chis = hecke.characters(torus)
     pm1 = PrimeModulus(p, 1)

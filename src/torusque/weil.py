@@ -1,4 +1,4 @@
-"""Metaplectic-type representation of Sp(2n, F_p) on the quantum space.
+"""The Weil representation of Sp(2n, F_p) on the quantum space.
 
 Generators and their operators, acting on functions F_p^n -> C:
 
@@ -14,11 +14,12 @@ Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
 
     gamma^3 = 1/c,   gamma^2 = legendre((-1)^n, p)   =>   gamma = sigma((-1)^n)/c.
 
-For n = 1 every group element is reached through a short Bruhat-type word in
-the generators; the resulting map is certified multiplicative by exhaustive
-(small p) or sampled pair checks.  For n >= 2 only the generator monoid and
-abelian (Hecke) tori are linearized, the latter through Schur-averaged
-intertwiners with the free phase fixed per torus generator.
+Every group element, at every n, is reached through a Bruhat-type word in the
+three generators (sp_word), and rho(B) is the product of the generator
+operators along that word.  The map is certified multiplicative by exhaustive
+(small p) or sampled pair checks.  Schur-averaged intertwiners
+(schur_intertwiner) fix an operator only up to a phase; they are kept as an
+independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod, mat_mul
+from .hecke import TorusCharacter
 from .heisenberg import PhasedPermutation, index_vectors, pi_op, root_table
 
 
@@ -130,20 +132,101 @@ def word_matrix(word: list[SpFactor], pm: PrimeModulus) -> Mat:
 
 def word_operator(word: list[SpFactor], pm: PrimeModulus, gamma: complex) -> np.ndarray:
     out = np.eye(pm.dim, dtype=complex)
+    f_op = None
     for f in word:
         if f.kind == "shear":
             out = shear_op(f.block, pm).apply_right(out)
         elif f.kind == "dilate":
             out = dilate_op(f.block, pm).apply_right(out)
         else:
-            out = out @ fourier_op(pm, gamma)
+            if f_op is None:
+                f_op = fourier_op(pm, gamma)
+            out = out @ f_op
     return out
+
+
+def _blocks(b: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
+    """The n x n blocks (A, Bb, C, D) of b = [[A, Bb], [C, D]]."""
+    def block(r0, c0):
+        return tuple(tuple(b[r0 + i][c0 + j] for j in range(n)) for i in range(n))
+    return block(0, 0), block(0, n), block(n, 0), block(n, n)
+
+
+def _bruhat_word(a: Mat, bb: Mat, d: Mat, p: int) -> list[SpFactor]:
+    """[[A, Bb], [C, D]] with Bb invertible mod p, as
+    shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A); C is implied."""
+    binv = mat_inv_modp(bb, p)
+    s1 = ffcore.mat_neg(mat_mul(d, binv), mod=p)
+    s2 = ffcore.mat_neg(mat_mul(binv, a), mod=p)
+    word: list[SpFactor] = []
+    if any(any(row) for row in s1):
+        word.append(SpFactor("shear", s1))
+    if bb != ffcore.identity_mat(len(bb)):
+        word.append(SpFactor("dilate", bb))
+    word.append(SpFactor("fourier"))
+    if any(any(row) for row in s2):
+        word.append(SpFactor("shear", s2))
+    return word
+
+
+def _upper_shear_word(s_block: Mat) -> list[SpFactor]:
+    """U(S) = [[I, S], [0, I]] = fourier shear(S) fourier^3."""
+    return [SpFactor("fourier"), SpFactor("shear", s_block),
+            SpFactor("fourier"), SpFactor("fourier"), SpFactor("fourier")]
+
+
+def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
+    """Word over {shear, dilate, fourier} multiplying to b in Sp(2n, F_p).
+
+    With b = [[A, Bb], [C, D]] in n x n blocks:
+
+    * Bb invertible: shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A);
+    * Bb = 0: dilate(A) shear(-A^T C);
+    * otherwise b = (b U(S)) U(-S) with U(S) = [[I, S], [0, I]], where S is
+      the first diagonal 0/1 matrix (bit j of 1, 2, ..., 2^n - 1 on diagonal
+      entry j) for which the upper-right block Bb + A S of b U(S) is
+      invertible.  One exists: by Arnold's lemma the Lagrangian row space of
+      [A | Bb] is transverse to some coordinate Lagrangian, so some choice of
+      columns from A and Bb is invertible, and det(Bb + A S) is the sum of
+      the column choices inside the support of S (Moebius inversion over the
+      2^n choices of S).
+
+    Identity dilations and zero shears are left out, so at n = 1 the word is
+    exactly sl2_word's.
+    """
+    p, n = pm.p, pm.n
+    key = mat_mod(mat(b), p)
+    if not ffcore.is_symplectic(key, p=p):
+        raise ValueError("matrix is not symplectic mod p")
+    a, bb, c, d = _blocks(key, n)
+    if ffcore.mat_det(bb) % p:
+        word = _bruhat_word(a, bb, d, p)
+    elif not any(any(row) for row in bb):
+        word = [SpFactor("dilate", a)] if a != ffcore.identity_mat(n) else []
+        s = ffcore.mat_neg(mat_mul(ffcore.mat_transpose(a), c), mod=p)
+        if any(any(row) for row in s):
+            word.append(SpFactor("shear", s))
+    else:
+        for mask in range(1, 2 ** n):
+            s = tuple(tuple((mask >> i) & 1 if i == j else 0 for j in range(n))
+                      for i in range(n))
+            bu = mat_mul(key, word_matrix(_upper_shear_word(s), pm), mod=p)
+            a2, bb2, _, d2 = _blocks(bu, n)
+            if ffcore.mat_det(bb2) % p:
+                word = _bruhat_word(a2, bb2, d2, p) \
+                    + _upper_shear_word(ffcore.mat_neg(s, mod=p))
+                break
+        else:
+            raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {key}")
+    assert word_matrix(word, pm) == key
+    return word
 
 
 def sl2_word(b: Mat, p: int) -> list[SpFactor]:
     """Length <= 4 word over {shear, dilate, fourier} multiplying to b in SL2(F_p).
 
     For upper-right entry zero the word avoids the Fourier factor entirely.
+    This is the n = 1 closed form; sp_word reproduces it word for word.
     """
     pm1 = PrimeModulus(p, 1)
     a, bb = b[0][0] % p, b[0][1] % p
@@ -182,10 +265,11 @@ def sl2_word(b: Mat, p: int) -> list[SpFactor]:
 class WeilRep:
     """Cache of unitary operators B -> rho(B) with the solved normalization.
 
-    Entries are tagged by how they were produced; every insert is validated
-    against the Egorov identity.  n = 1 supports the whole group through
-    sl2_word; n >= 2 supports the generator monoid (tori are handled
-    separately by TorusRep).
+    Entries are tagged by how they were produced: "bruhat-word" for operators
+    built along sp_word, "generator-formula" for the generators seeded by
+    linearize, "torus-twist" for character-twisted torus entries
+    (linearize_on_torus).  Every entry is validated against the Egorov
+    identity.
     """
 
     pm: PrimeModulus
@@ -198,56 +282,17 @@ class WeilRep:
         key = mat_mod(mat(b), self.pm.p)
         if key in self.cache:
             return self.cache[key]
-        if self.pm.n == 1:
-            word = sl2_word(key, self.pm.p)
-            dense = word_operator(word, self.pm, self.gamma)
-            tag = "bruhat-word"
-        else:
-            dense, tag = self._monoid_or_intertwiner(key)
-        dev = egorov_deviation(dense, key, self.pm)
-        if dev > self.egorov_tol:
-            raise ConstructionError(f"Egorov deviation {dev:.2e} for {key}")
-        self.cache[key] = dense
-        self.tags[key] = tag
+        dense = word_operator(sp_word(key, self.pm), self.pm, self.gamma)
+        self.insert_generator(key, dense, "bruhat-word")
         return dense
 
     def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
         key = mat_mod(mat(b), self.pm.p)
         dev = egorov_deviation(dense, key, self.pm)
         if dev > self.egorov_tol:
-            raise ConstructionError(f"Egorov deviation {dev:.2e} for generator {key}")
+            raise ConstructionError(f"Egorov deviation {dev:.2e} for {tag} entry {key}")
         self.cache[key] = dense
         self.tags[key] = tag
-
-    def _monoid_or_intertwiner(self, key: Mat):
-        n = self.pm.n
-        p = self.pm.p
-        # recognize pure generator shapes
-        a = [[key[i][j] % p for j in range(2 * n)] for i in range(2 * n)]
-        top_right = [[a[i][n + j] for j in range(n)] for i in range(n)]
-        bot_left = [[a[n + i][j] for j in range(n)] for i in range(n)]
-        top_left = [[a[i][j] for j in range(n)] for i in range(n)]
-        bot_right = [[a[n + i][n + j] for j in range(n)] for i in range(n)]
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        zero = [[0] * n for _ in range(n)]
-        if top_right == zero and top_left == ident and bot_right == ident:
-            s = mat(tuple(tuple((-x) % p for x in row) for row in bot_left))
-            return shear_op(s, self.pm).dense(), "generator-formula"
-        if top_right == zero and bot_left == zero:
-            return dilate_op(mat(top_left), self.pm).dense(), "generator-formula"
-        if key == mat_mod(fourier_matrix(self.pm), p):
-            return fourier_op(self.pm, self.gamma), "generator-formula"
-        rng = np.random.default_rng(_seed_from_key(key, p))
-        m = schur_intertwiner(key, self.pm, rng)
-        return m, "schur-intertwiner"
-
-
-def _seed_from_key(key: Mat, p: int) -> int:
-    s = 0
-    for row in key:
-        for x in row:
-            s = (s * p + int(x)) % (2 ** 63 - 1)
-    return s + 7
 
 
 def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus,
@@ -370,7 +415,7 @@ def random_sl2(p: int, rng: np.random.Generator) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Schur-averaged intertwiners and torus linearization
+# Schur-averaged intertwiners (test oracle) and torus twists
 
 
 def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
@@ -407,59 +452,25 @@ def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
     raise ConstructionError("intertwiner averaging returned zero repeatedly")
 
 
-@dataclass
-class TorusRep:
-    """Honest homomorphism B -> rho(B) on one abelian subgroup.
-
-    ops maps the matrix (as a key) to its unitary; root_index records which
-    N-th root was used to fix each generator phase (the residual freedom).
-    """
-
-    pm: PrimeModulus
-    ops: dict
-    root_index: tuple
-
-    def op(self, b: Mat) -> np.ndarray:
-        return self.ops[mat_mod(mat(b), self.pm.p)]
-
-
 def linearize_on_torus(torus, pm: PrimeModulus,
-                       rng: np.random.Generator | None = None,
-                       root_index: tuple | int = 0,
-                       tol: float = 1e-8) -> TorusRep:
-    """Fix intertwiner phases so the map is multiplicative on the torus.
+                       root_index: tuple | int = 0) -> WeilRep:
+    """The canonical rho, with its torus entries twisted by a torus character.
 
-    For each generator g of order N, W_g^N must be a scalar lambda by Schur;
-    rescaling W_g by any N-th root of lambda^-1 gives rho(g)^N = 1.  The
-    root_index selects which root (all choices differ by a character twist).
+    A multiplicative linearization of the torus is fixed up to a character:
+    rho(g_i) may be rescaled by any N_i-th root of unity on a generator g_i
+    of order N_i.  Root index k = (k_1, ...) rescales rho(g_i) by
+    exp(-2 pi i k_i / N_i), so every torus element B is multiplied by
+    conj(chi_k(B)), chi_k the character with exponents k; k = 0 is the
+    canonical rho.  The twisted entries go in through insert_generator
+    (tag "torus-twist", Egorov-checked); elements outside the torus keep
+    their canonical operators.
     """
-    if rng is None:
-        rng = np.random.default_rng(20240901)
+    rep = linearize(pm)
     if isinstance(root_index, int):
         root_index = (root_index,) * len(torus.generators)
-    gens_fixed = []
-    for (g, order), ridx in zip(torus.generators, root_index):
-        w = schur_intertwiner(g, pm, rng)
-        wn = np.linalg.matrix_power(w, order)
-        lam = wn[0, 0]
-        if np.abs(wn - lam * np.eye(pm.dim)).max() > tol or abs(abs(lam) - 1) > tol:
-            raise ConstructionError("generator power is not scalar; intertwiner bug")
-        # rho(g) = w / lambda^(1/N), choosing the ridx-th N-th root
-        root = lam ** (1.0 / order) * np.exp(2j * np.pi * ridx / order)
-        gens_fixed.append((g, order, w / root))
-    # two-generator compatibility: commutators must vanish exactly
-    for i in range(len(gens_fixed)):
-        for j in range(i + 1, len(gens_fixed)):
-            wi, wj = gens_fixed[i][2], gens_fixed[j][2]
-            if np.abs(wi @ wj - wj @ wi).max() > tol:
-                raise ConstructionError("inconsistent two-generator phases")
-    ops = {}
-    for b_key, exps in torus.dlog.items():
-        dense = np.eye(pm.dim, dtype=complex)
-        for (g, order, w), e in zip(gens_fixed, exps):
-            if e:
-                dense = dense @ np.linalg.matrix_power(w, e)
-        ops[b_key] = dense
-    if len(ops) != torus.order:
-        raise ConstructionError("torus regeneration mismatch")
-    return TorusRep(pm, ops, tuple(root_index))
+    chi = TorusCharacter(torus.gen_orders, tuple(root_index))
+    for b in torus.elements:
+        dense = word_operator(sp_word(b, pm), pm, rep.gamma)
+        twist = np.conj(chi.value_of_exps(torus.dlog[b]))
+        rep.insert_generator(b, twist * dense, "torus-twist")
+    return rep

@@ -71,7 +71,7 @@ def test_criterion_2_egorov(cat_map, sp4_elem, rep_cache):
         pm = PrimeModulus(p, 2)
         tol = 1e-9 * p
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm, rng=np.random.default_rng(p))
+        trep = weil.linearize_on_torus(torus, pm)
         xis = [tuple(1 if i == j else 0 for i in range(4)) for j in range(4)] \
             + [tuple(int(x) for x in rng.integers(0, p, 4)) for _ in range(50)]
         for b in torus.elements:
@@ -118,7 +118,7 @@ def test_criterion_3_linearization(cat_map, sp4_elem, rep_cache):
     for p in (3, 7, 11, 13):
         pm = PrimeModulus(p, 1)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        trep = weil.linearize_on_torus(torus, pm, rng=np.random.default_rng(p))
+        trep = weil.linearize_on_torus(torus, pm)
         for g, order in torus.generators:
             dev = np.abs(np.linalg.matrix_power(trep.op(g), order)
                          - np.eye(pm.dim)).max()
@@ -126,7 +126,7 @@ def test_criterion_3_linearization(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm, rng=np.random.default_rng(p))
+        trep = weil.linearize_on_torus(torus, pm)
         for g, order in torus.generators:
             dev = np.abs(np.linalg.matrix_power(trep.op(g), order)
                          - np.eye(pm.dim)).max()
@@ -177,7 +177,7 @@ def test_criterion_4_decomposition(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm, rng=np.random.default_rng(p))
+        trep = weil.linearize_on_torus(torus, pm)
         dec = hecke.decompose(torus, trep)
         sums_ok = sums_ok and sum(dec.dims) == p ** 2
         for chi, d in zip(hecke.characters(torus), dec.dims):
@@ -248,7 +248,7 @@ def test_criterion_5_que_bound(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm, rng=np.random.default_rng(p))
+        trep = weil.linearize_on_torus(torus, pm)
         rpt = q.verify_que_bound(sp4_elem, pm, trep, torus=torus)
         n2_ok = n2_ok and rpt.ok
         n2_ratio = max(n2_ratio, rpt.max_ratio / 4)
@@ -343,9 +343,7 @@ def test_criterion_10_twist_invariance(cat_map, sp4_elem, rep_cache):
         torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
         tables = []
         for ridx in (0, 1):
-            trep = weil.linearize_on_torus(torus, pm,
-                                           rng=np.random.default_rng(101),
-                                           root_index=ridx)
+            trep = weil.linearize_on_torus(torus, pm, root_index=ridx)
             table = q.build_trace_table(torus, trep)
             tables.append(np.sort(np.abs(q.character_sum_table(table)), axis=1))
         worst = max(worst, float(np.abs(tables[0] - tables[1]).max()))
@@ -388,3 +386,54 @@ def test_supplement_split_prime_exceptional_values(cat_map, rep_cache):
         assert rpt.exceptional_order2["dim"] == 2
     print("SUPPLEMENT: split-prime exceptional values are exactly p - 2 on "
           "axis vectors, generic stratum within 2")
+
+
+def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
+    """n = 2 at the fully split p = 13 under the canonical rho.
+
+    The eigenspace dims are the tensor square of the n = 1 split pattern
+    (121 x 1, 22 x 2, 1 x 4) and the refinement holds on the generic stratum.
+    The bound fails for some dim-1 characters, at 8,976 (xi, chi) pairs, all
+    on xi whose split-frame coordinates (lam_j, mu_j) vanish for exactly one
+    factor j (4,488 for each j).  There the sum factorizes with the j-th
+    factor equal to |T_1| = p - 1: a_chi(xi) = (p - 1) a_{k_i}(xi_i), an
+    n = 1 diagonal-torus sum of the other factor, and (p - 1) 2 sqrt(p) > 4p.
+    """
+    torus, rep, table = sp4_split13
+    pm = torus.pm
+    p = pm.p
+    dec = hecke.decompose(torus, rep)
+    assert sorted(dec.dims) == [1] * 121 + [2] * 22 + [4]
+    rpt = q.verify_que_bound(sp4_elem, pm, rep, decomposition=dec, torus=torus,
+                             table=table)
+    assert not rpt.ok_dim1
+    assert abs(rpt.max_ratio_dim1 - 6.39651) < 1e-5
+    assert len(rpt.dim1_violations) == 8976
+    refined = q.refined_bound(sp4_elem, pm, torus, table)
+    refined_ratio = max(r["generic_max"] / r["refined_bound"] for r in refined.rows)
+    assert refined.generic_ok
+    assert abs(refined_ratio - 0.94273) < 1e-5
+
+    transport = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
+    pm1 = PrimeModulus(p, 1)
+    sign = q.measure_split_sign(pm1, weil.linearize(pm1))
+    chis = {chi.exps: chi for chi in hecke.characters(torus)}
+    achi = q.character_sum_table(table)
+    col = {exps: i for i, exps in enumerate(chis)}
+    per_factor = [0, 0]
+    worst = 0.0
+    for xi, exps, abs_a, bound in rpt.dim1_violations:
+        coords = transport.factor_coordinates(xi)
+        (j,) = [k for k, (lam, mu) in enumerate(coords) if lam == 0 and mu == 0]
+        per_factor[j] += 1
+        i = 1 - j
+        k_i = transport.transport_char(chis[exps], torus)[i]
+        factor = q.diagonal_factor_sum(*coords[i], k_i, pm1, sign)
+        a = achi[q.flatten_xi(xi, pm), col[exps]]
+        worst = max(worst, abs(a - (p - 1) * factor))
+    assert per_factor == [4488, 4488]
+    assert worst < 1e-9
+    print(f"SUPPLEMENT: n=2 p=13 canonical rho: dims 121x1, 22x2, 1x4; refined "
+          f"passes (max ratio {refined_ratio:.5f}); the dim-1 bound fails only "
+          f"where one split factor of xi vanishes (max ratio "
+          f"{rpt.max_ratio_dim1:.5f})")

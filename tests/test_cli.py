@@ -68,7 +68,8 @@ def test_sweep_small_range(tmp_path, capsys):
     assert [rp["p"] for rp in report["primes"]] == [3, 7]
     assert report["skipped"] == [{"p": 5, "reason": "degenerate prime"}]
     for rp in report["primes"]:
-        assert set(rp) == {"p", "n", "split_type", "torus_order", "checks"}
+        assert set(rp) == {"p", "n", "split_type", "torus_order", "routes",
+                           "checks"}
         for c in rp["checks"]:
             assert set(c) == {"name", "status", "max_dev", "max_ratio",
                               "witnesses", "millis"}
@@ -129,6 +130,21 @@ def test_sweep_n2_bound(tmp_path):
     check = report["primes"][0]["checks"][0]
     assert check["status"] == "pass"
     assert check["max_ratio"] < 4  # |a_chi| / p^(n/2) < 2^n at this prime
+
+
+def test_sweep_n2_reports_construction_routes(tmp_path):
+    # every operator of an n = 2 sweep is a generator formula or a Bruhat
+    # word; none comes from Schur averaging
+    out_json = tmp_path / "routes.json"
+    rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
+                  "--pmax", "5", "--checks", "decomposition,bound",
+                  "--out-json", str(out_json)])
+    assert rc == 0
+    report = json.loads(out_json.read_text())
+    assert [rp["p"] for rp in report["primes"]] == [3, 5]
+    for rp in report["primes"]:
+        assert set(rp["routes"]) == {"bruhat-word", "generator-formula"}
+        assert rp["routes"]["bruhat-word"] >= rp["torus_order"]
 
 
 def test_budget_skips_checks(tmp_path):

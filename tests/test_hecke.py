@@ -220,7 +220,7 @@ def test_decompose_n2_cyclic_torus(sp4_elem):
     pm = PrimeModulus(3, 2)
     t = centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
     assert t.order == 10
-    trep = weil.linearize_on_torus(t, pm, rng=np.random.default_rng(2))
+    trep = weil.linearize_on_torus(t, pm)
     dec = decompose(t, trep)
     assert sum(dec.dims) == 9
     assert all(d <= 1 for d in dec.dims)

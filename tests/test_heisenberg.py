@@ -67,6 +67,16 @@ def test_relations_exhaustive_small():
     assert r.epsilon in (1, -1)
 
 
+def test_relation_sign_from_one_pair_matches_exhaustive():
+    for p, n in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2)):
+        pm = PrimeModulus(p, n)
+        one = check_relations(pm, exhaustive=False)
+        full = check_relations(pm)
+        assert one.pairs_checked == 1 and full.pairs_checked == p ** (4 * n)
+        assert one.ok and full.ok
+        assert one.epsilon == full.epsilon
+
+
 def test_relation_phase_at_equal_arguments():
     # omega(xi, xi) = 0, so T(xi)^2 = T(2 xi) with no phase
     pm = PrimeModulus(7, 1)

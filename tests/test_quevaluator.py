@@ -220,12 +220,13 @@ def test_verify_que_bound_split_defect(cat_map, rep_cache, torus_cache):
 def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
                                                        torus_cache):
     # column chi of the character-sum table belongs to H_{chi^-1}; a twisted
-    # linearization moves the 2-dim eigenspace off the self-inverse order-2
-    # character, so pairing column chi with dim H_chi would admit the p - 2
-    # column into the dim-1 population
+    # linearization (root index 1: a twist by a character of order 10) moves
+    # the 2-dim eigenspace off the self-inverse order-2 character, so pairing
+    # column chi with dim H_chi would admit the p - 2 column into the dim-1
+    # population
     pm = PrimeModulus(11, 1)
     torus = torus_cache(11)
-    trep = weil.linearize_on_torus(torus, pm)
+    trep = weil.linearize_on_torus(torus, pm, root_index=1)
     chis = hecke.characters(torus)
     dims = hecke.decompose(torus, trep).dims
     (big,) = [chi for chi, d in zip(chis, dims) if d == 2]
@@ -298,3 +299,27 @@ def test_diagonal_factor_sum_boundary():
     val = q.diagonal_factor_sum(0, 0, 0, pm, sign=-1)
     oracle = q.gauss_sum_oracle(0, 0, pm)
     assert abs(val - (11 + oracle)) < 1e-12
+
+
+def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
+    # rho(S0) dilate(t) rho(S0)^dagger, the conjugated-standard construction,
+    # is the canonical rho on every element S0 t S0^-1 of the split torus
+    torus, rep, _ = sp4_split13
+    pm = torus.pm
+    tr = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
+    w = rep.op(tr.s0)
+    worst = 0.0
+    for b in torus.elements:
+        t = ffcore.mat_mul(ffcore.mat_mul(tr.s0_inv, b, mod=13), tr.s0, mod=13)
+        oracle = w @ weil.dilate_op(((t[0][0], t[0][1]), (t[1][0], t[1][1])),
+                                    pm).dense() @ w.conj().T
+        worst = max(worst, float(np.abs(oracle - rep.op(b)).max()))
+    assert torus.order == 144
+    assert worst < 1e-9
+
+
+def test_factorization_check_reuses_table(sp4_elem, sp4_split13):
+    torus, _, table = sp4_split13
+    rpt = q.factorization_check(sp4_elem, torus.pm, table=table)
+    assert rpt.ok and rpt.matched_all_reconciled == rpt.pairs_total
+    assert (rpt.generic_pairs, rpt.pairs_total) == (2985984, 4112640)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from torusque import weil
-from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mul
+from torusque.ffcore import (PrimeModulus, identity_mat, legendre, mat_det, mat_mod,
+                             mat_mul)
 from torusque.heisenberg import pi_op
 from torusque.weil import (ConstructionError, SpFactor, dilate_op, fourier_op,
                            egorov_deviation, linearize, linearize_on_torus,
@@ -197,32 +198,144 @@ def test_egorov_failure_detected():
         rep.insert_generator(((1, 1), (0, 1)), np.eye(5, dtype=complex), "bogus")
 
 
+def _phase_dev(a, b):
+    """Distance of a b^dagger from a unimodular multiple of the identity."""
+    ratio = a @ b.conj().T
+    phase = ratio[0, 0]
+    return max(abs(abs(phase) - 1), float(np.abs(ratio - phase * np.eye(len(a))).max()))
+
+
 def test_weilrep_n2_dispatch(sp4_elem):
-    # generator shapes are recognized and served by formulas; everything else
-    # falls back to a Schur intertwiner, Egorov-validated on insert
+    # every element is built along its sp_word: generator shapes reproduce the
+    # generator formulas, and a general element agrees with the Schur-averaged
+    # intertwiner (the oracle) up to a phase
     pm = PrimeModulus(3, 2)
     rep = linearize(pm)
     s = ((1, 2), (2, 0))
     b_shear = weil.shear_matrix(s, pm)
     assert np.abs(rep.op(b_shear) - shear_op(s, pm).dense()).max() < 1e-12
-    assert rep.tags[b_shear] == "generator-formula"
+    assert rep.tags[b_shear] == "bruhat-word"
     m = ((2, 1), (0, 1))
     b_dil = weil.dilate_matrix(m, pm)
     assert np.abs(rep.op(b_dil) - dilate_op(m, pm).dense()).max() < 1e-12
-    from torusque.ffcore import mat_mod
-    from torusque import hecke
-    torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
+    assert rep.tags[b_dil] == "bruhat-word"
+    b_f = mat_mod(weil.fourier_matrix(pm), 3)
+    assert np.abs(rep.op(b_f) - fourier_op(pm, rep.gamma)).max() < 1e-12
+    assert rep.tags[b_f] == "generator-formula"
     b = mat_mod(sp4_elem.matrix, 3)
     w = rep.op(b)
-    assert rep.tags[b] == "schur-intertwiner"
+    assert rep.tags[b] == "bruhat-word"
     assert np.abs(w @ w.conj().T - np.eye(9)).max() < 1e-9
     assert egorov_deviation(w, b, pm) < 1e-9 * 3
+    assert _phase_dev(w, schur_intertwiner(b, pm, np.random.default_rng(0))) < 1e-9
+
+
+def _random_sp(pm, rng, length=6):
+    """A random element of Sp(2n, F_p) as a product of random generators."""
+    p, n = pm.p, pm.n
+    word = []
+    for _ in range(length):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            s = rng.integers(0, p, size=(n, n))
+            s = (s + s.T) % p
+            word.append(SpFactor("shear", tuple(tuple(int(x) for x in r) for r in s)))
+        elif kind == 1:
+            while True:
+                m = tuple(tuple(int(x) for x in rng.integers(0, p, n)) for _ in range(n))
+                if mat_det(m) % p:
+                    break
+            word.append(SpFactor("dilate", m))
+        else:
+            word.append(SpFactor("fourier"))
+    return word_matrix(word, pm)
+
+
+def _top_right_rank(b, p):
+    bb = ((b[0][2], b[0][3]), (b[1][2], b[1][3]))
+    if (bb[0][0] * bb[1][1] - bb[0][1] * bb[1][0]) % p:
+        return 2
+    return 1 if any(x % p for row in bb for x in row) else 0
+
+
+def test_sp_word_bruhat_cells():
+    # the word has no Fourier factor when the upper-right block vanishes, one
+    # when it is invertible, and one more for each of the four in U(-S) when
+    # it has rank 1
+    for p in (3, 5):
+        pm = PrimeModulus(p, 2)
+        rep = linearize(pm)
+        rng = np.random.default_rng(p)
+        seen = set()
+        for _ in range(60):
+            b = _random_sp(pm, rng)
+            rank = _top_right_rank(b, p)
+            seen.add(rank)
+            word = weil.sp_word(b, pm)
+            assert word_matrix(word, pm) == b
+            assert sum(f.kind == "fourier" for f in word) == {0: 0, 1: 5, 2: 1}[rank]
+            w = rep.op(b)
+            assert np.abs(w @ w.conj().T - np.eye(p * p)).max() < 1e-9
+            assert egorov_deviation(w, b, pm) < 1e-9 * p
+        assert seen == {0, 1, 2}
+
+
+def test_sp_word_rejects_non_symplectic():
+    with pytest.raises(ValueError):
+        weil.sp_word(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                     PrimeModulus(5, 2))
+
+
+def test_sp4_pair_multiplicativity():
+    for p in (3, 5, 7):
+        pm = PrimeModulus(p, 2)
+        rep = linearize(pm)
+        rng = np.random.default_rng(100 + p)
+        ranks = set()
+        worst = 0.0
+        for _ in range(30):
+            b1, b2 = _random_sp(pm, rng), _random_sp(pm, rng)
+            prod = mat_mul(b1, b2, mod=p)
+            ranks.update(_top_right_rank(b, p) for b in (b1, b2, prod))
+            worst = max(worst, float(np.abs(rep.op(b1) @ rep.op(b2)
+                                            - rep.op(prod)).max()))
+        assert ranks == {0, 1, 2}
+        assert worst < 1e-9
+
+
+def test_sp_word_matches_schur_oracle(sp4_elem, torus_cache):
+    for p in (3, 5):
+        pm = PrimeModulus(p, 2)
+        rep = linearize(pm)
+        torus = torus_cache(p, 2)
+        targets = [mat_mod(sp4_elem.matrix, p)] + [g for g, _ in torus.generators]
+        for i, b in enumerate(targets):
+            oracle = schur_intertwiner(b, pm, np.random.default_rng(i))
+            assert _phase_dev(rep.op(b), oracle) < 1e-9
+
+
+def test_sp_word_equals_sl2_word():
+    for p in (3, 5, 7):
+        pm = PrimeModulus(p, 1)
+        for b in sl2_elements(p):
+            assert weil.sp_word(b, pm) == sl2_word(b, p)
+
+
+def test_torus_twist_entries_are_tagged(torus_cache):
+    pm = PrimeModulus(5, 2)
+    torus = torus_cache(5, 2)
+    trep = linearize_on_torus(torus, pm, root_index=(1,) * len(torus.generators))
+    assert all(trep.tags[b] == "torus-twist" for b in torus.elements)
+    for b1 in torus.elements[:5]:
+        for b2 in torus.elements[:5]:
+            prod = mat_mul(b1, b2, mod=5)
+            assert np.abs(trep.op(b1) @ trep.op(b2) - trep.op(prod)).max() < 1e-9
 
 
 def test_torus_linearization_orders(cat_map, rep_cache, torus_cache):
     pm = PrimeModulus(7, 1)
     torus = torus_cache(7)
-    trep = linearize_on_torus(torus, pm, rng=np.random.default_rng(5))
+    trep = linearize_on_torus(torus, pm)
     for g, order in torus.generators:
         power = np.linalg.matrix_power(trep.op(g), order)
         assert np.abs(power - np.eye(7)).max() < 1e-9
@@ -241,8 +354,7 @@ def test_torus_linearization_agrees_with_full_rep(rep_cache, torus_cache):
     g, order = torus.generators[0]
     matches = 0
     for ridx in range(order):
-        trep = linearize_on_torus(torus, pm, rng=np.random.default_rng(5),
-                                  root_index=ridx)
+        trep = linearize_on_torus(torus, pm, root_index=ridx)
         dev = max(float(np.abs(trep.op(b) - rep.op(b)).max())
                   for b in torus.elements)
         if dev < 1e-8:
@@ -254,8 +366,8 @@ def test_two_root_choices_twist_by_character(rep_cache, torus_cache):
     # alternative root choices differ elementwise by an exact character
     pm = PrimeModulus(7, 1)
     torus = torus_cache(7)
-    t0 = linearize_on_torus(torus, pm, rng=np.random.default_rng(5), root_index=0)
-    t1 = linearize_on_torus(torus, pm, rng=np.random.default_rng(5), root_index=1)
+    t0 = linearize_on_torus(torus, pm, root_index=0)
+    t1 = linearize_on_torus(torus, pm, root_index=1)
     g, order = torus.generators[0]
     zeta = np.exp(2j * np.pi / order)
     for b, exps in torus.dlog.items():
