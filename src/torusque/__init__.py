@@ -9,8 +9,7 @@ from .heisenberg import FourierPolynomial, check_relations, integral, pi_op, qua
 from .quevaluator import (BoundReport, build_trace_table, character_sum,
                           factorization_check, gauss_sum_oracle, refined_bound,
                           split_trace_formula, trace_pair, verify_que_bound)
-from .weil import (WeilRep, linearize, linearize_on_torus, schur_intertwiner, sl2_word,
-                   sp_word)
+from .weil import WeilRep, linearize, linearize_on_torus, schur_intertwiner, sp_word
 
 __version__ = "0.1.0"
 
@@ -22,5 +21,5 @@ __all__ = [
     "BoundReport", "build_trace_table", "character_sum", "factorization_check",
     "gauss_sum_oracle", "refined_bound", "split_trace_formula", "trace_pair",
     "verify_que_bound", "WeilRep", "linearize", "linearize_on_torus",
-    "schur_intertwiner", "sl2_word", "sp_word", "__version__",
+    "schur_intertwiner", "sp_word", "__version__",
 ]

@@ -90,16 +90,13 @@ def mat_mod(m: Mat, p: int) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat, mod: int | None = None) -> Mat:
-    n, k, k2, m = len(a), len(a[0]), len(b), len(b[0])
-    assert k == k2, "shape mismatch"
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = sum(a[i][t] * b[t][j] for t in range(k))
-            row.append(s % mod if mod is not None else s)
-        out.append(tuple(row))
-    return tuple(out)
+    assert len(a[0]) == len(b), "shape mismatch"
+    cols = tuple(zip(*b))
+    if mod is None:
+        return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols)
+                     for row in a)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % mod for col in cols)
+                 for row in a)
 
 
 def mat_vec(a: Mat, v: tuple[int, ...], mod: int | None = None) -> tuple[int, ...]:
@@ -177,13 +174,23 @@ def symplectic_form(xi, eta, mod: int | None = None) -> int:
 
 
 def is_symplectic(m: Mat, p: int | None = None) -> bool:
-    """True iff M^T J M = J (over Z, or mod p)."""
+    """True iff M^T J M = J (over Z, or mod p).
+
+    Entry (i, j) of M^T J M is omega(column i, column j), so the test is that
+    the columns of M form a symplectic basis.
+    """
     d = len(m)
     if d % 2 != 0 or any(len(r) != d for r in m):
         raise ValueError("symplectic test needs a square matrix of even size")
-    j = standard_j(d // 2)
-    lhs = mat_mul(mat_mul(mat_transpose(m), j), m)
-    return mat_eq(lhs, j, mod=p)
+    n = d // 2
+    cols = tuple(zip(*m))
+    for i in range(d):
+        for j in range(i + 1, d):
+            want = 1 if j == i + n and i < n else 0
+            diff = symplectic_form(cols[i], cols[j]) - want
+            if (diff % p if p is not None else diff) != 0:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -147,17 +147,17 @@ def word_operator(word: list[SpFactor], pm: PrimeModulus, gamma: complex) -> np.
 
 def _blocks(b: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
     """The n x n blocks (A, Bb, C, D) of b = [[A, Bb], [C, D]]."""
-    def block(r0, c0):
-        return tuple(tuple(b[r0 + i][c0 + j] for j in range(n)) for i in range(n))
-    return block(0, 0), block(0, n), block(n, 0), block(n, n)
+    top, bottom = b[:n], b[n:]
+    return (tuple(r[:n] for r in top), tuple(r[n:] for r in top),
+            tuple(r[:n] for r in bottom), tuple(r[n:] for r in bottom))
 
 
 def _bruhat_word(a: Mat, bb: Mat, d: Mat, p: int) -> list[SpFactor]:
     """[[A, Bb], [C, D]] with Bb invertible mod p, as
     shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A); C is implied."""
-    binv = mat_inv_modp(bb, p)
-    s1 = ffcore.mat_neg(mat_mul(d, binv), mod=p)
-    s2 = ffcore.mat_neg(mat_mul(binv, a), mod=p)
+    neg_binv = ffcore.mat_neg(mat_inv_modp(bb, p), mod=p)
+    s1 = mat_mul(d, neg_binv, mod=p)
+    s2 = mat_mul(neg_binv, a, mod=p)
     word: list[SpFactor] = []
     if any(any(row) for row in s1):
         word.append(SpFactor("shear", s1))
@@ -192,7 +192,8 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
       2^n choices of S).
 
     Identity dilations and zero shears are left out, so at n = 1 the word is
-    exactly sl2_word's.
+    the familiar SL2 one: no Fourier factor when the upper-right entry
+    vanishes, at most four factors otherwise.
     """
     p, n = pm.p, pm.n
     key = mat_mod(mat(b), p)
@@ -219,41 +220,6 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
         else:
             raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {key}")
     assert word_matrix(word, pm) == key
-    return word
-
-
-def sl2_word(b: Mat, p: int) -> list[SpFactor]:
-    """Length <= 4 word over {shear, dilate, fourier} multiplying to b in SL2(F_p).
-
-    For upper-right entry zero the word avoids the Fourier factor entirely.
-    This is the n = 1 closed form; sp_word reproduces it word for word.
-    """
-    pm1 = PrimeModulus(p, 1)
-    a, bb = b[0][0] % p, b[0][1] % p
-    c, d = b[1][0] % p, b[1][1] % p
-    if (a * d - bb * c) % p != 1:
-        raise ValueError("matrix is not in SL2 mod p")
-    word: list[SpFactor] = []
-    if bb == 0:
-        # [[a, 0], [c, a^-1]] = dilate(a) * shear(-a*c)
-        if a % p != 1:
-            word.append(SpFactor("dilate", ((a,),)))
-        s = (-a * c) % p
-        if s:
-            word.append(SpFactor("shear", ((s,),)))
-    else:
-        # [[a, b], [c, d]] = shear(-d/b) * dilate(b) * fourier * shear(-a/b)
-        binv = pow(bb, -1, p)
-        s1 = (-d * binv) % p
-        s2 = (-a * binv) % p
-        if s1:
-            word.append(SpFactor("shear", ((s1,),)))
-        if bb != 1:
-            word.append(SpFactor("dilate", ((bb,),)))
-        word.append(SpFactor("fourier"))
-        if s2:
-            word.append(SpFactor("shear", ((s2,),)))
-    assert word_matrix(word, pm1) == mat_mod(b, p)
     return word
 
 
@@ -373,9 +339,9 @@ def check_multiplicativity(rep: WeilRep, elements: list[Mat] | None = None,
                            seed: int = 0) -> MultiplicativityReport:
     """rho(B1) rho(B2) = rho(B1 B2): exhaustive when pairs is None.
 
-    The sampled mode draws random pairs and evaluates each operator through
-    its word without touching the cache, so memory stays O(p^2n) even at the
-    top of the sweep range.
+    The sampled mode draws random pairs and evaluates each operator along its
+    sp_word, the route rep.op takes, without touching the cache, so memory
+    stays O(p^2n) even at the top of the sweep range.
     """
     pm = rep.pm
     if pairs is None:
@@ -398,9 +364,9 @@ def check_multiplicativity(rep: WeilRep, elements: list[Mat] | None = None,
         b1 = random_sl2(pm.p, rng)
         b2 = random_sl2(pm.p, rng)
         prod = mat_mul(b1, b2, mod=pm.p)
-        op1 = word_operator(sl2_word(b1, pm.p), pm, rep.gamma)
-        op2 = word_operator(sl2_word(b2, pm.p), pm, rep.gamma)
-        op12 = word_operator(sl2_word(prod, pm.p), pm, rep.gamma)
+        op1 = word_operator(sp_word(b1, pm), pm, rep.gamma)
+        op2 = word_operator(sp_word(b2, pm), pm, rep.gamma)
+        op12 = word_operator(sp_word(prod, pm), pm, rep.gamma)
         max_dev = max(max_dev, float(np.abs(op1 @ op2 - op12).max()))
     return MultiplicativityReport(pairs, max_dev, max_dev <= tol)
 

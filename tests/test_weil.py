@@ -7,8 +7,8 @@ from torusque.ffcore import (PrimeModulus, identity_mat, legendre, mat_det, mat_
 from torusque.heisenberg import pi_op
 from torusque.weil import (ConstructionError, SpFactor, dilate_op, fourier_op,
                            egorov_deviation, linearize, linearize_on_torus,
-                           schur_intertwiner, shear_op, sl2_elements, sl2_word,
-                           solve_gamma, word_matrix, word_operator)
+                           random_sl2, schur_intertwiner, shear_op, sl2_elements,
+                           solve_gamma, sp_word, word_matrix, word_operator)
 
 
 def test_dilate_identity():
@@ -65,23 +65,24 @@ def test_rep_fourier_powers(rep_cache):
 
 
 def test_sl2_word_shapes():
-    # no fourier factor when the upper-right entry vanishes
+    # at n = 1, no fourier factor when the upper-right entry vanishes
     for p in (5, 11):
-        word = sl2_word(((1, 0), (3, 1)), p)
+        pm = PrimeModulus(p, 1)
+        word = sp_word(((1, 0), (3, 1)), pm)
         assert [f.kind for f in word] == ["shear"]
-        word = sl2_word(((0, 1), (-1, 0)), p)
+        word = sp_word(((0, 1), (-1, 0)), pm)
         assert [f.kind for f in word] == ["fourier"]
-        word = sl2_word(((2, 0), (0, pow(2, -1, p))), p)
+        word = sp_word(((2, 0), (0, pow(2, -1, p))), pm)
         assert [f.kind for f in word] == ["dilate"]
-    # cat map mod 5: word re-multiplies to the matrix (checked inside sl2_word)
-    word = sl2_word(((2, 1), (1, 1)), 5)
+    # cat map mod 5: word re-multiplies to the matrix (checked inside sp_word)
+    word = sp_word(((2, 1), (1, 1)), PrimeModulus(5, 1))
     assert len(word) <= 4
     assert word_matrix(word, PrimeModulus(5, 1)) == ((2, 1), (1, 1))
 
 
 def test_sl2_word_rejects_non_sl2():
     with pytest.raises(ValueError):
-        sl2_word(((1, 1), (1, 1)), 5)
+        sp_word(((1, 1), (1, 1)), PrimeModulus(5, 1))
 
 
 def test_gamma_solved_values():
@@ -314,11 +315,42 @@ def test_sp_word_matches_schur_oracle(sp4_elem, torus_cache):
             assert _phase_dev(rep.op(b), oracle) < 1e-9
 
 
+def _sl2_word_oracle(b, p):
+    """Scalar closed form of the SL2 word, independent of sp_word's block code:
+    [[a, 0], [c, 1/a]] = dilate(a) shear(-a c), and for b != 0
+    [[a, b], [c, d]] = shear(-d/b) dilate(b) fourier shear(-a/b)."""
+    a, bb, c, d = b[0][0] % p, b[0][1] % p, b[1][0] % p, b[1][1] % p
+    word = []
+    if bb == 0:
+        if a != 1:
+            word.append(SpFactor("dilate", ((a,),)))
+        if (-a * c) % p:
+            word.append(SpFactor("shear", (((-a * c) % p,),)))
+        return word
+    binv = pow(bb, -1, p)
+    if (-d * binv) % p:
+        word.append(SpFactor("shear", (((-d * binv) % p,),)))
+    if bb != 1:
+        word.append(SpFactor("dilate", ((bb,),)))
+    word.append(SpFactor("fourier"))
+    if (-a * binv) % p:
+        word.append(SpFactor("shear", (((-a * binv) % p,),)))
+    return word
+
+
 def test_sp_word_equals_sl2_word():
+    # all of SL2(F_p) for p <= 7, and the sampled multiplicativity check's
+    # draws across the n = 1 sweep range
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 1)
         for b in sl2_elements(p):
-            assert weil.sp_word(b, pm) == sl2_word(b, p)
+            assert sp_word(b, pm) == _sl2_word_oracle(b, p)
+    rng = np.random.default_rng(5)
+    for p in (11, 13, 29, 43, 61, 97):
+        pm = PrimeModulus(p, 1)
+        for _ in range(300):
+            b = random_sl2(p, rng)
+            assert sp_word(b, pm) == _sl2_word_oracle(b, p)
 
 
 def test_torus_twist_entries_are_tagged(torus_cache):
