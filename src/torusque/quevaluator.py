@@ -1,8 +1,11 @@
 """Trace tables, Hecke character sums, and the bound checks.
 
-The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) is computed in
-O(p^n) per value through the generalized-permutation structure of T(xi), and
-tabulated over the Hecke torus for all xi mod p.  Character sums
+The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) is computed for
+every xi mod p at once from one dense rho(B) (`trace_column`: one gather along
+the shifts of T(xi), one matmul with the psi(x.y) matrix, one phase prefix),
+and tabulated over the Hecke torus one column per element; `trace_pair`, the
+per-value route through the generalized-permutation structure of T(xi), is
+the oracle it is tested against.  Character sums
 
     a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B)
 
@@ -35,8 +38,8 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
-from .heisenberg import (FourierPolynomial, index_vectors, pi_exponents,
-                         pi_op, quantize, root_table)
+from .heisenberg import (FourierPolynomial, index_vectors, lattice_vectors,
+                         pi_exponents, pi_op, quantize, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 
@@ -49,6 +52,38 @@ def trace_pair(xi, rho_dense: np.ndarray, pm: PrimeModulus) -> complex:
     src, expo = pi_exponents(xi, pm)
     phases = root_table(pm.p)[expo % pm.p]
     return complex((phases * rho_dense[src, np.arange(pm.dim)]).sum())
+
+
+def _trace_kernel(pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-modulus tables of `trace_column`, indexed [lam, x] and [lam, mu].
+
+    rows[lam, x] = flat(x + lam), psi_dot[x, y] = psi(x.y) and
+    prefix[lam, mu] = psi(nu lam.mu).  Built per caller and not cached, for
+    the reason `heisenberg.lattice_vectors` gives.
+    """
+    p = pm.p
+    pts = index_vectors(pm)
+    rows = ((pts[:, None, :] + pts[None, :, :]) % p) @ (p ** np.arange(pm.n))
+    dots = (pts @ pts.T) % p
+    psi = root_table(p)
+    return rows, psi[dots], psi[(pm.nu * dots) % p]
+
+
+def _trace_column(rho_dense: np.ndarray, kernel) -> np.ndarray:
+    rows, psi_dot, prefix = kernel
+    g = rho_dense[rows, np.arange(len(rows))]
+    # [lam, mu] transposed to [mu, lam] and read row-major: lam + p^n mu
+    return (prefix * (g @ psi_dot)).T.reshape(-1)
+
+
+def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
+    """F(xi, B) for every xi mod p, in flat order lam + p^n mu, from rho(B).
+
+    F((lam, mu), B) = psi(nu lam.mu) sum_x psi(mu.x) rho(B)[x + lam, x]: one
+    gather G[lam, x] = rho(B)[x + lam, x], one matmul with the psi(x.y)
+    matrix, one psi(nu lam.mu) prefix.  `trace_pair` is the per-value oracle.
+    """
+    return _trace_column(rho_dense, _trace_kernel(pm))
 
 
 @dataclass
@@ -83,29 +118,12 @@ def unflatten_xi(k: int, pm: PrimeModulus) -> tuple[int, ...]:
 
 
 def build_trace_table(torus: HeckeTorus, rep) -> TraceTable:
-    """Tabulate F for every (xi, B): per B, one gather and one DFT per shift."""
+    """Tabulate F for every (xi, B): one trace column per torus element."""
     pm = torus.pm
-    p, n, d = pm.p, pm.n, pm.dim
-    pts = index_vectors(pm)                      # (d, n)
-    psi = root_table(p)
-    # character matrix Psi[mu_flat, i] = psi(mu . x_i)
-    dots = (pts @ pts.T) % p
-    psi_mat = psi[dots]
-    lam_vecs = pts                                # lam runs over the same grid
-    nu = pm.nu
-    table = np.zeros((p ** (2 * n), torus.order), dtype=complex)
-    col = np.arange(d)
-    pvec = p ** np.arange(n)
+    kernel = _trace_kernel(pm)
+    table = np.empty((pm.dim ** 2, torus.order), dtype=complex)
     for bi, b in enumerate(torus.elements):
-        r = rep.op(b)
-        for lam_flat in range(d):
-            lam = lam_vecs[lam_flat]
-            src = ((pts + lam) % p) @ pvec
-            g = r[src, col]                       # rho(B)[x + lam, x]
-            sums = psi_mat @ g                    # indexed by mu_flat
-            lam_dot_mu = (lam @ pts.T) % p
-            prefix = psi[(nu * lam_dot_mu) % p]
-            table[lam_flat + d * np.arange(d), bi] = prefix * sums
+        table[:, bi] = _trace_column(rep.op(b), kernel)
     return TraceTable(pm, torus, table)
 
 
@@ -173,6 +191,15 @@ class SplitTransport:
 
     def is_generic(self, xi) -> bool:
         return all(l != 0 and m != 0 for l, m in self.factor_coordinates(xi))
+
+    def transport_all(self) -> np.ndarray:
+        """S0^-1 xi mod p for every xi at once; row k transports unflatten_xi(k)."""
+        s0_inv = np.array(self.s0_inv, dtype=np.int64)
+        return (lattice_vectors(self.pm) @ s0_inv.T) % self.pm.p
+
+    def generic_mask(self) -> np.ndarray:
+        """is_generic for every flat xi: no split-frame coordinate vanishes."""
+        return (self.transport_all() != 0).all(axis=1)
 
     def transport_char(self, chi: TorusCharacter, torus: HeckeTorus) -> tuple[int, ...]:
         """Per-factor exponents k_j with chi(S0 t(e_j(g)) S0^-1) = e(k_j/(p-1))."""
@@ -251,17 +278,23 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 # closed-form diagonal trace and Gauss-sum oracles
 
 
-def split_trace_formula(lam: int, mu: int, a: int, pm: PrimeModulus,
-                        sign: int = -1) -> complex:
-    """sigma(a) psi(sign * (lam mu / 2) (1+a)/(1-a)) for diag(a, 1/a), a not in {0, 1}."""
+def split_trace_formula(lam, mu, a: int, pm: PrimeModulus,
+                        sign: int = -1) -> complex | np.ndarray:
+    """sigma(a) psi(sign * (lam mu / 2) (1+a)/(1-a)) for diag(a, 1/a), a not in {0, 1}.
+
+    lam and mu are integers (a complex is returned) or integer arrays (an
+    array of their broadcast shape is returned).
+    """
     if pm.n != 1:
         raise ValueError("closed form is the n = 1 building block")
     p = pm.p
     a %= p
     if a in (0, 1):
         raise ValueError("a must avoid 0 and 1 (identity excluded from the torus)")
-    t = sign * lam * mu * pm.nu * (1 + a) * pow((1 - a) % p, -1, p)
-    return legendre(a, p) * complex(np.exp(2j * np.pi * (t % p) / p))
+    c = (sign * pm.nu * (1 + a) * pow((1 - a) % p, -1, p)) % p
+    t = (c * (np.asarray(lam) % p) % p) * (np.asarray(mu) % p) % p
+    vals = legendre(a, p) * np.exp(1j * (2 * np.pi * t / p))
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def measure_split_sign(pm: PrimeModulus, rep) -> int:
@@ -410,25 +443,28 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
     dim1_cols = [i for i in range(len(chis)) if dims[inv_idx[i]] == 1]
     order2_idx = next((i for i, c in enumerate(chis) if c.order == 2), None)
 
-    transport = None
+    generic = None
     if torus.split_type == "split":
-        transport = build_split_transport(elem.matrix, pm, elem.charpoly)
+        generic = build_split_transport(elem.matrix, pm,
+                                        elem.charpoly).generic_mask()
 
     mags = np.abs(achi)
+    is_dim1 = np.zeros(len(chis), dtype=bool)
+    is_dim1[dim1_cols] = True
+    xis = lattice_vectors(pm)                         # row k = unflatten_xi(k)
     violations = []
     dim1_violations = []
     generic_violations = []
-    for k in range(1, p ** (2 * n)):
-        row = mags[k]
-        over = np.nonzero(row > bound + tol_abs)[0]
-        for ci in over:
-            xi = unflatten_xi(k, pm)
-            rec = (xi, chis[ci].exps, float(row[ci]), bound)
-            violations.append(rec)
-            if ci in dim1_cols:
-                dim1_violations.append(rec)
-            if transport is not None and transport.is_generic(xi):
-                generic_violations.append(rec)
+    # row-major over (xi != 0, chi), as a per-xi scan would visit them
+    ks, cis = np.nonzero(mags[1:] > bound + tol_abs)
+    ks += 1
+    for k, ci in zip(ks.tolist(), cis.tolist()):
+        rec = (tuple(xis[k].tolist()), chis[ci].exps, float(mags[k, ci]), bound)
+        violations.append(rec)
+        if is_dim1[ci]:
+            dim1_violations.append(rec)
+        if generic is not None and generic[k]:
+            generic_violations.append(rec)
     mask = np.ones(p ** (2 * n), dtype=bool)
     mask[0] = False
     max_ratio = float(mags[mask].max() / p ** (n / 2))
@@ -559,9 +595,7 @@ def refined_bound(elem: ErgodicElement, pm: PrimeModulus, torus: HeckeTorus,
     achi = character_sum_table(table)
     mags = np.abs(achi)
     half = (p - 1) // 2
-    generic_mask = np.zeros(p ** (2 * n), dtype=bool)
-    for k in range(1, p ** (2 * n)):
-        generic_mask[k] = transport.is_generic(unflatten_xi(k, pm))
+    generic_mask = transport.generic_mask()
     nongeneric_mask = ~generic_mask
     nongeneric_mask[0] = False
 
@@ -629,13 +663,8 @@ def factorization_check(elem: ErgodicElement, pm: PrimeModulus,
 
     # transported coordinates of every xi at once
     m_xi = p ** (2 * n)
-    idx = np.arange(m_xi)
-    digits = np.stack([(idx // p ** j) % p for j in range(2 * n)], axis=1)
-    s0_inv = np.array(transport.s0_inv, dtype=np.int64)
-    etas = (digits @ s0_inv.T) % p                      # (m_xi, 4)
-    lam1, lam2, mu1, mu2 = etas[:, 0], etas[:, 1], etas[:, 2], etas[:, 3]
-    generic = (lam1 != 0) & (mu1 != 0) & (lam2 != 0) & (mu2 != 0)
-    generic[0] = False
+    lam1, lam2, mu1, mu2 = transport.transport_all().T
+    generic = transport.generic_mask()
 
     # per-exponent p x p tables of the one-factor sums
     needed = sorted({k for chi in chis

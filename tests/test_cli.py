@@ -182,3 +182,37 @@ def test_parse_matrix_fixtures():
     assert len(m) == 4
     with pytest.raises(cli.ConfigError):
         cli.parse_matrix("1,2;3,4;5,6", 1)
+
+
+def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
+    # a torus that cannot be built at one prime must not end the sweep
+    from torusque import hecke
+    real = hecke.centralizer
+
+    def flaky(a, pm, charpoly=None):
+        if pm.p == 7:
+            raise hecke.UnsupportedStructureError("injected at p = 7")
+        return real(a, pm, charpoly)
+
+    monkeypatch.setattr(hecke, "centralizer", flaky)
+    out_json = tmp_path / "fail.json"
+    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "13",
+                  "--checks", "decomposition,trace-formula",
+                  "--out-json", str(out_json)])
+    assert rc == 1
+    report = json.loads(out_json.read_text())
+    assert not report["all_passed"]
+    by_p = {rp["p"]: rp for rp in report["primes"]}
+    assert sorted(by_p) == [3, 7, 11, 13]
+    failed = by_p.pop(7)
+    assert failed["split_type"] is None and failed["torus_order"] is None
+    assert failed["routes"] == {}
+    (check,) = failed["checks"]
+    assert check["name"] == "construction" and check["status"] == "fail"
+    assert check["witnesses"] == [
+        {"error": "UnsupportedStructureError: injected at p = 7"}]
+    for rp in by_p.values():
+        assert rp["split_type"] in ("split", "nonsplit")
+        assert [c["name"] for c in rp["checks"]] == ["decomposition",
+                                                     "trace-formula"]
+        assert all(c["status"] == "pass" for c in rp["checks"])

@@ -224,3 +224,13 @@ def test_decompose_n2_cyclic_torus(sp4_elem):
     dec = decompose(t, trep)
     assert sum(dec.dims) == 9
     assert all(d <= 1 for d in dec.dims)
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 13)])
+def test_character_table_matches_values_vector(n, p, torus_cache):
+    # the integer-exponent table against the per-character Fraction route
+    torus = torus_cache(p, n)
+    table = character_table(torus)
+    ref = np.stack([chi.values_vector(torus) for chi in characters(torus)])
+    assert table.shape == (torus.order, torus.order)
+    assert np.abs(table - ref).max() < 1e-12

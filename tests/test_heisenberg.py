@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import (FourierPolynomial, check_relations,
-                                 identity_op, integral, pi_op, quantize)
+                                 identity_op, index_vectors, integral, pi_op,
+                                 quantize, root_table)
 
 
 def test_pi_zero_is_identity():
@@ -140,3 +142,18 @@ def test_phased_permutation_algebra():
     dense = np.arange(25, dtype=complex).reshape(5, 5)
     assert np.abs(a.apply_left(dense) - a.dense() @ dense).max() < 1e-12
     assert np.abs(a.apply_right(dense) - dense @ a.dense()).max() < 1e-12
+
+
+def test_cached_tables_are_read_only():
+    # root_table and index_vectors are shared per modulus: no caller may write
+    roots = root_table(7)
+    assert root_table(7) is roots
+    with pytest.raises(ValueError):
+        roots[0] = 0
+    pm = PrimeModulus(5, 2)
+    pts = index_vectors(pm)
+    assert index_vectors(PrimeModulus(5, 2)) is pts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1
+    with pytest.raises(ValueError):
+        pts += 1

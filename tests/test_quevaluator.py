@@ -35,6 +35,23 @@ def test_trace_table_matches_direct(cat_map, rep_cache, torus_cache):
         assert abs(table.value(xi, b) - q.trace_pair(xi, rep.op(b), pm)) < 1e-12
 
 
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
+def test_trace_column_matches_trace_pair(n, p, rep_cache, torus_cache):
+    # the one-matmul column against the per-value route, every xi, five B
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    torus = torus_cache(p, n)
+    picks = np.linspace(0, torus.order - 1, 5).astype(int)
+    worst = 0.0
+    for bi in picks:
+        dense = rep.op(torus.elements[bi])
+        col = q.trace_column(dense, pm)
+        ref = [q.trace_pair(q.unflatten_xi(k, pm), dense, pm)
+               for k in range(p ** (2 * n))]
+        worst = max(worst, float(np.abs(col - np.array(ref)).max()))
+    assert worst < 1e-12
+
+
 def test_invariance_under_conjugation(cat_map, rep_cache, torus_cache):
     # F(xi, B) = F(S xi, S B S^-1) over random triples
     pm = PrimeModulus(7, 1)
@@ -147,6 +164,20 @@ def test_split_trace_formula_exhaustive_p11(rep_cache):
                 worst = max(worst, abs(q.split_trace_formula(lam, mu, a, pm, sign)
                                        - q.trace_pair((lam, mu), dense, pm)))
     assert worst < 1e-10
+
+
+def test_split_trace_formula_array_form_p11():
+    # integer arrays give an array equal, bit for bit, to the scalar form
+    pm = PrimeModulus(11, 1)
+    lam, mu = np.meshgrid(np.arange(11), np.arange(-11, 11), indexing="ij")
+    for a in range(2, 11):
+        for sign in (-1, 1):
+            vals = q.split_trace_formula(lam, mu, a, pm, sign)
+            assert vals.shape == lam.shape
+            ref = np.array([[q.split_trace_formula(int(l), int(m), a, pm, sign)
+                             for l, m in zip(lr, mr)] for lr, mr in zip(lam, mu)])
+            assert np.array_equal(vals, ref)
+    assert isinstance(q.split_trace_formula(3, 4, 5, pm), complex)
 
 
 def test_gauss_sum_oracle_examples():
@@ -323,3 +354,66 @@ def test_factorization_check_reuses_table(sp4_elem, sp4_split13):
     rpt = q.factorization_check(sp4_elem, torus.pm, table=table)
     assert rpt.ok and rpt.matched_all_reconciled == rpt.pairs_total
     assert (rpt.generic_pairs, rpt.pairs_total) == (2985984, 4112640)
+
+
+def _reference_violations(elem, pm, torus, table, dec, rtol=1e-6):
+    """The per-xi scan verify_que_bound used to make, kept as its oracle."""
+    p, n = pm.p, pm.n
+    chis = hecke.characters(torus)
+    mags = np.abs(q.character_sum_table(table))
+    bound = 2 ** n * p ** (n / 2)
+    inv_idx = [[c.exps for c in chis].index(chi.inverse().exps) for chi in chis]
+    dim1_cols = [i for i in range(len(chis)) if dec.dims[inv_idx[i]] == 1]
+    transport = None
+    if torus.split_type == "split":
+        transport = q.build_split_transport(elem.matrix, pm, elem.charpoly)
+    violations, dim1, generic = [], [], []
+    for k in range(1, p ** (2 * n)):
+        row = mags[k]
+        for ci in np.nonzero(row > bound + bound * rtol)[0]:
+            xi = q.unflatten_xi(k, pm)
+            rec = (xi, chis[ci].exps, float(row[ci]), bound)
+            violations.append(rec)
+            if ci in dim1_cols:
+                dim1.append(rec)
+            if transport is not None and transport.is_generic(xi):
+                generic.append(rec)
+    return violations, dim1, generic
+
+
+def _assert_violations_match_reference(elem, pm, rep, torus, table):
+    dec = hecke.decompose(torus, rep)
+    rpt = q.verify_que_bound(elem, pm, rep, decomposition=dec, torus=torus,
+                             table=table)
+    violations, dim1, generic = _reference_violations(elem, pm, torus, table,
+                                                      dec)
+    assert rpt.violations == violations
+    assert rpt.dim1_violations == dim1
+    assert rpt.generic_violations == generic
+    return rpt
+
+
+def test_verify_que_bound_lists_match_per_xi_scan_n1(cat_map, rep_cache,
+                                                     torus_cache):
+    pm = PrimeModulus(11, 1)
+    torus = torus_cache(11)
+    rep = rep_cache(11)
+    rpt = _assert_violations_match_reference(cat_map, pm, rep, torus,
+                                             q.build_trace_table(torus, rep))
+    assert len(rpt.violations) == 2 * (11 - 1)
+
+
+def test_verify_que_bound_lists_match_per_xi_scan_n2(sp4_elem, sp4_split13):
+    torus, rep, table = sp4_split13
+    pm = torus.pm
+    rpt = _assert_violations_match_reference(sp4_elem, pm, rep, torus, table)
+    assert len(rpt.dim1_violations) == 8976
+    assert not rpt.generic_violations  # every violation is off the generic stratum
+    # the vectorized split frame agrees with the per-xi transport
+    transport = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
+    etas = transport.transport_all()
+    mask = transport.generic_mask()
+    for k in range(13 ** 4):
+        xi = q.unflatten_xi(k, pm)
+        assert tuple(etas[k]) == transport.transport_xi(xi)
+        assert mask[k] == transport.is_generic(xi)
