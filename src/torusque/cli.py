@@ -1,4 +1,4 @@
-"""Batch front-end: prime sweeps, report emission, plot data.
+"""Batch front-end: configuration, check dispatch, report emission, plot data.
 
 Verbs:
     validate   check a matrix for ergodicity, print the verdict
@@ -153,26 +153,10 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
         return time.perf_counter() - start > cfg.budget_seconds
 
     try:
-        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
-        rep = weil.linearize(pm)
-    except (weil.ConstructionError, hecke.UnsupportedStructureError) as e:
+        ctx = quevaluator.PrimeContext.build(elem, pm)
+    except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
     rng = np.random.default_rng(cfg.seed + p)
-
-    table = None
-    decomposition = None
-
-    def get_table():
-        nonlocal table
-        if table is None:
-            table = quevaluator.build_trace_table(torus, rep)
-        return table
-
-    def get_decomposition():
-        nonlocal decomposition
-        if decomposition is None:
-            decomposition = hecke.decompose(torus, rep)
-        return decomposition
 
     for name in cfg.checks:
         if over_budget():
@@ -181,17 +165,16 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
             continue
         runner = _CHECK_RUNNERS[name]
         try:
-            res, ms = _timed(lambda: runner(elem, pm, torus, rep, rng,
-                                            get_table, get_decomposition))
+            res, ms = _timed(lambda: runner(ctx, rng))
             res.millis = ms
         except Exception as e:  # noqa: BLE001 - report, do not crash the sweep
             res = CheckResult(name, "fail",
                               witnesses=[{"error": f"{type(e).__name__}: {e}"}])
         results.append(res)
 
-    routes = Counter(rep.tags.values())
-    return {"p": p, "n": n, "split_type": torus.split_type,
-            "torus_order": torus.order, "routes": dict(sorted(routes.items())),
+    routes = Counter(ctx.rep.tags.values())
+    return {"p": p, "n": n, "split_type": ctx.torus.split_type,
+            "torus_order": ctx.torus.order, "routes": dict(sorted(routes.items())),
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
 
 
@@ -203,19 +186,20 @@ def _failed_prime(p: int, cfg: SweepConfig, err: Exception) -> dict:
             "routes": {}, "checks": [check.to_dict(cfg.deterministic)]}
 
 
-def _check_relations(elem, pm, torus, rep, rng, get_table, get_dec):
-    rpt = check_relations(pm, tol=1e-10)
+def _check_relations(ctx, rng):
+    rpt = check_relations(ctx.pm, tol=1e-10)
     return CheckResult("relations", "pass" if rpt.ok else "fail",
                        max_dev=rpt.max_dev,
                        witnesses=[] if rpt.ok else [{"epsilon": rpt.epsilon}])
 
 
-def _check_egorov(elem, pm, torus, rep, rng, get_table, get_dec):
+def _check_egorov(ctx, rng):
+    pm, rep = ctx.pm, ctx.rep
     xis = _spanning_xis(pm, rng, extra=50)
     tol = 1e-9 * pm.p ** (pm.n / 2)
     worst = 0.0
     witness = []
-    for b in torus.elements:
+    for b in ctx.torus.elements:
         dev = weil.egorov_deviation(rep.op(b), b, pm, xis)
         if dev > worst:
             worst = dev
@@ -227,7 +211,7 @@ def _check_egorov(elem, pm, torus, rep, rng, get_table, get_dec):
             dev = weil.egorov_deviation(rep.op(b), b, pm, xis)
             worst = max(worst, dev)
     else:
-        for word in _random_monoid_words(pm, rng, 25):
+        for word in weil.random_monoid_words(pm, rng, 25):
             b = weil.word_matrix(word, pm)
             dense = weil.word_operator(word, pm, rep.gamma)
             dev = weil.egorov_deviation(dense, b, pm, xis)
@@ -237,7 +221,8 @@ def _check_egorov(elem, pm, torus, rep, rng, get_table, get_dec):
                        witnesses=witness)
 
 
-def _check_multiplicativity(elem, pm, torus, rep, rng, get_table, get_dec):
+def _check_multiplicativity(ctx, rng):
+    pm, torus, rep = ctx.pm, ctx.torus, ctx.rep
     if pm.n == 1:
         if pm.p <= 5:
             rpt = weil.check_multiplicativity(rep, tol=1e-9)
@@ -248,8 +233,8 @@ def _check_multiplicativity(elem, pm, torus, rep, rng, get_table, get_dec):
                                               seed=int(rng.integers(2 ** 31)))
         ok, dev = rpt.ok, rpt.max_dev
     else:
-        dev = _torus_multiplicativity(torus, rep, pm)
-        dev = max(dev, _monoid_relation_dev(pm, rng))
+        dev = weil.check_multiplicativity(rep, elements=torus.elements).max_dev
+        dev = max(dev, weil.monoid_relation_dev(pm, rng))
         ok = dev <= 1e-8
     # torus generator orders: rho(g)^N = identity
     for g, order in torus.generators:
@@ -259,11 +244,11 @@ def _check_multiplicativity(elem, pm, torus, rep, rng, get_table, get_dec):
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 
 
-def _check_decomposition(elem, pm, torus, rep, rng, get_table, get_dec):
-    dec = get_dec()
+def _check_decomposition(ctx, rng):
+    dec = ctx.decomposition
     dims = dec.dims
-    chis = hecke.characters(torus)
-    ok = sum(dims) == pm.dim
+    chis = ctx.chis
+    ok = sum(dims) == ctx.pm.dim
     witnesses = []
     for chi, d in zip(chis, dims):
         if d > 1 and chi.order != 2:
@@ -277,11 +262,9 @@ def _check_decomposition(elem, pm, torus, rep, rng, get_table, get_dec):
                                                "dims_sorted": sorted(dims)}])
 
 
-def _check_bound(elem, pm, torus, rep, rng, get_table, get_dec):
-    fixtures = [_real_character_fixture(pm)]
-    rpt = quevaluator.verify_que_bound(elem, pm, rep, decomposition=get_dec(),
-                                       torus=torus, table=get_table(),
-                                       fixtures=fixtures)
+def _check_bound(ctx, rng):
+    rpt = quevaluator.verify_que_bound(
+        ctx, fixtures=[_real_character_fixture(ctx.pm)])
     witnesses = [{"xi": v[0], "chi_exps": v[1], "abs_a": v[2], "bound": v[3]}
                  for v in rpt.violations[:8]]
     witnesses.append({"max_ratio_dim1": rpt.max_ratio_dim1,
@@ -291,11 +274,11 @@ def _check_bound(elem, pm, torus, rep, rng, get_table, get_dec):
                        max_ratio=rpt.max_ratio, witnesses=witnesses)
 
 
-def _check_refined(elem, pm, torus, rep, rng, get_table, get_dec):
-    rpt = quevaluator.refined_bound(elem, pm, torus, get_table())
+def _check_refined(ctx, rng):
+    rpt = quevaluator.refined_bound(ctx)
     if not rpt.applicable:
         return CheckResult("refined", "skip",
-                           witnesses=[{"reason": f"{torus.split_type} prime"}])
+                           witnesses=[{"reason": f"{ctx.torus.split_type} prime"}])
     bad = [r for r in rpt.rows if not r["ok"]]
     return CheckResult("refined", "pass" if rpt.generic_ok else "fail",
                        max_ratio=max((r["generic_max"] / r["refined_bound"]
@@ -303,7 +286,8 @@ def _check_refined(elem, pm, torus, rep, rng, get_table, get_dec):
                        witnesses=bad[:8])
 
 
-def _check_trace_formula(elem, pm, torus, rep, rng, get_table, get_dec):
+def _check_trace_formula(ctx, rng):
+    pm, rep = ctx.pm, ctx.rep
     if pm.n != 1:
         return CheckResult("trace-formula", "skip",
                            witnesses=[{"reason": "n = 1 closed form only"}])
@@ -321,11 +305,11 @@ def _check_trace_formula(elem, pm, torus, rep, rng, get_table, get_dec):
                        witnesses=[{"sign": sign}])
 
 
-def _check_factorization(elem, pm, torus, rep, rng, get_table, get_dec):
-    if pm.n != 2 or torus.split_type != "split":
+def _check_factorization(ctx, rng):
+    if ctx.pm.n != 2 or ctx.torus.split_type != "split":
         return CheckResult("factorization", "skip",
                            witnesses=[{"reason": "needs a fully split n = 2 prime"}])
-    rpt = quevaluator.factorization_check(elem, pm, table=get_table())
+    rpt = quevaluator.factorization_check(ctx)
     return CheckResult("factorization", "pass" if rpt.ok else "fail",
                        max_dev=rpt.max_rel_err,
                        witnesses=[{"generic_pairs": rpt.generic_pairs,
@@ -334,8 +318,8 @@ def _check_factorization(elem, pm, torus, rep, rng, get_table, get_dec):
                                    "total": rpt.pairs_total}])
 
 
-def _check_demo(elem, pm, torus, rep, rng, get_table, get_dec):
-    rows, meta = quevaluator.cyclic_vs_hecke_demo(elem, pm, rep)
+def _check_demo(ctx, rng):
+    rows, meta = quevaluator.cyclic_vs_hecke_demo(ctx)
     ok = all(r.hecke_ok for r in rows)
     return CheckResult("demo", "pass" if ok else "fail",
                        witnesses=[{"cyclic_order": meta["cyclic_order"],
@@ -362,82 +346,6 @@ def _spanning_xis(pm, rng, extra=50):
     for _ in range(extra):
         xis.append(tuple(int(x) for x in rng.integers(0, pm.p, size=d2)))
     return xis
-
-
-def _random_monoid_words(pm, rng, count):
-    words = []
-    for _ in range(count):
-        word = []
-        for _ in range(int(rng.integers(1, 4))):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                s = _random_symmetric(pm, rng)
-                word.append(weil.SpFactor("shear", s))
-            elif kind == 1:
-                m = _random_invertible(pm, rng)
-                word.append(weil.SpFactor("dilate", m))
-            else:
-                word.append(weil.SpFactor("fourier"))
-        words.append(word)
-    return words
-
-
-def _random_symmetric(pm, rng):
-    n, p = pm.n, pm.p
-    s = rng.integers(0, p, size=(n, n))
-    s = (s + s.T) % p
-    return tuple(tuple(int(x) for x in row) for row in s)
-
-
-def _random_invertible(pm, rng):
-    n, p = pm.n, pm.p
-    while True:
-        m = tuple(tuple(int(x) for x in rng.integers(0, p, size=n)) for _ in range(n))
-        if ffcore.mat_det(m) % p != 0:
-            return m
-
-
-def _torus_multiplicativity(torus, rep, pm):
-    ops = [rep.op(b) for b in torus.elements]
-    idx = {b: i for i, b in enumerate(torus.elements)}
-    worst = 0.0
-    for i, b1 in enumerate(torus.elements):
-        for j, b2 in enumerate(torus.elements):
-            k = idx[ffcore.mat_mul(b1, b2, mod=pm.p)]
-            worst = max(worst, float(np.abs(ops[i] @ ops[j] - ops[k]).max()))
-    return worst
-
-
-def _monoid_relation_dev(pm, rng):
-    """Defining relations of the generator assignment, as operator identities."""
-    gamma = weil.solve_gamma(pm)
-    f_op = weil.fourier_op(pm, gamma)
-    dev = 0.0
-    ident = np.eye(pm.dim)
-    # fourier^4 = identity and (fourier shear(I))^3 = identity
-    dev = max(dev, float(np.abs(np.linalg.matrix_power(f_op, 4) - ident).max()))
-    k = f_op @ weil.shear_op(ffcore.identity_mat(pm.n), pm).dense()
-    dev = max(dev, float(np.abs(np.linalg.matrix_power(k, 3) - ident).max()))
-    for _ in range(10):
-        s1, s2 = _random_symmetric(pm, rng), _random_symmetric(pm, rng)
-        m1, m2 = _random_invertible(pm, rng), _random_invertible(pm, rng)
-        lhs = weil.shear_op(s1, pm).dense() @ weil.shear_op(s2, pm).dense()
-        rhs = weil.shear_op(ffcore.mat_mod(ffcore.mat(
-            [[(s1[i][j] + s2[i][j]) for j in range(pm.n)] for i in range(pm.n)]),
-            pm.p), pm).dense()
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
-        lhs = weil.dilate_op(m1, pm).dense() @ weil.dilate_op(m2, pm).dense()
-        rhs = weil.dilate_op(ffcore.mat_mul(m1, m2, mod=pm.p), pm).dense()
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
-        # dilate conjugates shear: t(M) u(S) t(M)^-1 = u(M^-T S M^-1)
-        minv = ffcore.mat_inv_modp(m1, pm.p)
-        s_conj = ffcore.mat_mul(ffcore.mat_mul(ffcore.mat_transpose(minv), s1,
-                                               mod=pm.p), minv, mod=pm.p)
-        lhs = weil.dilate_op(m1, pm).dense() @ weil.shear_op(s1, pm).dense() \
-            @ weil.dilate_op(minv, pm).dense()
-        rhs = weil.shear_op(s_conj, pm).dense()
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
-    return dev
 
 
 def _real_character_fixture(pm):
@@ -632,11 +540,11 @@ def main(argv=None) -> int:
         try:
             matrix = parse_matrix(args.matrix, args.n)
             elem = validate_ergodic(matrix)
-            pm = PrimeModulus(args.p, args.n)
+            ctx = quevaluator.PrimeContext.build(elem, PrimeModulus(args.p, args.n))
         except (ConfigError, ValidationError, ValueError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
-        rows, meta = quevaluator.cyclic_vs_hecke_demo(elem, pm, weil.linearize(pm))
+        rows, meta = quevaluator.cyclic_vs_hecke_demo(ctx)
         print(f"p={args.p} |<A>|={meta['cyclic_order']} |C_A|={meta['torus_order']}"
               f" bound={meta['bound']:.6f}")
         print(f"{'vector':>22} {'|cyclic avg|':>14} {'|torus avg|':>14} {'integral':>9}")

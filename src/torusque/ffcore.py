@@ -115,12 +115,6 @@ def mat_neg(a: Mat, mod: int | None = None) -> Mat:
     return tuple(tuple((-x) % mod if mod is not None else -x for x in r) for r in a)
 
 
-def mat_eq(a: Mat, b: Mat, mod: int | None = None) -> bool:
-    if mod is None:
-        return a == b
-    return mat_mod(a, mod) == mat_mod(b, mod)
-
-
 def mat_det(a: Mat) -> int:
     """Exact determinant by cofactor expansion (desk-scale sizes)."""
     d = len(a)

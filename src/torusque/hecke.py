@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
+from .heisenberg import lattice_vectors, pi_op
 
 
 class DegeneratePrimeError(ValueError):
@@ -73,10 +74,8 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly=None) -> HeckeTorus:
     for _ in range(d - 1):
         powers.append(mat_mul(powers[-1], a, mod=p))
     pow_arr = np.array(powers, dtype=np.int64)          # (d, d, d)
-    m = p ** d
-    idx = np.arange(m)
-    coeffs = np.stack([(idx // p ** j) % p for j in range(d)], axis=1)
-    cands = np.tensordot(coeffs, pow_arr, axes=(1, 0)) % p  # (m, d, d)
+    coeffs = lattice_vectors(pm)                        # (p^d, d), d = 2n
+    cands = np.tensordot(coeffs, pow_arr, axes=(1, 0)) % p  # (p^d, d, d)
 
     j = np.array(ffcore.standard_j(n), dtype=np.int64)
     jt = np.einsum("bij,jk->bik", cands.transpose(0, 2, 1), j) % p
@@ -321,7 +320,6 @@ def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposit
 
 def hecke_average(xi, torus: HeckeTorus, rep) -> np.ndarray:
     """(1/|T|) sum_B rho(B) T(xi) rho(B)^-1, block diagonal in the Hecke basis."""
-    from .heisenberg import pi_op
     d = torus.pm.dim
     t = pi_op(xi, torus.pm)
     acc = np.zeros((d, d), dtype=complex)

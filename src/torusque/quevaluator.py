@@ -13,6 +13,11 @@ are then single matrix products, checked against the p^{n/2}-scale bound and
 its split-prime refinement, against the closed-form diagonal-torus trace, and
 against direct Gauss-type sums.
 
+A `PrimeContext` holds the torus and rho at one prime and builds the trace
+table, the characters, the character sums, the eigenspace decomposition and
+the split frame at most once each; every bound check, the factorization
+check and the averaging demo read them from it.
+
 Measured conventions worth knowing when reading this module (all certified by
 the test suite, none assumed):
 
@@ -32,6 +37,7 @@ the test suite, none assumed):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -275,6 +281,59 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 
 
 # ---------------------------------------------------------------------------
+# everything the checks read at one prime
+
+
+@dataclass
+class PrimeContext:
+    """The Hecke torus of elem, rho, and what is derived from them, at one prime.
+
+    Each derived part is built on first use and then shared by every check:
+    the trace table, the characters, the character sums a_chi(xi), the
+    eigenspace decomposition and, at split primes, the split frame
+    (`transport` is None elsewhere).  A context made directly from a torus
+    and any rho (a twisted one, say) derives its parts from that rho.
+    """
+
+    elem: ErgodicElement
+    torus: HeckeTorus
+    rep: weil.WeilRep
+
+    @classmethod
+    def build(cls, elem: ErgodicElement, pm: PrimeModulus) -> "PrimeContext":
+        """Centralizer torus of elem mod p and the canonical rho."""
+        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
+        return cls(elem, torus, weil.linearize(pm))
+
+    @property
+    def pm(self) -> PrimeModulus:
+        return self.torus.pm
+
+    @cached_property
+    def table(self) -> TraceTable:
+        return build_trace_table(self.torus, self.rep)
+
+    @cached_property
+    def chis(self) -> list[TorusCharacter]:
+        return hecke.characters(self.torus)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """a[flat(xi), chi_index], aligned with `chis`."""
+        return character_sum_table(self.table)
+
+    @cached_property
+    def decomposition(self) -> hecke.EigenspaceDecomposition:
+        return hecke.decompose(self.torus, self.rep)
+
+    @cached_property
+    def transport(self) -> SplitTransport | None:
+        if self.torus.split_type != "split":
+            return None
+        return build_split_transport(self.elem.matrix, self.pm, self.elem.charpoly)
+
+
+# ---------------------------------------------------------------------------
 # closed-form diagonal trace and Gauss-sum oracles
 
 
@@ -412,10 +471,7 @@ class BoundReport:
         }
 
 
-def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
-                     decomposition: hecke.EigenspaceDecomposition | None = None,
-                     torus: HeckeTorus | None = None,
-                     table: TraceTable | None = None,
+def verify_que_bound(ctx: PrimeContext,
                      fixtures: list[FourierPolynomial] | None = None,
                      rtol: float = 1e-6) -> BoundReport:
     """Check |a_chi(xi)| <= 2^n p^{n/2} for xi != 0 mod p, with cross-checks.
@@ -425,30 +481,25 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
     eigenvector derivation of the bound actually covers), and at split primes
     the generic stratum of the order-2 character.
     """
+    pm, torus, chis = ctx.pm, ctx.torus, ctx.chis
     p, n = pm.p, pm.n
-    if torus is None:
-        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
-    if table is None:
-        table = build_trace_table(torus, rep)
-    if decomposition is None:
-        decomposition = hecke.decompose(torus, rep)
-    chis = hecke.characters(torus)
-    achi = character_sum_table(table)              # (p^{2n}, K)
+    # the decomposition first: its |T| stacked operators are freed before the
+    # trace table and the sums exist, which keeps them out of the peak RSS
+    dims = ctx.decomposition.dims
+    achi = ctx.sums                                # (p^{2n}, K)
     bound = 2 ** n * p ** (n / 2)
     tol_abs = bound * rtol
 
-    dims = decomposition.dims
     # column chi of achi belongs to H_{chi^-1} (see the xi = 0 oracle below)
-    inv_idx = [_char_index(chis, chi.inverse()) for chi in chis]
+    col = {chi.exps: i for i, chi in enumerate(chis)}
+    inv_idx = [col[chi.inverse().exps] for chi in chis]
     dim1_cols = [i for i in range(len(chis)) if dims[inv_idx[i]] == 1]
     order2_idx = next((i for i, c in enumerate(chis) if c.order == 2), None)
 
-    generic = None
-    if torus.split_type == "split":
-        generic = build_split_transport(elem.matrix, pm,
-                                        elem.charpoly).generic_mask()
+    generic = None if ctx.transport is None else ctx.transport.generic_mask()
 
     mags = np.abs(achi)
+    nz = mags[1:]                                     # a view: xi != 0
     is_dim1 = np.zeros(len(chis), dtype=bool)
     is_dim1[dim1_cols] = True
     xis = lattice_vectors(pm)                         # row k = unflatten_xi(k)
@@ -456,7 +507,7 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
     dim1_violations = []
     generic_violations = []
     # row-major over (xi != 0, chi), as a per-xi scan would visit them
-    ks, cis = np.nonzero(mags[1:] > bound + tol_abs)
+    ks, cis = np.nonzero(nz > bound + tol_abs)
     ks += 1
     for k, ci in zip(ks.tolist(), cis.tolist()):
         rec = (tuple(xis[k].tolist()), chis[ci].exps, float(mags[k, ci]), bound)
@@ -465,15 +516,13 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
             dim1_violations.append(rec)
         if generic is not None and generic[k]:
             generic_violations.append(rec)
-    mask = np.ones(p ** (2 * n), dtype=bool)
-    mask[0] = False
-    max_ratio = float(mags[mask].max() / p ** (n / 2))
-    max_ratio_dim1 = float(mags[mask][:, dim1_cols].max() / p ** (n / 2)) \
+    max_ratio = float(nz.max() / p ** (n / 2))
+    max_ratio_dim1 = float(nz[:, dim1_cols].max() / p ** (n / 2)) \
         if dim1_cols else 0.0
 
     # Parseval per xi: sum_chi |a_chi|^2 = |T| sum_B |F|^2
     lhs = (mags ** 2).sum(axis=1)
-    rhs = torus.order * (np.abs(table.values) ** 2).sum(axis=1)
+    rhs = torus.order * (np.abs(ctx.table.values) ** 2).sum(axis=1)
     scale = np.maximum(rhs, 1.0)
     parseval_max_dev = float(np.abs(lhs - rhs).max() / scale.max())
 
@@ -487,7 +536,7 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
     eig_max = 0.0
     nominal_exceeded = False
     for i in dim1_cols:
-        vals = mags[mask][:, i] / torus.order
+        vals = nz[:, i] / torus.order
         eig_max = max(eig_max, float(vals.max()) * torus.order / bound)
         if vals.max() > 2 ** n * p ** (-n / 2) * (1 + rtol):
             nominal_exceeded = True
@@ -497,14 +546,13 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
         exceptional = {
             "exps": chis[order2_idx].exps,
             "dim": dims[order2_idx],
-            "max_abs_sum": float(mags[mask][:, order2_idx].max()),
+            "max_abs_sum": float(nz[:, order2_idx].max()),
             "expected_axis_value": p ** n - 2 if torus.split_type == "split" else None,
         }
 
     averaged_rows = []
     if fixtures:
-        averaged_rows = _averaged_fixture_checks(fixtures, torus, rep,
-                                                 decomposition, pm, rtol)
+        averaged_rows = _averaged_fixture_checks(fixtures, ctx, rtol)
 
     return BoundReport(
         p=p, n=n, split_type=torus.split_type, torus_order=torus.order,
@@ -523,14 +571,7 @@ def verify_que_bound(elem: ErgodicElement, pm: PrimeModulus, rep,
     )
 
 
-def _char_index(chis, chi: TorusCharacter) -> int:
-    for i, c in enumerate(chis):
-        if c.exps == chi.exps:
-            return i
-    raise KeyError(chi)
-
-
-def _averaged_fixture_checks(fixtures, torus, rep, decomposition, pm, rtol):
+def _averaged_fixture_checks(fixtures, ctx: PrimeContext, rtol):
     """Triangle-inequality bound for trigonometric-polynomial observables.
 
     For each dim-1 Hecke eigenvector v: |<v|Avg(Op_f)|v> - integral(f)| is
@@ -539,20 +580,21 @@ def _averaged_fixture_checks(fixtures, torus, rep, decomposition, pm, rtol):
     reported as a flag instead of asserted).
     """
     from .heisenberg import integral as f_integral
+    torus, pm = ctx.torus, ctx.pm
     rows = []
     n, p = pm.n, pm.p
     for fi, f in enumerate(fixtures):
         op = quantize(f, pm)
         avg = np.zeros_like(op)
         for b in torus.elements:
-            r = rep.op(b)
+            r = ctx.rep.op(b)
             avg += r @ op @ r.conj().T
         avg /= torus.order
         coeff_l1 = sum(abs(a) for xi, a in f.terms.items() if any(c % p for c in xi))
         rigorous = coeff_l1 * 2 ** n * p ** (n / 2) / torus.order
         nominal = coeff_l1 * 2 ** n * p ** (-n / 2)
         worst = 0.0
-        for chi, basis, dim in decomposition.entries:
+        for chi, basis, dim in ctx.decomposition.entries:
             if dim != 1:
                 continue
             v = basis[:, 0]
@@ -578,8 +620,7 @@ class RefinedReport:
     applicable: bool
 
 
-def refined_bound(elem: ErgodicElement, pm: PrimeModulus, torus: HeckeTorus,
-                  table: TraceTable, rtol: float = 1e-6) -> RefinedReport:
+def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
     """Split-prime refinement: m(chi) counts factors whose effective
     multiplicative character (quadratic symbol times transported component)
     is trivial; generic xi must then satisfy |a_chi| <= 2^n p^{(n-m)/2}.
@@ -587,13 +628,11 @@ def refined_bound(elem: ErgodicElement, pm: PrimeModulus, torus: HeckeTorus,
     Non-generic xi are outside the refinement's stratum; their maxima are
     recorded without assertion.  Nonsplit primes return applicable=False.
     """
-    p, n = pm.p, pm.n
-    if torus.split_type != "split":
+    torus, transport = ctx.torus, ctx.transport
+    p, n = ctx.pm.p, ctx.pm.n
+    if transport is None:
         return RefinedReport(p, [], True, 0.0, False)
-    transport = build_split_transport(elem.matrix, pm, elem.charpoly)
-    chis = hecke.characters(torus)
-    achi = character_sum_table(table)
-    mags = np.abs(achi)
+    mags = np.abs(ctx.sums)
     half = (p - 1) // 2
     generic_mask = transport.generic_mask()
     nongeneric_mask = ~generic_mask
@@ -602,7 +641,7 @@ def refined_bound(elem: ErgodicElement, pm: PrimeModulus, torus: HeckeTorus,
     rows = []
     generic_ok = True
     max_nongeneric = 0.0
-    for ci, chi in enumerate(chis):
+    for ci, chi in enumerate(ctx.chis):
         ks = transport.transport_char(chi, torus)
         eff = tuple((k + half) % (p - 1) for k in ks)
         m = sum(1 for e in eff if e == 0)
@@ -633,32 +672,27 @@ class FactorizationReport:
     ok: bool
 
 
-def factorization_check(elem: ErgodicElement, pm: PrimeModulus,
-                        table: TraceTable | None = None,
+def factorization_check(ctx: PrimeContext,
                         rtol: float = 1e-6) -> FactorizationReport:
     """a_chi factorizes into n = 1 diagonal-torus sums at fully split primes.
 
-    `table` must be the trace table of the canonical rho (weil.linearize) on
-    the centralizer torus of elem; without one it is built here.  Because rho
-    is a representation, rho(S0 t S0^-1) = rho(S0) dilate(t) rho(S0)^-1 for
-    the split frame S0 and every diagonal t, so the per-character transport
-    to the diagonal frame is exact and needs no root choice.  Both routes are
+    ctx.rep must be the canonical rho (weil.linearize), as PrimeContext.build
+    makes it.  Because rho is a representation, rho(S0 t S0^-1) =
+    rho(S0) dilate(t) rho(S0)^-1 for the split frame S0 and every diagonal t,
+    so the per-character transport to the diagonal frame is exact and needs
+    no root choice.  Both routes are
     compared on every (xi != 0, chi) pair, fully vectorized.
     """
+    pm, torus = ctx.pm, ctx.torus
     if pm.n != 2:
         raise ValueError("factorization check targets the 4-dimensional case")
     p, n = pm.p, pm.n
-    if table is None:
-        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
-        table = build_trace_table(torus, weil.linearize(pm))
-    torus = table.torus
-    if torus.split_type != "split":
+    transport = ctx.transport
+    if transport is None:
         raise ValueError(f"p = {p} is not fully split for this element")
-    transport = build_split_transport(elem.matrix, pm, elem.charpoly)
-    achi = character_sum_table(table)
-    chis = hecke.characters(torus)
+    achi, chis = ctx.sums, ctx.chis
     pm1 = PrimeModulus(p, 1)
-    sign = _measure_factor_sign(pm1)
+    sign = measure_split_sign(pm1, weil.linearize(pm1))
     _, dlog = ffcore.dlog_table(p)
 
     # transported coordinates of every xi at once
@@ -708,11 +742,6 @@ def factorization_check(elem: ErgodicElement, pm: PrimeModulus,
                                matched_all, max_rel, ok)
 
 
-def _measure_factor_sign(pm1: PrimeModulus) -> int:
-    rep1 = weil.linearize(pm1)
-    return measure_split_sign(pm1, rep1)
-
-
 # ---------------------------------------------------------------------------
 # cyclic vs Hecke averaging demo
 
@@ -726,8 +755,8 @@ class DemoRow:
     hecke_ok: bool
 
 
-def cyclic_vs_hecke_demo(elem: ErgodicElement, pm: PrimeModulus, rep,
-                         xi=None, rtol: float = 1e-6) -> tuple[list[DemoRow], dict]:
+def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
+                         rtol: float = 1e-6) -> tuple[list[DemoRow], dict]:
     """Tabulate time-average vs torus-average matrix elements per eigenvector.
 
     On a torus eigenvector the two columns agree identically (the matrix
@@ -739,13 +768,12 @@ def cyclic_vs_hecke_demo(elem: ErgodicElement, pm: PrimeModulus, rep,
     exact torus order); the cyclic column is informational.
     """
     from .classical import matrix_order_modp
+    pm, torus = ctx.pm, ctx.torus
     p, n = pm.p, pm.n
     if xi is None:
         xi = (1,) + (0,) * (2 * n - 1)
-    torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
-    decomposition = hecke.decompose(torus, rep)
-    r_ord = matrix_order_modp(elem.matrix, p)
-    a_mod = mat_mod(mat(elem.matrix), p)
+    r_ord = matrix_order_modp(ctx.elem.matrix, p)
+    a_mod = mat_mod(mat(ctx.elem.matrix), p)
 
     def cyclic_average(v):
         acc = 0.0 + 0.0j
@@ -757,10 +785,10 @@ def cyclic_vs_hecke_demo(elem: ErgodicElement, pm: PrimeModulus, rep,
                 v.reshape(-1, 1)).reshape(-1))
         return complex(acc / r_ord)
 
-    avg_op = hecke.hecke_average(xi, torus, rep)
+    avg_op = hecke.hecke_average(xi, torus, ctx.rep)
     bound = 2 ** n * p ** (n / 2) / torus.order
     rows = []
-    dim1 = [(chi, basis[:, 0]) for chi, basis, dim in decomposition.entries
+    dim1 = [(chi, basis[:, 0]) for chi, basis, dim in ctx.decomposition.entries
             if dim == 1]
     for chi, v in dim1:
         cyc = cyclic_average(v)

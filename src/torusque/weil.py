@@ -31,7 +31,8 @@ import numpy as np
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod, mat_mul
 from .hecke import TorusCharacter
-from .heisenberg import PhasedPermutation, index_vectors, pi_op, root_table
+from .heisenberg import (PhasedPermutation, index_vectors, lattice_vectors,
+                         pi_op, root_table)
 
 
 class ConstructionError(RuntimeError):
@@ -312,7 +313,7 @@ def linearize(pm: PrimeModulus, egorov_tol: float | None = None) -> WeilRep:
 
 
 # ---------------------------------------------------------------------------
-# group enumeration + multiplicativity certification (n = 1)
+# group enumeration + multiplicativity certification
 
 
 def sl2_elements(p: int) -> list[Mat]:
@@ -347,7 +348,7 @@ def check_multiplicativity(rep: WeilRep, elements: list[Mat] | None = None,
     if pairs is None:
         if elements is None:
             elements = sl2_elements(pm.p)
-        ops = np.stack([rep.op(b) for b in elements])
+        ops = [rep.op(b) for b in elements]  # rep.cache entries, not a copy
         index = {b: i for i, b in enumerate(elements)}
         m = len(elements)
         max_dev = 0.0
@@ -380,6 +381,68 @@ def random_sl2(p: int, rng: np.random.Generator) -> Mat:
     return ((0, b), ((-pow(b, -1, p)) % p, int(rng.integers(0, p))))
 
 
+def random_monoid_words(pm: PrimeModulus, rng: np.random.Generator,
+                        count: int) -> list[list[SpFactor]]:
+    """count random words of one to three shear, dilate or fourier factors."""
+    words = []
+    for _ in range(count):
+        word = []
+        for _ in range(int(rng.integers(1, 4))):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                word.append(SpFactor("shear", _random_symmetric(pm, rng)))
+            elif kind == 1:
+                word.append(SpFactor("dilate", _random_invertible(pm, rng)))
+            else:
+                word.append(SpFactor("fourier"))
+        words.append(word)
+    return words
+
+
+def _random_symmetric(pm: PrimeModulus, rng: np.random.Generator) -> Mat:
+    n, p = pm.n, pm.p
+    s = rng.integers(0, p, size=(n, n))
+    s = (s + s.T) % p
+    return tuple(tuple(int(x) for x in row) for row in s)
+
+
+def _random_invertible(pm: PrimeModulus, rng: np.random.Generator) -> Mat:
+    n, p = pm.n, pm.p
+    while True:
+        m = tuple(tuple(int(x) for x in rng.integers(0, p, size=n)) for _ in range(n))
+        if ffcore.mat_det(m) % p != 0:
+            return m
+
+
+def monoid_relation_dev(pm: PrimeModulus, rng: np.random.Generator) -> float:
+    """Max deviation from the defining relations of the generator operators:
+    fourier^4 = I, (fourier shear(I))^3 = I, and on ten random draws shear and
+    dilate additivity and dilate(M) shear(S) dilate(M)^-1 = shear(M^-T S M^-1)."""
+    p, n = pm.p, pm.n
+    f_op = fourier_op(pm, solve_gamma(pm))
+    ident = np.eye(pm.dim)
+    dev = float(np.abs(np.linalg.matrix_power(f_op, 4) - ident).max())
+    k = f_op @ shear_op(ffcore.identity_mat(n), pm).dense()
+    dev = max(dev, float(np.abs(np.linalg.matrix_power(k, 3) - ident).max()))
+    for _ in range(10):
+        s1, s2 = _random_symmetric(pm, rng), _random_symmetric(pm, rng)
+        m1, m2 = _random_invertible(pm, rng), _random_invertible(pm, rng)
+        lhs = shear_op(s1, pm).dense() @ shear_op(s2, pm).dense()
+        rhs = shear_op(mat_mod(mat([[(s1[i][j] + s2[i][j]) for j in range(n)]
+                                    for i in range(n)]), p), pm).dense()
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
+        lhs = dilate_op(m1, pm).dense() @ dilate_op(m2, pm).dense()
+        rhs = dilate_op(mat_mul(m1, m2, mod=p), pm).dense()
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
+        minv = mat_inv_modp(m1, p)
+        s_conj = mat_mul(mat_mul(ffcore.mat_transpose(minv), s1, mod=p), minv, mod=p)
+        lhs = dilate_op(m1, pm).dense() @ shear_op(s1, pm).dense() \
+            @ dilate_op(minv, pm).dense()
+        rhs = shear_op(s_conj, pm).dense()
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
+    return dev
+
+
 # ---------------------------------------------------------------------------
 # Schur-averaged intertwiners (test oracle) and torus twists
 
@@ -392,16 +455,15 @@ def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
     by irreducibility the average is a scalar multiple of a unitary, or zero
     with probability ~ p^-2n (then retried with a fresh C).
     """
-    p, n, d = pm.p, pm.n, pm.dim
+    p, d = pm.p, pm.dim
     b = mat_mod(mat(b), p)
     if not ffcore.is_symplectic(b, p=p):
         raise ValueError("intertwiner target must be symplectic mod p")
-    vecs_idx = np.arange(p ** (2 * n))
-    digits = np.stack([(vecs_idx // p ** j) % p for j in range(2 * n)], axis=1)
+    xis = lattice_vectors(pm)
     for _ in range(max_tries):
         c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         acc = np.zeros((d, d), dtype=complex)
-        for row in digits:
+        for row in xis:
             xi = tuple(int(x) for x in row)
             bxi = ffcore.mat_vec(b, xi, mod=p)
             t_in = pi_op(xi, pm)

@@ -1,7 +1,7 @@
 import pytest
 
 from torusque import hecke, weil
-from torusque.quevaluator import build_trace_table
+from torusque.quevaluator import PrimeContext
 from torusque.classical import CAT_MAP, SP4_FIXTURE, validate_ergodic
 from torusque.ffcore import PrimeModulus
 
@@ -47,8 +47,5 @@ def torus_cache(cat_map, sp4_elem):
 
 @pytest.fixture(scope="session")
 def sp4_split13(sp4_elem):
-    """The fully split n = 2 case p = 13: torus, canonical rho, trace table."""
-    pm = PrimeModulus(13, 2)
-    torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-    rep = weil.linearize(pm)
-    return torus, rep, build_trace_table(torus, rep)
+    """The fully split n = 2 case p = 13 under the canonical rho."""
+    return PrimeContext.build(sp4_elem, PrimeModulus(13, 2))

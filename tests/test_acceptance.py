@@ -218,7 +218,7 @@ def test_criterion_5_que_bound(cat_map, sp4_elem, rep_cache):
         pm = PrimeModulus(p, 1)
         rep = rep_cache(p)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        rpt = q.verify_que_bound(cat_map, pm, rep, torus=torus)
+        rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus, rep))
         max_ratio_dim1 = max(max_ratio_dim1, rpt.max_ratio_dim1)
         assert rpt.parseval_max_dev < 1e-8
         assert rpt.xi0_oracle_max_dev < 1e-8
@@ -249,7 +249,7 @@ def test_criterion_5_que_bound(cat_map, sp4_elem, rep_cache):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
         trep = weil.linearize_on_torus(torus, pm)
-        rpt = q.verify_que_bound(sp4_elem, pm, trep, torus=torus)
+        rpt = q.verify_que_bound(q.PrimeContext(sp4_elem, torus, trep))
         n2_ok = n2_ok and rpt.ok
         n2_ratio = max(n2_ratio, rpt.max_ratio / 4)
     t_n2 = time.time() - t0
@@ -277,8 +277,7 @@ def test_criterion_6_refined_bound(cat_map, rep_cache):
         pm = PrimeModulus(p, 1)
         rep = rep_cache(p)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        table = q.build_trace_table(torus, rep)
-        rpt = q.refined_bound(cat_map, pm, torus, table)
+        rpt = q.refined_bound(q.PrimeContext(cat_map, torus, rep))
         assert rpt.applicable
         for row in rpt.rows:
             if row["m"] == 1:
@@ -314,7 +313,7 @@ def test_criterion_7_trace_formula(cat_map, rep_cache):
 
 def test_criterion_8_factorization(sp4_elem):
     pm = PrimeModulus(13, 2)
-    rpt = q.factorization_check(sp4_elem, pm)
+    rpt = q.factorization_check(q.PrimeContext.build(sp4_elem, pm))
     frac = rpt.matched_generic / rpt.generic_pairs
     ok = rpt.ok and frac >= 0.95 and rpt.matched_all_reconciled == rpt.pairs_total
     _line(8, ok, f"split prime 13: {rpt.generic_pairs} generic pairs, "
@@ -365,7 +364,7 @@ def test_supplement_bound_on_one_dimensional_characters(cat_map, rep_cache):
     for p in NONDEG_N1:
         pm = PrimeModulus(p, 1)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        rpt = q.verify_que_bound(cat_map, pm, rep_cache(p), torus=torus)
+        rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus, rep_cache(p)))
         assert rpt.ok_dim1, f"unexpected dim-1 violation at p={p}"
         worst = max(worst, rpt.max_ratio_dim1)
     print(f"SUPPLEMENT: dim-1 characters pass everywhere; "
@@ -379,7 +378,7 @@ def test_supplement_split_prime_exceptional_values(cat_map, rep_cache):
     for p in SPLIT_N1[:3]:
         pm = PrimeModulus(p, 1)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        rpt = q.verify_que_bound(cat_map, pm, rep_cache(p), torus=torus)
+        rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus, rep_cache(p)))
         assert len(rpt.violations) == 2 * (p - 1)
         assert all(abs(v[2] - (p - 2)) < 1e-8 for v in rpt.violations)
         assert not rpt.generic_violations
@@ -399,17 +398,16 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
     factor equal to |T_1| = p - 1: a_chi(xi) = (p - 1) a_{k_i}(xi_i), an
     n = 1 diagonal-torus sum of the other factor, and (p - 1) 2 sqrt(p) > 4p.
     """
-    torus, rep, table = sp4_split13
-    pm = torus.pm
+    ctx = sp4_split13
+    torus, pm = ctx.torus, ctx.pm
     p = pm.p
-    dec = hecke.decompose(torus, rep)
+    dec = ctx.decomposition
     assert sorted(dec.dims) == [1] * 121 + [2] * 22 + [4]
-    rpt = q.verify_que_bound(sp4_elem, pm, rep, decomposition=dec, torus=torus,
-                             table=table)
+    rpt = q.verify_que_bound(ctx)
     assert not rpt.ok_dim1
     assert abs(rpt.max_ratio_dim1 - 6.39651) < 1e-5
     assert len(rpt.dim1_violations) == 8976
-    refined = q.refined_bound(sp4_elem, pm, torus, table)
+    refined = q.refined_bound(ctx)
     refined_ratio = max(r["generic_max"] / r["refined_bound"] for r in refined.rows)
     assert refined.generic_ok
     assert abs(refined_ratio - 0.94273) < 1e-5
@@ -418,7 +416,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
     pm1 = PrimeModulus(p, 1)
     sign = q.measure_split_sign(pm1, weil.linearize(pm1))
     chis = {chi.exps: chi for chi in hecke.characters(torus)}
-    achi = q.character_sum_table(table)
+    achi = ctx.sums
     col = {exps: i for i, exps in enumerate(chis)}
     per_factor = [0, 0]
     worst = 0.0

@@ -185,34 +185,68 @@ def test_parse_matrix_fixtures():
 
 
 def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
-    # a torus that cannot be built at one prime must not end the sweep
+    # a torus that cannot be built at one prime must not end the sweep,
+    # whatever the type of the error
     from torusque import hecke
     real = hecke.centralizer
 
-    def flaky(a, pm, charpoly=None):
-        if pm.p == 7:
-            raise hecke.UnsupportedStructureError("injected at p = 7")
-        return real(a, pm, charpoly)
+    for error in (hecke.UnsupportedStructureError, RuntimeError):
+        def flaky(a, pm, charpoly=None):
+            if pm.p == 7:
+                raise error("injected at p = 7")
+            return real(a, pm, charpoly)
 
-    monkeypatch.setattr(hecke, "centralizer", flaky)
-    out_json = tmp_path / "fail.json"
+        monkeypatch.setattr(hecke, "centralizer", flaky)
+        out_json = tmp_path / f"fail-{error.__name__}.json"
+        rc = run_cli(["sweep", "--pmin", "3", "--pmax", "13",
+                      "--checks", "decomposition,trace-formula",
+                      "--out-json", str(out_json)])
+        assert rc == 1
+        report = json.loads(out_json.read_text())
+        assert not report["all_passed"]
+        by_p = {rp["p"]: rp for rp in report["primes"]}
+        assert sorted(by_p) == [3, 7, 11, 13]
+        failed = by_p.pop(7)
+        assert failed["split_type"] is None and failed["torus_order"] is None
+        assert failed["routes"] == {}
+        (check,) = failed["checks"]
+        assert check["name"] == "construction" and check["status"] == "fail"
+        assert check["witnesses"] == [
+            {"error": f"{error.__name__}: injected at p = 7"}]
+        for rp in by_p.values():
+            assert rp["split_type"] in ("split", "nonsplit")
+            assert [c["name"] for c in rp["checks"]] == ["decomposition",
+                                                         "trace-formula"]
+            assert all(c["status"] == "pass" for c in rp["checks"])
+
+
+def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
+    # the torus, the decomposition, the character sums and the split frame
+    # are built once per prime, however many checks read them
+    from torusque import hecke, quevaluator
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(hecke, "centralizer")
+    counted(hecke, "decompose")
+    counted(quevaluator, "character_sum_table")
+    counted(quevaluator, "build_split_transport")
+    out_json = tmp_path / "once.json"
     rc = run_cli(["sweep", "--pmin", "3", "--pmax", "13",
-                  "--checks", "decomposition,trace-formula",
+                  "--checks", "decomposition,bound,refined,demo",
                   "--out-json", str(out_json)])
-    assert rc == 1
+    assert rc == 1  # the bound fails at the split prime 11
     report = json.loads(out_json.read_text())
-    assert not report["all_passed"]
-    by_p = {rp["p"]: rp for rp in report["primes"]}
-    assert sorted(by_p) == [3, 7, 11, 13]
-    failed = by_p.pop(7)
-    assert failed["split_type"] is None and failed["torus_order"] is None
-    assert failed["routes"] == {}
-    (check,) = failed["checks"]
-    assert check["name"] == "construction" and check["status"] == "fail"
-    assert check["witnesses"] == [
-        {"error": "UnsupportedStructureError: injected at p = 7"}]
-    for rp in by_p.values():
-        assert rp["split_type"] in ("split", "nonsplit")
-        assert [c["name"] for c in rp["checks"]] == ["decomposition",
-                                                     "trace-formula"]
-        assert all(c["status"] == "pass" for c in rp["checks"])
+    assert [rp["p"] for rp in report["primes"]] == [3, 7, 11, 13]
+    assert [rp["p"] for rp in report["primes"]
+            if rp["split_type"] == "split"] == [11]
+    assert calls == {"centralizer": 4, "decompose": 4,
+                     "character_sum_table": 4, "build_split_transport": 1}

@@ -223,8 +223,7 @@ def test_split_transport_structure(cat_map):
 
 
 def test_verify_que_bound_nonsplit(cat_map, rep_cache, torus_cache):
-    pm = PrimeModulus(7, 1)
-    rpt = q.verify_que_bound(cat_map, pm, rep_cache(7), torus=torus_cache(7))
+    rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)))
     assert rpt.ok and rpt.ok_dim1
     assert rpt.max_ratio <= 2.0
     assert rpt.parseval_max_dev < 1e-10
@@ -237,8 +236,7 @@ def test_verify_que_bound_nonsplit(cat_map, rep_cache, torus_cache):
 def test_verify_que_bound_split_defect(cat_map, rep_cache, torus_cache):
     # at split primes the order-2 character hits exactly p - 2 on the 2(p-1)
     # axis vectors; every one-dimensional character respects the bound
-    pm = PrimeModulus(11, 1)
-    rpt = q.verify_que_bound(cat_map, pm, rep_cache(11), torus=torus_cache(11))
+    rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus_cache(11), rep_cache(11)))
     assert not rpt.ok
     assert rpt.ok_dim1
     assert len(rpt.violations) == 2 * (11 - 1)
@@ -262,25 +260,21 @@ def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
     dims = hecke.decompose(torus, trep).dims
     (big,) = [chi for chi, d in zip(chis, dims) if d == 2]
     assert big.inverse().exps != big.exps
-    rpt = q.verify_que_bound(cat_map, pm, trep, torus=torus)
-    canon = q.verify_que_bound(cat_map, pm, rep_cache(11), torus=torus)
+    rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus, trep))
+    canon = q.verify_que_bound(q.PrimeContext(cat_map, torus, rep_cache(11)))
     assert rpt.ok_dim1
     assert abs(rpt.max_ratio_dim1 - canon.max_ratio_dim1) < 1e-9
 
 
 def test_averaged_fixture_bound(cat_map, rep_cache, torus_cache):
-    pm = PrimeModulus(7, 1)
     f = FourierPolynomial({(1, 0): 0.5, (-1, 0): 0.5})
-    rpt = q.verify_que_bound(cat_map, pm, rep_cache(7), torus=torus_cache(7),
+    rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)),
                              fixtures=[f])
     assert rpt.averaged_rows and all(r["ok_rigorous"] for r in rpt.averaged_rows)
 
 
 def test_refined_bound_split(cat_map, rep_cache, torus_cache):
-    pm = PrimeModulus(11, 1)
-    torus = torus_cache(11)
-    table = q.build_trace_table(torus, rep_cache(11))
-    rpt = q.refined_bound(cat_map, pm, torus, table)
+    rpt = q.refined_bound(q.PrimeContext(cat_map, torus_cache(11), rep_cache(11)))
     assert rpt.applicable and rpt.generic_ok
     m1 = [r for r in rpt.rows if r["m"] == 1]
     assert len(m1) == 1
@@ -293,18 +287,15 @@ def test_refined_bound_split(cat_map, rep_cache, torus_cache):
 
 
 def test_refined_bound_nonsplit_inapplicable(cat_map, rep_cache, torus_cache):
-    pm = PrimeModulus(7, 1)
-    torus = torus_cache(7)
-    table = q.build_trace_table(torus, rep_cache(7))
-    rpt = q.refined_bound(cat_map, pm, torus, table)
+    rpt = q.refined_bound(q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)))
     assert not rpt.applicable
 
 
-def test_cyclic_vs_hecke_demo_coincide_at_p7(cat_map, rep_cache):
+def test_cyclic_vs_hecke_demo_coincide_at_p7(cat_map, rep_cache, torus_cache):
     # order of the cat map mod 7 is 8 = |C_A|: the two averages coincide and
     # no degenerate superposition rows exist
-    pm = PrimeModulus(7, 1)
-    rows, meta = q.cyclic_vs_hecke_demo(cat_map, pm, rep_cache(7))
+    rows, meta = q.cyclic_vs_hecke_demo(
+        q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)))
     assert meta["cyclic_equals_torus"]
     assert meta["max_column_gap"] == 0.0
     for r in rows:
@@ -312,11 +303,11 @@ def test_cyclic_vs_hecke_demo_coincide_at_p7(cat_map, rep_cache):
         assert r.hecke_ok
 
 
-def test_cyclic_vs_hecke_demo_differ(cat_map, rep_cache):
+def test_cyclic_vs_hecke_demo_differ(cat_map, rep_cache, torus_cache):
     # p = 11: the cat map has order 5 inside a torus of order 10, and on
     # degenerate eigenspaces of the quantized map the columns separate
-    pm = PrimeModulus(11, 1)
-    rows, meta = q.cyclic_vs_hecke_demo(cat_map, pm, rep_cache(11))
+    rows, meta = q.cyclic_vs_hecke_demo(
+        q.PrimeContext(cat_map, torus_cache(11), rep_cache(11)))
     assert meta["cyclic_order"] == 5 and meta["torus_order"] == 10
     assert meta["max_column_gap"] > 0.05
     pure = [r for r in rows if r.label.startswith("chi=")]
@@ -335,7 +326,7 @@ def test_diagonal_factor_sum_boundary():
 def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
     # rho(S0) dilate(t) rho(S0)^dagger, the conjugated-standard construction,
     # is the canonical rho on every element S0 t S0^-1 of the split torus
-    torus, rep, _ = sp4_split13
+    torus, rep = sp4_split13.torus, sp4_split13.rep
     pm = torus.pm
     tr = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
     w = rep.op(tr.s0)
@@ -350,8 +341,7 @@ def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
 
 
 def test_factorization_check_reuses_table(sp4_elem, sp4_split13):
-    torus, _, table = sp4_split13
-    rpt = q.factorization_check(sp4_elem, torus.pm, table=table)
+    rpt = q.factorization_check(sp4_split13)
     assert rpt.ok and rpt.matched_all_reconciled == rpt.pairs_total
     assert (rpt.generic_pairs, rpt.pairs_total) == (2985984, 4112640)
 
@@ -381,12 +371,10 @@ def _reference_violations(elem, pm, torus, table, dec, rtol=1e-6):
     return violations, dim1, generic
 
 
-def _assert_violations_match_reference(elem, pm, rep, torus, table):
-    dec = hecke.decompose(torus, rep)
-    rpt = q.verify_que_bound(elem, pm, rep, decomposition=dec, torus=torus,
-                             table=table)
-    violations, dim1, generic = _reference_violations(elem, pm, torus, table,
-                                                      dec)
+def _assert_violations_match_reference(ctx):
+    rpt = q.verify_que_bound(ctx)
+    violations, dim1, generic = _reference_violations(
+        ctx.elem, ctx.pm, ctx.torus, ctx.table, ctx.decomposition)
     assert rpt.violations == violations
     assert rpt.dim1_violations == dim1
     assert rpt.generic_violations == generic
@@ -395,18 +383,14 @@ def _assert_violations_match_reference(elem, pm, rep, torus, table):
 
 def test_verify_que_bound_lists_match_per_xi_scan_n1(cat_map, rep_cache,
                                                      torus_cache):
-    pm = PrimeModulus(11, 1)
-    torus = torus_cache(11)
-    rep = rep_cache(11)
-    rpt = _assert_violations_match_reference(cat_map, pm, rep, torus,
-                                             q.build_trace_table(torus, rep))
+    rpt = _assert_violations_match_reference(
+        q.PrimeContext(cat_map, torus_cache(11), rep_cache(11)))
     assert len(rpt.violations) == 2 * (11 - 1)
 
 
 def test_verify_que_bound_lists_match_per_xi_scan_n2(sp4_elem, sp4_split13):
-    torus, rep, table = sp4_split13
-    pm = torus.pm
-    rpt = _assert_violations_match_reference(sp4_elem, pm, rep, torus, table)
+    pm = sp4_split13.pm
+    rpt = _assert_violations_match_reference(sp4_split13)
     assert len(rpt.dim1_violations) == 8976
     assert not rpt.generic_violations  # every violation is off the generic stratum
     # the vectorized split frame agrees with the per-xi transport
