@@ -148,25 +148,23 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
     pm = PrimeModulus(p, n)
     results: list[CheckResult] = []
     start = time.perf_counter()
-
-    def over_budget():
-        return time.perf_counter() - start > cfg.budget_seconds
-
     try:
-        ctx = quevaluator.PrimeContext.build(elem, pm)
+        ctx = quevaluator.PrimeContext.build(elem, pm,
+                                             deadline=start + cfg.budget_seconds)
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
     rng = np.random.default_rng(cfg.seed + p)
 
     for name in cfg.checks:
-        if over_budget():
-            results.append(CheckResult(name, "skip",
-                                       witnesses=[{"reason": "budget exceeded"}]))
+        if time.perf_counter() > ctx.deadline:
+            results.append(_budget_skip(name))
             continue
         runner = _CHECK_RUNNERS[name]
         try:
             res, ms = _timed(lambda: runner(ctx, rng))
             res.millis = ms
+        except quevaluator.BudgetExceeded:      # the deadline passed mid-check
+            res = _budget_skip(name)
         except Exception as e:  # noqa: BLE001 - report, do not crash the sweep
             res = CheckResult(name, "fail",
                               witnesses=[{"error": f"{type(e).__name__}: {e}"}])
@@ -176,6 +174,10 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
             "torus_order": ctx.torus.order, "routes": dict(sorted(routes.items())),
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
+
+
+def _budget_skip(name: str) -> CheckResult:
+    return CheckResult(name, "skip", witnesses=[{"reason": "budget exceeded"}])
 
 
 def _failed_prime(p: int, cfg: SweepConfig, err: Exception) -> dict:

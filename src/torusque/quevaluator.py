@@ -1,29 +1,34 @@
-"""Trace tables, Hecke character sums, and the bound checks.
+"""Hecke character sums, streamed one eigenspace at a time, and the bound checks.
 
 The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) is computed for
-every xi mod p at once from one dense rho(B) (`trace_column`: one gather along
-the shifts of T(xi), one matmul with the psi(x.y) matrix, one phase prefix),
-and tabulated over the Hecke torus one column per element; `trace_pair`, the
-per-value route through the generalized-permutation structure of T(xi), is
-the oracle it is tested against.  Character sums
+every xi mod p at once from one dense matrix (`trace_column`: one gather
+along the shifts of T(xi), one matmul with the psi(x.y) matrix, one phase
+prefix); `trace_pair`, the per-value route through the
+generalized-permutation structure of T(xi), is the oracle it is tested
+against.  The character sums
 
-    a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B)
+    a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1})
 
-are then single matrix products, checked against the p^{n/2}-scale bound and
-its split-prime refinement, against the closed-form diagonal-torus trace, and
-against direct Gauss-type sums.
+need no operator of any torus element but the generators: P_{chi^-1} is the
+projector onto the joint eigenspace H_{chi^-1} (`hecke.decompose`), so one
+`trace_column` of it gives the whole column chi.  They are checked against
+the p^{n/2}-scale bound and its split-prime refinement, against the
+closed-form diagonal-torus trace, and against direct Gauss-type sums.
 
-A `PrimeContext` holds the torus and rho at one prime and builds the trace
-table, the characters, the character sums, the eigenspace decomposition and
-the split frame at most once each; every bound check, the factorization
-check and the averaging demo read them from it.
+A `PrimeContext` holds the torus and rho at one prime, builds the
+characters, the eigenspace decomposition and the split frame at most once
+each, and streams the sums column by column; every bound check, the
+factorization check and the averaging demo read them from it, reducing one
+column at a time, so no p^{2n} x |T| array is ever formed.
 
 Measured conventions worth knowing when reading this module (all certified by
 the test suite, none assumed):
 
-* the exceptional torus character is the unique character of order 2: its
-  eigenspace is 0-dimensional at nonsplit primes and 2-dimensional at split
-  primes (every other character, the trivial one included, has a line);
+* at n = 1 the exceptional torus character is the unique character of
+  order 2: its eigenspace is 0-dimensional at nonsplit primes and
+  2-dimensional at split primes (every other character, the trivial one
+  included, has a line).  At n = 2 a torus Z_m1 x Z_m2 with even m1, m2 has
+  three characters of order 2, and the bound report lists every one;
 * at split primes the order-2 character sums hit exactly +-(p - 2) on the
   2(p-1) "axis" vectors xi (those whose split-frame coordinates have a zero
   entry), exceeding 2 sqrt(p) once p >= 11 -- the headline bound is only
@@ -36,6 +41,7 @@ the test suite, none assumed):
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +56,7 @@ from .hecke import HeckeTorus, TorusCharacter
 
 
 # ---------------------------------------------------------------------------
-# trace function and table
+# trace function
 
 
 def trace_pair(xi, rho_dense: np.ndarray, pm: PrimeModulus) -> complex:
@@ -92,22 +98,6 @@ def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
     return _trace_column(rho_dense, _trace_kernel(pm))
 
 
-@dataclass
-class TraceTable:
-    """F[flat(xi), b] over all xi in (Z/p)^{2n} and the torus element list.
-
-    flat(xi) = sum_j lam_j p^j + p^n * sum_j mu_j p^j, matching the lattice
-    enumeration used everywhere else.
-    """
-
-    pm: PrimeModulus
-    torus: HeckeTorus
-    values: np.ndarray  # (p^{2n}, |T|) complex
-
-    def value(self, xi, b: Mat) -> complex:
-        return complex(self.values[flatten_xi(xi, self.pm), self.torus.index_of(b)])
-
-
 def flatten_xi(xi, pm: PrimeModulus) -> int:
     p, n = pm.p, pm.n
     xi = [int(c) % p for c in xi]
@@ -121,27 +111,6 @@ def unflatten_xi(k: int, pm: PrimeModulus) -> tuple[int, ...]:
     lam, mu = k % p ** n, k // p ** n
     return tuple((lam // p ** j) % p for j in range(n)) + \
         tuple((mu // p ** j) % p for j in range(n))
-
-
-def build_trace_table(torus: HeckeTorus, rep) -> TraceTable:
-    """Tabulate F for every (xi, B): one trace column per torus element."""
-    pm = torus.pm
-    kernel = _trace_kernel(pm)
-    table = np.empty((pm.dim ** 2, torus.order), dtype=complex)
-    for bi, b in enumerate(torus.elements):
-        table[:, bi] = _trace_column(rep.op(b), kernel)
-    return TraceTable(pm, torus, table)
-
-
-def character_sum(xi, chi: TorusCharacter, table: TraceTable) -> complex:
-    vals = chi.values_vector(table.torus)
-    return complex(table.values[flatten_xi(xi, table.pm)] @ vals)
-
-
-def character_sum_table(table: TraceTable) -> np.ndarray:
-    """a[flat(xi), chi_index] for all xi and all characters at once."""
-    chivals = hecke.character_table(table.torus)   # (K, N)
-    return table.values @ chivals.T
 
 
 def check_invariance(xi, b: Mat, s: Mat, rep, pm: PrimeModulus) -> float:
@@ -284,43 +253,49 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 # everything the checks read at one prime
 
 
+class BudgetExceeded(RuntimeError):
+    """The sweep's time budget ran out inside a check."""
+
+
 @dataclass
 class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
 
-    Each derived part is built on first use and then shared by every check:
-    the trace table, the characters, the character sums a_chi(xi), the
-    eigenspace decomposition and, at split primes, the split frame
-    (`transport` is None elsewhere).  A context made directly from a torus
-    and any rho (a twisted one, say) derives its parts from that rho.
+    The characters, the eigenspace decomposition and, at split primes, the
+    split frame (`transport` is None elsewhere) are built on first use and
+    then shared by every check.  The character sums are streamed, one
+    eigenspace at a time, by `character_sum_columns`; no table of them is
+    kept.  A context made directly from a torus and any rho (a twisted one,
+    say) derives its parts from that rho.  `deadline`, a
+    `time.perf_counter()` value, is checked before every eigenspace of the
+    stream.
     """
 
     elem: ErgodicElement
     torus: HeckeTorus
     rep: weil.WeilRep
+    deadline: float | None = None
 
     @classmethod
-    def build(cls, elem: ErgodicElement, pm: PrimeModulus) -> "PrimeContext":
+    def build(cls, elem: ErgodicElement, pm: PrimeModulus,
+              deadline: float | None = None) -> "PrimeContext":
         """Centralizer torus of elem mod p and the canonical rho."""
         torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
-        return cls(elem, torus, weil.linearize(pm))
+        return cls(elem, torus, weil.linearize(pm), deadline)
 
     @property
     def pm(self) -> PrimeModulus:
         return self.torus.pm
 
     @cached_property
-    def table(self) -> TraceTable:
-        return build_trace_table(self.torus, self.rep)
-
-    @cached_property
     def chis(self) -> list[TorusCharacter]:
         return hecke.characters(self.torus)
 
     @cached_property
-    def sums(self) -> np.ndarray:
-        """a[flat(xi), chi_index], aligned with `chis`."""
-        return character_sum_table(self.table)
+    def inverse_index(self) -> list[int]:
+        """inverse_index[i] is the index of chis[i]^-1."""
+        col = {chi.exps: i for i, chi in enumerate(self.chis)}
+        return [col[chi.inverse().exps] for chi in self.chis]
 
     @cached_property
     def decomposition(self) -> hecke.EigenspaceDecomposition:
@@ -331,6 +306,30 @@ class PrimeContext:
         if self.torus.split_type != "split":
             return None
         return build_split_transport(self.elem.matrix, self.pm, self.elem.charpoly)
+
+    def character_sum_columns(self):
+        """Yield (i, a_chi(xi) for every flat xi) for chi = chis[i], in order.
+
+        a_chi(xi) = sum_B F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1}), with
+        P_{chi^-1} = V V^dagger on the eigenspace H_{chi^-1}: one
+        `trace_column` gather and matmul per occupied eigenspace, and a
+        shared read-only zero column for the empty ones.  Raises
+        BudgetExceeded once `deadline` has passed.
+        """
+        kernel = _trace_kernel(self.pm)
+        entries = self.decomposition.entries
+        zeros = np.zeros(self.pm.dim ** 2, dtype=complex)
+        zeros.flags.writeable = False
+        for i, inv in enumerate(self.inverse_index):
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                raise BudgetExceeded(f"deadline passed at character {i} "
+                                     f"of {len(entries)}")
+            _, basis, dim = entries[inv]
+            if dim == 0:
+                yield i, zeros
+            else:
+                proj = basis @ basis.conj().T
+                yield i, self.torus.order * _trace_column(proj, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -479,92 +478,89 @@ def verify_que_bound(ctx: PrimeContext,
     Populations are reported separately: the verdict over all characters, the
     verdict over characters with one-dimensional eigenspaces (the regime the
     eigenvector derivation of the bound actually covers), and at split primes
-    the generic stratum of the order-2 character.
+    the generic stratum of the order-2 character.  The sums are reduced one
+    column at a time; the violation lists are in row-major (xi, chi) order.
     """
     pm, torus, chis = ctx.pm, ctx.torus, ctx.chis
     p, n = pm.p, pm.n
-    # the decomposition first: its |T| stacked operators are freed before the
-    # trace table and the sums exist, which keeps them out of the peak RSS
+    order = torus.order
     dims = ctx.decomposition.dims
-    achi = ctx.sums                                # (p^{2n}, K)
+    # column chi of the sums belongs to H_{chi^-1} (see the xi = 0 oracle)
+    inv_dims = np.array([dims[i] for i in ctx.inverse_index])
+    is_dim1 = inv_dims == 1
     bound = 2 ** n * p ** (n / 2)
-    tol_abs = bound * rtol
-
-    # column chi of achi belongs to H_{chi^-1} (see the xi = 0 oracle below)
-    col = {chi.exps: i for i, chi in enumerate(chis)}
-    inv_idx = [col[chi.inverse().exps] for chi in chis]
-    dim1_cols = [i for i in range(len(chis)) if dims[inv_idx[i]] == 1]
-    order2_idx = next((i for i, c in enumerate(chis) if c.order == 2), None)
-
     generic = None if ctx.transport is None else ctx.transport.generic_mask()
 
-    mags = np.abs(achi)
-    nz = mags[1:]                                     # a view: xi != 0
-    is_dim1 = np.zeros(len(chis), dtype=bool)
-    is_dim1[dim1_cols] = True
-    xis = lattice_vectors(pm)                         # row k = unflatten_xi(k)
-    violations = []
-    dim1_violations = []
-    generic_violations = []
-    # row-major over (xi != 0, chi), as a per-xi scan would visit them
-    ks, cis = np.nonzero(nz > bound + tol_abs)
-    ks += 1
-    for k, ci in zip(ks.tolist(), cis.tolist()):
-        rec = (tuple(xis[k].tolist()), chis[ci].exps, float(mags[k, ci]), bound)
+    col_max = np.zeros(len(chis))               # max |a_chi(xi)| over xi != 0
+    col_norm2 = np.zeros(len(chis))             # sum over xi of |a_chi(xi)|^2
+    xi0 = np.zeros(len(chis), dtype=complex)    # a_chi(0)
+    chi_total = np.zeros(pm.dim ** 2, dtype=complex)   # sum over chi of a_chi(xi)
+    hit_k, hit_ci, hit_abs = [], [], []
+    for ci, col in ctx.character_sum_columns():
+        mags = np.abs(col)
+        nz = mags[1:]                           # xi != 0
+        col_max[ci] = nz.max()
+        col_norm2[ci] = (mags ** 2).sum()
+        xi0[ci] = col[0]
+        chi_total += col
+        ks = np.nonzero(nz > bound + bound * rtol)[0]
+        hit_k.append(ks + 1)
+        hit_ci.append(np.full(len(ks), ci))
+        hit_abs.append(nz[ks])
+
+    ks, cis, abs_a = (np.concatenate(h) for h in (hit_k, hit_ci, hit_abs))
+    first = np.lexsort((cis, ks))               # row-major over (xi, chi)
+    xis = lattice_vectors(pm)                   # row k = unflatten_xi(k)
+    violations, dim1_violations, generic_violations = [], [], []
+    for k, ci, val in zip(ks[first].tolist(), cis[first].tolist(),
+                          abs_a[first].tolist()):
+        rec = (tuple(xis[k].tolist()), chis[ci].exps, val, bound)
         violations.append(rec)
         if is_dim1[ci]:
             dim1_violations.append(rec)
         if generic is not None and generic[k]:
             generic_violations.append(rec)
-    max_ratio = float(nz.max() / p ** (n / 2))
-    max_ratio_dim1 = float(nz[:, dim1_cols].max() / p ** (n / 2)) \
-        if dim1_cols else 0.0
+    max_ratio = float(col_max.max() / p ** (n / 2))
+    dim1_max = float(col_max[is_dim1].max()) if is_dim1.any() else 0.0
 
-    # Parseval per xi: sum_chi |a_chi|^2 = |T| sum_B |F|^2
-    lhs = (mags ** 2).sum(axis=1)
-    rhs = torus.order * (np.abs(ctx.table.values) ** 2).sum(axis=1)
-    scale = np.maximum(rhs, 1.0)
-    parseval_max_dev = float(np.abs(lhs - rhs).max() / scale.max())
-
+    # Parseval, two identities: sum_xi |Tr(T(xi) P)|^2 = p^n Tr(P) for the
+    # eigenspace projector P, and sum_chi P_chi = I with Tr T(xi) = p^n [xi = 0]
+    unit = order * p ** n
+    expected_total = np.zeros_like(chi_total)
+    expected_total[0] = unit
+    parseval_max_dev = max(
+        float(np.abs(col_norm2 - order * unit * inv_dims).max() / (order * unit)),
+        float(np.abs(chi_total - expected_total).max() / unit))
     # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}
-    xi0 = achi[0]
-    xi0_dev = 0.0
-    for i in range(len(chis)):
-        xi0_dev = max(xi0_dev, abs(xi0[i] - torus.order * dims[inv_idx[i]]))
+    xi0_dev = float(np.abs(xi0 - order * inv_dims).max())
     # eigenvector form: v spanning a 1-dim H_chi gives
-    # <v|T(xi)|v> = a_{chi^-1}(xi)/|T|, read from column chi^-1 (in dim1_cols)
-    eig_max = 0.0
-    nominal_exceeded = False
-    for i in dim1_cols:
-        vals = nz[:, i] / torus.order
-        eig_max = max(eig_max, float(vals.max()) * torus.order / bound)
-        if vals.max() > 2 ** n * p ** (-n / 2) * (1 + rtol):
-            nominal_exceeded = True
+    # <v|T(xi)|v> = a_{chi^-1}(xi)/|T|, read from column chi^-1 (a dim-1 column)
+    eig_max = dim1_max / bound
+    nominal_exceeded = dim1_max / order > 2 ** n * p ** (-n / 2) * (1 + rtol)
 
+    order2 = [{"exps": chi.exps, "dim": dims[i], "max_abs_sum": float(col_max[i])}
+              for i, chi in enumerate(chis) if chi.order == 2]
     exceptional = {}
-    if order2_idx is not None:
-        exceptional = {
-            "exps": chis[order2_idx].exps,
-            "dim": dims[order2_idx],
-            "max_abs_sum": float(nz[:, order2_idx].max()),
-            "expected_axis_value": p ** n - 2 if torus.split_type == "split" else None,
-        }
+    if order2:
+        # p - 2 on the axis vectors is asserted at n = 1 split primes only
+        axis = p - 2 if n == 1 and torus.split_type == "split" else None
+        exceptional = dict(order2[0], expected_axis_value=axis, order2=order2)
 
     averaged_rows = []
     if fixtures:
         averaged_rows = _averaged_fixture_checks(fixtures, ctx, rtol)
 
     return BoundReport(
-        p=p, n=n, split_type=torus.split_type, torus_order=torus.order,
+        p=p, n=n, split_type=torus.split_type, torus_order=order,
         bound_constant=2.0 ** n, bound=bound,
-        max_ratio=max_ratio, max_ratio_dim1=max_ratio_dim1,
+        max_ratio=max_ratio, max_ratio_dim1=dim1_max / p ** (n / 2),
         violations=violations, dim1_violations=dim1_violations,
         generic_violations=generic_violations,
         exceptional_order2=exceptional,
         parseval_max_dev=parseval_max_dev,
-        xi0_oracle_max_dev=float(xi0_dev),
+        xi0_oracle_max_dev=xi0_dev,
         eigvec_rigorous_max=eig_max,
-        eigvec_nominal_exceeded=nominal_exceeded,
+        eigvec_nominal_exceeded=bool(nominal_exceeded),
         averaged_rows=averaged_rows,
         ok=not violations,
         ok_dim1=not dim1_violations,
@@ -577,30 +573,23 @@ def _averaged_fixture_checks(fixtures, ctx: PrimeContext, rtol):
     For each dim-1 Hecke eigenvector v: |<v|Avg(Op_f)|v> - integral(f)| is
     bounded by (sum_{xi != 0} |a_xi(f)|) * 2^n p^{n/2} / |T|, using the exact
     torus order (the nominal p^{-n/2} form, which presumes |T| = p^n, is
-    reported as a flag instead of asserted).
+    reported as a flag instead of asserted).  On a torus eigenvector
+    <v|rho(B) X rho(B)^-1|v> = <v|X|v>, so <v|Avg(X)|v> = <v|X|v>.
     """
     from .heisenberg import integral as f_integral
-    torus, pm = ctx.torus, ctx.pm
+    pm = ctx.pm
     rows = []
     n, p = pm.n, pm.p
+    lines = [basis[:, 0] for _, basis, dim in ctx.decomposition.entries
+             if dim == 1]
     for fi, f in enumerate(fixtures):
         op = quantize(f, pm)
-        avg = np.zeros_like(op)
-        for b in torus.elements:
-            r = ctx.rep.op(b)
-            avg += r @ op @ r.conj().T
-        avg /= torus.order
         coeff_l1 = sum(abs(a) for xi, a in f.terms.items() if any(c % p for c in xi))
-        rigorous = coeff_l1 * 2 ** n * p ** (n / 2) / torus.order
+        rigorous = coeff_l1 * 2 ** n * p ** (n / 2) / ctx.torus.order
         nominal = coeff_l1 * 2 ** n * p ** (-n / 2)
-        worst = 0.0
-        for chi, basis, dim in ctx.decomposition.entries:
-            if dim != 1:
-                continue
-            v = basis[:, 0]
-            dev = abs(np.vdot(v, avg @ v) - f_integral(f))
-            worst = max(worst, float(dev))
-        rows.append({"fixture": fi, "max_dev": worst,
+        worst = max((abs(np.vdot(v, op @ v) - f_integral(f)) for v in lines),
+                    default=0.0)
+        rows.append({"fixture": fi, "max_dev": float(worst),
                      "rigorous_bound": rigorous, "nominal_bound": nominal,
                      "ok_rigorous": worst <= rigorous * (1 + rtol),
                      "ok_nominal": worst <= nominal * (1 + rtol)})
@@ -632,7 +621,6 @@ def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
     p, n = ctx.pm.p, ctx.pm.n
     if transport is None:
         return RefinedReport(p, [], True, 0.0, False)
-    mags = np.abs(ctx.sums)
     half = (p - 1) // 2
     generic_mask = transport.generic_mask()
     nongeneric_mask = ~generic_mask
@@ -641,13 +629,15 @@ def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
     rows = []
     generic_ok = True
     max_nongeneric = 0.0
-    for ci, chi in enumerate(ctx.chis):
+    for ci, col in ctx.character_sum_columns():
+        chi = ctx.chis[ci]
+        mags = np.abs(col)
         ks = transport.transport_char(chi, torus)
         eff = tuple((k + half) % (p - 1) for k in ks)
         m = sum(1 for e in eff if e == 0)
         rbound = 2 ** n * p ** ((n - m) / 2)
-        gmax = float(mags[generic_mask, ci].max()) if generic_mask.any() else 0.0
-        ngmax = float(mags[nongeneric_mask, ci].max()) if nongeneric_mask.any() else 0.0
+        gmax = float(mags[generic_mask].max()) if generic_mask.any() else 0.0
+        ngmax = float(mags[nongeneric_mask].max()) if nongeneric_mask.any() else 0.0
         ok = gmax <= rbound * (1 + rtol)
         generic_ok = generic_ok and ok
         max_nongeneric = max(max_nongeneric, ngmax)
@@ -690,7 +680,7 @@ def factorization_check(ctx: PrimeContext,
     transport = ctx.transport
     if transport is None:
         raise ValueError(f"p = {p} is not fully split for this element")
-    achi, chis = ctx.sums, ctx.chis
+    chis = ctx.chis
     pm1 = PrimeModulus(p, 1)
     sign = measure_split_sign(pm1, weil.linearize(pm1))
     _, dlog = ffcore.dlog_table(p)
@@ -722,11 +712,10 @@ def factorization_check(ctx: PrimeContext,
     matched_generic = 0
     matched_all = 0
     max_rel = 0.0
-    for ci, chi in enumerate(chis):
-        k1, k2 = transport.transport_char(chi, torus)
+    for ci, lhs in ctx.character_sum_columns():
+        k1, k2 = transport.transport_char(chis[ci], torus)
         rhs = factor_tab[k1][lam1, mu1] * factor_tab[k2][lam2, mu2]
         rhs_oracle = oracle_tab[k1][lam1, mu1] * oracle_tab[k2][lam2, mu2]
-        lhs = achi[:, ci]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         rel = np.abs(lhs - rhs) / scale
         rel_oracle = np.abs(lhs - rhs_oracle) / scale
@@ -785,14 +774,22 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
                 v.reshape(-1, 1)).reshape(-1))
         return complex(acc / r_ord)
 
-    avg_op = hecke.hecke_average(xi, torus, ctx.rep)
+    # <v|Avg(X)|v> with Avg(X) = sum_chi P_chi X P_chi, the torus average
+    # (1/|T|) sum_B rho(B) X rho(B)^-1 written in the joint eigenbasis
+    t_xi = pi_op(xi, pm).dense()
+    blocks = [basis for _, basis, dim in ctx.decomposition.entries if dim]
+
+    def torus_average(v):
+        parts = (basis @ (basis.conj().T @ v) for basis in blocks)
+        return complex(sum(np.vdot(u, t_xi @ u) for u in parts))
+
     bound = 2 ** n * p ** (n / 2) / torus.order
     rows = []
     dim1 = [(chi, basis[:, 0]) for chi, basis, dim in ctx.decomposition.entries
             if dim == 1]
     for chi, v in dim1:
         cyc = cyclic_average(v)
-        hk = complex(np.vdot(v, avg_op @ v))
+        hk = torus_average(v)
         rows.append(DemoRow(f"chi={chi.exps}", cyc, hk, 0.0,
                             abs(hk) <= bound * (1 + rtol)))
 
@@ -809,7 +806,7 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
         (c1, v1), (c2, v2) = group[0], group[1]
         v = (v1 + v2) / np.sqrt(2)
         cyc = cyclic_average(v)
-        hk = complex(np.vdot(v, avg_op @ v))
+        hk = torus_average(v)
         max_column_gap = max(max_column_gap, abs(cyc - hk))
         rows.append(DemoRow(f"mix chi={c1.exps}+{c2.exps}", cyc, hk, 0.0, True))
 

@@ -22,7 +22,9 @@ import numpy as np
 from torusque import ffcore, hecke, quevaluator as q, weil
 from torusque.classical import birkhoff_many
 from torusque.ffcore import PrimeModulus, odd_primes
-from torusque.heisenberg import check_relations
+from torusque.heisenberg import check_relations, lattice_vectors
+
+from oracles import build_trace_table, character_sum_table
 
 
 def _line(num, ok, detail):
@@ -343,8 +345,8 @@ def test_criterion_10_twist_invariance(cat_map, sp4_elem, rep_cache):
         tables = []
         for ridx in (0, 1):
             trep = weil.linearize_on_torus(torus, pm, root_index=ridx)
-            table = q.build_trace_table(torus, trep)
-            tables.append(np.sort(np.abs(q.character_sum_table(table)), axis=1))
+            table = build_trace_table(torus, trep)
+            tables.append(np.sort(np.abs(character_sum_table(table)), axis=1))
         worst = max(worst, float(np.abs(tables[0] - tables[1]).max()))
     ok = worst <= 1e-8
     _line(10, ok, f"sorted |a_chi| multisets per xi agree across root choices "
@@ -416,8 +418,9 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
     pm1 = PrimeModulus(p, 1)
     sign = q.measure_split_sign(pm1, weil.linearize(pm1))
     chis = {chi.exps: chi for chi in hecke.characters(torus)}
-    achi = ctx.sums
     col = {exps: i for i, exps in enumerate(chis)}
+    wanted = {col[v[1]] for v in rpt.dim1_violations}
+    achi = {ci: c.copy() for ci, c in ctx.character_sum_columns() if ci in wanted}
     per_factor = [0, 0]
     worst = 0.0
     for xi, exps, abs_a, bound in rpt.dim1_violations:
@@ -427,7 +430,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
         i = 1 - j
         k_i = transport.transport_char(chis[exps], torus)[i]
         factor = q.diagonal_factor_sum(*coords[i], k_i, pm1, sign)
-        a = achi[q.flatten_xi(xi, pm), col[exps]]
+        a = achi[col[exps]][q.flatten_xi(xi, pm)]
         worst = max(worst, abs(a - (p - 1) * factor))
     assert per_factor == [4488, 4488]
     assert worst < 1e-9
@@ -435,3 +438,43 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
           f"passes (max ratio {refined_ratio:.5f}); the dim-1 bound fails only "
           f"where one split factor of xi vanishes (max ratio "
           f"{rpt.max_ratio_dim1:.5f})")
+
+
+def test_supplement_n2_p19_product_of_nonsplit_tori(sp4_elem):
+    """n = 2 at p = 19, past the dense route's memory wall.
+
+    P_A mod 19 is a product of two quadratics and T = Z_20 x Z_20, a product
+    of two nonsplit n = 1 tori.  Every eigenspace has dim <= 1 (361 x 1,
+    39 x 0), yet the bound fails for dim-1 characters at 127,680 (xi, chi)
+    pairs, with maximal ratio 8.90879, and the violating xi are exactly the
+    2(p^2 - 1) = 720 nonzero vectors of the two A-invariant planes
+    ker q_i(A): the "one vanishing factor" mechanism of p = 13.
+    """
+    p = 19
+    pm = PrimeModulus(p, 2)
+    ctx = q.PrimeContext.build(sp4_elem, pm)
+    assert ctx.torus.order == 400 and sorted(ctx.torus.gen_orders) == [20, 20]
+    assert sorted(ctx.decomposition.dims) == [0] * 39 + [1] * 361
+    rpt = q.verify_que_bound(ctx)
+    assert not rpt.ok_dim1
+    assert len(rpt.dim1_violations) == 127680
+    assert rpt.violations == rpt.dim1_violations
+    assert abs(rpt.max_ratio_dim1 - 8.90879) < 1e-5
+
+    cp = ffcore.poly_mod_reduce(sp4_elem.charpoly, p)
+    quadratics = [(c, b) for b in range(p) for c in range(p)
+                  if ffcore.poly_divmod(cp, (c, b, 1), mod=p)[1] == (0,)]
+    assert len(quadratics) == 2
+    a = np.array(ffcore.mat_mod(sp4_elem.matrix, p), dtype=np.int64)
+    xis = lattice_vectors(pm)
+    planes = set()
+    for c, b in quadratics:
+        q_of_a = (a @ a + b * a + c * np.eye(4, dtype=np.int64)) % p
+        kernel = xis[((xis @ q_of_a.T) % p == 0).all(axis=1)]
+        assert len(kernel) == p ** 2
+        planes |= {tuple(x) for x in kernel.tolist() if any(x)}
+    assert len(planes) == 2 * (p ** 2 - 1) == 720
+    assert {v[0] for v in rpt.dim1_violations} == planes
+    print(f"SUPPLEMENT: n=2 p=19 (T = Z20 x Z20): dims 361x1, 39x0; "
+          f"{len(rpt.dim1_violations)} dim-1 violations on the 720 nonzero xi "
+          f"of the two A-invariant planes (max ratio {rpt.max_ratio_dim1:.5f})")

@@ -134,7 +134,8 @@ def test_sweep_n2_bound(tmp_path):
 
 def test_sweep_n2_reports_construction_routes(tmp_path):
     # every operator of an n = 2 sweep is a generator formula or a Bruhat
-    # word; none comes from Schur averaging
+    # word; none comes from Schur averaging.  The decomposition and the bound
+    # need rho of the torus generators only, and both tori here are cyclic
     out_json = tmp_path / "routes.json"
     rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
                   "--pmax", "5", "--checks", "decomposition,bound",
@@ -144,7 +145,7 @@ def test_sweep_n2_reports_construction_routes(tmp_path):
     assert [rp["p"] for rp in report["primes"]] == [3, 5]
     for rp in report["primes"]:
         assert set(rp["routes"]) == {"bruhat-word", "generator-formula"}
-        assert rp["routes"]["bruhat-word"] >= rp["torus_order"]
+        assert rp["routes"]["bruhat-word"] == 1
 
 
 def test_budget_skips_checks(tmp_path):
@@ -221,8 +222,9 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
 
 
 def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
-    # the torus, the decomposition, the character sums and the split frame
-    # are built once per prime, however many checks read them
+    # the torus, the decomposition and the split frame are built once per
+    # prime, however many checks read them; the character sums are streamed
+    # once per check that reads them: bound at every prime, refined at 11
     from torusque import hecke, quevaluator
     calls = {}
 
@@ -237,7 +239,7 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
 
     counted(hecke, "centralizer")
     counted(hecke, "decompose")
-    counted(quevaluator, "character_sum_table")
+    counted(quevaluator.PrimeContext, "character_sum_columns")
     counted(quevaluator, "build_split_transport")
     out_json = tmp_path / "once.json"
     rc = run_cli(["sweep", "--pmin", "3", "--pmax", "13",
@@ -249,4 +251,38 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
     assert [rp["p"] for rp in report["primes"]
             if rp["split_type"] == "split"] == [11]
     assert calls == {"centralizer": 4, "decompose": 4,
-                     "character_sum_table": 4, "build_split_transport": 1}
+                     "character_sum_columns": 5, "build_split_transport": 1}
+
+
+def test_budget_read_inside_the_eigenspace_loop(tmp_path, monkeypatch):
+    # a clock that advances one second per eigenspace column: the deadline
+    # passes in the middle of the first bound check, which becomes a budget
+    # skip, and so does every later check of that prime
+    import time
+
+    from torusque import quevaluator
+    now = [0.0]
+    columns = []
+    real_column = quevaluator._trace_column
+
+    def slow_column(*args):
+        now[0] += 1.0
+        columns.append(now[0])
+        return real_column(*args)
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(quevaluator, "_trace_column", slow_column)
+    out_json = tmp_path / "budget.json"
+    rc = run_cli(["sweep", "--pmin", "29", "--pmax", "29",
+                  "--checks", "decomposition,bound,refined",
+                  "--budget-seconds", "10.5", "--out-json", str(out_json)])
+    assert rc == 0
+    (rp,) = json.loads(out_json.read_text())["primes"]
+    assert rp["torus_order"] == 28          # 28 columns, 11 of them computed
+    assert columns == [float(k) for k in range(1, 12)]
+    skip = {"name": "", "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
+            "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
+    decomposition, bound, refined = rp["checks"]
+    assert decomposition["status"] == "pass"
+    assert bound == dict(skip, name="bound")
+    assert refined == dict(skip, name="refined")

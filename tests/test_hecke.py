@@ -3,9 +3,10 @@ import pytest
 
 from torusque import ffcore, weil
 from torusque.ffcore import PrimeModulus, identity_mat, mat_mod, mat_mul
-from torusque.hecke import (DegeneratePrimeError, centralizer, character_table,
-                            characters, decompose, hecke_average, projector)
+from torusque.hecke import DegeneratePrimeError, centralizer, characters, decompose
 from torusque.heisenberg import pi_op
+
+from oracles import character_table, hecke_average, projector
 
 
 def test_centralizer_orders_cat_map(cat_map):

@@ -5,6 +5,9 @@ from torusque import ffcore, hecke, quevaluator as q, weil
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import FourierPolynomial
 
+from oracles import build_trace_table, character_sum, character_sum_table
+from oracles import decompose as decompose_oracle
+
 
 def test_trace_of_identity_pair(rep_cache):
     pm = PrimeModulus(7, 1)
@@ -27,7 +30,7 @@ def test_trace_table_matches_direct(cat_map, rep_cache, torus_cache):
     pm = PrimeModulus(7, 1)
     rep = rep_cache(7)
     torus = torus_cache(7)
-    table = q.build_trace_table(torus, rep)
+    table = build_trace_table(torus, rep)
     rng = np.random.default_rng(7)
     for _ in range(30):
         xi = tuple(int(x) for x in rng.integers(0, 7, 2))
@@ -104,18 +107,18 @@ def test_character_sum_xi_zero_oracle(cat_map, rep_cache, torus_cache):
     # a_chi(0) = |T| * dim of the inverse character's eigenspace
     torus = torus_cache(7)
     rep = rep_cache(7)
-    table = q.build_trace_table(torus, rep)
+    table = build_trace_table(torus, rep)
     dec = hecke.decompose(torus, rep)
     chis = hecke.characters(torus)
     for chi, dim in zip(chis, dec.dims):
-        val = q.character_sum((0, 0), chi.inverse(), table)
+        val = character_sum((0, 0), chi.inverse(), table)
         assert abs(val - torus.order * dim) < 1e-9
 
 
 def test_parseval_identity(cat_map, rep_cache, torus_cache):
     torus = torus_cache(11)
-    table = q.build_trace_table(torus, rep_cache(11))
-    achi = q.character_sum_table(table)
+    table = build_trace_table(torus, rep_cache(11))
+    achi = character_sum_table(table)
     lhs = (np.abs(achi) ** 2).sum(axis=1)
     rhs = torus.order * (np.abs(table.values) ** 2).sum(axis=1)
     assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, rhs.max())
@@ -194,7 +197,7 @@ def test_gauss_sum_oracle_matches_character_sums(cat_map, rep_cache, torus_cache
     pm = PrimeModulus(11, 1)
     rep = rep_cache(11)
     torus = torus_cache(11)
-    table = q.build_trace_table(torus, rep)
+    table = build_trace_table(torus, rep)
     transport = q.build_split_transport(cat_map.matrix, pm, cat_map.charpoly)
     sign = q.measure_split_sign(pm, rep)
     _, dl = ffcore.dlog_table(11)
@@ -208,7 +211,7 @@ def test_gauss_sum_oracle_matches_character_sums(cat_map, rep_cache, torus_cache
             if (lam, mu) == (0, 0):
                 continue  # boundary: the a = 1 term p^n would be missing
             c = (sign * lam * mu * pm.nu) % 11
-            worst = max(worst, abs(q.character_sum(xi, chi, table)
+            worst = max(worst, abs(character_sum(xi, chi, table)
                                    - q.gauss_sum_oracle(c, k, pm, dl)))
     assert worst < 1e-10
 
@@ -244,6 +247,21 @@ def test_verify_que_bound_split_defect(cat_map, rep_cache, torus_cache):
     assert all(v[1] == rpt.exceptional_order2["exps"] for v in rpt.violations)
     assert not rpt.generic_violations
     assert rpt.exceptional_order2["dim"] == 2
+    assert rpt.exceptional_order2["expected_axis_value"] == 11 - 2
+    assert len(rpt.exceptional_order2["order2"]) == 1
+
+
+def test_exceptional_order2_lists_every_order2_character_n2(sp4_split13):
+    # Z_12 x Z_12 has three characters of order 2; the p - 2 axis value is
+    # an n = 1 statement and is not claimed here
+    exc = q.verify_que_bound(sp4_split13).exceptional_order2
+    assert [(e["exps"], e["dim"]) for e in exc["order2"]] == [
+        ((0, 6), 4), ((6, 0), 2), ((6, 6), 2)]
+    assert [e["max_abs_sum"] for e in exc["order2"]] == pytest.approx(
+        [264, 132, 132], rel=1e-9)
+    assert (exc["exps"], exc["dim"]) == ((0, 6), 4)
+    assert exc["max_abs_sum"] == pytest.approx(264, rel=1e-9)
+    assert exc["expected_axis_value"] is None
 
 
 def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
@@ -346,14 +364,16 @@ def test_factorization_check_reuses_table(sp4_elem, sp4_split13):
     assert (rpt.generic_pairs, rpt.pairs_total) == (2985984, 4112640)
 
 
-def _reference_violations(elem, pm, torus, table, dec, rtol=1e-6):
-    """The per-xi scan verify_que_bound used to make, kept as its oracle."""
+def _reference_violations(elem, pm, torus, rep, rtol=1e-6):
+    """The per-xi scan over the dense sums table, kept as verify_que_bound's
+    oracle: trace table, character table and projector-stack dims."""
     p, n = pm.p, pm.n
     chis = hecke.characters(torus)
-    mags = np.abs(q.character_sum_table(table))
+    mags = np.abs(character_sum_table(build_trace_table(torus, rep)))
+    dims = decompose_oracle(torus, rep).dims
     bound = 2 ** n * p ** (n / 2)
     inv_idx = [[c.exps for c in chis].index(chi.inverse().exps) for chi in chis]
-    dim1_cols = [i for i in range(len(chis)) if dec.dims[inv_idx[i]] == 1]
+    dim1_cols = [i for i in range(len(chis)) if dims[inv_idx[i]] == 1]
     transport = None
     if torus.split_type == "split":
         transport = q.build_split_transport(elem.matrix, pm, elem.charpoly)
@@ -371,13 +391,20 @@ def _reference_violations(elem, pm, torus, table, dec, rtol=1e-6):
     return violations, dim1, generic
 
 
+def _same_records(got, ref):
+    """xi, chi and the bound exactly, |a| to 1e-9 relative (the streamed and
+    the dense sums differ in roundoff only)."""
+    assert [(r[0], r[1], r[3]) for r in got] == [(r[0], r[1], r[3]) for r in ref]
+    assert np.allclose([r[2] for r in got], [r[2] for r in ref], rtol=1e-9, atol=0)
+
+
 def _assert_violations_match_reference(ctx):
     rpt = q.verify_que_bound(ctx)
     violations, dim1, generic = _reference_violations(
-        ctx.elem, ctx.pm, ctx.torus, ctx.table, ctx.decomposition)
-    assert rpt.violations == violations
-    assert rpt.dim1_violations == dim1
-    assert rpt.generic_violations == generic
+        ctx.elem, ctx.pm, ctx.torus, ctx.rep)
+    _same_records(rpt.violations, violations)
+    _same_records(rpt.dim1_violations, dim1)
+    _same_records(rpt.generic_violations, generic)
     return rpt
 
 
