@@ -6,14 +6,17 @@ the commutative algebra F_p[A]: every candidate is c_0 + c_1 A + ... +
 c_{2n-1} A^{2n-1}, and the symplectic ones form the torus.  This costs p^{2n}
 candidates instead of a search through |Sp(2n, F_p)|.
 
-The joint eigenbasis is read from rho of the one or two torus generators
-(`decompose`); no operator of any other torus element is built for it.
+The torus is a direct product of cyclic groups <g_1> x ... x <g_k>, found
+by one greedy pass over its elements (`torus_structure`).  The joint
+eigenbasis is read from rho of the torus generators (`decompose`); no
+operator of any other torus element is built for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import numpy as np
@@ -27,21 +30,27 @@ class DegeneratePrimeError(ValueError):
     """Characteristic polynomial not squarefree mod p: centralizer is no torus."""
 
 
-class UnsupportedStructureError(RuntimeError):
-    """Abelian structure needs more than two generators (out of desk scale)."""
-
-
 @dataclass
 class HeckeTorus:
     pm: PrimeModulus
     a_mod_p: Mat
     elements: list            # list[Mat], deterministic order
-    order: int
     split_type: str           # "split" | "nonsplit" | "mixed"
     factor_degrees: list      # degrees of the irreducible factors of P_A mod p
-    generators: list          # [(Mat, order), ...] minimal generating list
+    generators: list          # [(Mat, order), ...], T = <g_1> x ... x <g_k>
     dlog: dict                # Mat -> exponent tuple on the generators
-    gen_orders: tuple         # cyclic factor orders (m1,) or (m1, m2)
+
+    def __post_init__(self):
+        self._index = {b: i for i, b in enumerate(self.elements)}
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @property
+    def gen_orders(self) -> tuple:
+        """Cyclic factor orders (m_1, ..., m_k), one per generator."""
+        return tuple(m for _, m in self.generators)
 
     def index_of(self, b: Mat) -> int:
         return self._index[mat_mod(mat(b), self.pm.p)]
@@ -86,6 +95,8 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly=None) -> HeckeTorus:
     keep = np.all(form == j % p, axis=(1, 2))
     elements = [tuple(tuple(int(x) for x in row) for row in cands[i])
                 for i in np.nonzero(keep)[0]]
+    if a not in elements:
+        raise RuntimeError("A mod p missing from its own centralizer")
 
     degs = ffcore.factor_degrees_modp(cp_mod, p)
     if all(dd == 1 for dd in degs):
@@ -94,90 +105,48 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly=None) -> HeckeTorus:
         split = "nonsplit"
     else:
         split = "mixed"
-
-    torus = HeckeTorus(pm, a, elements, len(elements), split, degs,
-                       [], {}, ())
-    torus._index = {b: i for i, b in enumerate(elements)}
-    if not torus.contains(a):
-        raise RuntimeError("A mod p missing from its own centralizer")
-    torus_structure(torus)
-    return torus
+    generators, dlog = torus_structure(elements, p)
+    return HeckeTorus(pm, a, elements, split, degs, generators, dlog)
 
 
-def _element_order(b: Mat, p: int, bound: int) -> int:
-    ident = ffcore.identity_mat(len(b))
-    acc = b
-    for k in range(1, bound + 1):
-        if acc == ident:
-            return k
-        acc = mat_mul(acc, b, mod=p)
-    raise RuntimeError("order exceeds group order bound")
+def torus_structure(elements: list, p: int) -> tuple[list, dict]:
+    """Generators [(g_j, m_j), ...] and discrete logs of an abelian group.
 
-
-def torus_structure(torus: HeckeTorus) -> HeckeTorus:
-    """Fill generators, cyclic factor orders, and discrete logs.
-
-    Cyclic case: one element of maximal order.  Otherwise a two-generator
-    decomposition Z_m1 x Z_m2 (m1 the exponent, m2 = |T|/m1) is located by
-    search and certified by regenerating exactly |T| distinct products.
+    Greedy over the subgroup H = <g_1> x ... x <g_{j-1}> found so far: g_j
+    is the first element, in list order, of the largest order m whose
+    powers meet H only in I (the smallest k with b^k in H has b^k = I).  The
+    scan stops once m |H| = |T|, which no later element can beat.  Each
+    extension H x <g_j> is certified by regenerating exactly |H| m distinct
+    products, until H is the whole group.
     """
-    p = torus.pm.p
-    n_t = torus.order
-    orders = [_element_order(b, p, n_t) for b in torus.elements]
-    exponent = 1
-    for o in orders:
-        exponent = lcm(exponent, o)
-    g1 = torus.elements[orders.index(exponent)]
-
-    if exponent == n_t:
-        dlog = {}
-        acc = ffcore.identity_mat(len(g1))
-        for e in range(n_t):
-            dlog[acc] = (e,)
-            acc = mat_mul(acc, g1, mod=p)
-        torus.generators = [(g1, exponent)]
-        torus.gen_orders = (exponent,)
-        torus.dlog = dlog
-        if len(dlog) != n_t:
-            raise RuntimeError("cyclic regeneration mismatch")
-        return torus
-
-    if n_t % exponent != 0:
-        raise UnsupportedStructureError("exponent does not divide order")
-    m2 = n_t // exponent
-    cyc1 = set()
-    acc = ffcore.identity_mat(len(g1))
-    for _ in range(exponent):
-        cyc1.add(acc)
-        acc = mat_mul(acc, g1, mod=p)
-
-    for g2, o2 in zip(torus.elements, orders):
-        if o2 != m2:
-            continue
-        # trivial intersection of <g1> and <g2>
-        acc, ok = g2, True
-        for _ in range(m2 - 1):
-            if acc in cyc1:
-                ok = False
-                break
-            acc = mat_mul(acc, g2, mod=p)
-        if not ok:
-            continue
-        dlog = {}
-        row = ffcore.identity_mat(len(g1))
-        for e1 in range(exponent):
-            acc = row
-            for e2 in range(m2):
-                dlog[acc] = (e1, e2)
-                acc = mat_mul(acc, g2, mod=p)
-            row = mat_mul(row, g1, mod=p)
-        if len(dlog) == n_t:
-            torus.generators = [(g1, exponent), (g2, m2)]
-            torus.gen_orders = (exponent, m2)
-            torus.dlog = dlog
-            return torus
-    raise UnsupportedStructureError(
-        f"no two-generator decomposition found for |T| = {n_t}")
+    ident = ffcore.identity_mat(len(elements[0]))
+    dlog = {ident: ()}
+    generators = []
+    while len(dlog) < len(elements):
+        best, m = None, 1
+        for b in elements:
+            acc, k = b, 1
+            while acc not in dlog:
+                acc = mat_mul(acc, b, mod=p)
+                k += 1
+            if acc == ident and k > m:
+                best, m = b, k
+                if m * len(dlog) == len(elements):
+                    break
+        if best is None:
+            raise RuntimeError(f"no element extends a subgroup of order "
+                               f"{len(dlog)} in a group of order {len(elements)}")
+        extended = {}
+        for h, exps in dlog.items():
+            acc = h
+            for e in range(m):
+                extended[acc] = exps + (e,)
+                acc = mat_mul(acc, best, mod=p)
+        if len(extended) != len(dlog) * m:
+            raise RuntimeError("generator products are not all distinct")
+        dlog = extended
+        generators.append((best, m))
+    return generators, dlog
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +155,7 @@ def torus_structure(torus: HeckeTorus) -> HeckeTorus:
 
 @dataclass(frozen=True)
 class TorusCharacter:
-    """chi(g1^e1 g2^e2) = exp(2 pi i (k1 e1/m1 + k2 e2/m2)); exact on exponents."""
+    """chi(prod_j g_j^e_j) = exp(2 pi i sum_j k_j e_j / m_j); exact on exponents."""
 
     orders: tuple
     exps: tuple
@@ -226,15 +195,7 @@ class TorusCharacter:
 def characters(torus: HeckeTorus) -> list[TorusCharacter]:
     """All |T| multiplicative characters, in lexicographic exponent order."""
     ms = torus.gen_orders
-    out = []
-    if len(ms) == 1:
-        for k in range(ms[0]):
-            out.append(TorusCharacter(ms, (k,)))
-    else:
-        for k1 in range(ms[0]):
-            for k2 in range(ms[1]):
-                out.append(TorusCharacter(ms, (k1, k2)))
-    return out
+    return [TorusCharacter(ms, ks) for ks in product(*map(range, ms))]
 
 
 # ---------------------------------------------------------------------------

@@ -381,28 +381,26 @@ def measure_split_sign(pm: PrimeModulus, rep) -> int:
     return -1
 
 
-def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
-                        sign: int, dlog=None) -> complex:
-    """Full n = 1 torus sum sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a).
+def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndarray]:
+    """p x p tables of the n = 1 torus sums, one per character exponent k.
 
-    chi' is the multiplicative character of exponent k (base the smallest
-    primitive root).  The a = 1 term is the trace of T((lam, mu)): p when
-    (lam, mu) = 0 and zero otherwise.
+    tab_k[lam, mu] = sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a), with
+    chi' of exponent k (base the smallest primitive root): one
+    `split_trace_formula` array per a not in {0, 1}, shared by every k, and
+    the a = 1 term, the trace p of T(0), at (0, 0).
     """
     p = pm.p
-    if dlog is None:
-        _, table = ffcore.dlog_table(p)
-    else:
-        table = dlog
-    acc = 0.0 + 0.0j
-    for a in range(1, p):
-        chi_val = np.exp(2j * np.pi * k * table[a] / (p - 1))
-        if a == 1:
-            if lam % p == 0 and mu % p == 0:
-                acc += p * chi_val
-            continue
-        acc += split_trace_formula(lam, mu, a, pm, sign) * chi_val
-    return complex(acc)
+    _, dlog = ffcore.dlog_table(p)
+    lam, mu = np.ogrid[:p, :p]
+    a_vals = range(2, p)
+    terms = np.array([split_trace_formula(lam, mu, a, pm, sign) for a in a_vals])
+    logs = np.array([dlog[a] for a in a_vals])
+    tables = {}
+    for k in ks:
+        tab = np.tensordot(np.exp(2j * np.pi * k * logs / (p - 1)), terms, axes=1)
+        tab[0, 0] += p
+        tables[k] = tab
+    return tables
 
 
 def gauss_sum_oracle(c: int, chi_exp: int, pm: PrimeModulus, dlog=None) -> complex:
@@ -683,7 +681,6 @@ def factorization_check(ctx: PrimeContext,
     chis = ctx.chis
     pm1 = PrimeModulus(p, 1)
     sign = measure_split_sign(pm1, weil.linearize(pm1))
-    _, dlog = ffcore.dlog_table(p)
 
     # transported coordinates of every xi at once
     m_xi = p ** (2 * n)
@@ -693,13 +690,7 @@ def factorization_check(ctx: PrimeContext,
     # per-exponent p x p tables of the one-factor sums
     needed = sorted({k for chi in chis
                      for k in transport.transport_char(chi, torus)})
-    factor_tab = {}
-    for k in needed:
-        tab = np.empty((p, p), dtype=complex)
-        for lam in range(p):
-            for mu in range(p):
-                tab[lam, mu] = diagonal_factor_sum(lam, mu, k, pm1, sign, dlog)
-        factor_tab[k] = tab
+    factor_tab = diagonal_factor_tables(needed, pm1, sign)
     # same tables with the a = 1 boundary term removed (pure oracle route)
     oracle_tab = {k: t.copy() for k, t in factor_tab.items()}
     for k in needed:

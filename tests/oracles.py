@@ -1,10 +1,14 @@
-"""The dense route the program no longer takes, kept as a test oracle.
+"""Routes the program no longer takes, kept as test oracles.
 
-Every torus element B gets its own dense rho(B): the trace table
+The dense route: every torus element B gets its own dense rho(B): the trace table
 F[flat(xi), b] holds one `trace_column` per element, the character sums are
 that table times the character table, and the eigenspaces come from the |T|
 character projectors (1/|T|) sum_B conj(chi(B)) rho(B).  Memory is
 O(p^{2n} |T|), so the comparisons stay at small p.
+
+The torus structure by element orders (`torus_structure`): an O(|T|^2)
+order scan, one or two generators.  The one-factor split sums one scalar
+term at a time (`diagonal_factor_sum`).
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from math import lcm
 
 import numpy as np
 
-from torusque import hecke
-from torusque.ffcore import PrimeModulus
+from torusque import ffcore, hecke
+from torusque.ffcore import Mat, PrimeModulus, mat_mul
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
 from torusque.heisenberg import pi_op
-from torusque.quevaluator import _trace_column, _trace_kernel, flatten_xi
+from torusque.quevaluator import (_trace_column, _trace_kernel, flatten_xi,
+                                  split_trace_formula)
 
 
 def character_table(torus: HeckeTorus) -> np.ndarray:
@@ -135,3 +140,94 @@ def hecke_average(xi, torus: HeckeTorus, rep) -> np.ndarray:
 def projector_stack(dec: hecke.EigenspaceDecomposition) -> list[np.ndarray]:
     """V V^dagger for every entry of a decomposition, in character order."""
     return [basis @ basis.conj().T for _, basis, _ in dec.entries]
+
+
+def _element_order(b: Mat, p: int, bound: int) -> int:
+    ident = ffcore.identity_mat(len(b))
+    acc = b
+    for k in range(1, bound + 1):
+        if acc == ident:
+            return k
+        acc = mat_mul(acc, b, mod=p)
+    raise RuntimeError("order exceeds group order bound")
+
+
+def torus_structure(elements: list, p: int) -> tuple[list, dict]:
+    """Generators and discrete logs from the orders of all elements.
+
+    Cyclic case: the first element of maximal order.  Otherwise a
+    two-generator decomposition Z_m1 x Z_m2 (m1 the exponent, m2 = |T|/m1) is
+    located by search and certified by regenerating exactly |T| distinct
+    products.
+    """
+    n_t = len(elements)
+    orders = [_element_order(b, p, n_t) for b in elements]
+    exponent = lcm(*orders)
+    g1 = elements[orders.index(exponent)]
+
+    if exponent == n_t:
+        dlog = {}
+        acc = ffcore.identity_mat(len(g1))
+        for e in range(n_t):
+            dlog[acc] = (e,)
+            acc = mat_mul(acc, g1, mod=p)
+        if len(dlog) != n_t:
+            raise RuntimeError("cyclic regeneration mismatch")
+        return [(g1, exponent)], dlog
+
+    if n_t % exponent != 0:
+        raise RuntimeError("exponent does not divide order")
+    m2 = n_t // exponent
+    cyc1 = set()
+    acc = ffcore.identity_mat(len(g1))
+    for _ in range(exponent):
+        cyc1.add(acc)
+        acc = mat_mul(acc, g1, mod=p)
+
+    for g2, o2 in zip(elements, orders):
+        if o2 != m2:
+            continue
+        # trivial intersection of <g1> and <g2>
+        acc, ok = g2, True
+        for _ in range(m2 - 1):
+            if acc in cyc1:
+                ok = False
+                break
+            acc = mat_mul(acc, g2, mod=p)
+        if not ok:
+            continue
+        dlog = {}
+        row = ffcore.identity_mat(len(g1))
+        for e1 in range(exponent):
+            acc = row
+            for e2 in range(m2):
+                dlog[acc] = (e1, e2)
+                acc = mat_mul(acc, g2, mod=p)
+            row = mat_mul(row, g1, mod=p)
+        if len(dlog) == n_t:
+            return [(g1, exponent), (g2, m2)], dlog
+    raise RuntimeError(f"no two-generator decomposition found for |T| = {n_t}")
+
+
+def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
+                        sign: int, dlog=None) -> complex:
+    """Full n = 1 torus sum sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a).
+
+    chi' is the multiplicative character of exponent k (base the smallest
+    primitive root).  The a = 1 term is the trace of T((lam, mu)): p when
+    (lam, mu) = 0 and zero otherwise.
+    """
+    p = pm.p
+    if dlog is None:
+        _, table = ffcore.dlog_table(p)
+    else:
+        table = dlog
+    acc = 0.0 + 0.0j
+    for a in range(1, p):
+        chi_val = np.exp(2j * np.pi * k * table[a] / (p - 1))
+        if a == 1:
+            if lam % p == 0 and mu % p == 0:
+                acc += p * chi_val
+            continue
+        acc += split_trace_formula(lam, mu, a, pm, sign) * chi_val
+    return complex(acc)

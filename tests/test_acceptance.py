@@ -24,7 +24,7 @@ from torusque.classical import birkhoff_many
 from torusque.ffcore import PrimeModulus, odd_primes
 from torusque.heisenberg import check_relations, lattice_vectors
 
-from oracles import build_trace_table, character_sum_table
+from oracles import build_trace_table, character_sum_table, diagonal_factor_sum
 
 
 def _line(num, ok, detail):
@@ -429,7 +429,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
         per_factor[j] += 1
         i = 1 - j
         k_i = transport.transport_char(chis[exps], torus)[i]
-        factor = q.diagonal_factor_sum(*coords[i], k_i, pm1, sign)
+        factor = diagonal_factor_sum(*coords[i], k_i, pm1, sign)
         a = achi[col[exps]][q.flatten_xi(xi, pm)]
         worst = max(worst, abs(a - (p - 1) * factor))
     assert per_factor == [4488, 4488]

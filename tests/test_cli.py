@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from torusque import cli
+from torusque.ffcore import PrimeModulus
+from torusque.quevaluator import PrimeContext
 
 
 def run_cli(args):
@@ -188,10 +191,10 @@ def test_parse_matrix_fixtures():
 def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
     # a torus that cannot be built at one prime must not end the sweep,
     # whatever the type of the error
-    from torusque import hecke
+    from torusque import hecke, weil
     real = hecke.centralizer
 
-    for error in (hecke.UnsupportedStructureError, RuntimeError):
+    for error in (weil.ConstructionError, RuntimeError):
         def flaky(a, pm, charpoly=None):
             if pm.p == 7:
                 raise error("injected at p = 7")
@@ -219,6 +222,16 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
             assert [c["name"] for c in rp["checks"]] == ["decomposition",
                                                          "trace-formula"]
             assert all(c["status"] == "pass" for c in rp["checks"])
+
+
+def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
+    # every rho(B) the check builds is dropped after its deviation is read
+    for elem, pm in ((cat_map, PrimeModulus(11, 1)), (sp4_elem, PrimeModulus(7, 2))):
+        ctx = PrimeContext.build(elem, pm)
+        before = len(ctx.rep.cache)
+        res = cli._check_egorov(ctx, np.random.default_rng(0))
+        assert res.status == "pass"
+        assert len(ctx.rep.cache) == before
 
 
 def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):

@@ -1,12 +1,16 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from torusque import ffcore, weil
 from torusque.ffcore import PrimeModulus, identity_mat, mat_mod, mat_mul
-from torusque.hecke import DegeneratePrimeError, centralizer, characters, decompose
+from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
+                            characters, decompose, torus_structure)
 from torusque.heisenberg import pi_op
 
 from oracles import character_table, hecke_average, projector
+from oracles import torus_structure as torus_structure_oracle
 
 
 def test_centralizer_orders_cat_map(cat_map):
@@ -108,6 +112,41 @@ def test_two_quadratic_factor_torus(sp4_elem):
     assert t.order == 400 and t.split_type == "nonsplit"
     assert sorted(t.gen_orders) == [20, 20]
     assert len(t.dlog) == 400
+
+
+@pytest.mark.parametrize("n,primes", [
+    (1, [p for p in ffcore.odd_primes(3, 97) if p != 5]),
+    (2, [3, 5, 7, 11, 13, 19])])
+def test_torus_structure_matches_order_scan(n, primes, torus_cache):
+    # the greedy pass picks exactly the generators of the order scan, so
+    # character labels and their order are unchanged
+    for p in primes:
+        t = torus_cache(p, n)
+        generators, dlog = torus_structure_oracle(t.elements, p)
+        assert t.generators == generators, p
+        assert t.dlog == dlog, p
+
+
+def test_three_generator_torus():
+    # the diagonal torus diag(a, b, c, 1/a, 1/b, 1/c) of Sp(6, F_7) is Z_6^3
+    p = 7
+    elements = []
+    for abc in product(range(1, p), repeat=3):
+        diag = abc + tuple(pow(x, -1, p) for x in abc)
+        elements.append(tuple(tuple(x if i == j else 0 for j in range(6))
+                              for i, x in enumerate(diag)))
+    generators, dlog = torus_structure(elements, p)
+    t = HeckeTorus(PrimeModulus(p, 3), elements[-1], elements, "split", [1] * 6,
+                   generators, dlog)
+    assert t.gen_orders == (6, 6, 6)
+    assert len(characters(t)) == 216
+    assert set(t.dlog) == set(elements)
+    for b, exps in t.dlog.items():
+        acc = identity_mat(6)
+        for (g, _), e in zip(t.generators, exps):
+            for _ in range(e):
+                acc = mat_mul(acc, g, mod=p)
+        assert acc == b
 
 
 def test_characters_orthogonality(cat_map, torus_cache):

@@ -5,7 +5,8 @@ from torusque import ffcore, hecke, quevaluator as q, weil
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import FourierPolynomial
 
-from oracles import build_trace_table, character_sum, character_sum_table
+from oracles import (build_trace_table, character_sum, character_sum_table,
+                     diagonal_factor_sum)
 from oracles import decompose as decompose_oracle
 
 
@@ -336,9 +337,20 @@ def test_cyclic_vs_hecke_demo_differ(cat_map, rep_cache, torus_cache):
 def test_diagonal_factor_sum_boundary():
     pm = PrimeModulus(11, 1)
     # xi = 0: dominated by the a = 1 boundary term p
-    val = q.diagonal_factor_sum(0, 0, 0, pm, sign=-1)
+    val = diagonal_factor_sum(0, 0, 0, pm, sign=-1)
     oracle = q.gauss_sum_oracle(0, 0, pm)
     assert abs(val - (11 + oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_diagonal_factor_tables_match_scalar_sums(p):
+    pm = PrimeModulus(p, 1)
+    for sign in (-1, 1):
+        tables = q.diagonal_factor_tables(range(p - 1), pm, sign)
+        for k, tab in tables.items():
+            ref = np.array([[diagonal_factor_sum(lam, mu, k, pm, sign)
+                             for mu in range(p)] for lam in range(p)])
+            assert np.abs(tab - ref).max() < 1e-12
 
 
 def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
