@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ffcore, hecke, quevaluator, weil
 from .classical import (CAT_MAP, SP4_FIXTURE, ErgodicElement, ValidationError,
-                        validate_ergodic)
+                        sp_group_order, validate_ergodic)
 from .ffcore import PrimeModulus
 from .heisenberg import (FourierPolynomial, check_relations, integral,
                          lattice_vectors, quantize)
@@ -199,54 +199,38 @@ def _check_egorov(ctx, rng):
     pm, rep = ctx.pm, ctx.rep
     xis = _spanning_xis(pm, rng, extra=50)
     tol = 1e-9 * pm.p ** (pm.n / 2)
-
-    def deviation(b):
-        # built, checked and dropped: rep.cache keeps only the context's operators
-        dense = weil.word_operator(weil.sp_word(b, pm), pm, rep.gamma)
-        return weil.egorov_deviation(dense, b, pm, xis)
-
     worst = 0.0
     witness = []
-    for b in ctx.torus.elements:
-        dev = deviation(b)
+    for b in ctx.torus.elements + weil.random_sp(pm, rng, 25):
+        # built, checked and dropped: rep.cache keeps only the context's operators
+        dev = weil.egorov_deviation(rep.build(b), b, pm, xis)
         if dev > worst:
             worst = dev
             if dev > tol:
                 witness = [{"B": b, "dev": dev}]
-    if pm.n == 1:
-        for _ in range(25):
-            worst = max(worst, deviation(weil.random_sl2(pm.p, rng)))
-    else:
-        for word in weil.random_monoid_words(pm, rng, 25):
-            b = weil.word_matrix(word, pm)
-            dense = weil.word_operator(word, pm, rep.gamma)
-            dev = weil.egorov_deviation(dense, b, pm, xis)
-            worst = max(worst, dev)
     ok = worst <= tol
     return CheckResult("egorov", "pass" if ok else "fail", max_dev=worst,
                        witnesses=witness)
 
 
+# every pair of a group this small is checked (SL2(F_3), SL2(F_5)); larger
+# groups get SAMPLED_PAIRS random pairs
+EXHAUSTIVE_GROUP_ORDER = 120
+SAMPLED_PAIRS = 500
+
+
 def _check_multiplicativity(ctx, rng):
-    pm, torus, rep = ctx.pm, ctx.torus, ctx.rep
-    if pm.n == 1:
-        if pm.p <= 5:
-            rpt = weil.check_multiplicativity(rep, tol=1e-9)
-        else:
-            # throwaway rep: the sampled operators would otherwise stay cached
-            scratch = weil.linearize(pm)
-            rpt = weil.check_multiplicativity(scratch, pairs=500, tol=1e-8,
-                                              seed=int(rng.integers(2 ** 31)))
-        ok, dev = rpt.ok, rpt.max_dev
-    else:
-        dev = weil.check_multiplicativity(rep, elements=torus.elements).max_dev
-        dev = max(dev, weil.monoid_relation_dev(pm, rng))
-        ok = dev <= 1e-8
-    # torus generator orders: rho(g)^N = identity
-    for g, order in torus.generators:
-        power = np.linalg.matrix_power(rep.op(g), order)
-        dev = max(dev, float(np.abs(power - np.eye(pm.dim)).max()))
-    ok = ok and dev <= 1e-8
+    """rho is a representation: group pairs, the generator relations, and the
+    torus certificate; no operator but rho of the torus generators is kept."""
+    pm, rep = ctx.pm, ctx.rep
+    pairs = None                                # every pair of the group
+    if sp_group_order(pm.p, pm.n) > EXHAUSTIVE_GROUP_ORDER:
+        draws = weil.random_sp(pm, rng, 2 * SAMPLED_PAIRS)
+        pairs = list(zip(draws[::2], draws[1::2]))
+    dev = max(weil.check_multiplicativity(rep, pairs).max_dev,
+              weil.monoid_relation_dev(pm, rng),
+              weil.certify_torus(rep, ctx.torus).max_dev)
+    ok = dev <= 1e-8
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 
 

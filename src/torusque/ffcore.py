@@ -323,11 +323,6 @@ def char_poly(m: Mat, mod: int | None = None) -> Poly:
     return det(tuple(range(d)), tuple(range(d)))
 
 
-def is_palindromic(f: Poly) -> bool:
-    f = poly_trim(f)
-    return all(f[i] == f[len(f) - 1 - i] for i in range(len(f)))
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> Poly:
     """m-th cyclotomic polynomial, by exact division of x^m - 1."""
@@ -415,34 +410,6 @@ def is_irreducible_q(f: Poly) -> tuple[bool, str]:
 def is_squarefree_modp(f: Poly, p: int) -> bool:
     g = poly_gcd_modp(f, poly_deriv(f, mod=p), p)
     return poly_deg(g) == 0
-
-
-def is_irreducible_modp(f: Poly, p: int) -> tuple[bool, str]:
-    """Irreducibility over F_p via distinct-degree gcds (degree <= 8)."""
-    f = poly_mod_reduce(f, p)
-    deg = poly_deg(f)
-    if deg > 8:
-        raise DegreeError("irreducibility supported only up to degree 8")
-    if deg <= 0:
-        return False, "constant polynomial"
-    if deg == 1:
-        return True, "linear"
-    if not is_squarefree_modp(f, p):
-        return False, "repeated factor mod p"
-    for k in range(1, deg // 2 + 1):
-        xq = poly_powmod_x(p ** k, f, p)  # x^(p^k) mod f
-        diff = poly_add(xq, ((0, p - 1)), mod=p)  # x^(p^k) - x
-        g = poly_gcd_modp(diff, f, p)
-        if poly_deg(g) > 0:
-            return False, f"factor of degree {k} mod {p}"
-    return True, f"irreducible mod {p}"
-
-
-def is_irreducible(f: Poly, modulus: int | None = None) -> tuple[bool, str]:
-    """Dispatch: exact verdict over Q, or over F_p when a modulus is given."""
-    if modulus is None:
-        return is_irreducible_q(f)
-    return is_irreducible_modp(f, modulus)
 
 
 def factor_degrees_modp(f: Poly, p: int) -> list[int]:

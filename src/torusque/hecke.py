@@ -210,19 +210,26 @@ class EigenspaceDecomposition:
     max_eigen_dev: float      # max over vectors v and generators g of
                               # || rho(g) v - chi(g) v ||
 
-    def pattern(self) -> tuple:
-        return tuple(self.dims)
-
 
 # Coefficients c_i of the Hermitian combination sum_i (c_i rho(g_i) + h.c.)
 # that `decompose` diagonalizes, one row per attempt: fixed, so the basis
 # never depends on a seed.  A row under which two occupied characters share
-# an eigenvalue fails the certificate, and the next row is tried.
+# an eigenvalue fails the certificate, and the next row is tried.  A torus
+# with k generators reads the first k coefficients of each row (`_mix_row`).
 MIX_COEFFICIENTS = (
     (0.8147 + 0.1270j, 0.3277 + 0.6324j),
     (0.5469 + 0.9575j, 0.9649 + 0.1576j),
     (0.9706 + 0.4854j, 0.8003 + 0.1419j),
 )
+
+
+def _mix_row(row: tuple, k: int) -> tuple:
+    """The first k coefficients of a row, continued past its end by
+    c_j = c_{j-2} c_{j-1}, so every generator gets one for any k."""
+    coeffs = list(row[:k])
+    while len(coeffs) < k:
+        coeffs.append(coeffs[-2] * coeffs[-1])
+    return tuple(coeffs)
 
 
 def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposition:
@@ -240,12 +247,12 @@ def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposit
     gens = [rep.op(g) for g, _ in torus.generators]
     orders = torus.gen_orders
     worst = np.inf
-    for coeffs in MIX_COEFFICIENTS:
-        h = sum(c * g for c, g in zip(coeffs, gens))
+    for row in MIX_COEFFICIENTS:
+        h = sum(c * g for c, g in zip(_mix_row(row, len(gens)), gens, strict=True))
         _, vecs = np.linalg.eigh(h + h.conj().T)
         label = np.zeros(d, dtype=np.int64)
         dev = 0.0
-        for g, m in zip(gens, orders):
+        for g, m in zip(gens, orders, strict=True):
             image = g @ vecs
             quotient = np.einsum("ij,ij->j", vecs.conj(), image)
             k = np.rint(np.angle(quotient) * m / (2 * np.pi)).astype(np.int64) % m

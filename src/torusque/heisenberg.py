@@ -252,9 +252,6 @@ class FourierPolynomial:
                 return False
         return True
 
-    def __len__(self):
-        return len(self.terms)
-
 
 def integral(f: FourierPolynomial) -> complex:
     """Haar integral over the torus: the coefficient at the zero vector."""

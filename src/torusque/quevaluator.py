@@ -12,8 +12,8 @@ against.  The character sums
 need no operator of any torus element but the generators: P_{chi^-1} is the
 projector onto the joint eigenspace H_{chi^-1} (`hecke.decompose`), so one
 `trace_column` of it gives the whole column chi.  They are checked against
-the p^{n/2}-scale bound and its split-prime refinement, against the
-closed-form diagonal-torus trace, and against direct Gauss-type sums.
+the p^{n/2}-scale bound and its split-prime refinement, and against the
+closed-form diagonal-torus trace.
 
 A `PrimeContext` holds the torus and rho at one prime, builds the
 characters, the eigenspace decomposition and the split frame at most once
@@ -44,6 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -98,43 +99,6 @@ def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
     return _trace_column(rho_dense, _trace_kernel(pm))
 
 
-def flatten_xi(xi, pm: PrimeModulus) -> int:
-    p, n = pm.p, pm.n
-    xi = [int(c) % p for c in xi]
-    lam = sum(xi[j] * p ** j for j in range(n))
-    mu = sum(xi[n + j] * p ** j for j in range(n))
-    return lam + p ** n * mu
-
-
-def unflatten_xi(k: int, pm: PrimeModulus) -> tuple[int, ...]:
-    p, n = pm.p, pm.n
-    lam, mu = k % p ** n, k // p ** n
-    return tuple((lam // p ** j) % p for j in range(n)) + \
-        tuple((mu // p ** j) % p for j in range(n))
-
-
-def check_invariance(xi, b: Mat, s: Mat, rep, pm: PrimeModulus) -> float:
-    """|F(xi, B) - F(S xi, S B S^-1)|; exact symmetry of the trace function."""
-    p = pm.p
-    s = mat_mod(mat(s), p)
-    b = mat_mod(mat(b), p)
-    s_inv = ffcore.mat_inv_modp(s, p)
-    sbs = mat_mul(mat_mul(s, b, mod=p), s_inv, mod=p)
-    sxi = ffcore.mat_vec(s, tuple(int(c) for c in xi), mod=p)
-    lhs = trace_pair(xi, rep.op(b), pm)
-    rhs = trace_pair(sxi, rep.op(sbs), pm)
-    return abs(lhs - rhs)
-
-
-def hermitian_symmetry_dev(xi, b: Mat, rep, pm: PrimeModulus) -> float:
-    """|F(-xi, B^-1) - conj(F(xi, B))|; the measured relation phase is 1."""
-    p = pm.p
-    b = mat_mod(mat(b), p)
-    b_inv = ffcore.mat_inv_modp(b, p)
-    neg = tuple((-int(c)) % p for c in xi)
-    return abs(trace_pair(neg, rep.op(b_inv), pm) - np.conj(trace_pair(xi, rep.op(b), pm)))
-
-
 # ---------------------------------------------------------------------------
 # split-prime transport to the diagonal frame
 
@@ -156,41 +120,14 @@ class SplitTransport:
                   for i in range(2 * n))
         return mat_mul(mat_mul(self.s0, t, mod=p), self.s0_inv, mod=p)
 
-    def transport_xi(self, xi) -> tuple[int, ...]:
-        return ffcore.mat_vec(self.s0_inv, tuple(int(c) for c in xi), mod=self.pm.p)
-
-    def factor_coordinates(self, xi) -> list[tuple[int, int]]:
-        eta = self.transport_xi(xi)
-        n = self.pm.n
-        return [(eta[j], eta[n + j]) for j in range(n)]
-
-    def is_generic(self, xi) -> bool:
-        return all(l != 0 and m != 0 for l, m in self.factor_coordinates(xi))
-
     def transport_all(self) -> np.ndarray:
-        """S0^-1 xi mod p for every xi at once; row k transports unflatten_xi(k)."""
+        """S0^-1 xi mod p for every xi, row k for row k of lattice_vectors."""
         s0_inv = np.array(self.s0_inv, dtype=np.int64)
         return (lattice_vectors(self.pm) @ s0_inv.T) % self.pm.p
 
     def generic_mask(self) -> np.ndarray:
-        """is_generic for every flat xi: no split-frame coordinate vanishes."""
+        """For every flat xi: True when no split-frame coordinate vanishes."""
         return (self.transport_all() != 0).all(axis=1)
-
-    def transport_char(self, chi: TorusCharacter, torus: HeckeTorus) -> tuple[int, ...]:
-        """Per-factor exponents k_j with chi(S0 t(e_j(g)) S0^-1) = e(k_j/(p-1))."""
-        p, n = self.pm.p, self.pm.n
-        g = ffcore.primitive_root(p)
-        out = []
-        for j in range(n):
-            avec = [1] * n
-            avec[j] = g
-            b = self.std_elem(avec)
-            t = chi.value_fraction(torus.dlog[b])
-            k = t * (p - 1)
-            if k.denominator != 1:
-                raise RuntimeError("transported character exponent is not integral")
-            out.append(int(k) % (p - 1))
-        return tuple(out)
 
 
 def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
@@ -307,6 +244,30 @@ class PrimeContext:
             return None
         return build_split_transport(self.elem.matrix, self.pm, self.elem.charpoly)
 
+    @cached_property
+    def transported(self) -> np.ndarray:
+        """|T| x n integer array: row i holds the split-frame exponents of chis[i].
+
+        k_j is the exponent with chi(S0 t_j S0^-1) = e(k_j / (p - 1)), t_j the
+        standard diagonal element with the primitive root g in slot j and 1
+        elsewhere.  With L = lcm(m_i), chi_k(g^e) = e(num / L) for num =
+        sum_i k_i (L / m_i) e_i mod L, so k_j = num (p - 1) / L, read from the
+        discrete logs of the n elements S0 t_j S0^-1 in integer arithmetic.
+        Needs the split frame (`transport`).
+        """
+        torus, p, n = self.torus, self.pm.p, self.pm.n
+        g = ffcore.primitive_root(p)
+        logs = np.array([torus.dlog[self.transport.std_elem(
+            [g if i == j else 1 for i in range(n)])] for j in range(n)],
+            dtype=np.int64)                                     # (n, k)
+        big = lcm(*torus.gen_orders)
+        scale = np.array([big // m for m in torus.gen_orders], dtype=np.int64)
+        exps = np.array([chi.exps for chi in self.chis], dtype=np.int64)
+        num = ((exps * scale) @ logs.T % big) * (p - 1)         # (|T|, n)
+        if (num % big).any():
+            raise RuntimeError("transported character exponent is not integral")
+        return num // big
+
     def character_sum_columns(self):
         """Yield (i, a_chi(xi) for every flat xi) for chi = chis[i], in order.
 
@@ -403,26 +364,6 @@ def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndar
     return tables
 
 
-def gauss_sum_oracle(c: int, chi_exp: int, pm: PrimeModulus, dlog=None) -> complex:
-    """Direct sum over a not in {0, 1} of sigma(a) psi(c (1+a)/(1-a)) chi'(a).
-
-    The independent oracle for split-prime character sums: it omits the a = 1
-    boundary term, which callers reconcile (the term is p^n on xi = 0 and
-    vanishes elsewhere).
-    """
-    p = pm.p
-    if dlog is None:
-        _, table = ffcore.dlog_table(p)
-    else:
-        table = dlog
-    acc = 0.0 + 0.0j
-    for a in range(2, p):
-        t = (c * (1 + a) * pow((1 - a) % p, -1, p)) % p
-        acc += legendre(a, p) * np.exp(2j * np.pi * t / p) \
-            * np.exp(2j * np.pi * chi_exp * table[a] / (p - 1))
-    return complex(acc)
-
-
 # ---------------------------------------------------------------------------
 # bound verification
 
@@ -443,29 +384,10 @@ class BoundReport:
     exceptional_order2: dict       # observed order-2 character data
     parseval_max_dev: float
     xi0_oracle_max_dev: float
-    eigvec_rigorous_max: float     # max |<v|T(xi)v>| * |T| / (2^n p^{n/2}), dim-1
-    eigvec_nominal_exceeded: bool  # did |<v|T(xi)v>| exceed 2^n p^{-n/2}?
     averaged_rows: list            # fixture-polynomial averaged checks
     ok: bool                       # verdict over all characters: no violations
     ok_dim1: bool                  # verdict restricted to dim-1 characters
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "n": self.n, "split_type": self.split_type,
-            "torus_order": self.torus_order,
-            "bound_constant": self.bound_constant, "bound": self.bound,
-            "max_ratio": self.max_ratio, "max_ratio_dim1": self.max_ratio_dim1,
-            "violations": self.violations[:64],
-            "dim1_violations": self.dim1_violations[:64],
-            "generic_violations": self.generic_violations[:64],
-            "exceptional_order2": self.exceptional_order2,
-            "parseval_max_dev": self.parseval_max_dev,
-            "xi0_oracle_max_dev": self.xi0_oracle_max_dev,
-            "eigvec_rigorous_max": self.eigvec_rigorous_max,
-            "eigvec_nominal_exceeded": self.eigvec_nominal_exceeded,
-            "averaged_rows": self.averaged_rows,
-            "ok": self.ok, "ok_dim1": self.ok_dim1,
-        }
 
 
 def verify_que_bound(ctx: PrimeContext,
@@ -508,7 +430,7 @@ def verify_que_bound(ctx: PrimeContext,
 
     ks, cis, abs_a = (np.concatenate(h) for h in (hit_k, hit_ci, hit_abs))
     first = np.lexsort((cis, ks))               # row-major over (xi, chi)
-    xis = lattice_vectors(pm)                   # row k = unflatten_xi(k)
+    xis = lattice_vectors(pm)                   # row k is the flat xi k
     violations, dim1_violations, generic_violations = [], [], []
     for k, ci, val in zip(ks[first].tolist(), cis[first].tolist(),
                           abs_a[first].tolist()):
@@ -531,10 +453,6 @@ def verify_que_bound(ctx: PrimeContext,
         float(np.abs(chi_total - expected_total).max() / unit))
     # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}
     xi0_dev = float(np.abs(xi0 - order * inv_dims).max())
-    # eigenvector form: v spanning a 1-dim H_chi gives
-    # <v|T(xi)|v> = a_{chi^-1}(xi)/|T|, read from column chi^-1 (a dim-1 column)
-    eig_max = dim1_max / bound
-    nominal_exceeded = dim1_max / order > 2 ** n * p ** (-n / 2) * (1 + rtol)
 
     order2 = [{"exps": chi.exps, "dim": dims[i], "max_abs_sum": float(col_max[i])}
               for i, chi in enumerate(chis) if chi.order == 2]
@@ -557,8 +475,6 @@ def verify_que_bound(ctx: PrimeContext,
         exceptional_order2=exceptional,
         parseval_max_dev=parseval_max_dev,
         xi0_oracle_max_dev=xi0_dev,
-        eigvec_rigorous_max=eig_max,
-        eigvec_nominal_exceeded=bool(nominal_exceeded),
         averaged_rows=averaged_rows,
         ok=not violations,
         ok_dim1=not dim1_violations,
@@ -615,7 +531,7 @@ def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
     Non-generic xi are outside the refinement's stratum; their maxima are
     recorded without assertion.  Nonsplit primes return applicable=False.
     """
-    torus, transport = ctx.torus, ctx.transport
+    transport = ctx.transport
     p, n = ctx.pm.p, ctx.pm.n
     if transport is None:
         return RefinedReport(p, [], True, 0.0, False)
@@ -630,7 +546,7 @@ def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
     for ci, col in ctx.character_sum_columns():
         chi = ctx.chis[ci]
         mags = np.abs(col)
-        ks = transport.transport_char(chi, torus)
+        ks = tuple(ctx.transported[ci].tolist())
         eff = tuple((k + half) % (p - 1) for k in ks)
         m = sum(1 for e in eff if e == 0)
         rbound = 2 ** n * p ** ((n - m) / 2)
@@ -671,14 +587,13 @@ def factorization_check(ctx: PrimeContext,
     no root choice.  Both routes are
     compared on every (xi != 0, chi) pair, fully vectorized.
     """
-    pm, torus = ctx.pm, ctx.torus
+    pm = ctx.pm
     if pm.n != 2:
         raise ValueError("factorization check targets the 4-dimensional case")
     p, n = pm.p, pm.n
     transport = ctx.transport
     if transport is None:
         raise ValueError(f"p = {p} is not fully split for this element")
-    chis = ctx.chis
     pm1 = PrimeModulus(p, 1)
     sign = measure_split_sign(pm1, weil.linearize(pm1))
 
@@ -688,8 +603,7 @@ def factorization_check(ctx: PrimeContext,
     generic = transport.generic_mask()
 
     # per-exponent p x p tables of the one-factor sums
-    needed = sorted({k for chi in chis
-                     for k in transport.transport_char(chi, torus)})
+    needed = sorted(set(ctx.transported.ravel().tolist()))
     factor_tab = diagonal_factor_tables(needed, pm1, sign)
     # same tables with the a = 1 boundary term removed (pure oracle route)
     oracle_tab = {k: t.copy() for k, t in factor_tab.items()}
@@ -704,7 +618,7 @@ def factorization_check(ctx: PrimeContext,
     matched_all = 0
     max_rel = 0.0
     for ci, lhs in ctx.character_sum_columns():
-        k1, k2 = transport.transport_char(chis[ci], torus)
+        k1, k2 = ctx.transported[ci].tolist()
         rhs = factor_tab[k1][lam1, mu1] * factor_tab[k2][lam2, mu2]
         rhs_oracle = oracle_tab[k1][lam1, mu1] * oracle_tab[k2][lam2, mu2]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)

@@ -16,23 +16,22 @@ Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
 
 Every group element, at every n, is reached through a Bruhat-type word in the
 three generators (sp_word), and rho(B) is the product of the generator
-operators along that word.  The map is certified multiplicative by exhaustive
-(small p) or sampled pair checks.  Schur-averaged intertwiners
-(schur_intertwiner) fix an operator only up to a phase; they are kept as an
-independent oracle for tests.
+operators along that word.  The map is certified multiplicative by pair
+checks (every pair of a small group, sampled pairs otherwise), by the
+defining relations of the generator operators, and on a Hecke torus by an
+O(|T|) certificate (certify_torus).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod, mat_mul
-from .hecke import TorusCharacter
-from .heisenberg import (PhasedPermutation, index_vectors, lattice_vectors,
-                         pi_op, root_table)
+from .heisenberg import PhasedPermutation, index_vectors, pi_op, root_table
 
 
 class ConstructionError(RuntimeError):
@@ -234,9 +233,7 @@ class WeilRep:
 
     Entries are tagged by how they were produced: "bruhat-word" for operators
     built along sp_word, "generator-formula" for the generators seeded by
-    linearize, "torus-twist" for character-twisted torus entries
-    (linearize_on_torus).  Every entry is validated against the Egorov
-    identity.
+    linearize.  Every entry is validated against the Egorov identity.
     """
 
     pm: PrimeModulus
@@ -249,9 +246,13 @@ class WeilRep:
         key = mat_mod(mat(b), self.pm.p)
         if key in self.cache:
             return self.cache[key]
-        dense = word_operator(sp_word(key, self.pm), self.pm, self.gamma)
+        dense = self.build(key)
         self.insert_generator(key, dense, "bruhat-word")
         return dense
+
+    def build(self, b: Mat) -> np.ndarray:
+        """rho(B) along sp_word(B), the route op takes, without caching it."""
+        return word_operator(sp_word(b, self.pm), self.pm, self.gamma)
 
     def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
         key = mat_mod(mat(b), self.pm.p)
@@ -313,19 +314,62 @@ def linearize(pm: PrimeModulus, egorov_tol: float | None = None) -> WeilRep:
 
 
 # ---------------------------------------------------------------------------
-# group enumeration + multiplicativity certification
+# group enumeration, sampling + multiplicativity certification
 
 
-def sl2_elements(p: int) -> list[Mat]:
-    """All of SL2(F_p), ordered deterministically."""
+def sp_elements(pm: PrimeModulus) -> list[Mat]:
+    """All of Sp(2n, F_p), in row-major lexicographic order.
+
+    Scans all p^(4n^2) matrices, so it is meant for the smallest groups only.
+    """
+    p, d = pm.p, 2 * pm.n
     out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        out.append(((a, b), (c, d)))
+    for entries in product(range(p), repeat=d * d):
+        m = tuple(entries[i * d:(i + 1) * d] for i in range(d))
+        if ffcore.is_symplectic(m, p=p):
+            out.append(m)
     return out
+
+
+def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Mat]:
+    """count random elements shear(S1) dilate(M) fourier shear(S2) of Sp(2n, F_p).
+
+    The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form.  S1
+    and S2 are uniform symmetric, and M = L U with L unit lower triangular and
+    U upper triangular with a nonzero diagonal, so every leading minor of M
+    is a unit and Gauss-Jordan elimination inverts it without pivoting.  All
+    entries come from one rng.integers call, and the arithmetic is exact
+    int64 over the whole batch (every intermediate stays below n p^2).
+    """
+    p, n = pm.p, pm.n
+    iu, ju = np.triu_indices(n)
+    il, jl = np.tril_indices(n, -1)
+    k = len(iu)
+    # columns: S1, S2 and U on the upper triangle, then L below the diagonal;
+    # only the diagonal of U avoids 0
+    low = np.zeros(3 * k + len(il), dtype=np.int64)
+    low[2 * k:3 * k] = iu == ju
+    draws = rng.integers(low, p, size=(count, len(low)))
+    s1, s2, u = (np.zeros((count, n, n), dtype=np.int64) for _ in range(3))
+    lo = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n)).copy()
+    s1[:, iu, ju] = s1[:, ju, iu] = draws[:, :k]
+    s2[:, iu, ju] = s2[:, ju, iu] = draws[:, k:2 * k]
+    u[:, iu, ju] = draws[:, 2 * k:3 * k]
+    lo[:, il, jl] = draws[:, 3 * k:]
+    m = lo @ u % p
+    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    aug = np.concatenate([m, np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)], axis=2)
+    for c in range(n):
+        aug[:, c] = aug[:, c] * inverse[aug[:, c, c]][:, None] % p
+        for r in range(n):
+            if r != c:
+                aug[:, r] = (aug[:, r] - aug[:, r, c, None] * aug[:, c]) % p
+    m_inv_t = aug[:, :, n:].transpose(0, 2, 1)
+    ms2 = m @ s2 % p
+    out = np.concatenate([np.concatenate([-ms2, m], axis=2),
+                          np.concatenate([s1 @ ms2 - m_inv_t, -(s1 @ m)], axis=2)],
+                         axis=1) % p
+    return [tuple(map(tuple, b)) for b in out.tolist()]
 
 
 @dataclass
@@ -335,68 +379,62 @@ class MultiplicativityReport:
     ok: bool
 
 
-def check_multiplicativity(rep: WeilRep, elements: list[Mat] | None = None,
-                           pairs: int | None = None, tol: float = 1e-8,
-                           seed: int = 0) -> MultiplicativityReport:
-    """rho(B1) rho(B2) = rho(B1 B2): exhaustive when pairs is None.
+def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
+                           tol: float = 1e-8) -> MultiplicativityReport:
+    """rho(B1) rho(B2) = rho(B1 B2) for every pair (B1, B2) in pairs, or for
+    every pair of Sp(2n, F_p) when pairs is None.
 
-    The sampled mode draws random pairs and evaluates each operator along its
-    sp_word, the route rep.op takes, without touching the cache, so memory
-    stays O(p^2n) even at the top of the sweep range.
+    Every operator comes from rep.build, outside rep.cache; the exhaustive
+    mode holds the |Sp(2n, F_p)| operators of the group until it returns.
     """
     pm = rep.pm
+    rho = rep.build
     if pairs is None:
-        if elements is None:
-            elements = sl2_elements(pm.p)
-        ops = [rep.op(b) for b in elements]  # rep.cache entries, not a copy
-        index = {b: i for i, b in enumerate(elements)}
-        m = len(elements)
-        max_dev = 0.0
-        for i in range(m):
-            for j in range(m):
-                prod = mat_mul(elements[i], elements[j], mod=pm.p)
-                dev = float(np.abs(ops[i] @ ops[j] - ops[index[prod]]).max())
-                max_dev = max(max_dev, dev)
-        return MultiplicativityReport(m * m, max_dev, max_dev <= tol)
-
-    rng = np.random.default_rng(seed)
+        group = sp_elements(pm)
+        rho = {b: rep.build(b) for b in group}.__getitem__
+        pairs = list(product(group, repeat=2))
     max_dev = 0.0
-    for _ in range(pairs):
-        b1 = random_sl2(pm.p, rng)
-        b2 = random_sl2(pm.p, rng)
+    for b1, b2 in pairs:
         prod = mat_mul(b1, b2, mod=pm.p)
-        op1 = word_operator(sp_word(b1, pm), pm, rep.gamma)
-        op2 = word_operator(sp_word(b2, pm), pm, rep.gamma)
-        op12 = word_operator(sp_word(prod, pm), pm, rep.gamma)
-        max_dev = max(max_dev, float(np.abs(op1 @ op2 - op12).max()))
-    return MultiplicativityReport(pairs, max_dev, max_dev <= tol)
+        max_dev = max(max_dev, float(np.abs(rho(b1) @ rho(b2) - rho(prod)).max()))
+    return MultiplicativityReport(len(pairs), max_dev, max_dev <= tol)
 
 
-def random_sl2(p: int, rng: np.random.Generator) -> Mat:
-    a, b, c = (int(x) for x in rng.integers(0, p, size=3))
-    if a != 0:
-        return ((a, b), (c, (1 + b * c) * pow(a, -1, p) % p))
-    # a = 0 needs b*c = -1
-    b = b or 1
-    return ((0, b), ((-pow(b, -1, p)) % p, int(rng.integers(0, p))))
+def _power_products(ops: list, orders: tuple, acc: np.ndarray):
+    """(e, acc prod_i ops_i^e_i) for every e with 0 <= e_i < orders_i, in
+    lexicographic order, one matmul per yielded product."""
+    if not ops:
+        yield (), acc
+        return
+    for e in range(orders[0]):
+        for rest, prod in _power_products(ops[1:], orders[1:], acc):
+            yield (e,) + rest, prod
+        acc = acc @ ops[0]
 
 
-def random_monoid_words(pm: PrimeModulus, rng: np.random.Generator,
-                        count: int) -> list[list[SpFactor]]:
-    """count random words of one to three shear, dilate or fourier factors."""
-    words = []
-    for _ in range(count):
-        word = []
-        for _ in range(int(rng.integers(1, 4))):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                word.append(SpFactor("shear", _random_symmetric(pm, rng)))
-            elif kind == 1:
-                word.append(SpFactor("dilate", _random_invertible(pm, rng)))
-            else:
-                word.append(SpFactor("fourier"))
-        words.append(word)
-    return words
+def certify_torus(rep: WeilRep, torus, tol: float = 1e-8) -> MultiplicativityReport:
+    """rho restricted to a Hecke torus T is a representation, in O(|T|) products.
+
+    With R_i = rho(g_i) for the generators g_i of orders m_i, the certificate
+    checks R_i R_j = R_j R_i, R_i^m_i = I, and rho(B) = prod_i R_i^e_i(B) for
+    every B in T, e = torus.dlog[B].  Together these are equivalent to all
+    |T|^2 pair identities rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod
+    m_i, so rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).
+    pairs_checked counts those |T|^2 identities.  The R_i are rep.op entries,
+    the operators the eigenspace decomposition reads; every other rho(B)
+    comes from rep.build and is dropped.
+    """
+    gens = [rep.op(g) for g, _ in torus.generators]
+    ident = np.eye(rep.pm.dim)
+    dev = 0.0
+    for i, (r, m) in enumerate(zip(gens, torus.gen_orders)):
+        dev = max(dev, float(np.abs(np.linalg.matrix_power(r, m) - ident).max()))
+        for s in gens[:i]:
+            dev = max(dev, float(np.abs(r @ s - s @ r).max()))
+    element = {exps: b for b, exps in torus.dlog.items()}
+    for exps, prod in _power_products(gens, torus.gen_orders, ident):
+        dev = max(dev, float(np.abs(prod - rep.build(element[exps])).max()))
+    return MultiplicativityReport(torus.order ** 2, dev, dev <= tol)
 
 
 def _random_symmetric(pm: PrimeModulus, rng: np.random.Generator) -> Mat:
@@ -441,64 +479,3 @@ def monoid_relation_dev(pm: PrimeModulus, rng: np.random.Generator) -> float:
         rhs = shear_op(s_conj, pm).dense()
         dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev
-
-
-# ---------------------------------------------------------------------------
-# Schur-averaged intertwiners (test oracle) and torus twists
-
-
-def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
-                      max_tries: int = 8) -> np.ndarray:
-    """Unitary W with W T(xi) W^-1 = T(B xi), phase unfixed.
-
-    Averages T(B xi) C T(xi)^-1 over all lattice vectors xi for a random C;
-    by irreducibility the average is a scalar multiple of a unitary, or zero
-    with probability ~ p^-2n (then retried with a fresh C).
-    """
-    p, d = pm.p, pm.dim
-    b = mat_mod(mat(b), p)
-    if not ffcore.is_symplectic(b, p=p):
-        raise ValueError("intertwiner target must be symplectic mod p")
-    xis = lattice_vectors(pm)
-    for _ in range(max_tries):
-        c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        acc = np.zeros((d, d), dtype=complex)
-        for row in xis:
-            xi = tuple(int(x) for x in row)
-            bxi = ffcore.mat_vec(b, xi, mod=p)
-            t_in = pi_op(xi, pm)
-            t_out = pi_op(bxi, pm)
-            acc += t_out.apply_left(t_in.adjoint().apply_right(c))
-        norm = np.linalg.norm(acc)
-        if norm < 1e-9 * d:
-            continue
-        gram = acc.conj().T @ acc
-        scale = gram.trace().real / d
-        if np.abs(gram - scale * np.eye(d)).max() > 1e-6 * scale:
-            raise ConstructionError("averaged operator is not a scalar times unitary")
-        return acc / np.sqrt(scale)
-    raise ConstructionError("intertwiner averaging returned zero repeatedly")
-
-
-def linearize_on_torus(torus, pm: PrimeModulus,
-                       root_index: tuple | int = 0) -> WeilRep:
-    """The canonical rho, with its torus entries twisted by a torus character.
-
-    A multiplicative linearization of the torus is fixed up to a character:
-    rho(g_i) may be rescaled by any N_i-th root of unity on a generator g_i
-    of order N_i.  Root index k = (k_1, ...) rescales rho(g_i) by
-    exp(-2 pi i k_i / N_i), so every torus element B is multiplied by
-    conj(chi_k(B)), chi_k the character with exponents k; k = 0 is the
-    canonical rho.  The twisted entries go in through insert_generator
-    (tag "torus-twist", Egorov-checked); elements outside the torus keep
-    their canonical operators.
-    """
-    rep = linearize(pm)
-    if isinstance(root_index, int):
-        root_index = (root_index,) * len(torus.generators)
-    chi = TorusCharacter(torus.gen_orders, tuple(root_index))
-    for b in torus.elements:
-        dense = word_operator(sp_word(b, pm), pm, rep.gamma)
-        twist = np.conj(chi.value_of_exps(torus.dlog[b]))
-        rep.insert_generator(b, twist * dense, "torus-twist")
-    return rep

@@ -8,7 +8,15 @@ O(p^{2n} |T|), so the comparisons stay at small p.
 
 The torus structure by element orders (`torus_structure`): an O(|T|^2)
 order scan, one or two generators.  The one-factor split sums one scalar
-term at a time (`diagonal_factor_sum`).
+term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
+(`gauss_sum_oracle`).  The split frame per xi (`transport_xi`,
+`factor_coordinates`, `is_generic`) and per character (`transport_char`).
+Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`).
+
+Operators fixed another way: Schur-averaged intertwiners, up to a phase
+(`schur_intertwiner`), and rho with its torus entries twisted by a
+character (`linearize_on_torus`).  Exact symmetries of the trace function
+(`check_invariance`, `hermitian_symmetry_dev`).
 """
 
 from __future__ import annotations
@@ -19,12 +27,179 @@ from math import lcm
 import numpy as np
 
 from torusque import ffcore, hecke
-from torusque.ffcore import Mat, PrimeModulus, mat_mul
+from torusque.ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
-from torusque.heisenberg import pi_op
-from torusque.quevaluator import (_trace_column, _trace_kernel, flatten_xi,
-                                  split_trace_formula)
+from torusque.heisenberg import lattice_vectors, pi_op
+from torusque.quevaluator import (SplitTransport, _trace_column, _trace_kernel,
+                                  split_trace_formula, trace_pair)
+from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
+                           linearize)
+
+
+def is_palindromic(f) -> bool:
+    f = ffcore.poly_trim(f)
+    return all(f[i] == f[len(f) - 1 - i] for i in range(len(f)))
+
+
+def flatten_xi(xi, pm: PrimeModulus) -> int:
+    p, n = pm.p, pm.n
+    xi = [int(c) % p for c in xi]
+    lam = sum(xi[j] * p ** j for j in range(n))
+    mu = sum(xi[n + j] * p ** j for j in range(n))
+    return lam + p ** n * mu
+
+
+def unflatten_xi(k: int, pm: PrimeModulus) -> tuple[int, ...]:
+    p, n = pm.p, pm.n
+    lam, mu = k % p ** n, k // p ** n
+    return tuple((lam // p ** j) % p for j in range(n)) + \
+        tuple((mu // p ** j) % p for j in range(n))
+
+
+def check_invariance(xi, b: Mat, s: Mat, rep, pm: PrimeModulus) -> float:
+    """|F(xi, B) - F(S xi, S B S^-1)|; exact symmetry of the trace function."""
+    p = pm.p
+    s = mat_mod(mat(s), p)
+    b = mat_mod(mat(b), p)
+    s_inv = ffcore.mat_inv_modp(s, p)
+    sbs = mat_mul(mat_mul(s, b, mod=p), s_inv, mod=p)
+    sxi = ffcore.mat_vec(s, tuple(int(c) for c in xi), mod=p)
+    lhs = trace_pair(xi, rep.op(b), pm)
+    rhs = trace_pair(sxi, rep.op(sbs), pm)
+    return abs(lhs - rhs)
+
+
+def hermitian_symmetry_dev(xi, b: Mat, rep, pm: PrimeModulus) -> float:
+    """|F(-xi, B^-1) - conj(F(xi, B))|; the measured relation phase is 1."""
+    p = pm.p
+    b = mat_mod(mat(b), p)
+    b_inv = ffcore.mat_inv_modp(b, p)
+    neg = tuple((-int(c)) % p for c in xi)
+    return abs(trace_pair(neg, rep.op(b_inv), pm) - np.conj(trace_pair(xi, rep.op(b), pm)))
+
+
+def gauss_sum_oracle(c: int, chi_exp: int, pm: PrimeModulus, dlog=None) -> complex:
+    """Direct sum over a not in {0, 1} of sigma(a) psi(c (1+a)/(1-a)) chi'(a).
+
+    The independent oracle for split-prime character sums: it omits the a = 1
+    boundary term, which callers reconcile (the term is p^n on xi = 0 and
+    vanishes elsewhere).
+    """
+    p = pm.p
+    if dlog is None:
+        _, table = ffcore.dlog_table(p)
+    else:
+        table = dlog
+    acc = 0.0 + 0.0j
+    for a in range(2, p):
+        t = (c * (1 + a) * pow((1 - a) % p, -1, p)) % p
+        acc += legendre(a, p) * np.exp(2j * np.pi * t / p) \
+            * np.exp(2j * np.pi * chi_exp * table[a] / (p - 1))
+    return complex(acc)
+
+
+def transport_xi(transport: SplitTransport, xi) -> tuple[int, ...]:
+    return ffcore.mat_vec(transport.s0_inv, tuple(int(c) for c in xi),
+                          mod=transport.pm.p)
+
+
+def factor_coordinates(transport: SplitTransport, xi) -> list[tuple[int, int]]:
+    eta = transport_xi(transport, xi)
+    n = transport.pm.n
+    return [(eta[j], eta[n + j]) for j in range(n)]
+
+
+def is_generic(transport: SplitTransport, xi) -> bool:
+    return all(l != 0 and m != 0 for l, m in factor_coordinates(transport, xi))
+
+
+def transport_char(transport: SplitTransport, chi: TorusCharacter,
+                   torus: HeckeTorus) -> tuple[int, ...]:
+    """Per-factor exponents k_j with chi(S0 t(e_j(g)) S0^-1) = e(k_j/(p-1)),
+    one character at a time through Fraction values."""
+    p, n = transport.pm.p, transport.pm.n
+    g = ffcore.primitive_root(p)
+    out = []
+    for j in range(n):
+        avec = [1] * n
+        avec[j] = g
+        b = transport.std_elem(avec)
+        t = chi.value_fraction(torus.dlog[b])
+        k = t * (p - 1)
+        if k.denominator != 1:
+            raise RuntimeError("transported character exponent is not integral")
+        out.append(int(k) % (p - 1))
+    return tuple(out)
+
+
+def torus_pair_scan(rep, torus: HeckeTorus, tol: float = 1e-8) -> MultiplicativityReport:
+    """rho(B1) rho(B2) = rho(B1 B2) over all |T|^2 pairs of torus elements,
+    every operator from rep.build, outside rep.cache."""
+    pm = rep.pm
+    ops = {b: rep.build(b) for b in torus.elements}
+    max_dev = 0.0
+    for b1 in torus.elements:
+        for b2 in torus.elements:
+            prod = mat_mul(b1, b2, mod=pm.p)
+            max_dev = max(max_dev, float(np.abs(ops[b1] @ ops[b2] - ops[prod]).max()))
+    return MultiplicativityReport(torus.order ** 2, max_dev, max_dev <= tol)
+
+
+def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
+                      max_tries: int = 8) -> np.ndarray:
+    """Unitary W with W T(xi) W^-1 = T(B xi), phase unfixed.
+
+    Averages T(B xi) C T(xi)^-1 over all lattice vectors xi for a random C;
+    by irreducibility the average is a scalar multiple of a unitary, or zero
+    with probability ~ p^-2n (then retried with a fresh C).
+    """
+    p, d = pm.p, pm.dim
+    b = mat_mod(mat(b), p)
+    if not ffcore.is_symplectic(b, p=p):
+        raise ValueError("intertwiner target must be symplectic mod p")
+    xis = lattice_vectors(pm)
+    for _ in range(max_tries):
+        c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        acc = np.zeros((d, d), dtype=complex)
+        for row in xis:
+            xi = tuple(int(x) for x in row)
+            bxi = ffcore.mat_vec(b, xi, mod=p)
+            t_in = pi_op(xi, pm)
+            t_out = pi_op(bxi, pm)
+            acc += t_out.apply_left(t_in.adjoint().apply_right(c))
+        norm = np.linalg.norm(acc)
+        if norm < 1e-9 * d:
+            continue
+        gram = acc.conj().T @ acc
+        scale = gram.trace().real / d
+        if np.abs(gram - scale * np.eye(d)).max() > 1e-6 * scale:
+            raise ConstructionError("averaged operator is not a scalar times unitary")
+        return acc / np.sqrt(scale)
+    raise ConstructionError("intertwiner averaging returned zero repeatedly")
+
+
+def linearize_on_torus(torus, pm: PrimeModulus,
+                       root_index: tuple | int = 0) -> WeilRep:
+    """The canonical rho, with its torus entries twisted by a torus character.
+
+    A multiplicative linearization of the torus is fixed up to a character:
+    rho(g_i) may be rescaled by any N_i-th root of unity on a generator g_i
+    of order N_i.  Root index k = (k_1, ...) rescales rho(g_i) by
+    exp(-2 pi i k_i / N_i), so every torus element B is multiplied by
+    conj(chi_k(B)), chi_k the character with exponents k; k = 0 is the
+    canonical rho.  The twisted entries go in through insert_generator
+    (tag "torus-twist", Egorov-checked); elements outside the torus keep
+    their canonical operators.
+    """
+    rep = linearize(pm)
+    if isinstance(root_index, int):
+        root_index = (root_index,) * len(torus.generators)
+    chi = TorusCharacter(torus.gen_orders, tuple(root_index))
+    for b in torus.elements:
+        twist = np.conj(chi.value_of_exps(torus.dlog[b]))
+        rep.insert_generator(b, twist * rep.build(b), "torus-twist")
+    return rep
 
 
 def character_table(torus: HeckeTorus) -> np.ndarray:

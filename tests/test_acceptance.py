@@ -24,7 +24,9 @@ from torusque.classical import birkhoff_many
 from torusque.ffcore import PrimeModulus, odd_primes
 from torusque.heisenberg import check_relations, lattice_vectors
 
-from oracles import build_trace_table, character_sum_table, diagonal_factor_sum
+from oracles import (build_trace_table, character_sum_table, diagonal_factor_sum,
+                     factor_coordinates, flatten_xi, linearize_on_torus,
+                     transport_char)
 
 
 def _line(num, ok, detail):
@@ -66,14 +68,14 @@ def test_criterion_2_egorov(cat_map, sp4_elem, rep_cache):
         xis = [(1, 0), (0, 1)] + [tuple(int(x) for x in rng.integers(0, p, 2))
                                   for _ in range(50)]
         tol = 1e-9 * p ** 0.5
-        for b in weil.sl2_elements(p):
+        for b in weil.sp_elements(pm):
             dev = weil.egorov_deviation(rep.op(b), b, pm, xis)
             worst_rel = max(worst_rel, dev / tol)
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         tol = 1e-9 * p
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, pm)
         xis = [tuple(1 if i == j else 0 for i in range(4)) for j in range(4)] \
             + [tuple(int(x) for x in rng.integers(0, p, 4)) for _ in range(50)]
         for b in torus.elements:
@@ -120,7 +122,7 @@ def test_criterion_3_linearization(cat_map, sp4_elem, rep_cache):
     for p in (3, 7, 11, 13):
         pm = PrimeModulus(p, 1)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        trep = weil.linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, pm)
         for g, order in torus.generators:
             dev = np.abs(np.linalg.matrix_power(trep.op(g), order)
                          - np.eye(pm.dim)).max()
@@ -128,7 +130,7 @@ def test_criterion_3_linearization(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, pm)
         for g, order in torus.generators:
             dev = np.abs(np.linalg.matrix_power(trep.op(g), order)
                          - np.eye(pm.dim)).max()
@@ -179,7 +181,7 @@ def test_criterion_4_decomposition(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, pm)
         dec = hecke.decompose(torus, trep)
         sums_ok = sums_ok and sum(dec.dims) == p ** 2
         for chi, d in zip(hecke.characters(torus), dec.dims):
@@ -250,7 +252,7 @@ def test_criterion_5_que_bound(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = weil.linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, pm)
         rpt = q.verify_que_bound(q.PrimeContext(sp4_elem, torus, trep))
         n2_ok = n2_ok and rpt.ok
         n2_ratio = max(n2_ratio, rpt.max_ratio / 4)
@@ -344,7 +346,7 @@ def test_criterion_10_twist_invariance(cat_map, sp4_elem, rep_cache):
         torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
         tables = []
         for ridx in (0, 1):
-            trep = weil.linearize_on_torus(torus, pm, root_index=ridx)
+            trep = linearize_on_torus(torus, pm, root_index=ridx)
             table = build_trace_table(torus, trep)
             tables.append(np.sort(np.abs(character_sum_table(table)), axis=1))
         worst = max(worst, float(np.abs(tables[0] - tables[1]).max()))
@@ -424,13 +426,13 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
     per_factor = [0, 0]
     worst = 0.0
     for xi, exps, abs_a, bound in rpt.dim1_violations:
-        coords = transport.factor_coordinates(xi)
+        coords = factor_coordinates(transport, xi)
         (j,) = [k for k, (lam, mu) in enumerate(coords) if lam == 0 and mu == 0]
         per_factor[j] += 1
         i = 1 - j
-        k_i = transport.transport_char(chis[exps], torus)[i]
+        k_i = transport_char(transport, chis[exps], torus)[i]
         factor = diagonal_factor_sum(*coords[i], k_i, pm1, sign)
-        a = achi[col[exps]][q.flatten_xi(xi, pm)]
+        a = achi[col[exps]][flatten_xi(xi, pm)]
         worst = max(worst, abs(a - (p - 1) * factor))
     assert per_factor == [4488, 4488]
     assert worst < 1e-9

@@ -225,13 +225,34 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
 
 
 def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
-    # every rho(B) the check builds is dropped after its deviation is read
+    # every rho(B) the egorov and multiplicativity checks build is dropped
+    # after its deviation is read; the context keeps rho of the torus
+    # generators, which the decomposition reads
     for elem, pm in ((cat_map, PrimeModulus(11, 1)), (sp4_elem, PrimeModulus(7, 2))):
         ctx = PrimeContext.build(elem, pm)
-        before = len(ctx.rep.cache)
-        res = cli._check_egorov(ctx, np.random.default_rng(0))
-        assert res.status == "pass"
-        assert len(ctx.rep.cache) == before
+        ctx.decomposition
+        for runner in (cli._check_egorov, cli._check_multiplicativity):
+            before = len(ctx.rep.cache)
+            res = runner(ctx, np.random.default_rng(0))
+            assert res.status == "pass"
+            assert len(ctx.rep.cache) == before
+
+
+def test_sweep_n2_identity_checks(tmp_path):
+    # egorov and multiplicativity take the n = 1 route at n = 2: the only
+    # operators left in the context are rho of the torus generators
+    out_json = tmp_path / "n2-identities.json"
+    rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
+                  "--pmax", "5", "--checks", "egorov,multiplicativity",
+                  "--out-json", str(out_json)])
+    assert rc == 0
+    report = json.loads(out_json.read_text())
+    assert [rp["p"] for rp in report["primes"]] == [3, 5]
+    for rp in report["primes"]:
+        assert [c["status"] for c in rp["checks"]] == ["pass", "pass"]
+        torus = PrimeContext.build(cli.validate_ergodic(cli.SP4_FIXTURE),
+                                   PrimeModulus(rp["p"], 2)).torus
+        assert rp["routes"]["bruhat-word"] == len(torus.generators)
 
 
 def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):

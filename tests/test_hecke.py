@@ -9,7 +9,7 @@ from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
                             characters, decompose, torus_structure)
 from torusque.heisenberg import pi_op
 
-from oracles import character_table, hecke_average, projector
+from oracles import character_table, hecke_average, linearize_on_torus, projector
 from oracles import torus_structure as torus_structure_oracle
 
 
@@ -47,7 +47,7 @@ def test_centralizer_against_full_group_scan_n1(cat_map):
     p = 3
     a = mat_mod(cat_map.matrix, p)
     brute = set()
-    for m in weil.sl2_elements(p):
+    for m in weil.sp_elements(PrimeModulus(p, 1)):
         if mat_mul(m, a, mod=p) == mat_mul(a, m, mod=p):
             brute.add(m)
     t = centralizer(cat_map.matrix, PrimeModulus(p, 1), cat_map.charpoly)
@@ -127,26 +127,39 @@ def test_torus_structure_matches_order_scan(n, primes, torus_cache):
         assert t.dlog == dlog, p
 
 
-def test_three_generator_torus():
-    # the diagonal torus diag(a, b, c, 1/a, 1/b, 1/c) of Sp(6, F_7) is Z_6^3
-    p = 7
+def _diagonal_sp6_torus(p: int = 7) -> HeckeTorus:
+    """The diagonal torus diag(a, b, c, 1/a, 1/b, 1/c) of Sp(6, F_p)."""
     elements = []
     for abc in product(range(1, p), repeat=3):
         diag = abc + tuple(pow(x, -1, p) for x in abc)
         elements.append(tuple(tuple(x if i == j else 0 for j in range(6))
                               for i, x in enumerate(diag)))
     generators, dlog = torus_structure(elements, p)
-    t = HeckeTorus(PrimeModulus(p, 3), elements[-1], elements, "split", [1] * 6,
-                   generators, dlog)
+    return HeckeTorus(PrimeModulus(p, 3), elements[-1], elements, "split", [1] * 6,
+                      generators, dlog)
+
+
+def test_three_generator_torus():
+    # the diagonal torus of Sp(6, F_7) is Z_6^3
+    p = 7
+    t = _diagonal_sp6_torus(p)
     assert t.gen_orders == (6, 6, 6)
     assert len(characters(t)) == 216
-    assert set(t.dlog) == set(elements)
+    assert set(t.dlog) == set(t.elements)
     for b, exps in t.dlog.items():
         acc = identity_mat(6)
         for (g, _), e in zip(t.generators, exps):
             for _ in range(e):
                 acc = mat_mul(acc, g, mod=p)
         assert acc == b
+
+
+def test_decompose_three_generator_torus():
+    # every generator enters the Hermitian combination, rho(g_3) included
+    t = _diagonal_sp6_torus(7)
+    dec = decompose(t, weil.linearize(PrimeModulus(7, 3)))
+    assert sum(dec.dims) == 343
+    assert dec.max_eigen_dev <= 1e-8
 
 
 def test_characters_orthogonality(cat_map, torus_cache):
@@ -260,7 +273,7 @@ def test_decompose_n2_cyclic_torus(sp4_elem):
     pm = PrimeModulus(3, 2)
     t = centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
     assert t.order == 10
-    trep = weil.linearize_on_torus(t, pm)
+    trep = linearize_on_torus(t, pm)
     dec = decompose(t, trep)
     assert sum(dec.dims) == 9
     assert all(d <= 1 for d in dec.dims)

@@ -6,7 +6,10 @@ from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import FourierPolynomial
 
 from oracles import (build_trace_table, character_sum, character_sum_table,
-                     diagonal_factor_sum)
+                     check_invariance, diagonal_factor_sum, factor_coordinates,
+                     gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
+                     linearize_on_torus, transport_char, transport_xi,
+                     unflatten_xi)
 from oracles import decompose as decompose_oracle
 
 
@@ -50,7 +53,7 @@ def test_trace_column_matches_trace_pair(n, p, rep_cache, torus_cache):
     for bi in picks:
         dense = rep.op(torus.elements[bi])
         col = q.trace_column(dense, pm)
-        ref = [q.trace_pair(q.unflatten_xi(k, pm), dense, pm)
+        ref = [q.trace_pair(unflatten_xi(k, pm), dense, pm)
                for k in range(p ** (2 * n))]
         worst = max(worst, float(np.abs(col - np.array(ref)).max()))
     assert worst < 1e-12
@@ -71,26 +74,26 @@ def test_invariance_under_conjugation(cat_map, rep_cache, torus_cache):
             if a:
                 s = ((a, bb), (c, (1 + bb * c) * pow(a, -1, 7) % 7))
                 break
-        worst = max(worst, q.check_invariance(xi, b, s, rep, pm))
+        worst = max(worst, check_invariance(xi, b, s, rep, pm))
     assert worst < 1e-8
 
 
 def test_invariance_identity_conjugator(cat_map, rep_cache, torus_cache):
     pm = PrimeModulus(7, 1)
     b = torus_cache(7).elements[2]
-    assert q.check_invariance((1, 2), b, identity_mat(2), rep_cache(7), pm) < 1e-14
+    assert check_invariance((1, 2), b, identity_mat(2), rep_cache(7), pm) < 1e-14
 
 
 def test_invariance_under_fourier_element(rep_cache):
     # S = the Fourier element, random xi, every B in SL2(F_5)
-    from torusque.weil import fourier_matrix, sl2_elements
+    from torusque.weil import fourier_matrix, sp_elements
     pm = PrimeModulus(5, 1)
     rep = rep_cache(5)
     s = fourier_matrix(pm)
     rng = np.random.default_rng(12)
-    for b in sl2_elements(5)[::7]:
+    for b in sp_elements(pm)[::7]:
         xi = tuple(int(x) for x in rng.integers(0, 5, 2))
-        assert q.check_invariance(xi, b, s, rep, pm) < 1e-9
+        assert check_invariance(xi, b, s, rep, pm) < 1e-9
 
 
 def test_hermitian_symmetry(cat_map, rep_cache, torus_cache):
@@ -101,7 +104,7 @@ def test_hermitian_symmetry(cat_map, rep_cache, torus_cache):
     for _ in range(40):
         xi = tuple(int(x) for x in rng.integers(0, 7, 2))
         b = torus.elements[int(rng.integers(torus.order))]
-        assert q.hermitian_symmetry_dev(xi, b, rep, pm) < 1e-10
+        assert hermitian_symmetry_dev(xi, b, rep, pm) < 1e-10
 
 
 def test_character_sum_xi_zero_oracle(cat_map, rep_cache, torus_cache):
@@ -187,10 +190,10 @@ def test_split_trace_formula_array_form_p11():
 def test_gauss_sum_oracle_examples():
     pm = PrimeModulus(11, 1)
     # c = 0, trivial character: sum of the quadratic symbol over a != 0, 1
-    assert abs(q.gauss_sum_oracle(0, 0, pm) - (-1)) < 1e-12
+    assert abs(gauss_sum_oracle(0, 0, pm) - (-1)) < 1e-12
     for c in range(1, 11):
         for k in range(10):
-            assert abs(q.gauss_sum_oracle(c, k, pm)) <= 2 * np.sqrt(11) + 1e-9
+            assert abs(gauss_sum_oracle(c, k, pm)) <= 2 * np.sqrt(11) + 1e-9
 
 
 def test_gauss_sum_oracle_matches_character_sums(cat_map, rep_cache, torus_cache):
@@ -205,15 +208,15 @@ def test_gauss_sum_oracle_matches_character_sums(cat_map, rep_cache, torus_cache
     chis = hecke.characters(torus)
     worst = 0.0
     for chi in chis:
-        (k,) = transport.transport_char(chi, torus)
+        (k,) = transport_char(transport, chi, torus)
         for flat in range(1, 121):
-            xi = q.unflatten_xi(flat, pm)
-            (lam, mu), = transport.factor_coordinates(xi)
+            xi = unflatten_xi(flat, pm)
+            (lam, mu), = factor_coordinates(transport, xi)
             if (lam, mu) == (0, 0):
                 continue  # boundary: the a = 1 term p^n would be missing
             c = (sign * lam * mu * pm.nu) % 11
             worst = max(worst, abs(character_sum(xi, chi, table)
-                                   - q.gauss_sum_oracle(c, k, pm, dl)))
+                                   - gauss_sum_oracle(c, k, pm, dl)))
     assert worst < 1e-10
 
 
@@ -274,7 +277,7 @@ def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
     # population
     pm = PrimeModulus(11, 1)
     torus = torus_cache(11)
-    trep = weil.linearize_on_torus(torus, pm, root_index=1)
+    trep = linearize_on_torus(torus, pm, root_index=1)
     chis = hecke.characters(torus)
     dims = hecke.decompose(torus, trep).dims
     (big,) = [chi for chi, d in zip(chis, dims) if d == 2]
@@ -338,7 +341,7 @@ def test_diagonal_factor_sum_boundary():
     pm = PrimeModulus(11, 1)
     # xi = 0: dominated by the a = 1 boundary term p
     val = diagonal_factor_sum(0, 0, 0, pm, sign=-1)
-    oracle = q.gauss_sum_oracle(0, 0, pm)
+    oracle = gauss_sum_oracle(0, 0, pm)
     assert abs(val - (11 + oracle)) < 1e-12
 
 
@@ -393,12 +396,12 @@ def _reference_violations(elem, pm, torus, rep, rtol=1e-6):
     for k in range(1, p ** (2 * n)):
         row = mags[k]
         for ci in np.nonzero(row > bound + bound * rtol)[0]:
-            xi = q.unflatten_xi(k, pm)
+            xi = unflatten_xi(k, pm)
             rec = (xi, chis[ci].exps, float(row[ci]), bound)
             violations.append(rec)
             if ci in dim1_cols:
                 dim1.append(rec)
-            if transport is not None and transport.is_generic(xi):
+            if transport is not None and is_generic(transport, xi):
                 generic.append(rec)
     return violations, dim1, generic
 
@@ -437,6 +440,19 @@ def test_verify_que_bound_lists_match_per_xi_scan_n2(sp4_elem, sp4_split13):
     etas = transport.transport_all()
     mask = transport.generic_mask()
     for k in range(13 ** 4):
-        xi = q.unflatten_xi(k, pm)
-        assert tuple(etas[k]) == transport.transport_xi(xi)
-        assert mask[k] == transport.is_generic(xi)
+        xi = unflatten_xi(k, pm)
+        assert tuple(etas[k]) == transport_xi(transport, xi)
+        assert mask[k] == is_generic(transport, xi)
+
+
+def test_transported_matches_per_character_route(cat_map, rep_cache, torus_cache,
+                                                 sp4_split13):
+    # the |T| x n integer array against one Fraction route per character, at
+    # every n = 1 split prime <= 97 and at n = 2, p = 13
+    split = [p for p in ffcore.odd_primes(3, 97) if p != 5 and legendre(5, p) == 1]
+    contexts = [q.PrimeContext(cat_map, torus_cache(p), rep_cache(p)) for p in split]
+    for ctx in contexts + [sp4_split13]:
+        assert ctx.transport is not None
+        ref = [transport_char(ctx.transport, chi, ctx.torus) for chi in ctx.chis]
+        assert ctx.transported.shape == (ctx.torus.order, ctx.pm.n)
+        assert [tuple(row) for row in ctx.transported.tolist()] == ref

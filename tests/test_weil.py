@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from torusque import weil
+from torusque import ffcore, weil
 from torusque.ffcore import (PrimeModulus, identity_mat, legendre, mat_det, mat_mod,
                              mat_mul)
 from torusque.heisenberg import pi_op
 from torusque.weil import (ConstructionError, SpFactor, dilate_op, fourier_op,
-                           egorov_deviation, linearize, linearize_on_torus,
-                           random_sl2, schur_intertwiner, shear_op, sl2_elements,
-                           solve_gamma, sp_word, word_matrix, word_operator)
+                           egorov_deviation, linearize, random_sp, shear_op,
+                           solve_gamma, sp_elements, sp_word, word_matrix,
+                           word_operator)
+
+from oracles import linearize_on_torus, schur_intertwiner, torus_pair_scan
 
 
 def test_dilate_identity():
@@ -108,9 +112,11 @@ def test_multiplicativity_exhaustive_small(rep_cache):
 
 
 def test_multiplicativity_sampled_larger(rep_cache):
+    rng = np.random.default_rng(3)
     for p in (7, 11):
-        r = weil.check_multiplicativity(rep_cache(p), pairs=500, tol=1e-8, seed=3)
-        assert r.ok
+        draws = random_sp(PrimeModulus(p, 1), rng, 1000)
+        r = weil.check_multiplicativity(rep_cache(p), list(zip(draws[::2], draws[1::2])))
+        assert r.ok and r.pairs_checked == 500
 
 
 def test_egorov_all_elements_small(rep_cache):
@@ -121,7 +127,7 @@ def test_egorov_all_elements_small(rep_cache):
         xis = [(1, 0), (0, 1)] + [tuple(int(x) for x in rng.integers(0, p, 2))
                                   for _ in range(50)]
         tol = 1e-9 * p ** 0.5
-        for b in sl2_elements(p):
+        for b in sp_elements(PrimeModulus(p, 1)):
             assert egorov_deviation(rep.op(b), b, pm, xis) < tol
 
 
@@ -141,7 +147,7 @@ def test_trace_fixed_point_identity(rep_cache):
     # |Tr rho(B)| = p^(dim ker(B - I)/2); confirmed by an oracle sweep first
     for p in (3, 5):
         rep = rep_cache(p)
-        for b in sl2_elements(p):
+        for b in sp_elements(PrimeModulus(p, 1)):
             m = ((b[0][0] - 1) % p, b[0][1] % p), (b[1][0] % p, (b[1][1] - 1) % p)
             det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
             if det:
@@ -343,13 +349,12 @@ def test_sp_word_equals_sl2_word():
     # draws across the n = 1 sweep range
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 1)
-        for b in sl2_elements(p):
+        for b in sp_elements(PrimeModulus(p, 1)):
             assert sp_word(b, pm) == _sl2_word_oracle(b, p)
     rng = np.random.default_rng(5)
     for p in (11, 13, 29, 43, 61, 97):
         pm = PrimeModulus(p, 1)
-        for _ in range(300):
-            b = random_sl2(p, rng)
+        for b in random_sp(pm, rng, 300):
             assert sp_word(b, pm) == _sl2_word_oracle(b, p)
 
 
@@ -406,3 +411,50 @@ def test_two_root_choices_twist_by_character(rep_cache, torus_cache):
         ratio = t1.op(b) @ np.linalg.inv(t0.op(b))
         expected = zeta ** (-exps[0] % order)
         assert np.abs(ratio - expected * np.eye(7)).max() < 1e-8
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 13), (2, 3), (2, 7), (3, 3)])
+def test_random_sp_is_its_bruhat_word(n, p):
+    # every sample is symplectic with an invertible upper-right block M, and
+    # is the product shear(S1) dilate(M) fourier shear(S2) with S1 = -D M^-1
+    # and S2 = -M^-1 A symmetric
+    pm = PrimeModulus(p, n)
+    for b in random_sp(pm, np.random.default_rng(n * p), 50):
+        assert ffcore.is_symplectic(b, p=p)
+        a, m, _, d = weil._blocks(b, n)
+        m_inv = ffcore.mat_inv_modp(m, p)
+        s1 = ffcore.mat_neg(mat_mul(d, m_inv, mod=p), mod=p)
+        s2 = ffcore.mat_neg(mat_mul(m_inv, a, mod=p), mod=p)
+        assert s1 == ffcore.mat_transpose(s1) and s2 == ffcore.mat_transpose(s2)
+        word = [SpFactor("shear", s1), SpFactor("dilate", m), SpFactor("fourier"),
+                SpFactor("shear", s2)]
+        assert word_matrix(word, pm) == b
+
+
+def test_random_sp_reaches_both_sp_word_branches():
+    # the samples take sp_word's invertible-Bb branch; their products also
+    # take the singular-nonzero-Bb one
+    pm = PrimeModulus(5, 2)
+    draws = random_sp(pm, np.random.default_rng(0), 200)
+    prods = [mat_mul(b1, b2, mod=5) for b1, b2 in zip(draws[::2], draws[1::2])]
+    assert {_top_right_rank(b, 5) for b in draws} == {2}
+    assert {_top_right_rank(b, 5) for b in prods} >= {1, 2}
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 7)])
+def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
+    rep, torus = rep_cache(p, n), torus_cache(p, n)
+    cert = weil.certify_torus(rep, torus)
+    scan = torus_pair_scan(rep, torus)
+    assert cert.ok and scan.ok
+    assert cert.pairs_checked == scan.pairs_checked == torus.order ** 2
+    assert abs(cert.max_dev - scan.max_dev) <= 1e-12
+
+
+def test_torus_certificate_catches_swapped_dlog(rep_cache, torus_cache):
+    torus = torus_cache(7, 2)
+    b1, b2 = torus.elements[1], torus.elements[2]
+    dlog = dict(torus.dlog)
+    dlog[b1], dlog[b2] = dlog[b2], dlog[b1]
+    cert = weil.certify_torus(rep_cache(7, 2), replace(torus, dlog=dlog))
+    assert not cert.ok and cert.max_dev > 0.1
