@@ -337,7 +337,11 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Ma
     The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form.  S1
     and S2 are uniform symmetric, and M = L U with L unit lower triangular and
     U upper triangular with a nonzero diagonal, so every leading minor of M
-    is a unit and Gauss-Jordan elimination inverts it without pivoting.  All
+    is a unit and Gauss-Jordan elimination inverts it without pivoting.  The
+    samples therefore cover only the big Bruhat cell (an invertible
+    upper-right block M), and at n >= 2 only its LU-factorable M: every one
+    takes sp_word's invertible-Bb branch.  Products of samples reach the
+    Bb = 0 and singular-nonzero-Bb branches.  All
     entries come from one rng.integers call, and the arithmetic is exact
     int64 over the whole batch (every intermediate stays below n p^2).
     """
@@ -412,17 +416,17 @@ def _power_products(ops: list, orders: tuple, acc: np.ndarray):
         acc = acc @ ops[0]
 
 
-def certify_torus(rep: WeilRep, torus, tol: float = 1e-8) -> MultiplicativityReport:
-    """rho restricted to a Hecke torus T is a representation, in O(|T|) products.
+def certify_torus(rep: WeilRep, torus) -> float:
+    """Max deviation of the certificate that rho restricted to a Hecke torus T
+    is a representation, in O(|T|) products.
 
     With R_i = rho(g_i) for the generators g_i of orders m_i, the certificate
     checks R_i R_j = R_j R_i, R_i^m_i = I, and rho(B) = prod_i R_i^e_i(B) for
     every B in T, e = torus.dlog[B].  Together these are equivalent to all
     |T|^2 pair identities rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod
     m_i, so rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).
-    pairs_checked counts those |T|^2 identities.  The R_i are rep.op entries,
-    the operators the eigenspace decomposition reads; every other rho(B)
-    comes from rep.build and is dropped.
+    The R_i are rep.op entries, the operators the eigenspace decomposition
+    reads; every other rho(B) comes from rep.build and is dropped.
     """
     gens = [rep.op(g) for g, _ in torus.generators]
     ident = np.eye(rep.pm.dim)
@@ -434,7 +438,7 @@ def certify_torus(rep: WeilRep, torus, tol: float = 1e-8) -> MultiplicativityRep
     element = {exps: b for b, exps in torus.dlog.items()}
     for exps, prod in _power_products(gens, torus.gen_orders, ident):
         dev = max(dev, float(np.abs(prod - rep.build(element[exps])).max()))
-    return MultiplicativityReport(torus.order ** 2, dev, dev <= tol)
+    return dev
 
 
 def _random_symmetric(pm: PrimeModulus, rng: np.random.Generator) -> Mat:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -431,14 +432,14 @@ def test_random_sp_is_its_bruhat_word(n, p):
         assert word_matrix(word, pm) == b
 
 
-def test_random_sp_reaches_both_sp_word_branches():
+def test_random_sp_reaches_every_sp_word_branch():
     # the samples take sp_word's invertible-Bb branch; their products also
-    # take the singular-nonzero-Bb one
+    # take the singular-nonzero-Bb one and the Bb = 0 one
     pm = PrimeModulus(5, 2)
     draws = random_sp(pm, np.random.default_rng(0), 200)
-    prods = [mat_mul(b1, b2, mod=5) for b1, b2 in zip(draws[::2], draws[1::2])]
+    prods = [mat_mul(b1, b2, mod=5) for b1, b2 in product(draws[:60], repeat=2)]
     assert {_top_right_rank(b, 5) for b in draws} == {2}
-    assert {_top_right_rank(b, 5) for b in prods} >= {1, 2}
+    assert {_top_right_rank(b, 5) for b in prods} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 7)])
@@ -446,9 +447,9 @@ def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
     rep, torus = rep_cache(p, n), torus_cache(p, n)
     cert = weil.certify_torus(rep, torus)
     scan = torus_pair_scan(rep, torus)
-    assert cert.ok and scan.ok
-    assert cert.pairs_checked == scan.pairs_checked == torus.order ** 2
-    assert abs(cert.max_dev - scan.max_dev) <= 1e-12
+    assert scan.ok and scan.pairs_checked == torus.order ** 2
+    assert cert <= 1e-8
+    assert abs(cert - scan.max_dev) <= 1e-12
 
 
 def test_torus_certificate_catches_swapped_dlog(rep_cache, torus_cache):
@@ -456,5 +457,4 @@ def test_torus_certificate_catches_swapped_dlog(rep_cache, torus_cache):
     b1, b2 = torus.elements[1], torus.elements[2]
     dlog = dict(torus.dlog)
     dlog[b1], dlog[b2] = dlog[b2], dlog[b1]
-    cert = weil.certify_torus(rep_cache(7, 2), replace(torus, dlog=dlog))
-    assert not cert.ok and cert.max_dev > 0.1
+    assert weil.certify_torus(rep_cache(7, 2), replace(torus, dlog=dlog)) > 0.1
