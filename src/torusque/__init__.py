@@ -9,7 +9,7 @@ from .heisenberg import FourierPolynomial, check_relations, integral, pi_op, qua
 from .quevaluator import (BoundReport, PrimeContext, factorization_check,
                           refined_bound, split_trace_formula, trace_pair,
                           verify_que_bound)
-from .weil import WeilRep, linearize, sp_word
+from .weil import WeilRep, linearize
 
 __version__ = "0.1.0"
 
@@ -20,5 +20,5 @@ __all__ = [
     "decompose", "FourierPolynomial", "check_relations", "integral", "pi_op",
     "quantize", "BoundReport", "PrimeContext", "factorization_check",
     "refined_bound", "split_trace_formula", "trace_pair", "verify_que_bound",
-    "WeilRep", "linearize", "sp_word", "__version__",
+    "WeilRep", "linearize", "__version__",
 ]

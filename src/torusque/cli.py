@@ -201,14 +201,15 @@ def _check_egorov(ctx, rng):
     tol = 1e-9 * pm.p ** (pm.n / 2)
     worst = 0.0
     witness = []
-    # the samples take sp_word's invertible-Bb branch; a few products of
-    # them also reach its Bb = 0 and singular-nonzero-Bb branches
+    # the samples have an invertible upper-right block; a few products of
+    # them also reach a zero and a singular nonzero one
     samples = weil.random_sp(pm, rng, 25)
     products = [ffcore.mat_mul(b1, b2, mod=pm.p)
                 for b1, b2 in zip(samples[:5], samples[5:10])]
-    for b in ctx.torus.elements + samples + products:
-        # built, checked and dropped: rep.cache keeps only the context's operators
-        dev = weil.egorov_deviation(rep.build(b), b, pm, xis)
+    elements = ctx.torus.elements + samples + products
+    # built, checked and dropped: rep.cache keeps only the context's operators
+    for b, dense in zip(elements, rep.build_many(elements, ctx.deadline)):
+        dev = weil.egorov_deviation(dense, b, pm, xis)
         if dev > worst:
             worst = dev
             if dev > tol:
@@ -233,9 +234,10 @@ def _check_multiplicativity(ctx, rng):
         draws = weil.random_sp(pm, rng, 2 * SAMPLED_PAIRS)
         pairs = list(zip(draws[::2], draws[1::2]))
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
-    rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8)
+    rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
+                                      deadline=ctx.deadline)
     dev = max(rpt.max_dev, weil.monoid_relation_dev(pm, rng),
-              weil.certify_torus(rep, ctx.torus))
+              weil.certify_torus(rep, ctx.torus, ctx.deadline))
     ok = rpt.ok and dev <= 1e-8
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 
@@ -291,9 +293,10 @@ def _check_trace_formula(ctx, rng):
     p = pm.p
     lam, mu = lattice_vectors(pm).T         # in the trace column's flat order
     worst = 0.0
-    for a in range(2, p):
-        b = ((a, 0), (0, pow(a, -1, p)))
-        ref = quevaluator.trace_column(rep.op(b), pm)
+    # rho(diag(a, 1/a)) streams through and is dropped, like the egorov check's
+    diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
+    for a, dense in zip(range(2, p), rep.build_many(diagonal, ctx.deadline)):
+        ref = quevaluator.trace_column(dense, pm)
         val = quevaluator.split_trace_formula(lam, mu, a, pm, sign)
         worst = max(worst, float(np.abs(val - ref).max()))
     ok = worst <= 1e-10

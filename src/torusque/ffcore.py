@@ -1,7 +1,7 @@
 """Exact arithmetic over Z and F_p: matrices, polynomials, symplectic predicates.
 
 Integer matrices are nested tuples of Python ints (arbitrary precision, hashable,
-immutable).  Polynomials are tuples of coefficients, lowest degree first.
+immutable); stacks of matrices mod p are int64 arrays (`gauss_jordan_modp`).  Polynomials are tuples of coefficients, lowest degree first.
 Everything here is pure and safe to share across workers.
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 Mat = tuple[tuple[int, ...], ...]
 Poly = tuple[int, ...]
@@ -111,10 +113,6 @@ def mat_transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def mat_neg(a: Mat, mod: int | None = None) -> Mat:
-    return tuple(tuple((-x) % mod if mod is not None else -x for x in r) for r in a)
-
-
 def mat_det(a: Mat) -> int:
     """Exact determinant by cofactor expansion (desk-scale sizes)."""
     d = len(a)
@@ -132,22 +130,56 @@ def mat_det(a: Mat) -> int:
 
 
 def mat_inv_modp(a: Mat, p: int) -> Mat:
-    """Inverse mod p by Gauss-Jordan elimination; raises if singular."""
-    d = len(a)
-    aug = [list(row) + [1 if i == j else 0 for j in range(d)]
-           for i, row in enumerate(mat_mod(a, p))]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] % p != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(x * inv) % p for x in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
+    """Inverse mod p (`gauss_jordan_modp`); raises if singular."""
+    det, inv = gauss_jordan_modp(np.array(mat_mod(a, p), dtype=np.int64), p)
+    if det == 0:
+        raise ZeroDivisionError("matrix is singular mod p")
+    return mat(inv)
+
+
+@lru_cache(maxsize=None)
+def _unit_inverses(p: int) -> np.ndarray:
+    """inverse[x] = x^-1 mod p for x = 1..p-1, and inverse[0] = 0."""
+    out = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+def gauss_jordan_modp(m, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Determinants and inverses mod p of a stack of square matrices.
+
+    m is an integer array of shape (..., d, d).  One Gauss-Jordan elimination
+    runs over the whole stack in exact int64 arithmetic (every product stays
+    below p^2), with row pivoting: column c takes the first row at or below
+    c with a nonzero entry.  Returns (det, inv) of shapes (...) and
+    (..., d, d), det reduced to 0..p-1; where det is 0 the rows of inv are
+    meaningless.
+    """
+    m = np.asarray(m, dtype=np.int64) % p
+    *batch, d, _ = m.shape
+    m = m.reshape(-1, d, d)
+    k = len(m)
+    aug = np.concatenate([m, np.broadcast_to(np.eye(d, dtype=np.int64), m.shape)],
+                         axis=2)
+    det = np.ones(k, dtype=np.int64)
+    inverse = _unit_inverses(p)
+    every = np.arange(k)
+    for c in range(d):
+        nonzero = aug[:, c:, c] != 0
+        piv = c + nonzero.argmax(axis=1)        # c itself when the column is zero
+        swap = piv != c
+        if swap.any():
+            rows = aug[every, piv]
+            aug[every, piv] = aug[:, c]
+            aug[:, c] = rows
+            det[swap] = -det[swap]
+        pivot = aug[:, c, c]
+        det = det * pivot % p                   # a zero column leaves det 0
+        aug[:, c] = aug[:, c] * inverse[pivot][:, None] % p
+        factor = aug[:, :, c].copy()
+        factor[:, c] = 0
+        aug = (aug - factor[:, :, None] * aug[:, c, None, :]) % p
+    return det.reshape(batch), aug[:, :, d:].reshape(*batch, d, d)
 
 
 def standard_j(n: int) -> Mat:

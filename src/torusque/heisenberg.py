@@ -133,17 +133,23 @@ def identity_op(pm: PrimeModulus) -> PhasedPermutation:
 
 def pi_exponents(xi, pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
     """(src, expo) data of T(xi) with xi = (lam, mu) reduced mod p."""
+    if len(xi) != 2 * pm.n:
+        raise ValueError(f"expected a lattice vector of length {2 * pm.n}")
+    src, expo = pi_exponents_many(np.array([[int(c) for c in xi]]), pm)
+    return src[0], expo[0]
+
+
+def pi_exponents_many(xis, pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
+    """(src, expo) data of T(xi) for every row xi of an (m, 2n) integer array:
+    two (m, p^n) arrays, row k for xi_k, in exact integer arithmetic."""
     p, n = pm.p, pm.n
-    xi = [int(c) % p for c in xi]
-    if len(xi) != 2 * n:
-        raise ValueError(f"expected a lattice vector of length {2 * n}")
-    lam, mu = xi[:n], xi[n:]
-    vecs = index_vectors(pm)
-    shifted = (vecs + np.array(lam)) % p
-    src = shifted @ (p ** np.arange(n))
-    lm = sum(a * b for a, b in zip(lam, mu))
-    expo = (pm.nu * lm + vecs @ np.array(mu)) % p
-    return src.astype(np.intp), expo.astype(np.int64)
+    xis = np.asarray(xis, dtype=np.int64) % p
+    lam, mu = xis[:, :n], xis[:, n:]
+    pts = index_vectors(pm)
+    src = ((pts[None, :, :] + lam[:, None, :]) % p) @ (p ** np.arange(n))
+    lm = (lam * mu).sum(axis=1)
+    expo = (pm.nu * lm[:, None] + mu @ pts.T) % p
+    return src.astype(np.intp), expo
 
 
 def pi_op(xi, pm: PrimeModulus) -> PhasedPermutation:
@@ -203,15 +209,9 @@ def check_relations(pm: PrimeModulus, tol: float = 1e-10,
 
     vecs = lattice_vectors(pm)
     m = len(vecs)
-    pts = index_vectors(pm)  # (d, n)
-    pvec = p ** np.arange(n)
-
     lam_all, mu_all = vecs[:, :n], vecs[:, n:]
     # per lattice vector: src and expo arrays of its operator, stacked (m, d)
-    shift_all = (pts[None, :, :] + lam_all[:, None, :]) % p
-    src_all = shift_all @ pvec
-    lm_all = (lam_all * mu_all).sum(axis=1)
-    expo_all = (pm.nu * lm_all[:, None] + (mu_all @ pts.T)) % p  # (m, d)
+    src_all, expo_all = pi_exponents_many(vecs, pm)
 
     roots = root_table(p)
     max_dev = 0.0

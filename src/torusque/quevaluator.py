@@ -52,8 +52,10 @@ from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
 from .heisenberg import (FourierPolynomial, index_vectors, lattice_vectors,
-                         pi_exponents, pi_op, quantize, root_table)
+                         pi_exponents, pi_exponents_many, pi_op, quantize,
+                         root_table)
 from .hecke import HeckeTorus, TorusCharacter
+from .weil import BudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +192,6 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 # everything the checks read at one prime
 
 
-class BudgetExceeded(RuntimeError):
-    """The sweep's time budget ran out inside a check."""
-
-
 @dataclass
 class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
@@ -321,7 +319,8 @@ def measure_split_sign(pm: PrimeModulus, rep) -> int:
 
     At p = 3 the torus leaves only a = -1, where the phase vanishes and both
     signs define the same formula; the default -1 is returned after checking
-    agreement on every available sample.
+    agreement on every available sample.  Each rho(diag(a, 1/a)) is built
+    with rep.build and dropped, not cached.
     """
     p = pm.p
     for a in range(2, p):
@@ -329,14 +328,14 @@ def measure_split_sign(pm: PrimeModulus, rep) -> int:
         if t == 0 or (2 * t) % p == 0:
             continue  # both signs agree here; useless sample
         b = ((a, 0), (0, pow(a, -1, p)))
-        ref = trace_pair((1, 1), rep.op(b), pm)
+        ref = trace_pair((1, 1), rep.build(b), pm)
         for sign in (-1, 1):
             if abs(split_trace_formula(1, 1, a, pm, sign) - ref) < 1e-9:
                 return sign
         raise RuntimeError("neither orientation sign matches the matrix trace")
     for a in range(2, p):
         b = ((a, 0), (0, pow(a, -1, p)))
-        ref = trace_pair((1, 1), rep.op(b), pm)
+        ref = trace_pair((1, 1), rep.build(b), pm)
         if abs(split_trace_formula(1, 1, a, pm, -1) - ref) > 1e-9:
             raise RuntimeError("orientation-free sample disagrees with trace")
     return -1
@@ -649,6 +648,22 @@ class DemoRow:
     hecke_ok: bool
 
 
+def orbit_averages(vectors: np.ndarray, orbit, pm: PrimeModulus) -> np.ndarray:
+    """(1/r) sum_k <v|T(xi_k)|v> for every column v of vectors, over the r
+    rows xi_k of orbit.
+
+    The (src, expo) data of every T(xi_k) come from one `pi_exponents_many`
+    call, and <v|T(xi_k)|v> = sum_x conj(v[x]) psi(e_k[x]) v[s_k[x]] is
+    accumulated for all vectors together, one gather per xi_k.
+    """
+    src, expo = pi_exponents_many(orbit, pm)
+    roots = root_table(pm.p)
+    acc = np.zeros_like(vectors, dtype=complex)
+    for s, e in zip(src, expo):
+        acc += roots[e][:, None] * vectors[s]
+    return (vectors.conj() * acc).sum(axis=0) / len(orbit)
+
+
 def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
                          rtol: float = 1e-6) -> tuple[list[DemoRow], dict]:
     """Tabulate time-average vs torus-average matrix elements per eigenvector.
@@ -659,7 +674,9 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
     quantized map: there the time average keeps cross terms that the full
     torus average kills, which is the whole point of the refinement.  Only
     the torus column carries an assertion (the p^{n/2}-scale bound with the
-    exact torus order); the cyclic column is informational.
+    exact torus order); the cyclic column is informational.  The time
+    averages run over the orbit A^k xi, k = 1..|<A>|, built once
+    (`orbit_averages`).
     """
     from .classical import matrix_order_modp
     pm, torus = ctx.pm, ctx.torus
@@ -668,16 +685,9 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
         xi = (1,) + (0,) * (2 * n - 1)
     r_ord = matrix_order_modp(ctx.elem.matrix, p)
     a_mod = mat_mod(mat(ctx.elem.matrix), p)
-
-    def cyclic_average(v):
-        acc = 0.0 + 0.0j
-        power = ffcore.identity_mat(2 * n)
-        for _ in range(r_ord):
-            power = mat_mul(power, a_mod, mod=p)
-            axk = ffcore.mat_vec(power, tuple(int(c) for c in xi), mod=p)
-            acc += np.vdot(v, pi_op(axk, pm).apply_left(
-                v.reshape(-1, 1)).reshape(-1))
-        return complex(acc / r_ord)
+    orbit = [ffcore.mat_vec(a_mod, tuple(int(c) for c in xi), mod=p)]
+    while len(orbit) < r_ord:
+        orbit.append(ffcore.mat_vec(a_mod, orbit[-1], mod=p))
 
     # <v|Avg(X)|v> with Avg(X) = sum_chi P_chi X P_chi, the torus average
     # (1/|T|) sum_B rho(B) X rho(B)^-1 written in the joint eigenbasis
@@ -689,31 +699,33 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
         return complex(sum(np.vdot(u, t_xi @ u) for u in parts))
 
     bound = 2 ** n * p ** (n / 2) / torus.order
-    rows = []
     dim1 = [(chi, basis[:, 0]) for chi, basis, dim in ctx.decomposition.entries
             if dim == 1]
-    for chi, v in dim1:
-        cyc = cyclic_average(v)
-        hk = torus_average(v)
-        rows.append(DemoRow(f"chi={chi.exps}", cyc, hk, 0.0,
-                            abs(hk) <= bound * (1 + rtol)))
-
     # superpositions of eigenvectors sharing the eigenvalue chi(A): these are
     # still eigenvectors of the quantized map but not of the whole torus
-    max_column_gap = 0.0
     by_a_value = {}
     for chi, v in dim1:
         key = complex(np.round(chi.value(torus, a_mod), 9))
         by_a_value.setdefault(key, []).append((chi, v))
+    mixes = []
     for group in by_a_value.values():
-        if len(group) < 2:
-            continue
-        (c1, v1), (c2, v2) = group[0], group[1]
-        v = (v1 + v2) / np.sqrt(2)
-        cyc = cyclic_average(v)
+        if len(group) >= 2:
+            (c1, v1), (c2, v2) = group[:2]
+            mixes.append((f"mix chi={c1.exps}+{c2.exps}", (v1 + v2) / np.sqrt(2)))
+    vectors = [v for _, v in dim1] + [v for _, v in mixes]
+    cyclic = (orbit_averages(np.stack(vectors, axis=1), orbit, pm)
+              if vectors else [])
+
+    rows = []
+    for (chi, v), cyc in zip(dim1, cyclic):
         hk = torus_average(v)
+        rows.append(DemoRow(f"chi={chi.exps}", complex(cyc), hk, 0.0,
+                            abs(hk) <= bound * (1 + rtol)))
+    max_column_gap = 0.0
+    for (label, v), cyc in zip(mixes, cyclic[len(dim1):]):
+        cyc, hk = complex(cyc), torus_average(v)
         max_column_gap = max(max_column_gap, abs(cyc - hk))
-        rows.append(DemoRow(f"mix chi={c1.exps}+{c2.exps}", cyc, hk, 0.0, True))
+        rows.append(DemoRow(label, cyc, hk, 0.0, True))
 
     meta = {"cyclic_order": r_ord, "torus_order": torus.order,
             "cyclic_equals_torus": r_ord == torus.order,

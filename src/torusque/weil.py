@@ -14,43 +14,71 @@ Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
 
     gamma^3 = 1/c,   gamma^2 = legendre((-1)^n, p)   =>   gamma = sigma((-1)^n)/c.
 
-Every group element, at every n, is reached through a Bruhat-type word in the
-three generators (sp_word), and rho(B) is the product of the generator
-operators along that word.  The map is certified multiplicative by pair
-checks (every pair of a small group, sampled pairs otherwise), by the
-defining relations of the generator operators, and on a Hecke torus by an
-O(|T|) certificate (certify_torus).
+Every group element, at every n, has a closed-form kernel.  Write
+B = [[A, Bb], [C, D]] in n x n blocks and U(S) = [[I, S], [0, I]] =
+fourier shear(S) fourier^3.  Let S be the first diagonal 0/1 matrix (bit j
+of 0, 1, ..., 2^n - 1 on diagonal entry j) for which M = Bb + A S is
+invertible mod p, so S = 0 when Bb is.  One exists: by Arnold's lemma the
+Lagrangian row space of [A | Bb] is transverse to some coordinate
+Lagrangian, so some choice of columns from A and Bb is invertible, and
+det(Bb + A S) is the sum of the column choices inside the support of S
+(Moebius inversion over the 2^n choices of S).  Then
+
+    B U(S) = shear(s1) dilate(M) fourier shear(s2),
+    s1 = -(C S + D) M^-1,   s2 = -M^-1 A,
+
+and the product of the generator operators is
+
+    rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y)
+
+with F = rho(fourier): one row gather of F and two phase scalings.  When
+S != 0, rho(B) = rho(B U(S)) rho(U(-S)), one matmul by an operator cached
+per rep (2^n - 1 of them).  Each factorization is re-verified exactly
+before its kernel is formed: s1 and s2 must be symmetric, and the integer
+product shear(s1) dilate(M) fourier shear(s2) U(-S) must equal B mod p.
+`WeilRep.build_many` streams any sequence of elements through this route in
+chunks of CHUNK_BYTES of operators; it is the one route to rho(B).  The map
+is certified multiplicative by pair checks (every pair of a small group,
+sampled pairs otherwise), by the defining relations of the generator
+operators, and on a Hecke torus by an O(|T|) certificate (certify_torus).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import islice, product
 
 import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod, mat_mul
-from .heisenberg import PhasedPermutation, index_vectors, pi_op, root_table
+from .heisenberg import PhasedPermutation, index_vectors, pi_exponents_many, root_table
+# bound here too, unused: perfbench's tracer test reads weil.pi_op as its
+# example of a function bound in two modules
+from .heisenberg import pi_op  # noqa: F401
+
+# bytes of complex operator entries built, or compared, at once: a chunk of
+# operators in build_many, a chunk of xi in egorov_deviation
+CHUNK_BYTES = 1 << 18
 
 
 class ConstructionError(RuntimeError):
     """No consistent phase assignment / intertwiner found."""
 
 
+class BudgetExceeded(RuntimeError):
+    """The sweep's time budget ran out inside a check."""
+
+
+def chunk_length(pm: PrimeModulus) -> int:
+    """How many p^n x p^n complex matrices fit in CHUNK_BYTES (at least one)."""
+    return max(1, CHUNK_BYTES // (16 * pm.dim ** 2))
+
+
 # ---------------------------------------------------------------------------
 # generator operators
-
-
-def dilate_matrix(m_block: Mat, pm: PrimeModulus) -> Mat:
-    p, n = pm.p, pm.n
-    inv_t = ffcore.mat_transpose(mat_inv_modp(m_block, p))
-    rows = []
-    for i in range(n):
-        rows.append(tuple(m_block[i][j] % p for j in range(n)) + (0,) * n)
-    for i in range(n):
-        rows.append((0,) * n + tuple(inv_t[i][j] % p for j in range(n)))
-    return tuple(rows)
 
 
 def shear_matrix(s_block: Mat, pm: PrimeModulus) -> Mat:
@@ -108,122 +136,6 @@ def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# words over the generators
-
-
-@dataclass(frozen=True)
-class SpFactor:
-    kind: str  # "shear" | "dilate" | "fourier"
-    block: Mat | None = None
-
-
-def word_matrix(word: list[SpFactor], pm: PrimeModulus) -> Mat:
-    out = ffcore.identity_mat(2 * pm.n)
-    for f in word:
-        if f.kind == "shear":
-            g = shear_matrix(f.block, pm)
-        elif f.kind == "dilate":
-            g = dilate_matrix(f.block, pm)
-        else:
-            g = fourier_matrix(pm)
-        out = mat_mul(out, g, mod=pm.p)
-    return out
-
-
-def word_operator(word: list[SpFactor], pm: PrimeModulus, gamma: complex) -> np.ndarray:
-    out = np.eye(pm.dim, dtype=complex)
-    f_op = None
-    for f in word:
-        if f.kind == "shear":
-            out = shear_op(f.block, pm).apply_right(out)
-        elif f.kind == "dilate":
-            out = dilate_op(f.block, pm).apply_right(out)
-        else:
-            if f_op is None:
-                f_op = fourier_op(pm, gamma)
-            out = out @ f_op
-    return out
-
-
-def _blocks(b: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
-    """The n x n blocks (A, Bb, C, D) of b = [[A, Bb], [C, D]]."""
-    top, bottom = b[:n], b[n:]
-    return (tuple(r[:n] for r in top), tuple(r[n:] for r in top),
-            tuple(r[:n] for r in bottom), tuple(r[n:] for r in bottom))
-
-
-def _bruhat_word(a: Mat, bb: Mat, d: Mat, p: int) -> list[SpFactor]:
-    """[[A, Bb], [C, D]] with Bb invertible mod p, as
-    shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A); C is implied."""
-    neg_binv = ffcore.mat_neg(mat_inv_modp(bb, p), mod=p)
-    s1 = mat_mul(d, neg_binv, mod=p)
-    s2 = mat_mul(neg_binv, a, mod=p)
-    word: list[SpFactor] = []
-    if any(any(row) for row in s1):
-        word.append(SpFactor("shear", s1))
-    if bb != ffcore.identity_mat(len(bb)):
-        word.append(SpFactor("dilate", bb))
-    word.append(SpFactor("fourier"))
-    if any(any(row) for row in s2):
-        word.append(SpFactor("shear", s2))
-    return word
-
-
-def _upper_shear_word(s_block: Mat) -> list[SpFactor]:
-    """U(S) = [[I, S], [0, I]] = fourier shear(S) fourier^3."""
-    return [SpFactor("fourier"), SpFactor("shear", s_block),
-            SpFactor("fourier"), SpFactor("fourier"), SpFactor("fourier")]
-
-
-def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
-    """Word over {shear, dilate, fourier} multiplying to b in Sp(2n, F_p).
-
-    With b = [[A, Bb], [C, D]] in n x n blocks:
-
-    * Bb invertible: shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A);
-    * Bb = 0: dilate(A) shear(-A^T C);
-    * otherwise b = (b U(S)) U(-S) with U(S) = [[I, S], [0, I]], where S is
-      the first diagonal 0/1 matrix (bit j of 1, 2, ..., 2^n - 1 on diagonal
-      entry j) for which the upper-right block Bb + A S of b U(S) is
-      invertible.  One exists: by Arnold's lemma the Lagrangian row space of
-      [A | Bb] is transverse to some coordinate Lagrangian, so some choice of
-      columns from A and Bb is invertible, and det(Bb + A S) is the sum of
-      the column choices inside the support of S (Moebius inversion over the
-      2^n choices of S).
-
-    Identity dilations and zero shears are left out, so at n = 1 the word is
-    the familiar SL2 one: no Fourier factor when the upper-right entry
-    vanishes, at most four factors otherwise.
-    """
-    p, n = pm.p, pm.n
-    key = mat_mod(mat(b), p)
-    if not ffcore.is_symplectic(key, p=p):
-        raise ValueError("matrix is not symplectic mod p")
-    a, bb, c, d = _blocks(key, n)
-    if ffcore.mat_det(bb) % p:
-        word = _bruhat_word(a, bb, d, p)
-    elif not any(any(row) for row in bb):
-        word = [SpFactor("dilate", a)] if a != ffcore.identity_mat(n) else []
-        s = ffcore.mat_neg(mat_mul(ffcore.mat_transpose(a), c), mod=p)
-        if any(any(row) for row in s):
-            word.append(SpFactor("shear", s))
-    else:
-        for mask in range(1, 2 ** n):
-            s = tuple(tuple((mask >> i) & 1 if i == j else 0 for j in range(n))
-                      for i in range(n))
-            bu = mat_mul(key, word_matrix(_upper_shear_word(s), pm), mod=p)
-            a2, bb2, _, d2 = _blocks(bu, n)
-            if ffcore.mat_det(bb2) % p:
-                word = _bruhat_word(a2, bb2, d2, p) \
-                    + _upper_shear_word(ffcore.mat_neg(s, mod=p))
-                break
-        else:
-            raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {key}")
-    assert word_matrix(word, pm) == key
-    return word
-
-
-# ---------------------------------------------------------------------------
 # the linearized representation
 
 
@@ -232,8 +144,9 @@ class WeilRep:
     """Cache of unitary operators B -> rho(B) with the solved normalization.
 
     Entries are tagged by how they were produced: "bruhat-word" for operators
-    built along sp_word, "generator-formula" for the generators seeded by
-    linearize.  Every entry is validated against the Egorov identity.
+    built along the closed-form route (build_many), "generator-formula" for
+    the generators seeded by linearize.  Every entry is validated against
+    the Egorov identity.
     """
 
     pm: PrimeModulus
@@ -241,6 +154,7 @@ class WeilRep:
     egorov_tol: float
     cache: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
+    upper_shears: dict = field(default_factory=dict, init=False, repr=False)
 
     def op(self, b: Mat) -> np.ndarray:
         key = mat_mod(mat(b), self.pm.p)
@@ -251,8 +165,43 @@ class WeilRep:
         return dense
 
     def build(self, b: Mat) -> np.ndarray:
-        """rho(B) along sp_word(B), the route op takes, without caching it."""
-        return word_operator(sp_word(b, self.pm), self.pm, self.gamma)
+        """rho(B) along the closed-form route, the one op takes, uncached."""
+        return next(self.build_many([b]))
+
+    def build_many(self, bs, deadline: float | None = None):
+        """Yield rho(B) for every B of bs, in order; nothing is cached.
+
+        bs may be any iterable of 2n x 2n integer matrices; it is read
+        chunk_length(pm) elements at a time, and each chunk is built in
+        exact int64 arithmetic and numpy (see the module docs).  A yielded
+        operator is a view into its chunk's stack.  Raises ValueError for a
+        non-symplectic element, ConstructionError when a factorization
+        fails its re-verification, and BudgetExceeded when `deadline`, a
+        `time.perf_counter()` value, has passed before a chunk.
+        """
+        elements = iter(bs)
+        while chunk := list(islice(elements, chunk_length(self.pm))):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise BudgetExceeded("deadline passed inside the operator stream")
+            yield from _closed_form_chunk(self, chunk)
+
+    @cached_property
+    def fourier(self) -> np.ndarray:
+        """rho(fourier) = gamma p^{-n/2} [psi(x.y)], the kernel every operator
+        gathers its rows from (read-only)."""
+        out = fourier_op(self.pm, self.gamma)
+        out.setflags(write=False)
+        return out
+
+    def upper_shear(self, mask: int) -> np.ndarray:
+        """rho(U(-S)) = rho(fourier) rho(shear(-S)) rho(fourier)^3 for the
+        diagonal 0/1 matrix S with bits `mask`, built once per rep."""
+        if mask not in self.upper_shears:
+            quad = (index_vectors(self.pm) ** 2 * _mask_bits(self.pm.n)[mask]).sum(axis=1)
+            phase = root_table(self.pm.p)[-self.pm.nu * quad % self.pm.p]
+            f = self.fourier
+            self.upper_shears[mask] = (f * phase[None, :]) @ f @ f @ f
+        return self.upper_shears[mask]
 
     def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
         key = mat_mod(mat(b), self.pm.p)
@@ -263,18 +212,98 @@ class WeilRep:
         self.tags[key] = tag
 
 
+@lru_cache(maxsize=None)
+def _mask_bits(n: int) -> np.ndarray:
+    """Row m holds the diagonal of S for mask m: bit j on entry j."""
+    out = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _legendre_signs(p: int) -> np.ndarray:
+    out = np.array([float(legendre(x, p)) for x in range(p)])
+    out.setflags(write=False)
+    return out
+
+
+def _closed_form_chunk(rep: WeilRep, chunk: list) -> np.ndarray:
+    """(k, p^n, p^n) stack of rho(B) for the k elements of chunk (module docs)."""
+    pm = rep.pm
+    p, n = pm.p, pm.n
+    b = np.array(chunk, dtype=np.int64) % p
+    if b.shape[1:] != (2 * n, 2 * n):
+        raise ValueError(f"expected {2 * n} x {2 * n} matrices")
+    j = np.array(ffcore.standard_j(n), dtype=np.int64)
+    if ((b.transpose(0, 2, 1) @ j @ b - j) % p).any(axis=(1, 2)).any():
+        raise ValueError("matrix is not symplectic mod p")
+    a, bb, c, d = b[:, :n, :n], b[:, :n, n:], b[:, n:, :n], b[:, n:, n:]
+
+    # M = Bb + A S for every mask at once (column j of A scaled by bit j)
+    bits = _mask_bits(n)
+    det, inv = ffcore.gauss_jordan_modp(bb[:, None] + a[:, None] * bits[None, :, None, :], p)
+    unit = det != 0
+    if not unit.any(axis=1).all():
+        bad = b[np.argmin(unit.any(axis=1))]
+        raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {bad.tolist()}")
+    every = np.arange(len(b))
+    mask = unit.argmax(axis=1)                      # the first invertible one
+    s = bits[mask]                                  # (k, n) diagonals of S
+    m = (bb + a * s[:, None, :]) % p
+    m_inv = inv[every, mask]
+    s1 = -((c * s[:, None, :] + d) @ m_inv) % p
+    s2 = -(m_inv @ a) % p
+
+    # exact re-verification: shear(s1) dilate(M) fourier shear(s2) U(-S) = B
+    x_blk = -(m @ s2) % p
+    z_blk = ((s1 @ m % p) @ s2 - m_inv.transpose(0, 2, 1)) % p
+    w_blk = -(s1 @ m) % p
+    rebuilt = np.concatenate(
+        [np.concatenate([x_blk, m - x_blk * s[:, None, :]], axis=2),
+         np.concatenate([z_blk, w_blk - z_blk * s[:, None, :]], axis=2)], axis=1) % p
+    symmetric = (s1 == s1.transpose(0, 2, 1)).all() and (s2 == s2.transpose(0, 2, 1)).all()
+    if not symmetric or (rebuilt != b).any():
+        raise ConstructionError("closed-form factorization does not reproduce its element")
+
+    # rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y)
+    pts = index_vectors(pm)
+    roots = root_table(p)
+    src = ((pts @ m_inv.transpose(0, 2, 1)) % p) @ (p ** np.arange(n))
+    q1 = ((pts @ s1) * pts).sum(axis=2)
+    q2 = ((pts @ s2) * pts).sum(axis=2)
+    row = _legendre_signs(p)[det[every, mask]][:, None] * roots[pm.nu * q1 % p]
+    out = rep.fourier[src]
+    out *= row[:, :, None]
+    out *= roots[pm.nu * q2 % p][:, None, :]
+    for i in np.nonzero(mask)[0]:
+        out[i] = out[i] @ rep.upper_shear(int(mask[i]))
+    return out
+
+
 def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus,
                      xis=None) -> float:
-    """max | rho(B) T(xi) - T(B xi) rho(B) | over a spanning set of xi."""
+    """max | rho(B) T(xi) - T(B xi) rho(B) | over xi in xis, or over the unit
+    vectors when xis is None.
+
+    Every xi at once from integer (src, expo) arrays: with T(xi) f(x) =
+    psi(e[x]) f(s[x]) and T(B xi) f(x) = psi(e'[x]) f(s'[x]), entry
+    (r, s[i]) of the two sides is rho[r, i] psi(e[i]) and
+    psi(e'[r]) rho[s'[r], s[i]].  Compared in chunks of chunk_length(pm) xi.
+    """
     p, n = pm.p, pm.n
-    if xis is None:
-        xis = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(2 * n)]
+    xis = np.eye(2 * n, dtype=np.int64) if xis is None else np.asarray(xis, dtype=np.int64)
+    src, expo = pi_exponents_many(xis, pm)
+    bsrc, bexpo = pi_exponents_many(xis @ (np.array(b, dtype=np.int64) % p).T, pm)
+    roots = root_table(p)
     dev = 0.0
-    for xi in xis:
-        bxi = ffcore.mat_vec(mat(b), tuple(int(c) for c in xi), mod=p)
-        lhs = pi_op(xi, pm).apply_right(dense)          # rho(B) @ T(xi)
-        rhs = pi_op(bxi, pm).apply_left(dense)          # T(B xi) @ rho(B)
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
+    step = chunk_length(pm)
+    for lo in range(0, len(xis), step):
+        part = slice(lo, lo + step)
+        lhs = dense[None, :, :] * roots[expo[part]][:, None, :]
+        rhs = dense[bsrc[part][:, :, None], src[part][:, None, :]]
+        np.multiply(roots[bexpo[part]][:, :, None], rhs, out=rhs)
+        lhs -= rhs
+        dev = max(dev, float(np.abs(lhs).max()))
     return dev
 
 
@@ -306,7 +335,7 @@ def linearize(pm: PrimeModulus, egorov_tol: float | None = None) -> WeilRep:
     gamma = solve_gamma(pm)
     rep = WeilRep(pm, gamma, egorov_tol)
     # seed the cache with the generators themselves
-    rep.insert_generator(fourier_matrix(pm), fourier_op(pm, gamma), "generator-formula")
+    rep.insert_generator(fourier_matrix(pm), rep.fourier, "generator-formula")
     rep.insert_generator(shear_matrix(ffcore.identity_mat(pm.n), pm),
                          shear_op(ffcore.identity_mat(pm.n), pm).dense(),
                          "generator-formula")
@@ -337,13 +366,12 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Ma
     The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form.  S1
     and S2 are uniform symmetric, and M = L U with L unit lower triangular and
     U upper triangular with a nonzero diagonal, so every leading minor of M
-    is a unit and Gauss-Jordan elimination inverts it without pivoting.  The
-    samples therefore cover only the big Bruhat cell (an invertible
-    upper-right block M), and at n >= 2 only its LU-factorable M: every one
-    takes sp_word's invertible-Bb branch.  Products of samples reach the
-    Bb = 0 and singular-nonzero-Bb branches.  All
-    entries come from one rng.integers call, and the arithmetic is exact
-    int64 over the whole batch (every intermediate stays below n p^2).
+    is a unit.  The samples therefore cover only the big Bruhat cell (an
+    invertible upper-right block M), and at n >= 2 only its LU-factorable M:
+    every one has S = 0 in build_many.  Products of samples reach Bb = 0 and
+    singular nonzero Bb.  All entries come from one rng.integers call, and
+    the arithmetic is exact int64 over the whole batch (every intermediate
+    stays below n p^2, M^-1 from `ffcore.gauss_jordan_modp`).
     """
     p, n = pm.p, pm.n
     iu, ju = np.triu_indices(n)
@@ -361,14 +389,7 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Ma
     u[:, iu, ju] = draws[:, 2 * k:3 * k]
     lo[:, il, jl] = draws[:, 3 * k:]
     m = lo @ u % p
-    inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    aug = np.concatenate([m, np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)], axis=2)
-    for c in range(n):
-        aug[:, c] = aug[:, c] * inverse[aug[:, c, c]][:, None] % p
-        for r in range(n):
-            if r != c:
-                aug[:, r] = (aug[:, r] - aug[:, r, c, None] * aug[:, c]) % p
-    m_inv_t = aug[:, :, n:].transpose(0, 2, 1)
+    m_inv_t = ffcore.gauss_jordan_modp(m, p)[1].transpose(0, 2, 1)
     ms2 = m @ s2 % p
     out = np.concatenate([np.concatenate([-ms2, m], axis=2),
                           np.concatenate([s1 @ ms2 - m_inv_t, -(s1 @ m)], axis=2)],
@@ -384,39 +405,46 @@ class MultiplicativityReport:
 
 
 def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
-                           tol: float = 1e-8) -> MultiplicativityReport:
+                           tol: float = 1e-8,
+                           deadline: float | None = None) -> MultiplicativityReport:
     """rho(B1) rho(B2) = rho(B1 B2) for every pair (B1, B2) in pairs, or for
     every pair of Sp(2n, F_p) when pairs is None.
 
-    Every operator comes from rep.build, outside rep.cache; the exhaustive
-    mode holds the |Sp(2n, F_p)| operators of the group until it returns.
+    Every operator comes from rep.build_many, outside rep.cache.  Pairs
+    stream through it as triples B1, B2, B1 B2, each dropped once compared;
+    the exhaustive mode holds the |Sp(2n, F_p)| operators of the group until
+    it returns.  `deadline` is passed to build_many.
     """
-    pm = rep.pm
-    rho = rep.build
+    p = rep.pm.p
     if pairs is None:
-        group = sp_elements(pm)
-        rho = {b: rep.build(b) for b in group}.__getitem__
-        pairs = list(product(group, repeat=2))
+        group = sp_elements(rep.pm)
+        rho = dict(zip(group, rep.build_many(group, deadline)))
+        triples = ((rho[b1], rho[b2], rho[mat_mul(b1, b2, mod=p)])
+                   for b1, b2 in product(group, repeat=2))
+        count = len(group) ** 2
+    else:
+        ops = rep.build_many((b for b1, b2 in pairs
+                              for b in (b1, b2, mat_mul(b1, b2, mod=p))), deadline)
+        triples = zip(ops, ops, ops)
+        count = len(pairs)
     max_dev = 0.0
-    for b1, b2 in pairs:
-        prod = mat_mul(b1, b2, mod=pm.p)
-        max_dev = max(max_dev, float(np.abs(rho(b1) @ rho(b2) - rho(prod)).max()))
-    return MultiplicativityReport(len(pairs), max_dev, max_dev <= tol)
+    for r1, r2, r12 in triples:
+        max_dev = max(max_dev, float(np.abs(r1 @ r2 - r12).max()))
+    return MultiplicativityReport(count, max_dev, max_dev <= tol)
 
 
 def _power_products(ops: list, orders: tuple, acc: np.ndarray):
-    """(e, acc prod_i ops_i^e_i) for every e with 0 <= e_i < orders_i, in
-    lexicographic order, one matmul per yielded product."""
+    """acc prod_i ops_i^e_i for every e with 0 <= e_i < orders_i, in
+    lexicographic order of e, one matmul per yielded product."""
     if not ops:
-        yield (), acc
+        yield acc
         return
-    for e in range(orders[0]):
-        for rest, prod in _power_products(ops[1:], orders[1:], acc):
-            yield (e,) + rest, prod
+    for _ in range(orders[0]):
+        yield from _power_products(ops[1:], orders[1:], acc)
         acc = acc @ ops[0]
 
 
-def certify_torus(rep: WeilRep, torus) -> float:
+def certify_torus(rep: WeilRep, torus, deadline: float | None = None) -> float:
     """Max deviation of the certificate that rho restricted to a Hecke torus T
     is a representation, in O(|T|) products.
 
@@ -426,7 +454,8 @@ def certify_torus(rep: WeilRep, torus) -> float:
     |T|^2 pair identities rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod
     m_i, so rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).
     The R_i are rep.op entries, the operators the eigenspace decomposition
-    reads; every other rho(B) comes from rep.build and is dropped.
+    reads; every other rho(B) streams from rep.build_many (which reads
+    `deadline`) and is dropped.
     """
     gens = [rep.op(g) for g, _ in torus.generators]
     ident = np.eye(rep.pm.dim)
@@ -436,8 +465,10 @@ def certify_torus(rep: WeilRep, torus) -> float:
         for s in gens[:i]:
             dev = max(dev, float(np.abs(r @ s - s @ r).max()))
     element = {exps: b for b, exps in torus.dlog.items()}
-    for exps, prod in _power_products(gens, torus.gen_orders, ident):
-        dev = max(dev, float(np.abs(prod - rep.build(element[exps])).max()))
+    ops = rep.build_many((element[e] for e in product(*map(range, torus.gen_orders))),
+                         deadline)
+    for prod, dense in zip(_power_products(gens, torus.gen_orders, ident), ops):
+        dev = max(dev, float(np.abs(prod - dense).max()))
     return dev
 
 

@@ -15,7 +15,12 @@ Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`).
 
 Operators fixed another way: Schur-averaged intertwiners, up to a phase
 (`schur_intertwiner`), and rho with its torus entries twisted by a
-character (`linearize_on_torus`).  Exact symmetries of the trace function
+character (`linearize_on_torus`).  Operators built one element at a time
+along a word over the generators (`sp_word`, `word_operator`), which
+`WeilRep.build_many` replaces by one closed-form kernel per element, and the
+Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
+cyclic orbit average of the demo, one vector and one `pi_op` per power at a
+time (`cyclic_average_loop`).  Exact symmetries of the trace function
 (`check_invariance`, `hermitian_symmetry_dev`).
 """
 
@@ -27,14 +32,16 @@ from math import lcm
 import numpy as np
 
 from torusque import ffcore, hecke
-from torusque.ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
+from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod,
+                             mat_mul)
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
 from torusque.heisenberg import lattice_vectors, pi_op
 from torusque.quevaluator import (SplitTransport, _trace_column, _trace_kernel,
                                   split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
-                           linearize)
+                           dilate_op, fourier_matrix, fourier_op, linearize,
+                           shear_matrix, shear_op)
 
 
 def is_palindromic(f) -> bool:
@@ -406,3 +413,166 @@ def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
             continue
         acc += split_trace_formula(lam, mu, a, pm, sign) * chi_val
     return complex(acc)
+
+
+# ---------------------------------------------------------------------------
+# rho(B) along a word over the generators, one element at a time
+
+
+def mat_neg(a: Mat, mod: int | None = None) -> Mat:
+    return tuple(tuple((-x) % mod if mod is not None else -x for x in r) for r in a)
+
+
+def dilate_matrix(m_block: Mat, pm: PrimeModulus) -> Mat:
+    p, n = pm.p, pm.n
+    inv_t = ffcore.mat_transpose(mat_inv_modp(m_block, p))
+    rows = []
+    for i in range(n):
+        rows.append(tuple(m_block[i][j] % p for j in range(n)) + (0,) * n)
+    for i in range(n):
+        rows.append((0,) * n + tuple(inv_t[i][j] % p for j in range(n)))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class SpFactor:
+    kind: str  # "shear" | "dilate" | "fourier"
+    block: Mat | None = None
+
+
+def word_matrix(word: list[SpFactor], pm: PrimeModulus) -> Mat:
+    out = ffcore.identity_mat(2 * pm.n)
+    for f in word:
+        if f.kind == "shear":
+            g = shear_matrix(f.block, pm)
+        elif f.kind == "dilate":
+            g = dilate_matrix(f.block, pm)
+        else:
+            g = fourier_matrix(pm)
+        out = mat_mul(out, g, mod=pm.p)
+    return out
+
+
+def word_operator(word: list[SpFactor], pm: PrimeModulus, gamma: complex) -> np.ndarray:
+    out = np.eye(pm.dim, dtype=complex)
+    f_op = None
+    for f in word:
+        if f.kind == "shear":
+            out = shear_op(f.block, pm).apply_right(out)
+        elif f.kind == "dilate":
+            out = dilate_op(f.block, pm).apply_right(out)
+        else:
+            if f_op is None:
+                f_op = fourier_op(pm, gamma)
+            out = out @ f_op
+    return out
+
+
+def sp_blocks(b: Mat, n: int) -> tuple[Mat, Mat, Mat, Mat]:
+    """The n x n blocks (A, Bb, C, D) of b = [[A, Bb], [C, D]]."""
+    top, bottom = b[:n], b[n:]
+    return (tuple(r[:n] for r in top), tuple(r[n:] for r in top),
+            tuple(r[:n] for r in bottom), tuple(r[n:] for r in bottom))
+
+
+def _bruhat_word(a: Mat, bb: Mat, d: Mat, p: int) -> list[SpFactor]:
+    """[[A, Bb], [C, D]] with Bb invertible mod p, as
+    shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A); C is implied."""
+    neg_binv = mat_neg(mat_inv_modp(bb, p), mod=p)
+    s1 = mat_mul(d, neg_binv, mod=p)
+    s2 = mat_mul(neg_binv, a, mod=p)
+    word: list[SpFactor] = []
+    if any(any(row) for row in s1):
+        word.append(SpFactor("shear", s1))
+    if bb != ffcore.identity_mat(len(bb)):
+        word.append(SpFactor("dilate", bb))
+    word.append(SpFactor("fourier"))
+    if any(any(row) for row in s2):
+        word.append(SpFactor("shear", s2))
+    return word
+
+
+def _upper_shear_word(s_block: Mat) -> list[SpFactor]:
+    """U(S) = [[I, S], [0, I]] = fourier shear(S) fourier^3."""
+    return [SpFactor("fourier"), SpFactor("shear", s_block),
+            SpFactor("fourier"), SpFactor("fourier"), SpFactor("fourier")]
+
+
+def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
+    """Word over {shear, dilate, fourier} multiplying to b in Sp(2n, F_p).
+
+    With b = [[A, Bb], [C, D]] in n x n blocks:
+
+    * Bb invertible: shear(-D Bb^-1) dilate(Bb) fourier shear(-Bb^-1 A);
+    * Bb = 0: dilate(A) shear(-A^T C);
+    * otherwise b = (b U(S)) U(-S) with U(S) = [[I, S], [0, I]], where S is
+      the first diagonal 0/1 matrix (bit j of 1, 2, ..., 2^n - 1 on diagonal
+      entry j) for which the upper-right block Bb + A S of b U(S) is
+      invertible.  One exists: by Arnold's lemma the Lagrangian row space of
+      [A | Bb] is transverse to some coordinate Lagrangian, so some choice of
+      columns from A and Bb is invertible, and det(Bb + A S) is the sum of
+      the column choices inside the support of S (Moebius inversion over the
+      2^n choices of S).
+
+    Identity dilations and zero shears are left out, so at n = 1 the word is
+    the familiar SL2 one: no Fourier factor when the upper-right entry
+    vanishes, at most four factors otherwise.
+    """
+    p, n = pm.p, pm.n
+    key = mat_mod(mat(b), p)
+    if not ffcore.is_symplectic(key, p=p):
+        raise ValueError("matrix is not symplectic mod p")
+    a, bb, c, d = sp_blocks(key, n)
+    if ffcore.mat_det(bb) % p:
+        word = _bruhat_word(a, bb, d, p)
+    elif not any(any(row) for row in bb):
+        word = [SpFactor("dilate", a)] if a != ffcore.identity_mat(n) else []
+        s = mat_neg(mat_mul(ffcore.mat_transpose(a), c), mod=p)
+        if any(any(row) for row in s):
+            word.append(SpFactor("shear", s))
+    else:
+        for mask in range(1, 2 ** n):
+            s = tuple(tuple((mask >> i) & 1 if i == j else 0 for j in range(n))
+                      for i in range(n))
+            bu = mat_mul(key, word_matrix(_upper_shear_word(s), pm), mod=p)
+            a2, bb2, _, d2 = sp_blocks(bu, n)
+            if ffcore.mat_det(bb2) % p:
+                word = _bruhat_word(a2, bb2, d2, p) \
+                    + _upper_shear_word(mat_neg(s, mod=p))
+                break
+        else:
+            raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {key}")
+    assert word_matrix(word, pm) == key
+    return word
+
+
+def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
+                          xis=None) -> float:
+    """max | rho(B) T(xi) - T(B xi) rho(B) | over a spanning set of xi, one
+    pair of `pi_op` operators per xi (`weil.egorov_deviation` does every xi
+    at once)."""
+    p, n = pm.p, pm.n
+    if xis is None:
+        xis = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(2 * n)]
+    dev = 0.0
+    for xi in xis:
+        bxi = ffcore.mat_vec(mat(b), tuple(int(c) for c in xi), mod=p)
+        lhs = pi_op(xi, pm).apply_right(dense)          # rho(B) @ T(xi)
+        rhs = pi_op(bxi, pm).apply_left(dense)          # T(B xi) @ rho(B)
+        dev = max(dev, float(np.abs(lhs - rhs).max()))
+    return dev
+
+
+def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
+                        pm: PrimeModulus) -> complex:
+    """(1/r) sum_{k=1..r} <v|T(A^k xi)|v>, r = order, one vector, one matrix
+    power and one `pi_op` at a time (`quevaluator.orbit_averages` takes the
+    orbit once and every vector together)."""
+    p = pm.p
+    acc = 0.0 + 0.0j
+    power = ffcore.identity_mat(2 * pm.n)
+    for _ in range(order):
+        power = mat_mul(power, a_mod, mod=p)
+        axk = ffcore.mat_vec(power, tuple(int(c) for c in xi), mod=p)
+        acc += np.vdot(v, pi_op(axk, pm).apply_left(v.reshape(-1, 1)).reshape(-1))
+    return complex(acc / order)

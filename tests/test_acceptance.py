@@ -24,9 +24,10 @@ from torusque.classical import birkhoff_many
 from torusque.ffcore import PrimeModulus, odd_primes
 from torusque.heisenberg import check_relations, lattice_vectors
 
-from oracles import (build_trace_table, character_sum_table, diagonal_factor_sum,
-                     factor_coordinates, flatten_xi, linearize_on_torus,
-                     transport_char)
+from oracles import (SpFactor, build_trace_table, character_sum_table,
+                     diagonal_factor_sum, factor_coordinates, flatten_xi,
+                     linearize_on_torus, transport_char, word_matrix,
+                     word_operator)
 
 
 def _line(num, ok, detail):
@@ -84,8 +85,8 @@ def test_criterion_2_egorov(cat_map, sp4_elem, rep_cache):
         gamma = weil.solve_gamma(pm)
         for _ in range(20):
             word = _random_word(pm, rng)
-            b = weil.word_matrix(word, pm)
-            dense = weil.word_operator(word, pm, gamma)
+            b = word_matrix(word, pm)
+            dense = word_operator(word, pm, gamma)
             dev = weil.egorov_deviation(dense, b, pm, xis)
             worst_rel = max(worst_rel, dev / tol)
     ok = worst_rel <= 1.0
@@ -100,17 +101,17 @@ def _random_word(pm, rng):
         if kind == 0:
             s = rng.integers(0, pm.p, size=(pm.n, pm.n))
             s = (s + s.T) % pm.p
-            word.append(weil.SpFactor("shear",
-                                      tuple(tuple(int(x) for x in r) for r in s)))
+            word.append(SpFactor("shear",
+                                 tuple(tuple(int(x) for x in r) for r in s)))
         elif kind == 1:
             while True:
                 m = tuple(tuple(int(x) for x in rng.integers(0, pm.p, pm.n))
                           for _ in range(pm.n))
                 if ffcore.mat_det(m) % pm.p != 0:
                     break
-            word.append(weil.SpFactor("dilate", m))
+            word.append(SpFactor("dilate", m))
         else:
-            word.append(weil.SpFactor("fourier"))
+            word.append(SpFactor("fourier"))
     return word
 
 

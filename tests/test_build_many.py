@@ -1,0 +1,161 @@
+"""The batched closed-form route to rho(B) against the word oracle.
+
+`WeilRep.build_many` forms each rho(B) from one closed-form kernel;
+`oracles.sp_word` and `oracles.word_operator` multiply the generator
+operators along a word, one element at a time.  The batched Egorov
+deviation is held to the per-xi loop exactly.
+"""
+
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+
+from torusque import ffcore, weil
+from torusque.ffcore import PrimeModulus, mat_mul
+from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
+
+from oracles import egorov_deviation_loop, sp_word, word_operator
+
+# the trace-formula check's traced peak at n = 1, p = 43 while it cached its
+# 41 operators through rep.op (about 1.4 MB, measured with tracemalloc)
+TRACE_FORMULA_PEAK_BYTES = 1.4e6
+
+
+def _oracle(rep, b):
+    return word_operator(sp_word(b, rep.pm), rep.pm, rep.gamma)
+
+
+def _max_oracle_dev(rep, bs):
+    ops = list(rep.build_many(bs))
+    assert len(ops) == len(bs)
+    return max((float(np.abs(op - _oracle(rep, b)).max()) for b, op in zip(bs, ops)),
+               default=0.0)
+
+
+def _top_right_rank(b, n, p):
+    """Rank of the upper-right n x n block mod p, for n <= 2."""
+    bb = np.array(b, dtype=np.int64)[:n, n:] % p
+    det, _ = ffcore.gauss_jordan_modp(bb, p)
+    return n if det else int(bb.any())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_build_many_equals_word_oracle_on_sl2(p, rep_cache):
+    assert _max_oracle_dev(rep_cache(p), weil.sp_elements(PrimeModulus(p, 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [11, 43])
+def test_build_many_equals_word_oracle_on_sampled_products(p, rep_cache):
+    # products of big-cell samples also reach b = 0, the S != 0 kernel
+    pm = PrimeModulus(p, 1)
+    draws = random_sp(pm, np.random.default_rng(p), 600)
+    prods = [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[::2], draws[1::2])]
+    assert {_top_right_rank(b, 1, p) for b in prods} == {0, 1}
+    assert _max_oracle_dev(rep_cache(p), prods) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_build_many_equals_word_oracle_at_n2(p):
+    pm = PrimeModulus(p, 2)
+    draws = random_sp(pm, np.random.default_rng(100 + p), 60)
+    prods = [mat_mul(b1, b2, mod=p) for b1, b2 in product(draws[:30], draws[30:])]
+    assert {_top_right_rank(b, 2, p) for b in prods} == {0, 1, 2}
+    assert _max_oracle_dev(linearize(pm), prods) <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_chunk_boundaries_keep_input_order(extra, rep_cache):
+    pm = PrimeModulus(43, 1)
+    rep = rep_cache(43)
+    size = weil.chunk_length(pm)
+    assert size > 1
+    bs = random_sp(pm, np.random.default_rng(size + extra), size + extra)
+    assert _max_oracle_dev(rep, bs) <= 1e-12
+    assert list(rep.build_many([])) == []
+    assert _max_oracle_dev(rep, bs[:1]) <= 1e-12
+
+
+def test_non_symplectic_element_mid_batch_raises(rep_cache):
+    pm = PrimeModulus(43, 1)
+    rep = rep_cache(43)
+    good = random_sp(pm, np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match="not symplectic"):
+        list(rep.build_many([good[0], ((1, 1), (1, 1)), good[1], good[2]]))
+
+
+def test_factorization_is_reverified(rep_cache, monkeypatch):
+    # a wrong inverse gives shears that do not rebuild the element
+    rep = rep_cache(7)
+    real = ffcore.gauss_jordan_modp
+
+    def wrong_inverse(m, p):
+        det, inv = real(m, p)
+        return det, (inv + 1) % p
+
+    monkeypatch.setattr(ffcore, "gauss_jordan_modp", wrong_inverse)
+    with pytest.raises(ConstructionError, match="does not reproduce"):
+        rep.build(((2, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5)])
+def test_batched_egorov_equals_per_xi_loop(n, p):
+    pm = PrimeModulus(p, n)
+    rep = linearize(pm)
+    rng = np.random.default_rng(7)
+    # at p = 43 and at n = 2 the xi span three chunks
+    xis = [tuple(int(x) for x in rng.integers(0, p, 2 * n))
+           for _ in range(min(60, 2 * weil.chunk_length(pm) + 1))]
+    draws = random_sp(pm, rng, 20)
+    bs = draws[:10] + [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[:10], draws[10:])]
+    for b, dense in zip(bs, rep.build_many(bs)):
+        assert weil.egorov_deviation(dense, b, pm, xis) == \
+            egorov_deviation_loop(dense, b, pm, xis)
+        assert weil.egorov_deviation(dense, b, pm) == egorov_deviation_loop(dense, b, pm)
+    # a wrong operator is caught by both, with the same deviation
+    dense = np.eye(pm.dim, dtype=complex)
+    dev = weil.egorov_deviation(dense, bs[0], pm, xis)
+    assert dev > 0.1 and dev == egorov_deviation_loop(dense, bs[0], pm, xis)
+
+
+def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):
+    with pytest.raises(BudgetExceeded):
+        weil.certify_torus(rep_cache(11), torus_cache(11), deadline=-1.0)
+
+
+def test_streamed_operators_stay_under_the_trace_formula_peak(rep_cache):
+    pm = PrimeModulus(43, 1)
+    rep = rep_cache(43)
+    rng = np.random.default_rng(1)
+    bs = random_sp(pm, rng, 1000)
+    xis = [(1, 0), (0, 1)] + [tuple(int(x) for x in rng.integers(0, 43, 2))
+                              for _ in range(50)]
+    tracemalloc.start()
+    try:
+        worst = 0.0
+        for b, dense in zip(bs, rep.build_many(bs)):
+            worst = max(worst, weil.egorov_deviation(dense, b, pm, xis))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst < 1e-12
+    assert peak <= TRACE_FORMULA_PEAK_BYTES
+
+
+@pytest.mark.parametrize("check", ["egorov", "multiplicativity"])
+def test_identity_checks_stay_under_the_trace_formula_peak(check, cat_map):
+    # one chunk of operators at a time: no stack of every sampled B1, B2 and
+    # B1 B2, and no list of the torus certificate's products
+    from torusque import cli
+    from torusque.quevaluator import PrimeContext
+    ctx = PrimeContext.build(cat_map, PrimeModulus(43, 1))
+    ctx.decomposition
+    tracemalloc.start()
+    try:
+        res = cli._CHECK_RUNNERS[check](ctx, np.random.default_rng(43))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == "pass"
+    assert peak <= TRACE_FORMULA_PEAK_BYTES

@@ -320,3 +320,48 @@ def test_budget_read_inside_the_eigenspace_loop(tmp_path, monkeypatch):
     assert decomposition["status"] == "pass"
     assert bound == dict(skip, name="bound")
     assert refined == dict(skip, name="refined")
+
+
+@pytest.mark.parametrize("check", ["egorov", "multiplicativity"])
+def test_budget_read_between_operator_chunks(check, tmp_path, monkeypatch):
+    # a clock that advances one second per chunk of operators: the deadline
+    # passes after the first chunk, the check becomes a budget skip, and no
+    # second chunk is built
+    import time
+
+    from torusque import weil
+    now = [0.0]
+    chunks = []
+    real_chunk = weil._closed_form_chunk
+
+    def slow_chunk(rep, chunk):
+        if len(chunk) > 1:                  # rep.op of one torus generator
+            now[0] += 1.0
+            chunks.append(len(chunk))
+        return real_chunk(rep, chunk)
+
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(weil, "_closed_form_chunk", slow_chunk)
+    out_json = tmp_path / "budget.json"
+    rc = run_cli(["sweep", "--pmin", "43", "--pmax", "43", "--checks", check,
+                  "--budget-seconds", "0.5", "--out-json", str(out_json)])
+    assert rc == 0
+    (rp,) = json.loads(out_json.read_text())["primes"]
+    assert chunks == [weil.chunk_length(PrimeModulus(43, 1))]
+    (res,) = rp["checks"]
+    assert res == {"name": check, "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
+                   "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
+
+
+def test_sweep_routes_count_only_context_operators(tmp_path, cat_map, torus_cache):
+    # trace-formula, egorov and multiplicativity drop every operator they
+    # build; the context keeps rho of the torus generators
+    out_json = tmp_path / "routes.json"
+    rc = run_cli(["sweep", "--pmin", "7", "--pmax", "13", "--checks",
+                  "trace-formula,egorov,multiplicativity,demo",
+                  "--out-json", str(out_json)])
+    assert rc == 0
+    report = json.loads(out_json.read_text())
+    assert [rp["p"] for rp in report["primes"]] == [7, 11, 13]
+    for rp in report["primes"]:
+        assert rp["routes"]["bruhat-word"] == len(torus_cache(rp["p"]).generators)

@@ -6,7 +6,8 @@ from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import FourierPolynomial
 
 from oracles import (build_trace_table, character_sum, character_sum_table,
-                     check_invariance, diagonal_factor_sum, factor_coordinates,
+                     check_invariance, cyclic_average_loop, diagonal_factor_sum,
+                     factor_coordinates,
                      gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
                      linearize_on_torus, transport_char, transport_xi,
                      unflatten_xi)
@@ -335,6 +336,38 @@ def test_cyclic_vs_hecke_demo_differ(cat_map, rep_cache, torus_cache):
     pure = [r for r in rows if r.label.startswith("chi=")]
     assert pure and all(abs(r.cyclic_avg - r.hecke_avg) < 1e-9 for r in pure)
     assert all(r.hecke_ok for r in rows)
+
+
+@pytest.mark.parametrize("p", [7, 11, 43])
+def test_orbit_averages_equal_per_vector_loop(p, cat_map, rep_cache, torus_cache):
+    # the demo's cyclic column, every vector at once, against one vector and
+    # one pi_op per power at a time (p = 11 has superposition rows); then
+    # random vectors
+    import re
+    from ast import literal_eval
+
+    from torusque.classical import matrix_order_modp
+    pm = PrimeModulus(p, 1)
+    ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
+    rows, meta = q.cyclic_vs_hecke_demo(ctx)
+    a_mod, xi, order = mat_mod(cat_map.matrix, p), (1, 0), meta["cyclic_order"]
+    line = {chi.exps: basis[:, 0] for chi, basis, dim in ctx.decomposition.entries
+            if dim == 1}
+    for r in rows:
+        # "chi=(k,)" or "mix chi=(k1,)+(k2,)"
+        parts = [line[literal_eval(t)] for t in re.findall(r"\([^)]*\)", r.label)]
+        v = parts[0] if len(parts) == 1 else (parts[0] + parts[1]) / np.sqrt(2)
+        assert abs(r.cyclic_avg - cyclic_average_loop(a_mod, xi, order, v, pm)) <= 1e-12
+
+    assert order == matrix_order_modp(cat_map.matrix, p)
+    orbit = [ffcore.mat_vec(a_mod, xi, mod=p)]
+    while len(orbit) < order:
+        orbit.append(ffcore.mat_vec(a_mod, orbit[-1], mod=p))
+    rng = np.random.default_rng(p)
+    vecs = rng.normal(size=(p, 6)) + 1j * rng.normal(size=(p, 6))
+    got = q.orbit_averages(vecs, orbit, pm)
+    for v, val in zip(vecs.T, got):
+        assert abs(val - cyclic_average_loop(a_mod, xi, order, v, pm)) <= 1e-12
 
 
 def test_diagonal_factor_sum_boundary():

@@ -8,12 +8,13 @@ from torusque import ffcore, weil
 from torusque.ffcore import (PrimeModulus, identity_mat, legendre, mat_det, mat_mod,
                              mat_mul)
 from torusque.heisenberg import pi_op
-from torusque.weil import (ConstructionError, SpFactor, dilate_op, fourier_op,
+from torusque.weil import (ConstructionError, dilate_op, fourier_op,
                            egorov_deviation, linearize, random_sp, shear_op,
-                           solve_gamma, sp_elements, sp_word, word_matrix,
-                           word_operator)
+                           solve_gamma, sp_elements)
 
-from oracles import linearize_on_torus, schur_intertwiner, torus_pair_scan
+from oracles import (SpFactor, dilate_matrix, linearize_on_torus, mat_neg,
+                     schur_intertwiner, sp_blocks, sp_word, torus_pair_scan,
+                     word_matrix, word_operator)
 
 
 def test_dilate_identity():
@@ -224,7 +225,7 @@ def test_weilrep_n2_dispatch(sp4_elem):
     assert np.abs(rep.op(b_shear) - shear_op(s, pm).dense()).max() < 1e-12
     assert rep.tags[b_shear] == "bruhat-word"
     m = ((2, 1), (0, 1))
-    b_dil = weil.dilate_matrix(m, pm)
+    b_dil = dilate_matrix(m, pm)
     assert np.abs(rep.op(b_dil) - dilate_op(m, pm).dense()).max() < 1e-12
     assert rep.tags[b_dil] == "bruhat-word"
     b_f = mat_mod(weil.fourier_matrix(pm), 3)
@@ -279,7 +280,7 @@ def test_sp_word_bruhat_cells():
             b = _random_sp(pm, rng)
             rank = _top_right_rank(b, p)
             seen.add(rank)
-            word = weil.sp_word(b, pm)
+            word = sp_word(b, pm)
             assert word_matrix(word, pm) == b
             assert sum(f.kind == "fourier" for f in word) == {0: 0, 1: 5, 2: 1}[rank]
             w = rep.op(b)
@@ -290,7 +291,7 @@ def test_sp_word_bruhat_cells():
 
 def test_sp_word_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        weil.sp_word(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        sp_word(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
                      PrimeModulus(5, 2))
 
 
@@ -422,10 +423,10 @@ def test_random_sp_is_its_bruhat_word(n, p):
     pm = PrimeModulus(p, n)
     for b in random_sp(pm, np.random.default_rng(n * p), 50):
         assert ffcore.is_symplectic(b, p=p)
-        a, m, _, d = weil._blocks(b, n)
+        a, m, _, d = sp_blocks(b, n)
         m_inv = ffcore.mat_inv_modp(m, p)
-        s1 = ffcore.mat_neg(mat_mul(d, m_inv, mod=p), mod=p)
-        s2 = ffcore.mat_neg(mat_mul(m_inv, a, mod=p), mod=p)
+        s1 = mat_neg(mat_mul(d, m_inv, mod=p), mod=p)
+        s2 = mat_neg(mat_mul(m_inv, a, mod=p), mod=p)
         assert s1 == ffcore.mat_transpose(s1) and s2 == ffcore.mat_transpose(s2)
         word = [SpFactor("shear", s1), SpFactor("dilate", m), SpFactor("fourier"),
                 SpFactor("shear", s2)]
