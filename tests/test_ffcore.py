@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from torusque import ffcore
@@ -151,3 +152,23 @@ def test_mat_det_exact():
 
 def test_poly_str():
     assert "x^2" in poly_str((1, -3, 1))
+
+
+def test_gauss_jordan_modp_stack_with_pivoting_and_singular_members():
+    # determinants against cofactor expansion, inverses against the identity;
+    # the stack holds matrices whose leading entry is 0 (a row swap) and
+    # singular ones (det 0)
+    rng = np.random.default_rng(5)
+    for p, d in ((3, 2), (7, 3), (43, 4)):
+        stack = rng.integers(0, p, size=(200, d, d))
+        stack[:20, 0, 0] = 0
+        stack[20:40, 1] = stack[20:40, 0]
+        det, inv = ffcore.gauss_jordan_modp(stack, p)
+        assert det.shape == (200,) and inv.shape == (200, d, d)
+        for m, dt, mi in zip(stack, det, inv):
+            assert dt == ffcore.mat_det(mat(m)) % p
+            if dt:
+                assert ((m @ mi) % p == np.eye(d, dtype=np.int64)).all()
+        assert not det[20:40].any() and det[:20].any()
+    det, inv = ffcore.gauss_jordan_modp(np.zeros((2, 3, 2, 2), dtype=np.int64), 5)
+    assert det.shape == (2, 3) and inv.shape == (2, 3, 2, 2) and not det.any()
