@@ -197,8 +197,8 @@ def _check_relations(ctx, rng):
 
 def _check_egorov(ctx, rng):
     pm, rep = ctx.pm, ctx.rep
-    xis = _spanning_xis(pm, rng, extra=50)
-    tol = 1e-9 * pm.p ** (pm.n / 2)
+    xis = _spanning_xis(pm, rng)
+    tol = weil.egorov_tol(pm)
     worst = 0.0
     witness = []
     # the samples have an invertible upper-right block; a few products of
@@ -226,18 +226,19 @@ SAMPLED_PAIRS = 500
 
 
 def _check_multiplicativity(ctx, rng):
-    """rho is a representation: group pairs, the generator relations, and the
-    torus certificate; no operator but rho of the torus generators is kept."""
+    """rho is a representation: group pairs (with the generator relations as
+    pairs when sampled) and the torus certificate; no operator but rho of the
+    torus generators is kept."""
     pm, rep = ctx.pm, ctx.rep
     pairs = None                                # every pair of the group
     if sp_group_order(pm.p, pm.n) > EXHAUSTIVE_GROUP_ORDER:
         draws = weil.random_sp(pm, rng, 2 * SAMPLED_PAIRS)
-        pairs = list(zip(draws[::2], draws[1::2]))
+        # the exhaustive scan already holds every relation
+        pairs = list(zip(draws[::2], draws[1::2])) + weil.relation_pairs(pm, rng)
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
                                       deadline=ctx.deadline)
-    dev = max(rpt.max_dev, weil.monoid_relation_dev(pm, rng),
-              weil.certify_torus(rep, ctx.torus, ctx.deadline))
+    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.deadline))
     ok = rpt.ok and dev <= 1e-8
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 
@@ -261,8 +262,7 @@ def _check_decomposition(ctx, rng):
 
 
 def _check_bound(ctx, rng):
-    rpt = quevaluator.verify_que_bound(
-        ctx, fixtures=[_real_character_fixture(ctx.pm)])
+    rpt = quevaluator.verify_que_bound(ctx)
     witnesses = [{"xi": v[0], "chi_exps": v[1], "abs_a": v[2], "bound": v[3]}
                  for v in rpt.violations[:8]]
     witnesses.append({"max_ratio_dim1": rpt.max_ratio_dim1,
@@ -339,18 +339,16 @@ _CHECK_RUNNERS = {
 }
 
 
-def _spanning_xis(pm, rng, extra=50):
+# random xi of the egorov check, after the 2n unit vectors
+EGOROV_RANDOM_XIS = 50
+
+
+def _spanning_xis(pm, rng):
     d2 = 2 * pm.n
     xis = [tuple(1 if i == j else 0 for i in range(d2)) for j in range(d2)]
-    for _ in range(extra):
+    for _ in range(EGOROV_RANDOM_XIS):
         xis.append(tuple(int(x) for x in rng.integers(0, pm.p, size=d2)))
     return xis
-
-
-def _real_character_fixture(pm):
-    xi = (1,) + (0,) * (2 * pm.n - 1)
-    neg = tuple((-c) % pm.p for c in xi)
-    return FourierPolynomial({xi: 0.5, neg: 0.5})
 
 
 # ---------------------------------------------------------------------------

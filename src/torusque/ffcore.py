@@ -109,26 +109,6 @@ def mat_vec(a: Mat, v: tuple[int, ...], mod: int | None = None) -> tuple[int, ..
     return tuple(out)
 
 
-def mat_transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
-def mat_det(a: Mat) -> int:
-    """Exact determinant by cofactor expansion (desk-scale sizes)."""
-    d = len(a)
-    if d == 1:
-        return a[0][0]
-    if d == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    det = 0
-    for j in range(d):
-        if a[0][j] == 0:
-            continue
-        minor = tuple(tuple(row[k] for k in range(d) if k != j) for row in a[1:])
-        det += (-1) ** j * a[0][j] * mat_det(minor)
-    return det
-
-
 def mat_inv_modp(a: Mat, p: int) -> Mat:
     """Inverse mod p (`gauss_jordan_modp`); raises if singular."""
     det, inv = gauss_jordan_modp(np.array(mat_mod(a, p), dtype=np.int64), p)

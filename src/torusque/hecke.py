@@ -222,6 +222,9 @@ MIX_COEFFICIENTS = (
     (0.9706 + 0.4854j, 0.8003 + 0.1419j),
 )
 
+# largest || rho(g) v - chi(g) v || accepted for an eigenvector of decompose
+EIGEN_TOL = 1e-8
+
 
 def _mix_row(row: tuple, k: int) -> tuple:
     """The first k coefficients of a row, continued past its end by
@@ -232,7 +235,7 @@ def _mix_row(row: tuple, k: int) -> tuple:
     return tuple(coeffs)
 
 
-def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposition:
+def decompose(torus: HeckeTorus, rep) -> EigenspaceDecomposition:
     """Joint eigenbasis of the torus, from rho of its generators only.
 
     rho(g_i) are commuting unitaries, so the eigenvectors of the Hermitian
@@ -240,7 +243,7 @@ def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposit
     eigenvectors once c separates the occupied characters.  Each vector's
     exponent k_i is its Rayleigh quotient <v|rho(g_i)|v> rounded to the
     nearest m_i-th root of unity, and every vector is certified by
-    || rho(g_i) v - e(k_i/m_i) v || <= tol for every generator.  The basis
+    || rho(g_i) v - e(k_i/m_i) v || <= EIGEN_TOL for every generator.  The basis
     is orthonormal and complete (eigh), so the dims sum to p^n.
     """
     d = torus.pm.dim
@@ -259,11 +262,11 @@ def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposit
             resid = image - vecs * np.exp(2j * np.pi * k / m)
             dev = max(dev, float(np.linalg.norm(resid, axis=0).max()))
             label = label * m + k              # characters() index order
-        if dev <= tol:
+        if dev <= EIGEN_TOL:
             break
         worst = min(worst, dev)
     else:
-        raise RuntimeError(f"eigenvector certificate {worst:.2e} > {tol:.0e} "
+        raise RuntimeError(f"eigenvector certificate {worst:.2e} > {EIGEN_TOL:.0e} "
                            f"under every mixing coefficient row")
     entries = []
     for idx, chi in enumerate(characters(torus)):

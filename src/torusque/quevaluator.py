@@ -57,6 +57,12 @@ from .heisenberg import (FourierPolynomial, index_vectors, lattice_vectors,
 from .hecke import HeckeTorus, TorusCharacter
 from .weil import BudgetExceeded
 
+# relative slack of every bound comparison and of the factorization match
+RTOL = 1e-6
+# the Parseval and xi = 0 identities of the character-sum stream must hold
+# to this (relative) deviation, or the sums are not trusted
+IDENTITY_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # trace function
@@ -390,8 +396,7 @@ class BoundReport:
 
 
 def verify_que_bound(ctx: PrimeContext,
-                     fixtures: list[FourierPolynomial] | None = None,
-                     rtol: float = 1e-6) -> BoundReport:
+                     fixtures: list[FourierPolynomial] | None = None) -> BoundReport:
     """Check |a_chi(xi)| <= 2^n p^{n/2} for xi != 0 mod p, with cross-checks.
 
     Populations are reported separately: the verdict over all characters, the
@@ -399,6 +404,9 @@ def verify_que_bound(ctx: PrimeContext,
     eigenvector derivation of the bound actually covers), and at split primes
     the generic stratum of the order-2 character.  The sums are reduced one
     column at a time; the violation lists are in row-major (xi, chi) order.
+    Raises RuntimeError when the stream breaks the Parseval or the xi = 0
+    identity by more than IDENTITY_TOL: then the sums themselves are wrong,
+    which is not a bound violation.
     """
     pm, torus, chis = ctx.pm, ctx.torus, ctx.chis
     p, n = pm.p, pm.n
@@ -422,7 +430,7 @@ def verify_que_bound(ctx: PrimeContext,
         col_norm2[ci] = (mags ** 2).sum()
         xi0[ci] = col[0]
         chi_total += col
-        ks = np.nonzero(nz > bound + bound * rtol)[0]
+        ks = np.nonzero(nz > bound + bound * RTOL)[0]
         hit_k.append(ks + 1)
         hit_ci.append(np.full(len(ks), ci))
         hit_abs.append(nz[ks])
@@ -452,6 +460,9 @@ def verify_que_bound(ctx: PrimeContext,
         float(np.abs(chi_total - expected_total).max() / unit))
     # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}
     xi0_dev = float(np.abs(xi0 - order * inv_dims).max())
+    if parseval_max_dev > IDENTITY_TOL or xi0_dev / order > IDENTITY_TOL:
+        raise RuntimeError(f"character sums break their identities: Parseval "
+                           f"{parseval_max_dev:.2e}, xi = 0 {xi0_dev / order:.2e}")
 
     order2 = [{"exps": chi.exps, "dim": dims[i], "max_abs_sum": float(col_max[i])}
               for i, chi in enumerate(chis) if chi.order == 2]
@@ -463,7 +474,7 @@ def verify_que_bound(ctx: PrimeContext,
 
     averaged_rows = []
     if fixtures:
-        averaged_rows = _averaged_fixture_checks(fixtures, ctx, rtol)
+        averaged_rows = _averaged_fixture_checks(fixtures, ctx)
 
     return BoundReport(
         p=p, n=n, split_type=torus.split_type, torus_order=order,
@@ -480,7 +491,7 @@ def verify_que_bound(ctx: PrimeContext,
     )
 
 
-def _averaged_fixture_checks(fixtures, ctx: PrimeContext, rtol):
+def _averaged_fixture_checks(fixtures, ctx: PrimeContext):
     """Triangle-inequality bound for trigonometric-polynomial observables.
 
     For each dim-1 Hecke eigenvector v: |<v|Avg(Op_f)|v> - integral(f)| is
@@ -504,8 +515,8 @@ def _averaged_fixture_checks(fixtures, ctx: PrimeContext, rtol):
                     default=0.0)
         rows.append({"fixture": fi, "max_dev": float(worst),
                      "rigorous_bound": rigorous, "nominal_bound": nominal,
-                     "ok_rigorous": worst <= rigorous * (1 + rtol),
-                     "ok_nominal": worst <= nominal * (1 + rtol)})
+                     "ok_rigorous": worst <= rigorous * (1 + RTOL),
+                     "ok_nominal": worst <= nominal * (1 + RTOL)})
     return rows
 
 
@@ -522,7 +533,7 @@ class RefinedReport:
     applicable: bool
 
 
-def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
+def refined_bound(ctx: PrimeContext) -> RefinedReport:
     """Split-prime refinement: m(chi) counts factors whose effective
     multiplicative character (quadratic symbol times transported component)
     is trivial; generic xi must then satisfy |a_chi| <= 2^n p^{(n-m)/2}.
@@ -551,7 +562,7 @@ def refined_bound(ctx: PrimeContext, rtol: float = 1e-6) -> RefinedReport:
         rbound = 2 ** n * p ** ((n - m) / 2)
         gmax = float(mags[generic_mask].max()) if generic_mask.any() else 0.0
         ngmax = float(mags[nongeneric_mask].max()) if nongeneric_mask.any() else 0.0
-        ok = gmax <= rbound * (1 + rtol)
+        ok = gmax <= rbound * (1 + RTOL)
         generic_ok = generic_ok and ok
         max_nongeneric = max(max_nongeneric, ngmax)
         rows.append({"exps": chi.exps, "transported": ks, "effective": eff,
@@ -569,14 +580,13 @@ class FactorizationReport:
     p: int
     pairs_total: int
     generic_pairs: int
-    matched_generic: int         # |lhs - rhs| <= rtol within the generic set
+    matched_generic: int         # |lhs - rhs| <= RTOL within the generic set
     matched_all_reconciled: int  # with a = 1 boundary terms included
     max_rel_err: float
     ok: bool
 
 
-def factorization_check(ctx: PrimeContext,
-                        rtol: float = 1e-6) -> FactorizationReport:
+def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     """a_chi factorizes into n = 1 diagonal-torus sums at fully split primes.
 
     ctx.rep must be the canonical rho (weil.linearize), as PrimeContext.build
@@ -624,9 +634,9 @@ def factorization_check(ctx: PrimeContext,
         rel = np.abs(lhs - rhs) / scale
         rel_oracle = np.abs(lhs - rhs_oracle) / scale
         pairs_total += int(nonzero.sum())
-        matched_all += int((rel[nonzero] <= rtol).sum())
+        matched_all += int((rel[nonzero] <= RTOL).sum())
         generic_pairs += int(generic.sum())
-        matched_generic += int((rel_oracle[generic] <= rtol).sum())
+        matched_generic += int((rel_oracle[generic] <= RTOL).sum())
         max_rel = max(max_rel, float(rel[nonzero].max()))
     ok = (matched_all == pairs_total
           and generic_pairs > 0
@@ -664,8 +674,7 @@ def orbit_averages(vectors: np.ndarray, orbit, pm: PrimeModulus) -> np.ndarray:
     return (vectors.conj() * acc).sum(axis=0) / len(orbit)
 
 
-def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
-                         rtol: float = 1e-6) -> tuple[list[DemoRow], dict]:
+def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     """Tabulate time-average vs torus-average matrix elements per eigenvector.
 
     On a torus eigenvector the two columns agree identically (the matrix
@@ -674,15 +683,14 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
     quantized map: there the time average keeps cross terms that the full
     torus average kills, which is the whole point of the refinement.  Only
     the torus column carries an assertion (the p^{n/2}-scale bound with the
-    exact torus order); the cyclic column is informational.  The time
-    averages run over the orbit A^k xi, k = 1..|<A>|, built once
-    (`orbit_averages`).
+    exact torus order); the cyclic column is informational.  The observable
+    is T(xi) for xi the first unit vector, and the time averages run over
+    the orbit A^k xi, k = 1..|<A>|, built once (`orbit_averages`).
     """
     from .classical import matrix_order_modp
     pm, torus = ctx.pm, ctx.torus
     p, n = pm.p, pm.n
-    if xi is None:
-        xi = (1,) + (0,) * (2 * n - 1)
+    xi = (1,) + (0,) * (2 * n - 1)
     r_ord = matrix_order_modp(ctx.elem.matrix, p)
     a_mod = mat_mod(mat(ctx.elem.matrix), p)
     orbit = [ffcore.mat_vec(a_mod, tuple(int(c) for c in xi), mod=p)]
@@ -720,7 +728,7 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext, xi=None,
     for (chi, v), cyc in zip(dim1, cyclic):
         hk = torus_average(v)
         rows.append(DemoRow(f"chi={chi.exps}", complex(cyc), hk, 0.0,
-                            abs(hk) <= bound * (1 + rtol)))
+                            abs(hk) <= bound * (1 + RTOL)))
     max_column_gap = 0.0
     for (label, v), cyc in zip(mixes, cyclic[len(dim1):]):
         cyc, hk = complex(cyc), torus_average(v)

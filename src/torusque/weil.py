@@ -38,9 +38,11 @@ before its kernel is formed: s1 and s2 must be symmetric, and the integer
 product shear(s1) dilate(M) fourier shear(s2) U(-S) must equal B mod p.
 `WeilRep.build_many` streams any sequence of elements through this route in
 chunks of CHUNK_BYTES of operators; it is the one route to rho(B).  The map
-is certified multiplicative by pair checks (every pair of a small group,
-sampled pairs otherwise), by the defining relations of the generator
-operators, and on a Hecke torus by an O(|T|) certificate (certify_torus).
+is certified multiplicative by pair checks rho(B1) rho(B2) = rho(B1 B2) on
+operators from that route: every pair of a small group, and otherwise
+sampled pairs (random_sp) together with the defining relations of the
+generators written as pairs (relation_pairs); and on a Hecke torus by an
+O(|T|) certificate (certify_torus).  Both samplers share one block draw.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from itertools import islice, product
 import numpy as np
 
 from . import ffcore
-from .ffcore import Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod, mat_mul
-from .heisenberg import PhasedPermutation, index_vectors, pi_exponents_many, root_table
+from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
+from .heisenberg import index_vectors, pi_exponents_many, root_table
 # bound here too, unused: perfbench's tracer test reads weil.pi_op as its
 # example of a function bound in two modules
 from .heisenberg import pi_op  # noqa: F401
@@ -75,6 +77,11 @@ class BudgetExceeded(RuntimeError):
 def chunk_length(pm: PrimeModulus) -> int:
     """How many p^n x p^n complex matrices fit in CHUNK_BYTES (at least one)."""
     return max(1, CHUNK_BYTES // (16 * pm.dim ** 2))
+
+
+def egorov_tol(pm: PrimeModulus) -> float:
+    """Largest Egorov deviation accepted for an operator: 1e-9 p^(n/2)."""
+    return 1e-9 * pm.p ** (pm.n / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -102,32 +109,6 @@ def fourier_matrix(pm: PrimeModulus) -> Mat:
     return tuple(rows)
 
 
-def dilate_op(m_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
-    """f |-> legendre(det M) f(M^-1 x), a signed permutation of the point basis."""
-    p = pm.p
-    det = ffcore.mat_det(m_block) % p
-    if det == 0:
-        raise ValueError("dilation block must be invertible mod p")
-    minv = mat_inv_modp(m_block, p)
-    pts = index_vectors(pm)
-    src = ((pts @ np.array(minv).T) % p) @ (p ** np.arange(pm.n))
-    expo = np.zeros(pm.dim, dtype=np.int64)
-    return PhasedPermutation(pm, src.astype(np.intp), expo, float(legendre(det, p)))
-
-
-def shear_op(s_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
-    """f |-> psi(nu x^T S x) f(x) for symmetric S."""
-    p = pm.p
-    s_block = mat_mod(mat(s_block), p)
-    if s_block != ffcore.mat_transpose(s_block):
-        raise ValueError("shear block must be symmetric")
-    pts = index_vectors(pm)
-    quad = np.einsum("xi,ij,xj->x", pts, np.array(s_block), pts) % p
-    expo = (pm.nu * quad) % p
-    return PhasedPermutation(pm, np.arange(pm.dim, dtype=np.intp),
-                             expo.astype(np.int64))
-
-
 def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
     """gamma * p^{-n/2} [psi(x.y)]_{x,y}, dense."""
     pts = index_vectors(pm)
@@ -146,12 +127,11 @@ class WeilRep:
     Entries are tagged by how they were produced: "bruhat-word" for operators
     built along the closed-form route (build_many), "generator-formula" for
     the generators seeded by linearize.  Every entry is validated against
-    the Egorov identity.
+    the Egorov identity to egorov_tol(pm).
     """
 
     pm: PrimeModulus
     gamma: complex
-    egorov_tol: float
     cache: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
     upper_shears: dict = field(default_factory=dict, init=False, repr=False)
@@ -197,8 +177,7 @@ class WeilRep:
         """rho(U(-S)) = rho(fourier) rho(shear(-S)) rho(fourier)^3 for the
         diagonal 0/1 matrix S with bits `mask`, built once per rep."""
         if mask not in self.upper_shears:
-            quad = (index_vectors(self.pm) ** 2 * _mask_bits(self.pm.n)[mask]).sum(axis=1)
-            phase = root_table(self.pm.p)[-self.pm.nu * quad % self.pm.p]
+            phase = root_table(self.pm.p)[-_diagonal_shear_expo(self.pm, mask) % self.pm.p]
             f = self.fourier
             self.upper_shears[mask] = (f * phase[None, :]) @ f @ f @ f
         return self.upper_shears[mask]
@@ -206,7 +185,7 @@ class WeilRep:
     def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
         key = mat_mod(mat(b), self.pm.p)
         dev = egorov_deviation(dense, key, self.pm)
-        if dev > self.egorov_tol:
+        if dev > egorov_tol(self.pm):
             raise ConstructionError(f"Egorov deviation {dev:.2e} for {tag} entry {key}")
         self.cache[key] = dense
         self.tags[key] = tag
@@ -218,6 +197,13 @@ def _mask_bits(n: int) -> np.ndarray:
     out = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
     out.setflags(write=False)
     return out
+
+
+def _diagonal_shear_expo(pm: PrimeModulus, mask: int) -> np.ndarray:
+    """nu x^T S x mod p for every point x, S the diagonal 0/1 matrix with bits
+    `mask`: rho(shear(S)) is diagonal with entries psi of these."""
+    quad = (index_vectors(pm) ** 2 * _mask_bits(pm.n)[mask]).sum(axis=1)
+    return pm.nu * quad % pm.p
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +296,8 @@ def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus,
 def solve_gamma(pm: PrimeModulus) -> complex:
     """Fix the Fourier normalization from the cube relation (see module docs)."""
     f0 = fourier_op(pm, 1.0)
-    d1 = shear_op(ffcore.identity_mat(pm.n), pm)
-    k = d1.apply_right(f0)          # F @ D_I
+    d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
+    k = f0 * d1[None, :]            # F @ D_I, D_I diagonal
     k3 = k @ k @ k
     off = k3 - np.eye(pm.dim) * k3[0, 0]
     if np.abs(off).max() > 1e-8 * abs(k3[0, 0]):
@@ -328,16 +314,13 @@ def solve_gamma(pm: PrimeModulus) -> complex:
     return complex(gamma)
 
 
-def linearize(pm: PrimeModulus, egorov_tol: float | None = None) -> WeilRep:
+def linearize(pm: PrimeModulus) -> WeilRep:
     """Build the representation with all free phases pinned."""
-    if egorov_tol is None:
-        egorov_tol = 1e-9 * pm.p ** (pm.n / 2)
-    gamma = solve_gamma(pm)
-    rep = WeilRep(pm, gamma, egorov_tol)
+    rep = WeilRep(pm, solve_gamma(pm))
     # seed the cache with the generators themselves
     rep.insert_generator(fourier_matrix(pm), rep.fourier, "generator-formula")
-    rep.insert_generator(shear_matrix(ffcore.identity_mat(pm.n), pm),
-                         shear_op(ffcore.identity_mat(pm.n), pm).dense(),
+    d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
+    rep.insert_generator(shear_matrix(ffcore.identity_mat(pm.n), pm), np.diag(d1),
                          "generator-formula")
     return rep
 
@@ -360,18 +343,14 @@ def sp_elements(pm: PrimeModulus) -> list[Mat]:
     return out
 
 
-def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Mat]:
-    """count random elements shear(S1) dilate(M) fourier shear(S2) of Sp(2n, F_p).
+def _random_blocks(pm: PrimeModulus, rng: np.random.Generator, count: int):
+    """count draws of the blocks (S1, S2, M, M^-1), each a (count, n, n) int64
+    stack mod p.
 
-    The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form.  S1
-    and S2 are uniform symmetric, and M = L U with L unit lower triangular and
-    U upper triangular with a nonzero diagonal, so every leading minor of M
-    is a unit.  The samples therefore cover only the big Bruhat cell (an
-    invertible upper-right block M), and at n >= 2 only its LU-factorable M:
-    every one has S = 0 in build_many.  Products of samples reach Bb = 0 and
-    singular nonzero Bb.  All entries come from one rng.integers call, and
-    the arithmetic is exact int64 over the whole batch (every intermediate
-    stays below n p^2, M^-1 from `ffcore.gauss_jordan_modp`).
+    S1 and S2 are uniform symmetric, and M = L U with L unit lower triangular
+    and U upper triangular with a nonzero diagonal, so every leading minor of
+    M is a unit; M^-1 comes from `ffcore.gauss_jordan_modp`.  All entries
+    come from one rng.integers call.
     """
     p, n = pm.p, pm.n
     iu, ju = np.triu_indices(n)
@@ -389,12 +368,72 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Ma
     u[:, iu, ju] = draws[:, 2 * k:3 * k]
     lo[:, il, jl] = draws[:, 3 * k:]
     m = lo @ u % p
-    m_inv_t = ffcore.gauss_jordan_modp(m, p)[1].transpose(0, 2, 1)
-    ms2 = m @ s2 % p
-    out = np.concatenate([np.concatenate([-ms2, m], axis=2),
-                          np.concatenate([s1 @ ms2 - m_inv_t, -(s1 @ m)], axis=2)],
-                         axis=1) % p
+    return s1, s2, m, ffcore.gauss_jordan_modp(m, p)[1]
+
+
+def _assemble(a, bb, c, d, p: int) -> list[Mat]:
+    """[[A, Bb], [C, D]] mod p for every index of the (k, n, n) block stacks."""
+    out = np.concatenate([np.concatenate([a, bb], axis=2),
+                          np.concatenate([c, d], axis=2)], axis=1) % p
     return [tuple(map(tuple, b)) for b in out.tolist()]
+
+
+def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Mat]:
+    """count random elements shear(S1) dilate(M) fourier shear(S2) of Sp(2n, F_p).
+
+    The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form, from
+    one block draw (`_random_blocks`).  The samples therefore cover only the
+    big Bruhat cell (an invertible upper-right block M), and at n >= 2 only
+    its LU-factorable M: every one has S = 0 in build_many.  Products of
+    samples reach Bb = 0 and singular nonzero Bb.  The arithmetic is exact
+    int64 over the whole batch (every intermediate stays below n p^2).
+    """
+    s1, s2, m, m_inv = _random_blocks(pm, rng, count)
+    ms2 = m @ s2 % pm.p
+    return _assemble(-ms2, m, s1 @ ms2 - m_inv.transpose(0, 2, 1), -(s1 @ m), pm.p)
+
+
+# random draws of the shear and dilation relations in relation_pairs
+RELATION_DRAWS = 10
+
+
+def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> list[tuple[Mat, Mat]]:
+    """The defining relations of the generators as pairs (B1, B2) for
+    check_multiplicativity, which checks rho(B1) rho(B2) = rho(B1 B2).
+
+    fourier^4 = I as (F, F) and (F^2, F^2); (F D)^3 = I with D = shear(I) as
+    (F, D), (K, K) and (K^2, K) for K = F D.  On RELATION_DRAWS block draws
+    (`_random_blocks`): shear additivity (shear(S1), shear(S2)), dilation
+    multiplicativity (dilate(M1), dilate(M2)), and
+    dilate(M) shear(S) dilate(M)^-1 = shear(M^-T S M^-1) as
+    (dilate(M1), shear(S1)) and (dilate(M1) shear(S1), dilate(M1^-1)).
+    Shears and dilations have Bb = 0, so every one takes build_many's
+    S = I branch.
+    """
+    p, n = pm.p, pm.n
+    f = fourier_matrix(pm)
+    d = shear_matrix(ffcore.identity_mat(n), pm)
+    f2, k = mat_mul(f, f, mod=p), mat_mul(f, d, mod=p)
+    k2 = mat_mul(k, k, mod=p)
+    pairs = [(f, f), (f2, f2), (f, d), (k, k), (k2, k)]
+
+    s1, s2, m1, m1_inv = _random_blocks(pm, rng, RELATION_DRAWS)
+    _, _, m2, m2_inv = _random_blocks(pm, rng, RELATION_DRAWS)
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), s1.shape)
+    zero = np.zeros_like(s1)
+
+    def shear(s):
+        return _assemble(eye, zero, -s, eye, p)
+
+    def dilate(m, m_inv):
+        return _assemble(m, zero, zero, m_inv.transpose(0, 2, 1), p)
+
+    shear1, dil1, dil1_inv = shear(s1), dilate(m1, m1_inv), dilate(m1_inv, m1)
+    pairs += zip(shear1, shear(s2))
+    pairs += zip(dil1, dilate(m2, m2_inv))
+    pairs += zip(dil1, shear1)
+    pairs += ((mat_mul(a, b, mod=p), c) for a, b, c in zip(dil1, shear1, dil1_inv))
+    return pairs
 
 
 @dataclass
@@ -469,48 +508,4 @@ def certify_torus(rep: WeilRep, torus, deadline: float | None = None) -> float:
                          deadline)
     for prod, dense in zip(_power_products(gens, torus.gen_orders, ident), ops):
         dev = max(dev, float(np.abs(prod - dense).max()))
-    return dev
-
-
-def _random_symmetric(pm: PrimeModulus, rng: np.random.Generator) -> Mat:
-    n, p = pm.n, pm.p
-    s = rng.integers(0, p, size=(n, n))
-    s = (s + s.T) % p
-    return tuple(tuple(int(x) for x in row) for row in s)
-
-
-def _random_invertible(pm: PrimeModulus, rng: np.random.Generator) -> Mat:
-    n, p = pm.n, pm.p
-    while True:
-        m = tuple(tuple(int(x) for x in rng.integers(0, p, size=n)) for _ in range(n))
-        if ffcore.mat_det(m) % p != 0:
-            return m
-
-
-def monoid_relation_dev(pm: PrimeModulus, rng: np.random.Generator) -> float:
-    """Max deviation from the defining relations of the generator operators:
-    fourier^4 = I, (fourier shear(I))^3 = I, and on ten random draws shear and
-    dilate additivity and dilate(M) shear(S) dilate(M)^-1 = shear(M^-T S M^-1)."""
-    p, n = pm.p, pm.n
-    f_op = fourier_op(pm, solve_gamma(pm))
-    ident = np.eye(pm.dim)
-    dev = float(np.abs(np.linalg.matrix_power(f_op, 4) - ident).max())
-    k = f_op @ shear_op(ffcore.identity_mat(n), pm).dense()
-    dev = max(dev, float(np.abs(np.linalg.matrix_power(k, 3) - ident).max()))
-    for _ in range(10):
-        s1, s2 = _random_symmetric(pm, rng), _random_symmetric(pm, rng)
-        m1, m2 = _random_invertible(pm, rng), _random_invertible(pm, rng)
-        lhs = shear_op(s1, pm).dense() @ shear_op(s2, pm).dense()
-        rhs = shear_op(mat_mod(mat([[(s1[i][j] + s2[i][j]) for j in range(n)]
-                                    for i in range(n)]), p), pm).dense()
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
-        lhs = dilate_op(m1, pm).dense() @ dilate_op(m2, pm).dense()
-        rhs = dilate_op(mat_mul(m1, m2, mod=p), pm).dense()
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
-        minv = mat_inv_modp(m1, p)
-        s_conj = mat_mul(mat_mul(ffcore.mat_transpose(minv), s1, mod=p), minv, mod=p)
-        lhs = dilate_op(m1, pm).dense() @ shear_op(s1, pm).dense() \
-            @ dilate_op(minv, pm).dense()
-        rhs = shear_op(s_conj, pm).dense()
-        dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev

@@ -22,6 +22,10 @@ Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
 cyclic orbit average of the demo, one vector and one `pi_op` per power at a
 time (`cyclic_average_loop`).  Exact symmetries of the trace function
 (`check_invariance`, `hermitian_symmetry_dev`).
+
+The generator operators as phased permutations (`shear_op`, `dilate_op`),
+which the closed-form kernel reproduces, and the cofactor determinant and
+transpose of integer matrices (`mat_det`, `mat_transpose`).
 """
 
 from __future__ import annotations
@@ -36,12 +40,11 @@ from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat
                              mat_mul)
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
-from torusque.heisenberg import lattice_vectors, pi_op
+from torusque.heisenberg import PhasedPermutation, index_vectors, lattice_vectors, pi_op
 from torusque.quevaluator import (SplitTransport, _trace_column, _trace_kernel,
                                   split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
-                           dilate_op, fourier_matrix, fourier_op, linearize,
-                           shear_matrix, shear_op)
+                           fourier_matrix, fourier_op, linearize, shear_matrix)
 
 
 def is_palindromic(f) -> bool:
@@ -416,6 +419,56 @@ def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
 
 
 # ---------------------------------------------------------------------------
+# the generator operators, and integer-matrix helpers only oracles use
+
+
+def mat_transpose(a: Mat) -> Mat:
+    return tuple(zip(*a))
+
+
+def mat_det(a: Mat) -> int:
+    """Exact determinant by cofactor expansion (desk-scale sizes)."""
+    d = len(a)
+    if d == 1:
+        return a[0][0]
+    if d == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    det = 0
+    for j in range(d):
+        if a[0][j] == 0:
+            continue
+        minor = tuple(tuple(row[k] for k in range(d) if k != j) for row in a[1:])
+        det += (-1) ** j * a[0][j] * mat_det(minor)
+    return det
+
+
+def dilate_op(m_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
+    """f |-> legendre(det M) f(M^-1 x), a signed permutation of the point basis."""
+    p = pm.p
+    det = mat_det(m_block) % p
+    if det == 0:
+        raise ValueError("dilation block must be invertible mod p")
+    minv = mat_inv_modp(m_block, p)
+    pts = index_vectors(pm)
+    src = ((pts @ np.array(minv).T) % p) @ (p ** np.arange(pm.n))
+    expo = np.zeros(pm.dim, dtype=np.int64)
+    return PhasedPermutation(pm, src.astype(np.intp), expo, float(legendre(det, p)))
+
+
+def shear_op(s_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
+    """f |-> psi(nu x^T S x) f(x) for symmetric S."""
+    p = pm.p
+    s_block = mat_mod(mat(s_block), p)
+    if s_block != mat_transpose(s_block):
+        raise ValueError("shear block must be symmetric")
+    pts = index_vectors(pm)
+    quad = np.einsum("xi,ij,xj->x", pts, np.array(s_block), pts) % p
+    expo = (pm.nu * quad) % p
+    return PhasedPermutation(pm, np.arange(pm.dim, dtype=np.intp),
+                             expo.astype(np.int64))
+
+
+# ---------------------------------------------------------------------------
 # rho(B) along a word over the generators, one element at a time
 
 
@@ -425,7 +478,7 @@ def mat_neg(a: Mat, mod: int | None = None) -> Mat:
 
 def dilate_matrix(m_block: Mat, pm: PrimeModulus) -> Mat:
     p, n = pm.p, pm.n
-    inv_t = ffcore.mat_transpose(mat_inv_modp(m_block, p))
+    inv_t = mat_transpose(mat_inv_modp(m_block, p))
     rows = []
     for i in range(n):
         rows.append(tuple(m_block[i][j] % p for j in range(n)) + (0,) * n)
@@ -523,11 +576,11 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
     if not ffcore.is_symplectic(key, p=p):
         raise ValueError("matrix is not symplectic mod p")
     a, bb, c, d = sp_blocks(key, n)
-    if ffcore.mat_det(bb) % p:
+    if mat_det(bb) % p:
         word = _bruhat_word(a, bb, d, p)
     elif not any(any(row) for row in bb):
         word = [SpFactor("dilate", a)] if a != ffcore.identity_mat(n) else []
-        s = mat_neg(mat_mul(ffcore.mat_transpose(a), c), mod=p)
+        s = mat_neg(mat_mul(mat_transpose(a), c), mod=p)
         if any(any(row) for row in s):
             word.append(SpFactor("shear", s))
     else:
@@ -536,7 +589,7 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
                       for i in range(n))
             bu = mat_mul(key, word_matrix(_upper_shear_word(s), pm), mod=p)
             a2, bb2, _, d2 = sp_blocks(bu, n)
-            if ffcore.mat_det(bb2) % p:
+            if mat_det(bb2) % p:
                 word = _bruhat_word(a2, bb2, d2, p) \
                     + _upper_shear_word(mat_neg(s, mod=p))
                 break

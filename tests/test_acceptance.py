@@ -26,7 +26,7 @@ from torusque.heisenberg import check_relations, lattice_vectors
 
 from oracles import (SpFactor, build_trace_table, character_sum_table,
                      diagonal_factor_sum, factor_coordinates, flatten_xi,
-                     linearize_on_torus, transport_char, word_matrix,
+                     linearize_on_torus, mat_det, transport_char, word_matrix,
                      word_operator)
 
 
@@ -107,7 +107,7 @@ def _random_word(pm, rng):
             while True:
                 m = tuple(tuple(int(x) for x in rng.integers(0, pm.p, pm.n))
                           for _ in range(pm.n))
-                if ffcore.mat_det(m) % pm.p != 0:
+                if mat_det(m) % pm.p != 0:
                     break
             word.append(SpFactor("dilate", m))
         else:

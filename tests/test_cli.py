@@ -238,6 +238,28 @@ def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
             assert len(ctx.rep.cache) == before
 
 
+def test_relation_pairs_join_only_the_sampled_check(cat_map, monkeypatch):
+    # SL2(F_3) is scanned pair by pair, which holds every relation; at p = 7
+    # the relation pairs follow the sampled pairs into one check
+    from torusque import weil
+    seen = []
+    real = weil.check_multiplicativity
+
+    def spy(rep, pairs=None, tol=1e-8, deadline=None):
+        seen.append(pairs)
+        return real(rep, pairs, tol=tol, deadline=deadline)
+
+    monkeypatch.setattr(weil, "check_multiplicativity", spy)
+    for p in (3, 7):
+        ctx = PrimeContext.build(cat_map, PrimeModulus(p, 1))
+        assert cli._check_multiplicativity(ctx, np.random.default_rng(p)).status == "pass"
+    exhaustive, sampled = seen
+    assert exhaustive is None
+    rng = np.random.default_rng(7)
+    weil.random_sp(ctx.pm, rng, 2 * cli.SAMPLED_PAIRS)
+    assert sampled[cli.SAMPLED_PAIRS:] == weil.relation_pairs(ctx.pm, rng)
+
+
 def test_sweep_n2_identity_checks(tmp_path):
     # egorov and multiplicativity take the n = 1 route at n = 2: the only
     # operators left in the context are rho of the torus generators

@@ -1,9 +1,13 @@
-"""Layout guard: no public function in src/ that the program never calls.
+"""Layout guard: no public function in src/ that the program never calls,
+and no module-level import that its module never uses.
 
 A public module-level function of `src/torusque/*.py` must be referenced
 (called, passed or read as an attribute) somewhere in `src/` outside its own
 body, or be exported in `torusque.__all__`.  Functions only tests call
-belong in `tests/oracles.py` or in the test that uses them.
+belong in `tests/oracles.py` or in the test that uses them.  A name that a
+module of `src/torusque/` (other than `__init__`) imports at module level
+must be read somewhere in that module; ALLOWED_UNUSED_IMPORTS lists the
+exceptions.
 """
 
 import ast
@@ -13,6 +17,10 @@ from pathlib import Path
 import torusque
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "torusque"
+
+# perfbench/test_perfbench.py reads weil.pi_op as its example of a function
+# bound in two modules
+ALLOWED_UNUSED_IMPORTS = {"weil.pi_op"}
 
 
 def _referenced_names(node) -> Counter:
@@ -45,3 +53,39 @@ def unreferenced_public_functions(src: Path = SRC) -> list[str]:
 
 def test_every_public_function_is_used_or_exported():
     assert unreferenced_public_functions() == []
+
+
+def unused_module_imports(src: Path = SRC) -> list[str]:
+    """module.name of every name a module of src/ (not __init__) imports at
+    module level and never reads as a bare name."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        flagged.append(f"{path.stem}.{name}")
+    return flagged
+
+
+def test_every_module_import_is_used():
+    assert sorted(set(unused_module_imports()) - ALLOWED_UNUSED_IMPORTS) == []
+
+
+def test_unused_import_guard_flags_an_unused_name(tmp_path):
+    (tmp_path / "__init__.py").write_text("import os\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from json import dumps, loads as parse\n"
+        "from . import sibling\n\n"
+        "def f(x):\n"
+        "    return parse(x), os.sep\n")
+    assert unused_module_imports(tmp_path) == ["mod.dumps", "mod.sibling"]

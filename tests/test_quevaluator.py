@@ -1,13 +1,16 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from torusque import ffcore, hecke, quevaluator as q, weil
+from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import FourierPolynomial
 
 from oracles import (build_trace_table, character_sum, character_sum_table,
                      check_invariance, cyclic_average_loop, diagonal_factor_sum,
-                     factor_coordinates,
+                     dilate_op, factor_coordinates,
                      gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
                      linearize_on_torus, transport_char, transport_xi,
                      unflatten_xi)
@@ -289,6 +292,44 @@ def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
     assert abs(rpt.max_ratio_dim1 - canon.max_ratio_dim1) < 1e-9
 
 
+def _drop_one_vector(dec):
+    """dec with the first vector of its first occupied eigenspace removed."""
+    i = next(i for i, (_, _, dim) in enumerate(dec.entries) if dim)
+    chi, basis, dim = dec.entries[i]
+    entries = list(dec.entries)
+    entries[i] = (chi, basis[:, 1:], dim - 1)
+    return replace(dec, entries=entries, dims=[e[2] for e in entries])
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_verify_que_bound_raises_on_broken_identities(p, cat_map, rep_cache,
+                                                      torus_cache):
+    # one eigenvector short, the projectors no longer sum to I: the sums
+    # break Parseval, which is an error, not a bound verdict
+    ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
+    rpt = q.verify_que_bound(ctx)
+    assert rpt.parseval_max_dev <= q.IDENTITY_TOL
+    assert rpt.xi0_oracle_max_dev / ctx.torus.order <= q.IDENTITY_TOL
+    ctx.decomposition = _drop_one_vector(ctx.decomposition)
+    with pytest.raises(RuntimeError, match="Parseval"):
+        q.verify_que_bound(ctx)
+
+
+def test_broken_identities_fail_the_bound_check_with_an_error(tmp_path, monkeypatch):
+    # the raise reaches the sweep's error-witness path at every prime
+    real = hecke.decompose
+    monkeypatch.setattr(hecke, "decompose",
+                        lambda torus, rep: _drop_one_vector(real(torus, rep)))
+    out_json = tmp_path / "broken.json"
+    assert cli.main(["sweep", "--pmin", "7", "--pmax", "11", "--checks", "bound",
+                     "--out-json", str(out_json)]) == 1
+    for rp in json.loads(out_json.read_text())["primes"]:
+        (check,) = rp["checks"]
+        assert check["status"] == "fail"
+        (witness,) = check["witnesses"]
+        assert witness["error"].startswith("RuntimeError: character sums break")
+
+
 def test_averaged_fixture_bound(cat_map, rep_cache, torus_cache):
     f = FourierPolynomial({(1, 0): 0.5, (-1, 0): 0.5})
     rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)),
@@ -399,8 +440,8 @@ def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
     worst = 0.0
     for b in torus.elements:
         t = ffcore.mat_mul(ffcore.mat_mul(tr.s0_inv, b, mod=13), tr.s0, mod=13)
-        oracle = w @ weil.dilate_op(((t[0][0], t[0][1]), (t[1][0], t[1][1])),
-                                    pm).dense() @ w.conj().T
+        oracle = w @ dilate_op(((t[0][0], t[0][1]), (t[1][0], t[1][1])),
+                               pm).dense() @ w.conj().T
         worst = max(worst, float(np.abs(oracle - rep.op(b)).max()))
     assert torus.order == 144
     assert worst < 1e-9

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from torusque import ffcore, weil
-from torusque.ffcore import (PrimeModulus, identity_mat, legendre, mat_det, mat_mod,
-                             mat_mul)
+from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod, mat_mul
 from torusque.heisenberg import pi_op
-from torusque.weil import (ConstructionError, dilate_op, fourier_op,
-                           egorov_deviation, linearize, random_sp, shear_op,
-                           solve_gamma, sp_elements)
+from torusque.weil import (ConstructionError, fourier_op, egorov_deviation, linearize,
+                           random_sp, solve_gamma, sp_elements)
 
-from oracles import (SpFactor, dilate_matrix, linearize_on_torus, mat_neg,
-                     schur_intertwiner, sp_blocks, sp_word, torus_pair_scan,
-                     word_matrix, word_operator)
+from oracles import (SpFactor, dilate_matrix, dilate_op, linearize_on_torus, mat_det,
+                     mat_neg, mat_transpose, schur_intertwiner, shear_op, sp_blocks,
+                     sp_word, torus_pair_scan, word_matrix, word_operator)
 
 
 def test_dilate_identity():
@@ -427,7 +425,7 @@ def test_random_sp_is_its_bruhat_word(n, p):
         m_inv = ffcore.mat_inv_modp(m, p)
         s1 = mat_neg(mat_mul(d, m_inv, mod=p), mod=p)
         s2 = mat_neg(mat_mul(m_inv, a, mod=p), mod=p)
-        assert s1 == ffcore.mat_transpose(s1) and s2 == ffcore.mat_transpose(s2)
+        assert s1 == mat_transpose(s1) and s2 == mat_transpose(s2)
         word = [SpFactor("shear", s1), SpFactor("dilate", m), SpFactor("fourier"),
                 SpFactor("shear", s2)]
         assert word_matrix(word, pm) == b
@@ -451,6 +449,38 @@ def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
     assert scan.ok and scan.pairs_checked == torus.order ** 2
     assert cert <= 1e-8
     assert abs(cert - scan.max_dev) <= 1e-12
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
+def test_relation_pairs_hold(n, p):
+    # every defining relation, as a pair through build_many, holds to 1e-12;
+    # the shears and dilations (Bb = 0) take the S = I branch, so a fresh rep
+    # ends up holding rho(U(-I)) for mask 2^n - 1 and no other
+    pm = PrimeModulus(p, n)
+    rep = linearize(pm)
+    pairs = weil.relation_pairs(pm, np.random.default_rng(p))
+    assert len(pairs) == 5 + 4 * weil.RELATION_DRAWS
+    zero_bb = [b for pair in pairs for b in pair
+               if not any(x for row in b[:n] for x in row[n:])]
+    assert len(zero_bb) == 3 + 8 * weil.RELATION_DRAWS     # F^2 twice, D
+    rpt = weil.check_multiplicativity(rep, pairs, tol=1e-12)
+    assert rpt.ok and rpt.pairs_checked == len(pairs)
+    assert set(rep.upper_shears) == {2 ** n - 1}
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (2, 5)])
+def test_relation_pairs_catch_a_wrong_fourier_normalization(n, p, rep_cache):
+    # gamma times a cube root of unity still gives an Egorov-exact, unitary
+    # rho(fourier), but not a representation
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    omega = np.exp(2j * np.pi / 3)
+    twisted = weil.WeilRep(pm, rep.gamma * omega)
+    assert np.abs(twisted.fourier - omega * rep.fourier).max() < 1e-15
+    pairs = weil.relation_pairs(pm, np.random.default_rng(0))
+    assert weil.check_multiplicativity(rep, pairs).ok
+    rpt = weil.check_multiplicativity(twisted, pairs)
+    assert not rpt.ok and rpt.max_dev > 1.0
 
 
 def test_torus_certificate_catches_swapped_dlog(rep_cache, torus_cache):
