@@ -58,14 +58,12 @@ class SweepConfig:
 
 
 def parse_matrix(text: str, n: int):
-    """'a,b;c,d' rows, or the named fixtures 'cat-map' / 'auto-sp4'."""
-    if text == "cat-map":
-        return CAT_MAP
-    if text == "auto-sp4":
-        return SP4_FIXTURE
+    """'a,b;c,d' rows, or the named fixtures 'cat-map' / 'auto-sp4'; either
+    must be 2n x 2n."""
+    fixtures = {"cat-map": CAT_MAP, "auto-sp4": SP4_FIXTURE}
     try:
-        rows = tuple(tuple(int(x) for x in row.split(","))
-                     for row in text.strip().split(";"))
+        rows = fixtures.get(text) or tuple(tuple(int(x) for x in row.split(","))
+                                           for row in text.strip().split(";"))
     except ValueError as e:
         raise ConfigError(f"cannot parse matrix {text!r}: {e}")
     if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
@@ -143,7 +141,11 @@ def _timed(fn):
     return out, int(1000 * (time.perf_counter() - t0))
 
 
-def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
+def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
+              conventions: dict | None = None) -> dict:
+    """The prime's report.  An empty `conventions` dict is filled with the
+    conventions read from this prime's rho (`_conventions`); the sweep passes
+    the report header's until a prime has been built."""
     n = cfg.n
     pm = PrimeModulus(p, n)
     results: list[CheckResult] = []
@@ -151,6 +153,8 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
     try:
         ctx = quevaluator.PrimeContext.build(elem, pm,
                                              deadline=start + cfg.budget_seconds)
+        if conventions is not None and not conventions:
+            conventions.update(_conventions(ctx))
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
     rng = np.random.default_rng(cfg.seed + p)
@@ -174,6 +178,21 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig) -> dict:
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
             "torus_order": ctx.torus.order, "routes": dict(sorted(routes.items())),
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
+
+
+def _conventions(ctx) -> dict:
+    """Orientation signs and, at n = 1, the Fourier normalization, read from
+    the context's rho; no other rho is built.
+
+    The relation sign is read from the one pair that fixes it; the per-prime
+    `relations` check still validates the whole pair grid.
+    """
+    out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
+    if ctx.pm.n == 1:
+        out["trace_formula_sign"] = quevaluator.measure_split_sign(ctx.pm, ctx.rep)
+        out["fourier_normalization"] = {"re": ctx.rep.gamma.real,
+                                        "im": ctx.rep.gamma.imag}
+    return out
 
 
 def _budget_skip(name: str) -> CheckResult:
@@ -365,12 +384,13 @@ def run(cfg: SweepConfig) -> int:
     primes = ffcore.odd_primes(cfg.pmin, cfg.pmax)
     prime_reports = []
     skipped = []
+    conventions = {}                    # filled at the first prime built
     for p in primes:
         cp_mod = ffcore.poly_mod_reduce(elem.charpoly, p)
         if hecke.is_degenerate_prime(cp_mod, p):
             skipped.append({"p": p, "reason": "degenerate prime"})
             continue
-        prime_reports.append(run_prime(elem, p, cfg))
+        prime_reports.append(run_prime(elem, p, cfg, conventions))
 
     status_fail = any(c["status"] == "fail"
                       for rp in prime_reports for c in rp["checks"])
@@ -381,9 +401,7 @@ def run(cfg: SweepConfig) -> int:
             "pmin": cfg.pmin, "pmax": cfg.pmax,
             "checks": list(cfg.checks), "seed": cfg.seed,
             "deterministic": cfg.deterministic,
-            "conventions": _measured_conventions(
-                cfg.n, [rp["p"] for rp in prime_reports
-                        if rp["split_type"] is not None]),
+            "conventions": conventions,
         },
         "primes": prime_reports,
         "skipped": skipped,
@@ -405,23 +423,6 @@ def run(cfg: SweepConfig) -> int:
     for sk in skipped:
         print(f"p={sk['p']:3d} skipped: {sk['reason']}")
     return 1 if status_fail else 0
-
-
-def _measured_conventions(n: int, primes: list) -> dict:
-    """Orientation signs, measured once and frozen into the report header.
-
-    The relation sign is read from the one pair that fixes it; the per-prime
-    `relations` check still validates the whole pair grid.
-    """
-    if not primes:
-        return {}
-    pm = PrimeModulus(primes[0], n)
-    out = {"relation_sign": check_relations(pm, exhaustive=False).epsilon}
-    if n == 1:
-        rep = weil.linearize(pm)
-        out["trace_formula_sign"] = quevaluator.measure_split_sign(pm, rep)
-        out["fourier_normalization"] = {"re": rep.gamma.real, "im": rep.gamma.imag}
-    return out
 
 
 def _json_default(obj):

@@ -40,9 +40,6 @@ class HeckeTorus:
     generators: list          # [(Mat, order), ...], T = <g_1> x ... x <g_k>
     dlog: dict                # Mat -> exponent tuple on the generators
 
-    def __post_init__(self):
-        self._index = {b: i for i, b in enumerate(self.elements)}
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -51,12 +48,6 @@ class HeckeTorus:
     def gen_orders(self) -> tuple:
         """Cyclic factor orders (m_1, ..., m_k), one per generator."""
         return tuple(m for _, m in self.generators)
-
-    def index_of(self, b: Mat) -> int:
-        return self._index[mat_mod(mat(b), self.pm.p)]
-
-    def contains(self, b: Mat) -> bool:
-        return mat_mod(mat(b), self.pm.p) in self._index
 
 
 def is_degenerate_prime(charpoly, p: int) -> bool:
@@ -172,13 +163,6 @@ class TorusCharacter:
 
     def value(self, torus: HeckeTorus, b: Mat) -> complex:
         return self.value_of_exps(torus.dlog[mat_mod(mat(b), torus.pm.p)])
-
-    def values_vector(self, torus: HeckeTorus) -> np.ndarray:
-        return np.array([self.value_of_exps(torus.dlog[b]) for b in torus.elements])
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(k == 0 for k in self.exps)
 
     @property
     def order(self) -> int:

@@ -7,9 +7,10 @@ first).  The basic operators are
     (T(lam, mu) f)(x) = psi(nu*lam.mu + mu.x) * f(x + lam),
 
 where psi(t) = exp(2*pi*i*t/p) and nu = (p+1)/2 is the inverse of 2 mod p.
-Each T(xi) is a generalized permutation: one unimodular entry per row and
-column, with phase exponents that are exact integers mod p.  Compositions and
-traces are done on the integer exponents, so the defining relation
+Each T(xi) has one exact form, the integer arrays (src, expo) with
+(T(xi) f)[x] = psi(expo[x]) f[src[x]] (`pi_exponents_many`); `pi_op` writes
+it out as a dense matrix.  Products are composed on these arrays
+(`compose_exponents`), so the defining relation
 
     T(xi) T(eta) = psi(eps * nu * omega(xi, eta)) * T(xi + eta)
 
@@ -54,83 +55,6 @@ def index_vectors(pm: PrimeModulus) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PhasedPermutation:
-    """Operator (M f)[i] = scalar * psi(expo[i]) * f[src[i]].
-
-    src is a permutation of 0..d-1 and expo holds integer exponents mod p;
-    scalar is a single unimodular complex factor (sign/normalization).
-    """
-
-    pm: PrimeModulus
-    src: np.ndarray
-    expo: np.ndarray
-    scalar: complex = 1.0
-
-    @property
-    def dim(self) -> int:
-        return self.pm.dim
-
-    def dense(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        out[np.arange(d), self.src] = self.scalar * root_table(self.pm.p)[self.expo % self.pm.p]
-        return out
-
-    def compose(self, other: "PhasedPermutation") -> "PhasedPermutation":
-        """self @ other."""
-        src = other.src[self.src]
-        expo = (self.expo + other.expo[self.src]) % self.pm.p
-        return PhasedPermutation(self.pm, src, expo, self.scalar * other.scalar)
-
-    def adjoint(self) -> "PhasedPermutation":
-        inv = np.argsort(self.src)
-        return PhasedPermutation(self.pm, inv, (-self.expo[inv]) % self.pm.p,
-                                 np.conj(self.scalar))
-
-    def power(self, e: int) -> "PhasedPermutation":
-        out = identity_op(self.pm)
-        base = self
-        if e < 0:
-            base, e = self.adjoint(), -e
-        while e:
-            if e & 1:
-                out = out.compose(base)
-            base = base.compose(base)
-            e >>= 1
-        return out
-
-    def trace(self) -> complex:
-        fixed = self.src == np.arange(self.dim)
-        if not fixed.any():
-            return 0.0 + 0.0j
-        return self.scalar * root_table(self.pm.p)[self.expo[fixed] % self.pm.p].sum()
-
-    def apply_left(self, dense: np.ndarray) -> np.ndarray:
-        """self @ dense, in O(d^2)."""
-        phase = self.scalar * root_table(self.pm.p)[self.expo % self.pm.p]
-        return phase[:, None] * dense[self.src, :]
-
-    def apply_right(self, dense: np.ndarray) -> np.ndarray:
-        """dense @ self, in O(d^2)."""
-        phase = self.scalar * root_table(self.pm.p)[self.expo % self.pm.p]
-        out = np.empty_like(dense, dtype=complex)
-        out[:, self.src] = dense * phase[None, :]
-        return out
-
-    def equals(self, other: "PhasedPermutation", tol: float = 0.0) -> bool:
-        if not np.array_equal(self.src, other.src):
-            return False
-        if tol == 0.0 and np.isclose(self.scalar, other.scalar, atol=1e-15):
-            return bool(np.all((self.expo - other.expo) % self.pm.p == 0))
-        return bool(np.max(np.abs(self.dense() - other.dense())) <= tol)
-
-
-def identity_op(pm: PrimeModulus) -> PhasedPermutation:
-    d = pm.dim
-    return PhasedPermutation(pm, np.arange(d), np.zeros(d, dtype=np.int64))
-
-
 def pi_exponents(xi, pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
     """(src, expo) data of T(xi) with xi = (lam, mu) reduced mod p."""
     if len(xi) != 2 * pm.n:
@@ -152,10 +76,22 @@ def pi_exponents_many(xis, pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
     return src.astype(np.intp), expo
 
 
-def pi_op(xi, pm: PrimeModulus) -> PhasedPermutation:
-    """Quantized lattice character: unitary of order p, built from exact phases."""
+def pi_op(xi, pm: PrimeModulus) -> np.ndarray:
+    """T(xi) as a dense p^n x p^n matrix: psi(expo[x]) at (x, src[x])."""
     src, expo = pi_exponents(xi, pm)
-    return PhasedPermutation(pm, src, expo)
+    out = np.zeros((pm.dim, pm.dim), dtype=complex)
+    out[np.arange(pm.dim), src] = root_table(pm.p)[expo]
+    return out
+
+
+def compose_exponents(a, b, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, expo) data of T_a T_b from a = (src_a, expo_a) and b = (src_b, expo_b):
+    (T_a T_b f)[x] = psi(expo_a[x] + expo_b[src_a[x]]) f[src_b[src_a[x]]].
+
+    b may stack operators along a leading axis; each is composed with T_a.
+    """
+    (src_a, expo_a), (src_b, expo_b) = a, b
+    return src_b[..., src_a], (expo_a + expo_b[..., src_a]) % p
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +116,36 @@ def lattice_vectors(pm: PrimeModulus) -> np.ndarray:
     return _digit_vectors(pm.p, 2 * pm.n)
 
 
+def _phase_deviation(lhs, target, phase, p: int) -> float:
+    """max |T_lhs - psi(phase) T_target| from (src, expo) arrays (stacked
+    alike), or inf when the permutations differ."""
+    if not np.array_equal(lhs[0], target[0]):
+        return np.inf
+    roots = root_table(p)
+    return float(np.abs(roots[lhs[1]] - roots[(target[1] + phase) % p]).max())
+
+
 def check_relations(pm: PrimeModulus, tol: float = 1e-10,
                     exhaustive: bool = True) -> RelationReport:
     """Pair check of T(xi)T(eta) = psi(eps*nu*omega(xi,eta)) T(xi+eta).
 
-    The orientation sign eps is measured from the data (it is a convention
-    artifact of the form) on the pair xi = e_1, eta = e_{n+1}, where
-    omega = 1.  With exhaustive=False only that pair is checked
-    (pairs_checked == 1), which is all it takes to read eps.  Otherwise the
-    whole p^{4n} pair grid is validated by exact exponent arithmetic,
-    vectorized per xi.
+    Every product is composed on the exact (src, expo) arrays
+    (`compose_exponents`).  The orientation sign eps is measured from the
+    data (it is a convention artifact of the form) on the pair xi = e_1,
+    eta = e_{n+1}, where omega = 1.  With exhaustive=False only that pair is
+    checked (pairs_checked == 1), which is all it takes to read eps.
+    Otherwise the whole p^{4n} pair grid is checked, vectorized per xi.
     """
     p, n = pm.p, pm.n
-    xi = (1,) + (0,) * (2 * n - 1)
-    eta = (0,) * n + (1,) + (0,) * (n - 1)
+    unit = np.eye(2 * n, dtype=np.int64)
+    xi, eta = unit[0], unit[n]
     w = symplectic_form(xi, eta, mod=p)
-    lhs = pi_op(xi, pm).compose(pi_op(eta, pm))
-    target = pi_op(tuple(a + b for a, b in zip(xi, eta)), pm)
-    delta = int((lhs.expo[0] - target.expo[0]) % p)
+    src, expo = pi_exponents_many([xi, eta, xi + eta], pm)
+    lhs = compose_exponents((src[0], expo[0]), (src[1], expo[1]), p)
+    delta = int((lhs[1][0] - expo[2][0]) % p)
     eps = next((c for c in (1, -1) if (c * pm.nu * w - delta) % p == 0), 1)
     if not exhaustive:
-        if not np.array_equal(lhs.src, target.src):
-            return RelationReport(eps, 1, np.inf, False)
-        roots = root_table(p)
-        rhs_expo = (target.expo + eps * pm.nu * w) % p
-        dev = float(np.abs(roots[lhs.expo] - roots[rhs_expo]).max())
+        dev = _phase_deviation(lhs, (src[2], expo[2]), eps * pm.nu * w, p)
         return RelationReport(eps, 1, dev, dev <= tol)
 
     vecs = lattice_vectors(pm)
@@ -212,22 +153,15 @@ def check_relations(pm: PrimeModulus, tol: float = 1e-10,
     lam_all, mu_all = vecs[:, :n], vecs[:, n:]
     # per lattice vector: src and expo arrays of its operator, stacked (m, d)
     src_all, expo_all = pi_exponents_many(vecs, pm)
-
-    roots = root_table(p)
     max_dev = 0.0
     lattice_pvec = p ** np.arange(2 * n)
     for i in range(m):
         # composite T(xi_i) T(eta_j) for all j at once; memory stays O(m d)
-        lhs_expo = (expo_all[i][None, :] + expo_all[:, src_all[i]]) % p
-        lhs_src = src_all[:, src_all[i]]  # (m, d)
+        lhs = compose_exponents((src_all[i], expo_all[i]), (src_all, expo_all), p)
         tgt = ((vecs[i][None, :] + vecs) % p) @ lattice_pvec
         omega_i = (vecs[i][:n] @ mu_all.T - vecs[i][n:] @ lam_all.T) % p
-        rhs_expo = (expo_all[tgt] + eps * pm.nu * omega_i[:, None]) % p
-        rhs_src = src_all[tgt]
-        if not np.array_equal(lhs_src, rhs_src):
-            return RelationReport(eps, m * m, np.inf, False)
-        dev = np.abs(roots[lhs_expo] - roots[rhs_expo]).max()
-        max_dev = max(max_dev, float(dev))
+        max_dev = max(max_dev, _phase_deviation(
+            lhs, (src_all[tgt], expo_all[tgt]), eps * pm.nu * omega_i[:, None], p))
     return RelationReport(eps, m * m, max_dev, max_dev <= tol)
 
 
@@ -269,5 +203,5 @@ def quantize(f: FourierPolynomial, pm: PrimeModulus) -> np.ndarray:
     for xi, a in f.terms.items():
         if len(xi) != 2 * pm.n:
             raise ValueError("term length does not match 2n")
-        out += a * pi_op(xi, pm).dense()
+        out += a * pi_op(xi, pm)
     return out

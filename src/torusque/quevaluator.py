@@ -36,7 +36,9 @@ the test suite, none assumed):
   on the generic stratum for the order-2 character), and the reports separate
   these populations;
 * the closed-form diagonal trace carries orientation sign -1 under this
-  module's coordinate conventions (sign measured at runtime, never assumed).
+  module's coordinate conventions.  The sign is measured at runtime, never
+  assumed, from the one rho the context holds at every n (at n >= 2 through
+  the embedded diag(a, 1, ..., 1/a, 1, ...); `measure_split_sign`).
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
-from .heisenberg import (FourierPolynomial, index_vectors, lattice_vectors,
-                         pi_exponents, pi_exponents_many, pi_op, quantize,
-                         root_table)
+from .heisenberg import (index_vectors, lattice_vectors, pi_exponents,
+                         pi_exponents_many, pi_op, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 from .weil import BudgetExceeded
 
@@ -321,28 +322,39 @@ def split_trace_formula(lam, mu, a: int, pm: PrimeModulus,
 
 
 def measure_split_sign(pm: PrimeModulus, rep) -> int:
-    """Pick the orientation sign by one discriminating matrix trace.
+    """Pick the orientation sign of `split_trace_formula` by one
+    discriminating matrix trace, at any n.
 
-    At p = 3 the torus leaves only a = -1, where the phase vanishes and both
-    signs define the same formula; the default -1 is returned after checking
-    agreement on every available sample.  Each rho(diag(a, 1/a)) is built
-    with rep.build and dropped, not cached.
+    The trace is the n = 1 value F((1, 1), diag(a, 1/a)).  At n >= 2 it is
+    read through the embedding t(a) = diag(a, 1, ..., 1/a, 1, ...): T(xi)
+    and rho(t(a)) both factor over the coordinates, so at xi = e_1 + e_{n+1}
+    Tr(T(xi) rho(t(a))) = p^(n-1) F((1, 1), diag(a, 1/a)).  At p = 3 the
+    torus leaves only a = -1, where the phase vanishes and both signs define
+    the same formula; the default -1 is returned after checking agreement on
+    every available sample.  Each rho(t(a)) is built with rep.build and
+    dropped, not cached.
     """
-    p = pm.p
+    p, n = pm.p, pm.n
+    pm1 = PrimeModulus(p, 1)
+    xi = (1,) + (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+
+    def trace(a: int) -> complex:
+        diag = (a,) + (1,) * (n - 1) + (pow(a, -1, p),) + (1,) * (n - 1)
+        b = tuple(tuple(x if i == j else 0 for j in range(2 * n))
+                  for i, x in enumerate(diag))
+        return trace_pair(xi, rep.build(b), pm) / p ** (n - 1)
+
     for a in range(2, p):
         t = (pm.nu * (1 + a) * pow((1 - a) % p, -1, p)) % p
         if t == 0 or (2 * t) % p == 0:
             continue  # both signs agree here; useless sample
-        b = ((a, 0), (0, pow(a, -1, p)))
-        ref = trace_pair((1, 1), rep.build(b), pm)
+        ref = trace(a)
         for sign in (-1, 1):
-            if abs(split_trace_formula(1, 1, a, pm, sign) - ref) < 1e-9:
+            if abs(split_trace_formula(1, 1, a, pm1, sign) - ref) < 1e-9:
                 return sign
         raise RuntimeError("neither orientation sign matches the matrix trace")
     for a in range(2, p):
-        b = ((a, 0), (0, pow(a, -1, p)))
-        ref = trace_pair((1, 1), rep.build(b), pm)
-        if abs(split_trace_formula(1, 1, a, pm, -1) - ref) > 1e-9:
+        if abs(split_trace_formula(1, 1, a, pm1, -1) - trace(a)) > 1e-9:
             raise RuntimeError("orientation-free sample disagrees with trace")
     return -1
 
@@ -389,14 +401,11 @@ class BoundReport:
     exceptional_order2: dict       # observed order-2 character data
     parseval_max_dev: float
     xi0_oracle_max_dev: float
-    averaged_rows: list            # fixture-polynomial averaged checks
     ok: bool                       # verdict over all characters: no violations
     ok_dim1: bool                  # verdict restricted to dim-1 characters
 
 
-
-def verify_que_bound(ctx: PrimeContext,
-                     fixtures: list[FourierPolynomial] | None = None) -> BoundReport:
+def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     """Check |a_chi(xi)| <= 2^n p^{n/2} for xi != 0 mod p, with cross-checks.
 
     Populations are reported separately: the verdict over all characters, the
@@ -472,10 +481,6 @@ def verify_que_bound(ctx: PrimeContext,
         axis = p - 2 if n == 1 and torus.split_type == "split" else None
         exceptional = dict(order2[0], expected_axis_value=axis, order2=order2)
 
-    averaged_rows = []
-    if fixtures:
-        averaged_rows = _averaged_fixture_checks(fixtures, ctx)
-
     return BoundReport(
         p=p, n=n, split_type=torus.split_type, torus_order=order,
         bound_constant=2.0 ** n, bound=bound,
@@ -485,39 +490,9 @@ def verify_que_bound(ctx: PrimeContext,
         exceptional_order2=exceptional,
         parseval_max_dev=parseval_max_dev,
         xi0_oracle_max_dev=xi0_dev,
-        averaged_rows=averaged_rows,
         ok=not violations,
         ok_dim1=not dim1_violations,
     )
-
-
-def _averaged_fixture_checks(fixtures, ctx: PrimeContext):
-    """Triangle-inequality bound for trigonometric-polynomial observables.
-
-    For each dim-1 Hecke eigenvector v: |<v|Avg(Op_f)|v> - integral(f)| is
-    bounded by (sum_{xi != 0} |a_xi(f)|) * 2^n p^{n/2} / |T|, using the exact
-    torus order (the nominal p^{-n/2} form, which presumes |T| = p^n, is
-    reported as a flag instead of asserted).  On a torus eigenvector
-    <v|rho(B) X rho(B)^-1|v> = <v|X|v>, so <v|Avg(X)|v> = <v|X|v>.
-    """
-    from .heisenberg import integral as f_integral
-    pm = ctx.pm
-    rows = []
-    n, p = pm.n, pm.p
-    lines = [basis[:, 0] for _, basis, dim in ctx.decomposition.entries
-             if dim == 1]
-    for fi, f in enumerate(fixtures):
-        op = quantize(f, pm)
-        coeff_l1 = sum(abs(a) for xi, a in f.terms.items() if any(c % p for c in xi))
-        rigorous = coeff_l1 * 2 ** n * p ** (n / 2) / ctx.torus.order
-        nominal = coeff_l1 * 2 ** n * p ** (-n / 2)
-        worst = max((abs(np.vdot(v, op @ v) - f_integral(f)) for v in lines),
-                    default=0.0)
-        rows.append({"fixture": fi, "max_dev": float(worst),
-                     "rigorous_bound": rigorous, "nominal_bound": nominal,
-                     "ok_rigorous": worst <= rigorous * (1 + RTOL),
-                     "ok_nominal": worst <= nominal * (1 + RTOL)})
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +565,8 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     """a_chi factorizes into n = 1 diagonal-torus sums at fully split primes.
 
     ctx.rep must be the canonical rho (weil.linearize), as PrimeContext.build
-    makes it.  Because rho is a representation, rho(S0 t S0^-1) =
+    makes it; the orientation sign of the one-factor sums is read from it
+    (`measure_split_sign`).  Because rho is a representation, rho(S0 t S0^-1) =
     rho(S0) dilate(t) rho(S0)^-1 for the split frame S0 and every diagonal t,
     so the per-character transport to the diagonal frame is exact and needs
     no root choice.  Both routes are
@@ -604,7 +580,7 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     if transport is None:
         raise ValueError(f"p = {p} is not fully split for this element")
     pm1 = PrimeModulus(p, 1)
-    sign = measure_split_sign(pm1, weil.linearize(pm1))
+    sign = measure_split_sign(pm, ctx.rep)
 
     # transported coordinates of every xi at once
     m_xi = p ** (2 * n)
@@ -699,7 +675,7 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
 
     # <v|Avg(X)|v> with Avg(X) = sum_chi P_chi X P_chi, the torus average
     # (1/|T|) sum_B rho(B) X rho(B)^-1 written in the joint eigenbasis
-    t_xi = pi_op(xi, pm).dense()
+    t_xi = pi_op(xi, pm)
     blocks = [basis for _, basis, dim in ctx.decomposition.entries if dim]
 
     def torus_average(v):

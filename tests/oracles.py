@@ -19,11 +19,14 @@ character (`linearize_on_torus`).  Operators built one element at a time
 along a word over the generators (`sp_word`, `word_operator`), which
 `WeilRep.build_many` replaces by one closed-form kernel per element, and the
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
-cyclic orbit average of the demo, one vector and one `pi_op` per power at a
-time (`cyclic_average_loop`).  Exact symmetries of the trace function
+cyclic orbit average of the demo, one vector and one T(xi) per power at a
+time (`cyclic_average_loop`).  These oracles apply T(xi) by gathering with
+its (src, expo) arrays, so each application costs O(p^(2n)).  The
+triangle-inequality bound for averaged trigonometric-polynomial observables
+(`averaged_fixture_checks`).  Exact symmetries of the trace function
 (`check_invariance`, `hermitian_symmetry_dev`).
 
-The generator operators as phased permutations (`shear_op`, `dilate_op`),
+The generator operators as dense matrices (`shear_op`, `dilate_op`),
 which the closed-form kernel reproduces, and the cofactor determinant and
 transpose of integer matrices (`mat_det`, `mat_transpose`).
 """
@@ -40,9 +43,11 @@ from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat
                              mat_mul)
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
-from torusque.heisenberg import PhasedPermutation, index_vectors, lattice_vectors, pi_op
-from torusque.quevaluator import (SplitTransport, _trace_column, _trace_kernel,
-                                  split_trace_formula, trace_pair)
+from torusque.heisenberg import (FourierPolynomial, index_vectors, integral,
+                                 lattice_vectors, pi_exponents, pi_exponents_many,
+                                 quantize, root_table)
+from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_column,
+                                  _trace_kernel, split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
                            fourier_matrix, fourier_op, linearize, shear_matrix)
 
@@ -160,7 +165,8 @@ def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
                       max_tries: int = 8) -> np.ndarray:
     """Unitary W with W T(xi) W^-1 = T(B xi), phase unfixed.
 
-    Averages T(B xi) C T(xi)^-1 over all lattice vectors xi for a random C;
+    Averages T(B xi) C T(xi)^-1 over all lattice vectors xi for a random C,
+    each term gathered from the (src, expo) arrays in O(p^(2n));
     by irreducibility the average is a scalar multiple of a unitary, or zero
     with probability ~ p^-2n (then retried with a fresh C).
     """
@@ -169,15 +175,16 @@ def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
     if not ffcore.is_symplectic(b, p=p):
         raise ValueError("intertwiner target must be symplectic mod p")
     xis = lattice_vectors(pm)
+    src, expo = pi_exponents_many(xis, pm)
+    bsrc, bexpo = pi_exponents_many(xis @ np.array(b).T, pm)
+    roots = root_table(p)
     for _ in range(max_tries):
         c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         acc = np.zeros((d, d), dtype=complex)
-        for row in xis:
-            xi = tuple(int(x) for x in row)
-            bxi = ffcore.mat_vec(b, xi, mod=p)
-            t_in = pi_op(xi, pm)
-            t_out = pi_op(bxi, pm)
-            acc += t_out.apply_left(t_in.adjoint().apply_right(c))
+        # T(B xi) C T(xi)^dagger, entry [x, y] = psi(e'[x] - e[y]) C[s'[x], s[y]]
+        for s_in, e_in, s_out, e_out in zip(src, expo, bsrc, bexpo):
+            acc += (roots[e_out][:, None] * roots[e_in].conj()[None, :]
+                    * c[np.ix_(s_out, s_in)])
         norm = np.linalg.norm(acc)
         if norm < 1e-9 * d:
             continue
@@ -235,7 +242,8 @@ class TraceTable:
     values: np.ndarray  # (p^{2n}, |T|) complex
 
     def value(self, xi, b) -> complex:
-        return complex(self.values[flatten_xi(xi, self.pm), self.torus.index_of(b)])
+        col = self.torus.elements.index(mat_mod(mat(b), self.pm.p))
+        return complex(self.values[flatten_xi(xi, self.pm), col])
 
 
 def build_trace_table(torus: HeckeTorus, rep) -> TraceTable:
@@ -249,7 +257,8 @@ def build_trace_table(torus: HeckeTorus, rep) -> TraceTable:
 
 
 def character_sum(xi, chi: TorusCharacter, table: TraceTable) -> complex:
-    vals = chi.values_vector(table.torus)
+    torus = table.torus
+    vals = np.array([chi.value_of_exps(torus.dlog[b]) for b in torus.elements])
     return complex(table.values[flatten_xi(xi, table.pm)] @ vals)
 
 
@@ -314,12 +323,43 @@ def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposit
 def hecke_average(xi, torus: HeckeTorus, rep) -> np.ndarray:
     """(1/|T|) sum_B rho(B) T(xi) rho(B)^-1, block diagonal in the Hecke basis."""
     d = torus.pm.dim
-    t = pi_op(xi, torus.pm)
+    src, expo = pi_exponents(xi, torus.pm)
+    phase = root_table(torus.pm.p)[expo]
     acc = np.zeros((d, d), dtype=complex)
     for b in torus.elements:
         r = rep.op(b)
-        acc += t.apply_right(r) @ r.conj().T
+        rt = np.empty_like(r)
+        rt[:, src] = r * phase[None, :]                 # rho(B) T(xi)
+        acc += rt @ r.conj().T
     return acc / torus.order
+
+
+def averaged_fixture_checks(fixtures: list[FourierPolynomial], ctx: PrimeContext):
+    """Triangle-inequality bound for trigonometric-polynomial observables.
+
+    For each dim-1 Hecke eigenvector v: |<v|Avg(Op_f)|v> - integral(f)| is
+    bounded by (sum_{xi != 0} |a_xi(f)|) * 2^n p^{n/2} / |T|, using the exact
+    torus order (the nominal p^{-n/2} form, which presumes |T| = p^n, is
+    reported as a flag instead of asserted).  On a torus eigenvector
+    <v|rho(B) X rho(B)^-1|v> = <v|X|v>, so <v|Avg(X)|v> = <v|X|v>.
+    """
+    pm = ctx.pm
+    rows = []
+    n, p = pm.n, pm.p
+    lines = [basis[:, 0] for _, basis, dim in ctx.decomposition.entries
+             if dim == 1]
+    for fi, f in enumerate(fixtures):
+        op = quantize(f, pm)
+        coeff_l1 = sum(abs(a) for xi, a in f.terms.items() if any(c % p for c in xi))
+        rigorous = coeff_l1 * 2 ** n * p ** (n / 2) / ctx.torus.order
+        nominal = coeff_l1 * 2 ** n * p ** (-n / 2)
+        worst = max((abs(np.vdot(v, op @ v) - integral(f)) for v in lines),
+                    default=0.0)
+        rows.append({"fixture": fi, "max_dev": float(worst),
+                     "rigorous_bound": rigorous, "nominal_bound": nominal,
+                     "ok_rigorous": worst <= rigorous * (1 + RTOL),
+                     "ok_nominal": worst <= nominal * (1 + RTOL)})
+    return rows
 
 
 def projector_stack(dec: hecke.EigenspaceDecomposition) -> list[np.ndarray]:
@@ -442,8 +482,9 @@ def mat_det(a: Mat) -> int:
     return det
 
 
-def dilate_op(m_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
-    """f |-> legendre(det M) f(M^-1 x), a signed permutation of the point basis."""
+def dilate_op(m_block: Mat, pm: PrimeModulus) -> np.ndarray:
+    """f |-> legendre(det M) f(M^-1 x), a signed permutation of the point
+    basis, as a dense matrix."""
     p = pm.p
     det = mat_det(m_block) % p
     if det == 0:
@@ -451,21 +492,20 @@ def dilate_op(m_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
     minv = mat_inv_modp(m_block, p)
     pts = index_vectors(pm)
     src = ((pts @ np.array(minv).T) % p) @ (p ** np.arange(pm.n))
-    expo = np.zeros(pm.dim, dtype=np.int64)
-    return PhasedPermutation(pm, src.astype(np.intp), expo, float(legendre(det, p)))
+    out = np.zeros((pm.dim, pm.dim), dtype=complex)
+    out[np.arange(pm.dim), src] = float(legendre(det, p))
+    return out
 
 
-def shear_op(s_block: Mat, pm: PrimeModulus) -> PhasedPermutation:
-    """f |-> psi(nu x^T S x) f(x) for symmetric S."""
+def shear_op(s_block: Mat, pm: PrimeModulus) -> np.ndarray:
+    """f |-> psi(nu x^T S x) f(x) for symmetric S, as a dense diagonal matrix."""
     p = pm.p
     s_block = mat_mod(mat(s_block), p)
     if s_block != mat_transpose(s_block):
         raise ValueError("shear block must be symmetric")
     pts = index_vectors(pm)
     quad = np.einsum("xi,ij,xj->x", pts, np.array(s_block), pts) % p
-    expo = (pm.nu * quad) % p
-    return PhasedPermutation(pm, np.arange(pm.dim, dtype=np.intp),
-                             expo.astype(np.int64))
+    return np.diag(root_table(p)[(pm.nu * quad) % p])
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +551,9 @@ def word_operator(word: list[SpFactor], pm: PrimeModulus, gamma: complex) -> np.
     f_op = None
     for f in word:
         if f.kind == "shear":
-            out = shear_op(f.block, pm).apply_right(out)
+            out = out @ shear_op(f.block, pm)
         elif f.kind == "dilate":
-            out = dilate_op(f.block, pm).apply_right(out)
+            out = out @ dilate_op(f.block, pm)
         else:
             if f_op is None:
                 f_op = fourier_op(pm, gamma)
@@ -602,16 +642,20 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
 def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
                           xis=None) -> float:
     """max | rho(B) T(xi) - T(B xi) rho(B) | over a spanning set of xi, one
-    pair of `pi_op` operators per xi (`weil.egorov_deviation` does every xi
-    at once)."""
+    xi at a time, each side gathered from `pi_exponents` arrays in O(p^(2n))
+    (`weil.egorov_deviation` does every xi at once)."""
     p, n = pm.p, pm.n
     if xis is None:
         xis = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(2 * n)]
+    roots = root_table(p)
     dev = 0.0
     for xi in xis:
         bxi = ffcore.mat_vec(mat(b), tuple(int(c) for c in xi), mod=p)
-        lhs = pi_op(xi, pm).apply_right(dense)          # rho(B) @ T(xi)
-        rhs = pi_op(bxi, pm).apply_left(dense)          # T(B xi) @ rho(B)
+        src, expo = pi_exponents(xi, pm)
+        bsrc, bexpo = pi_exponents(bxi, pm)
+        lhs = np.empty_like(dense)
+        lhs[:, src] = dense * roots[expo][None, :]     # rho(B) @ T(xi)
+        rhs = roots[bexpo][:, None] * dense[bsrc, :]    # T(B xi) @ rho(B)
         dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev
 
@@ -619,13 +663,15 @@ def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
 def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
                         pm: PrimeModulus) -> complex:
     """(1/r) sum_{k=1..r} <v|T(A^k xi)|v>, r = order, one vector, one matrix
-    power and one `pi_op` at a time (`quevaluator.orbit_averages` takes the
-    orbit once and every vector together)."""
+    power and one `pi_exponents` gather at a time
+    (`quevaluator.orbit_averages` takes the orbit once and every vector
+    together)."""
     p = pm.p
     acc = 0.0 + 0.0j
     power = ffcore.identity_mat(2 * pm.n)
     for _ in range(order):
         power = mat_mul(power, a_mod, mod=p)
         axk = ffcore.mat_vec(power, tuple(int(c) for c in xi), mod=p)
-        acc += np.vdot(v, pi_op(axk, pm).apply_left(v.reshape(-1, 1)).reshape(-1))
+        src, expo = pi_exponents(axk, pm)
+        acc += np.vdot(v, root_table(p)[expo] * v[src])
     return complex(acc / order)

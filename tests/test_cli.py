@@ -387,3 +387,80 @@ def test_sweep_routes_count_only_context_operators(tmp_path, cat_map, torus_cach
     assert [rp["p"] for rp in report["primes"]] == [7, 11, 13]
     for rp in report["primes"]:
         assert rp["routes"]["bruhat-word"] == len(torus_cache(rp["p"]).generators)
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--n", "1", "--matrix", "auto-sp4", "--pmin", "3", "--pmax", "5"],
+    ["demo", "--p", "7", "--n", "2", "--matrix", "cat-map"],
+    ["validate", "--n", "2", "--matrix", "cat-map"],
+])
+def test_named_fixture_of_the_wrong_size_is_a_config_error(args, capsys):
+    # the named fixtures get the 2n x 2n check that typed matrices get
+    assert run_cli(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,matrix,pmin", [(1, "cat-map", 3), (1, "cat-map", 7),
+                                           (1, "cat-map", 97), (2, "auto-sp4", 7)])
+def test_header_conventions_equal_those_of_a_fresh_rho(n, matrix, pmin, tmp_path):
+    # the header reads the first prime's own rho; a second rho built for the
+    # purpose, as the header once did, gives the same values
+    from torusque import quevaluator, weil
+    from torusque.heisenberg import check_relations
+    out_json = tmp_path / "conventions.json"
+    run_cli(["sweep", "--n", str(n), "--matrix", matrix, "--pmin", str(pmin),
+             "--pmax", str(pmin), "--checks", "decomposition", "--deterministic",
+             "--out-json", str(out_json)])
+    header = json.loads(out_json.read_text())["meta"]["conventions"]
+    pm = PrimeModulus(pmin, n)
+    expected = {"relation_sign": check_relations(pm, exhaustive=False).epsilon}
+    if n == 1:
+        rep = weil.linearize(pm)
+        expected["trace_formula_sign"] = quevaluator.measure_split_sign(pm, rep)
+        expected["fourier_normalization"] = {"re": rep.gamma.real, "im": rep.gamma.imag}
+    assert header == expected
+
+
+@pytest.mark.parametrize("n,matrix,pmin,pmax,checks", [
+    (1, "cat-map", 3, 43, "trace-formula,demo"),
+    (2, "auto-sp4", 7, 13, "factorization")])
+def test_one_rho_per_built_prime(n, matrix, pmin, pmax, checks, tmp_path, monkeypatch):
+    # neither the report header nor the factorization check builds a rho of
+    # its own: every linearize call is a context's
+    from torusque import weil
+    calls = []
+    real = weil.linearize
+
+    def counted(pm):
+        calls.append(pm)
+        return real(pm)
+
+    monkeypatch.setattr(weil, "linearize", counted)
+    out_json = tmp_path / "rho.json"
+    run_cli(["sweep", "--n", str(n), "--matrix", matrix, "--pmin", str(pmin),
+             "--pmax", str(pmax), "--checks", checks, "--out-json", str(out_json)])
+    primes = [rp["p"] for rp in json.loads(out_json.read_text())["primes"]]
+    assert len(primes) == (12 if n == 1 else 3)
+    assert calls == [PrimeModulus(p, n) for p in primes]
+
+
+def test_unmeasurable_conventions_fail_the_prime(tmp_path, monkeypatch):
+    # a rho whose conventions cannot be read is a failed prime with a
+    # witness, not a dead sweep
+    from torusque import quevaluator
+
+    def broken(pm, rep):
+        raise RuntimeError("neither orientation sign matches the matrix trace")
+
+    monkeypatch.setattr(quevaluator, "measure_split_sign", broken)
+    out_json = tmp_path / "broken.json"
+    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "7", "--checks", "decomposition",
+                  "--out-json", str(out_json)])
+    assert rc == 1
+    report = json.loads(out_json.read_text())
+    assert report["meta"]["conventions"] == {}
+    assert [rp["p"] for rp in report["primes"]] == [3, 7]
+    for rp in report["primes"]:
+        (check,) = rp["checks"]
+        assert check["name"] == "construction" and check["status"] == "fail"
+        assert check["witnesses"][0]["error"].startswith("RuntimeError: neither")

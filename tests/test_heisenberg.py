@@ -3,31 +3,29 @@ import pytest
 
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import (FourierPolynomial, check_relations,
-                                 identity_op, index_vectors, integral, pi_op,
+                                 compose_exponents, index_vectors, integral,
+                                 pi_exponents, pi_exponents_many, pi_op,
                                  quantize, root_table)
 
 
 def test_pi_zero_is_identity():
     pm = PrimeModulus(5, 1)
-    op = pi_op((0, 0), pm)
-    assert np.abs(op.dense() - np.eye(5)).max() == 0
+    assert np.abs(pi_op((0, 0), pm) - np.eye(5)).max() == 0
 
 
 def test_pure_translation_traceless():
     pm = PrimeModulus(7, 1)
-    op = pi_op((3, 0), pm)
-    assert op.trace() == 0  # fixed-point-free permutation
-    d = op.dense()
+    d = pi_op((3, 0), pm)
+    assert np.trace(d) == 0  # fixed-point-free permutation
     assert np.count_nonzero(d) == 7
     assert np.abs(np.abs(d[d != 0]) - 1).max() < 1e-15
 
 
 def test_diagonal_character_traceless():
     pm = PrimeModulus(5, 1)
-    op = pi_op((0, 1), pm)
-    d = op.dense()
+    d = pi_op((0, 1), pm)
     assert np.abs(d - np.diag(np.diag(d))).max() == 0
-    assert abs(op.trace()) < 1e-14  # complete character sum
+    assert abs(np.trace(d)) < 1e-14  # complete character sum
 
 
 def test_unitarity_and_order():
@@ -36,21 +34,22 @@ def test_unitarity_and_order():
         rng = np.random.default_rng(p + n)
         for _ in range(10):
             xi = tuple(int(x) for x in rng.integers(0, p, 2 * n))
-            op = pi_op(xi, pm)
-            d = op.dense()
+            d = pi_op(xi, pm)
             assert np.abs(d @ d.conj().T - np.eye(pm.dim)).max() < 1e-12
-            assert np.abs(op.power(p).dense() - np.eye(pm.dim)).max() < 1e-10
+            assert np.abs(np.linalg.matrix_power(d, p) - np.eye(pm.dim)).max() < 1e-10
+
+
+def _same_exponents(a, b) -> bool:
+    """Exact equality of two (src, expo) pairs, integer for integer."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
 
 def test_periodicity_exact():
     pm = PrimeModulus(7, 1)
-    a = pi_op((2, 3), pm)
-    b = pi_op((2 + 7, 3 - 14), pm)
-    assert a.equals(b)
+    assert _same_exponents(pi_exponents((2, 3), pm), pi_exponents((2 + 7, 3 - 14), pm))
     pm2 = PrimeModulus(3, 2)
-    a = pi_op((1, 2, 0, 1), pm2)
-    b = pi_op((4, -1, 3, 7), pm2)
-    assert a.equals(b)
+    assert _same_exponents(pi_exponents((1, 2, 0, 1), pm2),
+                           pi_exponents((4, -1, 3, 7), pm2))
 
 
 def test_trace_orthogonality():
@@ -58,7 +57,7 @@ def test_trace_orthogonality():
     vecs = [(i, j) for i in range(5) for j in range(5)]
     for xi in vecs[:8]:
         for eta in vecs[:8]:
-            val = pi_op(xi, pm).adjoint().compose(pi_op(eta, pm)).trace() / 5
+            val = np.trace(pi_op(xi, pm).conj().T @ pi_op(eta, pm)) / 5
             expected = 1.0 if xi == eta else 0.0
             assert abs(val - expected) < 1e-12
 
@@ -83,9 +82,8 @@ def test_relation_phase_at_equal_arguments():
     # omega(xi, xi) = 0, so T(xi)^2 = T(2 xi) with no phase
     pm = PrimeModulus(7, 1)
     xi = (2, 5)
-    lhs = pi_op(xi, pm).compose(pi_op(xi, pm))
-    rhs = pi_op((4, 10), pm)
-    assert lhs.equals(rhs)
+    lhs = compose_exponents(pi_exponents(xi, pm), pi_exponents(xi, pm), pm.p)
+    assert _same_exponents(lhs, pi_exponents((4, 10), pm))
 
 
 def test_commutator_phase():
@@ -93,11 +91,11 @@ def test_commutator_phase():
     pm = PrimeModulus(5, 1)
     eps = check_relations(pm).epsilon
     for xi, eta in (((1, 0), (0, 1)), ((2, 1), (1, 3))):
-        comm = pi_op(xi, pm).compose(pi_op(eta, pm)) \
-            .compose(pi_op(xi, pm).adjoint()).compose(pi_op(eta, pm).adjoint())
+        t_xi, t_eta = pi_op(xi, pm), pi_op(eta, pm)
+        comm = t_xi @ t_eta @ t_xi.conj().T @ t_eta.conj().T
         omega = xi[0] * eta[1] - xi[1] * eta[0]
         phase = np.exp(2j * np.pi * (eps * omega % 5) / 5)
-        assert np.abs(comm.dense() - phase * np.eye(5)).max() < 1e-12
+        assert np.abs(comm - phase * np.eye(5)).max() < 1e-12
 
 
 def test_quantize_constant_and_single():
@@ -105,7 +103,7 @@ def test_quantize_constant_and_single():
     f = FourierPolynomial({(0, 0): 2.5})
     assert np.abs(quantize(f, pm) - 2.5 * np.eye(5)).max() < 1e-15
     g = FourierPolynomial({(1, 2): 1.0})
-    assert np.abs(quantize(g, pm) - pi_op((1, 2), pm).dense()).max() == 0
+    assert np.abs(quantize(g, pm) - pi_op((1, 2), pm)).max() == 0
 
 
 def test_quantize_trace_is_integral():
@@ -132,16 +130,21 @@ def test_integral_examples():
     assert integral(FourierPolynomial({})) == 0.0
 
 
-def test_phased_permutation_algebra():
-    pm = PrimeModulus(5, 1)
-    a, b = pi_op((1, 2), pm), pi_op((3, 4), pm)
-    assert np.abs(a.compose(b).dense() - a.dense() @ b.dense()).max() < 1e-14
-    assert np.abs(a.adjoint().dense() - a.dense().conj().T).max() < 1e-14
-    ident = identity_op(pm)
-    assert np.abs(a.compose(a.adjoint()).dense() - ident.dense()).max() < 1e-14
-    dense = np.arange(25, dtype=complex).reshape(5, 5)
-    assert np.abs(a.apply_left(dense) - a.dense() @ dense).max() < 1e-12
-    assert np.abs(a.apply_right(dense) - dense @ a.dense()).max() < 1e-12
+def test_compose_exponents_is_the_dense_product():
+    # one pair and a stack of right factors, at n = 1 and n = 2
+    for p, n in ((5, 1), (3, 2)):
+        pm = PrimeModulus(p, n)
+        xis = np.random.default_rng(p).integers(0, p, size=(6, 2 * n))
+        src, expo = pi_exponents_many(xis, pm)
+        roots = root_table(p)
+        stack_src, stack_expo = compose_exponents((src[0], expo[0]), (src, expo), p)
+        for k, eta in enumerate(xis):
+            dense = np.zeros((pm.dim, pm.dim), dtype=complex)
+            dense[np.arange(pm.dim), stack_src[k]] = roots[stack_expo[k]]
+            ref = pi_op(xis[0], pm) @ pi_op(eta, pm)
+            assert np.abs(dense - ref).max() < 1e-14
+            pair = compose_exponents((src[0], expo[0]), (src[k], expo[k]), p)
+            assert _same_exponents(pair, (stack_src[k], stack_expo[k]))
 
 
 def test_cached_tables_are_read_only():

@@ -1,10 +1,13 @@
-"""Layout guard: no public function in src/ that the program never calls,
-and no module-level import that its module never uses.
+"""Layout guard: no public function or method in src/ that the program never
+calls, and no module-level import that its module never uses.
 
 A public module-level function of `src/torusque/*.py` must be referenced
 (called, passed or read as an attribute) somewhere in `src/` outside its own
-body, or be exported in `torusque.__all__`.  Functions only tests call
-belong in `tests/oracles.py` or in the test that uses them.  A name that a
+body, or be exported in `torusque.__all__`; so must every public method or
+property of a class there (dunders excluded).  References are matched by
+name, so a method shares them with any other name it is spelled like.
+Functions only tests call belong in `tests/oracles.py` or in the test that
+uses them.  A name that a
 module of `src/torusque/` (other than `__init__`) imports at module level
 must be read somewhere in that module; ALLOWED_UNUSED_IMPORTS lists the
 exceptions.
@@ -33,26 +36,53 @@ def _referenced_names(node) -> Counter:
     return out
 
 
+def _public_defs(tree):
+    """(qualified name, node) of every public module-level function and every
+    public method of a module-level class; dunders count as private."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def unreferenced_public_functions(src: Path = SRC) -> list[str]:
-    """module.name of every public module-level function with no reference
-    in src/ outside its own body and no entry in torusque.__all__."""
+    """module.name of every public module-level function, and module.Class.name
+    of every public method, with no reference in src/ outside its own body.
+    Functions exported in torusque.__all__ are exempt."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     total = Counter()
     for tree in trees.values():
         total += _referenced_names(tree)
     flagged = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
+        for qual, node in _public_defs(tree):
             own = _referenced_names(node)[node.name]
-            if total[node.name] - own == 0 and node.name not in torusque.__all__:
-                flagged.append(f"{module}.{node.name}")
+            if total[node.name] - own == 0 and qual not in torusque.__all__:
+                flagged.append(f"{module}.{qual}")
     return flagged
 
 
 def test_every_public_function_is_used_or_exported():
     assert unreferenced_public_functions() == []
+
+
+def test_unreferenced_guard_flags_an_unused_method(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def helper():\n"
+        "    return 1\n\n"
+        "class A:\n"
+        "    def used(self):\n"
+        "        return helper()\n\n"
+        "    def unused(self):\n"
+        "        return self.unused\n\n"
+        "    def __repr__(self):\n"
+        "        return 'A'\n\n"
+        "    def _private(self):\n"
+        "        return self.used()\n")
+    assert unreferenced_public_functions(tmp_path) == ["mod.A.unused"]
 
 
 def unused_module_imports(src: Path = SRC) -> list[str]:

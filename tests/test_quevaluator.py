@@ -8,7 +8,8 @@ from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import FourierPolynomial
 
-from oracles import (build_trace_table, character_sum, character_sum_table,
+from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
+                     character_sum_table,
                      check_invariance, cyclic_average_loop, diagonal_factor_sum,
                      dilate_op, factor_coordinates,
                      gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
@@ -153,6 +154,24 @@ def test_split_trace_formula_p5_example(rep_cache):
     # and it equals the independent matrix trace
     b = ((2, 0), (0, 3))
     assert abs(val - q.trace_pair((1, 1), rep.op(b), pm)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_embedded_diagonal_trace_at_n2(p, rep_cache):
+    # rho(diag(a, 1, 1/a, 1)) factors as rho_1(diag(a, 1/a)) x I, so on the
+    # plane xi = (lam, 0, mu, 0) its trace column is p times the n = 1 one,
+    # and the orientation sign read through it is the n = 1 sign
+    pm1, pm2 = PrimeModulus(p, 1), PrimeModulus(p, 2)
+    rep1, rep2 = rep_cache(p), rep_cache(p, 2)
+    lam, mu = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    for a in range(2, p):
+        ai = pow(a, -1, p)
+        col1 = q.trace_column(rep1.build(((a, 0), (0, ai))), pm1)
+        col2 = q.trace_column(rep2.build(((a, 0, 0, 0), (0, 1, 0, 0),
+                                          (0, 0, ai, 0), (0, 0, 0, 1))), pm2)
+        plane = col2[lam + p ** 2 * mu]
+        assert np.abs(plane - p * col1[lam + p * mu]).max() < 1e-12
+    assert q.measure_split_sign(pm2, rep2) == q.measure_split_sign(pm1, rep1)
 
 
 def test_split_trace_formula_rejects_bad_a():
@@ -332,9 +351,9 @@ def test_broken_identities_fail_the_bound_check_with_an_error(tmp_path, monkeypa
 
 def test_averaged_fixture_bound(cat_map, rep_cache, torus_cache):
     f = FourierPolynomial({(1, 0): 0.5, (-1, 0): 0.5})
-    rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)),
-                             fixtures=[f])
-    assert rpt.averaged_rows and all(r["ok_rigorous"] for r in rpt.averaged_rows)
+    rows = averaged_fixture_checks([f], q.PrimeContext(cat_map, torus_cache(7),
+                                                       rep_cache(7)))
+    assert rows and all(r["ok_rigorous"] for r in rows)
 
 
 def test_refined_bound_split(cat_map, rep_cache, torus_cache):
@@ -441,7 +460,7 @@ def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
     for b in torus.elements:
         t = ffcore.mat_mul(ffcore.mat_mul(tr.s0_inv, b, mod=13), tr.s0, mod=13)
         oracle = w @ dilate_op(((t[0][0], t[0][1]), (t[1][0], t[1][1])),
-                               pm).dense() @ w.conj().T
+                               pm) @ w.conj().T
         worst = max(worst, float(np.abs(oracle - rep.op(b)).max()))
     assert torus.order == 144
     assert worst < 1e-9
