@@ -142,10 +142,10 @@ def _timed(fn):
 
 
 def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
-              conventions: dict | None = None) -> dict:
-    """The prime's report.  An empty `conventions` dict is filled with the
-    conventions read from this prime's rho (`_conventions`); the sweep passes
-    the report header's until a prime has been built."""
+              conventions: dict) -> dict:
+    """The prime's report.  If `conventions`, the report header's, is still
+    empty, it is filled from this prime's rho after the prime's checks
+    (`_conventions`), so that reading is charged to no check's budget."""
     n = cfg.n
     pm = PrimeModulus(p, n)
     results: list[CheckResult] = []
@@ -153,8 +153,6 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
     try:
         ctx = quevaluator.PrimeContext.build(elem, pm,
                                              deadline=start + cfg.budget_seconds)
-        if conventions is not None and not conventions:
-            conventions.update(_conventions(ctx))
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
     rng = np.random.default_rng(cfg.seed + p)
@@ -173,6 +171,8 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
             res = CheckResult(name, "fail",
                               witnesses=[{"error": f"{type(e).__name__}: {e}"}])
         results.append(res)
+    if not conventions:
+        conventions.update(_conventions(ctx))
 
     routes = Counter(ctx.rep.tags.values())
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
@@ -185,13 +185,18 @@ def _conventions(ctx) -> dict:
     the context's rho; no other rho is built.
 
     The relation sign is read from the one pair that fixes it; the per-prime
-    `relations` check still validates the whole pair grid.
+    `relations` check still validates the whole pair grid.  A defect that
+    keeps them from being read is recorded once, as the header's `error`;
+    the prime's own checks report it where it belongs.
     """
-    out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
-    if ctx.pm.n == 1:
-        out["trace_formula_sign"] = quevaluator.measure_split_sign(ctx.pm, ctx.rep)
-        out["fourier_normalization"] = {"re": ctx.rep.gamma.real,
-                                        "im": ctx.rep.gamma.imag}
+    try:
+        out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
+        if ctx.pm.n == 1:
+            out["trace_formula_sign"] = quevaluator.measure_split_sign(ctx.pm, ctx.rep)
+            out["fourier_normalization"] = {"re": ctx.rep.gamma.real,
+                                            "im": ctx.rep.gamma.imag}
+    except Exception as e:  # noqa: BLE001 - a header defect, not a dead sweep
+        return {"error": f"{type(e).__name__}: {e}"}
     return out
 
 

@@ -444,23 +444,32 @@ def test_one_rho_per_built_prime(n, matrix, pmin, pmax, checks, tmp_path, monkey
     assert calls == [PrimeModulus(p, n) for p in primes]
 
 
-def test_unmeasurable_conventions_fail_the_prime(tmp_path, monkeypatch):
-    # a rho whose conventions cannot be read is a failed prime with a
-    # witness, not a dead sweep
+def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):
+    # conventions that cannot be read are recorded once in the header; every
+    # prime still runs its checks, and the check that uses the sign reports
+    # the defect
     from torusque import quevaluator
+    calls = []
 
     def broken(pm, rep):
+        calls.append(pm.p)
         raise RuntimeError("neither orientation sign matches the matrix trace")
 
     monkeypatch.setattr(quevaluator, "measure_split_sign", broken)
     out_json = tmp_path / "broken.json"
-    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "7", "--checks", "decomposition",
+    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "7",
+                  "--checks", "decomposition,trace-formula",
                   "--out-json", str(out_json)])
     assert rc == 1
     report = json.loads(out_json.read_text())
-    assert report["meta"]["conventions"] == {}
+    assert report["meta"]["conventions"] == {
+        "error": "RuntimeError: neither orientation sign matches the matrix trace"}
     assert [rp["p"] for rp in report["primes"]] == [3, 7]
+    # once per prime by the trace-formula check, once for the header
+    assert calls == [3, 3, 7]
     for rp in report["primes"]:
-        (check,) = rp["checks"]
-        assert check["name"] == "construction" and check["status"] == "fail"
-        assert check["witnesses"][0]["error"].startswith("RuntimeError: neither")
+        decomposition, trace_formula = rp["checks"]
+        assert decomposition["name"] == "decomposition"
+        assert decomposition["status"] == "pass"
+        assert trace_formula["status"] == "fail"
+        assert trace_formula["witnesses"][0]["error"].startswith("RuntimeError: neither")
