@@ -177,17 +177,3 @@ def sp_group_order(p: int, n: int) -> int:
         out *= p ** (2 * i) - 1
     return out
 
-
-def matrix_order_modp(m: Mat, p: int, bound: int | None = None) -> int:
-    """Multiplicative order of M mod p (the orbit period of the quantum map)."""
-    m = ffcore.mat_mod(mat(m), p)
-    n = len(m) // 2
-    if bound is None:
-        bound = sp_group_order(p, n)
-    ident = ffcore.identity_mat(len(m))
-    acc = m
-    for k in range(1, bound + 1):
-        if acc == ident:
-            return k
-        acc = mat_mul(acc, m, mod=p)
-    raise RuntimeError("order not found within group order bound")

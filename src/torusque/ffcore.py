@@ -452,35 +452,6 @@ def poly_roots_modp(f: Poly, p: int) -> list[int]:
     return [x for x in range(p) if poly_eval(f, x, mod=p) == 0]
 
 
-def nullspace_vector_modp(m: Mat, p: int) -> tuple[int, ...]:
-    """One nonzero kernel vector of M mod p; raises if M is invertible."""
-    d = len(m)
-    rows = [list(r) for r in mat_mod(m, p)]
-    pivots = {}
-    r = 0
-    for c in range(d):
-        piv = next((i for i in range(r, d) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(d):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    free = next((c for c in range(d) if c not in pivots), None)
-    if free is None:
-        raise ValueError("matrix is invertible mod p; kernel is trivial")
-    v = [0] * d
-    v[free] = 1
-    for c, row_i in pivots.items():
-        v[c] = (-rows[row_i][free]) % p
-    return tuple(v)
-
-
 def primitive_root(p: int) -> int:
     """Smallest generator of the cyclic group F_p^x."""
     order = p - 1

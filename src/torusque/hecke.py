@@ -54,17 +54,16 @@ def is_degenerate_prime(charpoly, p: int) -> bool:
     return not ffcore.is_squarefree_modp(charpoly, p)
 
 
-def centralizer(a: Mat, pm: PrimeModulus, charpoly=None) -> HeckeTorus:
+def centralizer(a: Mat, pm: PrimeModulus, charpoly) -> HeckeTorus:
     """All symplectic elements of F_p[A mod p], with group structure attached.
 
-    Raises DegeneratePrimeError when P_A mod p has a repeated factor (then
-    F_p[A] is not etale and the centralizer is not a torus).
+    charpoly is the characteristic polynomial of A over Z.  Raises
+    DegeneratePrimeError when P_A mod p has a repeated factor (then F_p[A]
+    is not etale and the centralizer is not a torus).
     """
     p, n = pm.p, pm.n
     d = 2 * n
     a = mat_mod(mat(a), p)
-    if charpoly is None:
-        charpoly = ffcore.char_poly(a)
     cp_mod = ffcore.poly_mod_reduce(charpoly, p)
     if is_degenerate_prime(cp_mod, p):
         g = ffcore.poly_gcd_modp(cp_mod, ffcore.poly_deriv(cp_mod, mod=p), p)

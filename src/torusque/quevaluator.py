@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from math import lcm
+from functools import cached_property, reduce
+from math import gcd, lcm
 
 import numpy as np
 
@@ -140,18 +140,18 @@ class SplitTransport:
 
 
 def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
-                          charpoly=None) -> SplitTransport:
+                          charpoly) -> SplitTransport:
     """Pair the 2n rational eigenvalues reciprocally and build the conjugator.
 
-    Requires P_A to split into distinct linear factors mod p.  Eigenvectors of
-    reciprocal eigenvalues pair nondegenerately under the symplectic form; the
-    second of each pair is rescaled so the pairing is 1, which makes the
-    column matrix symplectic.
+    Requires P_A (charpoly, over Z) to split into distinct linear factors
+    mod p.  The eigenvector of r is a nonzero column of prod_{s != r} (A - s)
+    mod p, a nonzero multiple of the projector onto ker(A - r).
+    Eigenvectors of reciprocal eigenvalues pair nondegenerately under the
+    symplectic form; the second of each pair is rescaled so the pairing is
+    1, which makes the column matrix symplectic.
     """
     p, n = pm.p, pm.n
     a = mat_mod(mat(elem_matrix), p)
-    if charpoly is None:
-        charpoly = ffcore.char_poly(a)
     cp = ffcore.poly_mod_reduce(charpoly, p)
     roots = ffcore.poly_roots_modp(cp, p)
     if len(set(roots)) != 2 * n:
@@ -166,12 +166,14 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
             raise ValueError("self-reciprocal eigenvalue at a squarefree prime")
         pairs.append((r, rinv))
         used.update((r, rinv))
+    shifted = {r: tuple(tuple((x - (r if i == j else 0)) % p for j, x in enumerate(row))
+                        for i, row in enumerate(a))
+               for r in roots}
     eig = {}
-    ident = ffcore.identity_mat(2 * n)
-    for r in used:
-        shifted = tuple(tuple((a[i][j] - (r if i == j else 0)) % p
-                              for j in range(2 * n)) for i in range(2 * n))
-        eig[r] = ffcore.nullspace_vector_modp(shifted, p)
+    for r in roots:
+        proj = reduce(lambda x, y: mat_mul(x, y, mod=p),
+                      (shifted[s] for s in roots if s != r))
+        eig[r] = next(col for col in zip(*proj) if any(col))
     cols = []
     alphas = []
     for r, rinv in pairs:
@@ -661,14 +663,14 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     the torus column carries an assertion (the p^{n/2}-scale bound with the
     exact torus order); the cyclic column is informational.  The observable
     is T(xi) for xi the first unit vector, and the time averages run over
-    the orbit A^k xi, k = 1..|<A>|, built once (`orbit_averages`).
+    the orbit A^k xi, k = 1..|<A>|, built once (`orbit_averages`).  |<A>|
+    is read from the torus: lcm_i m_i / gcd(e_i, m_i) for e = dlog[A mod p].
     """
-    from .classical import matrix_order_modp
     pm, torus = ctx.pm, ctx.torus
     p, n = pm.p, pm.n
     xi = (1,) + (0,) * (2 * n - 1)
-    r_ord = matrix_order_modp(ctx.elem.matrix, p)
     a_mod = mat_mod(mat(ctx.elem.matrix), p)
+    r_ord = lcm(*(m // gcd(e, m) for e, m in zip(torus.dlog[a_mod], torus.gen_orders)))
     orbit = [ffcore.mat_vec(a_mod, tuple(int(c) for c in xi), mod=p)]
     while len(orbit) < r_ord:
         orbit.append(ffcore.mat_vec(a_mod, orbit[-1], mod=p))

@@ -7,7 +7,9 @@ Generators and their operators, acting on functions F_p^n -> C:
     fourier    [[0, I], [-I, 0]]            f(x) |-> gamma p^{-n/2} sum_y psi(x.y) f(y)
 
 Each operator conjugates the lattice translations exactly as its matrix acts
-on lattice vectors (the Egorov identity).  The free normalization gamma of
+on lattice vectors (the Egorov identity).  `egorov_deviation` measures it at
+the 2n unit vectors only: they span F_p^2n, and the Heisenberg relation
+carries the identity from them to every xi.  The free normalization gamma of
 the Fourier element is solved, not assumed: with K = F D_I (D_I the shear of
 the identity block), the matrix (fourier * shear(I))^3 is the identity in
 Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
@@ -266,18 +268,17 @@ def _closed_form_chunk(rep: WeilRep, chunk: list) -> np.ndarray:
     return out
 
 
-def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus,
-                     xis=None) -> float:
-    """max | rho(B) T(xi) - T(B xi) rho(B) | over xi in xis, or over the unit
-    vectors when xis is None.
+def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus) -> float:
+    """max | rho(B) T(xi) - T(B xi) rho(B) | over the 2n unit vectors xi.
 
-    Every xi at once from integer (src, expo) arrays: with T(xi) f(x) =
-    psi(e[x]) f(s[x]) and T(B xi) f(x) = psi(e'[x]) f(s'[x]), entry
+    Every unit vector at once from integer (src, expo) arrays: with T(xi)
+    f(x) = psi(e[x]) f(s[x]) and T(B xi) f(x) = psi(e'[x]) f(s'[x]), entry
     (r, s[i]) of the two sides is rho[r, i] psi(e[i]) and
     psi(e'[r]) rho[s'[r], s[i]].  Compared in chunks of chunk_length(pm) xi.
+    `cli._check_egorov` states what the unit vectors prove for every xi.
     """
     p, n = pm.p, pm.n
-    xis = np.eye(2 * n, dtype=np.int64) if xis is None else np.asarray(xis, dtype=np.int64)
+    xis = np.eye(2 * n, dtype=np.int64)
     src, expo = pi_exponents_many(xis, pm)
     bsrc, bexpo = pi_exponents_many(xis @ (np.array(b, dtype=np.int64) % p).T, pm)
     roots = root_table(p)

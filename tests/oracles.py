@@ -20,7 +20,8 @@ along a word over the generators (`sp_word`, `word_operator`), which
 `WeilRep.build_many` replaces by one closed-form kernel per element, and the
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
 cyclic orbit average of the demo, one vector and one T(xi) per power at a
-time (`cyclic_average_loop`).  These oracles apply T(xi) by gathering with
+time (`cyclic_average_loop`), and its period |<A>| by walking the powers
+of A mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering with
 its (src, expo) arrays, so each application costs O(p^(2n)).  The
 triangle-inequality bound for averaged trigonometric-polynomial observables
 (`averaged_fixture_checks`).  Exact symmetries of the trace function
@@ -39,6 +40,7 @@ from math import lcm
 import numpy as np
 
 from torusque import ffcore, hecke
+from torusque.classical import sp_group_order
 from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod,
                              mat_mul)
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
@@ -641,21 +643,23 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
 
 def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
                           xis=None) -> float:
-    """max | rho(B) T(xi) - T(B xi) rho(B) | over a spanning set of xi, one
-    xi at a time, each side gathered from `pi_exponents` arrays in O(p^(2n))
-    (`weil.egorov_deviation` does every xi at once)."""
+    """max | rho(B) T(xi) - T(B xi) rho(B) | over the xi of xis (the unit
+    vectors when None), compared one xi at a time: B xi by `ffcore.mat_vec`,
+    each side gathered from the `pi_exponents_many` arrays in O(p^(2n))
+    (`weil.egorov_deviation` compares the unit vectors in chunks)."""
     p, n = pm.p, pm.n
     if xis is None:
         xis = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(2 * n)]
+    xis = [tuple(int(c) for c in xi) for xi in xis]
+    b = mat(b)
+    src, expo = pi_exponents_many(xis, pm)
+    bsrc, bexpo = pi_exponents_many([ffcore.mat_vec(b, xi, mod=p) for xi in xis], pm)
     roots = root_table(p)
     dev = 0.0
-    for xi in xis:
-        bxi = ffcore.mat_vec(mat(b), tuple(int(c) for c in xi), mod=p)
-        src, expo = pi_exponents(xi, pm)
-        bsrc, bexpo = pi_exponents(bxi, pm)
-        lhs = np.empty_like(dense)
-        lhs[:, src] = dense * roots[expo][None, :]     # rho(B) @ T(xi)
-        rhs = roots[bexpo][:, None] * dense[bsrc, :]    # T(B xi) @ rho(B)
+    lhs = np.empty_like(dense)
+    for k in range(len(xis)):
+        lhs[:, src[k]] = dense * roots[expo[k]][None, :]    # rho(B) @ T(xi)
+        rhs = roots[bexpo[k]][:, None] * dense[bsrc[k], :]  # T(B xi) @ rho(B)
         dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev
 
@@ -675,3 +679,16 @@ def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
         src, expo = pi_exponents(axk, pm)
         acc += np.vdot(v, root_table(p)[expo] * v[src])
     return complex(acc / order)
+
+
+def matrix_order_modp(m: Mat, p: int) -> int:
+    """Multiplicative order of M mod p, by walking its powers up to
+    |Sp(2n, F_p)| (the demo reads it from the torus discrete logs)."""
+    m = mat_mod(mat(m), p)
+    ident = ffcore.identity_mat(len(m))
+    acc = m
+    for k in range(1, sp_group_order(p, len(m) // 2) + 1):
+        if acc == ident:
+            return k
+        acc = mat_mul(acc, m, mod=p)
+    raise RuntimeError("order not found within group order bound")

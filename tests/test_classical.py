@@ -4,10 +4,10 @@ import pytest
 from torusque import ffcore
 from torusque.classical import (CAT_MAP, SP4_FIXTURE, ValidationError,
                                 birkhoff_average, birkhoff_many,
-                                find_ergodic_sp4, matrix_order_modp,
-                                sp_group_order, try_validate, validate_ergodic)
+                                find_ergodic_sp4, sp_group_order, try_validate,
+                                validate_ergodic)
 
-from oracles import is_palindromic
+from oracles import is_palindromic, matrix_order_modp
 
 
 def test_cat_map_accepted(cat_map):

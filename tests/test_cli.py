@@ -1,12 +1,16 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from torusque import cli
+from torusque import cli, weil
 from torusque.ffcore import PrimeModulus
+from torusque.heisenberg import lattice_vectors
 from torusque.quevaluator import PrimeContext
+
+from oracles import egorov_deviation_loop
 
 
 def run_cli(args):
@@ -191,7 +195,7 @@ def test_parse_matrix_fixtures():
 def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
     # a torus that cannot be built at one prime must not end the sweep,
     # whatever the type of the error
-    from torusque import hecke, weil
+    from torusque import hecke
     real = hecke.centralizer
 
     for error in (weil.ConstructionError, RuntimeError):
@@ -238,10 +242,80 @@ def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
             assert len(ctx.rep.cache) == before
 
 
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 7)])
+def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem):
+    # the check reads the torus generators at the unit vectors; then every
+    # torus element at every xi stays within egorov_tol and within the bound
+    # the check states: |e(B)| 2n(p - 1) p^n D + 2 p^n C, D the check's
+    # max_dev and C the torus certificate's deviation
+    pm = PrimeModulus(p, n)
+    ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
+    res = cli._check_egorov(ctx, np.random.default_rng(p))
+    assert res.status == "pass" and res.max_dev > 0
+    torus, rep = ctx.torus, ctx.rep
+    cert = weil.certify_torus(rep, torus)
+    per_factor = 2 * n * (p - 1) * pm.dim * res.max_dev
+    xis = lattice_vectors(pm)
+    for b, dense in zip(torus.elements, rep.build_many(torus.elements)):
+        dev = egorov_deviation_loop(dense, b, pm, xis)
+        assert dev <= weil.egorov_tol(pm)
+        assert dev <= sum(torus.dlog[b]) * per_factor + 2 * pm.dim * cert
+
+
+@pytest.mark.parametrize("n,p", [(1, 11), (2, 13)])
+def test_egorov_check_names_a_corrupted_generator(n, p, cat_map, sp4_elem,
+                                                  monkeypatch):
+    # rho(g) times a non-scalar diagonal unitary breaks Egorov at a unit
+    # vector whose image under g shifts; the check fails with g as witness
+    pm = PrimeModulus(p, n)
+    ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
+    g = ctx.torus.generators[-1][0]
+    phases = np.exp(2j * np.pi * np.random.default_rng(p).random(pm.dim))
+    real = ctx.rep.build_many
+
+    def corrupted(bs, deadline=None):
+        bs = list(bs)
+        for b, dense in zip(bs, real(bs, deadline)):
+            yield phases[:, None] * dense if b == g else dense
+
+    monkeypatch.setattr(ctx.rep, "build_many", corrupted)
+    res = cli._check_egorov(ctx, np.random.default_rng(0))
+    assert res.status == "fail"
+    assert [w["B"] for w in res.witnesses] == [g]
+
+
+class _CountOnly:
+    """A torus element list that has a length and cannot be read."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        raise AssertionError("a check read torus.elements")
+
+
+@pytest.mark.parametrize("n,p,checks", [
+    (1, 11, cli.ALL_CHECKS),
+    (2, 5, cli.ALL_CHECKS),
+    # the exhaustive p^(4n) relation grid would take hours at n = 2, p = 13
+    (2, 13, tuple(c for c in cli.ALL_CHECKS if c != "relations")),
+], ids=["1-11", "2-5", "2-13"])
+def test_checks_read_no_torus_element_list(n, p, checks, cat_map, sp4_elem):
+    # every check reads the torus through its generators, dlog and order
+    built = PrimeContext.build(cat_map if n == 1 else sp4_elem, PrimeModulus(p, n))
+    torus = replace(built.torus, elements=_CountOnly(built.torus.order))
+    ctx = PrimeContext(built.elem, torus, built.rep)
+    for name in checks:
+        res = cli._CHECK_RUNNERS[name](ctx, np.random.default_rng(p))
+        assert res.name == name and res.status in ("pass", "fail", "skip")
+
+
 def test_relation_pairs_join_only_the_sampled_check(cat_map, monkeypatch):
     # SL2(F_3) is scanned pair by pair, which holds every relation; at p = 7
     # the relation pairs follow the sampled pairs into one check
-    from torusque import weil
     seen = []
     real = weil.check_multiplicativity
 
@@ -351,7 +425,6 @@ def test_budget_read_between_operator_chunks(check, tmp_path, monkeypatch):
     # second chunk is built
     import time
 
-    from torusque import weil
     now = [0.0]
     chunks = []
     real_chunk = weil._closed_form_chunk
@@ -405,7 +478,7 @@ def test_named_fixture_of_the_wrong_size_is_a_config_error(args, capsys):
 def test_header_conventions_equal_those_of_a_fresh_rho(n, matrix, pmin, tmp_path):
     # the header reads the first prime's own rho; a second rho built for the
     # purpose, as the header once did, gives the same values
-    from torusque import quevaluator, weil
+    from torusque import quevaluator
     from torusque.heisenberg import check_relations
     out_json = tmp_path / "conventions.json"
     run_cli(["sweep", "--n", str(n), "--matrix", matrix, "--pmin", str(pmin),
@@ -427,7 +500,6 @@ def test_header_conventions_equal_those_of_a_fresh_rho(n, matrix, pmin, tmp_path
 def test_one_rho_per_built_prime(n, matrix, pmin, pmax, checks, tmp_path, monkeypatch):
     # neither the report header nor the factorization check builds a rho of
     # its own: every linearize call is a context's
-    from torusque import weil
     calls = []
     real = weil.linearize
 

@@ -13,8 +13,8 @@ from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
                      check_invariance, cyclic_average_loop, diagonal_factor_sum,
                      dilate_op, factor_coordinates,
                      gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
-                     linearize_on_torus, transport_char, transport_xi,
-                     unflatten_xi)
+                     linearize_on_torus, matrix_order_modp, transport_char,
+                     transport_xi, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
 
@@ -406,7 +406,6 @@ def test_orbit_averages_equal_per_vector_loop(p, cat_map, rep_cache, torus_cache
     import re
     from ast import literal_eval
 
-    from torusque.classical import matrix_order_modp
     pm = PrimeModulus(p, 1)
     ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
     rows, meta = q.cyclic_vs_hecke_demo(ctx)
