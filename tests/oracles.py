@@ -21,8 +21,8 @@ along a word over the generators (`sp_word`, `word_operator`), which
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
 cyclic orbit average of the demo, one vector and one T(xi) per power at a
 time (`cyclic_average_loop`), and its period |<A>| by walking the powers
-of A mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering with
-its (src, expo) arrays, so each application costs O(p^(2n)).  The
+of A mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering
+with its (src, expo) arrays, so each application costs O(p^(2n)).  The
 triangle-inequality bound for averaged trigonometric-polynomial observables
 (`averaged_fixture_checks`).  Exact symmetries of the trace function
 (`check_invariance`, `hermitian_symmetry_dev`).
