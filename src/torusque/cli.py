@@ -29,8 +29,8 @@ from . import ffcore, hecke, quevaluator, weil
 from .classical import (CAT_MAP, SP4_FIXTURE, ErgodicElement, ValidationError,
                         sp_group_order, validate_ergodic)
 from .ffcore import PrimeModulus
-from .heisenberg import (FourierPolynomial, check_relations, integral,
-                         lattice_vectors, quantize)
+from .heisenberg import (BudgetExceeded, FourierPolynomial, check_relations,
+                         integral, lattice_vectors, quantize)
 
 ALL_CHECKS = ("relations", "egorov", "multiplicativity", "decomposition",
               "bound", "refined", "trace-formula", "factorization", "demo")
@@ -165,7 +165,7 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
         try:
             res, ms = _timed(lambda: runner(ctx, rng))
             res.millis = ms
-        except quevaluator.BudgetExceeded:      # the deadline passed mid-check
+        except BudgetExceeded:      # the deadline passed mid-check
             res = _budget_skip(name)
         except Exception as e:  # noqa: BLE001 - report, do not crash the sweep
             res = CheckResult(name, "fail",
@@ -185,9 +185,9 @@ def _conventions(ctx) -> dict:
     the context's rho; no other rho is built.
 
     The relation sign is read from the one pair that fixes it; the per-prime
-    `relations` check still validates the whole pair grid.  A defect that
-    keeps them from being read is recorded once, as the header's `error`;
-    the prime's own checks report it where it belongs.
+    `relations` check validates the pairs that prove the whole grid.  A
+    defect that keeps them from being read is recorded once, as the header's
+    `error`; the prime's own checks report it where it belongs.
     """
     try:
         out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
@@ -213,7 +213,7 @@ def _failed_prime(p: int, cfg: SweepConfig, err: Exception) -> dict:
 
 
 def _check_relations(ctx, rng):
-    rpt = check_relations(ctx.pm, tol=1e-10)
+    rpt = check_relations(ctx.pm, deadline=ctx.deadline)
     return CheckResult("relations", "pass" if rpt.ok else "fail",
                        max_dev=rpt.max_dev,
                        witnesses=[] if rpt.ok else [{"epsilon": rpt.epsilon}])

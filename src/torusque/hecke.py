@@ -33,7 +33,6 @@ class DegeneratePrimeError(ValueError):
 @dataclass
 class HeckeTorus:
     pm: PrimeModulus
-    a_mod_p: Mat
     elements: list            # list[Mat], deterministic order
     split_type: str           # "split" | "nonsplit" | "mixed"
     factor_degrees: list      # degrees of the irreducible factors of P_A mod p
@@ -96,7 +95,7 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly) -> HeckeTorus:
     else:
         split = "mixed"
     generators, dlog = torus_structure(elements, p)
-    return HeckeTorus(pm, a, elements, split, degs, generators, dlog)
+    return HeckeTorus(pm, elements, split, degs, generators, dlog)
 
 
 def torus_structure(elements: list, p: int) -> tuple[list, dict]:

@@ -14,22 +14,31 @@ it out as a dense matrix.  Products are composed on these arrays
 
     T(xi) T(eta) = psi(eps * nu * omega(xi, eta)) * T(xi + eta)
 
-can be checked without floating-point accumulation (eps is the orientation
-sign of the symplectic form, measured rather than assumed).
+can be checked exactly, at the 2n unit vectors xi = e_i, which prove it for
+every xi (eps: the orientation sign of omega, measured, not assumed).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .ffcore import PrimeModulus, symplectic_form
+from .ffcore import PrimeModulus
 
 
 # moduli whose tables stay cached; a sweep visits a few dozen primes
 _CACHED_MODULI = 64
+
+# bytes of complex entries built or compared at once: a chunk of operators
+# (weil's build_many), of xi (egorov_deviation) or of eta (check_relations)
+CHUNK_BYTES = 1 << 18
+
+
+class BudgetExceeded(RuntimeError):
+    """The sweep's time budget ran out inside a check."""
 
 
 @lru_cache(maxsize=_CACHED_MODULI)
@@ -95,7 +104,7 @@ def compose_exponents(a, b, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# defining relation, checked exhaustively on exponents
+# defining relation, checked on exponents at the unit vectors
 
 
 @dataclass
@@ -125,44 +134,47 @@ def _phase_deviation(lhs, target, phase, p: int) -> float:
     return float(np.abs(roots[lhs[1]] - roots[(target[1] + phase) % p]).max())
 
 
-def check_relations(pm: PrimeModulus, tol: float = 1e-10,
-                    exhaustive: bool = True) -> RelationReport:
+def check_relations(pm: PrimeModulus, exhaustive: bool = True,
+                    deadline: float | None = None) -> RelationReport:
     """Pair check of T(xi)T(eta) = psi(eps*nu*omega(xi,eta)) T(xi+eta).
 
-    Every product is composed on the exact (src, expo) arrays
-    (`compose_exponents`).  The orientation sign eps is measured from the
-    data (it is a convention artifact of the form) on the pair xi = e_1,
-    eta = e_{n+1}, where omega = 1.  With exhaustive=False only that pair is
-    checked (pairs_checked == 1), which is all it takes to read eps.
-    Otherwise the whole p^{4n} pair grid is checked, vectorized per xi.
+    Products are composed on the exact (src, expo) arrays
+    (`compose_exponents`), so a pair holds exactly or fails.  The
+    orientation sign eps, a convention artifact of the form, is measured on
+    the pair (e_1, e_{n+1}), where omega = 1; with exhaustive=False only
+    that pair is checked.  Otherwise the 2n p^{2n} pairs (e_i, eta), e_i a
+    unit vector, are checked in chunks of eta, and `deadline` (a
+    time.perf_counter() value) is read before each chunk.  They prove the
+    p^{4n} grid, by induction on xi as a nonempty sum of unit vectors
+    (0 = p e_1): if the relation holds at xi' for every eta, the pair
+    (e_i, xi') gives T(e_i + xi') = psi(-eps nu omega(e_i, xi')) T(e_i)
+    T(xi'), and with the pairs (e_i, xi' + eta) and bilinearity of omega it
+    holds at e_i + xi' for every eta.
     """
     p, n = pm.p, pm.n
     unit = np.eye(2 * n, dtype=np.int64)
-    xi, eta = unit[0], unit[n]
-    w = symplectic_form(xi, eta, mod=p)
-    src, expo = pi_exponents_many([xi, eta, xi + eta], pm)
-    lhs = compose_exponents((src[0], expo[0]), (src[1], expo[1]), p)
-    delta = int((lhs[1][0] - expo[2][0]) % p)
-    eps = next((c for c in (1, -1) if (c * pm.nu * w - delta) % p == 0), 1)
+    src_e, expo_e = pi_exponents_many(unit, pm)
+    lhs = compose_exponents((src_e[0], expo_e[0]), (src_e[n], expo_e[n]), p)
+    src, expo = pi_exponents_many(unit[:1] + unit[n], pm)
+    eps = -1 if (lhs[1][0] - expo[0, 0]) % p == -pm.nu % p else 1
     if not exhaustive:
-        dev = _phase_deviation(lhs, (src[2], expo[2]), eps * pm.nu * w, p)
-        return RelationReport(eps, 1, dev, dev <= tol)
+        dev = _phase_deviation(lhs, (src[0], expo[0]), eps * pm.nu, p)
+        return RelationReport(eps, 1, dev, dev == 0)
 
     vecs = lattice_vectors(pm)
-    m = len(vecs)
-    lam_all, mu_all = vecs[:, :n], vecs[:, n:]
-    # per lattice vector: src and expo arrays of its operator, stacked (m, d)
-    src_all, expo_all = pi_exponents_many(vecs, pm)
+    rows = max(1, CHUNK_BYTES // (16 * pm.dim))
     max_dev = 0.0
-    lattice_pvec = p ** np.arange(2 * n)
-    for i in range(m):
-        # composite T(xi_i) T(eta_j) for all j at once; memory stays O(m d)
-        lhs = compose_exponents((src_all[i], expo_all[i]), (src_all, expo_all), p)
-        tgt = ((vecs[i][None, :] + vecs) % p) @ lattice_pvec
-        omega_i = (vecs[i][:n] @ mu_all.T - vecs[i][n:] @ lam_all.T) % p
-        max_dev = max(max_dev, _phase_deviation(
-            lhs, (src_all[tgt], expo_all[tgt]), eps * pm.nu * omega_i[:, None], p))
-    return RelationReport(eps, m * m, max_dev, max_dev <= tol)
+    for start in range(0, len(vecs), rows):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"deadline passed at eta {start} of {len(vecs)}")
+        etas = vecs[start:start + rows]
+        t_eta = pi_exponents_many(etas, pm)
+        for i, e in enumerate(unit):
+            lhs = compose_exponents((src_e[i], expo_e[i]), t_eta, p)
+            omega = (e[:n] @ etas[:, n:].T - e[n:] @ etas[:, :n].T) % p
+            max_dev = max(max_dev, _phase_deviation(
+                lhs, pi_exponents_many(etas + e, pm), eps * pm.nu * omega[:, None], p))
+    return RelationReport(eps, 2 * n * len(vecs), max_dev, max_dev == 0)
 
 
 # ---------------------------------------------------------------------------

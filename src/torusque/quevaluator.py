@@ -53,10 +53,9 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
-from .heisenberg import (index_vectors, lattice_vectors, pi_exponents,
-                         pi_exponents_many, pi_op, root_table)
+from .heisenberg import (BudgetExceeded, index_vectors, lattice_vectors,
+                         pi_exponents, pi_exponents_many, pi_op, root_table)
 from .hecke import HeckeTorus, TorusCharacter
-from .weil import BudgetExceeded
 
 # relative slack of every bound comparison and of the factorization match
 RTOL = 1e-6

@@ -58,22 +58,15 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
-from .heisenberg import index_vectors, pi_exponents_many, root_table
+from .heisenberg import (CHUNK_BYTES, BudgetExceeded, index_vectors,
+                         pi_exponents_many, root_table)
 # bound here too, unused: perfbench's tracer test reads weil.pi_op as its
 # example of a function bound in two modules
 from .heisenberg import pi_op  # noqa: F401
 
-# bytes of complex operator entries built, or compared, at once: a chunk of
-# operators in build_many, a chunk of xi in egorov_deviation
-CHUNK_BYTES = 1 << 18
-
 
 class ConstructionError(RuntimeError):
     """No consistent phase assignment / intertwiner found."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The sweep's time budget ran out inside a check."""
 
 
 def chunk_length(pm: PrimeModulus) -> int:

@@ -25,7 +25,9 @@ of A mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering
 with its (src, expo) arrays, so each application costs O(p^(2n)).  The
 triangle-inequality bound for averaged trigonometric-polynomial observables
 (`averaged_fixture_checks`).  Exact symmetries of the trace function
-(`check_invariance`, `hermitian_symmetry_dev`).
+(`check_invariance`, `hermitian_symmetry_dev`).  The defining relation of
+the translations on the whole p^(4n) pair grid (`relation_grid`), which the
+2n p^(2n) pairs at the unit vectors prove.
 
 The generator operators as dense matrices (`shear_op`, `dilate_op`),
 which the closed-form kernel reproduces, and the cofactor determinant and
@@ -45,7 +47,8 @@ from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat
                              mat_mul)
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
-from torusque.heisenberg import (FourierPolynomial, index_vectors, integral,
+from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_deviation,
+                                 compose_exponents, index_vectors, integral,
                                  lattice_vectors, pi_exponents, pi_exponents_many,
                                  quantize, root_table)
 from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_column,
@@ -692,3 +695,29 @@ def matrix_order_modp(m: Mat, p: int) -> int:
             return k
         acc = mat_mul(acc, m, mod=p)
     raise RuntimeError("order not found within group order bound")
+
+
+def relation_grid(pm: PrimeModulus) -> RelationReport:
+    """T(xi)T(eta) = psi(eps*nu*omega(xi,eta)) T(xi+eta) on the whole p^(4n)
+    pair grid, one xi at a time against every eta at once, O(p^(5n)) in all
+    (`heisenberg.check_relations` checks the 2n p^(2n) pairs (e_i, eta)).
+    eps is read on the grid from the pair (e_1, e_{n+1}), flat indices 1 and
+    p^n."""
+    p, n = pm.p, pm.n
+    vecs = lattice_vectors(pm)
+    m = len(vecs)
+    lam_all, mu_all = vecs[:, :n], vecs[:, n:]
+    src_all, expo_all = pi_exponents_many(vecs, pm)
+    k1, k2 = 1, p ** n
+    lhs = compose_exponents((src_all[k1], expo_all[k1]), (src_all[k2], expo_all[k2]), p)
+    delta = int((lhs[1][0] - expo_all[k1 + k2][0]) % p)
+    eps = next((c for c in (1, -1) if (c * pm.nu - delta) % p == 0), 1)
+    max_dev = 0.0
+    lattice_pvec = p ** np.arange(2 * n)
+    for i in range(m):
+        lhs = compose_exponents((src_all[i], expo_all[i]), (src_all, expo_all), p)
+        tgt = ((vecs[i][None, :] + vecs) % p) @ lattice_pvec
+        omega_i = (vecs[i][:n] @ mu_all.T - vecs[i][n:] @ lam_all.T) % p
+        max_dev = max(max_dev, _phase_deviation(
+            lhs, (src_all[tgt], expo_all[tgt]), eps * pm.nu * omega_i[:, None], p))
+    return RelationReport(eps, m * m, max_dev, max_dev == 0)

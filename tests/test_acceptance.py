@@ -26,8 +26,8 @@ from torusque.heisenberg import check_relations, lattice_vectors
 
 from oracles import (SpFactor, build_trace_table, character_sum_table,
                      diagonal_factor_sum, egorov_deviation_loop, factor_coordinates,
-                     flatten_xi, linearize_on_torus, mat_det, transport_char,
-                     word_matrix, word_operator)
+                     flatten_xi, linearize_on_torus, mat_det, relation_grid,
+                     transport_char, word_matrix, word_operator)
 
 
 def _line(num, ok, detail):
@@ -39,24 +39,25 @@ SPLIT_N1 = [p for p in NONDEG_N1 if ffcore.legendre(5, p) == 1]
 
 
 def test_criterion_1_relations():
+    # the 2n p^(2n) pairs at the unit vectors, which prove the p^(4n) grid,
+    # against the grid itself (tests/oracles.py)
     t0 = time.time()
     worst = 0.0
     total_pairs = 0
-    for p in (3, 5, 7, 11, 13):
-        r = check_relations(PrimeModulus(p, 1), tol=1e-10)
-        worst = max(worst, r.max_dev)
-        total_pairs += r.pairs_checked
-        assert r.pairs_checked == p ** 4
-    for p in (3, 5):
-        r = check_relations(PrimeModulus(p, 2), tol=1e-10)
-        worst = max(worst, r.max_dev)
-        total_pairs += r.pairs_checked
-        assert r.pairs_checked == p ** 8
+    for n, primes in ((1, (3, 5, 7, 11, 13)), (2, (3, 5))):
+        for p in primes:
+            pm = PrimeModulus(p, n)
+            r, grid = check_relations(pm), relation_grid(pm)
+            worst = max(worst, r.max_dev)
+            total_pairs += r.pairs_checked
+            assert r.pairs_checked == 2 * n * p ** (2 * n)
+            assert grid.pairs_checked == p ** (4 * n)
+            assert (r.epsilon, r.ok) == (grid.epsilon, grid.ok)
     elapsed = time.time() - t0
-    ok = worst <= 1e-10 and elapsed < 30
+    ok = worst == 0 and elapsed < 30
     _line(1, ok, f"{total_pairs} pairs, max deviation {worst:.2e}, "
                  f"{elapsed:.1f}s (< 30s)")
-    assert worst <= 1e-10
+    assert worst == 0
     assert elapsed < 30
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from torusque import cli, weil
+from torusque import cli, heisenberg, weil
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import lattice_vectors
 from torusque.quevaluator import PrimeContext
@@ -166,6 +167,33 @@ def test_budget_skips_checks(tmp_path):
     assert statuses == ["skip", "skip"]
 
 
+def test_budget_passing_inside_relations_is_a_skip(sp4_elem, monkeypatch):
+    # the deadline is still ahead when run_prime starts the check and passes
+    # a millisecond into it, long before the 2n p^(2n) pairs at n = 2, p = 13
+    # are done; check_relations reads it between chunks of eta
+    rows = []
+    real = heisenberg.pi_exponents_many
+
+    def counted(xis, pm):
+        rows.append(len(xis))
+        return real(xis, pm)
+
+    def late_deadline(ctx, rng):
+        ctx.deadline = time.perf_counter() + 1e-3
+        return cli._check_relations(ctx, rng)
+
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "relations", late_deadline)
+    monkeypatch.setattr(heisenberg, "pi_exponents_many", counted)
+    cfg = cli.SweepConfig(n=2, checks=("relations",), budget_seconds=3600.0)
+    report = cli.run_prime(sp4_elem, 13, cfg, {"relation_sign": 1})
+    assert report["checks"] == [
+        {"name": "relations", "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
+         "witnesses": [{"reason": "budget exceeded"}], "millis": 0}]
+    # it started, and it stopped before T(eta) and T(e_i + eta) were read for
+    # every eta
+    assert rows and sum(rows) < (4 + 1) * 13 ** 4
+
+
 def test_plotdata_empty(tmp_path):
     report = tmp_path / "empty.json"
     report.write_text(json.dumps({"meta": {"n": 1}, "primes": []}))
@@ -300,8 +328,7 @@ class _CountOnly:
 @pytest.mark.parametrize("n,p,checks", [
     (1, 11, cli.ALL_CHECKS),
     (2, 5, cli.ALL_CHECKS),
-    # the exhaustive p^(4n) relation grid would take hours at n = 2, p = 13
-    (2, 13, tuple(c for c in cli.ALL_CHECKS if c != "relations")),
+    (2, 13, cli.ALL_CHECKS),
 ], ids=["1-11", "2-5", "2-13"])
 def test_checks_read_no_torus_element_list(n, p, checks, cat_map, sp4_elem):
     # every check reads the torus through its generators, dlog and order

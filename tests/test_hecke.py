@@ -135,8 +135,8 @@ def _diagonal_sp6_torus(p: int = 7) -> HeckeTorus:
         elements.append(tuple(tuple(x if i == j else 0 for j in range(6))
                               for i, x in enumerate(diag)))
     generators, dlog = torus_structure(elements, p)
-    return HeckeTorus(PrimeModulus(p, 3), elements[-1], elements, "split", [1] * 6,
-                      generators, dlog)
+    return HeckeTorus(PrimeModulus(p, 3), elements, "split", [1] * 6, generators,
+                      dlog)
 
 
 def test_three_generator_torus():

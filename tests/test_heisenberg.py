@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from torusque import heisenberg
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import (FourierPolynomial, check_relations,
                                  compose_exponents, index_vectors, integral,
                                  pi_exponents, pi_exponents_many, pi_op,
                                  quantize, root_table)
+
+import oracles
 
 
 def test_pi_zero_is_identity():
@@ -63,8 +66,8 @@ def test_trace_orthogonality():
 
 
 def test_relations_exhaustive_small():
-    r = check_relations(PrimeModulus(3, 1), tol=1e-12)
-    assert r.ok and r.pairs_checked == 81 and r.max_dev <= 1e-12
+    r = check_relations(PrimeModulus(3, 1))
+    assert r.ok and r.pairs_checked == 18 and r.max_dev == 0
     assert r.epsilon in (1, -1)
 
 
@@ -73,9 +76,41 @@ def test_relation_sign_from_one_pair_matches_exhaustive():
         pm = PrimeModulus(p, n)
         one = check_relations(pm, exhaustive=False)
         full = check_relations(pm)
-        assert one.pairs_checked == 1 and full.pairs_checked == p ** (4 * n)
+        assert one.pairs_checked == 1 and full.pairs_checked == 2 * n * p ** (2 * n)
         assert one.ok and full.ok
         assert one.epsilon == full.epsilon
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                 (3, 2), (5, 2)])
+def test_unit_vector_pairs_agree_with_the_grid(p, n):
+    pm = PrimeModulus(p, n)
+    r, grid = check_relations(pm), oracles.relation_grid(pm)
+    assert r.pairs_checked == 2 * n * p ** (2 * n) and grid.pairs_checked == p ** (4 * n)
+    assert r.ok and grid.ok and r.epsilon == grid.epsilon
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("where", ["non-unit", "zero"])
+def test_a_shifted_phase_fails_the_check_and_the_grid(p, n, where, monkeypatch):
+    # T(eta) at one eta gets an extra factor psi(1); the relation then fails
+    # at every pair that reads it, and the unit-vector pairs read every eta
+    pm = PrimeModulus(p, n)
+    target = np.zeros(2 * n, dtype=np.int64)
+    if where == "non-unit":
+        target[:] = 2
+    real = heisenberg.pi_exponents_many
+
+    def shifted(xis, pm):
+        src, expo = real(xis, pm)
+        hit = np.all(np.asarray(xis) % pm.p == target, axis=1)
+        return src, np.where(hit[:, None], (expo + 1) % pm.p, expo)
+
+    monkeypatch.setattr(heisenberg, "pi_exponents_many", shifted)
+    monkeypatch.setattr(oracles, "pi_exponents_many", shifted)
+    r, grid = check_relations(pm), oracles.relation_grid(pm)
+    assert not r.ok and not grid.ok
+    assert r.max_dev > 0 and grid.max_dev > 0
 
 
 def test_relation_phase_at_equal_arguments():
