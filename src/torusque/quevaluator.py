@@ -1,4 +1,4 @@
-"""Hecke character sums, streamed one eigenspace at a time, and the bound checks.
+"""Hecke character sums, one orbit-reduced table per prime, and the bound checks.
 
 The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) is computed for
 every xi mod p at once from one dense matrix (`trace_column`: one gather
@@ -10,16 +10,17 @@ against.  The character sums
     a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1})
 
 need no operator of any torus element but the generators: P_{chi^-1} is the
-projector onto the joint eigenspace H_{chi^-1} (`hecke.decompose`), so one
-`trace_column` of it gives the whole column chi.  They are checked against
-the p^{n/2}-scale bound and its split-prime refinement, and against the
-closed-form diagonal-torus trace.
+projector onto the joint eigenspace H_{chi^-1} (`hecke.decompose`).  As
+rho(B) T(xi) rho(B)^-1 = T(B xi), they are constant on the T-orbits of xi,
+so one xi per orbit suffices (`orbit_labels`, `character_sum_table`).  They
+are checked against the p^{n/2}-scale bound and its split-prime refinement,
+and against the closed-form diagonal-torus trace.
 
-A `PrimeContext` holds the torus and rho at one prime, builds the
-characters, the eigenspace decomposition and the split frame at most once
-each, and streams the sums column by column; every bound check, the
-factorization check and the averaging demo read them from it, reducing one
-column at a time, so no p^{2n} x |T| array is ever formed.
+A `PrimeContext` holds the torus and rho at one prime, and builds the
+characters, the eigenspace decomposition, the split frame, the orbits of xi
+and the table of sums, one row per orbit, at most once each; the bound and
+factorization checks read the table, weighting each row by its orbit's
+size, so no p^{2n} x |T| array is ever formed.
 
 Measured conventions worth knowing when reading this module (all certified by
 the test suite, none assumed):
@@ -44,13 +45,13 @@ the test suite, none assumed):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import gcd, lcm
 
 import numpy as np
 
-from . import ffcore, hecke, weil
+from . import ffcore, hecke, heisenberg, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
 from .heisenberg import (BudgetExceeded, index_vectors, lattice_vectors,
@@ -59,7 +60,7 @@ from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
 RTOL = 1e-6
-# the Parseval and xi = 0 identities of the character-sum stream must hold
+# the Parseval and xi = 0 identities of the character-sum table must hold
 # to this (relative) deviation, or the sums are not trusted
 IDENTITY_TOL = 1e-9
 
@@ -204,20 +205,20 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
 
-    The characters, the eigenspace decomposition and, at split primes, the
-    split frame (`transport` is None elsewhere) are built on first use and
-    then shared by every check.  The character sums are streamed, one
-    eigenspace at a time, by `character_sum_columns`; no table of them is
-    kept.  A context made directly from a torus and any rho (a twisted one,
-    say) derives its parts from that rho.  `deadline`, a
-    `time.perf_counter()` value, is checked before every eigenspace of the
-    stream.
+    The characters, the eigenspace decomposition, the T-orbits of xi, the
+    character-sum table (`sums`, rebuilt only for a replaced decomposition)
+    and, at split primes, the split frame (`transport` is None elsewhere)
+    are built on first use and then shared by every check.  A context made
+    directly from a torus and any rho (a twisted one, say) derives its parts
+    from that rho.  `deadline`, a `time.perf_counter()` value, is checked
+    before every chunk of orbits of the table.
     """
 
     elem: ErgodicElement
     torus: HeckeTorus
     rep: weil.WeilRep
     deadline: float | None = None
+    _sums: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, elem: ErgodicElement, pm: PrimeModulus,
@@ -274,29 +275,72 @@ class PrimeContext:
             raise RuntimeError("transported character exponent is not integral")
         return num // big
 
-    def character_sum_columns(self):
-        """Yield (i, a_chi(xi) for every flat xi) for chi = chis[i], in order.
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(reps, row, sizes): each T-orbit's least flat index, ascending
+        (reps[0] = 0, the orbit {0}), the orbit row of every flat xi, and the
+        orbit sizes, which divide |T| but need not equal it."""
+        reps, row = np.unique(orbit_labels(self.torus), return_inverse=True)
+        return reps, row, np.bincount(row)
 
-        a_chi(xi) = sum_B F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1}), with
-        P_{chi^-1} = V V^dagger on the eigenspace H_{chi^-1}: one
-        `trace_column` gather and matmul per occupied eigenspace, and a
-        shared read-only zero column for the empty ones.  Raises
-        BudgetExceeded once `deadline` has passed.
-        """
-        kernel = _trace_kernel(self.pm)
-        entries = self.decomposition.entries
-        zeros = np.zeros(self.pm.dim ** 2, dtype=complex)
-        zeros.flags.writeable = False
-        for i, inv in enumerate(self.inverse_index):
-            if self.deadline is not None and time.perf_counter() > self.deadline:
-                raise BudgetExceeded(f"deadline passed at character {i} "
-                                     f"of {len(entries)}")
-            _, basis, dim = entries[inv]
-            if dim == 0:
-                yield i, zeros
-            else:
-                proj = basis @ basis.conj().T
-                yield i, self.torus.order * _trace_column(proj, kernel)
+    @property
+    def sums(self) -> np.ndarray:
+        """`character_sum_table` of this context, built once per decomposition."""
+        if self._sums is None or self._sums[0] is not self.decomposition:
+            self._sums = (self.decomposition, character_sum_table(self))
+        return self._sums[1]
+
+    @cached_property
+    def generic_orbits(self) -> np.ndarray:
+        """`generic_mask` per orbit row; raises RuntimeError unless the mask
+        is constant on orbits (T acts diagonally in the split frame)."""
+        reps, row, _ = self.orbits
+        generic = self.transport.generic_mask()
+        if (generic[reps][row] != generic).any():
+            raise RuntimeError("the generic mask is not constant on torus orbits")
+        return generic[reps]
+
+
+def orbit_labels(torus: HeckeTorus) -> np.ndarray:
+    """The least flat index in the T-orbit of every flat xi, under xi -> B xi.
+    Each generator g of order m permutes the flat indices; ceil(log2 m)
+    pointer-doubling steps take the least label along its powers, and as the
+    generators commute, one pass each labels whole T-orbits."""
+    p, n = torus.pm.p, torus.pm.n
+    xis = lattice_vectors(torus.pm)
+    labels = np.arange(len(xis))
+    for g, m in torus.generators:
+        step = ((xis @ np.array(g, dtype=np.int64).T) % p) @ (p ** np.arange(2 * n))
+        for _ in range((m - 1).bit_length()):
+            labels = np.minimum(labels, labels[step])
+            step = step[step]
+    return labels
+
+
+def character_sum_table(ctx: PrimeContext) -> np.ndarray:
+    """a_chi(xi_r) at every orbit representative xi_r (`orbits`): row r, column chi.
+
+    a_chi(xi) = |T| Tr(T(xi) P_{chi^-1}), and Tr(T(xi) P) sums <v|T(xi)|v>
+    over the eigenbasis of P: one gather of the concatenated eigenbasis along
+    T(xi) per representative, O(p^{2n}), in chunks of CHUNK_BYTES.  The
+    deadline is read before every chunk.
+    """
+    pm, dec = ctx.pm, ctx.decomposition
+    reps = ctx.orbits[0]
+    xis = lattice_vectors(pm)[reps]
+    basis = np.hstack([b for _, b, _ in dec.entries])
+    conj = basis.conj()
+    dims = np.array(dec.dims)
+    starts = (np.cumsum(dims) - dims)[dims > 0]
+    traces = np.zeros((len(reps), len(dims)), dtype=complex)
+    rows = max(1, heisenberg.CHUNK_BYTES // (16 * pm.dim ** 2))
+    for s in range(0, len(reps), rows):
+        if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
+            raise BudgetExceeded(f"deadline passed at orbit {s} of {len(reps)}")
+        src, expo = pi_exponents_many(xis[s:s + rows], pm)
+        vals = (root_table(pm.p)[expo][:, None, :] @ (conj * basis[src]))[:, 0]
+        traces[s:s + rows, dims > 0] = np.add.reduceat(vals, starts, axis=1)
+    return ctx.torus.order * traces[:, ctx.inverse_index]
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +456,11 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     Populations are reported separately: the verdict over all characters, the
     verdict over characters with one-dimensional eigenspaces (the regime the
     eigenvector derivation of the bound actually covers), and at split primes
-    the generic stratum of the order-2 character.  The sums are reduced one
-    column at a time; the violation lists are in row-major (xi, chi) order.
-    Raises RuntimeError when the stream breaks the Parseval or the xi = 0
-    identity by more than IDENTITY_TOL: then the sums themselves are wrong,
-    which is not a bound violation.
+    the generic stratum of the order-2 character.  Only the violating rows of
+    the orbit table are expanded to their xi, so the violation lists are in
+    row-major (xi, chi) order.  Raises RuntimeError when the table breaks the
+    Parseval or the xi = 0 identity by more than IDENTITY_TOL: then the sums
+    themselves are wrong, which is not a bound violation.
     """
     pm, torus, chis = ctx.pm, ctx.torus, ctx.chis
     p, n = pm.p, pm.n
@@ -426,50 +470,37 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     inv_dims = np.array([dims[i] for i in ctx.inverse_index])
     is_dim1 = inv_dims == 1
     bound = 2 ** n * p ** (n / 2)
-    generic = None if ctx.transport is None else ctx.transport.generic_mask()
+    generic = None if ctx.transport is None else ctx.generic_orbits
 
-    col_max = np.zeros(len(chis))               # max |a_chi(xi)| over xi != 0
-    col_norm2 = np.zeros(len(chis))             # sum over xi of |a_chi(xi)|^2
-    xi0 = np.zeros(len(chis), dtype=complex)    # a_chi(0)
-    chi_total = np.zeros(pm.dim ** 2, dtype=complex)   # sum over chi of a_chi(xi)
-    hit_k, hit_ci, hit_abs = [], [], []
-    for ci, col in ctx.character_sum_columns():
-        mags = np.abs(col)
-        nz = mags[1:]                           # xi != 0
-        col_max[ci] = nz.max()
-        col_norm2[ci] = (mags ** 2).sum()
-        xi0[ci] = col[0]
-        chi_total += col
-        ks = np.nonzero(nz > bound + bound * RTOL)[0]
-        hit_k.append(ks + 1)
-        hit_ci.append(np.full(len(ks), ci))
-        hit_abs.append(nz[ks])
-
-    ks, cis, abs_a = (np.concatenate(h) for h in (hit_k, hit_ci, hit_abs))
-    first = np.lexsort((cis, ks))               # row-major over (xi, chi)
+    _, row, sizes = ctx.orbits
+    mags = np.abs(ctx.sums)                     # row 0 is the orbit {0}
+    col_max = mags[1:].max(axis=0)              # max |a_chi(xi)| over xi != 0
+    viol = mags > bound + bound * RTOL
+    viol[0] = False                             # xi = 0 is outside the bound
     xis = lattice_vectors(pm)                   # row k is the flat xi k
     violations, dim1_violations, generic_violations = [], [], []
-    for k, ci, val in zip(ks[first].tolist(), cis[first].tolist(),
-                          abs_a[first].tolist()):
-        rec = (tuple(xis[k].tolist()), chis[ci].exps, val, bound)
-        violations.append(rec)
-        if is_dim1[ci]:
-            dim1_violations.append(rec)
-        if generic is not None and generic[k]:
-            generic_violations.append(rec)
+    for k in np.nonzero(viol.any(axis=1)[row])[0].tolist():
+        r = row[k]
+        for ci in np.nonzero(viol[r])[0].tolist():
+            rec = (tuple(xis[k].tolist()), chis[ci].exps, float(mags[r, ci]), bound)
+            violations.append(rec)
+            if is_dim1[ci]:
+                dim1_violations.append(rec)
+            if generic is not None and generic[r]:
+                generic_violations.append(rec)
     max_ratio = float(col_max.max() / p ** (n / 2))
     dim1_max = float(col_max[is_dim1].max()) if is_dim1.any() else 0.0
 
     # Parseval, two identities: sum_xi |Tr(T(xi) P)|^2 = p^n Tr(P) for the
     # eigenspace projector P, and sum_chi P_chi = I with Tr T(xi) = p^n [xi = 0]
     unit = order * p ** n
-    expected_total = np.zeros_like(chi_total)
-    expected_total[0] = unit
+    chi_total = ctx.sums.sum(axis=1)
+    chi_total[0] -= unit
     parseval_max_dev = max(
-        float(np.abs(col_norm2 - order * unit * inv_dims).max() / (order * unit)),
-        float(np.abs(chi_total - expected_total).max() / unit))
+        float(np.abs(sizes @ mags ** 2 - order * unit * inv_dims).max() / (order * unit)),
+        float(np.abs(chi_total).max() / unit))
     # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}
-    xi0_dev = float(np.abs(xi0 - order * inv_dims).max())
+    xi0_dev = float(np.abs(ctx.sums[0] - order * inv_dims).max())
     if parseval_max_dev > IDENTITY_TOL or xi0_dev / order > IDENTITY_TOL:
         raise RuntimeError(f"character sums break their identities: Parseval "
                            f"{parseval_max_dev:.2e}, xi = 0 {xi0_dev / order:.2e}")
@@ -515,29 +546,31 @@ def refined_bound(ctx: PrimeContext) -> RefinedReport:
     is trivial; generic xi must then satisfy |a_chi| <= 2^n p^{(n-m)/2}.
 
     Non-generic xi are outside the refinement's stratum; their maxima are
-    recorded without assertion.  Nonsplit primes return applicable=False.
+    recorded without assertion.  Both maxima are read per orbit row of the
+    table (`PrimeContext.generic_orbits`).  Nonsplit primes return
+    applicable=False.
     """
     transport = ctx.transport
     p, n = ctx.pm.p, ctx.pm.n
     if transport is None:
         return RefinedReport(p, [], True, 0.0, False)
     half = (p - 1) // 2
-    generic_mask = transport.generic_mask()
-    nongeneric_mask = ~generic_mask
-    nongeneric_mask[0] = False
+    generic = ctx.generic_orbits
+    nongeneric = ~generic
+    nongeneric[0] = False
+    mags = np.abs(ctx.sums)
+    gmaxs = mags.max(axis=0, where=generic[:, None], initial=0.0)
+    ngmaxs = mags.max(axis=0, where=nongeneric[:, None], initial=0.0)
 
     rows = []
     generic_ok = True
     max_nongeneric = 0.0
-    for ci, col in ctx.character_sum_columns():
-        chi = ctx.chis[ci]
-        mags = np.abs(col)
+    for ci, chi in enumerate(ctx.chis):
         ks = tuple(ctx.transported[ci].tolist())
         eff = tuple((k + half) % (p - 1) for k in ks)
         m = sum(1 for e in eff if e == 0)
         rbound = 2 ** n * p ** ((n - m) / 2)
-        gmax = float(mags[generic_mask].max()) if generic_mask.any() else 0.0
-        ngmax = float(mags[nongeneric_mask].max()) if nongeneric_mask.any() else 0.0
+        gmax, ngmax = float(gmaxs[ci]), float(ngmaxs[ci])
         ok = gmax <= rbound * (1 + RTOL)
         generic_ok = generic_ok and ok
         max_nongeneric = max(max_nongeneric, ngmax)
@@ -570,8 +603,8 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     (`measure_split_sign`).  Because rho is a representation, rho(S0 t S0^-1) =
     rho(S0) dilate(t) rho(S0)^-1 for the split frame S0 and every diagonal t,
     so the per-character transport to the diagonal frame is exact and needs
-    no root choice.  Both routes are
-    compared on every (xi != 0, chi) pair, fully vectorized.
+    no root choice.  Both routes are compared at every orbit representative
+    xi != 0 and every chi, each pair counted once per element of its orbit.
     """
     pm = ctx.pm
     if pm.n != 2:
@@ -583,10 +616,11 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     pm1 = PrimeModulus(p, 1)
     sign = measure_split_sign(pm, ctx.rep)
 
-    # transported coordinates of every xi at once
-    m_xi = p ** (2 * n)
-    lam1, lam2, mu1, mu2 = transport.transport_all().T
-    generic = transport.generic_mask()
+    # transported coordinates of every orbit representative at once
+    reps, _, sizes = ctx.orbits
+    lam1, lam2, mu1, mu2 = transport.transport_all()[reps].T
+    weight = sizes * (reps > 0)                 # xi = 0 is no pair
+    generic_weight = sizes * ctx.generic_orbits
 
     # per-exponent p x p tables of the one-factor sums
     needed = sorted(set(ctx.transported.ravel().tolist()))
@@ -596,25 +630,20 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     for k in needed:
         oracle_tab[k][0, 0] -= p
 
-    nonzero = np.ones(m_xi, dtype=bool)
-    nonzero[0] = False
-    pairs_total = 0
-    generic_pairs = 0
-    matched_generic = 0
-    matched_all = 0
+    pairs_total = len(ctx.chis) * int(weight.sum())
+    generic_pairs = len(ctx.chis) * int(generic_weight.sum())
+    matched_generic = matched_all = 0
     max_rel = 0.0
-    for ci, lhs in ctx.character_sum_columns():
+    for ci, lhs in enumerate(ctx.sums.T):
         k1, k2 = ctx.transported[ci].tolist()
         rhs = factor_tab[k1][lam1, mu1] * factor_tab[k2][lam2, mu2]
         rhs_oracle = oracle_tab[k1][lam1, mu1] * oracle_tab[k2][lam2, mu2]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         rel = np.abs(lhs - rhs) / scale
         rel_oracle = np.abs(lhs - rhs_oracle) / scale
-        pairs_total += int(nonzero.sum())
-        matched_all += int((rel[nonzero] <= RTOL).sum())
-        generic_pairs += int(generic.sum())
-        matched_generic += int((rel_oracle[generic] <= RTOL).sum())
-        max_rel = max(max_rel, float(rel[nonzero].max()))
+        matched_all += int(weight[rel <= RTOL].sum())
+        matched_generic += int(generic_weight[rel_oracle <= RTOL].sum())
+        max_rel = max(max_rel, float(rel[1:].max()))
     ok = (matched_all == pairs_total
           and generic_pairs > 0
           and matched_generic / generic_pairs >= 0.95)

@@ -49,3 +49,10 @@ def torus_cache(cat_map, sp4_elem):
 def sp4_split13(sp4_elem):
     """The fully split n = 2 case p = 13 under the canonical rho."""
     return PrimeContext.build(sp4_elem, PrimeModulus(13, 2))
+
+
+@pytest.fixture(scope="session")
+def sp4_inert23(sp4_elem):
+    """The inert n = 2 case p = 23 (P_A irreducible mod p) under the
+    canonical rho, shared by the scoped acceptance claim and the memory guard."""
+    return PrimeContext.build(sp4_elem, PrimeModulus(23, 2))

@@ -4,7 +4,10 @@ The dense route: every torus element B gets its own dense rho(B): the trace tabl
 F[flat(xi), b] holds one `trace_column` per element, the character sums are
 that table times the character table, and the eigenspaces come from the |T|
 character projectors (1/|T|) sum_B conj(chi(B)) rho(B).  Memory is
-O(p^{2n} |T|), so the comparisons stay at small p.
+O(p^{2n} |T|), so the comparisons stay at small p.  The character sums
+streamed one eigenspace at a time (`character_sum_columns`): one
+`trace_column` of each eigenspace projector, O(p^{4n}) in all, which the
+orbit table of `quevaluator.character_sum_table` replaces.
 
 The torus structure by element orders (`torus_structure`): an O(|T|^2)
 order scan, one or two generators.  The one-factor split sums one scalar
@@ -259,6 +262,23 @@ def build_trace_table(torus: HeckeTorus, rep) -> TraceTable:
     for bi, b in enumerate(torus.elements):
         table[:, bi] = _trace_column(rep.op(b), kernel)
     return TraceTable(pm, torus, table)
+
+
+def character_sum_columns(ctx: PrimeContext):
+    """Yield (i, a_chi(xi) for every flat xi) for chi = ctx.chis[i], in order.
+
+    a_chi(xi) = |T| Tr(T(xi) P_{chi^-1}), with P_{chi^-1} = V V^dagger on the
+    eigenspace H_{chi^-1}: one `trace_column` gather and matmul per occupied
+    eigenspace, and zeros for the empty ones.
+    """
+    kernel = _trace_kernel(ctx.pm)
+    entries = ctx.decomposition.entries
+    for i, inv in enumerate(ctx.inverse_index):
+        _, basis, dim = entries[inv]
+        if dim == 0:
+            yield i, np.zeros(ctx.pm.dim ** 2, dtype=complex)
+        else:
+            yield i, ctx.torus.order * _trace_column(basis @ basis.conj().T, kernel)
 
 
 def character_sum(xi, chi: TorusCharacter, table: TraceTable) -> complex:

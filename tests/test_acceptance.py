@@ -423,8 +423,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
     sign = q.measure_split_sign(pm1, weil.linearize(pm1))
     chis = {chi.exps: chi for chi in hecke.characters(torus)}
     col = {exps: i for i, exps in enumerate(chis)}
-    wanted = {col[v[1]] for v in rpt.dim1_violations}
-    achi = {ci: c.copy() for ci, c in ctx.character_sum_columns() if ci in wanted}
+    row = ctx.orbits[1]
     per_factor = [0, 0]
     worst = 0.0
     for xi, exps, abs_a, bound in rpt.dim1_violations:
@@ -434,7 +433,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
         i = 1 - j
         k_i = transport_char(transport, chis[exps], torus)[i]
         factor = diagonal_factor_sum(*coords[i], k_i, pm1, sign)
-        a = achi[col[exps]][flatten_xi(xi, pm)]
+        a = ctx.sums[row[flatten_xi(xi, pm)], col[exps]]
         worst = max(worst, abs(a - (p - 1) * factor))
     assert per_factor == [4488, 4488]
     assert worst < 1e-9
@@ -482,3 +481,30 @@ def test_supplement_n2_p19_product_of_nonsplit_tori(sp4_elem):
     print(f"SUPPLEMENT: n=2 p=19 (T = Z20 x Z20): dims 361x1, 39x0; "
           f"{len(rpt.dim1_violations)} dim-1 violations on the 720 nonzero xi "
           f"of the two A-invariant planes (max ratio {rpt.max_ratio_dim1:.5f})")
+
+
+INERT_N2_RATIOS = {3: 1.901178, 5: 1.939604, 7: 1.948808, 11: 1.988444, 23: 1.999613}
+
+
+def test_supplement_inert_n2_bound(sp4_elem, sp4_inert23):
+    """The positive scoped claim at inert n = 2 primes.
+
+    Where P_A stays irreducible mod p (factor degrees [4]), T has order
+    p^2 + 1 and every eigenspace has dim <= 1.  There |a_chi(xi)| <=
+    2^n p^{n/2} = 4p holds for every character and every xi != 0: the
+    maximal ratio |a| / p^{n/2} stays under 2 and approaches it as p grows.
+    """
+    ratios = {}
+    for p, want in INERT_N2_RATIOS.items():
+        ctx = (sp4_inert23 if p == 23 else
+               q.PrimeContext.build(sp4_elem, PrimeModulus(p, 2)))
+        assert ctx.torus.split_type == "nonsplit"
+        assert ctx.torus.factor_degrees == [4]
+        assert ctx.torus.order == p ** 2 + 1
+        assert max(ctx.decomposition.dims) <= 1
+        rpt = q.verify_que_bound(ctx)
+        assert rpt.ok and rpt.ok_dim1
+        assert abs(rpt.max_ratio - want) < 1e-5
+        ratios[p] = round(rpt.max_ratio, 6)
+    print(f"SUPPLEMENT: n=2 inert p in {sorted(ratios)}: every dim <= 1 and "
+          f"|a| <= 4p for every chi and xi != 0; max |a|/p by prime {ratios}")

@@ -379,9 +379,9 @@ def test_sweep_n2_identity_checks(tmp_path):
 
 
 def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
-    # the torus, the decomposition and the split frame are built once per
-    # prime, however many checks read them; the character sums are streamed
-    # once per check that reads them: bound at every prime, refined at 11
+    # the torus, the decomposition, the split frame and the table of
+    # character sums are built once per prime, however many checks read them:
+    # the table once per prime for bound, and refined at 11 reads it again
     from torusque import hecke, quevaluator
     calls = {}
 
@@ -396,7 +396,7 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
 
     counted(hecke, "centralizer")
     counted(hecke, "decompose")
-    counted(quevaluator.PrimeContext, "character_sum_columns")
+    counted(quevaluator, "character_sum_table")
     counted(quevaluator, "build_split_transport")
     out_json = tmp_path / "once.json"
     rc = run_cli(["sweep", "--pmin", "3", "--pmax", "13",
@@ -408,35 +408,38 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
     assert [rp["p"] for rp in report["primes"]
             if rp["split_type"] == "split"] == [11]
     assert calls == {"centralizer": 4, "decompose": 4,
-                     "character_sum_columns": 5, "build_split_transport": 1}
+                     "character_sum_table": 4, "build_split_transport": 1}
 
 
-def test_budget_read_inside_the_eigenspace_loop(tmp_path, monkeypatch):
-    # a clock that advances one second per eigenspace column: the deadline
-    # passes in the middle of the first bound check, which becomes a budget
-    # skip, and so does every later check of that prime
+def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
+    # a clock that advances one second per chunk of orbit representatives:
+    # the deadline passes in the middle of the table the bound check builds,
+    # which becomes a budget skip, and so does every later check of that prime
     import time
 
-    from torusque import quevaluator
+    from torusque import heisenberg, quevaluator
     now = [0.0]
-    columns = []
-    real_column = quevaluator._trace_column
+    chunks = []
+    real_gather = quevaluator.pi_exponents_many
 
-    def slow_column(*args):
+    def slow_gather(xis, pm):
         now[0] += 1.0
-        columns.append(now[0])
-        return real_column(*args)
+        chunks.append(len(xis))
+        return real_gather(xis, pm)
 
     monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(quevaluator, "_trace_column", slow_column)
+    monkeypatch.setattr(quevaluator, "pi_exponents_many", slow_gather)
     out_json = tmp_path / "budget.json"
-    rc = run_cli(["sweep", "--pmin", "29", "--pmax", "29",
+    rc = run_cli(["sweep", "--pmin", "41", "--pmax", "41",
                   "--checks", "decomposition,bound,refined",
-                  "--budget-seconds", "10.5", "--out-json", str(out_json)])
+                  "--budget-seconds", "2.5", "--out-json", str(out_json)])
     assert rc == 0
     (rp,) = json.loads(out_json.read_text())["primes"]
-    assert rp["torus_order"] == 28          # 28 columns, 11 of them computed
-    assert columns == [float(k) for k in range(1, 12)]
+    # split: the 41 + 2 orbits of xi come in chunks of 9, and 3 of the 5
+    # chunks are gathered before the deadline
+    assert rp["split_type"] == "split" and rp["torus_order"] == 40
+    assert heisenberg.CHUNK_BYTES // (16 * 41 ** 2) == 9
+    assert chunks == [9, 9, 9]
     skip = {"name": "", "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
             "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
     decomposition, bound, refined = rp["checks"]

@@ -1,8 +1,10 @@
-"""The streamed route against the dense route it replaced (tests/oracles.py).
+"""The program's routes against the routes they replaced (tests/oracles.py).
 
 The eigenbasis from the torus generators against the |T| character
-projectors, and the character sums |T| Tr(T(xi) P_{chi^-1}), streamed one
-eigenspace at a time, against the trace table times the character table.
+projectors.  The character sums |T| Tr(T(xi) P_{chi^-1}) three ways: the
+orbit table of the program expanded to every xi, the stream of one
+`trace_column` per eigenspace, and the trace table times the character
+table.
 """
 
 import numpy as np
@@ -27,13 +29,28 @@ def test_streamed_route_matches_dense_route(n, p, cat_map, sp4_elem, rep_cache,
         assert np.abs(got - ref).max() <= 1e-9
 
     sums = oracles.character_sum_table(oracles.build_trace_table(torus, rep))
+    row = ctx.orbits[1]
     seen = []
     worst = 0.0
-    for ci, col in ctx.character_sum_columns():
+    for ci, col in oracles.character_sum_columns(ctx):
         seen.append(ci)
-        worst = max(worst, float(np.abs(col - sums[:, ci]).max()))
+        worst = max(worst, float(np.abs(col - sums[:, ci]).max()),
+                    float(np.abs(ctx.sums[row, ci] - sums[:, ci]).max()))
     del sums
     assert seen == list(range(torus.order))
+    assert worst <= 1e-9 * torus.order * p ** n
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (1, 97), (2, 5), (2, 13),
+                                 (2, 19)])
+def test_orbit_table_matches_stream(n, p, cat_map, sp4_elem, rep_cache, torus_cache):
+    # one column at a time, past the dense route's memory wall: at n = 2,
+    # p = 19 the expanded table would be p^4 x |T| = 130,321 x 400
+    torus, rep = torus_cache(p, n), rep_cache(p, n)
+    ctx = q.PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
+    row = ctx.orbits[1]
+    worst = max(float(np.abs(ctx.sums[row, ci] - col).max())
+                for ci, col in oracles.character_sum_columns(ctx))
     assert worst <= 1e-9 * torus.order * p ** n
 
 

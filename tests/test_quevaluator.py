@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
-from torusque.heisenberg import FourierPolynomial
+from torusque.heisenberg import FourierPolynomial, lattice_vectors
 
 from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
                      character_sum_table,
@@ -372,6 +373,96 @@ def test_refined_bound_split(cat_map, rep_cache, torus_cache):
 def test_refined_bound_nonsplit_inapplicable(cat_map, rep_cache, torus_cache):
     rpt = q.refined_bound(q.PrimeContext(cat_map, torus_cache(7), rep_cache(7)))
     assert not rpt.applicable
+
+
+def _brute_force_labels(torus):
+    """Least flat index of {B xi : B in T} for every xi, one element at a time."""
+    p = torus.pm.p
+    xis = lattice_vectors(torus.pm)
+    weights = p ** np.arange(xis.shape[1])
+    labels = np.arange(len(xis))
+    for b in torus.elements:
+        labels = np.minimum(labels, ((xis @ np.array(b).T) % p) @ weights)
+    return labels
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 7), (1, 11), (1, 13), (2, 5), (2, 7),
+                                 (2, 13)])
+def test_orbit_labels_match_brute_force_scan(n, p, torus_cache):
+    torus = torus_cache(p, n)
+    labels = q.orbit_labels(torus)
+    assert np.array_equal(labels, _brute_force_labels(torus))
+    ctx = q.PrimeContext(None, torus, None)
+    reps, row, sizes = ctx.orbits
+    assert np.array_equal(reps[row], labels) and reps[0] == 0 and sizes[0] == 1
+    assert (torus.order % sizes == 0).all()
+    assert sizes.sum() == p ** (2 * n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_inert_n2_orbits_are_free(p, torus_cache):
+    # at an inert prime T acts freely on xi != 0: p^2 orbits, all but {0}
+    # of size |T| = p^2 + 1
+    torus = torus_cache(p, 2)
+    assert torus.factor_degrees == [4]
+    _, _, sizes = q.PrimeContext(None, torus, None).orbits
+    assert len(sizes) == p ** 2
+    assert (sizes[1:] == torus.order).all() and torus.order == p ** 2 + 1
+
+
+def test_split_n1_orbit_sizes_vary(torus_cache):
+    # at a split prime the two axes are orbits of size p - 1 = |T| and the
+    # p - 1 hyperbolas lambda mu = c != 0 the others: p + 2 orbits in all
+    torus = torus_cache(11)
+    _, _, sizes = q.PrimeContext(None, torus, None).orbits
+    assert sorted(sizes.tolist()) == [1] + [10] * 12
+
+
+def test_refined_bound_raises_on_labels_that_break_the_generic_mask(
+        cat_map, rep_cache, torus_cache, monkeypatch):
+    # one generic xi relabelled into an axis orbit: the generic mask is no
+    # longer constant on the orbits, which is an error, not a verdict
+    ctx = q.PrimeContext(cat_map, torus_cache(11), rep_cache(11))
+    assert q.refined_bound(ctx).generic_ok
+    real = q.orbit_labels
+    generic = ctx.transport.generic_mask()
+
+    def corrupted(torus):
+        labels = real(torus)
+        k = next(k for k in range(len(labels)) if generic[k] and labels[k] != k)
+        axis = next(k for k in range(1, len(labels)) if not generic[k])
+        labels[k] = labels[axis]
+        return labels
+
+    monkeypatch.setattr(q, "orbit_labels", corrupted)
+    broken = q.PrimeContext(cat_map, torus_cache(11), rep_cache(11))
+    with pytest.raises(RuntimeError, match="not constant on torus orbits"):
+        q.refined_bound(broken)
+
+
+def test_table_and_readers_form_no_xi_by_chi_array(sp4_inert23):
+    # tracemalloc peaks of the orbit labels, the table and each reader at
+    # n = 2, p = 23 stay below half of one p^4 x |T| boolean array: a
+    # reintroduced expansion of the table, or of a mask of its shape, to
+    # every xi would cross it
+    ctx = sp4_inert23
+    ctx.decomposition
+    limit = ctx.pm.dim ** 2 * ctx.torus.order // 2
+    steps = {"orbit_labels": lambda: q.orbit_labels(ctx.torus),
+             "table": lambda: q.character_sum_table(ctx),
+             "bound": lambda: q.verify_que_bound(ctx),
+             "refined": lambda: q.refined_bound(ctx)}
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, step in steps.items():
+            tracemalloc.reset_peak()
+            step()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"tracemalloc peaks at n=2 p=23: {peaks}, limit {limit}")
+    assert max(peaks.values()) < limit, (peaks, limit)
 
 
 def test_cyclic_vs_hecke_demo_coincide_at_p7(cat_map, rep_cache, torus_cache):
