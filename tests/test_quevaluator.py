@@ -410,12 +410,12 @@ def test_inert_n2_orbits_are_free(p, torus_cache):
     assert (sizes[1:] == torus.order).all() and torus.order == p ** 2 + 1
 
 
-def test_split_n1_orbit_sizes_vary(torus_cache):
-    # at a split prime the two axes are orbits of size p - 1 = |T| and the
-    # p - 1 hyperbolas lambda mu = c != 0 the others: p + 2 orbits in all
-    torus = torus_cache(11)
-    _, _, sizes = q.PrimeContext(None, torus, None).orbits
-    assert sorted(sizes.tolist()) == [1] + [10] * 12
+def test_split_n2_orbit_sizes_vary(sp4_split13):
+    # T = T_1 x T_2 in the split frame: a nonzero xi with one factor zero has
+    # the other factor's torus as its stabilizer, so its orbit has p - 1
+    # elements, not |T| = (p - 1)^2: 14 such orbits per factor
+    _, _, sizes = sp4_split13.orbits
+    assert sorted(sizes.tolist()) == [1] + [12] * 28 + [144] * 196
 
 
 def test_refined_bound_raises_on_labels_that_break_the_generic_mask(
