@@ -32,9 +32,15 @@ from .ffcore import PrimeModulus
 # moduli whose tables stay cached; a sweep visits a few dozen primes
 _CACHED_MODULI = 64
 
-# bytes of complex entries built or compared at once: a chunk of operators
-# (weil's build_many), of xi (egorov_deviation) or of eta (check_relations)
+# bytes built or compared at once: a chunk of operators or a plan batch
+# (weil's build_many), of xi (egorov_deviation), of eta (check_relations) or
+# of orbits (quevaluator's character-sum table)
 CHUNK_BYTES = 1 << 18
+
+
+def chunk_items(item_bytes: int) -> int:
+    """How many items of item_bytes bytes fit in CHUNK_BYTES (at least one)."""
+    return max(1, CHUNK_BYTES // item_bytes)
 
 
 class BudgetExceeded(RuntimeError):
@@ -162,7 +168,7 @@ def check_relations(pm: PrimeModulus, exhaustive: bool = True,
         return RelationReport(eps, 1, dev, dev == 0)
 
     vecs = lattice_vectors(pm)
-    rows = max(1, CHUNK_BYTES // (16 * pm.dim))
+    rows = chunk_items(16 * pm.dim)
     max_dev = 0.0
     for start in range(0, len(vecs), rows):
         if deadline is not None and time.perf_counter() > deadline:

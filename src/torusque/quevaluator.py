@@ -51,11 +51,11 @@ from math import gcd, lcm
 
 import numpy as np
 
-from . import ffcore, hecke, heisenberg, weil
+from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
 from .heisenberg import (BudgetExceeded, index_vectors, lattice_vectors,
-                         pi_exponents, pi_exponents_many, pi_op, root_table)
+                         pi_exponents, pi_exponents_many, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -333,7 +333,7 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     dims = np.array(dec.dims)
     starts = (np.cumsum(dims) - dims)[dims > 0]
     traces = np.zeros((len(reps), len(dims)), dtype=complex)
-    rows = max(1, heisenberg.CHUNK_BYTES // (16 * pm.dim ** 2))
+    rows = weil.chunk_length(pm)
     for s in range(0, len(reps), rows):
         if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
             raise BudgetExceeded(f"deadline passed at orbit {s} of {len(reps)}")
@@ -477,17 +477,27 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     col_max = mags[1:].max(axis=0)              # max |a_chi(xi)| over xi != 0
     viol = mags > bound + bound * RTOL
     viol[0] = False                             # xi = 0 is outside the bound
-    xis = lattice_vectors(pm)                   # row k is the flat xi k
-    violations, dim1_violations, generic_violations = [], [], []
-    for k in np.nonzero(viol.any(axis=1)[row])[0].tolist():
-        r = row[k]
-        for ci in np.nonzero(viol[r])[0].tolist():
-            rec = (tuple(xis[k].tolist()), chis[ci].exps, float(mags[r, ci]), bound)
-            violations.append(rec)
-            if is_dim1[ci]:
-                dim1_violations.append(rec)
-            if generic is not None and generic[r]:
-                generic_violations.append(rec)
+    # one record per violating (xi, chi), row-major: every flat xi of a
+    # violating orbit row, ascending, with each violating chi of its row
+    hot_mask = viol.any(axis=1)
+    hot = np.nonzero(hot_mask)[0]               # violating orbit rows
+    hot_r, hot_c = np.nonzero(viol[hot])        # (position in hot, chi), row-major
+    counts = np.bincount(hot_r, minlength=len(hot))
+    ks = np.nonzero(hot_mask[row])[0]           # their flat xi, ascending
+    which = np.searchsorted(hot, row[ks])       # each xi's position in hot
+    per = counts[which]
+    # xi number i takes the entries first[which[i]] + j, 0 <= j < per[i]
+    first = np.cumsum(counts) - counts
+    entry = np.repeat(first[which] - (np.cumsum(per) - per), per) + np.arange(per.sum())
+    rec_chi, rec_row = hot_c[entry], hot[hot_r[entry]]
+    xi_tuples = [tuple(x) for x in lattice_vectors(pm)[ks].tolist()]
+    exps = [chi.exps for chi in chis]
+    violations = [(xi_tuples[i], exps[ci], m, bound) for i, ci, m in zip(
+        np.repeat(np.arange(len(ks)), per).tolist(), rec_chi.tolist(),
+        mags[rec_row, rec_chi].tolist())]
+    dim1_violations = [violations[t] for t in np.nonzero(is_dim1[rec_chi])[0].tolist()]
+    generic_violations = ([] if generic is None else
+                          [violations[t] for t in np.nonzero(generic[rec_row])[0].tolist()])
     max_ratio = float(col_max.max() / p ** (n / 2))
     dim1_max = float(col_max[is_dim1].max()) if is_dim1.any() else 0.0
 
@@ -680,6 +690,25 @@ def orbit_averages(vectors: np.ndarray, orbit, pm: PrimeModulus) -> np.ndarray:
     return (vectors.conj() * acc).sum(axis=0) / len(orbit)
 
 
+def torus_averages(vectors: np.ndarray, xi, dec: hecke.EigenspaceDecomposition) -> np.ndarray:
+    """<v|Avg(T(xi))|v> for every column v of vectors, where Avg(X) =
+    sum_chi P_chi X P_chi is the torus average (1/|T|) sum_B rho(B) X
+    rho(B)^-1 written in the joint eigenbasis.
+
+    In eigen coordinates, with E the concatenated eigenbasis: X_e = E^dagger
+    T(xi) E keeps only its diagonal blocks, one per eigenspace (a dim-2
+    block stays whole), and each value is c^dagger X_e c with c = E^dagger v.
+    """
+    pm = dec.torus.pm
+    basis = np.hstack([b for _, b, _ in dec.entries])
+    labels = np.repeat(np.arange(len(dec.dims)), dec.dims)
+    src, expo = pi_exponents(xi, pm)
+    x_e = basis.conj().T @ (root_table(pm.p)[expo][:, None] * basis[src])
+    x_e[labels[:, None] != labels[None, :]] = 0
+    coords = basis.conj().T @ vectors
+    return (coords.conj() * (x_e @ coords)).sum(axis=0)
+
+
 def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     """Tabulate time-average vs torus-average matrix elements per eigenvector.
 
@@ -691,8 +720,10 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     the torus column carries an assertion (the p^{n/2}-scale bound with the
     exact torus order); the cyclic column is informational.  The observable
     is T(xi) for xi the first unit vector, and the time averages run over
-    the orbit A^k xi, k = 1..|<A>|, built once (`orbit_averages`).  |<A>|
-    is read from the torus: lcm_i m_i / gcd(e_i, m_i) for e = dlog[A mod p].
+    the orbit A^k xi, k = 1..|<A>|, built once (`orbit_averages`); the
+    torus averages come from one E^dagger T(xi) E (`torus_averages`).
+    |<A>| is read from the torus: lcm_i m_i / gcd(e_i, m_i) for e =
+    dlog[A mod p].
     """
     pm, torus = ctx.pm, ctx.torus
     p, n = pm.p, pm.n
@@ -702,15 +733,6 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     orbit = [ffcore.mat_vec(a_mod, tuple(int(c) for c in xi), mod=p)]
     while len(orbit) < r_ord:
         orbit.append(ffcore.mat_vec(a_mod, orbit[-1], mod=p))
-
-    # <v|Avg(X)|v> with Avg(X) = sum_chi P_chi X P_chi, the torus average
-    # (1/|T|) sum_B rho(B) X rho(B)^-1 written in the joint eigenbasis
-    t_xi = pi_op(xi, pm)
-    blocks = [basis for _, basis, dim in ctx.decomposition.entries if dim]
-
-    def torus_average(v):
-        parts = (basis @ (basis.conj().T @ v) for basis in blocks)
-        return complex(sum(np.vdot(u, t_xi @ u) for u in parts))
 
     bound = 2 ** n * p ** (n / 2) / torus.order
     dim1 = [(chi, basis[:, 0]) for chi, basis, dim in ctx.decomposition.entries
@@ -727,17 +749,18 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
             (c1, v1), (c2, v2) = group[:2]
             mixes.append((f"mix chi={c1.exps}+{c2.exps}", (v1 + v2) / np.sqrt(2)))
     vectors = [v for _, v in dim1] + [v for _, v in mixes]
-    cyclic = (orbit_averages(np.stack(vectors, axis=1), orbit, pm)
-              if vectors else [])
+    cyclic, hecke_col = [], []
+    if vectors:
+        stack = np.stack(vectors, axis=1)
+        cyclic = orbit_averages(stack, orbit, pm).tolist()
+        hecke_col = torus_averages(stack, xi, ctx.decomposition).tolist()
 
     rows = []
-    for (chi, v), cyc in zip(dim1, cyclic):
-        hk = torus_average(v)
-        rows.append(DemoRow(f"chi={chi.exps}", complex(cyc), hk, 0.0,
+    for (chi, _), cyc, hk in zip(dim1, cyclic, hecke_col):
+        rows.append(DemoRow(f"chi={chi.exps}", cyc, hk, 0.0,
                             abs(hk) <= bound * (1 + RTOL)))
     max_column_gap = 0.0
-    for (label, v), cyc in zip(mixes, cyclic[len(dim1):]):
-        cyc, hk = complex(cyc), torus_average(v)
+    for (label, _), cyc, hk in zip(mixes, cyclic[len(dim1):], hecke_col[len(dim1):]):
         max_column_gap = max(max_column_gap, abs(cyc - hk))
         rows.append(DemoRow(label, cyc, hk, 0.0, True))
 

@@ -38,13 +38,19 @@ S != 0, rho(B) = rho(B U(S)) rho(U(-S)), one matmul by an operator cached
 per rep (2^n - 1 of them).  Each factorization is re-verified exactly
 before its kernel is formed: s1 and s2 must be symmetric, and the integer
 product shear(s1) dilate(M) fourier shear(s2) U(-S) must equal B mod p.
-`WeilRep.build_many` streams any sequence of elements through this route in
-chunks of CHUNK_BYTES of operators; it is the one route to rho(B).  The map
-is certified multiplicative by pair checks rho(B1) rho(B2) = rho(B1 B2) on
-operators from that route: every pair of a small group, and otherwise
-sampled pairs (random_sp) together with the defining relations of the
-generators written as pairs (relation_pairs); and on a Hecke torus by an
-O(|T|) certificate (certify_torus).  Both samplers share one block draw.
+`WeilRep.build_many` streams any sequence of elements through this route;
+it is the one route to rho(B).  Each batch of elements gets one exact plan
+(the symplectic test, the factorization and its re-verification, the row
+sources M^-1 x and both phase vectors), sized so the plan fits in
+CHUNK_BYTES; the dense operators are then emitted from the plan in chunks
+of CHUNK_BYTES of operators (the gather, the two scalings and the U(-S)
+matmul).  The map is certified multiplicative by pair checks rho(B1)
+rho(B2) = rho(B1 B2) on operators from that route: every pair of a small
+group, and otherwise sampled pairs (random_sp) together with the defining
+relations of the generators written as pairs (relation_pairs), their
+products B1 B2 from one batched int64 product (pair_triples); and on a
+Hecke torus by an O(|T|) certificate (certify_torus).  Both samplers share
+one block draw.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
-from .heisenberg import (CHUNK_BYTES, BudgetExceeded, index_vectors,
+from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
                          pi_exponents_many, root_table)
 # bound here too, unused: perfbench's tracer test reads weil.pi_op as its
 # example of a function bound in two modules
@@ -71,7 +77,14 @@ class ConstructionError(RuntimeError):
 
 def chunk_length(pm: PrimeModulus) -> int:
     """How many p^n x p^n complex matrices fit in CHUNK_BYTES (at least one)."""
-    return max(1, CHUNK_BYTES // (16 * pm.dim ** 2))
+    return chunk_items(16 * pm.dim ** 2)
+
+
+def plan_length(pm: PrimeModulus) -> int:
+    """How many elements one exact plan of build_many covers within
+    CHUNK_BYTES: per element the plan keeps p^n int64 row sources and 2 p^n
+    complex phases, and its intermediates add at most 2n p^n int64."""
+    return chunk_items(8 * pm.dim * (5 + 2 * pm.n))
 
 
 def egorov_tol(pm: PrimeModulus) -> float:
@@ -147,18 +160,24 @@ class WeilRep:
         """Yield rho(B) for every B of bs, in order; nothing is cached.
 
         bs may be any iterable of 2n x 2n integer matrices; it is read
-        chunk_length(pm) elements at a time, and each chunk is built in
-        exact int64 arithmetic and numpy (see the module docs).  A yielded
-        operator is a view into its chunk's stack.  Raises ValueError for a
-        non-symplectic element, ConstructionError when a factorization
-        fails its re-verification, and BudgetExceeded when `deadline`, a
-        `time.perf_counter()` value, has passed before a chunk.
+        plan_length(pm) elements at a time.  Each such batch gets one exact
+        plan in int64 arithmetic (the symplectic test, the factorization and
+        its re-verification, the row sources and phases; see the module
+        docs), and its operators are emitted chunk_length(pm) at a time.  A
+        yielded operator is a view into its chunk's stack.  Raises
+        ValueError for a non-symplectic element, ConstructionError when a
+        factorization fails its re-verification, and BudgetExceeded when
+        `deadline`, a `time.perf_counter()` value, has passed before a
+        dense chunk.
         """
         elements = iter(bs)
-        while chunk := list(islice(elements, chunk_length(self.pm))):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise BudgetExceeded("deadline passed inside the operator stream")
-            yield from _closed_form_chunk(self, chunk)
+        step = chunk_length(self.pm)
+        while batch := list(islice(elements, plan_length(self.pm))):
+            plan = _closed_form_plan(self, batch)
+            for lo in range(0, len(batch), step):
+                if deadline is not None and time.perf_counter() > deadline:
+                    raise BudgetExceeded("deadline passed inside the operator stream")
+                yield from _dense_chunk(self, *(a[lo:lo + step] for a in plan))
 
     @cached_property
     def fourier(self) -> np.ndarray:
@@ -208,11 +227,12 @@ def _legendre_signs(p: int) -> np.ndarray:
     return out
 
 
-def _closed_form_chunk(rep: WeilRep, chunk: list) -> np.ndarray:
-    """(k, p^n, p^n) stack of rho(B) for the k elements of chunk (module docs)."""
+def _closed_form_plan(rep: WeilRep, batch: list):
+    """Exact plan of rho(B) for the k elements of batch (module docs): the
+    (k, p^n) row sources and row and column phases and the (k,) masks."""
     pm = rep.pm
     p, n = pm.p, pm.n
-    b = np.array(chunk, dtype=np.int64) % p
+    b = np.array(batch, dtype=np.int64) % p
     if b.shape[1:] != (2 * n, 2 * n):
         raise ValueError(f"expected {2 * n} x {2 * n} matrices")
     j = np.array(ffcore.standard_j(n), dtype=np.int64)
@@ -250,12 +270,18 @@ def _closed_form_chunk(rep: WeilRep, chunk: list) -> np.ndarray:
     pts = index_vectors(pm)
     roots = root_table(p)
     src = ((pts @ m_inv.transpose(0, 2, 1)) % p) @ (p ** np.arange(n))
-    q1 = ((pts @ s1) * pts).sum(axis=2)
-    q2 = ((pts @ s2) * pts).sum(axis=2)
-    row = _legendre_signs(p)[det[every, mask]][:, None] * roots[pm.nu * q1 % p]
+    row = roots[pm.nu * ((pts @ s1) * pts).sum(axis=2) % p]
+    row *= _legendre_signs(p)[det[every, mask]][:, None]
+    col = roots[pm.nu * ((pts @ s2) * pts).sum(axis=2) % p]
+    return src, row, col, mask
+
+
+def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
+    """(k, p^n, p^n) stack of rho(B) from k rows of a plan: one row gather of
+    rho(fourier), two phase scalings, and rho(U(-S)) where S != 0."""
     out = rep.fourier[src]
     out *= row[:, :, None]
-    out *= roots[pm.nu * q2 % p][:, None, :]
+    out *= col[:, None, :]
     for i in np.nonzero(mask)[0]:
         out[i] = out[i] @ rep.upper_shear(int(mask[i]))
     return out
@@ -430,6 +456,16 @@ def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> list[tuple[Mat
     return pairs
 
 
+def pair_triples(pairs: list, pm: PrimeModulus) -> np.ndarray:
+    """B1, B2 and B1 B2 mod p for every pair (B1, B2), stacked in that order
+    as a (3 len(pairs), 2n, 2n) int64 array.  The products come from one
+    batched int64 product: every entry stays below 2n p^2, so it is exact."""
+    d = 2 * pm.n
+    b = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, d, d) % pm.p
+    prods = (b[:, :1] @ b[:, 1:]) % pm.p
+    return np.concatenate([b, prods], axis=1).reshape(-1, d, d)
+
+
 @dataclass
 class MultiplicativityReport:
     pairs_checked: int
@@ -444,9 +480,10 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     every pair of Sp(2n, F_p) when pairs is None.
 
     Every operator comes from rep.build_many, outside rep.cache.  Pairs
-    stream through it as triples B1, B2, B1 B2, each dropped once compared;
-    the exhaustive mode holds the |Sp(2n, F_p)| operators of the group until
-    it returns.  `deadline` is passed to build_many.
+    stream through it as triples B1, B2, B1 B2 (`pair_triples`), each
+    dropped once compared; the exhaustive mode holds the |Sp(2n, F_p)|
+    operators of the group until it returns.  `deadline` is passed to
+    build_many.
     """
     p = rep.pm.p
     if pairs is None:
@@ -456,8 +493,7 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
                    for b1, b2 in product(group, repeat=2))
         count = len(group) ** 2
     else:
-        ops = rep.build_many((b for b1, b2 in pairs
-                              for b in (b1, b2, mat_mul(b1, b2, mod=p))), deadline)
+        ops = rep.build_many(pair_triples(pairs, rep.pm), deadline)
         triples = zip(ops, ops, ops)
         count = len(pairs)
     max_dev = 0.0

@@ -23,7 +23,8 @@ along a word over the generators (`sp_word`, `word_operator`), which
 `WeilRep.build_many` replaces by one closed-form kernel per element, and the
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
 cyclic orbit average of the demo, one vector and one T(xi) per power at a
-time (`cyclic_average_loop`), and its period |<A>| by walking the powers
+time (`cyclic_average_loop`), its torus average one eigenspace projection
+at a time (`torus_average_loop`), and its period |<A>| by walking the powers
 of A mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering
 with its (src, expo) arrays, so each application costs O(p^(2n)).  The
 triangle-inequality bound for averaged trigonometric-polynomial observables
@@ -53,7 +54,7 @@ from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
 from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_deviation,
                                  compose_exponents, index_vectors, integral,
                                  lattice_vectors, pi_exponents, pi_exponents_many,
-                                 quantize, root_table)
+                                 pi_op, quantize, root_table)
 from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_column,
                                   _trace_kernel, split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
@@ -702,6 +703,16 @@ def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
         src, expo = pi_exponents(axk, pm)
         acc += np.vdot(v, root_table(p)[expo] * v[src])
     return complex(acc / order)
+
+
+def torus_average_loop(v: np.ndarray, dec: EigenspaceDecomposition, xi) -> complex:
+    """<v|Avg(T(xi))|v> = sum_chi <u_chi|T(xi)|u_chi>, u_chi = E_chi E_chi^dagger v
+    the projection of v on each eigenspace in turn, with a dense T(xi)
+    (`quevaluator.torus_averages` works in eigen coordinates, every vector
+    at once)."""
+    t_xi = pi_op(xi, dec.torus.pm)
+    parts = (basis @ (basis.conj().T @ v) for _, basis, dim in dec.entries if dim)
+    return complex(sum(np.vdot(u, t_xi @ u) for u in parts))
 
 
 def matrix_order_modp(m: Mat, p: int) -> int:

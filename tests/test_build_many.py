@@ -77,6 +77,53 @@ def test_chunk_boundaries_keep_input_order(extra, rep_cache):
     assert _max_oracle_dev(rep, bs[:1]) <= 1e-12
 
 
+def _sampled_products(pm, count, seed):
+    draws = random_sp(pm, np.random.default_rng(seed), 2 * count)
+    return [mat_mul(b1, b2, mod=pm.p) for b1, b2 in zip(draws[::2], draws[1::2])]
+
+
+@pytest.mark.parametrize("n,p", [(1, 43), (2, 5)])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_plan_batch_boundaries_keep_input_order(n, p, extra, rep_cache):
+    # a plan batch spans several dense chunks; one element more starts a
+    # second plan, one fewer ends the batch inside a dense chunk
+    pm = PrimeModulus(p, n)
+    size = weil.plan_length(pm)
+    assert size > weil.chunk_length(pm) > 1
+    bs = _sampled_products(pm, size + extra, size + extra)
+    assert _max_oracle_dev(rep_cache(p, n), bs) <= 1e-12
+
+
+def test_non_symplectic_element_in_second_plan_batch_raises(rep_cache):
+    # the first plan batch is emitted whole before the second one is planned
+    pm = PrimeModulus(43, 1)
+    size = weil.plan_length(pm)
+    good = random_sp(pm, np.random.default_rng(1), size + 2)
+    bs = good[:size] + [good[size], ((1, 1), (1, 1)), good[size + 1]]
+    built = 0
+    with pytest.raises(ValueError, match="not symplectic"):
+        for _ in rep_cache(43).build_many(bs):
+            built += 1
+    assert built == size
+
+
+@pytest.mark.parametrize("n,p", [(1, 43), (2, 11)])
+def test_pair_triples_equal_mat_mul(n, p):
+    # the batched int64 products of the multiplicativity check's sampled and
+    # relation pairs against the exact Python product
+    pm = PrimeModulus(p, n)
+    rng = np.random.default_rng(p)
+    draws = random_sp(pm, rng, 200)
+    pairs = list(zip(draws[::2], draws[1::2])) + weil.relation_pairs(pm, rng)
+    triples = weil.pair_triples(pairs, pm)
+    assert triples.shape == (3 * len(pairs), 2 * n, 2 * n)
+    for k, (b1, b2) in enumerate(pairs):
+        assert triples[3 * k].tolist() == [[x % p for x in r] for r in b1]
+        assert triples[3 * k + 1].tolist() == [[x % p for x in r] for r in b2]
+        assert tuple(map(tuple, triples[3 * k + 2].tolist())) == mat_mul(b1, b2, mod=p)
+    assert weil.pair_triples([], pm).shape == (0, 2 * n, 2 * n)
+
+
 def test_non_symplectic_element_mid_batch_raises(rep_cache):
     pm = PrimeModulus(43, 1)
     rep = rep_cache(43)

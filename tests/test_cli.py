@@ -457,16 +457,16 @@ def test_budget_read_between_operator_chunks(check, tmp_path, monkeypatch):
 
     now = [0.0]
     chunks = []
-    real_chunk = weil._closed_form_chunk
+    real_chunk = weil._dense_chunk
 
-    def slow_chunk(rep, chunk):
-        if len(chunk) > 1:                  # rep.op of one torus generator
+    def slow_chunk(rep, src, *plan):
+        if len(src) > 1:                    # rep.op of one torus generator
             now[0] += 1.0
-            chunks.append(len(chunk))
-        return real_chunk(rep, chunk)
+            chunks.append(len(src))
+        return real_chunk(rep, src, *plan)
 
     monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(weil, "_closed_form_chunk", slow_chunk)
+    monkeypatch.setattr(weil, "_dense_chunk", slow_chunk)
     out_json = tmp_path / "budget.json"
     rc = run_cli(["sweep", "--pmin", "43", "--pmax", "43", "--checks", check,
                   "--budget-seconds", "0.5", "--out-json", str(out_json)])

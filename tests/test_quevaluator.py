@@ -14,8 +14,8 @@ from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
                      check_invariance, cyclic_average_loop, diagonal_factor_sum,
                      dilate_op, factor_coordinates,
                      gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
-                     linearize_on_torus, matrix_order_modp, transport_char,
-                     transport_xi, unflatten_xi)
+                     linearize_on_torus, matrix_order_modp, torus_average_loop,
+                     transport_char, transport_xi, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
 
@@ -518,6 +518,38 @@ def test_orbit_averages_equal_per_vector_loop(p, cat_map, rep_cache, torus_cache
     got = q.orbit_averages(vecs, orbit, pm)
     for v, val in zip(vecs.T, got):
         assert abs(val - cyclic_average_loop(a_mod, xi, order, v, pm)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 13)])
+def test_torus_averages_equal_per_block_loop(n, p, cat_map, sp4_elem, sp4_split13,
+                                             rep_cache, torus_cache):
+    # the demo's torus column in eigen coordinates, every vector at once,
+    # against one eigenspace projection at a time; n = 1, p = 11 and the split
+    # n = 2, p = 13 have eigenspaces of dim > 1, n = 2, p = 5 has one of dim 0
+    pm = PrimeModulus(p, n)
+    if n == 1:
+        ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
+    else:
+        ctx = sp4_split13 if p == 13 else q.PrimeContext.build(sp4_elem, pm)
+    dec = ctx.decomposition
+    assert (max(dec.dims) > 1) == ((n, p) in [(1, 11), (2, 13)])
+    rng = np.random.default_rng(p)
+    vecs = rng.normal(size=(pm.dim, 5)) + 1j * rng.normal(size=(pm.dim, 5))
+    vecs /= np.linalg.norm(vecs, axis=0)
+    for xi in [(1,) + (0,) * (2 * n - 1), tuple(rng.integers(0, p, 2 * n).tolist())]:
+        got = q.torus_averages(vecs, xi, dec)
+        for v, val in zip(vecs.T, got):
+            assert abs(val - torus_average_loop(v, dec, xi)) <= 1e-12
+    if n == 1:
+        # the demo's torus column: "chi=(k,)" rows, then "mix chi=(k1,)+(k2,)"
+        import re
+        from ast import literal_eval
+
+        line = {chi.exps: basis[:, 0] for chi, basis, dim in dec.entries if dim == 1}
+        for r in q.cyclic_vs_hecke_demo(ctx)[0]:
+            parts = [line[literal_eval(t)] for t in re.findall(r"\([^)]*\)", r.label)]
+            v = parts[0] if len(parts) == 1 else (parts[0] + parts[1]) / np.sqrt(2)
+            assert abs(r.hecke_avg - torus_average_loop(v, dec, (1, 0))) <= 1e-12
 
 
 def test_diagonal_factor_sum_boundary():
