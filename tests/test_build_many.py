@@ -77,11 +77,6 @@ def test_chunk_boundaries_keep_input_order(extra, rep_cache):
     assert _max_oracle_dev(rep, bs[:1]) <= 1e-12
 
 
-def _sampled_products(pm, count, seed):
-    draws = random_sp(pm, np.random.default_rng(seed), 2 * count)
-    return [mat_mul(b1, b2, mod=pm.p) for b1, b2 in zip(draws[::2], draws[1::2])]
-
-
 @pytest.mark.parametrize("n,p", [(1, 43), (2, 5)])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_plan_batch_boundaries_keep_input_order(n, p, extra, rep_cache):
@@ -90,7 +85,8 @@ def test_plan_batch_boundaries_keep_input_order(n, p, extra, rep_cache):
     pm = PrimeModulus(p, n)
     size = weil.plan_length(pm)
     assert size > weil.chunk_length(pm) > 1
-    bs = _sampled_products(pm, size + extra, size + extra)
+    draws = random_sp(pm, np.random.default_rng(size + extra), 2 * (size + extra))
+    bs = [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[::2], draws[1::2])]
     assert _max_oracle_dev(rep_cache(p, n), bs) <= 1e-12
 
 
