@@ -54,7 +54,7 @@ from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
 from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_deviation,
                                  compose_exponents, index_vectors, integral,
                                  lattice_vectors, pi_exponents, pi_exponents_many,
-                                 pi_op, quantize, root_table)
+                                 quantize, root_table)
 from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_column,
                                   _trace_kernel, split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
@@ -707,12 +707,13 @@ def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
 
 def torus_average_loop(v: np.ndarray, dec: EigenspaceDecomposition, xi) -> complex:
     """<v|Avg(T(xi))|v> = sum_chi <u_chi|T(xi)|u_chi>, u_chi = E_chi E_chi^dagger v
-    the projection of v on each eigenspace in turn, with a dense T(xi)
+    the projection of v on each eigenspace in turn
     (`quevaluator.torus_averages` works in eigen coordinates, every vector
     at once)."""
-    t_xi = pi_op(xi, dec.torus.pm)
+    src, expo = pi_exponents(xi, dec.torus.pm)
+    phase = root_table(dec.torus.pm.p)[expo]
     parts = (basis @ (basis.conj().T @ v) for _, basis, dim in dec.entries if dim)
-    return complex(sum(np.vdot(u, t_xi @ u) for u in parts))
+    return complex(sum(np.vdot(u, phase * u[src]) for u in parts))
 
 
 def matrix_order_modp(m: Mat, p: int) -> int:
