@@ -192,7 +192,7 @@ def _conventions(ctx) -> dict:
     try:
         out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
         if ctx.pm.n == 1:
-            out["trace_formula_sign"] = quevaluator.measure_split_sign(ctx.pm, ctx.rep)
+            out["trace_formula_sign"] = ctx.split_sign
             out["fourier_normalization"] = {"re": ctx.rep.gamma.real,
                                             "im": ctx.rep.gamma.imag}
     except Exception as e:  # noqa: BLE001 - a header defect, not a dead sweep
@@ -245,16 +245,16 @@ def _check_egorov(ctx, rng):
     # the samples have an invertible upper-right block; a few products of
     # them also reach a zero and a singular nonzero one
     samples = weil.random_sp(pm, rng, 25)
-    products = [ffcore.mat_mul(b1, b2, mod=pm.p)
-                for b1, b2 in zip(samples[:5], samples[5:10])]
-    elements = [g for g, _ in ctx.torus.generators] + samples + products
+    products = samples[:5] @ samples[5:10] % pm.p     # entries below 2n p^2
+    gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
+    elements = np.concatenate([gens, samples, products])
     # built, checked and dropped: rep.cache keeps only the context's operators
     for b, dense in zip(elements, rep.build_many(elements, ctx.deadline)):
         dev = weil.egorov_deviation(dense, b, pm)
         if dev > worst:
             worst = dev
             if dev > tol:
-                witness = [{"B": b, "dev": dev}]
+                witness = [{"B": tuple(map(tuple, b.tolist())), "dev": dev}]
     ok = worst <= tol
     return CheckResult("egorov", "pass" if ok else "fail", max_dev=worst,
                        witnesses=witness)
@@ -275,7 +275,8 @@ def _check_multiplicativity(ctx, rng):
     if sp_group_order(pm.p, pm.n) > EXHAUSTIVE_GROUP_ORDER:
         draws = weil.random_sp(pm, rng, 2 * SAMPLED_PAIRS)
         # the exhaustive scan already holds every relation
-        pairs = list(zip(draws[::2], draws[1::2])) + weil.relation_pairs(pm, rng)
+        pairs = np.concatenate([draws.reshape(SAMPLED_PAIRS, 2, *draws.shape[1:]),
+                                weil.relation_pairs(pm, rng)])
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
                                       deadline=ctx.deadline)
@@ -330,7 +331,7 @@ def _check_trace_formula(ctx, rng):
     if pm.n != 1:
         return CheckResult("trace-formula", "skip",
                            witnesses=[{"reason": "n = 1 closed form only"}])
-    sign = quevaluator.measure_split_sign(pm, rep)
+    sign = ctx.split_sign
     p = pm.p
     lam, mu = lattice_vectors(pm).T         # in the trace column's flat order
     worst = 0.0

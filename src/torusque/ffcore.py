@@ -101,14 +101,6 @@ def mat_mul(a: Mat, b: Mat, mod: int | None = None) -> Mat:
                  for row in a)
 
 
-def mat_vec(a: Mat, v: tuple[int, ...], mod: int | None = None) -> tuple[int, ...]:
-    out = []
-    for row in a:
-        s = sum(x * y for x, y in zip(row, v))
-        out.append(s % mod if mod is not None else s)
-    return tuple(out)
-
-
 def mat_inv_modp(a: Mat, p: int) -> Mat:
     """Inverse mod p (`gauss_jordan_modp`); raises if singular."""
     det, inv = gauss_jordan_modp(np.array(mat_mod(a, p), dtype=np.int64), p)

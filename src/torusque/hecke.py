@@ -155,13 +155,6 @@ class TorusCharacter:
             t += Fraction(k * e, m)
         return t % 1
 
-    def value_of_exps(self, exps: tuple) -> complex:
-        t = self.value_fraction(exps)
-        return np.exp(2j * np.pi * float(t))
-
-    def value(self, torus: HeckeTorus, b: Mat) -> complex:
-        return self.value_of_exps(torus.dlog[mat_mod(mat(b), torus.pm.p)])
-
     @property
     def order(self) -> int:
         o = 1

@@ -22,6 +22,12 @@ and the table of sums, one row per orbit, at most once each; the bound and
 factorization checks read the table, weighting each row by its orbit's
 size, so no p^{2n} x |T| array is ever formed.
 
+The averaging demo compares the time average over <A> with the torus
+average on eigenvectors of rho(A).  Egorov, rho(A) T(xi) rho(A)^-1 =
+T(A xi), fixes the time average there as <v|T(xi)|v>, and the torus average
+of a mix of two lines is the mean of its two pure values, so both columns
+come from one gather along T(xi) (`cyclic_vs_hecke_demo`).
+
 Measured conventions worth knowing when reading this module (all certified by
 the test suite, none assumed):
 
@@ -39,7 +45,8 @@ the test suite, none assumed):
 * the closed-form diagonal trace carries orientation sign -1 under this
   module's coordinate conventions.  The sign is measured at runtime, never
   assumed, from the one rho the context holds at every n (at n >= 2 through
-  the embedded diag(a, 1, ..., 1/a, 1, ...); `measure_split_sign`).
+  the embedded diag(a, 1, ..., 1/a, 1, ...); `measure_split_sign`), once
+  per context (`PrimeContext.split_sign`).
 """
 
 from __future__ import annotations
@@ -206,8 +213,8 @@ class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
 
     The characters, the eigenspace decomposition, the T-orbits of xi, the
-    character-sum table (`sums`, rebuilt only for a replaced decomposition)
-    and, at split primes, the split frame (`transport` is None elsewhere)
+    character-sum table (`sums`, rebuilt only for a replaced decomposition),
+    the orientation sign (`split_sign`) and, at split primes, the split frame (`transport` is None elsewhere)
     are built on first use and then shared by every check.  A context made
     directly from a torus and any rho (a twisted one, say) derives its parts
     from that rho.  `deadline`, a `time.perf_counter()` value, is checked
@@ -250,6 +257,12 @@ class PrimeContext:
         if self.torus.split_type != "split":
             return None
         return build_split_transport(self.elem.matrix, self.pm, self.elem.charpoly)
+
+    @cached_property
+    def split_sign(self) -> int:
+        """`measure_split_sign` of this context's rho; a failed measurement
+        is not cached, so every reader sees its error."""
+        return measure_split_sign(self.pm, self.rep)
 
     @cached_property
     def transported(self) -> np.ndarray:
@@ -610,7 +623,7 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
 
     ctx.rep must be the canonical rho (weil.linearize), as PrimeContext.build
     makes it; the orientation sign of the one-factor sums is read from it
-    (`measure_split_sign`).  Because rho is a representation, rho(S0 t S0^-1) =
+    (`PrimeContext.split_sign`).  Because rho is a representation, rho(S0 t S0^-1) =
     rho(S0) dilate(t) rho(S0)^-1 for the split frame S0 and every diagonal t,
     so the per-character transport to the diagonal frame is exact and needs
     no root choice.  Both routes are compared at every orbit representative
@@ -624,7 +637,7 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     if transport is None:
         raise ValueError(f"p = {p} is not fully split for this element")
     pm1 = PrimeModulus(p, 1)
-    sign = measure_split_sign(pm, ctx.rep)
+    sign = ctx.split_sign
 
     # transported coordinates of every orbit representative at once
     reps, _, sizes = ctx.orbits
@@ -674,65 +687,29 @@ class DemoRow:
     hecke_ok: bool
 
 
-def orbit_averages(vectors: np.ndarray, orbit, pm: PrimeModulus) -> np.ndarray:
-    """(1/r) sum_k <v|T(xi_k)|v> for every column v of vectors, over the r
-    rows xi_k of orbit.
-
-    The (src, expo) data of every T(xi_k) come from one `pi_exponents_many`
-    call, and <v|T(xi_k)|v> = sum_x conj(v[x]) psi(e_k[x]) v[s_k[x]] is
-    accumulated for all vectors together, one gather per xi_k.
-    """
-    src, expo = pi_exponents_many(orbit, pm)
-    roots = root_table(pm.p)
-    acc = np.zeros_like(vectors, dtype=complex)
-    for s, e in zip(src, expo):
-        acc += roots[e][:, None] * vectors[s]
-    return (vectors.conj() * acc).sum(axis=0) / len(orbit)
-
-
-def torus_averages(vectors: np.ndarray, xi, dec: hecke.EigenspaceDecomposition) -> np.ndarray:
-    """<v|Avg(T(xi))|v> for every column v of vectors, where Avg(X) =
-    sum_chi P_chi X P_chi is the torus average (1/|T|) sum_B rho(B) X
-    rho(B)^-1 written in the joint eigenbasis.
-
-    In eigen coordinates, with E the concatenated eigenbasis: X_e = E^dagger
-    T(xi) E keeps only its diagonal blocks, one per eigenspace (a dim-2
-    block stays whole), and each value is c^dagger X_e c with c = E^dagger v.
-    """
-    pm = dec.torus.pm
-    basis = np.hstack([b for _, b, _ in dec.entries])
-    labels = np.repeat(np.arange(len(dec.dims)), dec.dims)
-    src, expo = pi_exponents(xi, pm)
-    x_e = basis.conj().T @ (root_table(pm.p)[expo][:, None] * basis[src])
-    x_e[labels[:, None] != labels[None, :]] = 0
-    coords = basis.conj().T @ vectors
-    return (coords.conj() * (x_e @ coords)).sum(axis=0)
-
-
 def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     """Tabulate time-average vs torus-average matrix elements per eigenvector.
 
-    On a torus eigenvector the two columns agree identically (the matrix
-    element is constant along each torus orbit of xi), so the table also
-    includes balanced superpositions inside degenerate eigenspaces of the
-    quantized map: there the time average keeps cross terms that the full
-    torus average kills, which is the whole point of the refinement.  Only
-    the torus column carries an assertion (the p^{n/2}-scale bound with the
-    exact torus order); the cyclic column is informational.  The observable
-    is T(xi) for xi the first unit vector, and the time averages run over
-    the orbit A^k xi, k = 1..|<A>|, built once (`orbit_averages`); the
-    torus averages come from one E^dagger T(xi) E (`torus_averages`).
-    |<A>| is read from the torus: lcm_i m_i / gcd(e_i, m_i) for e =
-    dlog[A mod p].
+    The observable is T(xi) for xi the first unit vector.  The rows are the
+    dim-1 torus eigenvectors v_j, then one balanced superposition
+    m = (v_i + v_j) / sqrt(2) for each pair of characters with equal chi(A),
+    grouped by the exact chi(A) (`TorusCharacter.value_fraction`).  Every
+    row is an eigenvector of rho(A), so by Egorov, rho(A)^k T(xi)
+    rho(A)^-k = T(A^k xi), each term <v|T(A^k xi)|v> of the time average
+    over k = 1..|<A>| equals <v|T(xi)|v>: the cyclic column is <v|T(xi)|v>.
+    The torus average sum_chi P_chi T(xi) P_chi keeps only the diagonal
+    terms on the two distinct lines of a mix, so its torus value is the mean
+    of the two pure values, and a mix's column gap is the cross term
+    |<v_i|T(xi)|v_j> + <v_j|T(xi)|v_i>| / 2 that the time average keeps.
+    On a pure row the columns agree.  Both columns come from one gather of
+    the stacked rows along T(xi).  Only the torus column carries an
+    assertion (the p^{n/2}-scale bound with the exact torus order).  |<A>|
+    is read from the torus: lcm_i m_i / gcd(e_i, m_i) for e = dlog[A mod p].
     """
     pm, torus = ctx.pm, ctx.torus
     p, n = pm.p, pm.n
-    xi = (1,) + (0,) * (2 * n - 1)
-    a_mod = mat_mod(mat(ctx.elem.matrix), p)
-    r_ord = lcm(*(m // gcd(e, m) for e, m in zip(torus.dlog[a_mod], torus.gen_orders)))
-    orbit = [ffcore.mat_vec(a_mod, tuple(int(c) for c in xi), mod=p)]
-    while len(orbit) < r_ord:
-        orbit.append(ffcore.mat_vec(a_mod, orbit[-1], mod=p))
+    a_exps = torus.dlog[mat_mod(mat(ctx.elem.matrix), p)]
+    r_ord = lcm(*(m // gcd(e, m) for e, m in zip(a_exps, torus.gen_orders)))
 
     bound = 2 ** n * p ** (n / 2) / torus.order
     dim1 = [(chi, basis[:, 0]) for chi, basis, dim in ctx.decomposition.entries
@@ -740,29 +717,25 @@ def cyclic_vs_hecke_demo(ctx: PrimeContext) -> tuple[list[DemoRow], dict]:
     # superpositions of eigenvectors sharing the eigenvalue chi(A): these are
     # still eigenvectors of the quantized map but not of the whole torus
     by_a_value = {}
-    for chi, v in dim1:
-        key = complex(np.round(chi.value(torus, a_mod), 9))
-        by_a_value.setdefault(key, []).append((chi, v))
-    mixes = []
-    for group in by_a_value.values():
-        if len(group) >= 2:
-            (c1, v1), (c2, v2) = group[:2]
-            mixes.append((f"mix chi={c1.exps}+{c2.exps}", (v1 + v2) / np.sqrt(2)))
-    vectors = [v for _, v in dim1] + [v for _, v in mixes]
-    cyclic, hecke_col = [], []
+    for i, (chi, _) in enumerate(dim1):
+        by_a_value.setdefault(chi.value_fraction(a_exps), []).append(i)
+    mixes = [group[:2] for group in by_a_value.values() if len(group) >= 2]
+    vectors = [v for _, v in dim1] + [(dim1[i][1] + dim1[j][1]) / np.sqrt(2)
+                                      for i, j in mixes]
+    diag = []
     if vectors:
         stack = np.stack(vectors, axis=1)
-        cyclic = orbit_averages(stack, orbit, pm).tolist()
-        hecke_col = torus_averages(stack, xi, ctx.decomposition).tolist()
+        src, expo = pi_exponents((1,) + (0,) * (2 * n - 1), pm)
+        diag = (stack.conj() * root_table(p)[expo][:, None] * stack[src]).sum(axis=0).tolist()
 
-    rows = []
-    for (chi, _), cyc, hk in zip(dim1, cyclic, hecke_col):
-        rows.append(DemoRow(f"chi={chi.exps}", cyc, hk, 0.0,
-                            abs(hk) <= bound * (1 + RTOL)))
+    rows = [DemoRow(f"chi={chi.exps}", val, val, 0.0, abs(val) <= bound * (1 + RTOL))
+            for (chi, _), val in zip(dim1, diag)]
     max_column_gap = 0.0
-    for (label, _), cyc, hk in zip(mixes, cyclic[len(dim1):], hecke_col[len(dim1):]):
+    for (i, j), cyc in zip(mixes, diag[len(dim1):]):
+        hk = (diag[i] + diag[j]) / 2
         max_column_gap = max(max_column_gap, abs(cyc - hk))
-        rows.append(DemoRow(label, cyc, hk, 0.0, True))
+        rows.append(DemoRow(f"mix chi={dim1[i][0].exps}+{dim1[j][0].exps}", cyc, hk,
+                            0.0, True))
 
     meta = {"cyclic_order": r_ord, "torus_order": torus.order,
             "cyclic_equals_torus": r_ord == torus.order,

@@ -132,7 +132,7 @@ def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
 class WeilRep:
     """Cache of unitary operators B -> rho(B) with the solved normalization.
 
-    Entries are tagged by how they were produced: "bruhat-word" for operators
+    Entries are tagged by how they were produced: "closed-form" for operators
     built along the closed-form route (build_many), "generator-formula" for
     the generators seeded by linearize.  Every entry is validated against
     the Egorov identity to egorov_tol(pm).
@@ -149,7 +149,7 @@ class WeilRep:
         if key in self.cache:
             return self.cache[key]
         dense = self.build(key)
-        self.insert_generator(key, dense, "bruhat-word")
+        self.insert_generator(key, dense, "closed-form")
         return dense
 
     def build(self, b: Mat) -> np.ndarray:
@@ -391,15 +391,16 @@ def _random_blocks(pm: PrimeModulus, rng: np.random.Generator, count: int):
     return s1, s2, m, ffcore.gauss_jordan_modp(m, p)[1]
 
 
-def _assemble(a, bb, c, d, p: int) -> list[Mat]:
-    """[[A, Bb], [C, D]] mod p for every index of the (k, n, n) block stacks."""
-    out = np.concatenate([np.concatenate([a, bb], axis=2),
-                          np.concatenate([c, d], axis=2)], axis=1) % p
-    return [tuple(map(tuple, b)) for b in out.tolist()]
+def _assemble(a, bb, c, d, p: int) -> np.ndarray:
+    """(k, 2n, 2n) int64 stack of [[A, Bb], [C, D]] mod p for the (k, n, n)
+    block stacks."""
+    return np.concatenate([np.concatenate([a, bb], axis=2),
+                           np.concatenate([c, d], axis=2)], axis=1) % p
 
 
-def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Mat]:
-    """count random elements shear(S1) dilate(M) fourier shear(S2) of Sp(2n, F_p).
+def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 2n, 2n) int64 stack of random elements shear(S1) dilate(M)
+    fourier shear(S2) of Sp(2n, F_p).
 
     The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form, from
     one block draw (`_random_blocks`).  The samples therefore cover only the
@@ -417,9 +418,10 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> list[Ma
 RELATION_DRAWS = 10
 
 
-def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> list[tuple[Mat, Mat]]:
+def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> np.ndarray:
     """The defining relations of the generators as pairs (B1, B2) for
-    check_multiplicativity, which checks rho(B1) rho(B2) = rho(B1 B2).
+    check_multiplicativity, which checks rho(B1) rho(B2) = rho(B1 B2): a
+    (k, 2, 2n, 2n) int64 stack, pair i at index i.
 
     fourier^4 = I as (F, F) and (F^2, F^2); (F D)^3 = I with D = shear(I) as
     (F, D), (K, K) and (K^2, K) for K = F D.  On RELATION_DRAWS block draws
@@ -431,11 +433,11 @@ def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> list[tuple[Mat
     S = I branch.
     """
     p, n = pm.p, pm.n
-    f = fourier_matrix(pm)
-    d = shear_matrix(ffcore.identity_mat(n), pm)
-    f2, k = mat_mul(f, f, mod=p), mat_mul(f, d, mod=p)
-    k2 = mat_mul(k, k, mod=p)
-    pairs = [(f, f), (f2, f2), (f, d), (k, k), (k2, k)]
+    f = np.array(fourier_matrix(pm), dtype=np.int64)
+    d = np.array(shear_matrix(ffcore.identity_mat(n), pm), dtype=np.int64)
+    f2, k = f @ f % p, f @ d % p
+    k2 = k @ k % p
+    fixed = np.array([(f, f), (f2, f2), (f, d), (k, k), (k2, k)])
 
     s1, s2, m1, m1_inv = _random_blocks(pm, rng, RELATION_DRAWS)
     _, _, m2, m2_inv = _random_blocks(pm, rng, RELATION_DRAWS)
@@ -449,19 +451,19 @@ def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> list[tuple[Mat
         return _assemble(m, zero, zero, m_inv.transpose(0, 2, 1), p)
 
     shear1, dil1, dil1_inv = shear(s1), dilate(m1, m1_inv), dilate(m1_inv, m1)
-    pairs += zip(shear1, shear(s2))
-    pairs += zip(dil1, dilate(m2, m2_inv))
-    pairs += zip(dil1, shear1)
-    pairs += ((mat_mul(a, b, mod=p), c) for a, b, c in zip(dil1, shear1, dil1_inv))
-    return pairs
+    drawn = [(shear1, shear(s2)), (dil1, dilate(m2, m2_inv)), (dil1, shear1),
+             (dil1 @ shear1 % p, dil1_inv)]
+    return np.concatenate([fixed] + [np.stack(pair, axis=1) for pair in drawn])
 
 
 def pair_triples(pairs: list, pm: PrimeModulus) -> np.ndarray:
     """B1, B2 and B1 B2 mod p for every pair (B1, B2), stacked in that order
-    as a (3 len(pairs), 2n, 2n) int64 array.  The products come from one
-    batched int64 product: every entry stays below 2n p^2, so it is exact."""
+    as a (3 len(pairs), 2n, 2n) int64 array.  pairs may be a (k, 2, 2n, 2n)
+    int64 stack (`random_sp`, `relation_pairs`) or a list of matrix pairs.
+    The products come from one batched int64 product: every entry stays
+    below 2n p^2, so it is exact."""
     d = 2 * pm.n
-    b = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, d, d) % pm.p
+    b = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2, d, d) % pm.p
     prods = (b[:, :1] @ b[:, 1:]) % pm.p
     return np.concatenate([b, prods], axis=1).reshape(-1, d, d)
 

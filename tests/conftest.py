@@ -52,6 +52,13 @@ def sp4_split13(sp4_elem):
 
 
 @pytest.fixture(scope="session")
+def sp4_product19(sp4_elem):
+    """n = 2 at p = 19, where T = Z_20 x Z_20 is a product of two nonsplit
+    n = 1 tori, under the canonical rho."""
+    return PrimeContext.build(sp4_elem, PrimeModulus(19, 2))
+
+
+@pytest.fixture(scope="session")
 def sp4_inert23(sp4_elem):
     """The inert n = 2 case p = 23 (P_A irreducible mod p) under the
     canonical rho, shared by the scoped acceptance claim and the memory guard."""

@@ -23,9 +23,10 @@ along a word over the generators (`sp_word`, `word_operator`), which
 `WeilRep.build_many` replaces by one closed-form kernel per element, and the
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
 cyclic orbit average of the demo, one vector and one T(xi) per power at a
-time (`cyclic_average_loop`), its torus average one eigenspace projection
-at a time (`torus_average_loop`), and its period |<A>| by walking the powers
-of A mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering
+time (`cyclic_average_loop`), which the demo reads by Egorov from one
+T(xi), its torus average one eigenspace projection at a time
+(`torus_average_loop`), and its period |<A>| by walking the powers of A
+mod p (`matrix_order_modp`).  These oracles apply T(xi) by gathering
 with its (src, expo) arrays, so each application costs O(p^(2n)).  The
 triangle-inequality bound for averaged trigonometric-polynomial observables
 (`averaged_fixture_checks`).  Exact symmetries of the trace function
@@ -34,8 +35,11 @@ the translations on the whole p^(4n) pair grid (`relation_grid`), which the
 2n p^(2n) pairs at the unit vectors prove.
 
 The generator operators as dense matrices (`shear_op`, `dilate_op`),
-which the closed-form kernel reproduces, and the cofactor determinant and
-transpose of integer matrices (`mat_det`, `mat_transpose`).
+which the closed-form kernel reproduces, the cofactor determinant and
+transpose of integer matrices (`mat_det`, `mat_transpose`), the product of
+an integer matrix and a vector (`mat_vec`), and character values as complex
+numbers (`character_value`, `character_value_of_exps`), which the program
+reads only as exact fractions.
 """
 
 from __future__ import annotations
@@ -81,6 +85,31 @@ def unflatten_xi(k: int, pm: PrimeModulus) -> tuple[int, ...]:
         tuple((mu // p ** j) % p for j in range(n))
 
 
+def mat_vec(a: Mat, v: tuple[int, ...], mod: int | None = None) -> tuple[int, ...]:
+    """A v over Z, or mod `mod`, one row at a time."""
+    out = []
+    for row in a:
+        s = sum(x * y for x, y in zip(row, v))
+        out.append(s % mod if mod is not None else s)
+    return tuple(out)
+
+
+def mats(stack) -> list[Mat]:
+    """The matrices of an int64 stack (`weil.random_sp`) as nested tuples of
+    Python ints, for the routes that take one Mat at a time."""
+    return [tuple(map(tuple, b)) for b in np.asarray(stack).tolist()]
+
+
+def character_value_of_exps(chi: TorusCharacter, exps: tuple) -> complex:
+    """chi(prod_j g_j^e_j) as a complex number, from the exact fraction."""
+    return np.exp(2j * np.pi * float(chi.value_fraction(exps)))
+
+
+def character_value(chi: TorusCharacter, torus: HeckeTorus, b: Mat) -> complex:
+    """chi(B) for a torus element B, through its discrete logs."""
+    return character_value_of_exps(chi, torus.dlog[mat_mod(mat(b), torus.pm.p)])
+
+
 def check_invariance(xi, b: Mat, s: Mat, rep, pm: PrimeModulus) -> float:
     """|F(xi, B) - F(S xi, S B S^-1)|; exact symmetry of the trace function."""
     p = pm.p
@@ -88,7 +117,7 @@ def check_invariance(xi, b: Mat, s: Mat, rep, pm: PrimeModulus) -> float:
     b = mat_mod(mat(b), p)
     s_inv = ffcore.mat_inv_modp(s, p)
     sbs = mat_mul(mat_mul(s, b, mod=p), s_inv, mod=p)
-    sxi = ffcore.mat_vec(s, tuple(int(c) for c in xi), mod=p)
+    sxi = mat_vec(s, tuple(int(c) for c in xi), mod=p)
     lhs = trace_pair(xi, rep.op(b), pm)
     rhs = trace_pair(sxi, rep.op(sbs), pm)
     return abs(lhs - rhs)
@@ -124,8 +153,8 @@ def gauss_sum_oracle(c: int, chi_exp: int, pm: PrimeModulus, dlog=None) -> compl
 
 
 def transport_xi(transport: SplitTransport, xi) -> tuple[int, ...]:
-    return ffcore.mat_vec(transport.s0_inv, tuple(int(c) for c in xi),
-                          mod=transport.pm.p)
+    return mat_vec(transport.s0_inv, tuple(int(c) for c in xi),
+                   mod=transport.pm.p)
 
 
 def factor_coordinates(transport: SplitTransport, xi) -> list[tuple[int, int]]:
@@ -223,7 +252,7 @@ def linearize_on_torus(torus, pm: PrimeModulus,
         root_index = (root_index,) * len(torus.generators)
     chi = TorusCharacter(torus.gen_orders, tuple(root_index))
     for b in torus.elements:
-        twist = np.conj(chi.value_of_exps(torus.dlog[b]))
+        twist = np.conj(character_value_of_exps(chi, torus.dlog[b]))
         rep.insert_generator(b, twist * rep.build(b), "torus-twist")
     return rep
 
@@ -284,7 +313,7 @@ def character_sum_columns(ctx: PrimeContext):
 
 def character_sum(xi, chi: TorusCharacter, table: TraceTable) -> complex:
     torus = table.torus
-    vals = np.array([chi.value_of_exps(torus.dlog[b]) for b in torus.elements])
+    vals = np.array([character_value_of_exps(chi, torus.dlog[b]) for b in torus.elements])
     return complex(table.values[flatten_xi(xi, table.pm)] @ vals)
 
 
@@ -298,7 +327,7 @@ def projector(chi: TorusCharacter, torus: HeckeTorus, rep) -> np.ndarray:
     d = torus.pm.dim
     acc = np.zeros((d, d), dtype=complex)
     for b in torus.elements:
-        acc += np.conj(chi.value(torus, b)) * rep.op(b)
+        acc += np.conj(character_value(chi, torus, b)) * rep.op(b)
     return acc / torus.order
 
 
@@ -668,7 +697,7 @@ def sp_word(b: Mat, pm: PrimeModulus) -> list[SpFactor]:
 def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
                           xis=None) -> float:
     """max | rho(B) T(xi) - T(B xi) rho(B) | over the xi of xis (the unit
-    vectors when None), compared one xi at a time: B xi by `ffcore.mat_vec`,
+    vectors when None), compared one xi at a time: B xi by `mat_vec`,
     each side gathered from the `pi_exponents_many` arrays in O(p^(2n))
     (`weil.egorov_deviation` compares the unit vectors in chunks)."""
     p, n = pm.p, pm.n
@@ -677,7 +706,7 @@ def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
     xis = [tuple(int(c) for c in xi) for xi in xis]
     b = mat(b)
     src, expo = pi_exponents_many(xis, pm)
-    bsrc, bexpo = pi_exponents_many([ffcore.mat_vec(b, xi, mod=p) for xi in xis], pm)
+    bsrc, bexpo = pi_exponents_many([mat_vec(b, xi, mod=p) for xi in xis], pm)
     roots = root_table(p)
     dev = 0.0
     lhs = np.empty_like(dense)
@@ -691,15 +720,15 @@ def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
 def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
                         pm: PrimeModulus) -> complex:
     """(1/r) sum_{k=1..r} <v|T(A^k xi)|v>, r = order, one vector, one matrix
-    power and one `pi_exponents` gather at a time
-    (`quevaluator.orbit_averages` takes the orbit once and every vector
-    together)."""
+    power and one `pi_exponents` gather at a time.  On eigenvectors of
+    rho(A), Egorov makes it <v|T(xi)|v>, which is what
+    `quevaluator.cyclic_vs_hecke_demo` reads."""
     p = pm.p
     acc = 0.0 + 0.0j
     power = ffcore.identity_mat(2 * pm.n)
     for _ in range(order):
         power = mat_mul(power, a_mod, mod=p)
-        axk = ffcore.mat_vec(power, tuple(int(c) for c in xi), mod=p)
+        axk = mat_vec(power, tuple(int(c) for c in xi), mod=p)
         src, expo = pi_exponents(axk, pm)
         acc += np.vdot(v, root_table(p)[expo] * v[src])
     return complex(acc / order)
@@ -708,8 +737,8 @@ def cyclic_average_loop(a_mod: Mat, xi, order: int, v: np.ndarray,
 def torus_average_loop(v: np.ndarray, dec: EigenspaceDecomposition, xi) -> complex:
     """<v|Avg(T(xi))|v> = sum_chi <u_chi|T(xi)|u_chi>, u_chi = E_chi E_chi^dagger v
     the projection of v on each eigenspace in turn
-    (`quevaluator.torus_averages` works in eigen coordinates, every vector
-    at once)."""
+    (`quevaluator.cyclic_vs_hecke_demo` reads it from <v|T(xi)|v> on the
+    lines of each row)."""
     src, expo = pi_exponents(xi, dec.torus.pm)
     phase = root_table(dec.torus.pm.p)[expo]
     parts = (basis @ (basis.conj().T @ v) for _, basis, dim in dec.entries if dim)

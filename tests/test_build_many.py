@@ -16,7 +16,7 @@ from torusque import ffcore, weil
 from torusque.ffcore import PrimeModulus, mat_mul
 from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
 
-from oracles import egorov_deviation_loop, sp_word, word_operator
+from oracles import egorov_deviation_loop, mats, sp_word, word_operator
 
 # the trace-formula check's traced peak at n = 1, p = 43 while it cached its
 # 41 operators through rep.op (about 1.4 MB, measured with tracemalloc)
@@ -95,7 +95,7 @@ def test_non_symplectic_element_in_second_plan_batch_raises(rep_cache):
     pm = PrimeModulus(43, 1)
     size = weil.plan_length(pm)
     good = random_sp(pm, np.random.default_rng(1), size + 2)
-    bs = good[:size] + [good[size], ((1, 1), (1, 1)), good[size + 1]]
+    bs = list(good[:size]) + [good[size], ((1, 1), (1, 1)), good[size + 1]]
     built = 0
     with pytest.raises(ValueError, match="not symplectic"):
         for _ in rep_cache(43).build_many(bs):
@@ -110,10 +110,11 @@ def test_pair_triples_equal_mat_mul(n, p):
     pm = PrimeModulus(p, n)
     rng = np.random.default_rng(p)
     draws = random_sp(pm, rng, 200)
-    pairs = list(zip(draws[::2], draws[1::2])) + weil.relation_pairs(pm, rng)
+    pairs = np.concatenate([draws.reshape(100, 2, 2 * n, 2 * n),
+                            weil.relation_pairs(pm, rng)])
     triples = weil.pair_triples(pairs, pm)
     assert triples.shape == (3 * len(pairs), 2 * n, 2 * n)
-    for k, (b1, b2) in enumerate(pairs):
+    for k, (b1, b2) in enumerate(mats(pair) for pair in pairs):
         assert triples[3 * k].tolist() == [[x % p for x in r] for r in b1]
         assert triples[3 * k + 1].tolist() == [[x % p for x in r] for r in b2]
         assert tuple(map(tuple, triples[3 * k + 2].tolist())) == mat_mul(b1, b2, mod=p)
@@ -150,7 +151,7 @@ def test_batched_egorov_equals_per_xi_loop(n, p):
     # at n = 2, p = 11 a chunk holds one xi, so the 4 unit vectors span four
     if p == 11:
         assert weil.chunk_length(pm) == 1
-    draws = random_sp(pm, rng, 20)
+    draws = mats(random_sp(pm, rng, 20))
     bs = draws[:10] + [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[:10], draws[10:])]
     for b, dense in zip(bs, rep.build_many(bs)):
         assert weil.egorov_deviation(dense, b, pm) == egorov_deviation_loop(dense, b, pm)

@@ -141,8 +141,8 @@ def test_sweep_n2_bound(tmp_path):
 
 
 def test_sweep_n2_reports_construction_routes(tmp_path):
-    # every operator of an n = 2 sweep is a generator formula or a Bruhat
-    # word; none comes from Schur averaging.  The decomposition and the bound
+    # every operator of an n = 2 sweep is a generator formula or a
+    # closed-form kernel; none comes from Schur averaging.  The decomposition and the bound
     # need rho of the torus generators only, and both tori here are cyclic
     out_json = tmp_path / "routes.json"
     rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
@@ -152,8 +152,8 @@ def test_sweep_n2_reports_construction_routes(tmp_path):
     report = json.loads(out_json.read_text())
     assert [rp["p"] for rp in report["primes"]] == [3, 5]
     for rp in report["primes"]:
-        assert set(rp["routes"]) == {"bruhat-word", "generator-formula"}
-        assert rp["routes"]["bruhat-word"] == 1
+        assert set(rp["routes"]) == {"closed-form", "generator-formula"}
+        assert rp["routes"]["closed-form"] == 1
 
 
 def test_budget_skips_checks(tmp_path):
@@ -304,7 +304,7 @@ def test_egorov_check_names_a_corrupted_generator(n, p, cat_map, sp4_elem,
     def corrupted(bs, deadline=None):
         bs = list(bs)
         for b, dense in zip(bs, real(bs, deadline)):
-            yield phases[:, None] * dense if b == g else dense
+            yield phases[:, None] * dense if np.array_equal(b, g) else dense
 
     monkeypatch.setattr(ctx.rep, "build_many", corrupted)
     res = cli._check_egorov(ctx, np.random.default_rng(0))
@@ -358,7 +358,7 @@ def test_relation_pairs_join_only_the_sampled_check(cat_map, monkeypatch):
     assert exhaustive is None
     rng = np.random.default_rng(7)
     weil.random_sp(ctx.pm, rng, 2 * cli.SAMPLED_PAIRS)
-    assert sampled[cli.SAMPLED_PAIRS:] == weil.relation_pairs(ctx.pm, rng)
+    assert np.array_equal(sampled[cli.SAMPLED_PAIRS:], weil.relation_pairs(ctx.pm, rng))
 
 
 def test_sweep_n2_identity_checks(tmp_path):
@@ -375,7 +375,7 @@ def test_sweep_n2_identity_checks(tmp_path):
         assert [c["status"] for c in rp["checks"]] == ["pass", "pass"]
         torus = PrimeContext.build(cli.validate_ergodic(cli.SP4_FIXTURE),
                                    PrimeModulus(rp["p"], 2)).torus
-        assert rp["routes"]["bruhat-word"] == len(torus.generators)
+        assert rp["routes"]["closed-form"] == len(torus.generators)
 
 
 def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
@@ -489,7 +489,7 @@ def test_sweep_routes_count_only_context_operators(tmp_path, cat_map, torus_cach
     report = json.loads(out_json.read_text())
     assert [rp["p"] for rp in report["primes"]] == [7, 11, 13]
     for rp in report["primes"]:
-        assert rp["routes"]["bruhat-word"] == len(torus_cache(rp["p"]).generators)
+        assert rp["routes"]["closed-form"] == len(torus_cache(rp["p"]).generators)
 
 
 @pytest.mark.parametrize("args", [
@@ -544,6 +544,27 @@ def test_one_rho_per_built_prime(n, matrix, pmin, pmax, checks, tmp_path, monkey
     primes = [rp["p"] for rp in json.loads(out_json.read_text())["primes"]]
     assert len(primes) == (12 if n == 1 else 3)
     assert calls == [PrimeModulus(p, n) for p in primes]
+
+
+def test_split_sign_is_measured_once_per_prime(tmp_path, monkeypatch):
+    # the trace-formula check and the report header read one measurement
+    from torusque import quevaluator
+    calls = []
+    real = quevaluator.measure_split_sign
+
+    def counted(pm, rep):
+        calls.append(pm.p)
+        return real(pm, rep)
+
+    monkeypatch.setattr(quevaluator, "measure_split_sign", counted)
+    out_json = tmp_path / "sign.json"
+    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "43", "--checks", "trace-formula",
+                  "--out-json", str(out_json)])
+    assert rc == 0
+    report = json.loads(out_json.read_text())
+    primes = [rp["p"] for rp in report["primes"]]
+    assert len(primes) == 12 and calls == primes
+    assert report["meta"]["conventions"]["trace_formula_sign"] == -1
 
 
 def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
-from torusque.heisenberg import FourierPolynomial, lattice_vectors
+from torusque.heisenberg import FourierPolynomial, lattice_vectors, pi_exponents, root_table
 
 from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
                      character_sum_table,
@@ -489,67 +489,94 @@ def test_cyclic_vs_hecke_demo_differ(cat_map, rep_cache, torus_cache):
     assert all(r.hecke_ok for r in rows)
 
 
-@pytest.mark.parametrize("p", [7, 11, 43])
-def test_orbit_averages_equal_per_vector_loop(p, cat_map, rep_cache, torus_cache):
-    # the demo's cyclic column, every vector at once, against one vector and
-    # one pi_op per power at a time (p = 11 has superposition rows); then
-    # random vectors
+def _demo_lines(ctx, rows):
+    """The one or two dim-1 eigenvectors behind each demo row: "chi=(k,)"
+    or "mix chi=(k1,)+(k2,)"."""
     import re
     from ast import literal_eval
 
-    pm = PrimeModulus(p, 1)
-    ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
-    rows, meta = q.cyclic_vs_hecke_demo(ctx)
-    a_mod, xi, order = mat_mod(cat_map.matrix, p), (1, 0), meta["cyclic_order"]
     line = {chi.exps: basis[:, 0] for chi, basis, dim in ctx.decomposition.entries
             if dim == 1}
-    for r in rows:
-        # "chi=(k,)" or "mix chi=(k1,)+(k2,)"
-        parts = [line[literal_eval(t)] for t in re.findall(r"\([^)]*\)", r.label)]
-        v = parts[0] if len(parts) == 1 else (parts[0] + parts[1]) / np.sqrt(2)
-        assert abs(r.cyclic_avg - cyclic_average_loop(a_mod, xi, order, v, pm)) <= 1e-12
-
-    assert order == matrix_order_modp(cat_map.matrix, p)
-    orbit = [ffcore.mat_vec(a_mod, xi, mod=p)]
-    while len(orbit) < order:
-        orbit.append(ffcore.mat_vec(a_mod, orbit[-1], mod=p))
-    rng = np.random.default_rng(p)
-    vecs = rng.normal(size=(p, 6)) + 1j * rng.normal(size=(p, 6))
-    got = q.orbit_averages(vecs, orbit, pm)
-    for v, val in zip(vecs.T, got):
-        assert abs(val - cyclic_average_loop(a_mod, xi, order, v, pm)) <= 1e-12
+    return [[line[literal_eval(t)] for t in re.findall(r"\([^)]*\)", r.label)]
+            for r in rows]
 
 
-@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 13)])
-def test_torus_averages_equal_per_block_loop(n, p, cat_map, sp4_elem, sp4_split13,
-                                             rep_cache, torus_cache):
-    # the demo's torus column in eigen coordinates, every vector at once,
-    # against one eigenspace projection at a time; n = 1, p = 11 and the split
-    # n = 2, p = 13 have eigenspaces of dim > 1, n = 2, p = 5 has one of dim 0
-    pm = PrimeModulus(p, n)
+def _demo_context(n, p, cat_map, rep_cache, torus_cache, sp4_split13, sp4_product19,
+                  sp4_elem):
     if n == 1:
-        ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
-    else:
-        ctx = sp4_split13 if p == 13 else q.PrimeContext.build(sp4_elem, pm)
+        return q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
+    return {13: sp4_split13, 19: sp4_product19}.get(p) or \
+        q.PrimeContext.build(sp4_elem, PrimeModulus(p, n))
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 43), (2, 13), (2, 19)],
+                         ids=["7", "11", "43", "2-13", "2-19"])
+def test_orbit_averages_equal_per_vector_loop(n, p, cat_map, sp4_elem, sp4_split13,
+                                              sp4_product19, rep_cache, torus_cache):
+    # the demo's cyclic column, read by Egorov from one T(xi), against the
+    # time average over the whole orbit A^k xi, one vector and one T(A^k xi)
+    # at a time; n = 1, p = 11 and n = 2, p = 13 and 19 have mix rows, whose
+    # column gap is the cross term the time average keeps
+    pm = PrimeModulus(p, n)
+    ctx = _demo_context(n, p, cat_map, rep_cache, torus_cache, sp4_split13,
+                        sp4_product19, sp4_elem)
+    rows, meta = q.cyclic_vs_hecke_demo(ctx)
+    a_mod, order = mat_mod(ctx.elem.matrix, p), meta["cyclic_order"]
+    assert order == matrix_order_modp(ctx.elem.matrix, p)
+    xi = (1,) + (0,) * (2 * n - 1)
+    src, expo = pi_exponents(xi, pm)
+    phase = root_table(p)[expo]
+    tol = 1e-12 if n == 1 else 1e-11
+    mixes = 0
+    for r, parts in zip(rows, _demo_lines(ctx, rows)):
+        v = parts[0] if len(parts) == 1 else (parts[0] + parts[1]) / np.sqrt(2)
+        assert abs(r.cyclic_avg - cyclic_average_loop(a_mod, xi, order, v, pm)) <= tol
+        if len(parts) == 2:
+            mixes += 1
+            vi, vj = parts
+            cross = np.vdot(vi, phase * vj[src]) + np.vdot(vj, phase * vi[src])
+            assert abs(abs(r.cyclic_avg - r.hecke_avg) - abs(cross) / 2) <= 1e-12
+    assert mixes == {11: 4, 13: 6, 19: 20}.get(p, 0)
+
+
+def test_demo_reads_one_gather_of_t_xi(sp4_product19, monkeypatch):
+    # no walk along the A-orbit: one (src, expo) of T(xi), no per-power
+    # gathers and no matrix products
+    ctx = sp4_product19
+    ctx.decomposition
+    calls = []
+
+    def counted(name):
+        real = getattr(q, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("pi_exponents", "pi_exponents_many", "mat_mul"):
+        monkeypatch.setattr(q, name, counted(name))
+    rows, meta = q.cyclic_vs_hecke_demo(ctx)
+    assert calls == ["pi_exponents"]
+    assert meta["cyclic_order"] == 20 and len(rows) == 361 + 20
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 13), (2, 19)])
+def test_torus_averages_equal_per_block_loop(n, p, cat_map, sp4_elem, sp4_split13,
+                                             sp4_product19, rep_cache, torus_cache):
+    # the demo's torus column, a mix's being the mean of its two lines,
+    # against one eigenspace projection at a time; n = 1, p = 11 and the
+    # split n = 2, p = 13 have eigenspaces of dim > 1, n = 2, p = 5 has one
+    # of dim 0
+    ctx = _demo_context(n, p, cat_map, rep_cache, torus_cache, sp4_split13,
+                        sp4_product19, sp4_elem)
     dec = ctx.decomposition
     assert (max(dec.dims) > 1) == ((n, p) in [(1, 11), (2, 13)])
-    rng = np.random.default_rng(p)
-    vecs = rng.normal(size=(pm.dim, 5)) + 1j * rng.normal(size=(pm.dim, 5))
-    vecs /= np.linalg.norm(vecs, axis=0)
-    for xi in [(1,) + (0,) * (2 * n - 1), tuple(rng.integers(0, p, 2 * n).tolist())]:
-        got = q.torus_averages(vecs, xi, dec)
-        for v, val in zip(vecs.T, got):
-            assert abs(val - torus_average_loop(v, dec, xi)) <= 1e-12
-    if n == 1:
-        # the demo's torus column: "chi=(k,)" rows, then "mix chi=(k1,)+(k2,)"
-        import re
-        from ast import literal_eval
-
-        line = {chi.exps: basis[:, 0] for chi, basis, dim in dec.entries if dim == 1}
-        for r in q.cyclic_vs_hecke_demo(ctx)[0]:
-            parts = [line[literal_eval(t)] for t in re.findall(r"\([^)]*\)", r.label)]
-            v = parts[0] if len(parts) == 1 else (parts[0] + parts[1]) / np.sqrt(2)
-            assert abs(r.hecke_avg - torus_average_loop(v, dec, (1, 0))) <= 1e-12
+    xi = (1,) + (0,) * (2 * n - 1)
+    rows = q.cyclic_vs_hecke_demo(ctx)[0]
+    for r, parts in zip(rows, _demo_lines(ctx, rows)):
+        v = parts[0] if len(parts) == 1 else (parts[0] + parts[1]) / np.sqrt(2)
+        assert abs(r.hecke_avg - torus_average_loop(v, dec, xi)) <= 1e-12
 
 
 def test_diagonal_factor_sum_boundary():

@@ -11,7 +11,7 @@ from torusque.weil import (ConstructionError, fourier_op, egorov_deviation, line
                            random_sp, solve_gamma, sp_elements)
 
 from oracles import (SpFactor, dilate_matrix, dilate_op, egorov_deviation_loop,
-                     linearize_on_torus, mat_det, mat_neg, mat_transpose,
+                     linearize_on_torus, mat_det, mat_neg, mat_transpose, mats,
                      schur_intertwiner, shear_op, sp_blocks, sp_word, torus_pair_scan,
                      word_matrix, word_operator)
 
@@ -222,17 +222,17 @@ def test_weilrep_n2_dispatch(sp4_elem):
     s = ((1, 2), (2, 0))
     b_shear = weil.shear_matrix(s, pm)
     assert np.abs(rep.op(b_shear) - shear_op(s, pm)).max() < 1e-12
-    assert rep.tags[b_shear] == "bruhat-word"
+    assert rep.tags[b_shear] == "closed-form"
     m = ((2, 1), (0, 1))
     b_dil = dilate_matrix(m, pm)
     assert np.abs(rep.op(b_dil) - dilate_op(m, pm)).max() < 1e-12
-    assert rep.tags[b_dil] == "bruhat-word"
+    assert rep.tags[b_dil] == "closed-form"
     b_f = mat_mod(weil.fourier_matrix(pm), 3)
     assert np.abs(rep.op(b_f) - fourier_op(pm, rep.gamma)).max() < 1e-12
     assert rep.tags[b_f] == "generator-formula"
     b = mat_mod(sp4_elem.matrix, 3)
     w = rep.op(b)
-    assert rep.tags[b] == "bruhat-word"
+    assert rep.tags[b] == "closed-form"
     assert np.abs(w @ w.conj().T - np.eye(9)).max() < 1e-9
     assert egorov_deviation(w, b, pm) < 1e-9 * 3
     assert _phase_dev(w, schur_intertwiner(b, pm, np.random.default_rng(0))) < 1e-9
@@ -355,7 +355,7 @@ def test_sp_word_equals_sl2_word():
     rng = np.random.default_rng(5)
     for p in (11, 13, 29, 43, 61, 97):
         pm = PrimeModulus(p, 1)
-        for b in random_sp(pm, rng, 300):
+        for b in mats(random_sp(pm, rng, 300)):
             assert sp_word(b, pm) == _sl2_word_oracle(b, p)
 
 
@@ -420,7 +420,9 @@ def test_random_sp_is_its_bruhat_word(n, p):
     # is the product shear(S1) dilate(M) fourier shear(S2) with S1 = -D M^-1
     # and S2 = -M^-1 A symmetric
     pm = PrimeModulus(p, n)
-    for b in random_sp(pm, np.random.default_rng(n * p), 50):
+    draws = random_sp(pm, np.random.default_rng(n * p), 50)
+    assert draws.dtype == np.int64 and draws.shape == (50, 2 * n, 2 * n)
+    for b in mats(draws):
         assert ffcore.is_symplectic(b, p=p)
         a, m, _, d = sp_blocks(b, n)
         m_inv = ffcore.mat_inv_modp(m, p)
@@ -460,7 +462,8 @@ def test_relation_pairs_hold(n, p):
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     pairs = weil.relation_pairs(pm, np.random.default_rng(p))
-    assert len(pairs) == 5 + 4 * weil.RELATION_DRAWS
+    assert pairs.dtype == np.int64
+    assert pairs.shape == (5 + 4 * weil.RELATION_DRAWS, 2, 2 * n, 2 * n)
     zero_bb = [b for pair in pairs for b in pair
                if not any(x for row in b[:n] for x in row[n:])]
     assert len(zero_bb) == 3 + 8 * weil.RELATION_DRAWS     # F^2 twice, D
