@@ -232,11 +232,14 @@ def _check_egorov(ctx, rng):
     images, as B preserves omega.  Conjugation by a unitary moves each
     factor by at most p^n D in operator norm (a p^n x p^n matrix has norm
     at most p^n times its largest entry).  So, to first order, rho(g_i)
-    deviates by at most 2n(p - 1) p^n D at any xi.  `certify_torus`
-    certifies rho(B) = prod_i rho(g_i)^e_i(B) to a deviation C, so rho(B)
-    for B in T deviates by at most |e(B)| 2n(p - 1) p^n D + 2 p^n C at any
-    xi, with |e(B)| = sum_i e_i(B).  Every operator is built through
-    rep.build_many, checked and dropped.
+    deviates by at most 2n(p - 1) p^n D at any xi.  `certify_torus` reads
+    rho(B) - prod_i rho(g_i)^e_i(B) on a Gaussian probe block of r columns,
+    a per-probe deviation.  If that passes tol, every entry of the
+    difference is below C except with probability at most (tol/C)^(2r)
+    over the probe (`weil` module docs; 1e-16 for tol = 1e-8, C = 1e-6 and
+    r = 4).  With that probability, rho(B) for B in T deviates by at most
+    |e(B)| 2n(p - 1) p^n D + 2 p^n C at any xi, with |e(B)| = sum_i e_i(B).
+    Every operator is built through rep.build_many, checked and dropped.
     """
     pm, rep = ctx.pm, ctx.rep
     tol = weil.egorov_tol(pm)
@@ -268,8 +271,14 @@ SAMPLED_PAIRS = 500
 
 def _check_multiplicativity(ctx, rng):
     """rho is a representation: group pairs (with the generator relations as
-    pairs when sampled) and the torus certificate; no operator but rho of the
-    torus generators is kept."""
+    pairs when sampled) and the torus certificate, both read on one probe
+    block X of weil.PROBE_COLUMNS i.i.d. standard complex Gaussian columns,
+    drawn from rng after the pairs.  max_dev is the per-probe deviation
+    max |M X| of the pair and torus identities M = 0: an entry of M of
+    modulus eps passes the tolerance tol with probability at most
+    (tol/eps)^(2r), r = PROBE_COLUMNS (`weil` module docs).  No operator but
+    rho of the torus generators is kept, and none but those, rho(fourier)
+    and the upper shears is formed."""
     pm, rep = ctx.pm, ctx.rep
     pairs = None                                # every pair of the group
     if sp_group_order(pm.p, pm.n) > EXHAUSTIVE_GROUP_ORDER:
@@ -277,10 +286,11 @@ def _check_multiplicativity(ctx, rng):
         # the exhaustive scan already holds every relation
         pairs = np.concatenate([draws.reshape(SAMPLED_PAIRS, 2, *draws.shape[1:]),
                                 weil.relation_pairs(pm, rng)])
+    probe = weil.probe_block(pm, rng)
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
-                                      deadline=ctx.deadline)
-    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.deadline))
+                                      deadline=ctx.deadline, probe=probe)
+    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.deadline, probe))
     ok = rpt.ok and dev <= 1e-8
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 

@@ -39,18 +39,32 @@ per rep (2^n - 1 of them).  Each factorization is re-verified exactly
 before its kernel is formed: s1 and s2 must be symmetric, and the integer
 product shear(s1) dilate(M) fourier shear(s2) U(-S) must equal B mod p.
 `WeilRep.build_many` streams any sequence of elements through this route;
-it is the one route to rho(B).  Each batch of elements gets one exact plan
-(the symplectic test, the factorization and its re-verification, the row
-sources M^-1 x and both phase vectors), sized so the plan fits in
+it is the one route to dense rho(B).  Each batch of elements gets one exact
+plan (the symplectic test, the factorization and its re-verification, the
+row sources M^-1 x and both phase vectors), sized so the plan fits in
 CHUNK_BYTES; the dense operators are then emitted from the plan in chunks
 of CHUNK_BYTES of operators (the gather, the two scalings and the U(-S)
-matmul).  The map is certified multiplicative by pair checks rho(B1)
-rho(B2) = rho(B1 B2) on operators from that route: every pair of a small
-group, and otherwise sampled pairs (random_sp) together with the defining
-relations of the generators written as pairs (relation_pairs), their
-products B1 B2 from one batched int64 product (pair_triples); and on a
-Hecke torus by an O(|T|) certificate (certify_torus).  Both samplers share
-one block draw.
+matmul).  `WeilRep.apply_many` reads the same plans to apply rho(B) to a
+p^n x r block Z without forming rho(B):
+
+    rho(B) Z = row * (F (col * rho(U(-S)) Z))[src],
+
+one product by F over the batch's stacked blocks, O(p^(2n) r) per element
+against p^(3n) for a dense product.  The map is certified multiplicative
+on a probe block X of r = PROBE_COLUMNS i.i.d. standard complex Gaussian
+columns (probe_block): rho(B1) (rho(B2) X) = rho(B1 B2) X for every pair of
+a small group, and otherwise for sampled pairs (random_sp) together with
+the defining relations of the generators written as pairs
+(relation_pairs), their products B1 B2 from one batched int64 product
+(pair_triples); and on a Hecke torus by an O(|T|) certificate
+(certify_torus).  Both samplers share one block draw.
+
+The certificates' max_dev is therefore a per-probe deviation max |M X|,
+M = rho(B1) rho(B2) - rho(B1 B2), not the entrywise max |M| (Freivalds'
+argument).  If some entry of M has modulus >= eps, the r entries of its row
+of M X are independent CN(0, s^2) with s >= eps, so all of them stay
+within tol with probability at most (tol/eps)^(2r): 1e-16 for tol = 1e-8,
+eps = 1e-6 and r = 4.
 """
 
 from __future__ import annotations
@@ -63,11 +77,12 @@ from itertools import islice, product
 import numpy as np
 
 from . import ffcore
-from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
+from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod
 from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
                          pi_exponents_many, root_table)
-# bound here too, unused: perfbench's tracer test reads weil.pi_op as its
-# example of a function bound in two modules
+# bound here too, unused: perfbench's tracer test reads weil.pi_op and
+# weil.mat_mul as its examples of functions bound in two modules
+from .ffcore import mat_mul  # noqa: F401
 from .heisenberg import pi_op  # noqa: F401
 
 
@@ -85,6 +100,13 @@ def plan_length(pm: PrimeModulus) -> int:
     CHUNK_BYTES: per element the plan keeps p^n int64 row sources and 2 p^n
     complex phases, and its intermediates add at most 2n p^n int64."""
     return chunk_items(8 * pm.dim * (5 + 2 * pm.n))
+
+
+def apply_length(pm: PrimeModulus, columns: int) -> int:
+    """How many elements one batch of WeilRep.apply_many covers: one exact
+    plan (plan_length) whose p^n x columns complex blocks fit in CHUNK_BYTES
+    twice, as the product by rho(fourier) holds its operand and its result."""
+    return min(plan_length(pm), chunk_items(32 * pm.dim * columns))
 
 
 def egorov_tol(pm: PrimeModulus) -> float:
@@ -178,6 +200,29 @@ class WeilRep:
                 if deadline is not None and time.perf_counter() > deadline:
                     raise BudgetExceeded("deadline passed inside the operator stream")
                 yield from _dense_chunk(self, *(a[lo:lo + step] for a in plan))
+
+    def apply_many(self, bs, z: np.ndarray, deadline: float | None = None) -> np.ndarray:
+        """(k, p^n, r) stack of rho(B_i) Z_i for the k elements of bs; no
+        rho(B) is formed and nothing is cached.
+
+        z is one p^n x r block shared by every element or a (k, p^n, r)
+        stack, block i for element i.  bs, a sequence of 2n x 2n integer
+        matrices, is read apply_length(pm, r) elements at a time.  Each such
+        batch gets the exact plan build_many makes, with the same ValueError
+        and ConstructionError, and is applied to its blocks in one product
+        by rho(fourier) (`_apply_plan`).  Raises BudgetExceeded when
+        `deadline`, a `time.perf_counter()` value, has passed before a batch.
+        """
+        r = z.shape[-1]
+        out = np.empty((len(bs), self.pm.dim, r), dtype=complex)
+        step = apply_length(self.pm, r)
+        for lo in range(0, len(bs), step):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise BudgetExceeded("deadline passed inside the probe stream")
+            part = slice(lo, lo + step)
+            plan = _closed_form_plan(self, bs[part])
+            _apply_plan(self, z if z.ndim == 2 else z[part], out[part], *plan)
+        return out
 
     @cached_property
     def fourier(self) -> np.ndarray:
@@ -285,6 +330,23 @@ def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
     for i in np.nonzero(mask)[0]:
         out[i] = out[i] @ rep.upper_shear(int(mask[i]))
     return out
+
+
+def _apply_plan(rep: WeilRep, z, out, src, row, col, mask):
+    """Write rho(B) Z for k rows of a plan into the (k, p^n, r) array out,
+    rho(B) never formed: rho(U(-S)) Z where S != 0, grouped by mask, the
+    column phases, one product by rho(fourier) over the k blocks side by
+    side, then the row gather and the row phases."""
+    k, d, r = out.shape
+    w = np.empty((d, k, r), dtype=complex)          # block i in column i
+    w[:] = z[:, None] if z.ndim == 2 else z.transpose(1, 0, 2)
+    for m in set(mask[mask > 0].tolist()):
+        sel = mask == m
+        w[:, sel] = (rep.upper_shear(m) @ w[:, sel].reshape(d, -1)).reshape(d, -1, r)
+    w *= col.T[:, :, None]
+    w = rep.fourier @ w.reshape(d, k * r)          # rebound: the operand is freed
+    np.take(w.reshape(d * k, r), src * k + np.arange(k)[:, None], axis=0, out=out)
+    out *= row[:, :, None]
 
 
 def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus) -> float:
@@ -475,58 +537,79 @@ class MultiplicativityReport:
     ok: bool
 
 
-def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
-                           tol: float = 1e-8,
-                           deadline: float | None = None) -> MultiplicativityReport:
-    """rho(B1) rho(B2) = rho(B1 B2) for every pair (B1, B2) in pairs, or for
-    every pair of Sp(2n, F_p) when pairs is None.
+# columns of the Gaussian probe block the multiplicativity certificates read
+PROBE_COLUMNS = 4
 
-    Every operator comes from rep.build_many, outside rep.cache.  Pairs
-    stream through it as triples B1, B2, B1 B2 (`pair_triples`), each
-    dropped once compared; the exhaustive mode holds the |Sp(2n, F_p)|
-    operators of the group until it returns.  `deadline` is passed to
-    build_many.
+
+def probe_block(pm: PrimeModulus, rng: np.random.Generator) -> np.ndarray:
+    """(p^n, PROBE_COLUMNS) block of i.i.d. standard complex Gaussians
+    CN(0, 1), the probe X of check_multiplicativity and certify_torus
+    (module docs)."""
+    re, im = rng.standard_normal((2, pm.dim, PROBE_COLUMNS))
+    return (re + 1j * im) / np.sqrt(2)
+
+
+def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
+                           tol: float = 1e-8, deadline: float | None = None,
+                           probe: np.ndarray | None = None) -> MultiplicativityReport:
+    """rho(B1) rho(B2) = rho(B1 B2) on a probe block X for every pair (B1, B2)
+    in pairs, or for every pair of Sp(2n, F_p) when pairs is None.
+
+    Y = rho(B2) X, then rho(B1) Y against rho(B1 B2) X, all from
+    rep.apply_many: no operator but rho(fourier) and the upper shears is
+    formed, and rep.cache is not touched.  max_dev is the per-probe
+    deviation max |M X|, M = rho(B1) rho(B2) - rho(B1 B2); an entry of M of
+    modulus eps passes tol with probability at most (tol/eps)^(2r) over X
+    (module docs).  pairs, a (k, 2, 2n, 2n) int64 stack or a list of matrix
+    pairs, goes through apply_length(pm, r) pairs at a time as triples
+    (`pair_triples`); the exhaustive mode is the int64 stack of all
+    |Sp(2n, F_p)|^2 pairs.  probe defaults to probe_block(pm,
+    default_rng(0)); `deadline` is passed to apply_many.
     """
-    p = rep.pm.p
+    pm = rep.pm
+    x = probe_block(pm, np.random.default_rng(0)) if probe is None else probe
     if pairs is None:
-        group = sp_elements(rep.pm)
-        rho = dict(zip(group, rep.build_many(group, deadline)))
-        triples = ((rho[b1], rho[b2], rho[mat_mul(b1, b2, mod=p)])
-                   for b1, b2 in product(group, repeat=2))
-        count = len(group) ** 2
-    else:
-        ops = rep.build_many(pair_triples(pairs, rep.pm), deadline)
-        triples = zip(ops, ops, ops)
-        count = len(pairs)
+        group = np.array(sp_elements(pm), dtype=np.int64)
+        pairs = group[np.indices((len(group),) * 2).reshape(2, -1).T]
+    step = apply_length(pm, x.shape[1])
+    d = 2 * pm.n
     max_dev = 0.0
-    for r1, r2, r12 in triples:
-        max_dev = max(max_dev, float(np.abs(r1 @ r2 - r12).max()))
-    return MultiplicativityReport(count, max_dev, max_dev <= tol)
+    for lo in range(0, len(pairs), step):
+        triples = pair_triples(pairs[lo:lo + step], pm).reshape(-1, 3, d, d)
+        b1, b2, b12 = triples.swapaxes(0, 1)
+        dev = rep.apply_many(b1, rep.apply_many(b2, x, deadline), deadline)
+        dev -= rep.apply_many(b12, x, deadline)
+        max_dev = max(max_dev, float(np.abs(dev).max()))
+    return MultiplicativityReport(len(pairs), max_dev, max_dev <= tol)
 
 
 def _power_products(ops: list, orders: tuple, acc: np.ndarray):
-    """acc prod_i ops_i^e_i for every e with 0 <= e_i < orders_i, in
-    lexicographic order of e, one matmul per yielded product."""
+    """prod_i ops_i^e_i acc for every e with 0 <= e_i < orders_i, in
+    lexicographic order of e, one product by an ops_i per yielded block."""
     if not ops:
         yield acc
         return
     for _ in range(orders[0]):
         yield from _power_products(ops[1:], orders[1:], acc)
-        acc = acc @ ops[0]
+        acc = ops[0] @ acc
 
 
-def certify_torus(rep: WeilRep, torus, deadline: float | None = None) -> float:
+def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
+                  probe: np.ndarray | None = None) -> float:
     """Max deviation of the certificate that rho restricted to a Hecke torus T
-    is a representation, in O(|T|) products.
+    is a representation, in O(|T|) block products.
 
     With R_i = rho(g_i) for the generators g_i of orders m_i, the certificate
-    checks R_i R_j = R_j R_i, R_i^m_i = I, and rho(B) = prod_i R_i^e_i(B) for
-    every B in T, e = torus.dlog[B].  Together these are equivalent to all
-    |T|^2 pair identities rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod
-    m_i, so rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).
-    The R_i are rep.op entries, the operators the eigenspace decomposition
-    reads; every other rho(B) streams from rep.build_many (which reads
-    `deadline`) and is dropped.
+    checks R_i R_j = R_j R_i and R_i^m_i = I densely, and rho(B) X =
+    prod_i R_i^e_i(B) X on a probe block X for every B in T, e =
+    torus.dlog[B].  Together these are equivalent to all |T|^2 pair
+    identities rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod m_i, so
+    rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).  The
+    products step X by one R_i at a time (`_power_products`, p^(2n) r each),
+    and rho(B) X comes from rep.apply_many (which reads `deadline`), so the
+    part over T is a per-probe deviation (module docs).  The R_i are rep.op
+    entries, the operators the eigenspace decomposition reads; no other
+    operator is formed.  probe defaults to probe_block(pm, default_rng(0)).
     """
     gens = [rep.op(g) for g, _ in torus.generators]
     ident = np.eye(rep.pm.dim)
@@ -535,9 +618,12 @@ def certify_torus(rep: WeilRep, torus, deadline: float | None = None) -> float:
         dev = max(dev, float(np.abs(np.linalg.matrix_power(r, m) - ident).max()))
         for s in gens[:i]:
             dev = max(dev, float(np.abs(r @ s - s @ r).max()))
+    x = probe_block(rep.pm, np.random.default_rng(0)) if probe is None else probe
     element = {exps: b for b, exps in torus.dlog.items()}
-    ops = rep.build_many((element[e] for e in product(*map(range, torus.gen_orders))),
-                         deadline)
-    for prod, dense in zip(_power_products(gens, torus.gen_orders, ident), ops):
-        dev = max(dev, float(np.abs(prod - dense).max()))
+    exps = product(*map(range, torus.gen_orders))
+    steps = _power_products(gens, torus.gen_orders, x)
+    while batch := list(islice(exps, apply_length(rep.pm, x.shape[1]))):
+        want = np.stack(list(islice(steps, len(batch))))
+        got = rep.apply_many([element[e] for e in batch], x, deadline)
+        dev = max(dev, float(np.abs(got - want).max()))
     return dev

@@ -14,7 +14,9 @@ order scan, one or two generators.  The one-factor split sums one scalar
 term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
 (`gauss_sum_oracle`).  The split frame per xi (`transport_xi`,
 `factor_coordinates`, `is_generic`) and per character (`transport_char`).
-Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`).
+Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`), and
+on group pairs by dense products (`dense_pair_check`), which
+`weil.check_multiplicativity` replaces by products with a probe block.
 
 Operators fixed another way: Schur-averaged intertwiners, up to a phase
 (`schur_intertwiner`), and rho with its torus entries twisted by a
@@ -45,11 +47,12 @@ reads only as exact fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 
 import numpy as np
 
-from torusque import ffcore, hecke
+from torusque import ffcore, hecke, weil
 from torusque.classical import sp_group_order
 from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod,
                              mat_mul)
@@ -197,6 +200,28 @@ def torus_pair_scan(rep, torus: HeckeTorus, tol: float = 1e-8) -> Multiplicativi
             prod = mat_mul(b1, b2, mod=pm.p)
             max_dev = max(max_dev, float(np.abs(ops[b1] @ ops[b2] - ops[prod]).max()))
     return MultiplicativityReport(torus.order ** 2, max_dev, max_dev <= tol)
+
+
+def dense_pair_check(rep, pairs=None, tol: float = 1e-8) -> MultiplicativityReport:
+    """rho(B1) rho(B2) = rho(B1 B2) for every pair (B1, B2) in pairs, or for
+    every pair of Sp(2n, F_p) when pairs is None, as the entrywise max |M| of
+    M = rho(B1) rho(B2) - rho(B1 B2), one dense product per pair.  Every
+    operator comes from rep.build_many, outside rep.cache."""
+    p = rep.pm.p
+    if pairs is None:
+        group = weil.sp_elements(rep.pm)
+        rho = dict(zip(group, rep.build_many(group)))
+        triples = ((rho[b1], rho[b2], rho[mat_mul(b1, b2, mod=p)])
+                   for b1, b2 in product(group, repeat=2))
+        count = len(group) ** 2
+    else:
+        ops = rep.build_many(weil.pair_triples(pairs, rep.pm))
+        triples = zip(ops, ops, ops)
+        count = len(pairs)
+    max_dev = 0.0
+    for r1, r2, r12 in triples:
+        max_dev = max(max_dev, float(np.abs(r1 @ r2 - r12).max()))
+    return MultiplicativityReport(count, max_dev, max_dev <= tol)
 
 
 def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,

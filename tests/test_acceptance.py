@@ -117,8 +117,12 @@ def _random_word(pm, rng):
 
 
 def test_criterion_3_linearization(cat_map, sp4_elem, rep_cache):
-    r3 = weil.check_multiplicativity(rep_cache(3), tol=1e-9)
-    r5 = weil.check_multiplicativity(rep_cache(5), tol=1e-9)
+    r3 = weil.check_multiplicativity(
+        rep_cache(3), tol=1e-9,
+        probe=weil.probe_block(PrimeModulus(3, 1), np.random.default_rng(3)))
+    r5 = weil.check_multiplicativity(
+        rep_cache(5), tol=1e-9,
+        probe=weil.probe_block(PrimeModulus(5, 1), np.random.default_rng(5)))
     assert r3.pairs_checked == 576 and r5.pairs_checked == 14400
     worst_gen = 0.0
     for p in (3, 7, 11, 13):
@@ -443,7 +447,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
           f"{rpt.max_ratio_dim1:.5f})")
 
 
-def test_supplement_n2_p19_product_of_nonsplit_tori(sp4_elem):
+def test_supplement_n2_p19_product_of_nonsplit_tori(sp4_elem, sp4_product19):
     """n = 2 at p = 19, past the dense route's memory wall.
 
     P_A mod 19 is a product of two quadratics and T = Z_20 x Z_20, a product
@@ -453,9 +457,10 @@ def test_supplement_n2_p19_product_of_nonsplit_tori(sp4_elem):
     2(p^2 - 1) = 720 nonzero vectors of the two A-invariant planes
     ker q_i(A): the "one vanishing factor" mechanism of p = 13.
     """
-    p = 19
-    pm = PrimeModulus(p, 2)
-    ctx = q.PrimeContext.build(sp4_elem, pm)
+    ctx = sp4_product19
+    pm = ctx.pm
+    p = pm.p
+    assert p == 19 and pm.n == 2
     assert ctx.torus.order == 400 and sorted(ctx.torus.gen_orders) == [20, 20]
     assert sorted(ctx.decomposition.dims) == [0] * 39 + [1] * 361
     rpt = q.verify_que_bound(ctx)

@@ -163,7 +163,9 @@ def test_batched_egorov_equals_per_xi_loop(n, p):
 
 def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):
     with pytest.raises(BudgetExceeded):
-        weil.certify_torus(rep_cache(11), torus_cache(11), deadline=-1.0)
+        weil.certify_torus(rep_cache(11), torus_cache(11), deadline=-1.0,
+                           probe=weil.probe_block(PrimeModulus(11, 1),
+                                                  np.random.default_rng(11)))
 
 
 def test_streamed_operators_stay_under_the_trace_formula_peak(rep_cache):

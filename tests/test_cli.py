@@ -281,7 +281,8 @@ def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem
     res = cli._check_egorov(ctx, np.random.default_rng(p))
     assert res.status == "pass" and res.max_dev > 0
     torus, rep = ctx.torus, ctx.rep
-    cert = weil.certify_torus(rep, torus)
+    cert = weil.certify_torus(rep, torus,
+                              probe=weil.probe_block(pm, np.random.default_rng(p)))
     per_factor = 2 * n * (p - 1) * pm.dim * res.max_dev
     xis = lattice_vectors(pm)
     for b, dense in zip(torus.elements, rep.build_many(torus.elements)):
@@ -346,9 +347,9 @@ def test_relation_pairs_join_only_the_sampled_check(cat_map, monkeypatch):
     seen = []
     real = weil.check_multiplicativity
 
-    def spy(rep, pairs=None, tol=1e-8, deadline=None):
+    def spy(rep, pairs=None, tol=1e-8, deadline=None, probe=None):
         seen.append(pairs)
-        return real(rep, pairs, tol=tol, deadline=deadline)
+        return real(rep, pairs, tol=tol, deadline=deadline, probe=probe)
 
     monkeypatch.setattr(weil, "check_multiplicativity", spy)
     for p in (3, 7):
@@ -448,31 +449,38 @@ def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
     assert refined == dict(skip, name="refined")
 
 
-@pytest.mark.parametrize("check", ["egorov", "multiplicativity"])
-def test_budget_read_between_operator_chunks(check, tmp_path, monkeypatch):
-    # a clock that advances one second per chunk of operators: the deadline
-    # passes after the first chunk, the check becomes a budget skip, and no
-    # second chunk is built
+@pytest.mark.parametrize("check,step,length", [
+    ("egorov", "_dense_chunk", weil.chunk_length),
+    ("multiplicativity", "_apply_plan",
+     lambda pm: weil.apply_length(pm, weil.PROBE_COLUMNS)),
+], ids=["egorov", "multiplicativity"])
+def test_budget_read_between_operator_chunks(check, step, length, tmp_path,
+                                             monkeypatch):
+    # a clock that advances one second per chunk of operators (egorov) or
+    # per batch of probe blocks (multiplicativity): the deadline passes after
+    # the first one, the check becomes a budget skip, and no second one is
+    # built
     import time
 
     now = [0.0]
     chunks = []
-    real_chunk = weil._dense_chunk
+    real_step = getattr(weil, step)
 
-    def slow_chunk(rep, src, *plan):
-        if len(src) > 1:                    # rep.op of one torus generator
+    def slow_step(rep, *plan):
+        mask = plan[-1]                     # one entry per element
+        if len(mask) > 1:                   # rep.op of one torus generator
             now[0] += 1.0
-            chunks.append(len(src))
-        return real_chunk(rep, src, *plan)
+            chunks.append(len(mask))
+        return real_step(rep, *plan)
 
     monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(weil, "_dense_chunk", slow_chunk)
+    monkeypatch.setattr(weil, step, slow_step)
     out_json = tmp_path / "budget.json"
     rc = run_cli(["sweep", "--pmin", "43", "--pmax", "43", "--checks", check,
                   "--budget-seconds", "0.5", "--out-json", str(out_json)])
     assert rc == 0
     (rp,) = json.loads(out_json.read_text())["primes"]
-    assert chunks == [weil.chunk_length(PrimeModulus(43, 1))]
+    assert chunks == [length(PrimeModulus(43, 1))]
     (res,) = rp["checks"]
     assert res == {"name": check, "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
                    "witnesses": [{"reason": "budget exceeded"}], "millis": 0}

@@ -1,0 +1,170 @@
+"""The probe-block route to the multiplicativity certificates.
+
+`WeilRep.apply_many` applies rho(B) to a p^n x r block from the exact plan
+without forming rho(B); it is held to the dense `rep.build(B) @ Z`.  The
+pair check on a Gaussian probe block is held to the dense pair products of
+`oracles.dense_pair_check`, and a one-entry corruption of size 1e-6 in one
+rho(B) must fail it (Freivalds' argument, `weil` module docs).
+"""
+
+import numpy as np
+import pytest
+
+from torusque import cli, weil
+from torusque.ffcore import PrimeModulus
+from torusque.quevaluator import PrimeContext
+from torusque.weil import linearize, random_sp
+
+from oracles import dense_pair_check
+
+CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
+
+
+def _pairs(pm, seed, sampled=20):
+    """sampled pairs followed by the relation pairs, as in the cli check."""
+    rng = np.random.default_rng(seed)
+    draws = random_sp(pm, rng, 2 * sampled)
+    d = 2 * pm.n
+    return np.concatenate([draws.reshape(sampled, 2, d, d),
+                           weil.relation_pairs(pm, rng)])
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_apply_many_equals_dense_products(n, p, rep_cache):
+    # the triples span several batches and include the U(-S) branch of the
+    # relation pairs; each element's block is its own or the shared one
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    bs = weil.pair_triples(_pairs(pm, p, sampled=100), pm)
+    assert len(bs) > weil.apply_length(pm, weil.PROBE_COLUMNS)
+    assert weil._closed_form_plan(rep, bs)[3].any()
+    rng = np.random.default_rng(p)
+    shared = weil.probe_block(pm, rng)
+    own = rng.standard_normal((len(bs), pm.dim, 3)) + 1j * rng.standard_normal(
+        (len(bs), pm.dim, 3))
+    got_shared, got_own = rep.apply_many(bs, shared), rep.apply_many(bs, own)
+    dev = 0.0
+    for k, dense in enumerate(rep.build_many(bs)):
+        dev = max(dev, np.abs(got_shared[k] - dense @ shared).max(),
+                  np.abs(got_own[k] - dense @ own[k]).max())
+    assert dev <= 1e-12
+    assert rep.apply_many(bs[:0], shared).shape == (0, pm.dim, weil.PROBE_COLUMNS)
+
+
+def test_probe_block_is_standard_complex_gaussian():
+    x = weil.probe_block(PrimeModulus(101, 2), np.random.default_rng(0))
+    assert x.shape == (101 ** 2, weil.PROBE_COLUMNS) and x.dtype == complex
+    assert abs(np.mean(np.abs(x) ** 2) - 1) < 0.02
+    assert abs(np.mean(x.real ** 2) - 0.5) < 0.02 and abs(np.mean(x)) < 0.02
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_probe_and_dense_verdicts_agree_on_sampled_pairs(n, p, rep_cache):
+    # |(M X)[a, c]| <= p^n max|M| max|X|, so the probe deviation is bounded
+    # by the dense one
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    pairs = _pairs(pm, 100 + p)
+    x = weil.probe_block(pm, np.random.default_rng(p))
+    probe = weil.check_multiplicativity(rep, pairs, probe=x)
+    dense = dense_pair_check(rep, pairs)
+    assert probe.ok and dense.ok
+    assert probe.pairs_checked == dense.pairs_checked == len(pairs)
+    assert probe.max_dev <= pm.dim * dense.max_dev * np.abs(x).max()
+
+
+@pytest.mark.parametrize("p,count", [(3, 576), (5, 14400)])
+def test_probe_and_dense_verdicts_agree_on_the_group_scan(p, count, rep_cache):
+    rep = rep_cache(p)
+    x = weil.probe_block(rep.pm, np.random.default_rng(p))
+    probe = weil.check_multiplicativity(rep, tol=1e-9, probe=x)
+    dense = dense_pair_check(rep, tol=1e-9)
+    assert probe.ok and dense.ok
+    assert probe.pairs_checked == dense.pairs_checked == count
+    assert probe.max_dev <= rep.pm.dim * dense.max_dev * np.abs(x).max()
+
+
+def _corrupt(rep, target, monkeypatch, i=1, j=2):
+    """rho(target) + 1e-6 E_ij as seen through rep.apply_many: the output
+    block of every copy of target gains 1e-6 times row j of its input in
+    row i."""
+    real = rep.apply_many
+    target = np.asarray(target) % rep.pm.p
+
+    def corrupted(bs, z, deadline=None):
+        out = real(bs, z, deadline)
+        zs = np.broadcast_to(z, (len(bs),) + z.shape[-2:])
+        for k, b in enumerate(bs):
+            if np.array_equal(np.asarray(b) % rep.pm.p, target):
+                out[k, i] += 1e-6 * zs[k, j]
+        return out
+
+    monkeypatch.setattr(rep, "apply_many", corrupted)
+
+
+@pytest.mark.parametrize("n,p", [(1, 43), (2, 5)])
+@pytest.mark.parametrize("role", [0, 1, 2], ids=["B1", "B2", "B1B2"])
+def test_one_entry_corruption_fails_the_pair_check(n, p, role, monkeypatch):
+    # a deviation of 1e-6 in one entry of one rho(B), whichever factor of a
+    # pair B is, lifts the per-probe deviation far above tol = 1e-8
+    pm = PrimeModulus(p, n)
+    rep = linearize(pm)
+    pairs = _pairs(pm, p)
+    _corrupt(rep, weil.pair_triples(pairs[:1], pm)[role], monkeypatch)
+    for seed in range(5):
+        x = weil.probe_block(pm, np.random.default_rng(seed))
+        rpt = weil.check_multiplicativity(rep, pairs, probe=x)
+        assert not rpt.ok and rpt.max_dev > 1e-8
+
+
+def test_one_entry_corruption_fails_the_group_scan(monkeypatch):
+    pm = PrimeModulus(5, 1)
+    rep = linearize(pm)
+    _corrupt(rep, weil.sp_elements(pm)[17], monkeypatch)
+    x = weil.probe_block(pm, np.random.default_rng(0))
+    rpt = weil.check_multiplicativity(rep, tol=1e-9, probe=x)
+    assert not rpt.ok and rpt.max_dev > 1e-9
+
+
+@pytest.mark.parametrize("n,p", [(1, 11), (2, 5)])
+def test_one_entry_corruption_fails_the_torus_certificate(n, p, rep_cache,
+                                                          torus_cache, monkeypatch):
+    torus = torus_cache(p, n)
+    rep = linearize(PrimeModulus(p, n))
+    x = weil.probe_block(rep.pm, np.random.default_rng(p))
+    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
+    _corrupt(rep, torus.elements[3], monkeypatch)
+    assert weil.certify_torus(rep, torus, probe=x) > 1e-8
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5)])
+def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_elem,
+                                                          torus_cache, monkeypatch):
+    # the pair check builds no dense rho(B); the torus certificate builds
+    # rho of each torus generator once, through rep.op, and no other
+    pm = PrimeModulus(p, n)
+    rep = linearize(pm)
+    torus = torus_cache(p, n)
+    built = []
+    real = weil._dense_chunk
+
+    def spy(rep, src, *plan):
+        built.append(len(src))
+        return real(rep, src, *plan)
+
+    monkeypatch.setattr(weil, "_dense_chunk", spy)
+    x = weil.probe_block(pm, np.random.default_rng(p))
+    cached = set(rep.cache)
+    sampled = None if p == 3 else _pairs(pm, p)
+    assert weil.check_multiplicativity(rep, sampled, probe=x).ok
+    assert built == [] and set(rep.cache) == cached
+    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
+    assert built == [1] * len(torus.generators)
+    assert set(rep.cache) == cached | {g for g, _ in torus.generators}
+    # the sweep's check on a built context builds nothing and keeps nothing
+    ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
+    ctx.decomposition                       # reads rho of the generators
+    built.clear()
+    before = dict(ctx.rep.cache)
+    assert cli._check_multiplicativity(ctx, np.random.default_rng(p)).status == "pass"
+    assert built == [] and ctx.rep.cache.keys() == before.keys()
