@@ -153,6 +153,8 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
     try:
         ctx = quevaluator.PrimeContext.build(elem, pm,
                                              deadline=start + cfg.budget_seconds)
+    except BudgetExceeded:          # the deadline passed while building the torus
+        return _unbuilt_prime(p, cfg, [_budget_skip(name) for name in cfg.checks])
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
     rng = np.random.default_rng(cfg.seed + p)
@@ -208,8 +210,13 @@ def _failed_prime(p: int, cfg: SweepConfig, err: Exception) -> dict:
     """Prime entry for a torus or representation that could not be built."""
     check = CheckResult("construction", "fail",
                         witnesses=[{"error": f"{type(err).__name__}: {err}"}])
+    return _unbuilt_prime(p, cfg, [check])
+
+
+def _unbuilt_prime(p: int, cfg: SweepConfig, checks: list) -> dict:
+    """Prime entry with no torus: split_type and torus_order null."""
     return {"p": p, "n": cfg.n, "split_type": None, "torus_order": None,
-            "routes": {}, "checks": [check.to_dict(cfg.deterministic)]}
+            "routes": {}, "checks": [c.to_dict(cfg.deterministic) for c in checks]}
 
 
 def _check_relations(ctx, rng):
@@ -274,9 +281,11 @@ def _check_multiplicativity(ctx, rng):
     pairs when sampled) and the torus certificate, both read on one probe
     block X of weil.PROBE_COLUMNS i.i.d. standard complex Gaussian columns,
     drawn from rng after the pairs.  max_dev is the per-probe deviation
-    max |M X| of the pair and torus identities M = 0: an entry of M of
-    modulus eps passes the tolerance tol with probability at most
-    (tol/eps)^(2r), r = PROBE_COLUMNS (`weil` module docs).  No operator but
+    max |M X| of the pair identities and of the torus identities
+    rho(B) = prod_i R_i^e_i(B) and R_i^m_i = I, R_i = rho(g_i), M = 0 (the
+    commutators of the R_i are read densely): an entry of M of modulus eps passes the
+    tolerance tol with probability at most (tol/eps)^(2r), r = PROBE_COLUMNS
+    (`weil` module docs).  No operator but
     rho of the torus generators is kept, and none but those, rho(fourier)
     and the upper shears is formed."""
     pm, rep = ctx.pm, ctx.rep

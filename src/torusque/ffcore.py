@@ -444,21 +444,30 @@ def poly_roots_modp(f: Poly, p: int) -> list[int]:
     return [x for x in range(p) if poly_eval(f, x, mod=p) == 0]
 
 
+def factorize(m: int) -> list[tuple[int, int]]:
+    """[(r, e), ...]: the primes r dividing m >= 1 in increasing order, each
+    with its exponent e in m, by trial division."""
+    out = []
+    r = 2
+    while r * r <= m:
+        e = 0
+        while m % r == 0:
+            m //= r
+            e += 1
+        if e:
+            out.append((r, e))
+        r += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
 def primitive_root(p: int) -> int:
     """Smallest generator of the cyclic group F_p^x."""
     order = p - 1
-    prime_factors = set()
-    m = order
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            prime_factors.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        prime_factors.add(m)
+    primes = [q for q, _ in factorize(order)]
     for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in prime_factors):
+        if all(pow(g, order // q, p) != 1 for q in primes):
             return g
     raise RuntimeError("no primitive root found")
 

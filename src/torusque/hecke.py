@@ -2,18 +2,29 @@
 and the joint eigenspace decomposition of the quantum space.
 
 The centralizer of a regular semisimple A in Sp(2n, F_p) is computed inside
-the commutative algebra F_p[A]: every candidate is c_0 + c_1 A + ... +
-c_{2n-1} A^{2n-1}, and the symplectic ones form the torus.  This costs p^{2n}
-candidates instead of a search through |Sp(2n, F_p)|.
+the commutative algebra F_p[A]: every candidate is B = f(A) = c_0 + c_1 A +
+... + c_{2n-1} A^{2n-1}, and the symplectic ones form the torus.  As A is
+symplectic, B^T J B = J f(1/A) f(A), and P_A is squarefree mod p, so
+F_p[A] = F_p[x]/(P_A) and B is symplectic exactly when the norm
+
+    N(c) = f(1/x) f(x) = sum_ij c_i c_j (x^(j-i) mod P_A)
+
+is 1 (`norm`, from the table `norm_table` of the x^(j-i)).  N is read on
+all p^{2n} coefficient vectors c, in chunks of CHUNK_BYTES, and only the
+|T| that pass become matrices, so the memory is the p^{2n} x 2n table of
+the c (`lattice_vectors`) and the work p^{2n} (2n)^3, not a search through
+|Sp(2n, F_p)|.
 
 The torus is a direct product of cyclic groups <g_1> x ... x <g_k>, found
-by one greedy pass over its elements (`torus_structure`).  The joint
-eigenbasis is read from rho of the torus generators (`decompose`); no
-operator of any other torus element is built for it.
+by one greedy pass over its elements (`torus_structure`), vectorized over
+the int64 stack of the elements.  The joint eigenbasis is read from rho of
+the torus generators (`decompose`); no operator of any other torus element
+is built for it.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -23,7 +34,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import lattice_vectors
+from .heisenberg import BudgetExceeded, chunk_items, lattice_vectors
 
 
 class DegeneratePrimeError(ValueError):
@@ -53,12 +64,49 @@ def is_degenerate_prime(charpoly, p: int) -> bool:
     return not ffcore.is_squarefree_modp(charpoly, p)
 
 
-def centralizer(a: Mat, pm: PrimeModulus, charpoly) -> HeckeTorus:
+def norm_table(cp_mod, p: int) -> np.ndarray:
+    """(2n, 2n, 2n) int64 table R with R[i, j] the coefficients of
+    x^(j - i) mod (P_A, p), lowest degree first.
+
+    cp_mod is P_A mod p, monic of degree 2n with P_A(0) a unit mod p, so x is
+    invertible: x (P_A - P_A(0)) / x = -P_A(0) mod P_A.
+    """
+    d = ffcore.poly_deg(cp_mod)
+    inv0 = pow(cp_mod[0], -1, p)
+    x_inv = tuple(-c * inv0 % p for c in cp_mod[1:])
+
+    def times(f, g):
+        return ffcore.poly_divmod(ffcore.poly_mul(f, g, mod=p), cp_mod, mod=p)[1]
+
+    powers = {0: (1,)}
+    for e in range(1, d):
+        powers[e] = times(powers[e - 1], (0, 1))
+        powers[-e] = times(powers[1 - e], x_inv)
+    table = np.zeros((d, d, d), dtype=np.int64)
+    for i, j in product(range(d), repeat=2):
+        coeffs = powers[j - i]
+        table[i, j, :len(coeffs)] = coeffs
+    return table
+
+
+def norm(coeffs: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """N(c) = sum_ij c_i c_j R[i, j] mod p for every row c of an (m, 2n) int64
+    array, R = norm_table: the coefficients of f(1/x) f(x) mod P_A for
+    f = sum_k c_k x^k (entries stay below 4n^2 p^3)."""
+    d = table.shape[0]
+    half = (coeffs @ table.reshape(d, d * d)).reshape(-1, d, d)  # sum_i c_i R[i]
+    return np.einsum("kj,kjl->kl", coeffs, half) % p
+
+
+def centralizer(a: Mat, pm: PrimeModulus, charpoly,
+                deadline: float | None = None) -> HeckeTorus:
     """All symplectic elements of F_p[A mod p], with group structure attached.
 
     charpoly is the characteristic polynomial of A over Z.  Raises
     DegeneratePrimeError when P_A mod p has a repeated factor (then F_p[A]
-    is not etale and the centralizer is not a torus).
+    is not etale and the centralizer is not a torus), and BudgetExceeded
+    when `deadline`, a `time.perf_counter()` value, has passed before a
+    chunk of the norm filter (module docs).
     """
     p, n = pm.p, pm.n
     d = 2 * n
@@ -70,22 +118,30 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly) -> HeckeTorus:
             f"p = {p}: characteristic polynomial has repeated factor "
             f"{ffcore.poly_str(g)} mod {p}")
 
-    # stack powers I, A, ..., A^{2n-1} and form all F_p-combinations
+    # the coefficient vectors c with N(c) = 1, in flat index order
+    table = norm_table(cp_mod, p)
+    one = np.eye(1, d, dtype=np.int64)
+    coeffs = lattice_vectors(pm)                        # (p^d, d), d = 2n
+    rows = chunk_items(8 * d * d)
+    kept = []
+    for start in range(0, len(coeffs), rows):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"deadline passed at candidate {start} of {len(coeffs)}")
+        chunk = coeffs[start:start + rows]
+        kept.append(chunk[(norm(chunk, table, p) == one).all(axis=1)])
+
+    # only those become matrices sum_k c_k A^k
     powers = [ffcore.identity_mat(d)]
     for _ in range(d - 1):
         powers.append(mat_mul(powers[-1], a, mod=p))
-    pow_arr = np.array(powers, dtype=np.int64)          # (d, d, d)
-    coeffs = lattice_vectors(pm)                        # (p^d, d), d = 2n
-    cands = np.tensordot(coeffs, pow_arr, axes=(1, 0)) % p  # (p^d, d, d)
-
+    torus = np.tensordot(np.concatenate(kept), np.array(powers, dtype=np.int64),
+                         axes=(1, 0)) % p               # (|T|, d, d)
     j = np.array(ffcore.standard_j(n), dtype=np.int64)
-    jt = np.einsum("bij,jk->bik", cands.transpose(0, 2, 1), j) % p
-    form = np.einsum("bij,bjk->bik", jt, cands) % p
-    keep = np.all(form == j % p, axis=(1, 2))
-    elements = [tuple(tuple(int(x) for x in row) for row in cands[i])
-                for i in np.nonzero(keep)[0]]
-    if a not in elements:
+    if ((torus.transpose(0, 2, 1) @ j @ torus - j) % p).any():
+        raise RuntimeError("the norm filter kept a non-symplectic element")
+    if not (torus == np.array(a)).all(axis=(1, 2)).any():
         raise RuntimeError("A mod p missing from its own centralizer")
+    elements = [tuple(map(tuple, b)) for b in torus.tolist()]
 
     degs = ffcore.factor_degrees_modp(cp_mod, p)
     if all(dd == 1 for dd in degs):
@@ -102,40 +158,112 @@ def torus_structure(elements: list, p: int) -> tuple[list, dict]:
     """Generators [(g_j, m_j), ...] and discrete logs of an abelian group.
 
     Greedy over the subgroup H = <g_1> x ... x <g_{j-1}> found so far: g_j
-    is the first element, in list order, of the largest order m whose
-    powers meet H only in I (the smallest k with b^k in H has b^k = I).  The
-    scan stops once m |H| = |T|, which no later element can beat.  Each
-    extension H x <g_j> is certified by regenerating exactly |H| m distinct
-    products, until H is the whole group.
+    is the first element, in list order, of the largest order m of bH in
+    T/H among the b whose powers meet H only in I, that is whose order in T
+    is m too (b^m in H is then I).  The orders come for the whole int64
+    stack at once (`_coset_orders`).  Each extension H x <g_j> is certified
+    by regenerating exactly |H| m distinct products, until H is the whole
+    group; every power and product is looked up in the element list, and
+    one that is not there raises.  dlog lists the elements in lexicographic
+    order of their exponents.
     """
-    ident = ffcore.identity_mat(len(elements[0]))
-    dlog = {ident: ()}
+    stack = np.array(elements, dtype=np.int64) % p
+    total, d = stack.shape[:2]
+    find = _row_lookup(stack)
+    ident = np.eye(d, dtype=np.int64)
+    members = find(ident[None])                 # H, in dlog order
+    exps = np.zeros((1, 0), dtype=np.int64)
+    in_h = np.zeros(total, dtype=bool)
+    in_h[members] = True
+    orders = None
     generators = []
-    while len(dlog) < len(elements):
-        best, m = None, 1
-        for b in elements:
-            acc, k = b, 1
-            while acc not in dlog:
-                acc = mat_mul(acc, b, mod=p)
-                k += 1
-            if acc == ident and k > m:
-                best, m = b, k
-                if m * len(dlog) == len(elements):
-                    break
-        if best is None:
+    while len(members) < total:
+        q, rest = divmod(total, len(members))
+        if rest:
+            raise RuntimeError(f"a subgroup of order {len(members)} in a group "
+                               f"of order {total}")
+        k = _coset_orders(stack, in_h, find, q, p)
+        if orders is None:
+            orders = k                          # H = {I}: the element orders
+        fits = np.flatnonzero((k == orders) & (k > 1))
+        if not fits.size:
             raise RuntimeError(f"no element extends a subgroup of order "
-                               f"{len(dlog)} in a group of order {len(elements)}")
-        extended = {}
-        for h, exps in dlog.items():
-            acc = h
-            for e in range(m):
-                extended[acc] = exps + (e,)
-                acc = mat_mul(acc, best, mod=p)
-        if len(extended) != len(dlog) * m:
+                               f"{len(members)} in a group of order {total}")
+        best = int(fits[np.argmax(k[fits])])    # the first of the largest
+        m = int(k[best])
+        cyclic = ident[None]                    # g^0, ..., g^(m-1) by doubling
+        step = stack[best]
+        while len(cyclic) < m:
+            cyclic = np.concatenate([cyclic, cyclic @ step % p])
+            step = step @ step % p
+        extended = find((stack[members][:, None] @ cyclic[None, :m] % p).reshape(-1, d, d))
+        if np.bincount(extended, minlength=total).max() > 1:
             raise RuntimeError("generator products are not all distinct")
-        dlog = extended
-        generators.append((best, m))
+        exps = np.concatenate([np.repeat(exps, m, axis=0),
+                               np.tile(np.arange(m), len(members))[:, None]], axis=1)
+        members = extended
+        in_h[members] = True
+        generators.append((elements[best], m))
+    dlog = {elements[i]: tuple(e) for i, e in zip(members.tolist(), exps.tolist())}
     return generators, dlog
+
+
+def _row_lookup(stack: np.ndarray):
+    """find(mats): the index in stack of every matrix of a (k, d, d) array,
+    through the stack's rows sorted lexicographically; a matrix that is not
+    in the stack raises."""
+    def keys(mats):
+        flat = np.ascontiguousarray(mats.reshape(len(mats), -1), dtype=">i8")
+        return flat.view(f"V{flat.shape[1] * 8}").ravel()
+
+    table = keys(stack)
+    order = np.argsort(table)
+    table = table[order]
+
+    def find(mats):
+        want = keys(mats)
+        pos = np.minimum(np.searchsorted(table, want), len(table) - 1)
+        if (table[pos] != want).any():
+            raise RuntimeError("a power or product is not in the element list")
+        return order[pos]
+
+    return find
+
+
+def _power(stack: np.ndarray, e: int, p: int) -> np.ndarray:
+    """b^e mod p for every b of a (k, d, d) int64 stack, e >= 1, by repeated
+    squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = stack if out is None else out @ stack % p
+        e >>= 1
+        if not e:
+            return out
+        stack = stack @ stack % p
+
+
+def _coset_orders(stack: np.ndarray, in_h: np.ndarray, find, q: int, p: int) -> np.ndarray:
+    """The order of bH in T/H for every b of the stack; in_h marks H, and
+    q = |T/H|.  For each prime power r^e dividing q exactly, the r-part of
+    the order is r^t for the least t with (b^(q / r^e))^(r^t) in H; rows
+    leave as soon as they reach H.  A b with b^q not in H raises: then the
+    elements are no group of their number."""
+    k = np.ones(len(stack), dtype=np.int64)
+    for r, e in ffcore.factorize(q):
+        y = _power(stack, q // r ** e, p)
+        rows = np.flatnonzero(~in_h[find(y)])
+        y = y[rows]
+        for _ in range(e):
+            if not rows.size:
+                break
+            y = _power(y, r, p)
+            k[rows] *= r
+            out = ~in_h[find(y)]
+            rows, y = rows[out], y[out]
+        if rows.size:
+            raise RuntimeError(f"b^{q} is not in a subgroup of index {q}")
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,10 @@ def root_table(p: int) -> np.ndarray:
 def _digit_vectors(p: int, k: int) -> np.ndarray:
     """Array of shape (p^k, k): row i is the base-p digit vector of i,
     least significant digit first."""
-    idx = np.arange(p ** k)
-    return np.stack([(idx // p ** j) % p for j in range(k)], axis=1)
+    out = np.empty((p ** k, k), dtype=np.int64)
+    for j in range(k):      # digit j runs through 0..p-1 in blocks of p^j rows
+        out.reshape(p ** (k - 1 - j), p, p ** j, k)[..., j] = np.arange(p)[:, None]
+    return out
 
 
 @lru_cache(maxsize=_CACHED_MODULI)

@@ -218,7 +218,8 @@ class PrimeContext:
     are built on first use and then shared by every check.  A context made
     directly from a torus and any rho (a twisted one, say) derives its parts
     from that rho.  `deadline`, a `time.perf_counter()` value, is checked
-    before every chunk of orbits of the table.
+    before every chunk of orbits of the table, and in `build` before every
+    chunk of the centralizer's norm filter.
     """
 
     elem: ErgodicElement
@@ -230,8 +231,9 @@ class PrimeContext:
     @classmethod
     def build(cls, elem: ErgodicElement, pm: PrimeModulus,
               deadline: float | None = None) -> "PrimeContext":
-        """Centralizer torus of elem mod p and the canonical rho."""
-        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
+        """Centralizer torus of elem mod p and the canonical rho; the
+        centralizer reads `deadline` too."""
+        torus = hecke.centralizer(elem.matrix, pm, elem.charpoly, deadline)
         return cls(elem, torus, weil.linearize(pm), deadline)
 
     @property

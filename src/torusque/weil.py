@@ -285,18 +285,12 @@ def _closed_form_plan(rep: WeilRep, batch: list):
         raise ValueError("matrix is not symplectic mod p")
     a, bb, c, d = b[:, :n, :n], b[:, :n, n:], b[:, n:, :n], b[:, n:, n:]
 
-    # M = Bb + A S for every mask at once (column j of A scaled by bit j)
-    bits = _mask_bits(n)
-    det, inv = ffcore.gauss_jordan_modp(bb[:, None] + a[:, None] * bits[None, :, None, :], p)
-    unit = det != 0
-    if not unit.any(axis=1).all():
-        bad = b[np.argmin(unit.any(axis=1))]
+    mask, det, m_inv = _first_invertible_mask(a, bb, p)
+    if (det == 0).any():
+        bad = b[np.argmax(det == 0)]
         raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {bad.tolist()}")
-    every = np.arange(len(b))
-    mask = unit.argmax(axis=1)                      # the first invertible one
-    s = bits[mask]                                  # (k, n) diagonals of S
+    s = _mask_bits(n)[mask]                         # (k, n) diagonals of S
     m = (bb + a * s[:, None, :]) % p
-    m_inv = inv[every, mask]
     s1 = -((c * s[:, None, :] + d) @ m_inv) % p
     s2 = -(m_inv @ a) % p
 
@@ -316,9 +310,30 @@ def _closed_form_plan(rep: WeilRep, batch: list):
     roots = root_table(p)
     src = ((pts @ m_inv.transpose(0, 2, 1)) % p) @ (p ** np.arange(n))
     row = roots[pm.nu * ((pts @ s1) * pts).sum(axis=2) % p]
-    row *= _legendre_signs(p)[det[every, mask]][:, None]
+    row *= _legendre_signs(p)[det][:, None]
     col = roots[pm.nu * ((pts @ s2) * pts).sum(axis=2) % p]
     return src, row, col, mask
+
+
+def _first_invertible_mask(a, bb, p: int):
+    """(mask, det M, M^-1) for M = Bb + A S and the first mask (bits of the
+    diagonal 0/1 S) that makes M invertible, for (k, n, n) block stacks A
+    and Bb: Bb itself is inverted first, and the other masks are tried only
+    for the rows where it is singular.  det is 0 where no mask works."""
+    det, inv = ffcore.gauss_jordan_modp(bb, p)
+    mask = np.zeros(len(bb), dtype=np.int64)
+    rows = np.flatnonzero(det == 0)
+    if rows.size:
+        # column j of A scaled by bit j, for every nonzero mask at once
+        bits = _mask_bits(a.shape[-1])[1:]
+        dets, invs = ffcore.gauss_jordan_modp(
+            bb[rows, None] + a[rows, None] * bits[None, :, None, :], p)
+        first = (dets != 0).argmax(axis=1)
+        every = np.arange(len(rows))
+        mask[rows] = np.where(dets[every, first] != 0, first + 1, 0)
+        det[rows] = dets[every, first]
+        inv[rows] = invs[every, first]
+    return mask, det, inv
 
 
 def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
@@ -583,15 +598,20 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     return MultiplicativityReport(len(pairs), max_dev, max_dev <= tol)
 
 
-def _power_products(ops: list, orders: tuple, acc: np.ndarray):
+def _power_products(ops: list, orders: tuple, acc: np.ndarray, wrap: list):
     """prod_i ops_i^e_i acc for every e with 0 <= e_i < orders_i, in
-    lexicographic order of e, one product by an ops_i per yielded block."""
+    lexicographic order of e, one product by an ops_i per yielded block.
+    Each loop over e_i takes one step more, to ops_i^orders_i times the block
+    it started from, and appends max |ops_i^orders_i Y - Y| for that block Y
+    to wrap; the first such Y of every i is acc itself."""
     if not ops:
         yield acc
         return
+    start = acc
     for _ in range(orders[0]):
-        yield from _power_products(ops[1:], orders[1:], acc)
+        yield from _power_products(ops[1:], orders[1:], acc, wrap)
         acc = ops[0] @ acc
+    wrap.append(float(np.abs(acc - start).max()))
 
 
 def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
@@ -600,30 +620,32 @@ def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
     is a representation, in O(|T|) block products.
 
     With R_i = rho(g_i) for the generators g_i of orders m_i, the certificate
-    checks R_i R_j = R_j R_i and R_i^m_i = I densely, and rho(B) X =
-    prod_i R_i^e_i(B) X on a probe block X for every B in T, e =
-    torus.dlog[B].  Together these are equivalent to all |T|^2 pair
-    identities rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod m_i, so
+    checks R_i R_j = R_j R_i densely, and on a probe block X: R_i^m_i X = X,
+    and rho(B) X = prod_i R_i^e_i(B) X for every B in T, e = torus.dlog[B].
+    Together these are equivalent to all |T|^2 pair identities
+    rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod m_i, so
     rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).  The
     products step X by one R_i at a time (`_power_products`, p^(2n) r each),
-    and rho(B) X comes from rep.apply_many (which reads `deadline`), so the
-    part over T is a per-probe deviation (module docs).  The R_i are rep.op
-    entries, the operators the eigenspace decomposition reads; no other
-    operator is formed.  probe defaults to probe_block(pm, default_rng(0)).
+    with one step more at the end of each loop over e_i to reach R_i^m_i,
+    and rho(B) X comes from rep.apply_many (which reads `deadline`), so all
+    but the commutators are per-probe deviations (module docs).  The R_i are
+    rep.op entries, the operators the eigenspace decomposition reads; no
+    other operator is formed.  probe defaults to probe_block(pm,
+    default_rng(0)).
     """
     gens = [rep.op(g) for g, _ in torus.generators]
-    ident = np.eye(rep.pm.dim)
     dev = 0.0
-    for i, (r, m) in enumerate(zip(gens, torus.gen_orders)):
-        dev = max(dev, float(np.abs(np.linalg.matrix_power(r, m) - ident).max()))
+    for i, r in enumerate(gens):
         for s in gens[:i]:
             dev = max(dev, float(np.abs(r @ s - s @ r).max()))
     x = probe_block(rep.pm, np.random.default_rng(0)) if probe is None else probe
     element = {exps: b for b, exps in torus.dlog.items()}
     exps = product(*map(range, torus.gen_orders))
-    steps = _power_products(gens, torus.gen_orders, x)
+    wrap = []
+    steps = _power_products(gens, torus.gen_orders, x, wrap)
     while batch := list(islice(exps, apply_length(rep.pm, x.shape[1]))):
         want = np.stack(list(islice(steps, len(batch))))
         got = rep.apply_many([element[e] for e in batch], x, deadline)
         dev = max(dev, float(np.abs(got - want).max()))
-    return dev
+    next(steps, None)       # nothing is left to yield: runs the last wrap-arounds
+    return max([dev, *wrap])

@@ -10,7 +10,13 @@ streamed one eigenspace at a time (`character_sum_columns`): one
 orbit table of `quevaluator.character_sum_table` replaces.
 
 The torus structure by element orders (`torus_structure`): an O(|T|^2)
-order scan, one or two generators.  The one-factor split sums one scalar
+order scan, one or two generators.  The torus elements by the form filter
+(`centralizer_elements`): all p^(2n) candidates of F_p[A] as matrices, in
+three (p^(2n), 2n, 2n) stacks, with B^T J B = J read by two einsums, which
+`hecke.centralizer` replaces by the norm N(c) = 1 on coefficient vectors.
+The plan's mask choice with every one of the 2^n masks inverted
+(`first_invertible_mask_all`), which `weil._first_invertible_mask`
+replaces by inverting Bb first.  The one-factor split sums one scalar
 term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
 (`gauss_sum_oracle`).  The split frame per xi (`transport_xi`,
 `factor_coordinates`, `is_generic`) and per character (`transport_char`).
@@ -455,6 +461,35 @@ def _element_order(b: Mat, p: int, bound: int) -> int:
             return k
         acc = mat_mul(acc, b, mod=p)
     raise RuntimeError("order exceeds group order bound")
+
+
+def centralizer_elements(a: Mat, pm: PrimeModulus) -> list[Mat]:
+    """The symplectic elements of F_p[A], in flat order of their coefficient
+    vectors: every candidate sum_k c_k A^k as a matrix, kept where
+    B^T J B = J."""
+    p, n = pm.p, pm.n
+    d = 2 * n
+    a = mat_mod(mat(a), p)
+    powers = [ffcore.identity_mat(d)]
+    for _ in range(d - 1):
+        powers.append(mat_mul(powers[-1], a, mod=p))
+    pow_arr = np.array(powers, dtype=np.int64)
+    cands = np.tensordot(lattice_vectors(pm), pow_arr, axes=(1, 0)) % p
+    j = np.array(ffcore.standard_j(n), dtype=np.int64)
+    jt = np.einsum("bij,jk->bik", cands.transpose(0, 2, 1), j) % p
+    form = np.einsum("bij,bjk->bik", jt, cands) % p
+    keep = np.all(form == j % p, axis=(1, 2))
+    return [tuple(map(tuple, b)) for b in cands[keep].tolist()]
+
+
+def first_invertible_mask_all(a, bb, p: int):
+    """(mask, det M, M^-1) of weil._first_invertible_mask, with M = Bb + A S
+    inverted for every mask at once."""
+    bits = weil._mask_bits(a.shape[-1])
+    det, inv = ffcore.gauss_jordan_modp(bb[:, None] + a[:, None] * bits[None, :, None, :], p)
+    mask = (det != 0).argmax(axis=1)
+    every = np.arange(len(bb))
+    return mask, det[every, mask], inv[every, mask]
 
 
 def torus_structure(elements: list, p: int) -> tuple[list, dict]:

@@ -16,7 +16,8 @@ from torusque import ffcore, weil
 from torusque.ffcore import PrimeModulus, mat_mul
 from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
 
-from oracles import egorov_deviation_loop, mats, sp_word, word_operator
+from oracles import (egorov_deviation_loop, first_invertible_mask_all, mats,
+                     sp_word, word_operator)
 
 # the trace-formula check's traced peak at n = 1, p = 43 while it cached its
 # 41 operators through rep.op (about 1.4 MB, measured with tracemalloc)
@@ -159,6 +160,24 @@ def test_batched_egorov_equals_per_xi_loop(n, p):
     dense = np.eye(pm.dim, dtype=complex)
     dev = weil.egorov_deviation(dense, bs[0], pm)
     assert dev > 0.1 and dev == egorov_deviation_loop(dense, bs[0], pm)
+
+
+@pytest.mark.parametrize("n,p", [(1, 43), (2, 13)])
+def test_plan_inverts_only_the_masks_it_needs(n, p, rep_cache, monkeypatch):
+    # Bb first, the other masks only where Bb is singular: the same plans as
+    # inverting every mask of every element, on the relation pairs (the
+    # U(-S) branch) and on sampled pairs with their products
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    rng = np.random.default_rng(p)
+    d = 2 * n
+    batch = np.concatenate([weil.relation_pairs(pm, rng).reshape(-1, d, d),
+                            weil.pair_triples(random_sp(pm, rng, 80).reshape(-1, 2, d, d), pm)])
+    plan = weil._closed_form_plan(rep, batch)
+    assert plan[3].any() and not plan[3].all()
+    monkeypatch.setattr(weil, "_first_invertible_mask", first_invertible_mask_all)
+    for got, want in zip(plan, weil._closed_form_plan(rep, batch), strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):

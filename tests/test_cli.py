@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torusque import cli, heisenberg, weil
+from torusque import cli, hecke, heisenberg, weil
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import lattice_vectors
 from torusque.quevaluator import PrimeContext
@@ -227,10 +227,10 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
     real = hecke.centralizer
 
     for error in (weil.ConstructionError, RuntimeError):
-        def flaky(a, pm, charpoly=None):
+        def flaky(a, pm, charpoly=None, deadline=None):
             if pm.p == 7:
                 raise error("injected at p = 7")
-            return real(a, pm, charpoly)
+            return real(a, pm, charpoly, deadline)
 
         monkeypatch.setattr(hecke, "centralizer", flaky)
         out_json = tmp_path / f"fail-{error.__name__}.json"
@@ -447,6 +447,40 @@ def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
     assert decomposition["status"] == "pass"
     assert bound == dict(skip, name="bound")
     assert refined == dict(skip, name="refined")
+
+
+def test_budget_read_between_norm_filter_chunks(tmp_path, monkeypatch):
+    # a clock that advances one second per reading: the deadline passes
+    # inside the centralizer's norm filter, at its third chunk of the 11^4
+    # candidates, and the prime becomes budget skips, not a failed
+    # construction
+    now = [0.0]
+    chunks = []
+    real_norm = hecke.norm
+
+    def clock():
+        now[0] += 1.0
+        return now[0]
+
+    def counted_norm(coeffs, table, p):
+        chunks.append(len(coeffs))
+        return real_norm(coeffs, table, p)
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    monkeypatch.setattr(hecke, "norm", counted_norm)
+    out_json = tmp_path / "budget.json"
+    rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "11",
+                  "--pmax", "11", "--checks", "decomposition,bound",
+                  "--budget-seconds", "2.5", "--out-json", str(out_json)])
+    assert rc == 0
+    (rp,) = json.loads(out_json.read_text())["primes"]
+    assert heisenberg.chunk_items(8 * 4 * 4) == 2048
+    assert chunks == [2048, 2048]
+    skip = {"status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
+            "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
+    assert rp == {"p": 11, "n": 2, "split_type": None, "torus_order": None,
+                  "routes": {}, "checks": [dict(skip, name="decomposition"),
+                                           dict(skip, name="bound")]}
 
 
 @pytest.mark.parametrize("check,step,length", [

@@ -141,6 +141,16 @@ def test_primitive_root_and_dlog_table():
         assert all(pow(g, table[a], p) == a for a in range(1, p))
 
 
+def test_factorize():
+    assert ffcore.factorize(1) == []
+    assert ffcore.factorize(962) == [(2, 1), (13, 1), (37, 1)]
+    for m in range(2, 600):
+        fac = ffcore.factorize(m)
+        assert [r for r, _ in fac] == sorted(r for r in range(2, m + 1)
+                                             if m % r == 0 and ffcore.is_prime(r))
+        assert np.prod([r ** e for r, e in fac]) == m
+
+
 def test_mat_det_exact():
     assert mat_det(mat([[2, 1], [1, 1]])) == 1
     assert mat_det(mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == -3

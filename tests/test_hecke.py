@@ -1,16 +1,18 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from torusque import ffcore, weil
-from torusque.ffcore import PrimeModulus, identity_mat, mat_mod, mat_mul
+from torusque import ffcore, hecke, weil
+from torusque.ffcore import PrimeModulus, identity_mat, mat_inv_modp, mat_mod, mat_mul
 from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
                             characters, decompose, torus_structure)
 from torusque.heisenberg import pi_op
 
-from oracles import (character_table, character_value, character_value_of_exps,
-                     hecke_average, linearize_on_torus, projector)
+from oracles import (centralizer_elements, character_table, character_value,
+                     character_value_of_exps, hecke_average, linearize_on_torus,
+                     projector)
 from oracles import torus_structure as torus_structure_oracle
 
 
@@ -118,14 +120,81 @@ def test_two_quadratic_factor_torus(sp4_elem):
 @pytest.mark.parametrize("n,primes", [
     (1, [p for p in ffcore.odd_primes(3, 97) if p != 5]),
     (2, [3, 5, 7, 11, 13, 19])])
-def test_torus_structure_matches_order_scan(n, primes, torus_cache):
-    # the greedy pass picks exactly the generators of the order scan, so
-    # character labels and their order are unchanged
+def test_torus_matches_form_filter_and_order_scan(n, primes, cat_map, sp4_elem,
+                                                  torus_cache):
+    # the norm filter keeps the elements of the matrix form filter, in the
+    # same order, and the greedy pass picks exactly the generators of the
+    # order scan, so character labels and their order are unchanged
+    elem = cat_map if n == 1 else sp4_elem
     for p in primes:
         t = torus_cache(p, n)
+        assert t.elements == centralizer_elements(elem.matrix, PrimeModulus(p, n)), p
         generators, dlog = torus_structure_oracle(t.elements, p)
         assert t.generators == generators, p
         assert t.dlog == dlog, p
+        assert list(t.dlog.values()) == list(product(*map(range, t.gen_orders))), p
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 13), (2, 19), (2, 23)])
+def test_norm_is_f_of_inverse_a_times_f_of_a(n, p, cat_map, sp4_elem):
+    # N(c), read as a polynomial in A, is f(A^-1) f(A) formed with matrices
+    elem = cat_map if n == 1 else sp4_elem
+    d = 2 * n
+    table = hecke.norm_table(ffcore.poly_mod_reduce(elem.charpoly, p), p)
+    a = np.array(mat_mod(elem.matrix, p), dtype=np.int64)
+    a_inv = np.array(mat_inv_modp(mat_mod(elem.matrix, p), p), dtype=np.int64)
+
+    def powers(m):
+        out = [np.eye(d, dtype=np.int64)]
+        for _ in range(d - 1):
+            out.append(out[-1] @ m % p)
+        return np.array(out)
+
+    coeffs = np.random.default_rng(p).integers(0, p, (60, d))
+    f = np.tensordot(coeffs, powers(a), axes=(1, 0)) % p
+    f_inv = np.tensordot(coeffs, powers(a_inv), axes=(1, 0)) % p
+    got = np.tensordot(hecke.norm(coeffs, table, p), powers(a), axes=(1, 0)) % p
+    assert np.array_equal(got, f_inv @ f % p)
+
+
+def test_centralizer_memory_stays_below_one_candidate_stack(sp4_elem):
+    # at n = 2, p = 13 the peak is below one (p^4, 4, 4) int64 stack of
+    # candidate matrices (3.66 MB), of which the form filter held three
+    p = 13
+    tracemalloc.start()
+    try:
+        t = centralizer(sp4_elem.matrix, PrimeModulus(p, 2), sp4_elem.charpoly)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.order == 144
+    assert peak < p ** 4 * 16 * 8
+
+
+def test_torus_structure_raises_on_a_power_outside_the_list(torus_cache):
+    # Z_8 without its generator's inverse: the 7-th power of the generator
+    # is not in the list
+    t = torus_cache(7)
+    (g, m), = t.generators
+    g_inv = t.elements[[t.dlog[b] for b in t.elements].index((m - 1,))]
+    with pytest.raises(RuntimeError, match="not in the element list"):
+        torus_structure([b for b in t.elements if b != g_inv], 7)
+
+
+def test_torus_structure_raises_on_a_list_that_is_no_group(torus_cache):
+    # Z_8 with one element twice: nine entries, and b^9 = b is not I
+    t = torus_cache(7)
+    with pytest.raises(RuntimeError, match="not in a subgroup of index 9"):
+        torus_structure(t.elements + [t.elements[1]], 7)
+
+
+def test_torus_structure_certificate_catches_a_wrong_order(torus_cache, monkeypatch):
+    # orders read twice too large: the generator's 16 powers in Z_8 repeat
+    t = torus_cache(7)
+    real = hecke._coset_orders
+    monkeypatch.setattr(hecke, "_coset_orders", lambda *args: 2 * real(*args))
+    with pytest.raises(RuntimeError, match="not all distinct"):
+        torus_structure(t.elements, 7)
 
 
 def _diagonal_sp6_torus(p: int = 7) -> HeckeTorus:

@@ -137,6 +137,30 @@ def test_one_entry_corruption_fails_the_torus_certificate(n, p, rep_cache,
     assert weil.certify_torus(rep, torus, probe=x) > 1e-8
 
 
+@pytest.mark.parametrize("n,p", [(1, 11), (2, 13)])
+def test_generator_of_the_wrong_order_fails_the_torus_certificate(n, p, torus_cache,
+                                                                  monkeypatch):
+    # R_1 = rho(g_1) scaled by e^(i pi/m_1), and every rho(B) X by
+    # e^(i pi e_1(B)/m_1) to match: the R_i commute and rho(B) X =
+    # prod_i R_i^e_i(B) X still hold, but R_1^m_1 = -I, which only the
+    # wrap-around step of the certificate reads
+    torus = torus_cache(p, n)
+    rep = linearize(PrimeModulus(p, n))
+    x = weil.probe_block(rep.pm, np.random.default_rng(p))
+    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
+    (g, m) = torus.generators[0]
+    twist = np.exp(1j * np.pi / m)
+    rep.cache[g] = twist * rep.op(g)
+    real = rep.apply_many
+
+    def twisted(bs, z, deadline=None):
+        e1 = [torus.dlog[tuple(map(tuple, np.asarray(b).tolist()))][0] for b in bs]
+        return real(bs, z, deadline) * twist ** np.array(e1)[:, None, None]
+
+    monkeypatch.setattr(rep, "apply_many", twisted)
+    assert abs(weil.certify_torus(rep, torus, probe=x) - 2 * np.abs(x).max()) < 1e-8
+
+
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5)])
 def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_elem,
                                                           torus_cache, monkeypatch):
