@@ -10,10 +10,10 @@ F_p[A] = F_p[x]/(P_A) and B is symplectic exactly when the norm
     N(c) = f(1/x) f(x) = sum_ij c_i c_j (x^(j-i) mod P_A)
 
 is 1 (`norm`, from the table `norm_table` of the x^(j-i)).  N is read on
-all p^{2n} coefficient vectors c, in chunks of CHUNK_BYTES, and only the
-|T| that pass become matrices, so the memory is the p^{2n} x 2n table of
-the c (`lattice_vectors`) and the work p^{2n} (2n)^3, not a search through
-|Sp(2n, F_p)|.
+all p^{2n} coefficient vectors c, in chunks of CHUNK_BYTES made from their
+index ranges (`lattice_rows`), and only the |T| that pass become matrices,
+so the memory is O(CHUNK_BYTES + |T|) and the work p^{2n} (2n)^3, not a
+search through |Sp(2n, F_p)|.
 
 The torus is a direct product of cyclic groups <g_1> x ... x <g_k>, found
 by one greedy pass over its elements (`torus_structure`), vectorized over
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import BudgetExceeded, chunk_items, lattice_vectors
+from .heisenberg import BudgetExceeded, chunk_items, lattice_rows
 
 
 class DegeneratePrimeError(ValueError):
@@ -121,13 +121,13 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly,
     # the coefficient vectors c with N(c) = 1, in flat index order
     table = norm_table(cp_mod, p)
     one = np.eye(1, d, dtype=np.int64)
-    coeffs = lattice_vectors(pm)                        # (p^d, d), d = 2n
+    total = p ** d                                      # d = 2n
     rows = chunk_items(8 * d * d)
     kept = []
-    for start in range(0, len(coeffs), rows):
+    for start in range(0, total, rows):
         if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"deadline passed at candidate {start} of {len(coeffs)}")
-        chunk = coeffs[start:start + rows]
+            raise BudgetExceeded(f"deadline passed at candidate {start} of {total}")
+        chunk = lattice_rows(pm, start, min(start + rows, total))
         kept.append(chunk[(norm(chunk, table, p) == one).all(axis=1)])
 
     # only those become matrices sum_k c_k A^k

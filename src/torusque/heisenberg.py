@@ -133,6 +133,13 @@ def lattice_vectors(pm: PrimeModulus) -> np.ndarray:
     return _digit_vectors(pm.p, 2 * pm.n)
 
 
+def lattice_rows(pm: PrimeModulus, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of `lattice_vectors(pm)`, from their flat indices,
+    for readers that walk the p^{2n} vectors in chunks."""
+    k = np.arange(start, stop, dtype=np.int64)
+    return k[:, None] // pm.p ** np.arange(2 * pm.n) % pm.p
+
+
 def _phase_deviation(lhs, target, phase, p: int) -> float:
     """max |T_lhs - psi(phase) T_target| from (src, expo) arrays (stacked
     alike), or inf when the permutations differ."""

@@ -11,9 +11,13 @@ against.  The character sums
 
 need no operator of any torus element but the generators: P_{chi^-1} is the
 projector onto the joint eigenspace H_{chi^-1} (`hecke.decompose`).  As
-rho(B) T(xi) rho(B)^-1 = T(B xi), they are constant on the T-orbits of xi,
-so one xi per orbit suffices (`orbit_labels`, `character_sum_table`).  They
-are checked against the p^{n/2}-scale bound and its split-prime refinement,
+rho(B) T(xi) rho(B)^-1 = T(B xi), they are constant on the T-orbits of xi
+(`orbit_labels`), so one xi per orbit suffices: its member (lam, mu) of
+least shift lam (`least_shift_members`).  T(lam, mu) shifts by lam, so the
+orbits read at one lam share one product of the eigenbasis with its
+translate by lam, and their rows come from one matmul by their phase rows
+(`character_sum_table`): one gather per distinct shift, not per orbit.
+They are checked against the p^{n/2}-scale bound and its split-prime refinement,
 and against the closed-form diagonal-torus trace.
 
 A `PrimeContext` holds the torus and rho at one prime, and builds the
@@ -61,8 +65,9 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
-from .heisenberg import (BudgetExceeded, index_vectors, lattice_vectors,
-                         pi_exponents, pi_exponents_many, root_table)
+from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
+                         lattice_vectors, pi_exponents, pi_exponents_many,
+                         root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -218,8 +223,8 @@ class PrimeContext:
     are built on first use and then shared by every check.  A context made
     directly from a torus and any rho (a twisted one, say) derives its parts
     from that rho.  `deadline`, a `time.perf_counter()` value, is checked
-    before every chunk of orbits of the table, and in `build` before every
-    chunk of the centralizer's norm filter.
+    before every block of the table, and in `build` before every chunk of
+    the centralizer's norm filter.
     """
 
     elem: ErgodicElement
@@ -332,29 +337,72 @@ def orbit_labels(torus: HeckeTorus) -> np.ndarray:
     return labels
 
 
+def least_shift_members(row: np.ndarray, pm: PrimeModulus) -> np.ndarray:
+    """The flat index of each orbit's member xi = (lam, mu) of least shift
+    lam, then least mu, for the orbit rows `row` of every flat xi.
+
+    The flat index is lam + p^n mu, so the key lam p^n + mu is the flat index
+    with its two halves swapped: one `np.minimum.at` over the p^{2n} labels.
+    """
+    d = pm.dim
+    keys = np.full(int(row.max()) + 1, d * d)
+    np.minimum.at(keys, row.reshape(d, d).T, np.arange(d * d).reshape(d, d))
+    return keys // d + d * (keys % d)
+
+
+def _column_blocks(dims: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of the occupied eigenspaces (indices into dims[dims > 0])
+    whose columns together stay within width, each at least one eigenspace."""
+    sizes = dims[dims > 0]
+    blocks, lo, cols = [], 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if cols and cols + size > width:
+            blocks.append((lo, i))
+            lo, cols = i, 0
+        cols += size
+    return blocks + [(lo, len(sizes))]
+
+
 def character_sum_table(ctx: PrimeContext) -> np.ndarray:
-    """a_chi(xi_r) at every orbit representative xi_r (`orbits`): row r, column chi.
+    """a_chi(xi_r) on every orbit row r of `orbits`: row r, column chi.
 
     a_chi(xi) = |T| Tr(T(xi) P_{chi^-1}), and Tr(T(xi) P) sums <v|T(xi)|v>
-    over the eigenbasis of P: one gather of the concatenated eigenbasis along
-    T(xi) per representative, O(p^{2n}), in chunks of CHUNK_BYTES.  The
-    deadline is read before every chunk.
+    over the eigenbasis of P.  Each orbit is read at its member of least
+    shift (`least_shift_members`).  T(lam, mu) v[x] = psi(nu lam.mu + mu.x)
+    v[x + lam], so every orbit read at shift lam shares the product
+    W_lam = conj(V) * V[x + lam] of the concatenated eigenbasis V, and its
+    row is its phase row psi(expo) times W_lam: one gather and one matmul
+    per distinct lam, not per orbit, with the sum over x taken before the
+    sum over each eigenspace's columns.  The columns of W_lam are cut at
+    eigenspace boundaries into blocks of CHUNK_BYTES, each reduced straight
+    into its characters' columns; the deadline is read before every block.
     """
     pm, dec = ctx.pm, ctx.decomposition
-    reps = ctx.orbits[0]
-    xis = lattice_vectors(pm)[reps]
+    d = pm.dim
+    row = ctx.orbits[1]
+    members = least_shift_members(row, pm)
+    lam, mu = members % d, members // d
+    order = np.argsort(lam, kind="stable")
+    cuts = np.flatnonzero(np.diff(lam[order])) + 1
     basis = np.hstack([b for _, b, _ in dec.entries])
     conj = basis.conj()
     dims = np.array(dec.dims)
-    starts = (np.cumsum(dims) - dims)[dims > 0]
-    traces = np.zeros((len(reps), len(dims)), dtype=complex)
-    rows = weil.chunk_length(pm)
-    for s in range(0, len(reps), rows):
-        if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
-            raise BudgetExceeded(f"deadline passed at orbit {s} of {len(reps)}")
-        src, expo = pi_exponents_many(xis[s:s + rows], pm)
-        vals = (root_table(pm.p)[expo][:, None, :] @ (conj * basis[src]))[:, 0]
-        traces[s:s + rows, dims > 0] = np.add.reduceat(vals, starts, axis=1)
+    occupied = np.flatnonzero(dims > 0)
+    starts = np.cumsum(dims[occupied]) - dims[occupied]
+    blocks = _column_blocks(dims, chunk_items(16 * d))
+    pts = index_vectors(pm)
+    traces = np.zeros((len(members), len(dims)), dtype=complex)
+    for done, rows in zip([0, *cuts], np.split(order, cuts)):
+        src, expo = pi_exponents_many(np.hstack([pts[lam[rows]], pts[mu[rows]]]), pm)
+        phases = root_table(pm.p)[expo]
+        for lo, hi in blocks:
+            if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
+                raise BudgetExceeded(f"deadline passed at orbit {done} of {len(members)}")
+            c0 = starts[lo]
+            c1 = starts[hi - 1] + dims[occupied[hi - 1]]
+            w = conj[:, c0:c1] * basis[src[0], c0:c1]
+            traces[rows[:, None], occupied[lo:hi]] = np.add.reduceat(
+                phases @ w, starts[lo:hi] - c0, axis=1)
     return ctx.torus.order * traces[:, ctx.inverse_index]
 
 

@@ -14,7 +14,9 @@ the Fourier element is solved, not assumed: with K = F D_I (D_I the shear of
 the identity block), the matrix (fourier * shear(I))^3 is the identity in
 Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
 
-    gamma^3 = 1/c,   gamma^2 = legendre((-1)^n, p)   =>   gamma = sigma((-1)^n)/c.
+    gamma^3 = 1/c,   gamma^2 = legendre((-1)^n, p)   =>   gamma = sigma((-1)^n)/c,
+
+with c and the scalar test read on a probe block (`solve_gamma`).
 
 Every group element, at every n, has a closed-form kernel.  Write
 B = [[A, Bb], [C, D]] in n x n blocks and U(S) = [[I, S], [0, I]] =
@@ -391,15 +393,23 @@ def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus) -> float:
 
 
 def solve_gamma(pm: PrimeModulus) -> complex:
-    """Fix the Fourier normalization from the cube relation (see module docs)."""
+    """Fix the Fourier normalization from the cube relation (see module docs).
+
+    K = F D_I is applied three times to a probe block X (`probe_block`, the
+    generator seeded with 0), and K^3 = c I is read per column as
+    c = <X, K^3 X> / <X, X> and certified by max |K^3 X - c X| <= 1e-8 |c|:
+    by Freivalds' argument (module docs), with no d^3 product.
+    """
     f0 = fourier_op(pm, 1.0)
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
-    k = f0 * d1[None, :]            # F @ D_I, D_I diagonal
-    k3 = k @ k @ k
-    off = k3 - np.eye(pm.dim) * k3[0, 0]
-    if np.abs(off).max() > 1e-8 * abs(k3[0, 0]):
+    x = probe_block(pm, np.random.default_rng(0))
+    y = x
+    for _ in range(3):
+        y = f0 @ (d1[:, None] * y)  # K = F @ D_I, D_I diagonal
+    cs = (x.conj() * y).sum(axis=0) / (x.conj() * x).sum(axis=0)
+    if np.abs(y - x * cs).max() > 1e-8 * np.abs(cs).min():
         raise ConstructionError("cube of Fourier*shear is not scalar")
-    c = k3[0, 0]
+    c = cs.mean()
     if abs(abs(c) - 1.0) > 1e-8:
         raise ConstructionError(f"cube scalar |c| = {abs(c):.6f} != 1")
     r = legendre((-1) ** pm.n, pm.p)

@@ -7,7 +7,9 @@ character projectors (1/|T|) sum_B conj(chi(B)) rho(B).  Memory is
 O(p^{2n} |T|), so the comparisons stay at small p.  The character sums
 streamed one eigenspace at a time (`character_sum_columns`): one
 `trace_column` of each eigenspace projector, O(p^{4n}) in all, which the
-orbit table of `quevaluator.character_sum_table` replaces.
+orbit table of `quevaluator.character_sum_table` replaces, and that table
+read at each orbit's least flat index, one gather per orbit
+(`orbit_table_at_reps`), which its reading at the least shift replaces.
 
 The torus structure by element orders (`torus_structure`): an O(|T|^2)
 order scan, one or two generators.  The torus elements by the form filter
@@ -43,7 +45,9 @@ the translations on the whole p^(4n) pair grid (`relation_grid`), which the
 2n p^(2n) pairs at the unit vectors prove.
 
 The generator operators as dense matrices (`shear_op`, `dilate_op`),
-which the closed-form kernel reproduces, the cofactor determinant and
+which the closed-form kernel reproduces, the Fourier normalization from
+the dense cube of F D_I (`solve_gamma_dense`), which `weil.solve_gamma`
+reads on a probe block, the cofactor determinant and
 transpose of integer matrices (`mat_det`, `mat_transpose`), the product of
 an integer matrix and a vector (`mat_vec`), and character values as complex
 numbers (`character_value`, `character_value_of_exps`), which the program
@@ -342,6 +346,24 @@ def character_sum_columns(ctx: PrimeContext):
             yield i, ctx.torus.order * _trace_column(basis @ basis.conj().T, kernel)
 
 
+def orbit_table_at_reps(ctx: PrimeContext) -> np.ndarray:
+    """`quevaluator.character_sum_table` read at each orbit's least flat
+    index (`PrimeContext.orbits` reps): one gather of the concatenated
+    eigenbasis along T(xi_r) per representative, O(p^{2n}) each."""
+    pm, dec = ctx.pm, ctx.decomposition
+    xis = lattice_vectors(pm)[ctx.orbits[0]]
+    basis = np.hstack([b for _, b, _ in dec.entries])
+    conj = basis.conj()
+    dims = np.array(dec.dims)
+    starts = (np.cumsum(dims) - dims)[dims > 0]
+    traces = np.zeros((len(xis), len(dims)), dtype=complex)
+    for r, xi in enumerate(xis):
+        src, expo = pi_exponents_many(xi[None], pm)
+        vals = root_table(pm.p)[expo[0]] @ (conj * basis[src[0]])
+        traces[r, dims > 0] = np.add.reduceat(vals, starts)
+    return ctx.torus.order * traces[:, ctx.inverse_index]
+
+
 def character_sum(xi, chi: TorusCharacter, table: TraceTable) -> complex:
     torus = table.torus
     vals = np.array([character_value_of_exps(chi, torus.dlog[b]) for b in torus.elements])
@@ -621,6 +643,17 @@ def shear_op(s_block: Mat, pm: PrimeModulus) -> np.ndarray:
     pts = index_vectors(pm)
     quad = np.einsum("xi,ij,xj->x", pts, np.array(s_block), pts) % p
     return np.diag(root_table(p)[(pm.nu * quad) % p])
+
+
+def solve_gamma_dense(pm: PrimeModulus) -> complex:
+    """The Fourier normalization from the dense cube K^3 of K = F D_I, two
+    d^3 products, which `weil.solve_gamma` reads on a probe block."""
+    k = fourier_op(pm, 1.0) @ shear_op(ffcore.identity_mat(pm.n), pm)
+    k3 = k @ k @ k
+    c = k3[0, 0]
+    if np.abs(k3 - np.eye(pm.dim) * c).max() > 1e-8 * abs(c):
+        raise ConstructionError("cube of Fourier*shear is not scalar")
+    return complex(legendre((-1) ** pm.n, pm.p) / c)
 
 
 # ---------------------------------------------------------------------------

@@ -488,7 +488,8 @@ def test_supplement_n2_p19_product_of_nonsplit_tori(sp4_elem, sp4_product19):
           f"of the two A-invariant planes (max ratio {rpt.max_ratio_dim1:.5f})")
 
 
-INERT_N2_RATIOS = {3: 1.901178, 5: 1.939604, 7: 1.948808, 11: 1.988444, 23: 1.999613}
+INERT_N2_RATIOS = {3: 1.901178, 5: 1.939604, 7: 1.948808, 11: 1.988444, 23: 1.999613,
+                   29: 1.999848, 31: 1.999547}
 
 
 def test_supplement_inert_n2_bound(sp4_elem, sp4_inert23):

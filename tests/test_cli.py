@@ -413,9 +413,10 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
 
 
 def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
-    # a clock that advances one second per chunk of orbit representatives:
-    # the deadline passes in the middle of the table the bound check builds,
-    # which becomes a budget skip, and so does every later check of that prime
+    # a clock that advances one second per shift lam of the orbit members
+    # the table reads: the deadline passes in the middle of the table the
+    # bound check builds, which becomes a budget skip, and so does every later
+    # check of that prime
     import time
 
     from torusque import heisenberg, quevaluator
@@ -436,11 +437,13 @@ def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
                   "--budget-seconds", "2.5", "--out-json", str(out_json)])
     assert rc == 0
     (rp,) = json.loads(out_json.read_text())["primes"]
-    # split: the 41 + 2 orbits of xi come in chunks of 9, and 3 of the 5
-    # chunks are gathered before the deadline
+    # split: the 41 + 2 orbits of xi have their least-shift members at
+    # lam = 0, 1, 2, 3, 4, 6 (21, 12, 6, 2, 1 and 1 orbits), each shift one
+    # block of all 41 eigenbasis columns, and 3 of the 6 shifts are read
+    # before the deadline
     assert rp["split_type"] == "split" and rp["torus_order"] == 40
-    assert heisenberg.CHUNK_BYTES // (16 * 41 ** 2) == 9
-    assert chunks == [9, 9, 9]
+    assert heisenberg.CHUNK_BYTES // (16 * 41) >= 41
+    assert chunks == [21, 12, 6]
     skip = {"name": "", "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
             "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
     decomposition, bound, refined = rp["checks"]

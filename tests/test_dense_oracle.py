@@ -1,10 +1,10 @@
 """The program's routes against the routes they replaced (tests/oracles.py).
 
 The eigenbasis from the torus generators against the |T| character
-projectors.  The character sums |T| Tr(T(xi) P_{chi^-1}) three ways: the
-orbit table of the program expanded to every xi, the stream of one
-`trace_column` per eigenspace, and the trace table times the character
-table.
+projectors.  The character sums |T| Tr(T(xi) P_{chi^-1}) four ways: the
+orbit table of the program expanded to every xi, the same table read at
+each orbit's least flat index, the stream of one `trace_column` per
+eigenspace, and the trace table times the character table.
 """
 
 import numpy as np
@@ -51,6 +51,22 @@ def test_orbit_table_matches_stream(n, p, cat_map, sp4_elem, rep_cache, torus_ca
     row = ctx.orbits[1]
     worst = max(float(np.abs(ctx.sums[row, ci] - col).max())
                 for ci, col in oracles.character_sum_columns(ctx))
+    assert worst <= 1e-9 * torus.order * p ** n
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 13), (1, 97), (2, 5), (2, 13), (2, 19)])
+def test_least_shift_table_matches_least_index_table(n, p, cat_map, sp4_elem,
+                                                     rep_cache, torus_cache):
+    # the table reads each orbit at its member of least shift; the sums are
+    # constant on orbits, so the route that read it at its least flat index
+    # agrees, and every chosen member lies in its own orbit
+    torus, rep = torus_cache(p, n), rep_cache(p, n)
+    ctx = q.PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
+    reps, row, _ = ctx.orbits
+    members = q.least_shift_members(row, ctx.pm)
+    assert np.array_equal(row[members], np.arange(len(reps)))
+    assert (members % p ** n <= reps % p ** n).all()
+    worst = float(np.abs(ctx.sums - oracles.orbit_table_at_reps(ctx)).max())
     assert worst <= 1e-9 * torus.order * p ** n
 
 

@@ -180,6 +180,21 @@ def test_centralizer_memory_stays_below_one_candidate_stack(sp4_elem):
     assert peak < p ** 4 * 16 * 8
 
 
+def test_centralizer_memory_stays_below_the_coefficient_table(sp4_elem):
+    # at n = 2, p = 19 the norm filter makes each chunk of coefficient
+    # vectors from its index range: the peak stays below the p^4 x 4 int64
+    # table of all of them (4.2 MB), which the filter once held
+    p = 19
+    tracemalloc.start()
+    try:
+        t = centralizer(sp4_elem.matrix, PrimeModulus(p, 2), sp4_elem.charpoly)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.order == 400
+    assert peak < p ** 4 * 4 * 8
+
+
 def test_torus_structure_raises_on_a_power_outside_the_list(torus_cache):
     # Z_8 without its generator's inverse: the 7-th power of the generator
     # is not in the list

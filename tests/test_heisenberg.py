@@ -195,3 +195,11 @@ def test_cached_tables_are_read_only():
         pts[0, 0] = 1
     with pytest.raises(ValueError):
         pts += 1
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (5, 2), (3, 3)])
+def test_lattice_rows_are_slices_of_the_lattice_table(p, n):
+    pm = PrimeModulus(p, n)
+    table = heisenberg.lattice_vectors(pm)
+    for start, stop in ((0, 1), (0, len(table)), (p - 1, 3 * p + 2), (len(table) - 5, len(table))):
+        assert np.array_equal(heisenberg.lattice_rows(pm, start, stop), table[start:stop])

@@ -7,7 +7,8 @@ import pytest
 
 from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
-from torusque.heisenberg import FourierPolynomial, lattice_vectors, pi_exponents, root_table
+from torusque.heisenberg import (BudgetExceeded, FourierPolynomial, lattice_vectors,
+                                 pi_exponents, root_table)
 
 from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
                      character_sum_table,
@@ -438,6 +439,21 @@ def test_refined_bound_raises_on_labels_that_break_the_generic_mask(
     broken = q.PrimeContext(cat_map, torus_cache(11), rep_cache(11))
     with pytest.raises(RuntimeError, match="not constant on torus orbits"):
         q.refined_bound(broken)
+
+
+def test_table_raises_on_a_passed_deadline(cat_map, rep_cache, torus_cache):
+    # a passed deadline is a budget skip before the first block, and no
+    # partial table is kept for a later reader
+    ctx = q.PrimeContext(cat_map, torus_cache(13), rep_cache(13))
+    ctx.decomposition
+    ctx.deadline = -1.0
+    with pytest.raises(BudgetExceeded):
+        q.character_sum_table(ctx)
+    with pytest.raises(BudgetExceeded):
+        ctx.sums
+    assert ctx._sums is None
+    ctx.deadline = None
+    assert ctx.sums.shape == (len(ctx.orbits[0]), ctx.torus.order)
 
 
 def test_table_and_readers_form_no_xi_by_chi_array(sp4_inert23):

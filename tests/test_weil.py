@@ -12,8 +12,8 @@ from torusque.weil import (ConstructionError, fourier_op, egorov_deviation, line
 
 from oracles import (SpFactor, dilate_matrix, dilate_op, egorov_deviation_loop,
                      linearize_on_torus, mat_det, mat_neg, mat_transpose, mats,
-                     schur_intertwiner, shear_op, sp_blocks, sp_word, torus_pair_scan,
-                     word_matrix, word_operator)
+                     schur_intertwiner, shear_op, solve_gamma_dense, sp_blocks, sp_word,
+                     torus_pair_scan, word_matrix, word_operator)
 
 
 def test_dilate_identity():
@@ -98,6 +98,28 @@ def test_gamma_solved_values():
         assert abs(abs(gamma) - 1) < 1e-12
         assert abs(gamma * gamma - legendre(-1, p)) < 1e-9
     assert abs(solve_gamma(PrimeModulus(3, 1)) - (-1j)) < 1e-12
+
+
+@pytest.mark.parametrize("n,p", [(1, p) for p in ffcore.odd_primes(3, 97)]
+                         + [(2, p) for p in (3, 5, 7, 11, 13)])
+def test_gamma_matches_dense_cube(n, p):
+    pm = PrimeModulus(p, n)
+    assert abs(solve_gamma(pm) - solve_gamma_dense(pm)) < 1e-12
+
+
+def test_gamma_rejects_a_cube_that_is_not_scalar(monkeypatch):
+    # one root of unity off by a 1e-6 phase, in F and in D_I: K^3 is no
+    # longer scalar, and the probe block sees it
+    real = weil.root_table
+
+    def corrupted(p):
+        out = real(p).copy()
+        out[1] *= np.exp(1e-6j)
+        return out
+
+    monkeypatch.setattr(weil, "root_table", corrupted)
+    with pytest.raises(ConstructionError, match="not scalar"):
+        solve_gamma(PrimeModulus(7, 1))
 
 
 def test_linearize_identity(rep_cache):
