@@ -30,7 +30,7 @@ from .classical import (CAT_MAP, SP4_FIXTURE, ErgodicElement, ValidationError,
                         sp_group_order, validate_ergodic)
 from .ffcore import PrimeModulus
 from .heisenberg import (BudgetExceeded, FourierPolynomial, check_relations,
-                         integral, lattice_vectors, quantize)
+                         integral, quantize)
 
 ALL_CHECKS = ("relations", "egorov", "multiplicativity", "decomposition",
               "bound", "refined", "trace-formula", "factorization", "demo")
@@ -246,12 +246,11 @@ def _check_egorov(ctx, rng):
     over the probe (`weil` module docs; 1e-16 for tol = 1e-8, C = 1e-6 and
     r = 4).  With that probability, rho(B) for B in T deviates by at most
     |e(B)| 2n(p - 1) p^n D + 2 p^n C at any xi, with |e(B)| = sum_i e_i(B).
-    Every operator is built through rep.build_many, checked and dropped.
+    Every operator is built through rep.build_chunks, checked a chunk at a
+    time (`weil.egorov_deviation`) and dropped.
     """
     pm, rep = ctx.pm, ctx.rep
     tol = weil.egorov_tol(pm)
-    worst = 0.0
-    witness = []
     # the samples have an invertible upper-right block; a few products of
     # them also reach a zero and a singular nonzero one
     samples = weil.random_sp(pm, rng, 25)
@@ -259,12 +258,16 @@ def _check_egorov(ctx, rng):
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, products])
     # built, checked and dropped: rep.cache keeps only the context's operators
-    for b, dense in zip(elements, rep.build_many(elements, ctx.deadline)):
-        dev = weil.egorov_deviation(dense, b, pm)
-        if dev > worst:
-            worst = dev
-            if dev > tol:
-                witness = [{"B": tuple(map(tuple, b.tolist())), "dev": dev}]
+    devs, lo = [], 0
+    for stack in rep.build_chunks(elements, ctx.deadline):
+        devs.append(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
+        lo += len(stack)
+    devs = np.concatenate(devs)
+    worst = float(devs.max())
+    witness = []
+    if worst > tol:
+        b = elements[devs.argmax()]
+        witness = [{"B": tuple(map(tuple, b.tolist())), "dev": worst}]
     ok = worst <= tol
     return CheckResult("egorov", "pass" if ok else "fail", max_dev=worst,
                        witnesses=witness)
@@ -346,20 +349,11 @@ def _check_refined(ctx, rng):
 
 
 def _check_trace_formula(ctx, rng):
-    pm, rep = ctx.pm, ctx.rep
-    if pm.n != 1:
+    if ctx.pm.n != 1:
         return CheckResult("trace-formula", "skip",
                            witnesses=[{"reason": "n = 1 closed form only"}])
     sign = ctx.split_sign
-    p = pm.p
-    lam, mu = lattice_vectors(pm).T         # in the trace column's flat order
-    worst = 0.0
-    # rho(diag(a, 1/a)) streams through and is dropped, like the egorov check's
-    diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
-    for a, dense in zip(range(2, p), rep.build_many(diagonal, ctx.deadline)):
-        ref = quevaluator.trace_column(dense, pm)
-        val = quevaluator.split_trace_formula(lam, mu, a, pm, sign)
-        worst = max(worst, float(np.abs(val - ref).max()))
+    worst = quevaluator.split_trace_deviation(ctx.rep, sign, ctx.deadline)
     ok = worst <= 1e-10
     return CheckResult("trace-formula", "pass" if ok else "fail", max_dev=worst,
                        witnesses=[{"sign": sign}])

@@ -110,9 +110,17 @@ def mat_inv_modp(a: Mat, p: int) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def _unit_inverses(p: int) -> np.ndarray:
-    """inverse[x] = x^-1 mod p for x = 1..p-1, and inverse[0] = 0."""
+def unit_inverses(p: int) -> np.ndarray:
+    """inverse[x] = x^-1 mod p for x = 1..p-1, and inverse[0] = 0 (read-only)."""
     out = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def legendre_signs(p: int) -> np.ndarray:
+    """legendre(x, p) for x = 0..p-1, as floats (read-only)."""
+    out = np.array([float(legendre(x, p)) for x in range(p)])
     out.setflags(write=False)
     return out
 
@@ -134,7 +142,7 @@ def gauss_jordan_modp(m, p: int) -> tuple[np.ndarray, np.ndarray]:
     aug = np.concatenate([m, np.broadcast_to(np.eye(d, dtype=np.int64), m.shape)],
                          axis=2)
     det = np.ones(k, dtype=np.int64)
-    inverse = _unit_inverses(p)
+    inverse = unit_inverses(p)
     every = np.arange(k)
     for c in range(d):
         nonzero = aug[:, c:, c] != 0

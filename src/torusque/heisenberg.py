@@ -32,9 +32,9 @@ from .ffcore import PrimeModulus
 # moduli whose tables stay cached; a sweep visits a few dozen primes
 _CACHED_MODULI = 64
 
-# bytes built or compared at once: a chunk of operators or a plan batch
-# (weil's build_many), of xi (egorov_deviation), of eta (check_relations) or
-# of orbits (quevaluator's character-sum table)
+# bytes built or compared at once: a chunk of operators or a factorization
+# (weil's build_chunks), of rows (egorov_deviation), of eta (check_relations)
+# or of orbits (quevaluator's character-sum table)
 CHUNK_BYTES = 1 << 18
 
 

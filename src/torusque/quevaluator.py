@@ -1,11 +1,11 @@
 """Hecke character sums, one orbit-reduced table per prime, and the bound checks.
 
 The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) is computed for
-every xi mod p at once from one dense matrix (`trace_column`: one gather
-along the shifts of T(xi), one matmul with the psi(x.y) matrix, one phase
-prefix); `trace_pair`, the per-value route through the
-generalized-permutation structure of T(xi), is the oracle it is tested
-against.  The character sums
+every xi mod p at once from one dense matrix or a stack of them
+(`_trace_grid`: one gather along the shifts of T(xi), one matmul with the
+psi(x.y) matrix over the whole stack, one phase prefix); `trace_pair`, the
+per-value route through the generalized-permutation structure of T(xi), is
+the oracle it is tested against.  The character sums
 
     a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1})
 
@@ -56,6 +56,7 @@ the test suite, none assumed):
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from math import gcd, lcm
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
-from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod, mat_mul
+from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
 from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
                          lattice_vectors, pi_exponents, pi_exponents_many,
                          root_table)
@@ -89,7 +90,7 @@ def trace_pair(xi, rho_dense: np.ndarray, pm: PrimeModulus) -> complex:
 
 
 def _trace_kernel(pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-modulus tables of `trace_column`, indexed [lam, x] and [lam, mu].
+    """Per-modulus tables of `_trace_grid`, indexed [lam, x] and [lam, mu].
 
     rows[lam, x] = flat(x + lam), psi_dot[x, y] = psi(x.y) and
     prefix[lam, mu] = psi(nu lam.mu).  Built per caller and not cached, for
@@ -103,21 +104,22 @@ def _trace_kernel(pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return rows, psi[dots], psi[(pm.nu * dots) % p]
 
 
-def _trace_column(rho_dense: np.ndarray, kernel) -> np.ndarray:
-    rows, psi_dot, prefix = kernel
-    g = rho_dense[rows, np.arange(len(rows))]
-    # [lam, mu] transposed to [mu, lam] and read row-major: lam + p^n mu
-    return (prefix * (g @ psi_dot)).T.reshape(-1)
-
-
-def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
-    """F(xi, B) for every xi mod p, in flat order lam + p^n mu, from rho(B).
+def _trace_grid(rho_dense: np.ndarray, kernel) -> np.ndarray:
+    """F((lam, mu), B) on the grid [flat(lam), flat(mu)] from rho(B), a
+    p^n x p^n operator, or from a (k, p^n, p^n) stack: (..., p^n, p^n).
 
     F((lam, mu), B) = psi(nu lam.mu) sum_x psi(mu.x) rho(B)[x + lam, x]: one
     gather G[lam, x] = rho(B)[x + lam, x], one matmul with the psi(x.y)
-    matrix, one psi(nu lam.mu) prefix.  `trace_pair` is the per-value oracle.
+    matrix over the whole stack, one psi(nu lam.mu) prefix, in place.
+    `trace_pair` is the per-value oracle.
     """
-    return _trace_column(rho_dense, _trace_kernel(pm))
+    rows, psi_dot, prefix = kernel
+    d = len(rows)
+    g = rho_dense[..., rows, np.arange(d)]
+    out = (g.reshape(-1, d) @ psi_dot).reshape(g.shape)
+    del g
+    np.multiply(prefix, out, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +301,13 @@ class PrimeContext:
     def orbits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(reps, row, sizes): each T-orbit's least flat index, ascending
         (reps[0] = 0, the orbit {0}), the orbit row of every flat xi, and the
-        orbit sizes, which divide |T| but need not equal it."""
-        reps, row = np.unique(orbit_labels(self.torus), return_inverse=True)
-        return reps, row, np.bincount(row)
+        orbit sizes, which divide |T| but need not equal it.  The labels
+        are the least indices, so the reps are the fixed points of the
+        labels, and a running count of them numbers the rows."""
+        labels = orbit_labels(self.torus)
+        is_rep = labels == np.arange(len(labels))
+        row = (np.cumsum(is_rep) - 1)[labels]
+        return np.flatnonzero(is_rep), row, np.bincount(row)
 
     @property
     def sums(self) -> np.ndarray:
@@ -410,23 +416,53 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
 # closed-form diagonal trace and Gauss-sum oracles
 
 
-def split_trace_formula(lam, mu, a: int, pm: PrimeModulus,
+def split_trace_formula(lam, mu, a, pm: PrimeModulus,
                         sign: int = -1) -> complex | np.ndarray:
     """sigma(a) psi(sign * (lam mu / 2) (1+a)/(1-a)) for diag(a, 1/a), a not in {0, 1}.
 
-    lam and mu are integers (a complex is returned) or integer arrays (an
-    array of their broadcast shape is returned).
+    lam, mu and a are integers (a complex is returned) or integer arrays (an
+    array of their broadcast shape is returned), in exact int64 arithmetic.
     """
     if pm.n != 1:
         raise ValueError("closed form is the n = 1 building block")
     p = pm.p
-    a %= p
-    if a in (0, 1):
+    a = np.asarray(a) % p
+    if ((a == 0) | (a == 1)).any():
         raise ValueError("a must avoid 0 and 1 (identity excluded from the torus)")
-    c = (sign * pm.nu * (1 + a) * pow((1 - a) % p, -1, p)) % p
+    c = sign * pm.nu * (1 + a) % p * ffcore.unit_inverses(p)[(1 - a) % p] % p
     t = (c * (np.asarray(lam) % p) % p) * (np.asarray(mu) % p) % p
-    vals = legendre(a, p) * np.exp(1j * (2 * np.pi * t / p))
+    vals = ffcore.legendre_signs(p)[a] * np.exp(1j * (2 * np.pi * t / p))
     return complex(vals) if vals.ndim == 0 else vals
+
+
+def split_trace_deviation(rep, sign: int, deadline: float | None = None) -> float:
+    """max |F(xi, diag(a, 1/a)) - split_trace_formula(xi, a)| over every xi
+    and every a in 2..p-1, at n = 1.
+
+    The operators rho(diag(a, 1/a)) stream through rep.build_chunks (which
+    reads `deadline`) and are dropped.  Each chunk is read in blocks of
+    operators whose (k, p^n, p^n) arrays hold CHUNK_BYTES / 4, so that the
+    comparison holds about one chunk beyond the operators: per block, the
+    traces come from one gather and one matmul (`_trace_grid`), and the
+    closed form on the same [lam, mu] grid from one call over the block's a.
+    """
+    pm = rep.pm
+    a = np.arange(2, pm.p)
+    diagonal = np.zeros((len(a), 2, 2), dtype=np.int64)
+    diagonal[:, 0, 0] = a
+    diagonal[:, 1, 1] = ffcore.unit_inverses(pm.p)[a]
+    kernel = _trace_kernel(pm)
+    lam, mu = np.ogrid[:pm.p, :pm.p]        # the grid of _trace_grid at n = 1
+    # operators per block: each (k, p^n, p^n) temporary holds CHUNK_BYTES / 4
+    step = chunk_items(64 * pm.dim ** 2)
+    worst, lo = 0.0, 0
+    for stack in rep.build_chunks(diagonal, deadline):
+        for i in range(0, len(stack), step):
+            dev = _trace_grid(stack[i:i + step], kernel)
+            dev -= split_trace_formula(lam, mu, a[lo:lo + len(dev), None, None], pm, sign)
+            worst = max(worst, float(np.abs(dev).max()))
+            lo += len(dev)
+    return worst
 
 
 def measure_split_sign(pm: PrimeModulus, rep) -> int:
@@ -472,15 +508,14 @@ def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndar
 
     tab_k[lam, mu] = sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a), with
     chi' of exponent k (base the smallest primitive root): one
-    `split_trace_formula` array per a not in {0, 1}, shared by every k, and
-    the a = 1 term, the trace p of T(0), at (0, 0).
+    `split_trace_formula` call over every a not in {0, 1}, shared by every
+    k, and the a = 1 term, the trace p of T(0), at (0, 0).
     """
     p = pm.p
     _, dlog = ffcore.dlog_table(p)
-    lam, mu = np.ogrid[:p, :p]
-    a_vals = range(2, p)
-    terms = np.array([split_trace_formula(lam, mu, a, pm, sign) for a in a_vals])
-    logs = np.array([dlog[a] for a in a_vals])
+    a, lam, mu = np.ogrid[2:p, :p, :p]
+    terms = split_trace_formula(lam, mu, a, pm, sign)
+    logs = np.array(dlog[2:])
     tables = {}
     for k in ks:
         tab = np.tensordot(np.exp(2j * np.pi * k * logs / (p - 1)), terms, axes=1)
@@ -493,6 +528,45 @@ def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndar
 # bound verification
 
 
+class ViolationRecords(Sequence):
+    """Bound violations (xi, chi_exps, |a|, bound) in row-major (xi, chi)
+    order, kept as index arrays: the flat xi, the character column and the
+    orbit row of each.  A record is built only when read, and a slice builds
+    only its own records; |a| is read from the character-sum table."""
+
+    def __init__(self, xi: np.ndarray, chi: np.ndarray, row: np.ndarray,
+                 sums: np.ndarray, chi_exps: list, bound: float, pm: PrimeModulus):
+        self.xi, self.chi, self.row = xi, chi, row
+        self._sums, self._exps, self._bound, self._pm = sums, chi_exps, bound, pm
+
+    def __len__(self) -> int:
+        return len(self.chi)
+
+    def __getitem__(self, which):
+        if isinstance(which, slice):
+            return self._build(which)
+        i = range(len(self))[which]
+        return self._build(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._build(slice(None)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (list, ViolationRecords)) and list(self) == list(other)
+
+    def subset(self, keep: np.ndarray) -> "ViolationRecords":
+        return ViolationRecords(self.xi[keep], self.chi[keep], self.row[keep],
+                                self._sums, self._exps, self._bound, self._pm)
+
+    def _build(self, part: slice) -> list:
+        p, n = self._pm.p, self._pm.n
+        xi, chi = self.xi[part], self.chi[part]
+        digits = xi[:, None] // p ** np.arange(2 * n) % p
+        mags = np.abs(self._sums[self.row[part], chi])
+        return [(tuple(x), self._exps[c], m, self._bound)
+                for x, c, m in zip(digits.tolist(), chi.tolist(), mags.tolist())]
+
+
 @dataclass
 class BoundReport:
     p: int
@@ -503,9 +577,9 @@ class BoundReport:
     bound: float                   # 2^n p^{n/2}
     max_ratio: float               # max |a_chi(xi)| / p^{n/2} over xi != 0
     max_ratio_dim1: float          # same, restricted to dim-1 characters
-    violations: list               # [(xi, chi_exps, |a|, bound), ...]
-    dim1_violations: list
-    generic_violations: list       # split primes: generic-stratum violations
+    violations: ViolationRecords   # [(xi, chi_exps, |a|, bound), ...]
+    dim1_violations: ViolationRecords
+    generic_violations: ViolationRecords   # split primes: generic-stratum violations
     exceptional_order2: dict       # observed order-2 character data
     parseval_max_dev: float
     xi0_oracle_max_dev: float
@@ -520,8 +594,9 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     verdict over characters with one-dimensional eigenspaces (the regime the
     eigenvector derivation of the bound actually covers), and at split primes
     the generic stratum of the order-2 character.  Only the violating rows of
-    the orbit table are expanded to their xi, so the violation lists are in
-    row-major (xi, chi) order.  Raises RuntimeError when the table breaks the
+    the orbit table are expanded to their xi, as index arrays in row-major
+    (xi, chi) order; the records are built when read (`ViolationRecords`).
+    Raises RuntimeError when the table breaks the
     Parseval or the xi = 0 identity by more than IDENTITY_TOL: then the sums
     themselves are wrong, which is not a bound violation.
     """
@@ -553,14 +628,10 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     first = np.cumsum(counts) - counts
     entry = np.repeat(first[which] - (np.cumsum(per) - per), per) + np.arange(per.sum())
     rec_chi, rec_row = hot_c[entry], hot[hot_r[entry]]
-    xi_tuples = [tuple(x) for x in lattice_vectors(pm)[ks].tolist()]
-    exps = [chi.exps for chi in chis]
-    violations = [(xi_tuples[i], exps[ci], m, bound) for i, ci, m in zip(
-        np.repeat(np.arange(len(ks)), per).tolist(), rec_chi.tolist(),
-        mags[rec_row, rec_chi].tolist())]
-    dim1_violations = [violations[t] for t in np.nonzero(is_dim1[rec_chi])[0].tolist()]
-    generic_violations = ([] if generic is None else
-                          [violations[t] for t in np.nonzero(generic[rec_row])[0].tolist()])
+    violations = ViolationRecords(np.repeat(ks, per), rec_chi, rec_row, ctx.sums,
+                                  [chi.exps for chi in chis], bound, pm)
+    dim1_keep = is_dim1[rec_chi]
+    generic_keep = np.zeros(len(rec_row), dtype=bool) if generic is None else generic[rec_row]
     max_ratio = float(col_max.max() / p ** (n / 2))
     dim1_max = float(col_max[is_dim1].max()) if is_dim1.any() else 0.0
 
@@ -590,13 +661,13 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
         p=p, n=n, split_type=torus.split_type, torus_order=order,
         bound_constant=2.0 ** n, bound=bound,
         max_ratio=max_ratio, max_ratio_dim1=dim1_max / p ** (n / 2),
-        violations=violations, dim1_violations=dim1_violations,
-        generic_violations=generic_violations,
+        violations=violations, dim1_violations=violations.subset(dim1_keep),
+        generic_violations=violations.subset(generic_keep),
         exceptional_order2=exceptional,
         parseval_max_dev=parseval_max_dev,
         xi0_oracle_max_dev=xi0_dev,
-        ok=not violations,
-        ok_dim1=not dim1_violations,
+        ok=not len(rec_chi),
+        ok_dim1=not dim1_keep.any(),
     )
 
 
@@ -635,22 +706,19 @@ def refined_bound(ctx: PrimeContext) -> RefinedReport:
     gmaxs = mags.max(axis=0, where=generic[:, None], initial=0.0)
     ngmaxs = mags.max(axis=0, where=nongeneric[:, None], initial=0.0)
 
-    rows = []
-    generic_ok = True
-    max_nongeneric = 0.0
-    for ci, chi in enumerate(ctx.chis):
-        ks = tuple(ctx.transported[ci].tolist())
-        eff = tuple((k + half) % (p - 1) for k in ks)
-        m = sum(1 for e in eff if e == 0)
-        rbound = 2 ** n * p ** ((n - m) / 2)
-        gmax, ngmax = float(gmaxs[ci]), float(ngmaxs[ci])
-        ok = gmax <= rbound * (1 + RTOL)
-        generic_ok = generic_ok and ok
-        max_nongeneric = max(max_nongeneric, ngmax)
-        rows.append({"exps": chi.exps, "transported": ks, "effective": eff,
-                     "m": m, "refined_bound": rbound, "generic_max": gmax,
-                     "nongeneric_max": ngmax, "ok": ok})
-    return RefinedReport(p, rows, generic_ok, max_nongeneric, True)
+    # per character, as arrays: transported and effective exponents, m and
+    # the refined bound for that m
+    eff = (ctx.transported + half) % (p - 1)
+    m = (eff == 0).sum(axis=1)
+    rbounds = np.array([2 ** n * p ** ((n - j) / 2) for j in range(n + 1)])[m]
+    ok = gmaxs <= rbounds * (1 + RTOL)
+    rows = [{"exps": chi.exps, "transported": tuple(ks), "effective": tuple(es),
+             "m": mi, "refined_bound": rb, "generic_max": gmax,
+             "nongeneric_max": ngmax, "ok": oki}
+            for chi, ks, es, mi, rb, gmax, ngmax, oki in zip(
+                ctx.chis, ctx.transported.tolist(), eff.tolist(), m.tolist(),
+                rbounds.tolist(), gmaxs.tolist(), ngmaxs.tolist(), ok.tolist())]
+    return RefinedReport(p, rows, bool(ok.all()), float(ngmaxs.max(initial=0.0)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +745,9 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     rho(S0) dilate(t) rho(S0)^-1 for the split frame S0 and every diagonal t,
     so the per-character transport to the diagonal frame is exact and needs
     no root choice.  Both routes are compared at every orbit representative
-    xi != 0 and every chi, each pair counted once per element of its orbit.
+    xi != 0 and every chi, each pair counted once per element of its orbit,
+    in one array pass over a block of characters at a time, each block's
+    (characters, orbits) arrays within CHUNK_BYTES.
     """
     pm = ctx.pm
     if pm.n != 2:
@@ -695,28 +765,31 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     weight = sizes * (reps > 0)                 # xi = 0 is no pair
     generic_weight = sizes * ctx.generic_orbits
 
-    # per-exponent p x p tables of the one-factor sums
+    # the p x p tables of the one-factor sums, one per needed exponent, and
+    # the same tables with the a = 1 boundary term removed (pure oracle route)
     needed = sorted(set(ctx.transported.ravel().tolist()))
     factor_tab = diagonal_factor_tables(needed, pm1, sign)
-    # same tables with the a = 1 boundary term removed (pure oracle route)
-    oracle_tab = {k: t.copy() for k, t in factor_tab.items()}
-    for k in needed:
-        oracle_tab[k][0, 0] -= p
+    tabs = np.stack([factor_tab[k] for k in needed])
+    oracle_tabs = tabs.copy()
+    oracle_tabs[:, 0, 0] -= p
+    tab_index = np.searchsorted(needed, ctx.transported)   # (|T|, 2)
 
     pairs_total = len(ctx.chis) * int(weight.sum())
     generic_pairs = len(ctx.chis) * int(generic_weight.sum())
     matched_generic = matched_all = 0
     max_rel = 0.0
-    for ci, lhs in enumerate(ctx.sums.T):
-        k1, k2 = ctx.transported[ci].tolist()
-        rhs = factor_tab[k1][lam1, mu1] * factor_tab[k2][lam2, mu2]
-        rhs_oracle = oracle_tab[k1][lam1, mu1] * oracle_tab[k2][lam2, mu2]
+    step = chunk_items(16 * len(reps))
+    for lo in range(0, len(ctx.chis), step):
+        i1, i2 = tab_index[lo:lo + step, :, None].transpose(1, 0, 2)
+        lhs = ctx.sums[:, lo:lo + step].T                   # (characters, orbits)
+        rhs = tabs[i1, lam1, mu1] * tabs[i2, lam2, mu2]
+        rhs_oracle = oracle_tabs[i1, lam1, mu1] * oracle_tabs[i2, lam2, mu2]
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
         rel = np.abs(lhs - rhs) / scale
         rel_oracle = np.abs(lhs - rhs_oracle) / scale
-        matched_all += int(weight[rel <= RTOL].sum())
-        matched_generic += int(generic_weight[rel_oracle <= RTOL].sum())
-        max_rel = max(max_rel, float(rel[1:].max()))
+        matched_all += int(np.where(rel <= RTOL, weight, 0).sum())
+        matched_generic += int(np.where(rel_oracle <= RTOL, generic_weight, 0).sum())
+        max_rel = max(max_rel, float(rel[:, 1:].max()))
     ok = (matched_all == pairs_total
           and generic_pairs > 0
           and matched_generic / generic_pairs >= 0.95)

@@ -40,18 +40,22 @@ S != 0, rho(B) = rho(B U(S)) rho(U(-S)), one matmul by an operator cached
 per rep (2^n - 1 of them).  Each factorization is re-verified exactly
 before its kernel is formed: s1 and s2 must be symmetric, and the integer
 product shear(s1) dilate(M) fourier shear(s2) U(-S) must equal B mod p.
-`WeilRep.build_many` streams any sequence of elements through this route;
-it is the one route to dense rho(B).  Each batch of elements gets one exact
-plan (the symplectic test, the factorization and its re-verification, the
-row sources M^-1 x and both phase vectors), sized so the plan fits in
-CHUNK_BYTES; the dense operators are then emitted from the plan in chunks
-of CHUNK_BYTES of operators (the gather, the two scalings and the U(-S)
-matmul).  `WeilRep.apply_many` reads the same plans to apply rho(B) to a
-p^n x r block Z without forming rho(B):
+
+The route has two parts.  One exact factorization per element stack
+(`factorize`): the symplectic test, the mask, M^-1, s1, s2 and the integer
+re-verification, all in int64 over the whole stack, with (k, n, n) arrays
+and nothing of length p^n.  Then a kernel per batch (`_kernel`): the row
+sources M^-1 x and both phase vectors, (k, p^n) arrays formed from the
+batch's rows of the factorization.  `WeilRep.build_chunks` and `build_many`
+stream any sequence of elements through this route, the one route to dense
+rho(B): factored factor_length(pm) elements at a time, emitted in chunks of
+CHUNK_BYTES of operators (the gather, the two scalings and the U(-S)
+matmul).  `WeilRep.apply_many` applies rho(B) to a p^n x r block Z from the
+same factorization, without forming rho(B):
 
     rho(B) Z = row * (F (col * rho(U(-S)) Z))[src],
 
-one product by F over the batch's stacked blocks, O(p^(2n) r) per element
+one product by F over each batch's stacked blocks, O(p^(2n) r) per element
 against p^(3n) for a dense product.  The map is certified multiplicative
 on a probe block X of r = PROBE_COLUMNS i.i.d. standard complex Gaussian
 columns (probe_block): rho(B1) (rho(B2) X) = rho(B1 B2) X for every pair of
@@ -97,18 +101,20 @@ def chunk_length(pm: PrimeModulus) -> int:
     return chunk_items(16 * pm.dim ** 2)
 
 
-def plan_length(pm: PrimeModulus) -> int:
-    """How many elements one exact plan of build_many covers within
-    CHUNK_BYTES: per element the plan keeps p^n int64 row sources and 2 p^n
-    complex phases, and its intermediates add at most 2n p^n int64."""
-    return chunk_items(8 * pm.dim * (5 + 2 * pm.n))
+def factor_length(pm: PrimeModulus) -> int:
+    """How many elements one exact factorization (`factorize`) covers within
+    CHUNK_BYTES: its int64 arrays and intermediates hold about six 2n x 2n
+    matrices per element, and nothing of length p^n."""
+    return chunk_items(48 * (2 * pm.n) ** 2)
 
 
 def apply_length(pm: PrimeModulus, columns: int) -> int:
-    """How many elements one batch of WeilRep.apply_many covers: one exact
-    plan (plan_length) whose p^n x columns complex blocks fit in CHUNK_BYTES
-    twice, as the product by rho(fourier) holds its operand and its result."""
-    return min(plan_length(pm), chunk_items(32 * pm.dim * columns))
+    """How many elements one batch of WeilRep.apply_many covers within
+    CHUNK_BYTES: their p^n x columns complex blocks fit twice, as the product
+    by rho(fourier) holds its operand and its result, and so does their
+    kernel (p^n int64 row sources, 2 p^n complex phases and at most 2n p^n
+    int64 intermediates per element)."""
+    return chunk_items(max(32 * pm.dim * columns, 8 * pm.dim * (5 + 2 * pm.n)))
 
 
 def egorov_tol(pm: PrimeModulus) -> float:
@@ -141,11 +147,20 @@ def fourier_matrix(pm: PrimeModulus) -> Mat:
     return tuple(rows)
 
 
-def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
-    """gamma * p^{-n/2} [psi(x.y)]_{x,y}, dense."""
+def _psi_dots(pm: PrimeModulus) -> np.ndarray:
+    """[psi(x.y)]_{x,y}, dense, with one int64 p^n x p^n temporary."""
     pts = index_vectors(pm)
-    dots = (pts @ pts.T) % pm.p
-    return gamma * root_table(pm.p)[dots] / pm.p ** (pm.n / 2)
+    dots = pts @ pts.T
+    dots %= pm.p
+    return root_table(pm.p)[dots]
+
+
+def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
+    """gamma * p^{-n/2} [psi(x.y)]_{x,y}, dense, scaled in place."""
+    out = _psi_dots(pm)
+    np.multiply(gamma, out, out=out)
+    out /= pm.p ** (pm.n / 2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,50 +195,59 @@ class WeilRep:
         """rho(B) along the closed-form route, the one op takes, uncached."""
         return next(self.build_many([b]))
 
-    def build_many(self, bs, deadline: float | None = None):
-        """Yield rho(B) for every B of bs, in order; nothing is cached.
+    def build_chunks(self, bs, deadline: float | None = None):
+        """Yield (k, p^n, p^n) stacks of rho(B) for consecutive elements of
+        bs, in order; nothing is cached.
 
         bs may be any iterable of 2n x 2n integer matrices; it is read
-        plan_length(pm) elements at a time.  Each such batch gets one exact
-        plan in int64 arithmetic (the symplectic test, the factorization and
-        its re-verification, the row sources and phases; see the module
-        docs), and its operators are emitted chunk_length(pm) at a time.  A
-        yielded operator is a view into its chunk's stack.  Raises
-        ValueError for a non-symplectic element, ConstructionError when a
-        factorization fails its re-verification, and BudgetExceeded when
-        `deadline`, a `time.perf_counter()` value, has passed before a
-        dense chunk.
+        factor_length(pm) elements at a time, and each such batch is
+        factored once (`factorize`: the symplectic test, the factorization
+        and its re-verification).  Its operators are emitted
+        chunk_length(pm) at a time, each chunk from its kernel (`_kernel`).
+        Raises ValueError for a non-symplectic element, ConstructionError
+        when a factorization fails its re-verification, and BudgetExceeded
+        when `deadline`, a `time.perf_counter()` value, has passed before a
+        chunk.
         """
         elements = iter(bs)
         step = chunk_length(self.pm)
-        while batch := list(islice(elements, plan_length(self.pm))):
-            plan = _closed_form_plan(self, batch)
-            for lo in range(0, len(batch), step):
+        while batch := list(islice(elements, factor_length(self.pm))):
+            fac = factorize(self.pm, batch)
+            for lo in range(0, len(fac), step):
                 if deadline is not None and time.perf_counter() > deadline:
                     raise BudgetExceeded("deadline passed inside the operator stream")
-                yield from _dense_chunk(self, *(a[lo:lo + step] for a in plan))
+                yield _dense_chunk(self, *_kernel(self.pm, fac[lo:lo + step]))
+
+    def build_many(self, bs, deadline: float | None = None):
+        """Yield rho(B) for every B of bs, in order, from `build_chunks`
+        (same arguments and errors); a yielded operator is a view into its
+        chunk's stack."""
+        for stack in self.build_chunks(bs, deadline):
+            yield from stack
 
     def apply_many(self, bs, z: np.ndarray, deadline: float | None = None) -> np.ndarray:
         """(k, p^n, r) stack of rho(B_i) Z_i for the k elements of bs; no
         rho(B) is formed and nothing is cached.
 
-        z is one p^n x r block shared by every element or a (k, p^n, r)
-        stack, block i for element i.  bs, a sequence of 2n x 2n integer
-        matrices, is read apply_length(pm, r) elements at a time.  Each such
-        batch gets the exact plan build_many makes, with the same ValueError
-        and ConstructionError, and is applied to its blocks in one product
-        by rho(fourier) (`_apply_plan`).  Raises BudgetExceeded when
-        `deadline`, a `time.perf_counter()` value, has passed before a batch.
+        bs is a `Factorization`, or a sequence of 2n x 2n integer matrices
+        that is factored here (`factorize`, with its ValueError and
+        ConstructionError).  z is one p^n x r block shared by every element
+        or a (k, p^n, r) stack, block i for element i.  The elements go
+        apply_length(pm, r) at a time; each such batch forms its kernel and
+        is applied to its blocks in one product by rho(fourier)
+        (`_apply_plan`).  Raises BudgetExceeded when `deadline`, a
+        `time.perf_counter()` value, has passed before a batch.
         """
+        fac = bs if isinstance(bs, Factorization) else factorize(self.pm, bs)
         r = z.shape[-1]
-        out = np.empty((len(bs), self.pm.dim, r), dtype=complex)
+        out = np.empty((len(fac), self.pm.dim, r), dtype=complex)
         step = apply_length(self.pm, r)
-        for lo in range(0, len(bs), step):
+        for lo in range(0, len(fac), step):
             if deadline is not None and time.perf_counter() > deadline:
                 raise BudgetExceeded("deadline passed inside the probe stream")
             part = slice(lo, lo + step)
-            plan = _closed_form_plan(self, bs[part])
-            _apply_plan(self, z if z.ndim == 2 else z[part], out[part], *plan)
+            _apply_plan(self, z if z.ndim == 2 else z[part], out[part],
+                        *_kernel(self.pm, fac[part]))
         return out
 
     @cached_property
@@ -245,7 +269,7 @@ class WeilRep:
 
     def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
         key = mat_mod(mat(b), self.pm.p)
-        dev = egorov_deviation(dense, key, self.pm)
+        dev = egorov_deviation(dense[None], [key], self.pm)[0]
         if dev > egorov_tol(self.pm):
             raise ConstructionError(f"Egorov deviation {dev:.2e} for {tag} entry {key}")
         self.cache[key] = dense
@@ -267,23 +291,43 @@ def _diagonal_shear_expo(pm: PrimeModulus, mask: int) -> np.ndarray:
     return pm.nu * quad % pm.p
 
 
-@lru_cache(maxsize=None)
-def _legendre_signs(p: int) -> np.ndarray:
-    out = np.array([float(legendre(x, p)) for x in range(p)])
-    out.setflags(write=False)
-    return out
+@dataclass
+class Factorization:
+    """The exact closed-form factorization of a stack of k elements (module
+    docs): the elements mod p, the masks of S, det M, M^-1, s1 and s2, each
+    an array with k rows and none of length p^n.  Indexing by a slice or an
+    index array takes those rows of every array."""
+
+    elements: np.ndarray        # (k, 2n, 2n)
+    mask: np.ndarray            # (k,)
+    det: np.ndarray             # (k,)
+    m_inv: np.ndarray           # (k, n, n), and s1, s2 too
+    s1: np.ndarray
+    s2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mask)
+
+    def __getitem__(self, rows) -> "Factorization":
+        return Factorization(self.elements[rows], self.mask[rows], self.det[rows],
+                             self.m_inv[rows], self.s1[rows], self.s2[rows])
 
 
-def _closed_form_plan(rep: WeilRep, batch: list):
-    """Exact plan of rho(B) for the k elements of batch (module docs): the
-    (k, p^n) row sources and row and column phases and the (k,) masks."""
-    pm = rep.pm
+def factorize(pm: PrimeModulus, bs) -> Factorization:
+    """The exact factorization of every element of bs, a sequence or stack of
+    2n x 2n integer matrices, in int64 arithmetic over the whole stack: the
+    symplectic test, the first mask that makes M invertible, s1, s2 and the
+    re-verification (module docs).  Raises ValueError for a non-symplectic
+    element and ConstructionError when a factorization fails its
+    re-verification."""
     p, n = pm.p, pm.n
-    b = np.array(batch, dtype=np.int64) % p
+    b = np.array(bs, dtype=np.int64) % p
+    if not b.size:
+        b = b.reshape(0, 2 * n, 2 * n)
     if b.shape[1:] != (2 * n, 2 * n):
         raise ValueError(f"expected {2 * n} x {2 * n} matrices")
     j = np.array(ffcore.standard_j(n), dtype=np.int64)
-    if ((b.transpose(0, 2, 1) @ j @ b - j) % p).any(axis=(1, 2)).any():
+    if ((b.transpose(0, 2, 1) @ j @ b - j) % p).any():
         raise ValueError("matrix is not symplectic mod p")
     a, bb, c, d = b[:, :n, :n], b[:, :n, n:], b[:, n:, :n], b[:, n:, n:]
 
@@ -291,9 +335,9 @@ def _closed_form_plan(rep: WeilRep, batch: list):
     if (det == 0).any():
         bad = b[np.argmax(det == 0)]
         raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {bad.tolist()}")
-    s = _mask_bits(n)[mask]                         # (k, n) diagonals of S
-    m = (bb + a * s[:, None, :]) % p
-    s1 = -((c * s[:, None, :] + d) @ m_inv) % p
+    s = _mask_bits(n)[mask][:, None, :]             # (k, 1, n) diagonals of S
+    m = (bb + a * s) % p
+    s1 = -((c * s + d) @ m_inv) % p
     s2 = -(m_inv @ a) % p
 
     # exact re-verification: shear(s1) dilate(M) fourier shear(s2) U(-S) = B
@@ -301,20 +345,34 @@ def _closed_form_plan(rep: WeilRep, batch: list):
     z_blk = ((s1 @ m % p) @ s2 - m_inv.transpose(0, 2, 1)) % p
     w_blk = -(s1 @ m) % p
     rebuilt = np.concatenate(
-        [np.concatenate([x_blk, m - x_blk * s[:, None, :]], axis=2),
-         np.concatenate([z_blk, w_blk - z_blk * s[:, None, :]], axis=2)], axis=1) % p
+        [np.concatenate([x_blk, m - x_blk * s], axis=2),
+         np.concatenate([z_blk, w_blk - z_blk * s], axis=2)], axis=1) % p
     symmetric = (s1 == s1.transpose(0, 2, 1)).all() and (s2 == s2.transpose(0, 2, 1)).all()
     if not symmetric or (rebuilt != b).any():
         raise ConstructionError("closed-form factorization does not reproduce its element")
+    return Factorization(b, mask, det, m_inv, s1, s2)
 
-    # rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y)
+
+def _kernel(pm: PrimeModulus, fac: Factorization):
+    """(src, row, col, mask) of rho(B) for the k elements of fac: the (k, p^n)
+    row sources M^-1 x and the row and column phases of
+
+        rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y),
+
+    and the (k,) masks of S."""
+    p, n, k = pm.p, pm.n, len(fac)
     pts = index_vectors(pm)
-    roots = root_table(p)
-    src = ((pts @ m_inv.transpose(0, 2, 1)) % p) @ (p ** np.arange(n))
-    row = roots[pm.nu * ((pts @ s1) * pts).sum(axis=2) % p]
-    row *= _legendre_signs(p)[det][:, None]
-    col = roots[pm.nu * ((pts @ s2) * pts).sum(axis=2) % p]
-    return src, row, col, mask
+    src = (p ** np.arange(n)) @ ((fac.m_inv @ pts.T) % p)
+    # x^T s x for every x and both s1 and s2 of every element: one product
+    # by the (n^2, p^n) table of x_i x_j
+    quad = (pts[:, :, None] * pts[:, None, :]).reshape(pm.dim, n * n).T
+    forms = np.concatenate([fac.s1, fac.s2]).reshape(2 * k, n * n) @ quad
+    forms *= pm.nu
+    forms %= p
+    phases = root_table(p)[forms]
+    row, col = phases[:k], phases[k:]
+    row *= ffcore.legendre_signs(p)[fac.det][:, None]
+    return src, row, col, fac.mask
 
 
 def _first_invertible_mask(a, bb, p: int):
@@ -339,7 +397,7 @@ def _first_invertible_mask(a, bb, p: int):
 
 
 def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
-    """(k, p^n, p^n) stack of rho(B) from k rows of a plan: one row gather of
+    """(k, p^n, p^n) stack of rho(B) from the kernel of k elements: one row gather of
     rho(fourier), two phase scalings, and rho(U(-S)) where S != 0."""
     out = rep.fourier[src]
     out *= row[:, :, None]
@@ -350,7 +408,7 @@ def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
 
 
 def _apply_plan(rep: WeilRep, z, out, src, row, col, mask):
-    """Write rho(B) Z for k rows of a plan into the (k, p^n, r) array out,
+    """Write rho(B) Z for the kernel of k elements into the (k, p^n, r) array out,
     rho(B) never formed: rho(U(-S)) Z where S != 0, grouped by mask, the
     column phases, one product by rho(fourier) over the k blocks side by
     side, then the row gather and the row phases."""
@@ -366,41 +424,52 @@ def _apply_plan(rep: WeilRep, z, out, src, row, col, mask):
     out *= row[:, :, None]
 
 
-def egorov_deviation(dense: np.ndarray, b: Mat, pm: PrimeModulus) -> float:
-    """max | rho(B) T(xi) - T(B xi) rho(B) | over the 2n unit vectors xi.
+def egorov_deviation(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
+    """max | rho(B) T(xi) - T(B xi) rho(B) | over the 2n unit vectors xi, for
+    every operator of a (k, p^n, p^n) stack and its element B of bs (a
+    sequence or stack of k matrices): a (k,) array.
 
-    Every unit vector at once from integer (src, expo) arrays: with T(xi)
+    Every element at once from integer (src, expo) arrays: with T(xi)
     f(x) = psi(e[x]) f(s[x]) and T(B xi) f(x) = psi(e'[x]) f(s'[x]), entry
     (r, s[i]) of the two sides is rho[r, i] psi(e[i]) and
-    psi(e'[r]) rho[s'[r], s[i]].  Compared in chunks of chunk_length(pm) xi.
+    psi(e'[r]) rho[s'[r], s[i]].  Compared one xi and one block of rows r at
+    a time, the rows cut so that each (k, rows, p^n) complex temporary holds
+    CHUNK_BYTES / 4: beyond the stack, the comparison holds two of them, one
+    half as large (the flat gather indices, then the moduli) and numpy's
+    ufunc buffers, about 1.2 CHUNK_BYTES at n = 2, p = 13 and 19.
     `cli._check_egorov` states what the unit vectors prove for every xi.
     """
-    p, n = pm.p, pm.n
-    xis = np.eye(2 * n, dtype=np.int64)
-    src, expo = pi_exponents_many(xis, pm)
-    bsrc, bexpo = pi_exponents_many(xis @ (np.array(b, dtype=np.int64) % p).T, pm)
+    p, n, d = pm.p, pm.n, pm.dim
+    k = len(stack)
+    src, expo = pi_exponents_many(np.eye(2 * n, dtype=np.int64), pm)
+    # B e_j is column j of B
+    images = (np.asarray(bs, dtype=np.int64) % p).transpose(0, 2, 1).reshape(-1, 2 * n)
+    bsrc, bexpo = (a.reshape(k, 2 * n, d) for a in pi_exponents_many(images, pm))
     roots = root_table(p)
-    dev = 0.0
-    step = chunk_length(pm)
-    for lo in range(0, len(xis), step):
-        part = slice(lo, lo + step)
-        lhs = dense[None, :, :] * roots[expo[part]][:, None, :]
-        rhs = dense[bsrc[part][:, :, None], src[part][:, None, :]]
-        np.multiply(roots[bexpo[part]][:, :, None], rhs, out=rhs)
-        lhs -= rhs
-        dev = max(dev, float(np.abs(lhs).max()))
+    first = (np.arange(k) * d * d)[:, None, None]   # flat offset of each operator
+    step = chunk_items(64 * max(k, 1) * d)
+    dev = np.zeros(k)
+    for j in range(2 * n):
+        phase = roots[expo[j]]
+        for lo in range(0, d, step):
+            rows = slice(lo, lo + step)
+            lhs = stack[:, rows] * phase
+            rhs = np.take(stack, (bsrc[:, j, rows, None] * d + first) + src[j])
+            np.multiply(roots[bexpo[:, j, rows, None]], rhs, out=rhs)
+            lhs -= rhs
+            np.maximum(dev, np.abs(lhs).max(axis=(1, 2)), out=dev)
     return dev
 
 
-def solve_gamma(pm: PrimeModulus) -> complex:
+def solve_gamma(pm: PrimeModulus, f0: np.ndarray) -> complex:
     """Fix the Fourier normalization from the cube relation (see module docs).
 
     K = F D_I is applied three times to a probe block X (`probe_block`, the
     generator seeded with 0), and K^3 = c I is read per column as
     c = <X, K^3 X> / <X, X> and certified by max |K^3 X - c X| <= 1e-8 |c|:
-    by Freivalds' argument (module docs), with no d^3 product.
+    by Freivalds' argument (module docs), with no d^3 product.  F is f0,
+    the unnormalized kernel fourier_op(pm, 1.0).
     """
-    f0 = fourier_op(pm, 1.0)
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
     x = probe_block(pm, np.random.default_rng(0))
     y = x
@@ -422,8 +491,19 @@ def solve_gamma(pm: PrimeModulus) -> complex:
 
 
 def linearize(pm: PrimeModulus) -> WeilRep:
-    """Build the representation with all free phases pinned."""
-    rep = WeilRep(pm, solve_gamma(pm))
+    """Build the representation with all free phases pinned.  The dense
+    kernel psi(x.y) is built once: solve_gamma reads it scaled by p^(-n/2),
+    and that array is then overwritten with rho(fourier), the kernel scaled
+    by gamma p^(-n/2) as in fourier_op."""
+    unit = _psi_dots(pm)
+    scale = pm.p ** (pm.n / 2)
+    f = unit / scale
+    rep = WeilRep(pm, solve_gamma(pm, f))
+    np.multiply(rep.gamma, unit, out=f)
+    del unit
+    f /= scale
+    f.setflags(write=False)
+    rep.fourier = f                     # the value of the cached property
     # seed the cache with the generators themselves
     rep.insert_generator(fourier_matrix(pm), rep.fourier, "generator-formula")
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
@@ -586,8 +666,12 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     deviation max |M X|, M = rho(B1) rho(B2) - rho(B1 B2); an entry of M of
     modulus eps passes tol with probability at most (tol/eps)^(2r) over X
     (module docs).  pairs, a (k, 2, 2n, 2n) int64 stack or a list of matrix
-    pairs, goes through apply_length(pm, r) pairs at a time as triples
-    (`pair_triples`); the exhaustive mode is the int64 stack of all
+    pairs, is read as triples (`pair_triples`) in rounds of half an apply
+    batch of pairs, apply_length(pm, r) // 2, and in runs of whole rounds of
+    about factor_length(pm) elements.  Each run is factored once, as the
+    stack (B2, B1 B2, B1) of its pairs.  Per round, rho(B2) X and
+    rho(B1 B2) X fill one apply batch, one product by rho(fourier), and
+    rho(B1) Y takes a second.  The exhaustive mode is the int64 stack of all
     |Sp(2n, F_p)|^2 pairs.  probe defaults to probe_block(pm,
     default_rng(0)); `deadline` is passed to apply_many.
     """
@@ -596,15 +680,20 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     if pairs is None:
         group = np.array(sp_elements(pm), dtype=np.int64)
         pairs = group[np.indices((len(group),) * 2).reshape(2, -1).T]
-    step = apply_length(pm, x.shape[1])
+    step = max(1, apply_length(pm, x.shape[1]) // 2)     # pairs per round
+    run = step * max(1, factor_length(pm) // (3 * step))
     d = 2 * pm.n
     max_dev = 0.0
-    for lo in range(0, len(pairs), step):
-        triples = pair_triples(pairs[lo:lo + step], pm).reshape(-1, 3, d, d)
-        b1, b2, b12 = triples.swapaxes(0, 1)
-        dev = rep.apply_many(b1, rep.apply_many(b2, x, deadline), deadline)
-        dev -= rep.apply_many(b12, x, deadline)
-        max_dev = max(max_dev, float(np.abs(dev).max()))
+    for lo in range(0, len(pairs), run):
+        b1, b2, b12 = pair_triples(pairs[lo:lo + run], pm).reshape(-1, 3, d, d).swapaxes(0, 1)
+        k = len(b1)
+        fac = factorize(pm, np.concatenate([b2, b12, b1]))
+        for a in range(0, k, step):
+            part = np.arange(a, min(a + step, k))
+            yz = rep.apply_many(fac[np.concatenate([part, k + part])], x, deadline)
+            dev = rep.apply_many(fac[2 * k + part], yz[:len(part)], deadline)
+            dev -= yz[len(part):]
+            max_dev = max(max_dev, float(np.abs(dev).max()))
     return MultiplicativityReport(len(pairs), max_dev, max_dev <= tol)
 
 

@@ -16,7 +16,7 @@ order scan, one or two generators.  The torus elements by the form filter
 (`centralizer_elements`): all p^(2n) candidates of F_p[A] as matrices, in
 three (p^(2n), 2n, 2n) stacks, with B^T J B = J read by two einsums, which
 `hecke.centralizer` replaces by the norm N(c) = 1 on coefficient vectors.
-The plan's mask choice with every one of the 2^n masks inverted
+The factorization's mask choice with every one of the 2^n masks inverted
 (`first_invertible_mask_all`), which `weil._first_invertible_mask`
 replaces by inverting Bb first.  The one-factor split sums one scalar
 term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
@@ -24,7 +24,16 @@ term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
 `factor_coordinates`, `is_generic`) and per character (`transport_char`).
 Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`), and
 on group pairs by dense products (`dense_pair_check`), which
-`weil.check_multiplicativity` replaces by products with a probe block.
+`weil.check_multiplicativity` replaces by products with a probe block; that
+check with one apply_many call per role and batch (`pair_check_per_role`),
+which it replaces by one factorization per run of pairs.  The trace-formula
+check one a at a time (`split_trace_deviation_per_a`), which
+`quevaluator.split_trace_deviation` replaces by one matmul per chunk; the
+trace function in the flat order of xi (`trace_column`), which the program
+reads on the [lam, mu] grid (`quevaluator._trace_grid`).  The
+orbit rows by sorting the labels (`orbits_by_unique`), the refined rows
+(`refined_rows_loop`) and the factorization counts
+(`factorization_counts_loop`) one character at a time.
 
 Operators fixed another way: Schur-averaged intertwiners, up to a phase
 (`schur_intertwiner`), and rho with its torus entries twisted by a
@@ -62,7 +71,7 @@ from math import lcm
 
 import numpy as np
 
-from torusque import ffcore, hecke, weil
+from torusque import ffcore, hecke, quevaluator, weil
 from torusque.classical import sp_group_order
 from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat_mod,
                              mat_mul)
@@ -72,7 +81,7 @@ from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_devia
                                  compose_exponents, index_vectors, integral,
                                  lattice_vectors, pi_exponents, pi_exponents_many,
                                  quantize, root_table)
-from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_column,
+from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_grid,
                                   _trace_kernel, split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
                            fourier_matrix, fourier_op, linearize, shear_matrix)
@@ -197,6 +206,20 @@ def transport_char(transport: SplitTransport, chi: TorusCharacter,
             raise RuntimeError("transported character exponent is not integral")
         out.append(int(k) % (p - 1))
     return tuple(out)
+
+
+def _trace_column(rho_dense: np.ndarray, kernel) -> np.ndarray:
+    """`quevaluator._trace_grid` read in the flat order lam + p^n mu of xi:
+    (p^(2n),) for one operator, (k, p^(2n)) for a stack."""
+    out = _trace_grid(rho_dense, kernel)
+    # [lam, mu] transposed to [mu, lam] and read row-major: lam + p^n mu
+    return out.swapaxes(-1, -2).reshape(*out.shape[:-2], -1)
+
+
+def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
+    """F(xi, B) for every xi mod p, in flat order lam + p^n mu, from rho(B)
+    or a stack of operators (`_trace_column`, with the tables built here)."""
+    return _trace_column(rho_dense, _trace_kernel(pm))
 
 
 def torus_pair_scan(rep, torus: HeckeTorus, tol: float = 1e-8) -> MultiplicativityReport:
@@ -875,3 +898,101 @@ def relation_grid(pm: PrimeModulus) -> RelationReport:
         max_dev = max(max_dev, _phase_deviation(
             lhs, (src_all[tgt], expo_all[tgt]), eps * pm.nu * omega_i[:, None], p))
     return RelationReport(eps, m * m, max_dev, max_dev == 0)
+
+
+def pair_check_per_role(rep, pairs, probe: np.ndarray) -> float:
+    """max_dev of the probe-block pair check with one apply_many call per role
+    and batch of apply_length pairs, each call factoring its own elements:
+    rho(B1) (rho(B2) X) - rho(B1 B2) X (`weil.check_multiplicativity`
+    factors each run of pairs once and applies B2 and B1 B2 in one call)."""
+    pm = rep.pm
+    d = 2 * pm.n
+    step = weil.apply_length(pm, probe.shape[1])
+    max_dev = 0.0
+    for lo in range(0, len(pairs), step):
+        triples = weil.pair_triples(pairs[lo:lo + step], pm).reshape(-1, 3, d, d)
+        b1, b2, b12 = (np.ascontiguousarray(role) for role in triples.swapaxes(0, 1))
+        dev = rep.apply_many(b1, rep.apply_many(b2, probe)) - rep.apply_many(b12, probe)
+        max_dev = max(max_dev, float(np.abs(dev).max()))
+    return max_dev
+
+
+def split_trace_deviation_per_a(rep, sign: int) -> float:
+    """max |F(xi, diag(a, 1/a)) - closed form| one a at a time: rho(diag(a,
+    1/a)) from rep.build_many, one `trace_column` and one scalar-a
+    `split_trace_formula` per a (`quevaluator.split_trace_deviation` reads a
+    chunk of operators and its a at once)."""
+    pm = rep.pm
+    p = pm.p
+    lam, mu = lattice_vectors(pm).T
+    diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
+    worst = 0.0
+    for a, dense in zip(range(2, p), rep.build_many(diagonal)):
+        ref = trace_column(dense, pm)
+        worst = max(worst, float(np.abs(split_trace_formula(lam, mu, a, pm, sign) - ref).max()))
+    return worst
+
+
+def orbits_by_unique(torus: HeckeTorus):
+    """(reps, row, sizes) of `PrimeContext.orbits` by sorting the orbit labels
+    (`np.unique`), which the fixed points of the labels replace."""
+    reps, row = np.unique(quevaluator.orbit_labels(torus), return_inverse=True)
+    return reps, row, np.bincount(row)
+
+
+def refined_rows_loop(ctx: PrimeContext) -> tuple[list, bool, float]:
+    """(rows, generic_ok, max_nongeneric) of `quevaluator.refined_bound`, one
+    character at a time from Python ints."""
+    p, n = ctx.pm.p, ctx.pm.n
+    half = (p - 1) // 2
+    generic = ctx.generic_orbits
+    nongeneric = ~generic
+    nongeneric[0] = False
+    mags = np.abs(ctx.sums)
+    gmaxs = mags.max(axis=0, where=generic[:, None], initial=0.0)
+    ngmaxs = mags.max(axis=0, where=nongeneric[:, None], initial=0.0)
+    rows, generic_ok, max_nongeneric = [], True, 0.0
+    for ci, chi in enumerate(ctx.chis):
+        ks = tuple(ctx.transported[ci].tolist())
+        eff = tuple((k + half) % (p - 1) for k in ks)
+        m = sum(1 for e in eff if e == 0)
+        rbound = 2 ** n * p ** ((n - m) / 2)
+        gmax, ngmax = float(gmaxs[ci]), float(ngmaxs[ci])
+        ok = gmax <= rbound * (1 + RTOL)
+        generic_ok = generic_ok and ok
+        max_nongeneric = max(max_nongeneric, ngmax)
+        rows.append({"exps": chi.exps, "transported": ks, "effective": eff,
+                     "m": m, "refined_bound": rbound, "generic_max": gmax,
+                     "nongeneric_max": ngmax, "ok": ok})
+    return rows, generic_ok, max_nongeneric
+
+
+def factorization_counts_loop(ctx: PrimeContext) -> tuple[int, int, float]:
+    """(matched_all, matched_generic, max_rel_err) of
+    `quevaluator.factorization_check`, one character at a time against the
+    per-exponent dict of one-factor tables."""
+    pm = ctx.pm
+    p = pm.p
+    reps, _, sizes = ctx.orbits
+    lam1, lam2, mu1, mu2 = ctx.transport.transport_all()[reps].T
+    weight = sizes * (reps > 0)
+    generic_weight = sizes * ctx.generic_orbits
+    needed = sorted(set(ctx.transported.ravel().tolist()))
+    factor_tab = quevaluator.diagonal_factor_tables(needed, PrimeModulus(p, 1),
+                                                    ctx.split_sign)
+    oracle_tab = {k: t.copy() for k, t in factor_tab.items()}
+    for k in needed:
+        oracle_tab[k][0, 0] -= p
+    matched_generic = matched_all = 0
+    max_rel = 0.0
+    for ci, lhs in enumerate(ctx.sums.T):
+        k1, k2 = ctx.transported[ci].tolist()
+        rhs = factor_tab[k1][lam1, mu1] * factor_tab[k2][lam2, mu2]
+        rhs_oracle = oracle_tab[k1][lam1, mu1] * oracle_tab[k2][lam2, mu2]
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+        rel = np.abs(lhs - rhs) / scale
+        rel_oracle = np.abs(lhs - rhs_oracle) / scale
+        matched_all += int(weight[rel <= RTOL].sum())
+        matched_generic += int(generic_weight[rel_oracle <= RTOL].sum())
+        max_rel = max(max_rel, float(rel[1:].max()))
+    return matched_all, matched_generic, max_rel

@@ -7,6 +7,7 @@ deviation is held to the per-xi loop exactly.
 """
 
 import tracemalloc
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -81,10 +82,10 @@ def test_chunk_boundaries_keep_input_order(extra, rep_cache):
 @pytest.mark.parametrize("n,p", [(1, 43), (2, 5)])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_plan_batch_boundaries_keep_input_order(n, p, extra, rep_cache):
-    # a plan batch spans several dense chunks; one element more starts a
-    # second plan, one fewer ends the batch inside a dense chunk
+    # one factorization spans several dense chunks; one element more starts
+    # a second factorization, one fewer ends the batch inside a dense chunk
     pm = PrimeModulus(p, n)
-    size = weil.plan_length(pm)
+    size = weil.factor_length(pm)
     assert size > weil.chunk_length(pm) > 1
     draws = random_sp(pm, np.random.default_rng(size + extra), 2 * (size + extra))
     bs = [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[::2], draws[1::2])]
@@ -92,9 +93,10 @@ def test_plan_batch_boundaries_keep_input_order(n, p, extra, rep_cache):
 
 
 def test_non_symplectic_element_in_second_plan_batch_raises(rep_cache):
-    # the first plan batch is emitted whole before the second one is planned
+    # the first factorization batch is emitted whole before the second one
+    # is factored
     pm = PrimeModulus(43, 1)
-    size = weil.plan_length(pm)
+    size = weil.factor_length(pm)
     good = random_sp(pm, np.random.default_rng(1), size + 2)
     bs = list(good[:size]) + [good[size], ((1, 1), (1, 1)), good[size + 1]]
     built = 0
@@ -146,38 +148,44 @@ def test_factorization_is_reverified(rep_cache, monkeypatch):
 
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5), (2, 11)])
 def test_batched_egorov_equals_per_xi_loop(n, p):
+    # the deviations of a whole stack and of one operator at a time against
+    # the per-xi loop, exactly; at n = 2, p = 11 the stack's rows are compared
+    # one at a time and a lone operator's in blocks of 33
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     rng = np.random.default_rng(7)
-    # at n = 2, p = 11 a chunk holds one xi, so the 4 unit vectors span four
-    if p == 11:
-        assert weil.chunk_length(pm) == 1
     draws = mats(random_sp(pm, rng, 20))
     bs = draws[:10] + [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[:10], draws[10:])]
-    for b, dense in zip(bs, rep.build_many(bs)):
-        assert weil.egorov_deviation(dense, b, pm) == egorov_deviation_loop(dense, b, pm)
+    ops = np.stack(list(rep.build_many(bs)))
+    want = [egorov_deviation_loop(dense, b, pm) for b, dense in zip(bs, ops)]
+    assert weil.egorov_deviation(ops, bs, pm).tolist() == want
+    assert [weil.egorov_deviation(dense[None], [b], pm)[0]
+            for b, dense in zip(bs, ops)] == want
     # a wrong operator is caught by both, with the same deviation
     dense = np.eye(pm.dim, dtype=complex)
-    dev = weil.egorov_deviation(dense, bs[0], pm)
+    (dev,) = weil.egorov_deviation(dense[None], bs[:1], pm)
     assert dev > 0.1 and dev == egorov_deviation_loop(dense, bs[0], pm)
 
 
 @pytest.mark.parametrize("n,p", [(1, 43), (2, 13)])
-def test_plan_inverts_only_the_masks_it_needs(n, p, rep_cache, monkeypatch):
-    # Bb first, the other masks only where Bb is singular: the same plans as
-    # inverting every mask of every element, on the relation pairs (the
-    # U(-S) branch) and on sampled pairs with their products
+def test_plan_inverts_only_the_masks_it_needs(n, p, monkeypatch):
+    # Bb first, the other masks only where Bb is singular: the same
+    # factorizations and kernels as inverting every mask of every element,
+    # on the relation pairs (the U(-S) branch) and on sampled pairs with
+    # their products
     pm = PrimeModulus(p, n)
-    rep = rep_cache(p, n)
     rng = np.random.default_rng(p)
     d = 2 * n
     batch = np.concatenate([weil.relation_pairs(pm, rng).reshape(-1, d, d),
                             weil.pair_triples(random_sp(pm, rng, 80).reshape(-1, 2, d, d), pm)])
-    plan = weil._closed_form_plan(rep, batch)
-    assert plan[3].any() and not plan[3].all()
+    fac = weil.factorize(pm, batch)
+    assert fac.mask.any() and not fac.mask.all()
     monkeypatch.setattr(weil, "_first_invertible_mask", first_invertible_mask_all)
-    for got, want in zip(plan, weil._closed_form_plan(rep, batch), strict=True):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    ref = weil.factorize(pm, batch)
+    got = [getattr(fac, f.name) for f in fields(fac)] + list(weil._kernel(pm, fac))
+    want = [getattr(ref, f.name) for f in fields(ref)] + list(weil._kernel(pm, ref))
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):

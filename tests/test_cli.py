@@ -300,14 +300,19 @@ def test_egorov_check_names_a_corrupted_generator(n, p, cat_map, sp4_elem,
     ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
     g = ctx.torus.generators[-1][0]
     phases = np.exp(2j * np.pi * np.random.default_rng(p).random(pm.dim))
-    real = ctx.rep.build_many
+    real = ctx.rep.build_chunks
 
     def corrupted(bs, deadline=None):
         bs = list(bs)
-        for b, dense in zip(bs, real(bs, deadline)):
-            yield phases[:, None] * dense if np.array_equal(b, g) else dense
+        lo = 0
+        for stack in real(bs, deadline):
+            for k, b in enumerate(bs[lo:lo + len(stack)]):
+                if np.array_equal(b, g):
+                    stack[k] = phases[:, None] * stack[k]
+            lo += len(stack)
+            yield stack
 
-    monkeypatch.setattr(ctx.rep, "build_many", corrupted)
+    monkeypatch.setattr(ctx.rep, "build_chunks", corrupted)
     res = cli._check_egorov(ctx, np.random.default_rng(0))
     assert res.status == "fail"
     assert [w["B"] for w in res.witnesses] == [g]
@@ -489,14 +494,15 @@ def test_budget_read_between_norm_filter_chunks(tmp_path, monkeypatch):
 @pytest.mark.parametrize("check,step,length", [
     ("egorov", "_dense_chunk", weil.chunk_length),
     ("multiplicativity", "_apply_plan",
-     lambda pm: weil.apply_length(pm, weil.PROBE_COLUMNS)),
+     lambda pm: 2 * (weil.apply_length(pm, weil.PROBE_COLUMNS) // 2)),
 ], ids=["egorov", "multiplicativity"])
 def test_budget_read_between_operator_chunks(check, step, length, tmp_path,
                                              monkeypatch):
     # a clock that advances one second per chunk of operators (egorov) or
-    # per batch of probe blocks (multiplicativity): the deadline passes after
-    # the first one, the check becomes a budget skip, and no second one is
-    # built
+    # per batch of probe blocks (multiplicativity, whose first batch holds
+    # rho(B2) and rho(B1 B2) of half a batch of pairs): the deadline passes
+    # after the first one, the check becomes a budget skip, and no second one
+    # is built
     import time
 
     now = [0.0]

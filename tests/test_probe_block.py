@@ -1,7 +1,8 @@
 """The probe-block route to the multiplicativity certificates.
 
-`WeilRep.apply_many` applies rho(B) to a p^n x r block from the exact plan
-without forming rho(B); it is held to the dense `rep.build(B) @ Z`.  The
+`WeilRep.apply_many` applies rho(B) to a p^n x r block from its exact
+factorization without forming rho(B); it is held to the dense
+`rep.build(B) @ Z`.  The
 pair check on a Gaussian probe block is held to the dense pair products of
 `oracles.dense_pair_check`, and a one-entry corruption of size 1e-6 in one
 rho(B) must fail it (Freivalds' argument, `weil` module docs).
@@ -37,7 +38,7 @@ def test_apply_many_equals_dense_products(n, p, rep_cache):
     rep = rep_cache(p, n)
     bs = weil.pair_triples(_pairs(pm, p, sampled=100), pm)
     assert len(bs) > weil.apply_length(pm, weil.PROBE_COLUMNS)
-    assert weil._closed_form_plan(rep, bs)[3].any()
+    assert weil.factorize(pm, bs).mask.any()
     rng = np.random.default_rng(p)
     shared = weil.probe_block(pm, rng)
     own = rng.standard_normal((len(bs), pm.dim, 3)) + 1j * rng.standard_normal(
@@ -87,14 +88,15 @@ def test_probe_and_dense_verdicts_agree_on_the_group_scan(p, count, rep_cache):
 def _corrupt(rep, target, monkeypatch, i=1, j=2):
     """rho(target) + 1e-6 E_ij as seen through rep.apply_many: the output
     block of every copy of target gains 1e-6 times row j of its input in
-    row i."""
+    row i.  bs is a matrix sequence or a `weil.Factorization`, whose
+    elements are read."""
     real = rep.apply_many
     target = np.asarray(target) % rep.pm.p
 
     def corrupted(bs, z, deadline=None):
         out = real(bs, z, deadline)
         zs = np.broadcast_to(z, (len(bs),) + z.shape[-2:])
-        for k, b in enumerate(bs):
+        for k, b in enumerate(getattr(bs, "elements", bs)):
             if np.array_equal(np.asarray(b) % rep.pm.p, target):
                 out[k, i] += 1e-6 * zs[k, j]
         return out

@@ -16,7 +16,7 @@ from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
                      dilate_op, factor_coordinates,
                      gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
                      linearize_on_torus, matrix_order_modp, torus_average_loop,
-                     transport_char, transport_xi, unflatten_xi)
+                     trace_column, transport_char, transport_xi, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
 
@@ -59,7 +59,7 @@ def test_trace_column_matches_trace_pair(n, p, rep_cache, torus_cache):
     worst = 0.0
     for bi in picks:
         dense = rep.op(torus.elements[bi])
-        col = q.trace_column(dense, pm)
+        col = trace_column(dense, pm)
         ref = [q.trace_pair(unflatten_xi(k, pm), dense, pm)
                for k in range(p ** (2 * n))]
         worst = max(worst, float(np.abs(col - np.array(ref)).max()))
@@ -168,8 +168,8 @@ def test_embedded_diagonal_trace_at_n2(p, rep_cache):
     lam, mu = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     for a in range(2, p):
         ai = pow(a, -1, p)
-        col1 = q.trace_column(rep1.build(((a, 0), (0, ai))), pm1)
-        col2 = q.trace_column(rep2.build(((a, 0, 0, 0), (0, 1, 0, 0),
+        col1 = trace_column(rep1.build(((a, 0), (0, ai))), pm1)
+        col2 = trace_column(rep2.build(((a, 0, 0, 0), (0, 1, 0, 0),
                                           (0, 0, ai, 0), (0, 0, 0, 1))), pm2)
         plane = col2[lam + p ** 2 * mu]
         assert np.abs(plane - p * col1[lam + p * mu]).max() < 1e-12

@@ -1,0 +1,169 @@
+"""The identity checks on element stacks against the routes they replace.
+
+Each check factors its elements once (`weil.factorize`) and compares whole
+stacks: the Egorov deviations of a chunk of operators at once, the trace
+columns of a chunk in one matmul, and the pair check with one factorization
+per run of pairs.  The routes they replace are the oracles here: one
+operator at a time (`oracles.egorov_deviation_loop`), one a at a time
+(`oracles.split_trace_deviation_per_a`), one apply_many call per role and
+batch (`oracles.pair_check_per_role`) and the dense pair products
+(`oracles.dense_pair_check`).  The same holds for the per-character report
+arrays of the refined and factorization checks, the orbit rows and the
+bound's violation records, which are built only when read.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from torusque import cli, quevaluator as q, weil
+from torusque.ffcore import PrimeModulus
+from torusque.heisenberg import CHUNK_BYTES, lattice_vectors
+from torusque.quevaluator import PrimeContext
+
+from oracles import (dense_pair_check, egorov_deviation_loop, factorization_counts_loop,
+                     orbits_by_unique, pair_check_per_role, refined_rows_loop,
+                     split_trace_deviation_per_a, trace_column)
+
+CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
+
+
+def _context(n, p, cat_map, sp4_elem, rep_cache, torus_cache):
+    return PrimeContext(cat_map if n == 1 else sp4_elem, torus_cache(p, n), rep_cache(p, n))
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_egorov_check_equals_the_per_element_route(n, p, cat_map, sp4_elem,
+                                                    rep_cache, torus_cache):
+    # the elements of cli._check_egorov, drawn from the same rng: the torus
+    # generators, 25 samples and 5 products of them
+    ctx = _context(n, p, cat_map, sp4_elem, rep_cache, torus_cache)
+    pm, rep = ctx.pm, ctx.rep
+    res = cli._check_egorov(ctx, np.random.default_rng(p))
+    samples = weil.random_sp(pm, np.random.default_rng(p), 25)
+    gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
+    elements = np.concatenate([gens, samples, samples[:5] @ samples[5:10] % p])
+    want = [egorov_deviation_loop(dense, b, pm)
+            for b, dense in zip(elements, rep.build_many(elements))]
+    got, lo = [], 0
+    for stack in rep.build_chunks(elements):
+        got.extend(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
+        lo += len(stack)
+    assert np.abs(np.array(got) - want).max() <= 1e-12
+    assert res.status == "pass" and abs(res.max_dev - max(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_pair_check_equals_the_per_role_route(n, p, rep_cache):
+    # several runs of pairs, each factored once, against one apply_many call
+    # per role and batch, and both verdicts against the dense products
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    rng = np.random.default_rng(p)
+    sampled = 500 if n == 1 else 100
+    draws = weil.random_sp(pm, rng, 2 * sampled)
+    d = 2 * n
+    pairs = np.concatenate([draws.reshape(sampled, 2, d, d), weil.relation_pairs(pm, rng)])
+    step = weil.apply_length(pm, weil.PROBE_COLUMNS) // 2
+    assert len(pairs) > step * max(1, weil.factor_length(pm) // (3 * step))
+    x = weil.probe_block(pm, rng)
+    got = weil.check_multiplicativity(rep, pairs, probe=x)
+    assert got.ok and got.pairs_checked == len(pairs)
+    assert abs(got.max_dev - pair_check_per_role(rep, pairs, x)) <= 1e-12
+    assert dense_pair_check(rep, pairs).ok
+
+
+@pytest.mark.parametrize("p", [7, 43])
+def test_trace_formula_equals_the_per_a_route(p, rep_cache):
+    rep = rep_cache(p)
+    pm = rep.pm
+    sign = q.measure_split_sign(pm, rep)
+    dev = q.split_trace_deviation(rep, sign)
+    assert dev <= 1e-10 and abs(dev - split_trace_deviation_per_a(rep, sign)) <= 1e-12
+    # the stacked columns and the closed form over a stack of a, one a at a time
+    a = np.arange(2, p)
+    stack = np.stack(list(rep.build_many([((int(x), 0), (0, pow(int(x), -1, p))) for x in a])))
+    cols = trace_column(stack, pm)
+    lam, mu = lattice_vectors(pm).T
+    vals = q.split_trace_formula(lam, mu, a[:, None], pm, sign)
+    assert cols.shape == vals.shape == (len(a), p * p)
+    for i, ai in enumerate(a.tolist()):
+        assert np.abs(cols[i] - trace_column(stack[i], pm)).max() <= 1e-12
+        assert np.array_equal(vals[i], q.split_trace_formula(lam, mu, ai, pm, sign))
+        assert q.split_trace_formula(1, 2, ai, pm, sign) == vals[i][1 + 2 * p]
+
+
+def test_egorov_deviation_stays_within_two_chunks_beyond_the_operator(rep_cache):
+    # rho(fourier) at n = 2, p = 13 is 457 KB, more than CHUNK_BYTES: the
+    # comparison cuts its rows instead of forming p^n x p^n temporaries
+    pm = PrimeModulus(13, 2)
+    rep = rep_cache(13, 2)
+    f = rep.fourier[None]
+    b = weil.fourier_matrix(pm)
+    assert f.nbytes > CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        (dev,) = weil.egorov_deviation(f, [b], pm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev <= weil.egorov_tol(pm)
+    assert dev == egorov_deviation_loop(rep.fourier, b, pm)
+    assert peak <= 2 * CHUNK_BYTES
+
+
+def test_linearize_builds_the_fourier_kernel_once(monkeypatch):
+    pm = PrimeModulus(11, 2)
+    real = weil._psi_dots
+    calls = []
+
+    def counted(pm):
+        calls.append(pm)
+        return real(pm)
+
+    monkeypatch.setattr(weil, "_psi_dots", counted)
+    rep = weil.linearize(pm)
+    assert calls == [pm]
+    assert rep.gamma == weil.solve_gamma(pm, weil.fourier_op(pm, 1.0))
+    assert np.array_equal(rep.fourier, weil.fourier_op(pm, rep.gamma))
+    assert not rep.fourier.flags.writeable
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (1, 97), (2, 5), (2, 13)])
+def test_orbit_rows_equal_the_sorted_labels(n, p, torus_cache, cat_map, sp4_elem,
+                                            rep_cache):
+    ctx = _context(n, p, cat_map, sp4_elem, rep_cache, torus_cache)
+    for got, want in zip(ctx.orbits, orbits_by_unique(ctx.torus), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_refined_rows_equal_the_per_character_loop(cat_map, rep_cache, torus_cache,
+                                                   sp4_split13):
+    contexts = [_context(1, p, cat_map, None, rep_cache, torus_cache) for p in (11, 19, 29)]
+    for ctx in contexts + [sp4_split13]:
+        rpt = q.refined_bound(ctx)
+        rows, generic_ok, max_nongeneric = refined_rows_loop(ctx)
+        assert rpt.applicable and rpt.rows == rows
+        assert (rpt.generic_ok, rpt.max_nongeneric) == (generic_ok, max_nongeneric)
+
+
+def test_factorization_counts_equal_the_per_character_loop(sp4_split13):
+    rpt = q.factorization_check(sp4_split13)
+    assert ((rpt.matched_all_reconciled, rpt.matched_generic, rpt.max_rel_err)
+            == factorization_counts_loop(sp4_split13))
+
+
+def test_bound_records_are_built_when_read(sp4_split13):
+    # a prefix, an entry and the subsets agree with the full list
+    rpt = q.verify_que_bound(sp4_split13)
+    full = list(rpt.violations)
+    assert len(full) == len(rpt.violations) > 8
+    assert rpt.violations[:8] == full[:8] and rpt.violations[-1] == full[-1]
+    assert rpt.violations == full and not rpt.ok
+    exps = {chi.exps: i for i, chi in enumerate(sp4_split13.chis)}
+    dims = sp4_split13.decomposition.dims
+    dim1 = [v for v in full if dims[sp4_split13.inverse_index[exps[v[1]]]] == 1]
+    assert list(rpt.dim1_violations) == dim1 and rpt.ok_dim1 == (not dim1)
+    witnesses = cli._check_bound(sp4_split13, None).witnesses
+    assert [(w["xi"], w["chi_exps"], w["abs_a"], w["bound"]) for w in witnesses[:8]] == full[:8]

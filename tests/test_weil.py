@@ -94,17 +94,18 @@ def test_gamma_solved_values():
     # gamma is a unimodular solution of gamma^2 = legendre(-1), gamma^3 = 1/c
     for p in (3, 5, 7, 11):
         pm = PrimeModulus(p, 1)
-        gamma = solve_gamma(pm)
+        gamma = solve_gamma(pm, fourier_op(pm, 1.0))
         assert abs(abs(gamma) - 1) < 1e-12
         assert abs(gamma * gamma - legendre(-1, p)) < 1e-9
-    assert abs(solve_gamma(PrimeModulus(3, 1)) - (-1j)) < 1e-12
+    pm3 = PrimeModulus(3, 1)
+    assert abs(solve_gamma(pm3, fourier_op(pm3, 1.0)) - (-1j)) < 1e-12
 
 
 @pytest.mark.parametrize("n,p", [(1, p) for p in ffcore.odd_primes(3, 97)]
                          + [(2, p) for p in (3, 5, 7, 11, 13)])
 def test_gamma_matches_dense_cube(n, p):
     pm = PrimeModulus(p, n)
-    assert abs(solve_gamma(pm) - solve_gamma_dense(pm)) < 1e-12
+    assert abs(solve_gamma(pm, fourier_op(pm, 1.0)) - solve_gamma_dense(pm)) < 1e-12
 
 
 def test_gamma_rejects_a_cube_that_is_not_scalar(monkeypatch):
@@ -118,8 +119,9 @@ def test_gamma_rejects_a_cube_that_is_not_scalar(monkeypatch):
         return out
 
     monkeypatch.setattr(weil, "root_table", corrupted)
+    pm = PrimeModulus(7, 1)
     with pytest.raises(ConstructionError, match="not scalar"):
-        solve_gamma(PrimeModulus(7, 1))
+        solve_gamma(pm, fourier_op(pm, 1.0))
 
 
 def test_linearize_identity(rep_cache):
@@ -263,7 +265,7 @@ def test_weilrep_n2_dispatch(sp4_elem):
     w = rep.op(b)
     assert rep.tags[b] == "closed-form"
     assert np.abs(w @ w.conj().T - np.eye(9)).max() < 1e-9
-    assert egorov_deviation(w, b, pm) < 1e-9 * 3
+    assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * 3
     assert _phase_dev(w, schur_intertwiner(b, pm, np.random.default_rng(0))) < 1e-9
 
 
@@ -313,7 +315,7 @@ def test_sp_word_bruhat_cells():
             assert sum(f.kind == "fourier" for f in word) == {0: 0, 1: 5, 2: 1}[rank]
             w = rep.op(b)
             assert np.abs(w @ w.conj().T - np.eye(p * p)).max() < 1e-9
-            assert egorov_deviation(w, b, pm) < 1e-9 * p
+            assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * p
         assert seen == {0, 1, 2}
 
 
