@@ -22,6 +22,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,23 @@ def _timed(fn):
     return out, int(1000 * (time.perf_counter() - t0))
 
 
+class _SharedRng:
+    """The prime's np.random.default_rng(seed), made on its first draw and
+    then shared by every check that samples (egorov, multiplicativity), in
+    check order: a prime whose checks draw nothing never imports
+    numpy.random."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    @cached_property
+    def generator(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
 def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
               conventions: dict) -> dict:
     """The prime's report.  If `conventions`, the report header's, is still
@@ -157,7 +175,7 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
         return _unbuilt_prime(p, cfg, [_budget_skip(name) for name in cfg.checks])
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
-    rng = np.random.default_rng(cfg.seed + p)
+    rng = _SharedRng(cfg.seed + p)
 
     for name in cfg.checks:
         if time.perf_counter() > ctx.deadline:
@@ -283,14 +301,14 @@ def _check_multiplicativity(ctx, rng):
     """rho is a representation: group pairs (with the generator relations as
     pairs when sampled) and the torus certificate, both read on one probe
     block X of weil.PROBE_COLUMNS i.i.d. standard complex Gaussian columns,
-    drawn from rng after the pairs.  max_dev is the per-probe deviation
-    max |M X| of the pair identities and of the torus identities
-    rho(B) = prod_i R_i^e_i(B) and R_i^m_i = I, R_i = rho(g_i), M = 0 (the
-    commutators of the R_i are read densely): an entry of M of modulus eps passes the
-    tolerance tol with probability at most (tol/eps)^(2r), r = PROBE_COLUMNS
-    (`weil` module docs).  No operator but
-    rho of the torus generators is kept, and none but those, rho(fourier)
-    and the upper shears is formed."""
+    seeded with one integer drawn from rng after the pairs.  max_dev is the
+    per-probe deviation max |M X| of the pair identities and of the torus
+    identities rho(B) = prod_i R_i^e_i(B) and R_i^m_i = I, R_i = rho(g_i),
+    M = 0 (the commutators of the R_i are read densely): an entry of M of
+    modulus eps passes the tolerance tol with probability at most
+    (tol/eps)^(2r), r = PROBE_COLUMNS (`weil` module docs).  No operator but
+    rho of the torus generators is kept, and none but those and
+    rho(fourier) is formed."""
     pm, rep = ctx.pm, ctx.rep
     pairs = None                                # every pair of the group
     if sp_group_order(pm.p, pm.n) > EXHAUSTIVE_GROUP_ORDER:
@@ -298,7 +316,7 @@ def _check_multiplicativity(ctx, rng):
         # the exhaustive scan already holds every relation
         pairs = np.concatenate([draws.reshape(SAMPLED_PAIRS, 2, *draws.shape[1:]),
                                 weil.relation_pairs(pm, rng)])
-    probe = weil.probe_block(pm, rng)
+    probe = weil.probe_block(pm, int(rng.integers(2 ** 63)))
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
                                       deadline=ctx.deadline, probe=probe)

@@ -66,9 +66,9 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
-                         lattice_vectors, pi_exponents, pi_exponents_many,
-                         root_table)
+from .heisenberg import (CHUNK_BYTES, BudgetExceeded, chunk_items,
+                         index_vectors, lattice_vectors, pi_exponents,
+                         pi_exponents_many, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -76,6 +76,10 @@ RTOL = 1e-6
 # the Parseval and xi = 0 identities of the character-sum table must hold
 # to this (relative) deviation, or the sums are not trusted
 IDENTITY_TOL = 1e-9
+# bytes of one block of W_lam columns in character_sum_table: its matmul by
+# the phase rows gains from width, and CHUNK_BYTES-wide blocks (17 columns at
+# n = 2, p = 31) left it call-bound
+TABLE_BLOCK_BYTES = 16 * CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +384,9 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     row is its phase row psi(expo) times W_lam: one gather and one matmul
     per distinct lam, not per orbit, with the sum over x taken before the
     sum over each eigenspace's columns.  The columns of W_lam are cut at
-    eigenspace boundaries into blocks of CHUNK_BYTES, each reduced straight
-    into its characters' columns; the deadline is read before every block.
+    eigenspace boundaries into blocks of TABLE_BLOCK_BYTES, each reduced
+    straight into its characters' columns; the deadline is read before every
+    block.
     """
     pm, dec = ctx.pm, ctx.decomposition
     d = pm.dim
@@ -395,7 +400,7 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     dims = np.array(dec.dims)
     occupied = np.flatnonzero(dims > 0)
     starts = np.cumsum(dims[occupied]) - dims[occupied]
-    blocks = _column_blocks(dims, chunk_items(16 * d))
+    blocks = _column_blocks(dims, max(1, TABLE_BLOCK_BYTES // (16 * d)))
     pts = index_vectors(pm)
     traces = np.zeros((len(members), len(dims)), dtype=complex)
     for done, rows in zip([0, *cuts], np.split(order, cuts)):

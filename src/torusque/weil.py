@@ -36,10 +36,15 @@ and the product of the generator operators is
     rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y)
 
 with F = rho(fourier): one row gather of F and two phase scalings.  When
-S != 0, rho(B) = rho(B U(S)) rho(U(-S)), one matmul by an operator cached
-per rep (2^n - 1 of them).  Each factorization is re-verified exactly
-before its kernel is formed: s1 and s2 must be symmetric, and the integer
-product shear(s1) dilate(M) fourier shear(s2) U(-S) must equal B mod p.
+S != 0, rho(B) = rho(B U(S)) rho(U(-S)), and rho(U(-S)) is never formed: F
+is symmetric, unitary and F^4 = I, so
+
+    rho(U(-S)) = F diag(psi(-nu x^T S x)) F^H,   F^H Z = conj(F conj(Z)),
+
+two products by F itself, and no second p^n x p^n operator is kept.  Each
+factorization is re-verified exactly before its kernel is formed: s1 and s2
+must be symmetric, and the integer product shear(s1) dilate(M) fourier
+shear(s2) U(-S) must equal B mod p.
 
 The route has two parts.  One exact factorization per element stack
 (`factorize`): the symplectic test, the mask, M^-1, s1, s2 and the integer
@@ -49,21 +54,26 @@ sources M^-1 x and both phase vectors, (k, p^n) arrays formed from the
 batch's rows of the factorization.  `WeilRep.build_chunks` and `build_many`
 stream any sequence of elements through this route, the one route to dense
 rho(B): factored factor_length(pm) elements at a time, emitted in chunks of
-CHUNK_BYTES of operators (the gather, the two scalings and the U(-S)
-matmul).  `WeilRep.apply_many` applies rho(B) to a p^n x r block Z from the
-same factorization, without forming rho(B):
+CHUNK_BYTES of operators (the gather, the two scalings, and for the
+chunk's operators with S != 0 the two products by F of rho(U(-S)), each one
+stacked product).  `WeilRep.apply_many` applies rho(B) to a p^n x r block Z
+from the same factorization, without forming rho(B):
 
     rho(B) Z = row * (F (col * rho(U(-S)) Z))[src],
 
-one product by F over each batch's stacked blocks, O(p^(2n) r) per element
-against p^(3n) for a dense product.  The map is certified multiplicative
-on a probe block X of r = PROBE_COLUMNS i.i.d. standard complex Gaussian
-columns (probe_block): rho(B1) (rho(B2) X) = rho(B1 B2) X for every pair of
-a small group, and otherwise for sampled pairs (random_sp) together with
-the defining relations of the generators written as pairs
-(relation_pairs), their products B1 B2 from one batched int64 product
-(pair_triples); and on a Hecke torus by an O(|T|) certificate
-(certify_torus).  Both samplers share one block draw.
+one product by F over each batch's stacked blocks, two more over the blocks
+with S != 0, O(p^(2n) r) per element against p^(3n) for a dense product.
+The map is certified multiplicative on a probe block X of r =
+PROBE_COLUMNS i.i.d. standard complex Gaussian columns (probe_block):
+rho(B1) (rho(B2) X) = rho(B1 B2) X for every pair of a small group, and
+otherwise for sampled pairs (random_sp) together with the defining
+relations of the generators written as pairs (relation_pairs), their
+products B1 B2 from one batched int64 product (pair_triples); and on a
+Hecke torus by an O(|T|) certificate (certify_torus).  Both samplers share
+one block draw from a numpy Generator.  The probe itself comes from an
+integer seed through the standard library's `random.Random`, so the
+normalization (seed 0) and every check that samples nothing run without
+importing numpy.random.
 
 The certificates' max_dev is therefore a per-probe deviation max |M X|,
 M = rho(B1) rho(B2) - rho(B1 B2), not the entrywise max |M| (Freivalds'
@@ -75,6 +85,7 @@ eps = 1e-6 and r = 4.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -181,7 +192,6 @@ class WeilRep:
     gamma: complex
     cache: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
-    upper_shears: dict = field(default_factory=dict, init=False, repr=False)
 
     def op(self, b: Mat) -> np.ndarray:
         key = mat_mod(mat(b), self.pm.p)
@@ -258,15 +268,6 @@ class WeilRep:
         out.setflags(write=False)
         return out
 
-    def upper_shear(self, mask: int) -> np.ndarray:
-        """rho(U(-S)) = rho(fourier) rho(shear(-S)) rho(fourier)^3 for the
-        diagonal 0/1 matrix S with bits `mask`, built once per rep."""
-        if mask not in self.upper_shears:
-            phase = root_table(self.pm.p)[-_diagonal_shear_expo(self.pm, mask) % self.pm.p]
-            f = self.fourier
-            self.upper_shears[mask] = (f * phase[None, :]) @ f @ f @ f
-        return self.upper_shears[mask]
-
     def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
         key = mat_mod(mat(b), self.pm.p)
         dev = egorov_deviation(dense[None], [key], self.pm)[0]
@@ -284,10 +285,11 @@ def _mask_bits(n: int) -> np.ndarray:
     return out
 
 
-def _diagonal_shear_expo(pm: PrimeModulus, mask: int) -> np.ndarray:
+def _diagonal_shear_expo(pm: PrimeModulus, mask) -> np.ndarray:
     """nu x^T S x mod p for every point x, S the diagonal 0/1 matrix with bits
-    `mask`: rho(shear(S)) is diagonal with entries psi of these."""
-    quad = (index_vectors(pm) ** 2 * _mask_bits(pm.n)[mask]).sum(axis=1)
+    `mask`: rho(shear(S)) is diagonal with entries psi of these.  A (k,)
+    array of masks gives a (k, p^n) array, row i for mask i."""
+    quad = _mask_bits(pm.n)[mask] @ (index_vectors(pm) ** 2).T
     return pm.nu * quad % pm.p
 
 
@@ -396,28 +398,52 @@ def _first_invertible_mask(a, bb, p: int):
     return mask, det, inv
 
 
+def _inverse_shear_phases(pm: PrimeModulus, masks: np.ndarray) -> np.ndarray:
+    """(k, p^n) diagonals psi(-nu x^T S x) of rho(shear(-S)), one row per mask
+    of masks: rho(U(-S)) = F diag(row) F^H (module docs)."""
+    return root_table(pm.p)[-_diagonal_shear_expo(pm, masks) % pm.p]
+
+
 def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
     """(k, p^n, p^n) stack of rho(B) from the kernel of k elements: one row gather of
-    rho(fourier), two phase scalings, and rho(U(-S)) where S != 0."""
+    rho(fourier), two phase scalings, and where S != 0 the product by
+    rho(U(-S)) = F diag(phase) F^H, as two products of the stacked operators
+    by F: A F^H = conj(conj(A) F), F being symmetric."""
     out = rep.fourier[src]
     out *= row[:, :, None]
     out *= col[:, None, :]
-    for i in np.nonzero(mask)[0]:
-        out[i] = out[i] @ rep.upper_shear(int(mask[i]))
+    sel = np.flatnonzero(mask)
+    if sel.size:
+        d = rep.pm.dim
+        # on out itself when every operator has S != 0 (a chunk of one, or
+        # of shears and dilations), else on a copy of those operators
+        part = out if sel.size == len(out) else out[sel]
+        w = (part.reshape(-1, d) @ rep.fourier).reshape(part.shape)
+        w *= _inverse_shear_phases(rep.pm, mask[sel])[:, None, :]
+        np.conjugate(w, out=w)
+        np.matmul(w.reshape(-1, d), rep.fourier, out=part.reshape(-1, d))
+        np.conjugate(part, out=part)
+        if part is not out:
+            out[sel] = part
     return out
 
 
 def _apply_plan(rep: WeilRep, z, out, src, row, col, mask):
     """Write rho(B) Z for the kernel of k elements into the (k, p^n, r) array out,
-    rho(B) never formed: rho(U(-S)) Z where S != 0, grouped by mask, the
+    rho(B) never formed: rho(U(-S)) Z = F (phase * conj(F conj(Z))) where
+    S != 0, two products by rho(fourier) over those blocks side by side, the
     column phases, one product by rho(fourier) over the k blocks side by
     side, then the row gather and the row phases."""
     k, d, r = out.shape
     w = np.empty((d, k, r), dtype=complex)          # block i in column i
     w[:] = z[:, None] if z.ndim == 2 else z.transpose(1, 0, 2)
-    for m in set(mask[mask > 0].tolist()):
-        sel = mask == m
-        w[:, sel] = (rep.upper_shear(m) @ w[:, sel].reshape(d, -1)).reshape(d, -1, r)
+    sel = np.flatnonzero(mask)
+    if sel.size:
+        f = rep.fourier
+        u = f @ np.conjugate(w[:, sel]).reshape(d, -1)
+        u = np.conjugate(u, out=u).reshape(d, len(sel), r)
+        u *= _inverse_shear_phases(rep.pm, mask[sel]).T[:, :, None]
+        w[:, sel] = (f @ u.reshape(d, -1)).reshape(d, -1, r)
     w *= col.T[:, :, None]
     w = rep.fourier @ w.reshape(d, k * r)          # rebound: the operand is freed
     np.take(w.reshape(d * k, r), src * k + np.arange(k)[:, None], axis=0, out=out)
@@ -464,14 +490,14 @@ def egorov_deviation(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
 def solve_gamma(pm: PrimeModulus, f0: np.ndarray) -> complex:
     """Fix the Fourier normalization from the cube relation (see module docs).
 
-    K = F D_I is applied three times to a probe block X (`probe_block`, the
-    generator seeded with 0), and K^3 = c I is read per column as
+    K = F D_I is applied three times to a probe block X (`probe_block` with
+    seed 0, so no numpy.random), and K^3 = c I is read per column as
     c = <X, K^3 X> / <X, X> and certified by max |K^3 X - c X| <= 1e-8 |c|:
     by Freivalds' argument (module docs), with no d^3 product.  F is f0,
     the unnormalized kernel fourier_op(pm, 1.0).
     """
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
-    x = probe_block(pm, np.random.default_rng(0))
+    x = probe_block(pm, 0)
     y = x
     for _ in range(3):
         y = f0 @ (d1[:, None] * y)  # K = F @ D_I, D_I diagonal
@@ -646,12 +672,21 @@ class MultiplicativityReport:
 PROBE_COLUMNS = 4
 
 
-def probe_block(pm: PrimeModulus, rng: np.random.Generator) -> np.ndarray:
+def probe_block(pm: PrimeModulus, seed: int) -> np.ndarray:
     """(p^n, PROBE_COLUMNS) block of i.i.d. standard complex Gaussians
-    CN(0, 1), the probe X of check_multiplicativity and certify_torus
-    (module docs)."""
-    re, im = rng.standard_normal((2, pm.dim, PROBE_COLUMNS))
-    return (re + 1j * im) / np.sqrt(2)
+    CN(0, 1), the probe X of solve_gamma, check_multiplicativity and
+    certify_torus (module docs), the same block for the same seed.
+
+    Two uniforms u1, u2 in (0, 1] per entry are the top 53 bits of
+    little-endian 64-bit words of random.Random(seed).randbytes, and
+    z = sqrt(-ln u1) e^(2 pi i u2): |z|^2 = -ln u1 is Exp(1) and the phase
+    is uniform and independent of it, which is exactly CN(0, 1).
+    """
+    size = pm.dim * PROBE_COLUMNS
+    words = np.frombuffer(random.Random(seed).randbytes(16 * size), dtype="<u8")
+    u = ((words >> 11) + 1) * 2.0 ** -53
+    z = np.sqrt(-np.log(u[:size])) * np.exp(2j * np.pi * u[size:])
+    return z.reshape(pm.dim, PROBE_COLUMNS)
 
 
 def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
@@ -661,8 +696,8 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     in pairs, or for every pair of Sp(2n, F_p) when pairs is None.
 
     Y = rho(B2) X, then rho(B1) Y against rho(B1 B2) X, all from
-    rep.apply_many: no operator but rho(fourier) and the upper shears is
-    formed, and rep.cache is not touched.  max_dev is the per-probe
+    rep.apply_many: no operator but rho(fourier) is formed, and rep.cache is
+    not touched.  max_dev is the per-probe
     deviation max |M X|, M = rho(B1) rho(B2) - rho(B1 B2); an entry of M of
     modulus eps passes tol with probability at most (tol/eps)^(2r) over X
     (module docs).  pairs, a (k, 2, 2n, 2n) int64 stack or a list of matrix
@@ -672,11 +707,11 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     stack (B2, B1 B2, B1) of its pairs.  Per round, rho(B2) X and
     rho(B1 B2) X fill one apply batch, one product by rho(fourier), and
     rho(B1) Y takes a second.  The exhaustive mode is the int64 stack of all
-    |Sp(2n, F_p)|^2 pairs.  probe defaults to probe_block(pm,
-    default_rng(0)); `deadline` is passed to apply_many.
+    |Sp(2n, F_p)|^2 pairs.  probe defaults to probe_block(pm, 0), so
+    nothing here imports numpy.random; `deadline` is passed to apply_many.
     """
     pm = rep.pm
-    x = probe_block(pm, np.random.default_rng(0)) if probe is None else probe
+    x = probe_block(pm, 0) if probe is None else probe
     if pairs is None:
         group = np.array(sp_elements(pm), dtype=np.int64)
         pairs = group[np.indices((len(group),) * 2).reshape(2, -1).T]
@@ -729,15 +764,15 @@ def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
     and rho(B) X comes from rep.apply_many (which reads `deadline`), so all
     but the commutators are per-probe deviations (module docs).  The R_i are
     rep.op entries, the operators the eigenspace decomposition reads; no
-    other operator is formed.  probe defaults to probe_block(pm,
-    default_rng(0)).
+    other operator is formed.  probe defaults to probe_block(pm, 0), so
+    nothing here imports numpy.random.
     """
     gens = [rep.op(g) for g, _ in torus.generators]
     dev = 0.0
     for i, r in enumerate(gens):
         for s in gens[:i]:
             dev = max(dev, float(np.abs(r @ s - s @ r).max()))
-    x = probe_block(rep.pm, np.random.default_rng(0)) if probe is None else probe
+    x = probe_block(rep.pm, 0) if probe is None else probe
     element = {exps: b for b, exps in torus.dlog.items()}
     exps = product(*map(range, torus.gen_orders))
     wrap = []

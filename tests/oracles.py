@@ -56,7 +56,12 @@ the translations on the whole p^(4n) pair grid (`relation_grid`), which the
 The generator operators as dense matrices (`shear_op`, `dilate_op`),
 which the closed-form kernel reproduces, the Fourier normalization from
 the dense cube of F D_I (`solve_gamma_dense`), which `weil.solve_gamma`
-reads on a probe block, the cofactor determinant and
+reads on a probe block, the probe block from numpy's generator
+(`numpy_probe_block`), which `weil.probe_block` replaces by uniforms from
+the standard library's `random.Random`, rho(U(-S)) as the dense product
+rho(fourier) rho(shear(-S)) rho(fourier)^3 (`upper_shear_dense`), which
+the program applies as two products by rho(fourier) without forming it,
+the cofactor determinant and
 transpose of integer matrices (`mat_det`, `mat_transpose`), the product of
 an integer matrix and a vector (`mat_vec`), and character values as complex
 numbers (`character_value`, `character_value_of_exps`), which the program
@@ -677,6 +682,22 @@ def solve_gamma_dense(pm: PrimeModulus) -> complex:
     if np.abs(k3 - np.eye(pm.dim) * c).max() > 1e-8 * abs(c):
         raise ConstructionError("cube of Fourier*shear is not scalar")
     return complex(legendre((-1) ** pm.n, pm.p) / c)
+
+
+def numpy_probe_block(pm: PrimeModulus, seed: int) -> np.ndarray:
+    """(p^n, PROBE_COLUMNS) i.i.d. CN(0, 1) block from numpy's
+    default_rng(seed) standard normals."""
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, pm.dim, weil.PROBE_COLUMNS))
+    return (re + 1j * im) / np.sqrt(2)
+
+
+def upper_shear_dense(rep: WeilRep, mask: int) -> np.ndarray:
+    """rho(U(-S)) = rho(fourier) rho(shear(-S)) rho(fourier)^3 for the
+    diagonal 0/1 matrix S with bits mask, dense: three d^3 products."""
+    phase = root_table(rep.pm.p)[-weil._diagonal_shear_expo(rep.pm, mask) % rep.pm.p]
+    f = rep.fourier
+    return (f * phase[None, :]) @ f @ f @ f
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from torusque.ffcore import PrimeModulus, mat_mul
 from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
 
 from oracles import (egorov_deviation_loop, first_invertible_mask_all, mats,
-                     sp_word, word_operator)
+                     sp_word, upper_shear_dense, word_operator)
 
 # the trace-formula check's traced peak at n = 1, p = 43 while it cached its
 # 41 operators through rep.op (about 1.4 MB, measured with tracemalloc)
@@ -188,11 +188,56 @@ def test_plan_inverts_only_the_masks_it_needs(n, p, monkeypatch):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+def _elements_with_mask(pm, mask, count, rng):
+    """(count, 2n, 2n) stack of shear(S1) dilate(M) U(T) whose first
+    invertible mask is mask: T diagonal, 0 on the bits of mask and in
+    1..p-2 off them.  Then Bb + A S' = M (T + S') is invertible for S' the
+    mask's own S, and singular for every smaller mask, which misses one of
+    its bits."""
+    p, n = pm.p, pm.n
+    s1, _, m, m_inv = weil._random_blocks(pm, rng, count)
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)
+    zero = np.zeros_like(m)
+    t = np.where(weil._mask_bits(n)[mask], 0, rng.integers(1, p - 1, size=(count, n)))
+    shear = weil._assemble(eye, zero, -s1, eye, p)
+    dilate = weil._assemble(m, zero, zero, m_inv.transpose(0, 2, 1), p)
+    return shear @ dilate % p @ weil._assemble(eye, t[:, :, None] * eye, zero, eye, p) % p
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
+def test_upper_shear_route_equals_the_dense_product(n, p, rep_cache):
+    # rho(B) = rho(B U(S)) rho(U(-S)) for every mask, with rho(U(-S)) as the
+    # dense product F diag(phase) F^3: build_many and apply_many over one
+    # stack that mixes every mask, mask 0 (U(0) = I) too, so that chunks
+    # hold operators with and without S
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    rng = np.random.default_rng(p)
+    masks = np.repeat(np.arange(2 ** n), 5)
+    bs = np.concatenate([_elements_with_mask(pm, m, 5, rng) for m in range(2 ** n)])
+    order = rng.permutation(len(bs))
+    bs, masks = bs[order], masks[order]
+    assert np.array_equal(weil.factorize(pm, bs).mask, masks)
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    ups = np.stack([weil._assemble(eye[None], np.diag(weil._mask_bits(n)[m])[None],
+                                   zero[None], eye[None], p)[0] for m in masks])
+    shifted = bs @ ups % p                            # B U(S), mask 0
+    assert not weil.factorize(pm, shifted).mask.any()
+    x = weil.probe_block(pm, p)
+    applied = rep.apply_many(bs, x)
+    worst = 0.0
+    for m, op, base, got in zip(masks, rep.build_many(bs), rep.build_many(shifted),
+                                applied):
+        want = base @ upper_shear_dense(rep, int(m))
+        worst = max(worst, float(np.abs(op - want).max()),
+                    float(np.abs(got - want @ x).max()))
+    assert worst <= 1e-12
+
+
 def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):
     with pytest.raises(BudgetExceeded):
         weil.certify_torus(rep_cache(11), torus_cache(11), deadline=-1.0,
-                           probe=weil.probe_block(PrimeModulus(11, 1),
-                                                  np.random.default_rng(11)))
+                           probe=weil.probe_block(PrimeModulus(11, 1), 11))
 
 
 def test_streamed_operators_stay_under_the_trace_formula_peak(rep_cache):

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import torusque
 from torusque import cli, hecke, heisenberg, weil
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import lattice_vectors
@@ -282,7 +286,7 @@ def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem
     assert res.status == "pass" and res.max_dev > 0
     torus, rep = ctx.torus, ctx.rep
     cert = weil.certify_torus(rep, torus,
-                              probe=weil.probe_block(pm, np.random.default_rng(p)))
+                              probe=weil.probe_block(pm, p))
     per_factor = 2 * n * (p - 1) * pm.dim * res.max_dev
     xis = lattice_vectors(pm)
     for b, dense in zip(torus.elements, rep.build_many(torus.elements)):
@@ -647,3 +651,26 @@ def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):
         assert decomposition["status"] == "pass"
         assert trace_formula["status"] == "fail"
         assert trace_formula["witnesses"][0]["error"].startswith("RuntimeError: neither")
+
+
+_SWEEPS_THEN_REPORT_NUMPY_RANDOM = """
+import sys
+from torusque import cli
+checks = tuple(sys.argv[1].split(","))
+for n, matrix, pmax in ((1, "cat-map", 13), (2, "auto-sp4", 7)):
+    cli.run(cli.SweepConfig(n=n, matrix=matrix, pmin=3, pmax=pmax, checks=checks,
+                            deterministic=True))
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("checks,loaded", [("bound,refined,decomposition", False),
+                                           ("bound,egorov", True)])
+def test_only_sampling_checks_import_numpy_random(checks, loaded):
+    # a fresh interpreter: the probe of the normalization comes from
+    # random.Random, and the prime's numpy generator is made on its first draw
+    src = os.path.dirname(os.path.dirname(torusque.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SWEEPS_THEN_REPORT_NUMPY_RANDOM, checks],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.splitlines()[-1] == str(loaded)

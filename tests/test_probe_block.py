@@ -16,7 +16,7 @@ from torusque.ffcore import PrimeModulus
 from torusque.quevaluator import PrimeContext
 from torusque.weil import linearize, random_sp
 
-from oracles import dense_pair_check
+from oracles import dense_pair_check, numpy_probe_block
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
 
@@ -40,7 +40,7 @@ def test_apply_many_equals_dense_products(n, p, rep_cache):
     assert len(bs) > weil.apply_length(pm, weil.PROBE_COLUMNS)
     assert weil.factorize(pm, bs).mask.any()
     rng = np.random.default_rng(p)
-    shared = weil.probe_block(pm, rng)
+    shared = weil.probe_block(pm, p)
     own = rng.standard_normal((len(bs), pm.dim, 3)) + 1j * rng.standard_normal(
         (len(bs), pm.dim, 3))
     got_shared, got_own = rep.apply_many(bs, shared), rep.apply_many(bs, own)
@@ -53,10 +53,30 @@ def test_apply_many_equals_dense_products(n, p, rep_cache):
 
 
 def test_probe_block_is_standard_complex_gaussian():
-    x = weil.probe_block(PrimeModulus(101, 2), np.random.default_rng(0))
+    x = weil.probe_block(PrimeModulus(101, 2), 0)
     assert x.shape == (101 ** 2, weil.PROBE_COLUMNS) and x.dtype == complex
     assert abs(np.mean(np.abs(x) ** 2) - 1) < 0.02
     assert abs(np.mean(x.real ** 2) - 0.5) < 0.02 and abs(np.mean(x)) < 0.02
+
+
+def test_probe_block_is_a_function_of_its_seed():
+    pm = PrimeModulus(13, 2)
+    x = weil.probe_block(pm, 7)
+    assert np.array_equal(x, weil.probe_block(pm, 7))
+    for seed in (0, 8, 2 ** 63 - 1):
+        assert (weil.probe_block(pm, seed) != x).all()
+
+
+@pytest.mark.parametrize("n,pmax", [(1, 43), (2, 13)])
+def test_gamma_equals_the_numpy_probe_gamma(n, pmax, monkeypatch):
+    # the normalization read on the seed-0 block of random.Random and on the
+    # seed-0 block of numpy's generator: the same gamma up to roundoff
+    primes = [p for p in range(3, pmax + 1) if all(p % q for q in range(2, p))]
+    got = {p: linearize(PrimeModulus(p, n)).gamma for p in primes}
+    monkeypatch.setattr(weil, "probe_block", numpy_probe_block)
+    for p in primes:
+        pm = PrimeModulus(p, n)
+        assert abs(got[p] - weil.solve_gamma(pm, weil.fourier_op(pm, 1.0))) <= 1e-12
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -66,7 +86,7 @@ def test_probe_and_dense_verdicts_agree_on_sampled_pairs(n, p, rep_cache):
     pm = PrimeModulus(p, n)
     rep = rep_cache(p, n)
     pairs = _pairs(pm, 100 + p)
-    x = weil.probe_block(pm, np.random.default_rng(p))
+    x = weil.probe_block(pm, p)
     probe = weil.check_multiplicativity(rep, pairs, probe=x)
     dense = dense_pair_check(rep, pairs)
     assert probe.ok and dense.ok
@@ -77,7 +97,7 @@ def test_probe_and_dense_verdicts_agree_on_sampled_pairs(n, p, rep_cache):
 @pytest.mark.parametrize("p,count", [(3, 576), (5, 14400)])
 def test_probe_and_dense_verdicts_agree_on_the_group_scan(p, count, rep_cache):
     rep = rep_cache(p)
-    x = weil.probe_block(rep.pm, np.random.default_rng(p))
+    x = weil.probe_block(rep.pm, p)
     probe = weil.check_multiplicativity(rep, tol=1e-9, probe=x)
     dense = dense_pair_check(rep, tol=1e-9)
     assert probe.ok and dense.ok
@@ -114,7 +134,7 @@ def test_one_entry_corruption_fails_the_pair_check(n, p, role, monkeypatch):
     pairs = _pairs(pm, p)
     _corrupt(rep, weil.pair_triples(pairs[:1], pm)[role], monkeypatch)
     for seed in range(5):
-        x = weil.probe_block(pm, np.random.default_rng(seed))
+        x = weil.probe_block(pm, seed)
         rpt = weil.check_multiplicativity(rep, pairs, probe=x)
         assert not rpt.ok and rpt.max_dev > 1e-8
 
@@ -123,7 +143,7 @@ def test_one_entry_corruption_fails_the_group_scan(monkeypatch):
     pm = PrimeModulus(5, 1)
     rep = linearize(pm)
     _corrupt(rep, weil.sp_elements(pm)[17], monkeypatch)
-    x = weil.probe_block(pm, np.random.default_rng(0))
+    x = weil.probe_block(pm, 0)
     rpt = weil.check_multiplicativity(rep, tol=1e-9, probe=x)
     assert not rpt.ok and rpt.max_dev > 1e-9
 
@@ -133,7 +153,7 @@ def test_one_entry_corruption_fails_the_torus_certificate(n, p, rep_cache,
                                                           torus_cache, monkeypatch):
     torus = torus_cache(p, n)
     rep = linearize(PrimeModulus(p, n))
-    x = weil.probe_block(rep.pm, np.random.default_rng(p))
+    x = weil.probe_block(rep.pm, p)
     assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
     _corrupt(rep, torus.elements[3], monkeypatch)
     assert weil.certify_torus(rep, torus, probe=x) > 1e-8
@@ -148,7 +168,7 @@ def test_generator_of_the_wrong_order_fails_the_torus_certificate(n, p, torus_ca
     # wrap-around step of the certificate reads
     torus = torus_cache(p, n)
     rep = linearize(PrimeModulus(p, n))
-    x = weil.probe_block(rep.pm, np.random.default_rng(p))
+    x = weil.probe_block(rep.pm, p)
     assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
     (g, m) = torus.generators[0]
     twist = np.exp(1j * np.pi / m)
@@ -179,7 +199,7 @@ def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_ele
         return real(rep, src, *plan)
 
     monkeypatch.setattr(weil, "_dense_chunk", spy)
-    x = weil.probe_block(pm, np.random.default_rng(p))
+    x = weil.probe_block(pm, p)
     cached = set(rep.cache)
     sampled = None if p == 3 else _pairs(pm, p)
     assert weil.check_multiplicativity(rep, sampled, probe=x).ok

@@ -67,7 +67,7 @@ def test_pair_check_equals_the_per_role_route(n, p, rep_cache):
     pairs = np.concatenate([draws.reshape(sampled, 2, d, d), weil.relation_pairs(pm, rng)])
     step = weil.apply_length(pm, weil.PROBE_COLUMNS) // 2
     assert len(pairs) > step * max(1, weil.factor_length(pm) // (3 * step))
-    x = weil.probe_block(pm, rng)
+    x = weil.probe_block(pm, p)
     got = weil.check_multiplicativity(rep, pairs, probe=x)
     assert got.ok and got.pairs_checked == len(pairs)
     assert abs(got.max_dev - pair_check_per_role(rep, pairs, x)) <= 1e-12

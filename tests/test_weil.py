@@ -129,16 +129,12 @@ def test_linearize_identity(rep_cache):
     assert np.abs(rep.op(identity_mat(2)) - np.eye(5)).max() < 1e-12
 
 
-def _probe(pm, seed=0):
-    return weil.probe_block(pm, np.random.default_rng(seed))
-
-
 def test_multiplicativity_exhaustive_small(rep_cache):
     r3 = weil.check_multiplicativity(rep_cache(3), tol=1e-9,
-                                     probe=_probe(PrimeModulus(3, 1)))
+                                     probe=weil.probe_block(PrimeModulus(3, 1), 0))
     assert r3.ok and r3.pairs_checked == 576
     r5 = weil.check_multiplicativity(rep_cache(5), tol=1e-9,
-                                     probe=_probe(PrimeModulus(5, 1)))
+                                     probe=weil.probe_block(PrimeModulus(5, 1), 0))
     assert r5.ok and r5.pairs_checked == 14400
 
 
@@ -147,7 +143,7 @@ def test_multiplicativity_sampled_larger(rep_cache):
     for p in (7, 11):
         draws = random_sp(PrimeModulus(p, 1), rng, 1000)
         r = weil.check_multiplicativity(rep_cache(p), list(zip(draws[::2], draws[1::2])),
-                                        probe=_probe(PrimeModulus(p, 1), p))
+                                        probe=weil.probe_block(PrimeModulus(p, 1), p))
         assert r.ok and r.pairs_checked == 500
 
 
@@ -478,7 +474,7 @@ def test_random_sp_reaches_every_sp_word_branch():
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 7)])
 def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
     rep, torus = rep_cache(p, n), torus_cache(p, n)
-    cert = weil.certify_torus(rep, torus, probe=_probe(rep.pm))
+    cert = weil.certify_torus(rep, torus, probe=weil.probe_block(rep.pm, 0))
     scan = torus_pair_scan(rep, torus)
     assert scan.ok and scan.pairs_checked == torus.order ** 2
     assert cert <= 1e-8
@@ -488,8 +484,7 @@ def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
 def test_relation_pairs_hold(n, p):
     # every defining relation, as a pair through build_many, holds to 1e-12;
-    # the shears and dilations (Bb = 0) take the S = I branch, so a fresh rep
-    # ends up holding rho(U(-I)) for mask 2^n - 1 and no other
+    # the shears and dilations (Bb = 0) take the S = I branch, mask 2^n - 1
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     pairs = weil.relation_pairs(pm, np.random.default_rng(p))
@@ -498,9 +493,10 @@ def test_relation_pairs_hold(n, p):
     zero_bb = [b for pair in pairs for b in pair
                if not any(x for row in b[:n] for x in row[n:])]
     assert len(zero_bb) == 3 + 8 * weil.RELATION_DRAWS     # F^2 twice, D
-    rpt = weil.check_multiplicativity(rep, pairs, tol=1e-12, probe=_probe(pm, p))
+    rpt = weil.check_multiplicativity(rep, pairs, tol=1e-12,
+                                      probe=weil.probe_block(pm, p))
     assert rpt.ok and rpt.pairs_checked == len(pairs)
-    assert set(rep.upper_shears) == {2 ** n - 1}
+    assert (weil.factorize(pm, zero_bb).mask == 2 ** n - 1).all()
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (2, 5)])
@@ -513,8 +509,8 @@ def test_relation_pairs_catch_a_wrong_fourier_normalization(n, p, rep_cache):
     twisted = weil.WeilRep(pm, rep.gamma * omega)
     assert np.abs(twisted.fourier - omega * rep.fourier).max() < 1e-15
     pairs = weil.relation_pairs(pm, np.random.default_rng(0))
-    assert weil.check_multiplicativity(rep, pairs, probe=_probe(pm)).ok
-    rpt = weil.check_multiplicativity(twisted, pairs, probe=_probe(pm))
+    assert weil.check_multiplicativity(rep, pairs, probe=weil.probe_block(pm, 0)).ok
+    rpt = weil.check_multiplicativity(twisted, pairs, probe=weil.probe_block(pm, 0))
     assert not rpt.ok and rpt.max_dev > 1.0
 
 
