@@ -20,7 +20,6 @@ import csv
 import json
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,10 +92,11 @@ def build_config(file_vals: dict, overrides: dict) -> SweepConfig:
     for key, val in merged.items():
         if key not in SweepConfig.FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in ("n", "pmin", "pmax", "seed"):
-            setattr(cfg, key, int(val))
-        elif key == "budget_seconds":
-            setattr(cfg, key, float(val))
+        if key in ("n", "pmin", "pmax", "seed", "budget_seconds"):
+            try:
+                setattr(cfg, key, (float if key == "budget_seconds" else int)(val))
+            except ValueError:
+                raise ConfigError(f"{key} must be a number, got {val!r}") from None
         elif key == "deterministic":
             setattr(cfg, key, val if isinstance(val, bool) else
                     str(val).lower() in ("1", "true", "yes"))
@@ -194,7 +194,11 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
     if not conventions:
         conventions.update(_conventions(ctx))
 
-    routes = Counter(ctx.rep.tags.values())
+    # the dense operators the context keeps, by route: rho(fourier), and
+    # rho of the torus generators once a check has read them
+    routes = {"generator-formula": 1}
+    if "generator_ops" in vars(ctx):
+        routes["closed-form"] = len(ctx.generator_ops)
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
             "torus_order": ctx.torus.order, "routes": dict(sorted(routes.items())),
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
@@ -275,7 +279,7 @@ def _check_egorov(ctx, rng):
     products = samples[:5] @ samples[5:10] % pm.p     # entries below 2n p^2
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, products])
-    # built, checked and dropped: rep.cache keeps only the context's operators
+    # built, checked and dropped: the context keeps none of them
     devs, lo = [], 0
     for stack in rep.build_chunks(elements, ctx.deadline):
         devs.append(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
@@ -320,7 +324,8 @@ def _check_multiplicativity(ctx, rng):
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
                                       deadline=ctx.deadline, probe=probe)
-    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.deadline, probe))
+    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.generator_ops,
+                                              ctx.deadline, probe))
     ok = rpt.ok and dev <= 1e-8
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 
@@ -551,13 +556,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.verb == "validate":
+        from .classical import try_validate
         try:
-            matrix = parse_matrix(args.matrix, args.n)
-        except ConfigError as e:
+            elem, verdict = try_validate(parse_matrix(args.matrix, args.n))
+        except (ConfigError, ffcore.DegreeError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
-        from .classical import try_validate
-        elem, verdict = try_validate(matrix)
         print(verdict)
         if elem is not None:
             print("charpoly:", ffcore.poly_str(elem.charpoly))

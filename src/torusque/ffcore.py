@@ -378,11 +378,7 @@ def is_irreducible_q(f: Poly) -> tuple[bool, str]:
     """
     f = poly_trim(f)
     deg = poly_deg(f)
-    if deg > 8:
-        raise DegreeError("irreducibility supported only up to degree 8")
     if deg > 4:
-        # not needed at desk scale beyond quartics; fall back to a root +
-        # low-degree factor scan which is only complete for deg <= 4
         raise DegreeError("exact irreducibility implemented for degree <= 4")
     if deg <= 0:
         return False, "constant polynomial"

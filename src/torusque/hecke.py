@@ -338,8 +338,9 @@ def _mix_row(row: tuple, k: int) -> tuple:
     return tuple(coeffs)
 
 
-def decompose(torus: HeckeTorus, rep) -> EigenspaceDecomposition:
-    """Joint eigenbasis of the torus, from rho of its generators only.
+def decompose(torus: HeckeTorus, ops: np.ndarray) -> EigenspaceDecomposition:
+    """Joint eigenbasis of the torus from ops, the stack of rho(g_i) for its
+    generators g_i (`quevaluator.PrimeContext.generator_ops`).
 
     rho(g_i) are commuting unitaries, so the eigenvectors of the Hermitian
     H = sum_i (c_i rho(g_i) + conj(c_i) rho(g_i)^dagger) are joint
@@ -350,7 +351,7 @@ def decompose(torus: HeckeTorus, rep) -> EigenspaceDecomposition:
     is orthonormal and complete (eigh), so the dims sum to p^n.
     """
     d = torus.pm.dim
-    gens = [rep.op(g) for g, _ in torus.generators]
+    gens = list(ops)
     orders = torus.gen_orders
     worst = np.inf
     for row in MIX_COEFFICIENTS:

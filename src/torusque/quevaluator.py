@@ -223,14 +223,15 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
 
-    The characters, the eigenspace decomposition, the T-orbits of xi, the
-    character-sum table (`sums`, rebuilt only for a replaced decomposition),
-    the orientation sign (`split_sign`) and, at split primes, the split frame (`transport` is None elsewhere)
-    are built on first use and then shared by every check.  A context made
-    directly from a torus and any rho (a twisted one, say) derives its parts
-    from that rho.  `deadline`, a `time.perf_counter()` value, is checked
-    before every block of the table, and in `build` before every chunk of
-    the centralizer's norm filter.
+    rho of the torus generators (`generator_ops`), the characters, the
+    eigenspace decomposition, the T-orbits of xi, the character-sum table
+    (`sums`, rebuilt only for a replaced decomposition), the orientation sign
+    (`split_sign`) and, at split primes, the split frame (`transport` is None
+    elsewhere) are built on first use and then shared by every check.  A rho
+    twisted on the torus is given by assigning its `generator_ops`.
+    `deadline`, a `time.perf_counter()` value, is checked before every block
+    of the table, and in `build` before every chunk of the centralizer's
+    norm filter.
     """
 
     elem: ErgodicElement
@@ -262,8 +263,17 @@ class PrimeContext:
         return [col[chi.inverse().exps] for chi in self.chis]
 
     @cached_property
+    def generator_ops(self) -> np.ndarray:
+        """(k, p^n, p^n) stack of rho(g_i) for the torus generators, in their
+        order: one `build_chunks` stream, through `weil.check_egorov`."""
+        gens = [g for g, _ in self.torus.generators]
+        stacks = list(self.rep.build_chunks(gens))
+        ops = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        return weil.check_egorov(ops, gens, self.pm)
+
+    @cached_property
     def decomposition(self) -> hecke.EigenspaceDecomposition:
-        return hecke.decompose(self.torus, self.rep)
+        return hecke.decompose(self.torus, self.generator_ops)
 
     @cached_property
     def transport(self) -> SplitTransport | None:
@@ -480,8 +490,8 @@ def measure_split_sign(pm: PrimeModulus, rep) -> int:
     Tr(T(xi) rho(t(a))) = p^(n-1) F((1, 1), diag(a, 1/a)).  At p = 3 the
     torus leaves only a = -1, where the phase vanishes and both signs define
     the same formula; the default -1 is returned after checking agreement on
-    every available sample.  Each rho(t(a)) is built with rep.build and
-    dropped, not cached.
+    every available sample.  Each rho(t(a)) is built through rep.build_chunks
+    and dropped.
     """
     p, n = pm.p, pm.n
     pm1 = PrimeModulus(p, 1)
@@ -491,7 +501,7 @@ def measure_split_sign(pm: PrimeModulus, rep) -> int:
         diag = (a,) + (1,) * (n - 1) + (pow(a, -1, p),) + (1,) * (n - 1)
         b = tuple(tuple(x if i == j else 0 for j in range(2 * n))
                   for i, x in enumerate(diag))
-        return trace_pair(xi, rep.build(b), pm) / p ** (n - 1)
+        return trace_pair(xi, next(rep.build_chunks([b]))[0], pm) / p ** (n - 1)
 
     for a in range(2, p):
         t = (pm.nu * (1 + a) * pow((1 - a) % p, -1, p)) % p

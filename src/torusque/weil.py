@@ -51,9 +51,9 @@ The route has two parts.  One exact factorization per element stack
 re-verification, all in int64 over the whole stack, with (k, n, n) arrays
 and nothing of length p^n.  Then a kernel per batch (`_kernel`): the row
 sources M^-1 x and both phase vectors, (k, p^n) arrays formed from the
-batch's rows of the factorization.  `WeilRep.build_chunks` and `build_many`
-stream any sequence of elements through this route, the one route to dense
-rho(B): factored factor_length(pm) elements at a time, emitted in chunks of
+batch's rows of the factorization.  `WeilRep.build_chunks` streams any
+sequence of elements through this route, the one route to dense rho(B):
+factored factor_length(pm) elements at a time, emitted in chunks of
 CHUNK_BYTES of operators (the gather, the two scalings, and for the
 chunk's operators with S != 0 the two products by F of rho(U(-S)), each one
 stacked product).  `WeilRep.apply_many` applies rho(B) to a p^n x r block Z
@@ -87,14 +87,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, product
 
 import numpy as np
 
 from . import ffcore
-from .ffcore import Mat, PrimeModulus, legendre, mat, mat_mod
+from .ffcore import Mat, PrimeModulus, legendre
 from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
                          pi_exponents_many, root_table)
 # bound here too, unused: perfbench's tracer test reads weil.pi_op and
@@ -180,30 +180,12 @@ def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
 
 @dataclass
 class WeilRep:
-    """Cache of unitary operators B -> rho(B) with the solved normalization.
-
-    Entries are tagged by how they were produced: "closed-form" for operators
-    built along the closed-form route (build_many), "generator-formula" for
-    the generators seeded by linearize.  Every entry is validated against
-    the Egorov identity to egorov_tol(pm).
-    """
+    """B -> rho(B) with the solved normalization, by two routes from the one
+    operator kept, rho(fourier): dense stacks (`build_chunks`) and rho(B)
+    applied to a block (`apply_many`)."""
 
     pm: PrimeModulus
     gamma: complex
-    cache: dict = field(default_factory=dict)
-    tags: dict = field(default_factory=dict)
-
-    def op(self, b: Mat) -> np.ndarray:
-        key = mat_mod(mat(b), self.pm.p)
-        if key in self.cache:
-            return self.cache[key]
-        dense = self.build(key)
-        self.insert_generator(key, dense, "closed-form")
-        return dense
-
-    def build(self, b: Mat) -> np.ndarray:
-        """rho(B) along the closed-form route, the one op takes, uncached."""
-        return next(self.build_many([b]))
 
     def build_chunks(self, bs, deadline: float | None = None):
         """Yield (k, p^n, p^n) stacks of rho(B) for consecutive elements of
@@ -227,13 +209,6 @@ class WeilRep:
                 if deadline is not None and time.perf_counter() > deadline:
                     raise BudgetExceeded("deadline passed inside the operator stream")
                 yield _dense_chunk(self, *_kernel(self.pm, fac[lo:lo + step]))
-
-    def build_many(self, bs, deadline: float | None = None):
-        """Yield rho(B) for every B of bs, in order, from `build_chunks`
-        (same arguments and errors); a yielded operator is a view into its
-        chunk's stack."""
-        for stack in self.build_chunks(bs, deadline):
-            yield from stack
 
     def apply_many(self, bs, z: np.ndarray, deadline: float | None = None) -> np.ndarray:
         """(k, p^n, r) stack of rho(B_i) Z_i for the k elements of bs; no
@@ -267,14 +242,6 @@ class WeilRep:
         out = fourier_op(self.pm, self.gamma)
         out.setflags(write=False)
         return out
-
-    def insert_generator(self, b: Mat, dense: np.ndarray, tag: str):
-        key = mat_mod(mat(b), self.pm.p)
-        dev = egorov_deviation(dense[None], [key], self.pm)[0]
-        if dev > egorov_tol(self.pm):
-            raise ConstructionError(f"Egorov deviation {dev:.2e} for {tag} entry {key}")
-        self.cache[key] = dense
-        self.tags[key] = tag
 
 
 @lru_cache(maxsize=None)
@@ -516,11 +483,23 @@ def solve_gamma(pm: PrimeModulus, f0: np.ndarray) -> complex:
     return complex(gamma)
 
 
+def check_egorov(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
+    """stack, a (k, p^n, p^n) stack of rho(B) for the k elements of bs, once
+    every operator passes the Egorov identity (`egorov_deviation`) to
+    egorov_tol(pm); raises ConstructionError otherwise."""
+    dev = egorov_deviation(stack, bs, pm)
+    if dev.max() > egorov_tol(pm):
+        i = int(dev.argmax())
+        raise ConstructionError(f"Egorov deviation {dev[i]:.2e} for {np.asarray(bs)[i].tolist()}")
+    return stack
+
+
 def linearize(pm: PrimeModulus) -> WeilRep:
     """Build the representation with all free phases pinned.  The dense
     kernel psi(x.y) is built once: solve_gamma reads it scaled by p^(-n/2),
     and that array is then overwritten with rho(fourier), the kernel scaled
-    by gamma p^(-n/2) as in fourier_op."""
+    by gamma p^(-n/2) as in fourier_op.  It and rho(shear(I)) must pass
+    `check_egorov`; only rho(fourier) is kept."""
     unit = _psi_dots(pm)
     scale = pm.p ** (pm.n / 2)
     f = unit / scale
@@ -530,11 +509,9 @@ def linearize(pm: PrimeModulus) -> WeilRep:
     f /= scale
     f.setflags(write=False)
     rep.fourier = f                     # the value of the cached property
-    # seed the cache with the generators themselves
-    rep.insert_generator(fourier_matrix(pm), rep.fourier, "generator-formula")
+    check_egorov(f[None], [fourier_matrix(pm)], pm)
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
-    rep.insert_generator(shear_matrix(ffcore.identity_mat(pm.n), pm), np.diag(d1),
-                         "generator-formula")
+    check_egorov(np.diag(d1)[None], [shear_matrix(ffcore.identity_mat(pm.n), pm)], pm)
     return rep
 
 
@@ -598,7 +575,7 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> np.ndar
     The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form, from
     one block draw (`_random_blocks`).  The samples therefore cover only the
     big Bruhat cell (an invertible upper-right block M), and at n >= 2 only
-    its LU-factorable M: every one has S = 0 in build_many.  Products of
+    its LU-factorable M: every one has S = 0 in `factorize`.  Products of
     samples reach Bb = 0 and singular nonzero Bb.  The arithmetic is exact
     int64 over the whole batch (every intermediate stays below n p^2).
     """
@@ -622,8 +599,8 @@ def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> np.ndarray:
     multiplicativity (dilate(M1), dilate(M2)), and
     dilate(M) shear(S) dilate(M)^-1 = shear(M^-T S M^-1) as
     (dilate(M1), shear(S1)) and (dilate(M1) shear(S1), dilate(M1^-1)).
-    Shears and dilations have Bb = 0, so every one takes build_many's
-    S = I branch.
+    Shears and dilations have Bb = 0, so every one takes the S = I branch
+    of `factorize`.
     """
     p, n = pm.p, pm.n
     f = np.array(fourier_matrix(pm), dtype=np.int64)
@@ -696,9 +673,8 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     in pairs, or for every pair of Sp(2n, F_p) when pairs is None.
 
     Y = rho(B2) X, then rho(B1) Y against rho(B1 B2) X, all from
-    rep.apply_many: no operator but rho(fourier) is formed, and rep.cache is
-    not touched.  max_dev is the per-probe
-    deviation max |M X|, M = rho(B1) rho(B2) - rho(B1 B2); an entry of M of
+    rep.apply_many: no operator but rho(fourier) is formed.  max_dev is the
+    per-probe deviation max |M X|, M = rho(B1) rho(B2) - rho(B1 B2); an entry of M of
     modulus eps passes tol with probability at most (tol/eps)^(2r) over X
     (module docs).  pairs, a (k, 2, 2n, 2n) int64 stack or a list of matrix
     pairs, is read as triples (`pair_triples`) in rounds of half an apply
@@ -748,7 +724,7 @@ def _power_products(ops: list, orders: tuple, acc: np.ndarray, wrap: list):
     wrap.append(float(np.abs(acc - start).max()))
 
 
-def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
+def certify_torus(rep: WeilRep, torus, ops: np.ndarray, deadline: float | None = None,
                   probe: np.ndarray | None = None) -> float:
     """Max deviation of the certificate that rho restricted to a Hecke torus T
     is a representation, in O(|T|) block products.
@@ -763,11 +739,12 @@ def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
     with one step more at the end of each loop over e_i to reach R_i^m_i,
     and rho(B) X comes from rep.apply_many (which reads `deadline`), so all
     but the commutators are per-probe deviations (module docs).  The R_i are
-    rep.op entries, the operators the eigenspace decomposition reads; no
-    other operator is formed.  probe defaults to probe_block(pm, 0), so
-    nothing here imports numpy.random.
+    ops, a (k, p^n, p^n) stack in the order of torus.generators
+    (`quevaluator.PrimeContext.generator_ops`, which the eigenspace
+    decomposition reads); no other operator is formed.  probe defaults to
+    probe_block(pm, 0), so nothing here imports numpy.random.
     """
-    gens = [rep.op(g) for g, _ in torus.generators]
+    gens = list(ops)
     dev = 0.0
     for i, r in enumerate(gens):
         for s in gens[:i]:

@@ -35,11 +35,15 @@ orbit rows by sorting the labels (`orbits_by_unique`), the refined rows
 (`refined_rows_loop`) and the factorization counts
 (`factorization_counts_loop`) one character at a time.
 
-Operators fixed another way: Schur-averaged intertwiners, up to a phase
-(`schur_intertwiner`), and rho with its torus entries twisted by a
-character (`linearize_on_torus`).  Operators built one element at a time
+Dense operators one element at a time, from the chunk stream
+`WeilRep.build_chunks` (`build_many`, `build`, `dense_ops`, and
+`generator_ops` for rho of a torus's generators as
+`PrimeContext.generator_ops` builds them).  Operators fixed another way:
+Schur-averaged intertwiners, up to a phase (`schur_intertwiner`), and rho on
+a torus twisted by a character (`linearize_on_torus`, and the context that
+reads it, `twisted_context`).  Operators built one element at a time
 along a word over the generators (`sp_word`, `word_operator`), which
-`WeilRep.build_many` replaces by one closed-form kernel per element, and the
+`WeilRep.build_chunks` replaces by one closed-form kernel per element, and the
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
 cyclic orbit average of the demo, one vector and one T(xi) per power at a
 time (`cyclic_average_loop`), which the demo reads by Egorov from one
@@ -89,7 +93,32 @@ from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_devia
 from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_grid,
                                   _trace_kernel, split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
-                           fourier_matrix, fourier_op, linearize, shear_matrix)
+                           fourier_matrix, fourier_op, shear_matrix)
+
+
+def build_many(rep: WeilRep, bs, deadline: float | None = None):
+    """Yield rho(B) for every B of bs, in order, from `rep.build_chunks`
+    (same arguments and errors); a yielded operator is a view into its
+    chunk's stack."""
+    for stack in rep.build_chunks(bs, deadline):
+        yield from stack
+
+
+def build(rep: WeilRep, b: Mat) -> np.ndarray:
+    """rho(B) along the closed-form route, alone."""
+    return next(build_many(rep, [b]))
+
+
+def dense_ops(rep: WeilRep, bs) -> dict:
+    """{B: rho(B)} for the elements B of bs, matrices reduced mod p (the
+    elements of a torus, say), each built once."""
+    return dict(zip(bs, build_many(rep, bs)))
+
+
+def generator_ops(rep: WeilRep, torus: HeckeTorus) -> np.ndarray:
+    """(k, p^n, p^n) stack of rho(g_i) for the generators of the torus, in
+    their order, as `PrimeContext.generator_ops` builds it."""
+    return np.concatenate(list(rep.build_chunks([g for g, _ in torus.generators])))
 
 
 def is_palindromic(f) -> bool:
@@ -145,9 +174,8 @@ def check_invariance(xi, b: Mat, s: Mat, rep, pm: PrimeModulus) -> float:
     s_inv = ffcore.mat_inv_modp(s, p)
     sbs = mat_mul(mat_mul(s, b, mod=p), s_inv, mod=p)
     sxi = mat_vec(s, tuple(int(c) for c in xi), mod=p)
-    lhs = trace_pair(xi, rep.op(b), pm)
-    rhs = trace_pair(sxi, rep.op(sbs), pm)
-    return abs(lhs - rhs)
+    rho, rho_conj = build_many(rep, [b, sbs])
+    return abs(trace_pair(xi, rho, pm) - trace_pair(sxi, rho_conj, pm))
 
 
 def hermitian_symmetry_dev(xi, b: Mat, rep, pm: PrimeModulus) -> float:
@@ -156,7 +184,8 @@ def hermitian_symmetry_dev(xi, b: Mat, rep, pm: PrimeModulus) -> float:
     b = mat_mod(mat(b), p)
     b_inv = ffcore.mat_inv_modp(b, p)
     neg = tuple((-int(c)) % p for c in xi)
-    return abs(trace_pair(neg, rep.op(b_inv), pm) - np.conj(trace_pair(xi, rep.op(b), pm)))
+    rho_inv, rho = build_many(rep, [b_inv, b])
+    return abs(trace_pair(neg, rho_inv, pm) - np.conj(trace_pair(xi, rho, pm)))
 
 
 def gauss_sum_oracle(c: int, chi_exp: int, pm: PrimeModulus, dlog=None) -> complex:
@@ -229,9 +258,9 @@ def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
 
 def torus_pair_scan(rep, torus: HeckeTorus, tol: float = 1e-8) -> MultiplicativityReport:
     """rho(B1) rho(B2) = rho(B1 B2) over all |T|^2 pairs of torus elements,
-    every operator from rep.build, outside rep.cache."""
+    every operator built once (`dense_ops`)."""
     pm = rep.pm
-    ops = {b: rep.build(b) for b in torus.elements}
+    ops = dense_ops(rep, torus.elements)
     max_dev = 0.0
     for b1 in torus.elements:
         for b2 in torus.elements:
@@ -244,16 +273,16 @@ def dense_pair_check(rep, pairs=None, tol: float = 1e-8) -> MultiplicativityRepo
     """rho(B1) rho(B2) = rho(B1 B2) for every pair (B1, B2) in pairs, or for
     every pair of Sp(2n, F_p) when pairs is None, as the entrywise max |M| of
     M = rho(B1) rho(B2) - rho(B1 B2), one dense product per pair.  Every
-    operator comes from rep.build_many, outside rep.cache."""
+    operator comes from `build_many`."""
     p = rep.pm.p
     if pairs is None:
         group = weil.sp_elements(rep.pm)
-        rho = dict(zip(group, rep.build_many(group)))
+        rho = dict(zip(group, build_many(rep, group)))
         triples = ((rho[b1], rho[b2], rho[mat_mul(b1, b2, mod=p)])
                    for b1, b2 in product(group, repeat=2))
         count = len(group) ** 2
     else:
-        ops = rep.build_many(weil.pair_triples(pairs, rep.pm))
+        ops = build_many(rep, weil.pair_triples(pairs, rep.pm))
         triples = zip(ops, ops, ops)
         count = len(pairs)
     max_dev = 0.0
@@ -297,27 +326,37 @@ def schur_intertwiner(b: Mat, pm: PrimeModulus, rng: np.random.Generator,
     raise ConstructionError("intertwiner averaging returned zero repeatedly")
 
 
-def linearize_on_torus(torus, pm: PrimeModulus,
-                       root_index: tuple | int = 0) -> WeilRep:
-    """The canonical rho, with its torus entries twisted by a torus character.
+def linearize_on_torus(torus, rep: WeilRep, root_index: tuple | int = 0) -> dict:
+    """The canonical rho on the torus, twisted by a torus character:
+    {B: rho'(B)} for every torus element B.
 
     A multiplicative linearization of the torus is fixed up to a character:
     rho(g_i) may be rescaled by any N_i-th root of unity on a generator g_i
     of order N_i.  Root index k = (k_1, ...) rescales rho(g_i) by
     exp(-2 pi i k_i / N_i), so every torus element B is multiplied by
     conj(chi_k(B)), chi_k the character with exponents k; k = 0 is the
-    canonical rho.  The twisted entries go in through insert_generator
-    (tag "torus-twist", Egorov-checked); elements outside the torus keep
-    their canonical operators.
+    canonical rho.  Every twisted operator passes the Egorov check
+    (`weil.check_egorov`).  rep is the canonical rho.
     """
-    rep = linearize(pm)
     if isinstance(root_index, int):
         root_index = (root_index,) * len(torus.generators)
     chi = TorusCharacter(torus.gen_orders, tuple(root_index))
-    for b in torus.elements:
-        twist = np.conj(character_value_of_exps(chi, torus.dlog[b]))
-        rep.insert_generator(b, twist * rep.build(b), "torus-twist")
-    return rep
+    ops = np.concatenate(list(rep.build_chunks(torus.elements)))
+    ops *= np.conj([character_value_of_exps(chi, torus.dlog[b])
+                    for b in torus.elements])[:, None, None]
+    weil.check_egorov(ops, torus.elements, rep.pm)
+    return dict(zip(torus.elements, ops))
+
+
+def twisted_context(elem, torus: HeckeTorus, rep: WeilRep,
+                    root_index: tuple | int = 0) -> PrimeContext:
+    """The context of elem on the torus with rho twisted by the character of
+    root_index (`linearize_on_torus`): its generators' stack is assigned to
+    `generator_ops`, which everything torus-side reads."""
+    ops = linearize_on_torus(torus, rep, root_index)
+    ctx = PrimeContext(elem, torus, rep)
+    ctx.generator_ops = np.stack([ops[g] for g, _ in torus.generators])
+    return ctx
 
 
 def character_table(torus: HeckeTorus) -> np.ndarray:
@@ -347,13 +386,14 @@ class TraceTable:
         return complex(self.values[flatten_xi(xi, self.pm), col])
 
 
-def build_trace_table(torus: HeckeTorus, rep) -> TraceTable:
-    """Tabulate F for every (xi, B): one trace column per torus element."""
+def build_trace_table(torus: HeckeTorus, ops: dict) -> TraceTable:
+    """Tabulate F for every (xi, B): one trace column per torus element, from
+    ops = {B: rho(B)} over the torus (`dense_ops`, `linearize_on_torus`)."""
     pm = torus.pm
     kernel = _trace_kernel(pm)
     table = np.empty((pm.dim ** 2, torus.order), dtype=complex)
     for bi, b in enumerate(torus.elements):
-        table[:, bi] = _trace_column(rep.op(b), kernel)
+        table[:, bi] = _trace_column(ops[b], kernel)
     return TraceTable(pm, torus, table)
 
 
@@ -403,26 +443,28 @@ def character_sum_table(table: TraceTable) -> np.ndarray:
     return table.values @ character_table(table.torus).T
 
 
-def projector(chi: TorusCharacter, torus: HeckeTorus, rep) -> np.ndarray:
-    """Orthogonal projector onto {v : rho(B) v = chi(B) v for all B in T}."""
+def projector(chi: TorusCharacter, torus: HeckeTorus, ops: dict) -> np.ndarray:
+    """Orthogonal projector onto {v : rho(B) v = chi(B) v for all B in T},
+    ops = {B: rho(B)} over the torus."""
     d = torus.pm.dim
     acc = np.zeros((d, d), dtype=complex)
     for b in torus.elements:
-        acc += np.conj(character_value(chi, torus, b)) * rep.op(b)
+        acc += np.conj(character_value(chi, torus, b)) * ops[b]
     return acc / torus.order
 
 
-def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposition:
-    """Simultaneous eigenspaces through the |T| stacked character projectors.
+def decompose(torus: HeckeTorus, ops: dict, tol: float = 1e-8) -> EigenspaceDecomposition:
+    """Simultaneous eigenspaces through the |T| stacked character projectors,
+    ops = {B: rho(B)} over the torus.
 
     Validates completeness, projector idempotency, and the eigenvector
     property of every basis vector against every B (max abs entry).
     """
     d = torus.pm.dim
     chis = characters(torus)
-    ops = np.stack([rep.op(b) for b in torus.elements])      # (N, d, d)
+    stack = np.stack([ops[b] for b in torus.elements])       # (N, d, d)
     chivals = character_table(torus)                         # (K, N)
-    projs = (np.conj(chivals) @ ops.reshape(torus.order, -1) / torus.order)
+    projs = (np.conj(chivals) @ stack.reshape(torus.order, -1) / torus.order)
     projs = projs.reshape(len(chis), d, d)
 
     entries = []
@@ -449,21 +491,22 @@ def decompose(torus: HeckeTorus, rep, tol: float = 1e-8) -> EigenspaceDecomposit
     max_dev = 0.0
     for b_idx in range(torus.order):
         expected = chivals[col_chi, b_idx]
-        dev = np.abs(ops[b_idx] @ v - v * expected[None, :]).max()
+        dev = np.abs(stack[b_idx] @ v - v * expected[None, :]).max()
         max_dev = max(max_dev, float(dev))
     if max_dev > 10 * tol:
         raise RuntimeError(f"eigenvector equation deviation {max_dev:.2e}")
     return EigenspaceDecomposition(torus, entries, dims, max_dev)
 
 
-def hecke_average(xi, torus: HeckeTorus, rep) -> np.ndarray:
-    """(1/|T|) sum_B rho(B) T(xi) rho(B)^-1, block diagonal in the Hecke basis."""
+def hecke_average(xi, torus: HeckeTorus, ops: dict) -> np.ndarray:
+    """(1/|T|) sum_B rho(B) T(xi) rho(B)^-1, block diagonal in the Hecke basis,
+    ops = {B: rho(B)} over the torus."""
     d = torus.pm.dim
     src, expo = pi_exponents(xi, torus.pm)
     phase = root_table(torus.pm.p)[expo]
     acc = np.zeros((d, d), dtype=complex)
     for b in torus.elements:
-        r = rep.op(b)
+        r = ops[b]
         rt = np.empty_like(r)
         rt[:, src] = r * phase[None, :]                 # rho(B) T(xi)
         acc += rt @ r.conj().T
@@ -940,7 +983,7 @@ def pair_check_per_role(rep, pairs, probe: np.ndarray) -> float:
 
 def split_trace_deviation_per_a(rep, sign: int) -> float:
     """max |F(xi, diag(a, 1/a)) - closed form| one a at a time: rho(diag(a,
-    1/a)) from rep.build_many, one `trace_column` and one scalar-a
+    1/a)) from `build_many`, one `trace_column` and one scalar-a
     `split_trace_formula` per a (`quevaluator.split_trace_deviation` reads a
     chunk of operators and its a at once)."""
     pm = rep.pm
@@ -948,7 +991,7 @@ def split_trace_deviation_per_a(rep, sign: int) -> float:
     lam, mu = lattice_vectors(pm).T
     diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
     worst = 0.0
-    for a, dense in zip(range(2, p), rep.build_many(diagonal)):
+    for a, dense in zip(range(2, p), build_many(rep, diagonal)):
         ref = trace_column(dense, pm)
         worst = max(worst, float(np.abs(split_trace_formula(lam, mu, a, pm, sign) - ref).max()))
     return worst

@@ -24,10 +24,11 @@ from torusque.classical import birkhoff_many
 from torusque.ffcore import PrimeModulus, odd_primes
 from torusque.heisenberg import check_relations, lattice_vectors
 
-from oracles import (SpFactor, build_trace_table, character_sum_table,
+from oracles import (SpFactor, build_many, build_trace_table, character_sum_table,
                      diagonal_factor_sum, egorov_deviation_loop, factor_coordinates,
-                     flatten_xi, linearize_on_torus, mat_det, relation_grid,
-                     transport_char, word_matrix, word_operator)
+                     flatten_xi, generator_ops, linearize_on_torus, mat_det,
+                     relation_grid, transport_char, twisted_context, word_matrix,
+                     word_operator)
 
 
 def _line(num, ok, detail):
@@ -70,18 +71,19 @@ def test_criterion_2_egorov(cat_map, sp4_elem, rep_cache):
         xis = [(1, 0), (0, 1)] + [tuple(int(x) for x in rng.integers(0, p, 2))
                                   for _ in range(50)]
         tol = 1e-9 * p ** 0.5
-        for b in weil.sp_elements(pm):
-            dev = egorov_deviation_loop(rep.op(b), b, pm, xis)
+        group = weil.sp_elements(pm)
+        for b, dense in zip(group, build_many(rep, group)):
+            dev = egorov_deviation_loop(dense, b, pm, xis)
             worst_rel = max(worst_rel, dev / tol)
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         tol = 1e-9 * p
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, rep_cache(p, 2))
         xis = [tuple(1 if i == j else 0 for i in range(4)) for j in range(4)] \
             + [tuple(int(x) for x in rng.integers(0, p, 4)) for _ in range(50)]
         for b in torus.elements:
-            dev = egorov_deviation_loop(trep.op(b), b, pm, xis)
+            dev = egorov_deviation_loop(trep[b], b, pm, xis)
             worst_rel = max(worst_rel, dev / tol)
         gamma = weil.solve_gamma(pm, weil.fourier_op(pm, 1.0))
         for _ in range(20):
@@ -128,17 +130,17 @@ def test_criterion_3_linearization(cat_map, sp4_elem, rep_cache):
     for p in (3, 7, 11, 13):
         pm = PrimeModulus(p, 1)
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
-        trep = linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, rep_cache(p))
         for g, order in torus.generators:
-            dev = np.abs(np.linalg.matrix_power(trep.op(g), order)
+            dev = np.abs(np.linalg.matrix_power(trep[g], order)
                          - np.eye(pm.dim)).max()
             worst_gen = max(worst_gen, float(dev))
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = linearize_on_torus(torus, pm)
+        trep = linearize_on_torus(torus, rep_cache(p, 2))
         for g, order in torus.generators:
-            dev = np.abs(np.linalg.matrix_power(trep.op(g), order)
+            dev = np.abs(np.linalg.matrix_power(trep[g], order)
                          - np.eye(pm.dim)).max()
             worst_gen = max(worst_gen, float(dev))
     ok = r3.ok and r5.ok and worst_gen <= 1e-9
@@ -166,7 +168,7 @@ def test_criterion_4_decomposition(cat_map, sp4_elem, rep_cache):
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
         split = torus.split_type == "split"
         assert split == (p in SPLIT_N1)
-        dec = hecke.decompose(torus, rep_cache(p))
+        dec = hecke.decompose(torus, generator_ops(rep_cache(p), torus))
         sums_ok = sums_ok and sum(dec.dims) == p
         chis = hecke.characters(torus)
         assert sum(chi.order == 2 for chi in chis) == 1
@@ -187,8 +189,7 @@ def test_criterion_4_decomposition(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = linearize_on_torus(torus, pm)
-        dec = hecke.decompose(torus, trep)
+        dec = twisted_context(sp4_elem, torus, rep_cache(p, 2)).decomposition
         sums_ok = sums_ok and sum(dec.dims) == p ** 2
         for chi, d in zip(hecke.characters(torus), dec.dims):
             if chi.order != 1 and d > 1:
@@ -258,8 +259,7 @@ def test_criterion_5_que_bound(cat_map, sp4_elem, rep_cache):
     for p in (3, 5, 7):
         pm = PrimeModulus(p, 2)
         torus = hecke.centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
-        trep = linearize_on_torus(torus, pm)
-        rpt = q.verify_que_bound(q.PrimeContext(sp4_elem, torus, trep))
+        rpt = q.verify_que_bound(twisted_context(sp4_elem, torus, rep_cache(p, 2)))
         n2_ok = n2_ok and rpt.ok
         n2_ratio = max(n2_ratio, rpt.max_ratio / 4)
     t_n2 = time.time() - t0
@@ -307,8 +307,8 @@ def test_criterion_7_trace_formula(cat_map, rep_cache):
         pm = PrimeModulus(p, 1)
         rep = rep_cache(p)
         sign = q.measure_split_sign(pm, rep)
-        for a in range(2, p):
-            dense = rep.op(((a, 0), (0, pow(a, -1, p))))
+        diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
+        for a, dense in zip(range(2, p), build_many(rep, diagonal)):
             for lam in range(p):
                 for mu in range(p):
                     ref = q.trace_pair((lam, mu), dense, pm)
@@ -352,7 +352,7 @@ def test_criterion_10_twist_invariance(cat_map, sp4_elem, rep_cache):
         torus = hecke.centralizer(elem.matrix, pm, elem.charpoly)
         tables = []
         for ridx in (0, 1):
-            trep = linearize_on_torus(torus, pm, root_index=ridx)
+            trep = linearize_on_torus(torus, rep_cache(p, n), root_index=ridx)
             table = build_trace_table(torus, trep)
             tables.append(np.sort(np.abs(character_sum_table(table)), axis=1))
         worst = max(worst, float(np.abs(tables[0] - tables[1]).max()))

@@ -1,6 +1,7 @@
 """The batched closed-form route to rho(B) against the word oracle.
 
-`WeilRep.build_many` forms each rho(B) from one closed-form kernel;
+`WeilRep.build_chunks` forms each rho(B) from one closed-form kernel, read
+one operator at a time through `oracles.build_many`;
 `oracles.sp_word` and `oracles.word_operator` multiply the generator
 operators along a word, one element at a time.  The batched Egorov
 deviation is held to the per-xi loop exactly.
@@ -17,11 +18,11 @@ from torusque import ffcore, weil
 from torusque.ffcore import PrimeModulus, mat_mul
 from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
 
-from oracles import (egorov_deviation_loop, first_invertible_mask_all, mats,
-                     sp_word, upper_shear_dense, word_operator)
+from oracles import (build, build_many, egorov_deviation_loop, first_invertible_mask_all,
+                     generator_ops, mats, sp_word, upper_shear_dense, word_operator)
 
 # the trace-formula check's traced peak at n = 1, p = 43 while it cached its
-# 41 operators through rep.op (about 1.4 MB, measured with tracemalloc)
+# 41 operators one at a time (about 1.4 MB, measured with tracemalloc)
 TRACE_FORMULA_PEAK_BYTES = 1.4e6
 
 
@@ -30,7 +31,7 @@ def _oracle(rep, b):
 
 
 def _max_oracle_dev(rep, bs):
-    ops = list(rep.build_many(bs))
+    ops = list(build_many(rep, bs))
     assert len(ops) == len(bs)
     return max((float(np.abs(op - _oracle(rep, b)).max()) for b, op in zip(bs, ops)),
                default=0.0)
@@ -75,7 +76,7 @@ def test_chunk_boundaries_keep_input_order(extra, rep_cache):
     assert size > 1
     bs = random_sp(pm, np.random.default_rng(size + extra), size + extra)
     assert _max_oracle_dev(rep, bs) <= 1e-12
-    assert list(rep.build_many([])) == []
+    assert list(build_many(rep, [])) == []
     assert _max_oracle_dev(rep, bs[:1]) <= 1e-12
 
 
@@ -101,7 +102,7 @@ def test_non_symplectic_element_in_second_plan_batch_raises(rep_cache):
     bs = list(good[:size]) + [good[size], ((1, 1), (1, 1)), good[size + 1]]
     built = 0
     with pytest.raises(ValueError, match="not symplectic"):
-        for _ in rep_cache(43).build_many(bs):
+        for _ in build_many(rep_cache(43), bs):
             built += 1
     assert built == size
 
@@ -129,7 +130,7 @@ def test_non_symplectic_element_mid_batch_raises(rep_cache):
     rep = rep_cache(43)
     good = random_sp(pm, np.random.default_rng(0), 3)
     with pytest.raises(ValueError, match="not symplectic"):
-        list(rep.build_many([good[0], ((1, 1), (1, 1)), good[1], good[2]]))
+        list(build_many(rep, [good[0], ((1, 1), (1, 1)), good[1], good[2]]))
 
 
 def test_factorization_is_reverified(rep_cache, monkeypatch):
@@ -143,7 +144,7 @@ def test_factorization_is_reverified(rep_cache, monkeypatch):
 
     monkeypatch.setattr(ffcore, "gauss_jordan_modp", wrong_inverse)
     with pytest.raises(ConstructionError, match="does not reproduce"):
-        rep.build(((2, 1), (1, 1)))
+        build(rep, ((2, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5), (2, 11)])
@@ -156,7 +157,7 @@ def test_batched_egorov_equals_per_xi_loop(n, p):
     rng = np.random.default_rng(7)
     draws = mats(random_sp(pm, rng, 20))
     bs = draws[:10] + [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[:10], draws[10:])]
-    ops = np.stack(list(rep.build_many(bs)))
+    ops = np.stack(list(build_many(rep, bs)))
     want = [egorov_deviation_loop(dense, b, pm) for b, dense in zip(bs, ops)]
     assert weil.egorov_deviation(ops, bs, pm).tolist() == want
     assert [weil.egorov_deviation(dense[None], [b], pm)[0]
@@ -226,7 +227,7 @@ def test_upper_shear_route_equals_the_dense_product(n, p, rep_cache):
     x = weil.probe_block(pm, p)
     applied = rep.apply_many(bs, x)
     worst = 0.0
-    for m, op, base, got in zip(masks, rep.build_many(bs), rep.build_many(shifted),
+    for m, op, base, got in zip(masks, build_many(rep, bs), build_many(rep, shifted),
                                 applied):
         want = base @ upper_shear_dense(rep, int(m))
         worst = max(worst, float(np.abs(op - want).max()),
@@ -236,7 +237,8 @@ def test_upper_shear_route_equals_the_dense_product(n, p, rep_cache):
 
 def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):
     with pytest.raises(BudgetExceeded):
-        weil.certify_torus(rep_cache(11), torus_cache(11), deadline=-1.0,
+        rep, torus = rep_cache(11), torus_cache(11)
+        weil.certify_torus(rep, torus, generator_ops(rep, torus), deadline=-1.0,
                            probe=weil.probe_block(PrimeModulus(11, 1), 11))
 
 
@@ -250,7 +252,7 @@ def test_streamed_operators_stay_under_the_trace_formula_peak(rep_cache):
     tracemalloc.start()
     try:
         worst = 0.0
-        for b, dense in zip(bs, rep.build_many(bs)):
+        for b, dense in zip(bs, build_many(rep, bs)):
             worst = max(worst, egorov_deviation_loop(dense, b, pm, xis))
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -15,7 +15,7 @@ from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import lattice_vectors
 from torusque.quevaluator import PrimeContext
 
-from oracles import egorov_deviation_loop
+from oracles import build_many, egorov_deviation_loop
 
 
 def run_cli(args):
@@ -54,6 +54,16 @@ def test_config_parsing(tmp_path):
     assert cfg.checks == ("relations", "bound")
 
 
+def test_validate_beyond_degree_four_is_a_config_error(capsys):
+    # an n = 3 element has a sextic characteristic polynomial, beyond the
+    # exact irreducibility test
+    matrix = ("4,1,-1,-1,-1,-1;2,3,0,-1,-1,0;2,0,1,-1,0,-1;"
+              "-1,-1,-1,1,0,0;-1,-1,1,0,1,0;-1,1,1,0,0,1")
+    assert run_cli(["validate", "--n", "3", "--matrix", matrix]) == 2
+    assert "config error: exact irreducibility implemented for degree <= 4" \
+        in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_key(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.build_config({"bogus": "1"}, {})
@@ -61,6 +71,16 @@ def test_config_rejects_unknown_key(tmp_path):
         cli.build_config({"checks": "nope"}, {})
     with pytest.raises(cli.ConfigError):
         cli.build_config({"pmin": "9", "pmax": "3"}, {})
+
+
+@pytest.mark.parametrize("key,value", [("pmin", "abc"), ("budget_seconds", "soon")])
+def test_config_rejects_a_malformed_number(key, value, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.build_config({key: value}, {})
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    assert run_cli(["sweep", "--config", str(cfgfile)]) == 2
+    assert f"config error: {key} must be a number" in capsys.readouterr().err
 
 
 def test_sweep_nonsymplectic_exit2(capsys, tmp_path):
@@ -156,8 +176,7 @@ def test_sweep_n2_reports_construction_routes(tmp_path):
     report = json.loads(out_json.read_text())
     assert [rp["p"] for rp in report["primes"]] == [3, 5]
     for rp in report["primes"]:
-        assert set(rp["routes"]) == {"closed-form", "generator-formula"}
-        assert rp["routes"]["closed-form"] == 1
+        assert rp["routes"] == {"closed-form": 1, "generator-formula": 1}
 
 
 def test_budget_skips_checks(tmp_path):
@@ -263,15 +282,18 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
 def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
     # every rho(B) the egorov and multiplicativity checks build is dropped
     # after its deviation is read; the context keeps rho of the torus
-    # generators, which the decomposition reads
+    # generators, which the decomposition reads, and rho keeps rho(fourier)
     for elem, pm in ((cat_map, PrimeModulus(11, 1)), (sp4_elem, PrimeModulus(7, 2))):
         ctx = PrimeContext.build(elem, pm)
         ctx.decomposition
+        gens = ctx.generator_ops
         for runner in (cli._check_egorov, cli._check_multiplicativity):
-            before = len(ctx.rep.cache)
+            before = vars(ctx).keys() | vars(ctx.rep).keys()
             res = runner(ctx, np.random.default_rng(0))
             assert res.status == "pass"
-            assert len(ctx.rep.cache) == before
+            assert vars(ctx).keys() | vars(ctx.rep).keys() == before
+            assert vars(ctx.rep).keys() == {"pm", "gamma", "fourier"}
+            assert ctx.generator_ops is gens
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 7)])
@@ -285,11 +307,11 @@ def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem
     res = cli._check_egorov(ctx, np.random.default_rng(p))
     assert res.status == "pass" and res.max_dev > 0
     torus, rep = ctx.torus, ctx.rep
-    cert = weil.certify_torus(rep, torus,
+    cert = weil.certify_torus(rep, torus, ctx.generator_ops,
                               probe=weil.probe_block(pm, p))
     per_factor = 2 * n * (p - 1) * pm.dim * res.max_dev
     xis = lattice_vectors(pm)
-    for b, dense in zip(torus.elements, rep.build_many(torus.elements)):
+    for b, dense in zip(torus.elements, build_many(rep, torus.elements)):
         dev = egorov_deviation_loop(dense, b, pm, xis)
         assert dev <= weil.egorov_tol(pm)
         assert dev <= sum(torus.dlog[b]) * per_factor + 2 * pm.dim * cert
@@ -515,7 +537,7 @@ def test_budget_read_between_operator_chunks(check, step, length, tmp_path,
 
     def slow_step(rep, *plan):
         mask = plan[-1]                     # one entry per element
-        if len(mask) > 1:                   # rep.op of one torus generator
+        if len(mask) > 1:                   # not the header's lone rho(diag(a, 1/a))
             now[0] += 1.0
             chunks.append(len(mask))
         return real_step(rep, *plan)

@@ -20,7 +20,8 @@ def test_streamed_route_matches_dense_route(n, p, cat_map, sp4_elem, rep_cache,
                                             torus_cache):
     torus, rep = torus_cache(p, n), rep_cache(p, n)
     ctx = q.PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
-    dense = oracles.decompose(torus, rep)
+    ops = oracles.dense_ops(rep, torus.elements)
+    dense = oracles.decompose(torus, ops)
     dec = ctx.decomposition
     assert dec.dims == dense.dims
     assert sum(dec.dims) == p ** n
@@ -28,7 +29,7 @@ def test_streamed_route_matches_dense_route(n, p, cat_map, sp4_elem, rep_cache,
     for got, ref in zip(oracles.projector_stack(dec), oracles.projector_stack(dense)):
         assert np.abs(got - ref).max() <= 1e-9
 
-    sums = oracles.character_sum_table(oracles.build_trace_table(torus, rep))
+    sums = oracles.character_sum_table(oracles.build_trace_table(torus, ops))
     row = ctx.orbits[1]
     seen = []
     worst = 0.0
@@ -77,7 +78,7 @@ def test_every_coefficient_row_gives_the_same_eigenspaces(sp4_split13,
     ref = oracles.projector_stack(ctx.decomposition)
     for row in hecke.MIX_COEFFICIENTS[1:]:
         monkeypatch.setattr(hecke, "MIX_COEFFICIENTS", (row,))
-        dec = hecke.decompose(ctx.torus, ctx.rep)
+        dec = hecke.decompose(ctx.torus, ctx.generator_ops)
         assert dec.dims == ctx.decomposition.dims
         worst = max(float(np.abs(a - b).max())
                     for a, b in zip(oracles.projector_stack(dec), ref))
@@ -90,9 +91,11 @@ def test_failed_certificate_retries_then_raises(torus_cache, rep_cache,
     # chi^-1 share an eigenvalue: that row fails its certificate and the next
     # one is used; with real rows only, the decomposition raises
     torus, rep = torus_cache(11), rep_cache(11)
+    gens = oracles.generator_ops(rep, torus)
     generic = hecke.MIX_COEFFICIENTS[0]
     monkeypatch.setattr(hecke, "MIX_COEFFICIENTS", ((1.0, 1.0), generic))
-    assert hecke.decompose(torus, rep).dims == oracles.decompose(torus, rep).dims
+    dense = oracles.decompose(torus, oracles.dense_ops(rep, torus.elements))
+    assert hecke.decompose(torus, gens).dims == dense.dims
     monkeypatch.setattr(hecke, "MIX_COEFFICIENTS", ((1.0, 1.0), (0.5, 0.5)))
     with pytest.raises(RuntimeError, match="certificate"):
-        hecke.decompose(torus, rep)
+        hecke.decompose(torus, gens)

@@ -11,8 +11,8 @@ from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
 from torusque.heisenberg import pi_op
 
 from oracles import (centralizer_elements, character_table, character_value,
-                     character_value_of_exps, hecke_average, linearize_on_torus,
-                     projector)
+                     character_value_of_exps, dense_ops, generator_ops, hecke_average,
+                     linearize_on_torus, projector)
 from oracles import torus_structure as torus_structure_oracle
 
 
@@ -251,7 +251,7 @@ def test_three_generator_torus():
 def test_decompose_three_generator_torus():
     # every generator enters the Hermitian combination, rho(g_3) included
     t = _diagonal_sp6_torus(7)
-    dec = decompose(t, weil.linearize(PrimeModulus(7, 3)))
+    dec = decompose(t, generator_ops(weil.linearize(PrimeModulus(7, 3)), t))
     assert sum(dec.dims) == 343
     assert dec.max_eigen_dev <= 1e-8
 
@@ -283,7 +283,7 @@ def test_character_multiplicativity_exact(torus_cache):
 
 def test_decompose_cat_map_p7(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
-    dec = decompose(t, rep_cache(7))
+    dec = decompose(t, generator_ops(rep_cache(7), t))
     assert sum(dec.dims) == 7
     assert sorted(dec.dims) == [0, 1, 1, 1, 1, 1, 1, 1]
     # the empty slot sits at the order-2 character; the trivial one has a line
@@ -297,7 +297,7 @@ def test_decompose_cat_map_p7(cat_map, rep_cache, torus_cache):
 
 def test_decompose_split_prime_exceptional(cat_map, rep_cache, torus_cache):
     t = torus_cache(11)
-    dec = decompose(t, rep_cache(11))
+    dec = decompose(t, generator_ops(rep_cache(11), t))
     assert sum(dec.dims) == 11
     chis = characters(t)
     two_dim = [chi for chi, d in zip(chis, dec.dims) if d == 2]
@@ -307,11 +307,11 @@ def test_decompose_split_prime_exceptional(cat_map, rep_cache, torus_cache):
 
 def test_projector_properties(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
-    rep = rep_cache(7)
+    ops = dense_ops(rep_cache(7), t.elements)
     chis = characters(t)
     total = np.zeros((7, 7), dtype=complex)
     for chi in chis:
-        p_chi = projector(chi, t, rep)
+        p_chi = projector(chi, t, ops)
         assert np.abs(p_chi @ p_chi - p_chi).max() < 1e-9
         assert np.abs(p_chi - p_chi.conj().T).max() < 1e-9
         assert abs(p_chi.trace().imag) < 1e-9
@@ -322,24 +322,24 @@ def test_projector_properties(cat_map, rep_cache, torus_cache):
 
 def test_projectors_mutually_orthogonal(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
-    rep = rep_cache(7)
+    ops = dense_ops(rep_cache(7), t.elements)
     chis = characters(t)
-    p0 = projector(chis[1], t, rep)
-    p1 = projector(chis[2], t, rep)
+    p0 = projector(chis[1], t, ops)
+    p1 = projector(chis[2], t, ops)
     assert np.abs(p0 @ p1).max() < 1e-9
 
 
 def test_hecke_average_xi_zero_is_identity(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
-    avg = hecke_average((0, 0), t, rep_cache(7))
+    avg = hecke_average((0, 0), t, dense_ops(rep_cache(7), t.elements))
     assert np.abs(avg - np.eye(7)).max() < 1e-12
 
 
 def test_hecke_average_block_diagonal(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
     rep = rep_cache(7)
-    dec = decompose(t, rep)
-    avg = hecke_average((1, 0), t, rep)
+    dec = decompose(t, generator_ops(rep, t))
+    avg = hecke_average((1, 0), t, dense_ops(rep, t.elements))
     # off-diagonal blocks between distinct characters vanish
     for i, (chi_i, basis_i, dim_i) in enumerate(dec.entries):
         for j, (chi_j, basis_j, dim_j) in enumerate(dec.entries):
@@ -352,9 +352,9 @@ def test_hecke_average_block_diagonal(cat_map, rep_cache, torus_cache):
 def test_hecke_average_diagonal_is_matrix_element(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
     rep = rep_cache(7)
-    dec = decompose(t, rep)
+    dec = decompose(t, generator_ops(rep, t))
     xi = (1, 0)
-    avg = hecke_average(xi, t, rep)
+    avg = hecke_average(xi, t, dense_ops(rep, t.elements))
     t_xi = pi_op(xi, PrimeModulus(7, 1))
     for chi, basis, dim in dec.entries:
         if dim != 1:
@@ -367,8 +367,8 @@ def test_decompose_n2_cyclic_torus(sp4_elem):
     pm = PrimeModulus(3, 2)
     t = centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
     assert t.order == 10
-    trep = linearize_on_torus(t, pm)
-    dec = decompose(t, trep)
+    trep = linearize_on_torus(t, weil.linearize(pm))
+    dec = decompose(t, np.stack([trep[g] for g, _ in t.generators]))
     assert sum(dec.dims) == 9
     assert all(d <= 1 for d in dec.dims)
 

@@ -2,7 +2,7 @@
 
 `WeilRep.apply_many` applies rho(B) to a p^n x r block from its exact
 factorization without forming rho(B); it is held to the dense
-`rep.build(B) @ Z`.  The
+`oracles.build(rep, B) @ Z`.  The
 pair check on a Gaussian probe block is held to the dense pair products of
 `oracles.dense_pair_check`, and a one-entry corruption of size 1e-6 in one
 rho(B) must fail it (Freivalds' argument, `weil` module docs).
@@ -16,7 +16,7 @@ from torusque.ffcore import PrimeModulus
 from torusque.quevaluator import PrimeContext
 from torusque.weil import linearize, random_sp
 
-from oracles import dense_pair_check, numpy_probe_block
+from oracles import build_many, dense_pair_check, generator_ops, numpy_probe_block
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
 
@@ -45,7 +45,7 @@ def test_apply_many_equals_dense_products(n, p, rep_cache):
         (len(bs), pm.dim, 3))
     got_shared, got_own = rep.apply_many(bs, shared), rep.apply_many(bs, own)
     dev = 0.0
-    for k, dense in enumerate(rep.build_many(bs)):
+    for k, dense in enumerate(build_many(rep, bs)):
         dev = max(dev, np.abs(got_shared[k] - dense @ shared).max(),
                   np.abs(got_own[k] - dense @ own[k]).max())
     assert dev <= 1e-12
@@ -153,10 +153,11 @@ def test_one_entry_corruption_fails_the_torus_certificate(n, p, rep_cache,
                                                           torus_cache, monkeypatch):
     torus = torus_cache(p, n)
     rep = linearize(PrimeModulus(p, n))
+    ops = generator_ops(rep, torus)
     x = weil.probe_block(rep.pm, p)
-    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
+    assert weil.certify_torus(rep, torus, ops, probe=x) <= 1e-8
     _corrupt(rep, torus.elements[3], monkeypatch)
-    assert weil.certify_torus(rep, torus, probe=x) > 1e-8
+    assert weil.certify_torus(rep, torus, ops, probe=x) > 1e-8
 
 
 @pytest.mark.parametrize("n,p", [(1, 11), (2, 13)])
@@ -168,11 +169,12 @@ def test_generator_of_the_wrong_order_fails_the_torus_certificate(n, p, torus_ca
     # wrap-around step of the certificate reads
     torus = torus_cache(p, n)
     rep = linearize(PrimeModulus(p, n))
+    ops = generator_ops(rep, torus)
     x = weil.probe_block(rep.pm, p)
-    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
-    (g, m) = torus.generators[0]
+    assert weil.certify_torus(rep, torus, ops, probe=x) <= 1e-8
+    m = torus.generators[0][1]
     twist = np.exp(1j * np.pi / m)
-    rep.cache[g] = twist * rep.op(g)
+    ops[0] *= twist
     real = rep.apply_many
 
     def twisted(bs, z, deadline=None):
@@ -180,14 +182,15 @@ def test_generator_of_the_wrong_order_fails_the_torus_certificate(n, p, torus_ca
         return real(bs, z, deadline) * twist ** np.array(e1)[:, None, None]
 
     monkeypatch.setattr(rep, "apply_many", twisted)
-    assert abs(weil.certify_torus(rep, torus, probe=x) - 2 * np.abs(x).max()) < 1e-8
+    assert abs(weil.certify_torus(rep, torus, ops, probe=x) - 2 * np.abs(x).max()) < 1e-8
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5)])
 def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_elem,
                                                           torus_cache, monkeypatch):
-    # the pair check builds no dense rho(B); the torus certificate builds
-    # rho of each torus generator once, through rep.op, and no other
+    # the pair check builds no dense rho(B), and the torus certificate none
+    # but the generator stack it is given; the context builds that stack in
+    # one chunk, once
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     torus = torus_cache(p, n)
@@ -200,17 +203,17 @@ def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_ele
 
     monkeypatch.setattr(weil, "_dense_chunk", spy)
     x = weil.probe_block(pm, p)
-    cached = set(rep.cache)
     sampled = None if p == 3 else _pairs(pm, p)
     assert weil.check_multiplicativity(rep, sampled, probe=x).ok
-    assert built == [] and set(rep.cache) == cached
-    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
-    assert built == [1] * len(torus.generators)
-    assert set(rep.cache) == cached | {g for g, _ in torus.generators}
+    assert built == [] and vars(rep).keys() == {"pm", "gamma", "fourier"}
+    ctx = PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
+    assert weil.certify_torus(rep, torus, ctx.generator_ops, probe=x) <= 1e-8
+    assert built == [len(torus.generators)]
+    assert ctx.generator_ops.shape == (len(torus.generators), pm.dim, pm.dim)
     # the sweep's check on a built context builds nothing and keeps nothing
     ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
     ctx.decomposition                       # reads rho of the generators
     built.clear()
-    before = dict(ctx.rep.cache)
+    before = dict(vars(ctx))
     assert cli._check_multiplicativity(ctx, np.random.default_rng(p)).status == "pass"
-    assert built == [] and ctx.rep.cache.keys() == before.keys()
+    assert built == [] and vars(ctx).keys() == before.keys()

@@ -10,20 +10,20 @@ from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
 from torusque.heisenberg import (BudgetExceeded, FourierPolynomial, lattice_vectors,
                                  pi_exponents, root_table)
 
-from oracles import (averaged_fixture_checks, build_trace_table, character_sum,
-                     character_sum_table,
-                     check_invariance, cyclic_average_loop, diagonal_factor_sum,
-                     dilate_op, factor_coordinates,
-                     gauss_sum_oracle, hermitian_symmetry_dev, is_generic,
-                     linearize_on_torus, matrix_order_modp, torus_average_loop,
-                     trace_column, transport_char, transport_xi, unflatten_xi)
+from oracles import (averaged_fixture_checks, build, build_many, build_trace_table,
+                     character_sum, character_sum_table, check_invariance,
+                     cyclic_average_loop, dense_ops, diagonal_factor_sum, dilate_op,
+                     factor_coordinates, gauss_sum_oracle, generator_ops,
+                     hermitian_symmetry_dev, is_generic, matrix_order_modp,
+                     torus_average_loop, trace_column, transport_char, transport_xi,
+                     twisted_context, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
 
 def test_trace_of_identity_pair(rep_cache):
     pm = PrimeModulus(7, 1)
     rep = rep_cache(7)
-    ident = rep.op(identity_mat(2))
+    ident = build(rep, identity_mat(2))
     assert abs(q.trace_pair((0, 0), ident, pm) - 7) < 1e-12
     for xi in ((1, 0), (0, 3), (2, 5)):
         assert abs(q.trace_pair(xi, ident, pm)) < 1e-12
@@ -33,7 +33,7 @@ def test_trace_periodicity_exact(rep_cache, torus_cache):
     pm = PrimeModulus(7, 1)
     rep = rep_cache(7)
     b = torus_cache(7).elements[3]
-    dense = rep.op(b)
+    dense = build(rep, b)
     assert q.trace_pair((2, 3), dense, pm) == q.trace_pair((2 + 7, 3 - 21), dense, pm)
 
 
@@ -41,12 +41,13 @@ def test_trace_table_matches_direct(cat_map, rep_cache, torus_cache):
     pm = PrimeModulus(7, 1)
     rep = rep_cache(7)
     torus = torus_cache(7)
-    table = build_trace_table(torus, rep)
+    ops = dense_ops(rep, torus.elements)
+    table = build_trace_table(torus, ops)
     rng = np.random.default_rng(7)
     for _ in range(30):
         xi = tuple(int(x) for x in rng.integers(0, 7, 2))
         b = torus.elements[int(rng.integers(torus.order))]
-        assert abs(table.value(xi, b) - q.trace_pair(xi, rep.op(b), pm)) < 1e-12
+        assert abs(table.value(xi, b) - q.trace_pair(xi, ops[b], pm)) < 1e-12
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
@@ -57,8 +58,7 @@ def test_trace_column_matches_trace_pair(n, p, rep_cache, torus_cache):
     torus = torus_cache(p, n)
     picks = np.linspace(0, torus.order - 1, 5).astype(int)
     worst = 0.0
-    for bi in picks:
-        dense = rep.op(torus.elements[bi])
+    for dense in build_many(rep, [torus.elements[bi] for bi in picks]):
         col = trace_column(dense, pm)
         ref = [q.trace_pair(unflatten_xi(k, pm), dense, pm)
                for k in range(p ** (2 * n))]
@@ -118,8 +118,8 @@ def test_character_sum_xi_zero_oracle(cat_map, rep_cache, torus_cache):
     # a_chi(0) = |T| * dim of the inverse character's eigenspace
     torus = torus_cache(7)
     rep = rep_cache(7)
-    table = build_trace_table(torus, rep)
-    dec = hecke.decompose(torus, rep)
+    table = build_trace_table(torus, dense_ops(rep, torus.elements))
+    dec = hecke.decompose(torus, generator_ops(rep, torus))
     chis = hecke.characters(torus)
     for chi, dim in zip(chis, dec.dims):
         val = character_sum((0, 0), chi.inverse(), table)
@@ -128,7 +128,7 @@ def test_character_sum_xi_zero_oracle(cat_map, rep_cache, torus_cache):
 
 def test_parseval_identity(cat_map, rep_cache, torus_cache):
     torus = torus_cache(11)
-    table = build_trace_table(torus, rep_cache(11))
+    table = build_trace_table(torus, dense_ops(rep_cache(11), torus.elements))
     achi = character_sum_table(table)
     lhs = (np.abs(achi) ** 2).sum(axis=1)
     rhs = torus.order * (np.abs(table.values) ** 2).sum(axis=1)
@@ -155,7 +155,7 @@ def test_split_trace_formula_p5_example(rep_cache):
     assert abs(val - (-np.exp(sign * 2j * np.pi / 5))) < 1e-12
     # and it equals the independent matrix trace
     b = ((2, 0), (0, 3))
-    assert abs(val - q.trace_pair((1, 1), rep.op(b), pm)) < 1e-12
+    assert abs(val - q.trace_pair((1, 1), build(rep, b), pm)) < 1e-12
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
@@ -168,9 +168,9 @@ def test_embedded_diagonal_trace_at_n2(p, rep_cache):
     lam, mu = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
     for a in range(2, p):
         ai = pow(a, -1, p)
-        col1 = trace_column(rep1.build(((a, 0), (0, ai))), pm1)
-        col2 = trace_column(rep2.build(((a, 0, 0, 0), (0, 1, 0, 0),
-                                          (0, 0, ai, 0), (0, 0, 0, 1))), pm2)
+        col1 = trace_column(build(rep1, ((a, 0), (0, ai))), pm1)
+        col2 = trace_column(build(rep2, ((a, 0, 0, 0), (0, 1, 0, 0),
+                                         (0, 0, ai, 0), (0, 0, 0, 1))), pm2)
         plane = col2[lam + p ** 2 * mu]
         assert np.abs(plane - p * col1[lam + p * mu]).max() < 1e-12
     assert q.measure_split_sign(pm2, rep2) == q.measure_split_sign(pm1, rep1)
@@ -189,8 +189,8 @@ def test_split_trace_formula_exhaustive_p11(rep_cache):
     rep = rep_cache(11)
     sign = q.measure_split_sign(pm, rep)
     worst = 0.0
-    for a in range(2, 11):
-        dense = rep.op(((a, 0), (0, pow(a, -1, 11))))
+    diagonal = [((a, 0), (0, pow(a, -1, 11))) for a in range(2, 11)]
+    for a, dense in zip(range(2, 11), build_many(rep, diagonal)):
         for lam in range(11):
             for mu in range(11):
                 worst = max(worst, abs(q.split_trace_formula(lam, mu, a, pm, sign)
@@ -226,7 +226,7 @@ def test_gauss_sum_oracle_matches_character_sums(cat_map, rep_cache, torus_cache
     pm = PrimeModulus(11, 1)
     rep = rep_cache(11)
     torus = torus_cache(11)
-    table = build_trace_table(torus, rep)
+    table = build_trace_table(torus, dense_ops(rep, torus.elements))
     transport = q.build_split_transport(cat_map.matrix, pm, cat_map.charpoly)
     sign = q.measure_split_sign(pm, rep)
     _, dl = ffcore.dlog_table(11)
@@ -300,14 +300,13 @@ def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
     # the 2-dim eigenspace off the self-inverse order-2 character, so pairing
     # column chi with dim H_chi would admit the p - 2 column into the dim-1
     # population
-    pm = PrimeModulus(11, 1)
     torus = torus_cache(11)
-    trep = linearize_on_torus(torus, pm, root_index=1)
+    twisted = twisted_context(cat_map, torus, rep_cache(11), root_index=1)
     chis = hecke.characters(torus)
-    dims = hecke.decompose(torus, trep).dims
+    dims = twisted.decomposition.dims
     (big,) = [chi for chi, d in zip(chis, dims) if d == 2]
     assert big.inverse().exps != big.exps
-    rpt = q.verify_que_bound(q.PrimeContext(cat_map, torus, trep))
+    rpt = q.verify_que_bound(twisted)
     canon = q.verify_que_bound(q.PrimeContext(cat_map, torus, rep_cache(11)))
     assert rpt.ok_dim1
     assert abs(rpt.max_ratio_dim1 - canon.max_ratio_dim1) < 1e-9
@@ -439,6 +438,23 @@ def test_refined_bound_raises_on_labels_that_break_the_generic_mask(
     broken = q.PrimeContext(cat_map, torus_cache(11), rep_cache(11))
     with pytest.raises(RuntimeError, match="not constant on torus orbits"):
         q.refined_bound(broken)
+
+
+def test_context_keeps_one_dense_operator(sp4_elem):
+    # after construction the context holds rho(fourier) and no second
+    # p^n x p^n array; rho of the torus generators is built on the first read
+    # of the decomposition, one operator per generator
+    pm = PrimeModulus(13, 2)
+    tracemalloc.start()
+    try:
+        ctx = q.PrimeContext.build(sp4_elem, pm)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced < 1.5 * 16 * pm.dim ** 2
+    assert "generator_ops" not in vars(ctx)
+    ctx.decomposition
+    assert ctx.generator_ops.shape == (len(ctx.torus.generators), pm.dim, pm.dim)
 
 
 def test_table_raises_on_a_passed_deadline(cat_map, rep_cache, torus_cache):
@@ -620,13 +636,14 @@ def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):
     torus, rep = sp4_split13.torus, sp4_split13.rep
     pm = torus.pm
     tr = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
-    w = rep.op(tr.s0)
+    w = build(rep, tr.s0)
+    ops = dense_ops(rep, torus.elements)
     worst = 0.0
     for b in torus.elements:
         t = ffcore.mat_mul(ffcore.mat_mul(tr.s0_inv, b, mod=13), tr.s0, mod=13)
         oracle = w @ dilate_op(((t[0][0], t[0][1]), (t[1][0], t[1][1])),
                                pm) @ w.conj().T
-        worst = max(worst, float(np.abs(oracle - rep.op(b)).max()))
+        worst = max(worst, float(np.abs(oracle - ops[b]).max()))
     assert torus.order == 144
     assert worst < 1e-9
 
@@ -642,8 +659,9 @@ def _reference_violations(elem, pm, torus, rep, rtol=1e-6):
     oracle: trace table, character table and projector-stack dims."""
     p, n = pm.p, pm.n
     chis = hecke.characters(torus)
-    mags = np.abs(character_sum_table(build_trace_table(torus, rep)))
-    dims = decompose_oracle(torus, rep).dims
+    ops = dense_ops(rep, torus.elements)
+    mags = np.abs(character_sum_table(build_trace_table(torus, ops)))
+    dims = decompose_oracle(torus, ops).dims
     bound = 2 ** n * p ** (n / 2)
     inv_idx = [[c.exps for c in chis].index(chi.inverse().exps) for chi in chis]
     dim1_cols = [i for i in range(len(chis)) if dims[inv_idx[i]] == 1]

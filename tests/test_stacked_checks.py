@@ -22,9 +22,9 @@ from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import CHUNK_BYTES, lattice_vectors
 from torusque.quevaluator import PrimeContext
 
-from oracles import (dense_pair_check, egorov_deviation_loop, factorization_counts_loop,
-                     orbits_by_unique, pair_check_per_role, refined_rows_loop,
-                     split_trace_deviation_per_a, trace_column)
+from oracles import (build_many, dense_pair_check, egorov_deviation_loop,
+                     factorization_counts_loop, orbits_by_unique, pair_check_per_role,
+                     refined_rows_loop, split_trace_deviation_per_a, trace_column)
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
 
@@ -45,7 +45,7 @@ def test_egorov_check_equals_the_per_element_route(n, p, cat_map, sp4_elem,
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, samples[:5] @ samples[5:10] % p])
     want = [egorov_deviation_loop(dense, b, pm)
-            for b, dense in zip(elements, rep.build_many(elements))]
+            for b, dense in zip(elements, build_many(rep, elements))]
     got, lo = [], 0
     for stack in rep.build_chunks(elements):
         got.extend(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
@@ -83,7 +83,7 @@ def test_trace_formula_equals_the_per_a_route(p, rep_cache):
     assert dev <= 1e-10 and abs(dev - split_trace_deviation_per_a(rep, sign)) <= 1e-12
     # the stacked columns and the closed form over a stack of a, one a at a time
     a = np.arange(2, p)
-    stack = np.stack(list(rep.build_many([((int(x), 0), (0, pow(int(x), -1, p))) for x in a])))
+    stack = np.stack(list(build_many(rep, [((int(x), 0), (0, pow(int(x), -1, p))) for x in a])))
     cols = trace_column(stack, pm)
     lam, mu = lattice_vectors(pm).T
     vals = q.split_trace_formula(lam, mu, a[:, None], pm, sign)

@@ -4,16 +4,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from torusque import ffcore, weil
+from torusque import cli, ffcore, weil
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod, mat_mul
 from torusque.heisenberg import pi_op
+from torusque.quevaluator import PrimeContext
 from torusque.weil import (ConstructionError, fourier_op, egorov_deviation, linearize,
                            random_sp, solve_gamma, sp_elements)
 
-from oracles import (SpFactor, dilate_matrix, dilate_op, egorov_deviation_loop,
-                     linearize_on_torus, mat_det, mat_neg, mat_transpose, mats,
-                     schur_intertwiner, shear_op, solve_gamma_dense, sp_blocks, sp_word,
-                     torus_pair_scan, word_matrix, word_operator)
+from oracles import (SpFactor, build, build_many, dense_ops, dilate_matrix, dilate_op,
+                     egorov_deviation_loop, generator_ops, linearize_on_torus, mat_det,
+                     mat_neg, mat_transpose, mats, schur_intertwiner, shear_op,
+                     solve_gamma_dense, sp_blocks, sp_word, torus_pair_scan, word_matrix,
+                     word_operator)
 
 
 def test_dilate_identity():
@@ -59,7 +61,8 @@ def test_rep_fourier_powers(rep_cache):
     # rho(w)^2 = gamma^2 * parity, rho(w)^4 proportional to the identity
     pm = PrimeModulus(7, 1)
     rep = rep_cache(7)
-    w = rep.op(weil.fourier_matrix(pm))
+    w = rep.fourier
+    assert np.abs(build(rep, weil.fourier_matrix(pm)) - w).max() < 1e-12
     parity = np.zeros((7, 7))
     for x in range(7):
         parity[x, (-x) % 7] = 1.0
@@ -126,7 +129,7 @@ def test_gamma_rejects_a_cube_that_is_not_scalar(monkeypatch):
 
 def test_linearize_identity(rep_cache):
     rep = rep_cache(5)
-    assert np.abs(rep.op(identity_mat(2)) - np.eye(5)).max() < 1e-12
+    assert np.abs(build(rep, identity_mat(2)) - np.eye(5)).max() < 1e-12
 
 
 def test_multiplicativity_exhaustive_small(rep_cache):
@@ -155,8 +158,9 @@ def test_egorov_all_elements_small(rep_cache):
         xis = [(1, 0), (0, 1)] + [tuple(int(x) for x in rng.integers(0, p, 2))
                                   for _ in range(50)]
         tol = 1e-9 * p ** 0.5
-        for b in sp_elements(PrimeModulus(p, 1)):
-            assert egorov_deviation_loop(rep.op(b), b, pm, xis) < tol
+        group = sp_elements(pm)
+        for b, dense in zip(group, build_many(rep, group)):
+            assert egorov_deviation_loop(dense, b, pm, xis) < tol
 
 
 def test_unitarity_of_rep(rep_cache):
@@ -167,7 +171,7 @@ def test_unitarity_of_rep(rep_cache):
         if a == 0:
             continue
         d = (1 + b * c) * pow(a, -1, 7) % 7
-        r = rep.op(((a, b), (c, d)))
+        r = build(rep, ((a, b), (c, d)))
         assert np.abs(r @ r.conj().T - np.eye(7)).max() < 1e-12
 
 
@@ -175,7 +179,8 @@ def test_trace_fixed_point_identity(rep_cache):
     # |Tr rho(B)| = p^(dim ker(B - I)/2); confirmed by an oracle sweep first
     for p in (3, 5):
         rep = rep_cache(p)
-        for b in sp_elements(PrimeModulus(p, 1)):
+        group = sp_elements(PrimeModulus(p, 1))
+        for b, dense in zip(group, build_many(rep, group)):
             m = ((b[0][0] - 1) % p, b[0][1] % p), (b[1][0] % p, (b[1][1] - 1) % p)
             det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % p
             if det:
@@ -184,7 +189,7 @@ def test_trace_fixed_point_identity(rep_cache):
                 ker = 1
             else:
                 ker = 2
-            assert abs(abs(np.trace(rep.op(b))) - p ** (ker / 2)) < 1e-10
+            assert abs(abs(np.trace(dense)) - p ** (ker / 2)) < 1e-10
 
 
 def test_word_operator_matches_rep(rep_cache):
@@ -193,7 +198,7 @@ def test_word_operator_matches_rep(rep_cache):
     word = [SpFactor("shear", ((3,),)), SpFactor("fourier"),
             SpFactor("dilate", ((2,),))]
     b = word_matrix(word, pm)
-    assert np.abs(word_operator(word, pm, rep.gamma) - rep.op(b)).max() < 1e-9
+    assert np.abs(word_operator(word, pm, rep.gamma) - build(rep, b)).max() < 1e-9
 
 
 def test_schur_intertwiner_identity_is_scalar():
@@ -227,10 +232,53 @@ def test_schur_intertwiner_fourier_proportional():
 
 
 def test_egorov_failure_detected():
+    # the identity is no rho of a shear: the Egorov check rejects it
     pm = PrimeModulus(5, 1)
-    rep = linearize(pm)
-    with pytest.raises(ConstructionError):
-        rep.insert_generator(((1, 1), (0, 1)), np.eye(5, dtype=complex), "bogus")
+    with pytest.raises(ConstructionError, match="Egorov deviation"):
+        weil.check_egorov(np.eye(5, dtype=complex)[None], [((1, 1), (0, 1))], pm)
+
+
+def test_corrupted_generator_operator_fails_the_egorov_check(cat_map, torus_cache,
+                                                             monkeypatch):
+    # one entry of rho(g_1) scaled: the context's generator stack raises, and
+    # the sweep check that reads it reports the error as a failure, with no
+    # generator kept
+    pm = PrimeModulus(7, 1)
+    ctx = PrimeContext(cat_map, torus_cache(7), linearize(pm))
+    real = weil.WeilRep.build_chunks
+
+    def corrupted(self, bs, deadline=None):
+        for stack in real(self, bs, deadline):
+            stack[0, 1, 2] *= 1.5
+            yield stack
+
+    monkeypatch.setattr(weil.WeilRep, "build_chunks", corrupted)
+    with pytest.raises(ConstructionError, match="Egorov deviation"):
+        ctx.generator_ops
+    cfg = cli.SweepConfig(pmin=7, pmax=7, checks=("decomposition",), deterministic=True)
+    report = cli.run_prime(cat_map, 7, cfg, {"relation_sign": 1})
+    (res,) = report["checks"]
+    assert res["status"] == "fail"
+    assert res["witnesses"][0]["error"].startswith("ConstructionError: Egorov deviation")
+    assert report["routes"] == {"generator-formula": 1}
+
+
+def test_corrupted_shear_diagonal_fails_linearize(monkeypatch):
+    # rho(shear(I)) is checked once, at construction, and is not kept
+    real = weil._diagonal_shear_expo
+    calls = []
+
+    def corrupted(pm, mask):
+        calls.append(mask)
+        expo = real(pm, mask).copy()
+        if len(calls) == 2:             # solve_gamma reads the true diagonal
+            expo[1] = (expo[1] + 1) % pm.p
+        return expo
+
+    monkeypatch.setattr(weil, "_diagonal_shear_expo", corrupted)
+    with pytest.raises(ConstructionError, match="Egorov deviation"):
+        linearize(PrimeModulus(5, 1))
+    assert len(calls) == 2
 
 
 def _phase_dev(a, b):
@@ -248,18 +296,18 @@ def test_weilrep_n2_dispatch(sp4_elem):
     rep = linearize(pm)
     s = ((1, 2), (2, 0))
     b_shear = weil.shear_matrix(s, pm)
-    assert np.abs(rep.op(b_shear) - shear_op(s, pm)).max() < 1e-12
-    assert rep.tags[b_shear] == "closed-form"
     m = ((2, 1), (0, 1))
     b_dil = dilate_matrix(m, pm)
-    assert np.abs(rep.op(b_dil) - dilate_op(m, pm)).max() < 1e-12
-    assert rep.tags[b_dil] == "closed-form"
     b_f = mat_mod(weil.fourier_matrix(pm), 3)
-    assert np.abs(rep.op(b_f) - fourier_op(pm, rep.gamma)).max() < 1e-12
-    assert rep.tags[b_f] == "generator-formula"
     b = mat_mod(sp4_elem.matrix, 3)
-    w = rep.op(b)
-    assert rep.tags[b] == "closed-form"
+    op_shear, op_dil, op_f, w = build_many(rep, [b_shear, b_dil, b_f, b])
+    assert np.abs(op_shear - shear_op(s, pm)).max() < 1e-12
+    assert np.abs(op_dil - dilate_op(m, pm)).max() < 1e-12
+    # the closed-form kernel of fourier equals the generator formula rep keeps
+    assert np.abs(op_f - fourier_op(pm, rep.gamma)).max() < 1e-12
+    assert np.abs(rep.fourier - fourier_op(pm, rep.gamma)).max() < 1e-12
+    # shears and dilations (Bb = 0) take the S = I branch, fourier S = 0
+    assert weil.factorize(pm, [b_shear, b_dil, b_f]).mask.tolist() == [3, 3, 0]
     assert np.abs(w @ w.conj().T - np.eye(9)).max() < 1e-9
     assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * 3
     assert _phase_dev(w, schur_intertwiner(b, pm, np.random.default_rng(0))) < 1e-9
@@ -302,14 +350,13 @@ def test_sp_word_bruhat_cells():
         rep = linearize(pm)
         rng = np.random.default_rng(p)
         seen = set()
-        for _ in range(60):
-            b = _random_sp(pm, rng)
+        bs = [_random_sp(pm, rng) for _ in range(60)]
+        for b, w in zip(bs, build_many(rep, bs)):
             rank = _top_right_rank(b, p)
             seen.add(rank)
             word = sp_word(b, pm)
             assert word_matrix(word, pm) == b
             assert sum(f.kind == "fourier" for f in word) == {0: 0, 1: 5, 2: 1}[rank]
-            w = rep.op(b)
             assert np.abs(w @ w.conj().T - np.eye(p * p)).max() < 1e-9
             assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * p
         assert seen == {0, 1, 2}
@@ -328,12 +375,14 @@ def test_sp4_pair_multiplicativity():
         rng = np.random.default_rng(100 + p)
         ranks = set()
         worst = 0.0
+        triples = []
         for _ in range(30):
             b1, b2 = _random_sp(pm, rng), _random_sp(pm, rng)
-            prod = mat_mul(b1, b2, mod=p)
-            ranks.update(_top_right_rank(b, p) for b in (b1, b2, prod))
-            worst = max(worst, float(np.abs(rep.op(b1) @ rep.op(b2)
-                                            - rep.op(prod)).max()))
+            triples += [b1, b2, mat_mul(b1, b2, mod=p)]
+        ranks.update(_top_right_rank(b, p) for b in triples)
+        ops = build_many(rep, triples)
+        for r1, r2, r12 in zip(ops, ops, ops):
+            worst = max(worst, float(np.abs(r1 @ r2 - r12).max()))
         assert ranks == {0, 1, 2}
         assert worst < 1e-9
 
@@ -344,9 +393,9 @@ def test_sp_word_matches_schur_oracle(sp4_elem, torus_cache):
         rep = linearize(pm)
         torus = torus_cache(p, 2)
         targets = [mat_mod(sp4_elem.matrix, p)] + [g for g, _ in torus.generators]
-        for i, b in enumerate(targets):
+        for i, (b, dense) in enumerate(zip(targets, build_many(rep, targets))):
             oracle = schur_intertwiner(b, pm, np.random.default_rng(i))
-            assert _phase_dev(rep.op(b), oracle) < 1e-9
+            assert _phase_dev(dense, oracle) < 1e-9
 
 
 def _sl2_word_oracle(b, p):
@@ -386,41 +435,40 @@ def test_sp_word_equals_sl2_word():
             assert sp_word(b, pm) == _sl2_word_oracle(b, p)
 
 
-def test_torus_twist_entries_are_tagged(torus_cache):
-    pm = PrimeModulus(5, 2)
+def test_torus_twist_covers_every_element(rep_cache, torus_cache):
     torus = torus_cache(5, 2)
-    trep = linearize_on_torus(torus, pm, root_index=(1,) * len(torus.generators))
-    assert all(trep.tags[b] == "torus-twist" for b in torus.elements)
+    trep = linearize_on_torus(torus, rep_cache(5, 2),
+                              root_index=(1,) * len(torus.generators))
+    assert trep.keys() == set(torus.elements)
     for b1 in torus.elements[:5]:
         for b2 in torus.elements[:5]:
             prod = mat_mul(b1, b2, mod=5)
-            assert np.abs(trep.op(b1) @ trep.op(b2) - trep.op(prod)).max() < 1e-9
+            assert np.abs(trep[b1] @ trep[b2] - trep[prod]).max() < 1e-9
 
 
 def test_torus_linearization_orders(cat_map, rep_cache, torus_cache):
-    pm = PrimeModulus(7, 1)
     torus = torus_cache(7)
-    trep = linearize_on_torus(torus, pm)
+    trep = linearize_on_torus(torus, rep_cache(7))
     for g, order in torus.generators:
-        power = np.linalg.matrix_power(trep.op(g), order)
+        power = np.linalg.matrix_power(trep[g], order)
         assert np.abs(power - np.eye(7)).max() < 1e-9
     # honest homomorphism on the whole torus
     for b1 in torus.elements[:4]:
         for b2 in torus.elements[:4]:
             prod = mat_mul(b1, b2, mod=7)
-            assert np.abs(trep.op(b1) @ trep.op(b2) - trep.op(prod)).max() < 1e-9
+            assert np.abs(trep[b1] @ trep[b2] - trep[prod]).max() < 1e-9
 
 
 def test_torus_linearization_agrees_with_full_rep(rep_cache, torus_cache):
     # the canonical rep restricted to the torus equals one root choice
-    pm = PrimeModulus(7, 1)
     torus = torus_cache(7)
     rep = rep_cache(7)
+    ops = dense_ops(rep, torus.elements)
     g, order = torus.generators[0]
     matches = 0
     for ridx in range(order):
-        trep = linearize_on_torus(torus, pm, root_index=ridx)
-        dev = max(float(np.abs(trep.op(b) - rep.op(b)).max())
+        trep = linearize_on_torus(torus, rep, root_index=ridx)
+        dev = max(float(np.abs(trep[b] - ops[b]).max())
                   for b in torus.elements)
         if dev < 1e-8:
             matches += 1
@@ -429,14 +477,13 @@ def test_torus_linearization_agrees_with_full_rep(rep_cache, torus_cache):
 
 def test_two_root_choices_twist_by_character(rep_cache, torus_cache):
     # alternative root choices differ elementwise by an exact character
-    pm = PrimeModulus(7, 1)
     torus = torus_cache(7)
-    t0 = linearize_on_torus(torus, pm, root_index=0)
-    t1 = linearize_on_torus(torus, pm, root_index=1)
+    t0 = linearize_on_torus(torus, rep_cache(7), root_index=0)
+    t1 = linearize_on_torus(torus, rep_cache(7), root_index=1)
     g, order = torus.generators[0]
     zeta = np.exp(2j * np.pi / order)
     for b, exps in torus.dlog.items():
-        ratio = t1.op(b) @ np.linalg.inv(t0.op(b))
+        ratio = t1[b] @ np.linalg.inv(t0[b])
         expected = zeta ** (-exps[0] % order)
         assert np.abs(ratio - expected * np.eye(7)).max() < 1e-8
 
@@ -474,7 +521,8 @@ def test_random_sp_reaches_every_sp_word_branch():
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 7)])
 def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
     rep, torus = rep_cache(p, n), torus_cache(p, n)
-    cert = weil.certify_torus(rep, torus, probe=weil.probe_block(rep.pm, 0))
+    cert = weil.certify_torus(rep, torus, generator_ops(rep, torus),
+                              probe=weil.probe_block(rep.pm, 0))
     scan = torus_pair_scan(rep, torus)
     assert scan.ok and scan.pairs_checked == torus.order ** 2
     assert cert <= 1e-8
@@ -483,7 +531,7 @@ def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
 def test_relation_pairs_hold(n, p):
-    # every defining relation, as a pair through build_many, holds to 1e-12;
+    # every defining relation, as a pair of check_multiplicativity, holds to 1e-12;
     # the shears and dilations (Bb = 0) take the S = I branch, mask 2^n - 1
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
@@ -519,4 +567,5 @@ def test_torus_certificate_catches_swapped_dlog(rep_cache, torus_cache):
     b1, b2 = torus.elements[1], torus.elements[2]
     dlog = dict(torus.dlog)
     dlog[b1], dlog[b2] = dlog[b2], dlog[b1]
-    assert weil.certify_torus(rep_cache(7, 2), replace(torus, dlog=dlog)) > 0.1
+    rep = rep_cache(7, 2)
+    assert weil.certify_torus(rep, replace(torus, dlog=dlog), generator_ops(rep, torus)) > 0.1
