@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import random
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -142,23 +142,6 @@ def _timed(fn):
     return out, int(1000 * (time.perf_counter() - t0))
 
 
-class _SharedRng:
-    """The prime's np.random.default_rng(seed), made on its first draw and
-    then shared by every check that samples (egorov, multiplicativity), in
-    check order: a prime whose checks draw nothing never imports
-    numpy.random."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    @cached_property
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def __getattr__(self, name):
-        return getattr(self.generator, name)
-
-
 def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
               conventions: dict) -> dict:
     """The prime's report.  If `conventions`, the report header's, is still
@@ -175,7 +158,8 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
         return _unbuilt_prime(p, cfg, [_budget_skip(name) for name in cfg.checks])
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
         return _failed_prime(p, cfg, e)
-    rng = _SharedRng(cfg.seed + p)
+    # the sampling checks (egorov, multiplicativity) draw from it in check order
+    rng = random.Random(cfg.seed + p)
 
     for name in cfg.checks:
         if time.perf_counter() > ctx.deadline:
@@ -305,8 +289,9 @@ def _check_multiplicativity(ctx, rng):
     """rho is a representation: group pairs (with the generator relations as
     pairs when sampled) and the torus certificate, both read on one probe
     block X of weil.PROBE_COLUMNS i.i.d. standard complex Gaussian columns,
-    seeded with one integer drawn from rng after the pairs.  max_dev is the
-    per-probe deviation max |M X| of the pair identities and of the torus
+    seeded with rng.getrandbits(63) after the pairs; rng is the prime's
+    random.Random, shared with the egorov check in check order.  max_dev is
+    the per-probe deviation max |M X| of the pair identities and of the torus
     identities rho(B) = prod_i R_i^e_i(B) and R_i^m_i = I, R_i = rho(g_i),
     M = 0 (the commutators of the R_i are read densely): an entry of M of
     modulus eps passes the tolerance tol with probability at most
@@ -320,7 +305,7 @@ def _check_multiplicativity(ctx, rng):
         # the exhaustive scan already holds every relation
         pairs = np.concatenate([draws.reshape(SAMPLED_PAIRS, 2, *draws.shape[1:]),
                                 weil.relation_pairs(pm, rng)])
-    probe = weil.probe_block(pm, int(rng.integers(2 ** 63)))
+    probe = weil.probe_block(pm, rng.getrandbits(63))
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
                                       deadline=ctx.deadline, probe=probe)

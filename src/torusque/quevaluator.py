@@ -446,7 +446,7 @@ def split_trace_formula(lam, mu, a, pm: PrimeModulus,
         raise ValueError("a must avoid 0 and 1 (identity excluded from the torus)")
     c = sign * pm.nu * (1 + a) % p * ffcore.unit_inverses(p)[(1 - a) % p] % p
     t = (c * (np.asarray(lam) % p) % p) * (np.asarray(mu) % p) % p
-    vals = ffcore.legendre_signs(p)[a] * np.exp(1j * (2 * np.pi * t / p))
+    vals = ffcore.legendre_signs(p)[a] * root_table(p)[t]
     return complex(vals) if vals.ndim == 0 else vals
 
 

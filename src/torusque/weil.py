@@ -70,10 +70,9 @@ otherwise for sampled pairs (random_sp) together with the defining
 relations of the generators written as pairs (relation_pairs), their
 products B1 B2 from one batched int64 product (pair_triples); and on a
 Hecke torus by an O(|T|) certificate (certify_torus).  Both samplers share
-one block draw from a numpy Generator.  The probe itself comes from an
-integer seed through the standard library's `random.Random`, so the
-normalization (seed 0) and every check that samples nothing run without
-importing numpy.random.
+one block draw from a standard-library `random.Random`, and the probe
+comes from an integer seed through another, so no sweep imports
+numpy.random.
 
 The certificates' max_dev is therefore a per-probe deviation max |M X|,
 M = rho(B1) rho(B2) - rho(B1 B2), not the entrywise max |M| (Freivalds'
@@ -533,14 +532,16 @@ def sp_elements(pm: PrimeModulus) -> list[Mat]:
     return out
 
 
-def _random_blocks(pm: PrimeModulus, rng: np.random.Generator, count: int):
+def _random_blocks(pm: PrimeModulus, rng: random.Random, count: int):
     """count draws of the blocks (S1, S2, M, M^-1), each a (count, n, n) int64
     stack mod p.
 
     S1 and S2 are uniform symmetric, and M = L U with L unit lower triangular
     and U upper triangular with a nonzero diagonal, so every leading minor of
     M is a unit; M^-1 comes from `ffcore.gauss_jordan_modp`.  All entries
-    come from one rng.integers call.
+    come from one rng.randbytes call, read as little-endian 64-bit words w
+    and mapped to [low, p) as low + w mod (p - low): the modulo bias keeps
+    each residue's probability within a factor 1 +- p / 2^64 of uniform.
     """
     p, n = pm.p, pm.n
     iu, ju = np.triu_indices(n)
@@ -550,7 +551,9 @@ def _random_blocks(pm: PrimeModulus, rng: np.random.Generator, count: int):
     # only the diagonal of U avoids 0
     low = np.zeros(3 * k + len(il), dtype=np.int64)
     low[2 * k:3 * k] = iu == ju
-    draws = rng.integers(low, p, size=(count, len(low)))
+    words = np.frombuffer(rng.randbytes(8 * count * len(low)), dtype="<u8")
+    span = (p - low).astype(np.uint64)
+    draws = low + (words.reshape(count, len(low)) % span).astype(np.int64)
     s1, s2, u = (np.zeros((count, n, n), dtype=np.int64) for _ in range(3))
     lo = np.broadcast_to(np.eye(n, dtype=np.int64), (count, n, n)).copy()
     s1[:, iu, ju] = s1[:, ju, iu] = draws[:, :k]
@@ -568,16 +571,17 @@ def _assemble(a, bb, c, d, p: int) -> np.ndarray:
                            np.concatenate([c, d], axis=2)], axis=1) % p
 
 
-def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> np.ndarray:
+def random_sp(pm: PrimeModulus, rng: random.Random, count: int) -> np.ndarray:
     """(count, 2n, 2n) int64 stack of random elements shear(S1) dilate(M)
     fourier shear(S2) of Sp(2n, F_p).
 
     The product is [[-M S2, M], [S1 M S2 - M^-T, -S1 M]] in closed form, from
-    one block draw (`_random_blocks`).  The samples therefore cover only the
-    big Bruhat cell (an invertible upper-right block M), and at n >= 2 only
-    its LU-factorable M: every one has S = 0 in `factorize`.  Products of
-    samples reach Bb = 0 and singular nonzero Bb.  The arithmetic is exact
-    int64 over the whole batch (every intermediate stays below n p^2).
+    one block draw of rng, a `random.Random` (`_random_blocks`).  The samples
+    therefore cover only the big Bruhat cell (an invertible upper-right block
+    M), and at n >= 2 only its LU-factorable M: every one has S = 0 in
+    `factorize`.  Products of samples reach Bb = 0 and singular nonzero Bb.
+    The arithmetic is exact int64 over the whole batch (every intermediate
+    stays below n p^2).
     """
     s1, s2, m, m_inv = _random_blocks(pm, rng, count)
     ms2 = m @ s2 % pm.p
@@ -588,16 +592,17 @@ def random_sp(pm: PrimeModulus, rng: np.random.Generator, count: int) -> np.ndar
 RELATION_DRAWS = 10
 
 
-def relation_pairs(pm: PrimeModulus, rng: np.random.Generator) -> np.ndarray:
+def relation_pairs(pm: PrimeModulus, rng: random.Random) -> np.ndarray:
     """The defining relations of the generators as pairs (B1, B2) for
     check_multiplicativity, which checks rho(B1) rho(B2) = rho(B1 B2): a
     (k, 2, 2n, 2n) int64 stack, pair i at index i.
 
     fourier^4 = I as (F, F) and (F^2, F^2); (F D)^3 = I with D = shear(I) as
-    (F, D), (K, K) and (K^2, K) for K = F D.  On RELATION_DRAWS block draws
-    (`_random_blocks`): shear additivity (shear(S1), shear(S2)), dilation
-    multiplicativity (dilate(M1), dilate(M2)), and
-    dilate(M) shear(S) dilate(M)^-1 = shear(M^-T S M^-1) as
+    (F, D), (K, K) and (K^2, K) for K = F D.  On two block draws of
+    RELATION_DRAWS each from rng, a `random.Random` (`_random_blocks`):
+    shear additivity (shear(S1), shear(S2)), dilation multiplicativity
+    (dilate(M1), dilate(M2)), and dilate(M) shear(S) dilate(M)^-1 =
+    shear(M^-T S M^-1) as
     (dilate(M1), shear(S1)) and (dilate(M1) shear(S1), dilate(M1^-1)).
     Shears and dilations have Bb = 0, so every one takes the S = I branch
     of `factorize`.

@@ -7,6 +7,7 @@ operators along a word, one element at a time.  The batched Egorov
 deviation is held to the per-xi loop exactly.
 """
 
+import random
 import tracemalloc
 from dataclasses import fields
 from itertools import product
@@ -53,7 +54,7 @@ def test_build_many_equals_word_oracle_on_sl2(p, rep_cache):
 def test_build_many_equals_word_oracle_on_sampled_products(p, rep_cache):
     # products of big-cell samples also reach b = 0, the S != 0 kernel
     pm = PrimeModulus(p, 1)
-    draws = random_sp(pm, np.random.default_rng(p), 600)
+    draws = random_sp(pm, random.Random(p), 600)
     prods = [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[::2], draws[1::2])]
     assert {_top_right_rank(b, 1, p) for b in prods} == {0, 1}
     assert _max_oracle_dev(rep_cache(p), prods) <= 1e-12
@@ -62,7 +63,7 @@ def test_build_many_equals_word_oracle_on_sampled_products(p, rep_cache):
 @pytest.mark.parametrize("p", [3, 5])
 def test_build_many_equals_word_oracle_at_n2(p):
     pm = PrimeModulus(p, 2)
-    draws = random_sp(pm, np.random.default_rng(100 + p), 60)
+    draws = random_sp(pm, random.Random(100 + p), 60)
     prods = [mat_mul(b1, b2, mod=p) for b1, b2 in product(draws[:30], draws[30:])]
     assert {_top_right_rank(b, 2, p) for b in prods} == {0, 1, 2}
     assert _max_oracle_dev(linearize(pm), prods) <= 1e-12
@@ -74,7 +75,7 @@ def test_chunk_boundaries_keep_input_order(extra, rep_cache):
     rep = rep_cache(43)
     size = weil.chunk_length(pm)
     assert size > 1
-    bs = random_sp(pm, np.random.default_rng(size + extra), size + extra)
+    bs = random_sp(pm, random.Random(size + extra), size + extra)
     assert _max_oracle_dev(rep, bs) <= 1e-12
     assert list(build_many(rep, [])) == []
     assert _max_oracle_dev(rep, bs[:1]) <= 1e-12
@@ -88,7 +89,7 @@ def test_plan_batch_boundaries_keep_input_order(n, p, extra, rep_cache):
     pm = PrimeModulus(p, n)
     size = weil.factor_length(pm)
     assert size > weil.chunk_length(pm) > 1
-    draws = random_sp(pm, np.random.default_rng(size + extra), 2 * (size + extra))
+    draws = random_sp(pm, random.Random(size + extra), 2 * (size + extra))
     bs = [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[::2], draws[1::2])]
     assert _max_oracle_dev(rep_cache(p, n), bs) <= 1e-12
 
@@ -98,7 +99,7 @@ def test_non_symplectic_element_in_second_plan_batch_raises(rep_cache):
     # is factored
     pm = PrimeModulus(43, 1)
     size = weil.factor_length(pm)
-    good = random_sp(pm, np.random.default_rng(1), size + 2)
+    good = random_sp(pm, random.Random(1), size + 2)
     bs = list(good[:size]) + [good[size], ((1, 1), (1, 1)), good[size + 1]]
     built = 0
     with pytest.raises(ValueError, match="not symplectic"):
@@ -112,7 +113,7 @@ def test_pair_triples_equal_mat_mul(n, p):
     # the batched int64 products of the multiplicativity check's sampled and
     # relation pairs against the exact Python product
     pm = PrimeModulus(p, n)
-    rng = np.random.default_rng(p)
+    rng = random.Random(p)
     draws = random_sp(pm, rng, 200)
     pairs = np.concatenate([draws.reshape(100, 2, 2 * n, 2 * n),
                             weil.relation_pairs(pm, rng)])
@@ -128,7 +129,7 @@ def test_pair_triples_equal_mat_mul(n, p):
 def test_non_symplectic_element_mid_batch_raises(rep_cache):
     pm = PrimeModulus(43, 1)
     rep = rep_cache(43)
-    good = random_sp(pm, np.random.default_rng(0), 3)
+    good = random_sp(pm, random.Random(0), 3)
     with pytest.raises(ValueError, match="not symplectic"):
         list(build_many(rep, [good[0], ((1, 1), (1, 1)), good[1], good[2]]))
 
@@ -154,8 +155,7 @@ def test_batched_egorov_equals_per_xi_loop(n, p):
     # one at a time and a lone operator's in blocks of 33
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
-    rng = np.random.default_rng(7)
-    draws = mats(random_sp(pm, rng, 20))
+    draws = mats(random_sp(pm, random.Random(7), 20))
     bs = draws[:10] + [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[:10], draws[10:])]
     ops = np.stack(list(build_many(rep, bs)))
     want = [egorov_deviation_loop(dense, b, pm) for b, dense in zip(bs, ops)]
@@ -175,7 +175,7 @@ def test_plan_inverts_only_the_masks_it_needs(n, p, monkeypatch):
     # on the relation pairs (the U(-S) branch) and on sampled pairs with
     # their products
     pm = PrimeModulus(p, n)
-    rng = np.random.default_rng(p)
+    rng = random.Random(p)
     d = 2 * n
     batch = np.concatenate([weil.relation_pairs(pm, rng).reshape(-1, d, d),
                             weil.pair_triples(random_sp(pm, rng, 80).reshape(-1, 2, d, d), pm)])
@@ -199,7 +199,8 @@ def _elements_with_mask(pm, mask, count, rng):
     s1, _, m, m_inv = weil._random_blocks(pm, rng, count)
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), m.shape)
     zero = np.zeros_like(m)
-    t = np.where(weil._mask_bits(n)[mask], 0, rng.integers(1, p - 1, size=(count, n)))
+    off = [[rng.randrange(1, p - 1) for _ in range(n)] for _ in range(count)]
+    t = np.where(weil._mask_bits(n)[mask], 0, np.array(off, dtype=np.int64))
     shear = weil._assemble(eye, zero, -s1, eye, p)
     dilate = weil._assemble(m, zero, zero, m_inv.transpose(0, 2, 1), p)
     return shear @ dilate % p @ weil._assemble(eye, t[:, :, None] * eye, zero, eye, p) % p
@@ -213,10 +214,10 @@ def test_upper_shear_route_equals_the_dense_product(n, p, rep_cache):
     # hold operators with and without S
     pm = PrimeModulus(p, n)
     rep = rep_cache(p, n)
-    rng = np.random.default_rng(p)
+    rng = random.Random(p)
     masks = np.repeat(np.arange(2 ** n), 5)
     bs = np.concatenate([_elements_with_mask(pm, m, 5, rng) for m in range(2 ** n)])
-    order = rng.permutation(len(bs))
+    order = rng.sample(range(len(bs)), len(bs))
     bs, masks = bs[order], masks[order]
     assert np.array_equal(weil.factorize(pm, bs).mask, masks)
     eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
@@ -245,10 +246,9 @@ def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):
 def test_streamed_operators_stay_under_the_trace_formula_peak(rep_cache):
     pm = PrimeModulus(43, 1)
     rep = rep_cache(43)
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     bs = random_sp(pm, rng, 1000)
-    xis = [(1, 0), (0, 1)] + [tuple(int(x) for x in rng.integers(0, 43, 2))
-                              for _ in range(50)]
+    xis = [(1, 0), (0, 1)] + [(rng.randrange(43), rng.randrange(43)) for _ in range(50)]
     tracemalloc.start()
     try:
         worst = 0.0
@@ -271,7 +271,7 @@ def test_identity_checks_stay_under_the_trace_formula_peak(check, cat_map):
     ctx.decomposition
     tracemalloc.start()
     try:
-        res = cli._CHECK_RUNNERS[check](ctx, np.random.default_rng(43))
+        res = cli._CHECK_RUNNERS[check](ctx, random.Random(43))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -129,7 +130,8 @@ def test_sweep_deterministic_byte_identical(tmp_path):
     for i in (0, 1):
         out = tmp_path / f"d{i}.json"
         rc = run_cli(["sweep", "--pmin", "3", "--pmax", "7",
-                      "--checks", "relations,egorov,bound", "--seed", "7",
+                      "--checks", "relations,egorov,multiplicativity,bound",
+                      "--seed", "7",
                       "--deterministic", "--out-json", str(out)])
         assert rc == 0
         paths.append(out.read_bytes())
@@ -289,7 +291,7 @@ def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
         gens = ctx.generator_ops
         for runner in (cli._check_egorov, cli._check_multiplicativity):
             before = vars(ctx).keys() | vars(ctx.rep).keys()
-            res = runner(ctx, np.random.default_rng(0))
+            res = runner(ctx, random.Random(0))
             assert res.status == "pass"
             assert vars(ctx).keys() | vars(ctx.rep).keys() == before
             assert vars(ctx.rep).keys() == {"pm", "gamma", "fourier"}
@@ -304,7 +306,7 @@ def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem
     # max_dev and C the torus certificate's deviation
     pm = PrimeModulus(p, n)
     ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
-    res = cli._check_egorov(ctx, np.random.default_rng(p))
+    res = cli._check_egorov(ctx, random.Random(p))
     assert res.status == "pass" and res.max_dev > 0
     torus, rep = ctx.torus, ctx.rep
     cert = weil.certify_torus(rep, torus, ctx.generator_ops,
@@ -339,7 +341,7 @@ def test_egorov_check_names_a_corrupted_generator(n, p, cat_map, sp4_elem,
             yield stack
 
     monkeypatch.setattr(ctx.rep, "build_chunks", corrupted)
-    res = cli._check_egorov(ctx, np.random.default_rng(0))
+    res = cli._check_egorov(ctx, random.Random(0))
     assert res.status == "fail"
     assert [w["B"] for w in res.witnesses] == [g]
 
@@ -368,7 +370,7 @@ def test_checks_read_no_torus_element_list(n, p, checks, cat_map, sp4_elem):
     torus = replace(built.torus, elements=_CountOnly(built.torus.order))
     ctx = PrimeContext(built.elem, torus, built.rep)
     for name in checks:
-        res = cli._CHECK_RUNNERS[name](ctx, np.random.default_rng(p))
+        res = cli._CHECK_RUNNERS[name](ctx, random.Random(p))
         assert res.name == name and res.status in ("pass", "fail", "skip")
 
 
@@ -385,10 +387,10 @@ def test_relation_pairs_join_only_the_sampled_check(cat_map, monkeypatch):
     monkeypatch.setattr(weil, "check_multiplicativity", spy)
     for p in (3, 7):
         ctx = PrimeContext.build(cat_map, PrimeModulus(p, 1))
-        assert cli._check_multiplicativity(ctx, np.random.default_rng(p)).status == "pass"
+        assert cli._check_multiplicativity(ctx, random.Random(p)).status == "pass"
     exhaustive, sampled = seen
     assert exhaustive is None
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     weil.random_sp(ctx.pm, rng, 2 * cli.SAMPLED_PAIRS)
     assert np.array_equal(sampled[cli.SAMPLED_PAIRS:], weil.relation_pairs(ctx.pm, rng))
 
@@ -677,22 +679,41 @@ def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):
 
 _SWEEPS_THEN_REPORT_NUMPY_RANDOM = """
 import sys
-from torusque import cli
+from torusque import cli, weil
 checks = tuple(sys.argv[1].split(","))
+draws = []
+blocks = weil._random_blocks
+def counted(*args):
+    draws.append(args[2])
+    return blocks(*args)
+weil._random_blocks = counted
 for n, matrix, pmax in ((1, "cat-map", 13), (2, "auto-sp4", 7)):
     cli.run(cli.SweepConfig(n=n, matrix=matrix, pmin=3, pmax=pmax, checks=checks,
                             deterministic=True))
+print(bool(draws))
 print("numpy.random" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("checks,loaded", [("bound,refined,decomposition", False),
-                                           ("bound,egorov", True)])
-def test_only_sampling_checks_import_numpy_random(checks, loaded):
-    # a fresh interpreter: the probe of the normalization comes from
-    # random.Random, and the prime's numpy generator is made on its first draw
+def _sweep_in_fresh_interpreter(checks):
     src = os.path.dirname(os.path.dirname(torusque.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", _SWEEPS_THEN_REPORT_NUMPY_RANDOM, checks],
                          env=env, capture_output=True, text=True, timeout=300, check=True)
-    assert out.stdout.splitlines()[-1] == str(loaded)
+    sampled, loaded = out.stdout.splitlines()[-2:]
+    return sampled == "True", loaded == "True"
+
+
+@pytest.mark.parametrize("checks,samples", [("bound,refined,decomposition", False),
+                                            ("bound,egorov", True)])
+def test_only_sampling_checks_import_numpy_random(checks, samples):
+    # the name dates from when the sampling checks drew from numpy.random;
+    # now the sweep that samples leaves it unloaded just as the one that
+    # does not, and the spy on the block draw shows which one sampled
+    assert _sweep_in_fresh_interpreter(checks) == (samples, False)
+
+
+def test_no_sweep_imports_numpy_random():
+    # a fresh interpreter: every check, the sampling ones too, draws from
+    # random.Random, and so does the probe of the normalization
+    assert _sweep_in_fresh_interpreter(",".join(cli.ALL_CHECKS)) == (True, False)

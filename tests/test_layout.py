@@ -10,7 +10,9 @@ Functions only tests call belong in `tests/oracles.py` or in the test that
 uses them.  A name that a
 module of `src/torusque/` (other than `__init__`) imports at module level
 must be read somewhere in that module; ALLOWED_UNUSED_IMPORTS lists the
-exceptions.
+exceptions.  No module of `src/torusque/` names numpy.random in its code:
+every sample comes from the standard library's `random.Random`, so no sweep
+pays for importing numpy.random.
 """
 
 import ast
@@ -119,3 +121,58 @@ def test_unused_import_guard_flags_an_unused_name(tmp_path):
         "def f(x):\n"
         "    return parse(x), os.sep\n")
     assert unused_module_imports(tmp_path) == ["mod.dumps", "mod.sibling"]
+
+
+def _code_nodes(tree):
+    """(line, node) for every node of tree, and for every node of each quoted
+    annotation in it at the annotation's line."""
+    for node in ast.walk(tree):
+        yield getattr(node, "lineno", 0), node
+        for field in ("annotation", "returns"):
+            quoted = getattr(node, field, None)
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                for sub in ast.walk(ast.parse(quoted.value, mode="eval")):
+                    yield quoted.lineno, sub
+
+
+def _names_numpy_random(node) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and isinstance(node.value, ast.Name) \
+            and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[:2] == ["numpy", "random"] or \
+            (node.module == "numpy" and any(a.name == "random" for a in node.names))
+    return False
+
+
+def numpy_random_names(src: Path = SRC) -> list[str]:
+    """module:line of every `np.random` or `numpy.random` in the code of
+    src/, annotations included, and of every import of or from numpy.random.
+    Docstrings and comments may mention it."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        lines = {line for line, node in _code_nodes(ast.parse(path.read_text()))
+                 if _names_numpy_random(node)}
+        flagged += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return flagged
+
+
+def test_no_module_names_numpy_random():
+    assert numpy_random_names() == []
+
+
+def test_numpy_random_guard_flags_every_spelling(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n\n"
+        "def f(rng: np.random.Generator):\n"
+        "    \"\"\"Draws nothing from numpy.random.\"\"\"\n"
+        "    return np.linalg.norm(rng)\n\n"
+        "def g() -> 'numpy.random.Generator':\n"
+        "    return random\n")
+    assert numpy_random_names(tmp_path) == ["mod:3", "mod:4", "mod:5", "mod:7", "mod:11"]

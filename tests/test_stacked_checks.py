@@ -12,6 +12,7 @@ arrays of the refined and factorization checks, the orbit rows and the
 bound's violation records, which are built only when read.
 """
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_egorov_check_equals_the_per_element_route(n, p, cat_map, sp4_elem,
     # generators, 25 samples and 5 products of them
     ctx = _context(n, p, cat_map, sp4_elem, rep_cache, torus_cache)
     pm, rep = ctx.pm, ctx.rep
-    res = cli._check_egorov(ctx, np.random.default_rng(p))
-    samples = weil.random_sp(pm, np.random.default_rng(p), 25)
+    res = cli._check_egorov(ctx, random.Random(p))
+    samples = weil.random_sp(pm, random.Random(p), 25)
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, samples[:5] @ samples[5:10] % p])
     want = [egorov_deviation_loop(dense, b, pm)
@@ -60,7 +61,7 @@ def test_pair_check_equals_the_per_role_route(n, p, rep_cache):
     # per role and batch, and both verdicts against the dense products
     pm = PrimeModulus(p, n)
     rep = rep_cache(p, n)
-    rng = np.random.default_rng(p)
+    rng = random.Random(p)
     sampled = 500 if n == 1 else 100
     draws = weil.random_sp(pm, rng, 2 * sampled)
     d = 2 * n

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -142,7 +143,7 @@ def test_multiplicativity_exhaustive_small(rep_cache):
 
 
 def test_multiplicativity_sampled_larger(rep_cache):
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for p in (7, 11):
         draws = random_sp(PrimeModulus(p, 1), rng, 1000)
         r = weil.check_multiplicativity(rep_cache(p), list(zip(draws[::2], draws[1::2])),
@@ -428,7 +429,7 @@ def test_sp_word_equals_sl2_word():
         pm = PrimeModulus(p, 1)
         for b in sp_elements(PrimeModulus(p, 1)):
             assert sp_word(b, pm) == _sl2_word_oracle(b, p)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for p in (11, 13, 29, 43, 61, 97):
         pm = PrimeModulus(p, 1)
         for b in mats(random_sp(pm, rng, 300)):
@@ -494,7 +495,7 @@ def test_random_sp_is_its_bruhat_word(n, p):
     # is the product shear(S1) dilate(M) fourier shear(S2) with S1 = -D M^-1
     # and S2 = -M^-1 A symmetric
     pm = PrimeModulus(p, n)
-    draws = random_sp(pm, np.random.default_rng(n * p), 50)
+    draws = random_sp(pm, random.Random(n * p), 50)
     assert draws.dtype == np.int64 and draws.shape == (50, 2 * n, 2 * n)
     for b in mats(draws):
         assert ffcore.is_symplectic(b, p=p)
@@ -510,12 +511,71 @@ def test_random_sp_is_its_bruhat_word(n, p):
 
 def test_random_sp_reaches_every_sp_word_branch():
     # the samples take sp_word's invertible-Bb branch; their products also
-    # take the singular-nonzero-Bb one and the Bb = 0 one
+    # take the singular-nonzero-Bb one and the Bb = 0 one.  Any seed does:
+    # Bb of B1 B2 is -M1 (S2 + S1') M2, with S2 of B1 and S1' of B2 drawn
+    # uniform symmetric, so it is 0 with probability 1/125 and of rank 1
+    # with probability 24/125.  Of the 3600 products (60 values of S2
+    # against 60 of S1'), none has rank 0 with probability about
+    # (124/125)^3600 < e^-28.
     pm = PrimeModulus(5, 2)
-    draws = random_sp(pm, np.random.default_rng(0), 200)
+    draws = random_sp(pm, random.Random(0), 200)
     prods = [mat_mul(b1, b2, mod=5) for b1, b2 in product(draws[:60], repeat=2)]
     assert {_top_right_rank(b, 5) for b in draws} == {2}
     assert {_top_right_rank(b, 5) for b in prods} == {0, 1, 2}
+
+
+def _doolittle(m, p):
+    """(L, U) with L unit lower and U upper triangular, L U = m mod p, for a
+    (k, n, n) stack whose leading minors are units."""
+    n = m.shape[1]
+    lo, up = np.zeros_like(m), np.zeros_like(m)
+    inverse = ffcore.unit_inverses(p)
+    for i in range(n):
+        lo[:, i, i] = 1
+        up[:, i, i:] = (m[:, i, i:] - np.einsum("kj,kjl->kl", lo[:, i, :i],
+                                                up[:, :i, i:])) % p
+        assert (up[:, i, i] != 0).all()
+        lo[:, i + 1:, i] = (m[:, i + 1:, i] - np.einsum("kjl,kl->kj", lo[:, i + 1:, :i],
+                                                        up[:, :i, i])) % p \
+            * inverse[up[:, i, i]][:, None] % p
+    return lo, up
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 3), (2, 13), (3, 7)])
+def test_random_blocks_from_random_random(n, p):
+    # S1, S2 uniform symmetric and M = L U with diag(U) != 0, every entry in
+    # range; M^-1 inverts M; the same seed gives the same stacks
+    pm = PrimeModulus(p, n)
+    blocks = weil._random_blocks(pm, random.Random(p), 200)
+    s1, s2, m, m_inv = blocks
+    for block in blocks:
+        assert block.dtype == np.int64 and block.shape == (200, n, n)
+        assert ((block >= 0) & (block < p)).all()
+    for s in (s1, s2):
+        assert np.array_equal(s, s.transpose(0, 2, 1))
+    lo, up = _doolittle(m, p)
+    assert np.array_equal(lo @ up % p, m)
+    eye = np.eye(n, dtype=np.int64)
+    assert (m @ m_inv % p == eye).all() and (m_inv @ m % p == eye).all()
+    again = weil._random_blocks(pm, random.Random(p), 200)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, again))
+    assert not np.array_equal(weil._random_blocks(pm, random.Random(p + 1), 200)[0], s1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_blocks_reach_every_allowed_residue(n):
+    # at p = 3 each drawn column, read back from S1, S2 and the L U factors
+    # of M, takes every value it may: 0..2, and 1..2 on the diagonal of U
+    # (an off-by-one in the map to [low, p) drops one of them); each value
+    # is missed in 200 draws with probability below (2/3)^200
+    s1, s2, m, _ = weil._random_blocks(PrimeModulus(3, n), random.Random(n), 200)
+    lo, up = _doolittle(m, 3)
+    columns = [(s[:, i, j], {0, 1, 2}) for s in (s1, s2) for i, j in zip(*np.triu_indices(n))]
+    columns += [(up[:, i, j], {0, 1, 2} if i < j else {1, 2})
+                for i, j in zip(*np.triu_indices(n))]
+    columns += [(lo[:, i, j], {0, 1, 2}) for i, j in zip(*np.tril_indices(n, -1))]
+    for values, allowed in columns:
+        assert set(values.tolist()) == allowed
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 7)])
@@ -535,7 +595,7 @@ def test_relation_pairs_hold(n, p):
     # the shears and dilations (Bb = 0) take the S = I branch, mask 2^n - 1
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
-    pairs = weil.relation_pairs(pm, np.random.default_rng(p))
+    pairs = weil.relation_pairs(pm, random.Random(p))
     assert pairs.dtype == np.int64
     assert pairs.shape == (5 + 4 * weil.RELATION_DRAWS, 2, 2 * n, 2 * n)
     zero_bb = [b for pair in pairs for b in pair
@@ -556,7 +616,7 @@ def test_relation_pairs_catch_a_wrong_fourier_normalization(n, p, rep_cache):
     omega = np.exp(2j * np.pi / 3)
     twisted = weil.WeilRep(pm, rep.gamma * omega)
     assert np.abs(twisted.fourier - omega * rep.fourier).max() < 1e-15
-    pairs = weil.relation_pairs(pm, np.random.default_rng(0))
+    pairs = weil.relation_pairs(pm, random.Random(0))
     assert weil.check_multiplicativity(rep, pairs, probe=weil.probe_block(pm, 0)).ok
     rpt = weil.check_multiplicativity(twisted, pairs, probe=weil.probe_block(pm, 0))
     assert not rpt.ok and rpt.max_dev > 1.0
