@@ -164,39 +164,35 @@ def gauss_jordan_modp(m, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def standard_j(n: int) -> Mat:
     """Gram matrix of the standard symplectic form: [[0, I], [-I, 0]], size 2n."""
-    z = [[0] * n for _ in range(n)]
-    i = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    mi = [[-x for x in r] for r in i]
-    top = [z[r] + i[r] for r in range(n)]
-    bot = [mi[r] + z[r] for r in range(n)]
-    return mat(top + bot)
+    e = identity_mat(2 * n)
+    return e[n:] + tuple(tuple(-x for x in r) for r in e[:n])
 
 
-def symplectic_form(xi, eta, mod: int | None = None) -> int:
-    """omega(xi, eta) = xi^T J eta for xi, eta in Z^{2n}."""
-    n = len(xi) // 2
-    s = sum(xi[i] * eta[n + i] - xi[n + i] * eta[i] for i in range(n))
+def symplectic_form(xi, eta, mod: int | None = None):
+    """omega(xi, eta) = xi^T J eta for xi, eta in Z^{2n}; arrays of such
+    vectors along the last axis broadcast, giving one value per row."""
+    xi, eta = np.asarray(xi), np.asarray(eta)
+    n = xi.shape[-1] // 2
+    s = (xi[..., :n] * eta[..., n:] - xi[..., n:] * eta[..., :n]).sum(axis=-1)
     return s % mod if mod is not None else s
 
 
-def is_symplectic(m: Mat, p: int | None = None) -> bool:
-    """True iff M^T J M = J (over Z, or mod p).
+def is_symplectic(m, p: int | None = None):
+    """True iff M^T J M = J (over Z, or mod p), for one 2n x 2n matrix; for a
+    (k, 2n, 2n) stack, the (k,) boolean array of the verdicts.
 
-    Entry (i, j) of M^T J M is omega(column i, column j), so the test is that
-    the columns of M form a symplectic basis.
+    Over Z the product is exact (object dtype: the matrix may come from
+    outside the program); mod p it is taken on entries reduced mod p, so an
+    int64 stack stays below 2n p^2.
     """
-    d = len(m)
-    if d % 2 != 0 or any(len(r) != d for r in m):
+    m = np.asarray(m)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
         raise ValueError("symplectic test needs a square matrix of even size")
-    n = d // 2
-    cols = tuple(zip(*m))
-    for i in range(d):
-        for j in range(i + 1, d):
-            want = 1 if j == i + n and i < n else 0
-            diff = symplectic_form(cols[i], cols[j]) - want
-            if (diff % p if p is not None else diff) != 0:
-                return False
-    return True
+    m = m.astype(object) if p is None else m % p
+    j = np.array(standard_j(m.shape[-1] // 2))
+    diff = m.swapaxes(-1, -2) @ j @ m - j
+    ok = ((diff if p is None else diff % p) == 0).all(axis=(-2, -1))
+    return bool(ok) if m.ndim == 2 else ok
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ F_p[A] = F_p[x]/(P_A) and B is symplectic exactly when the norm
 
 is 1 (`norm`, from the table `norm_table` of the x^(j-i)).  N is read on
 all p^{2n} coefficient vectors c, in chunks of CHUNK_BYTES made from their
-index ranges (`lattice_rows`), and only the |T| that pass become matrices,
-so the memory is O(CHUNK_BYTES + |T|) and the work p^{2n} (2n)^3, not a
-search through |Sp(2n, F_p)|.
+index ranges (`heisenberg.digits`), and only the |T| that pass become
+matrices, so the memory is O(CHUNK_BYTES + |T|) and the work p^{2n} (2n)^3,
+not a search through |Sp(2n, F_p)|.
 
 The torus is a direct product of cyclic groups <g_1> x ... x <g_k>, found
 by one greedy pass over its elements (`torus_structure`), vectorized over
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import BudgetExceeded, chunk_items, lattice_rows
+from .heisenberg import BudgetExceeded, chunk_items, digits
 
 
 class DegeneratePrimeError(ValueError):
@@ -108,8 +108,7 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly,
     when `deadline`, a `time.perf_counter()` value, has passed before a
     chunk of the norm filter (module docs).
     """
-    p, n = pm.p, pm.n
-    d = 2 * n
+    p, d = pm.p, 2 * pm.n
     a = mat_mod(mat(a), p)
     cp_mod = ffcore.poly_mod_reduce(charpoly, p)
     if is_degenerate_prime(cp_mod, p):
@@ -127,7 +126,7 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly,
     for start in range(0, total, rows):
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded(f"deadline passed at candidate {start} of {total}")
-        chunk = lattice_rows(pm, start, min(start + rows, total))
+        chunk = digits(np.arange(start, min(start + rows, total)), p, d)
         kept.append(chunk[(norm(chunk, table, p) == one).all(axis=1)])
 
     # only those become matrices sum_k c_k A^k
@@ -136,8 +135,7 @@ def centralizer(a: Mat, pm: PrimeModulus, charpoly,
         powers.append(mat_mul(powers[-1], a, mod=p))
     torus = np.tensordot(np.concatenate(kept), np.array(powers, dtype=np.int64),
                          axes=(1, 0)) % p               # (|T|, d, d)
-    j = np.array(ffcore.standard_j(n), dtype=np.int64)
-    if ((torus.transpose(0, 2, 1) @ j @ torus - j) % p).any():
+    if not ffcore.is_symplectic(torus, p).all():
         raise RuntimeError("the norm filter kept a non-symplectic element")
     if not (torus == np.array(a)).all(axis=(1, 2)).any():
         raise RuntimeError("A mod p missing from its own centralizer")

@@ -2,7 +2,7 @@
 
 The quantum space is H = functions F_p^n -> C, dimension d = p^n, with points
 of F_p^n flattened to indices 0..d-1 in base p (least significant digit
-first).  The basic operators are
+first: `digits` and `flat_index`).  The basic operators are
 
     (T(lam, mu) f)(x) = psi(nu*lam.mu + mu.x) * f(x + lam),
 
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffcore import PrimeModulus
+from .ffcore import PrimeModulus, symplectic_form
 
 
 # moduli whose tables stay cached; a sweep visits a few dozen primes
@@ -55,19 +55,27 @@ def root_table(p: int) -> np.ndarray:
     return out
 
 
-def _digit_vectors(p: int, k: int) -> np.ndarray:
-    """Array of shape (p^k, k): row i is the base-p digit vector of i,
-    least significant digit first."""
-    out = np.empty((p ** k, k), dtype=np.int64)
-    for j in range(k):      # digit j runs through 0..p-1 in blocks of p^j rows
-        out.reshape(p ** (k - 1 - j), p, p ** j, k)[..., j] = np.arange(p)[:, None]
+def digits(flat, p: int, k: int) -> np.ndarray:
+    """The k base-p digits of each flat index in the array flat, least
+    significant digit first: shape (m, k) int64 for m indices.  The one
+    digit order of the program; `flat_index` inverts it."""
+    q = np.array(flat, dtype=np.int64)
+    out = np.empty((len(q), k), dtype=np.int64)
+    for j in range(k):      # a scalar divisor: numpy's fast integer division
+        np.divmod(q, p, out=(q, out[:, j]))
     return out
+
+
+def flat_index(vecs, p: int) -> np.ndarray:
+    """Flat index of each digit vector along the last axis of vecs (entries
+    in 0..p-1), the inverse of `digits`."""
+    return vecs @ p ** np.arange(vecs.shape[-1])
 
 
 @lru_cache(maxsize=_CACHED_MODULI)
 def index_vectors(pm: PrimeModulus) -> np.ndarray:
     """Array of shape (p^n, n): row i is the base-p digit vector of i (read-only)."""
-    out = _digit_vectors(pm.p, pm.n)
+    out = digits(np.arange(pm.dim), pm.p, pm.n)
     out.setflags(write=False)
     return out
 
@@ -87,7 +95,7 @@ def pi_exponents_many(xis, pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray]:
     xis = np.asarray(xis, dtype=np.int64) % p
     lam, mu = xis[:, :n], xis[:, n:]
     pts = index_vectors(pm)
-    src = ((pts[None, :, :] + lam[:, None, :]) % p) @ (p ** np.arange(n))
+    src = flat_index((pts[None, :, :] + lam[:, None, :]) % p, p)
     lm = (lam * mu).sum(axis=1)
     expo = (pm.nu * lm[:, None] + mu @ pts.T) % p
     return src.astype(np.intp), expo
@@ -130,14 +138,7 @@ def lattice_vectors(pm: PrimeModulus) -> np.ndarray:
     and kept alive pins the freed heap below it (measured: +35 MB peak RSS
     on the n = 2, p = 7..13 sweep).
     """
-    return _digit_vectors(pm.p, 2 * pm.n)
-
-
-def lattice_rows(pm: PrimeModulus, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of `lattice_vectors(pm)`, from their flat indices,
-    for readers that walk the p^{2n} vectors in chunks."""
-    k = np.arange(start, stop, dtype=np.int64)
-    return k[:, None] // pm.p ** np.arange(2 * pm.n) % pm.p
+    return digits(np.arange(pm.dim ** 2), pm.p, 2 * pm.n)
 
 
 def _phase_deviation(lhs, target, phase, p: int) -> float:
@@ -176,20 +177,20 @@ def check_relations(pm: PrimeModulus, exhaustive: bool = True,
         dev = _phase_deviation(lhs, (src[0], expo[0]), eps * pm.nu, p)
         return RelationReport(eps, 1, dev, dev == 0)
 
-    vecs = lattice_vectors(pm)
+    total = pm.dim ** 2
     rows = chunk_items(16 * pm.dim)
     max_dev = 0.0
-    for start in range(0, len(vecs), rows):
+    for start in range(0, total, rows):
         if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"deadline passed at eta {start} of {len(vecs)}")
-        etas = vecs[start:start + rows]
+            raise BudgetExceeded(f"deadline passed at eta {start} of {total}")
+        etas = digits(np.arange(start, min(start + rows, total)), p, 2 * n)
         t_eta = pi_exponents_many(etas, pm)
         for i, e in enumerate(unit):
             lhs = compose_exponents((src_e[i], expo_e[i]), t_eta, p)
-            omega = (e[:n] @ etas[:, n:].T - e[n:] @ etas[:, :n].T) % p
+            omega = symplectic_form(e, etas, mod=p)
             max_dev = max(max_dev, _phase_deviation(
                 lhs, pi_exponents_many(etas + e, pm), eps * pm.nu * omega[:, None], p))
-    return RelationReport(eps, 2 * n * len(vecs), max_dev, max_dev == 0)
+    return RelationReport(eps, 2 * n * total, max_dev, max_dev == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm
 
@@ -66,9 +66,9 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import (CHUNK_BYTES, BudgetExceeded, chunk_items,
-                         index_vectors, lattice_vectors, pi_exponents,
-                         pi_exponents_many, root_table)
+from .heisenberg import (CHUNK_BYTES, BudgetExceeded, chunk_items, digits,
+                         flat_index, index_vectors, lattice_vectors,
+                         pi_exponents, pi_exponents_many, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -102,7 +102,7 @@ def _trace_kernel(pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     p = pm.p
     pts = index_vectors(pm)
-    rows = ((pts[:, None, :] + pts[None, :, :]) % p) @ (p ** np.arange(pm.n))
+    rows = flat_index((pts[:, None, :] + pts[None, :, :]) % p, p)
     dots = (pts @ pts.T) % p
     psi = root_table(p)
     return rows, psi[dots], psi[(pm.nu * dots) % p]
@@ -192,25 +192,17 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
         proj = reduce(lambda x, y: mat_mul(x, y, mod=p),
                       (shifted[s] for s in roots if s != r))
         eig[r] = next(col for col in zip(*proj) if any(col))
-    cols = []
-    alphas = []
     for r, rinv in pairs:
-        v, w = eig[r], eig[rinv]
-        pairing = ffcore.symplectic_form(v, w, mod=p)
+        pairing = int(ffcore.symplectic_form(eig[r], eig[rinv], mod=p))
         if pairing == 0:
             raise RuntimeError("degenerate symplectic pairing of eigenvectors")
-        w = tuple((x * pow(pairing, -1, p)) % p for x in w)
-        eig[rinv] = w
-        alphas.append(r)
-    for r, _ in pairs:
-        cols.append(eig[r])
-    for _, rinv in pairs:
-        cols.append(eig[rinv])
-    s0 = tuple(tuple(cols[j][i] for j in range(2 * n)) for i in range(2 * n))
+        eig[rinv] = tuple((x * pow(pairing, -1, p)) % p for x in eig[rinv])
+    alphas = tuple(r for r, _ in pairs)
+    s0 = tuple(zip(*[eig[r] for r, _ in pairs], *[eig[rinv] for _, rinv in pairs]))
     if not ffcore.is_symplectic(s0, p=p):
         raise RuntimeError("eigenvector frame is not symplectic")
-    st = SplitTransport(pm, s0, ffcore.mat_inv_modp(s0, p), tuple(alphas))
-    if st.std_elem([(alpha) for alpha in alphas]) != a:
+    st = SplitTransport(pm, s0, ffcore.mat_inv_modp(s0, p), alphas)
+    if st.std_elem(alphas) != a:
         raise RuntimeError("conjugation does not recover the element")
     return st
 
@@ -225,20 +217,18 @@ class PrimeContext:
 
     rho of the torus generators (`generator_ops`), the characters, the
     eigenspace decomposition, the T-orbits of xi, the character-sum table
-    (`sums`, rebuilt only for a replaced decomposition), the orientation sign
-    (`split_sign`) and, at split primes, the split frame (`transport` is None
-    elsewhere) are built on first use and then shared by every check.  A rho
-    twisted on the torus is given by assigning its `generator_ops`.
-    `deadline`, a `time.perf_counter()` value, is checked before every block
-    of the table, and in `build` before every chunk of the centralizer's
-    norm filter.
+    (`sums`), the orientation sign (`split_sign`) and, at split primes, the
+    split frame (`transport` is None elsewhere) are built on first use and
+    then shared by every check.  A rho twisted on the torus is given by
+    assigning its `generator_ops`.  `deadline`, a `time.perf_counter()`
+    value, is checked before every block of the table, and in `build` before
+    every chunk of the centralizer's norm filter.
     """
 
     elem: ErgodicElement
     torus: HeckeTorus
     rep: weil.WeilRep
     deadline: float | None = None
-    _sums: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, elem: ErgodicElement, pm: PrimeModulus,
@@ -323,12 +313,10 @@ class PrimeContext:
         row = (np.cumsum(is_rep) - 1)[labels]
         return np.flatnonzero(is_rep), row, np.bincount(row)
 
-    @property
+    @cached_property
     def sums(self) -> np.ndarray:
-        """`character_sum_table` of this context, built once per decomposition."""
-        if self._sums is None or self._sums[0] is not self.decomposition:
-            self._sums = (self.decomposition, character_sum_table(self))
-        return self._sums[1]
+        """`character_sum_table` of this context."""
+        return character_sum_table(self)
 
     @cached_property
     def generic_orbits(self) -> np.ndarray:
@@ -346,11 +334,11 @@ def orbit_labels(torus: HeckeTorus) -> np.ndarray:
     Each generator g of order m permutes the flat indices; ceil(log2 m)
     pointer-doubling steps take the least label along its powers, and as the
     generators commute, one pass each labels whole T-orbits."""
-    p, n = torus.pm.p, torus.pm.n
+    p = torus.pm.p
     xis = lattice_vectors(torus.pm)
     labels = np.arange(len(xis))
     for g, m in torus.generators:
-        step = ((xis @ np.array(g, dtype=np.int64).T) % p) @ (p ** np.arange(2 * n))
+        step = flat_index(xis @ np.array(g, dtype=np.int64).T % p, p)
         for _ in range((m - 1).bit_length()):
             labels = np.minimum(labels, labels[step])
             step = step[step]
@@ -402,7 +390,7 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     d = pm.dim
     row = ctx.orbits[1]
     members = least_shift_members(row, pm)
-    lam, mu = members % d, members // d
+    lam = members % d
     order = np.argsort(lam, kind="stable")
     cuts = np.flatnonzero(np.diff(lam[order])) + 1
     basis = np.hstack([b for _, b, _ in dec.entries])
@@ -411,10 +399,9 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     occupied = np.flatnonzero(dims > 0)
     starts = np.cumsum(dims[occupied]) - dims[occupied]
     blocks = _column_blocks(dims, max(1, TABLE_BLOCK_BYTES // (16 * d)))
-    pts = index_vectors(pm)
     traces = np.zeros((len(members), len(dims)), dtype=complex)
     for done, rows in zip([0, *cuts], np.split(order, cuts)):
-        src, expo = pi_exponents_many(np.hstack([pts[lam[rows]], pts[mu[rows]]]), pm)
+        src, expo = pi_exponents_many(digits(members[rows], pm.p, 2 * pm.n), pm)
         phases = root_table(pm.p)[expo]
         for lo, hi in blocks:
             if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
@@ -552,7 +539,7 @@ class ViolationRecords(Sequence):
     def __init__(self, xi: np.ndarray, chi: np.ndarray, row: np.ndarray,
                  sums: np.ndarray, chi_exps: list, bound: float, pm: PrimeModulus):
         self.xi, self.chi, self.row = xi, chi, row
-        self._sums, self._exps, self._bound, self._pm = sums, chi_exps, bound, pm
+        self._table, self._exps, self._bound, self._pm = sums, chi_exps, bound, pm
 
     def __len__(self) -> int:
         return len(self.chi)
@@ -571,15 +558,14 @@ class ViolationRecords(Sequence):
 
     def subset(self, keep: np.ndarray) -> "ViolationRecords":
         return ViolationRecords(self.xi[keep], self.chi[keep], self.row[keep],
-                                self._sums, self._exps, self._bound, self._pm)
+                                self._table, self._exps, self._bound, self._pm)
 
     def _build(self, part: slice) -> list:
-        p, n = self._pm.p, self._pm.n
         xi, chi = self.xi[part], self.chi[part]
-        digits = xi[:, None] // p ** np.arange(2 * n) % p
-        mags = np.abs(self._sums[self.row[part], chi])
+        vecs = digits(xi, self._pm.p, 2 * self._pm.n)
+        mags = np.abs(self._table[self.row[part], chi])
         return [(tuple(x), self._exps[c], m, self._bound)
-                for x, c, m in zip(digits.tolist(), chi.tolist(), mags.tolist())]
+                for x, c, m in zip(vecs.tolist(), chi.tolist(), mags.tolist())]
 
 
 @dataclass

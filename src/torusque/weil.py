@@ -94,8 +94,8 @@ import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre
-from .heisenberg import (BudgetExceeded, chunk_items, index_vectors,
-                         pi_exponents_many, root_table)
+from .heisenberg import (BudgetExceeded, chunk_items, digits, flat_index,
+                         index_vectors, pi_exponents_many, root_table)
 # bound here too, unused: perfbench's tracer test reads weil.pi_op and
 # weil.mat_mul as its examples of functions bound in two modules
 from .ffcore import mat_mul  # noqa: F401
@@ -294,8 +294,7 @@ def factorize(pm: PrimeModulus, bs) -> Factorization:
         b = b.reshape(0, 2 * n, 2 * n)
     if b.shape[1:] != (2 * n, 2 * n):
         raise ValueError(f"expected {2 * n} x {2 * n} matrices")
-    j = np.array(ffcore.standard_j(n), dtype=np.int64)
-    if ((b.transpose(0, 2, 1) @ j @ b - j) % p).any():
+    if not ffcore.is_symplectic(b, p).all():
         raise ValueError("matrix is not symplectic mod p")
     a, bb, c, d = b[:, :n, :n], b[:, :n, n:], b[:, n:, :n], b[:, n:, n:]
 
@@ -330,7 +329,7 @@ def _kernel(pm: PrimeModulus, fac: Factorization):
     and the (k,) masks of S."""
     p, n, k = pm.p, pm.n, len(fac)
     pts = index_vectors(pm)
-    src = (p ** np.arange(n)) @ ((fac.m_inv @ pts.T) % p)
+    src = flat_index((fac.m_inv @ pts.T % p).swapaxes(1, 2), p)
     # x^T s x for every x and both s1 and s2 of every element: one product
     # by the (n^2, p^n) table of x_i x_j
     quad = (pts[:, :, None] * pts[:, None, :]).reshape(pm.dim, n * n).T
@@ -521,15 +520,14 @@ def linearize(pm: PrimeModulus) -> WeilRep:
 def sp_elements(pm: PrimeModulus) -> list[Mat]:
     """All of Sp(2n, F_p), in row-major lexicographic order.
 
-    Scans all p^(4n^2) matrices, so it is meant for the smallest groups only.
+    One stacked `ffcore.is_symplectic` test filters the stack of all
+    p^(4n^2) matrices (the digits of their flat indices, most significant
+    first), so it is meant for the smallest groups only: its callers take
+    n = 1 and p <= 7.
     """
     p, d = pm.p, 2 * pm.n
-    out = []
-    for entries in product(range(p), repeat=d * d):
-        m = tuple(entries[i * d:(i + 1) * d] for i in range(d))
-        if ffcore.is_symplectic(m, p=p):
-            out.append(m)
-    return out
+    cands = digits(np.arange(p ** (d * d)), p, d * d)[:, ::-1].reshape(-1, d, d)
+    return [tuple(map(tuple, m)) for m in cands[ffcore.is_symplectic(cands, p)].tolist()]
 
 
 def _random_blocks(pm: PrimeModulus, rng: random.Random, count: int):

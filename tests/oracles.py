@@ -65,11 +65,14 @@ reads on a probe block, the probe block from numpy's generator
 the standard library's `random.Random`, rho(U(-S)) as the dense product
 rho(fourier) rho(shear(-S)) rho(fourier)^3 (`upper_shear_dense`), which
 the program applies as two products by rho(fourier) without forming it,
-the cofactor determinant and
-transpose of integer matrices (`mat_det`, `mat_transpose`), the product of
-an integer matrix and a vector (`mat_vec`), and character values as complex
-numbers (`character_value`, `character_value_of_exps`), which the program
-reads only as exact fractions.
+the cofactor determinant and transpose of integer matrices (`mat_det`,
+`mat_transpose`), the symplectic test one pair of columns at a time
+(`is_symplectic_pairwise`) and the group scanned one tuple at a time
+(`sp_elements_scan`), which `ffcore.is_symplectic` and `weil.sp_elements`
+replace by one stacked test, the product of an integer matrix and a vector
+(`mat_vec`), and character values as complex numbers (`character_value`,
+`character_value_of_exps`), which the program reads only as exact
+fractions.
 """
 
 from __future__ import annotations
@@ -668,6 +671,36 @@ def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
 
 # ---------------------------------------------------------------------------
 # the generator operators, and integer-matrix helpers only oracles use
+
+
+def is_symplectic_pairwise(m: Mat, p: int | None = None) -> bool:
+    """True iff M^T J M = J (over Z, or mod p), one Python-int pairing
+    omega(column i, column j) at a time for every pair i < j."""
+    d = len(m)
+    if d % 2 != 0 or any(len(r) != d for r in m):
+        raise ValueError("symplectic test needs a square matrix of even size")
+    n = d // 2
+    cols = tuple(zip(*m))
+    for i in range(d):
+        for j in range(i + 1, d):
+            want = 1 if j == i + n and i < n else 0
+            diff = sum(cols[i][k] * cols[j][n + k] - cols[i][n + k] * cols[j][k]
+                       for k in range(n)) - want
+            if (diff % p if p is not None else diff) != 0:
+                return False
+    return True
+
+
+def sp_elements_scan(pm: PrimeModulus) -> list[Mat]:
+    """All of Sp(2n, F_p) in row-major lexicographic order, one tuple of the
+    p^(4n^2) at a time through `is_symplectic_pairwise`."""
+    p, d = pm.p, 2 * pm.n
+    out = []
+    for entries in product(range(p), repeat=d * d):
+        m = tuple(entries[i * d:(i + 1) * d] for i in range(d))
+        if is_symplectic_pairwise(m, p=p):
+            out.append(m)
+    return out
 
 
 def mat_transpose(a: Mat) -> Mat:

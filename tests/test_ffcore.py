@@ -1,13 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
-from torusque import ffcore
+from torusque import ffcore, weil
 from torusque.ffcore import (PrimeModulus, char_poly, cyclotomic, dlog_table,
                              is_irreducible_q, is_symplectic, legendre, mat,
                              mat_inv_modp, mat_mul, odd_primes, poly_str,
                              standard_j)
 
-from oracles import is_palindromic, mat_det
+from oracles import is_palindromic, is_symplectic_pairwise, mat_det, sp_elements_scan
 
 
 def test_legendre_examples():
@@ -97,6 +99,52 @@ def test_is_symplectic_examples():
     assert not is_symplectic(mat([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         is_symplectic(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_stacked_symplectic_test_matches_the_pairwise_oracle_on_m2_f5():
+    # every 2 x 2 matrix mod 5, in one stack: the verdicts are the oracle's
+    stack = np.array(np.meshgrid(*[range(5)] * 4, indexing="ij")).reshape(4, -1).T
+    stack = stack.reshape(-1, 2, 2)
+    verdicts = is_symplectic(stack, 5)
+    assert verdicts.shape == (625,) and verdicts.sum() == 120      # |SL2(F_5)|
+    assert verdicts.tolist() == [is_symplectic_pairwise(mat(m), 5) for m in stack]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_symplectic_test_matches_the_pairwise_oracle_on_mixed_stacks(n):
+    # symplectic elements with large multiples of p added, one entry of
+    # some of them moved, and uniform int64 matrices, shuffled together
+    p, d = 7, 2 * n
+    rng = random.Random(n)
+    group = weil.random_sp(PrimeModulus(p, n), rng, 40)
+    lift = np.array([rng.randrange(-2 ** 40, 2 ** 40) for _ in range(group.size)])
+    group = group + p * lift.reshape(group.shape)
+    moved = group[:20].copy()
+    for m in moved:
+        m[rng.randrange(d), rng.randrange(d)] += rng.randrange(1, p)
+    uniform = np.array([rng.randrange(-2 ** 62, 2 ** 62) for _ in range(20 * d * d)])
+    stack = np.concatenate([group, moved, uniform.reshape(20, d, d)])
+    stack = stack[rng.sample(range(len(stack)), len(stack))]
+    verdicts = is_symplectic(stack, p)
+    assert verdicts.tolist() == [is_symplectic_pairwise(mat(m), p) for m in stack]
+    assert 40 <= verdicts.sum() < len(stack)
+
+
+def test_symplectic_test_over_z_is_exact_where_int64_wraps():
+    # det = 2^64 + 1, which int64 arithmetic reads as 1
+    m = mat([[2 ** 32, 1], [-1, 2 ** 32]])
+    wrapped = np.array(m, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        assert wrapped[0, 0] * wrapped[1, 1] - wrapped[0, 1] * wrapped[1, 0] == 1
+    assert not is_symplectic_pairwise(m)
+    assert not is_symplectic(m)
+    assert not is_symplectic(wrapped)
+    assert is_symplectic(mat([[2 ** 32 + 1, 2 ** 32], [2 ** 32 + 2, 2 ** 32 + 1]]))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_sp_elements_matches_the_tuple_scan(p):
+    assert weil.sp_elements(PrimeModulus(p, 1)) == sp_elements_scan(PrimeModulus(p, 1))
 
 
 def test_symplectic_closed_under_product_and_inverse():

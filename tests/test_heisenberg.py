@@ -1,12 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from torusque import heisenberg
 from torusque.ffcore import PrimeModulus
 from torusque.heisenberg import (FourierPolynomial, check_relations,
-                                 compose_exponents, index_vectors, integral,
-                                 pi_exponents, pi_exponents_many, pi_op,
-                                 quantize, root_table)
+                                 compose_exponents, digits, flat_index,
+                                 index_vectors, integral, pi_exponents,
+                                 pi_exponents_many, pi_op, quantize, root_table)
 
 import oracles
 
@@ -197,9 +199,20 @@ def test_cached_tables_are_read_only():
         pts += 1
 
 
-@pytest.mark.parametrize("p,n", [(7, 1), (5, 2), (3, 3)])
-def test_lattice_rows_are_slices_of_the_lattice_table(p, n):
-    pm = PrimeModulus(p, n)
-    table = heisenberg.lattice_vectors(pm)
+@pytest.mark.parametrize("p,k", [(7, 2), (5, 4), (3, 6)])
+def test_flat_index_inverts_digits(p, k):
+    flat = np.arange(p ** k)
+    assert np.array_equal(flat_index(digits(flat, p, k), p), flat)
+    assert np.array_equal(flat_index(digits(flat[::-1], p, k), p), flat[::-1])
+
+
+@pytest.mark.parametrize("p,k", [(7, 2), (5, 4), (3, 6)])
+def test_range_digits_are_slices_of_the_full_table(p, k):
+    # the full table is itertools' row-major order read least significant
+    # digit first, and so is lattice_vectors at n = k/2
+    table = digits(np.arange(p ** k), p, k)
+    assert table.dtype == np.int64 and table.shape == (p ** k, k)
+    assert table[:, ::-1].tolist() == [list(t) for t in product(range(p), repeat=k)]
+    assert np.array_equal(heisenberg.lattice_vectors(PrimeModulus(p, k // 2)), table)
     for start, stop in ((0, 1), (0, len(table)), (p - 1, 3 * p + 2), (len(table) - 5, len(table))):
-        assert np.array_equal(heisenberg.lattice_rows(pm, start, stop), table[start:stop])
+        assert np.array_equal(digits(np.arange(start, stop), p, k), table[start:stop])

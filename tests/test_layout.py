@@ -12,7 +12,10 @@ module of `src/torusque/` (other than `__init__`) imports at module level
 must be read somewhere in that module; ALLOWED_UNUSED_IMPORTS lists the
 exceptions.  No module of `src/torusque/` names numpy.random in its code:
 every sample comes from the standard library's `random.Random`, so no sweep
-pays for importing numpy.random.
+pays for importing numpy.random.  The base-p digit order and the symplectic
+form are each spelled out once: only `heisenberg` raises a base to
+`np.arange` (its `digits` and `flat_index`), and only `ffcore` reads
+`standard_j` (its `is_symplectic`).
 """
 
 import ast
@@ -176,3 +179,56 @@ def test_numpy_random_guard_flags_every_spelling(tmp_path):
         "def g() -> 'numpy.random.Generator':\n"
         "    return random\n")
     assert numpy_random_names(tmp_path) == ["mod:3", "mod:4", "mod:5", "mod:7", "mod:11"]
+
+
+def _is_digit_weights(node) -> bool:
+    """`base ** np.arange(...)`: the weights of a flat index in some base."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+        and isinstance(node.right, ast.Call) \
+        and isinstance(node.right.func, ast.Attribute) and node.right.func.attr == "arange"
+
+
+def _reads_standard_j(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return any(a.name == "standard_j" for a in node.names)
+    return isinstance(node, ast.Name) and node.id == "standard_j" or \
+        isinstance(node, ast.Attribute) and node.attr == "standard_j"
+
+
+def convention_copies(src: Path = SRC) -> list[str]:
+    """module:line of every `base ** np.arange(...)` outside heisenberg and
+    every read or import of `standard_j` outside ffcore, in the code of
+    src/ (docstrings and comments may mention them)."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        lines = {node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if path.stem != "heisenberg" and _is_digit_weights(node)
+                 or path.stem != "ffcore" and _reads_standard_j(node)}
+        flagged += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return flagged
+
+
+def test_digit_order_and_symplectic_form_are_defined_once():
+    assert convention_copies() == []
+
+
+def test_convention_guard_flags_both_copies(tmp_path):
+    (tmp_path / "ffcore.py").write_text(
+        "def standard_j(n):\n"
+        "    return n\n\n"
+        "def is_symplectic(m):\n"
+        "    return standard_j(len(m))\n")
+    (tmp_path / "heisenberg.py").write_text(
+        "import numpy as np\n\n"
+        "def flat_index(vecs, p):\n"
+        "    return vecs @ p ** np.arange(vecs.shape[-1])\n")
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from . import ffcore\n"
+        "from .ffcore import standard_j\n\n"
+        "def f(x, p, n):\n"
+        "    \"\"\"Not standard_j, nor p ** np.arange(n).\"\"\"\n"
+        "    w = np.arange(p) ** 2 + 2 ** n\n"
+        "    j = ffcore.standard_j(n)\n"
+        "    return (x @ (p ** np.arange(2 * n))) + w, j\n")
+    assert convention_copies(tmp_path) == ["mod:3", "mod:8", "mod:9"]

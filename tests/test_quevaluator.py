@@ -325,14 +325,17 @@ def _drop_one_vector(dec):
 def test_verify_que_bound_raises_on_broken_identities(p, cat_map, rep_cache,
                                                       torus_cache):
     # one eigenvector short, the projectors no longer sum to I: the sums
-    # break Parseval, which is an error, not a bound verdict
+    # break Parseval, which is an error, not a bound verdict.  The broken
+    # context is fresh, so its table is summed from the broken decomposition
     ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
     rpt = q.verify_que_bound(ctx)
     assert rpt.parseval_max_dev <= q.IDENTITY_TOL
     assert rpt.xi0_oracle_max_dev / ctx.torus.order <= q.IDENTITY_TOL
-    ctx.decomposition = _drop_one_vector(ctx.decomposition)
+    broken = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
+    broken.decomposition = _drop_one_vector(ctx.decomposition)
     with pytest.raises(RuntimeError, match="Parseval"):
-        q.verify_que_bound(ctx)
+        q.verify_que_bound(broken)
+    assert np.abs(broken.sums - ctx.sums).max() > q.IDENTITY_TOL
 
 
 def test_broken_identities_fail_the_bound_check_with_an_error(tmp_path, monkeypatch):
@@ -467,7 +470,7 @@ def test_table_raises_on_a_passed_deadline(cat_map, rep_cache, torus_cache):
         q.character_sum_table(ctx)
     with pytest.raises(BudgetExceeded):
         ctx.sums
-    assert ctx._sums is None
+    assert "sums" not in vars(ctx)
     ctx.deadline = None
     assert ctx.sums.shape == (len(ctx.orbits[0]), ctx.torus.order)
 
