@@ -306,10 +306,17 @@ def characters(torus: HeckeTorus) -> list[TorusCharacter]:
 @dataclass
 class EigenspaceDecomposition:
     torus: HeckeTorus
-    entries: list             # [(TorusCharacter, basis (d, dim) ndarray, dim)]
+    basis: np.ndarray         # (d, d), dims[i] columns per character, in order
     dims: list                # aligned with characters(torus)
     max_eigen_dev: float      # max over vectors v and generators g of
                               # || rho(g) v - chi(g) v ||
+
+    @property
+    def entries(self) -> list:
+        """[(TorusCharacter, (d, dim) column slice of basis, dim)]."""
+        ends = np.cumsum(self.dims).tolist()
+        return [(chi, self.basis[:, end - dim:end], dim)
+                for chi, dim, end in zip(characters(self.torus), self.dims, ends)]
 
 
 # Coefficients c_i of the Hermitian combination sum_i (c_i rho(g_i) + h.c.)
@@ -346,23 +353,33 @@ def decompose(torus: HeckeTorus, ops: np.ndarray) -> EigenspaceDecomposition:
     exponent k_i is its Rayleigh quotient <v|rho(g_i)|v> rounded to the
     nearest m_i-th root of unity, and every vector is certified by
     || rho(g_i) v - e(k_i/m_i) v || <= EIGEN_TOL for every generator.  The basis
-    is orthonormal and complete (eigh), so the dims sum to p^n.
+    is orthonormal and complete (eigh), so the dims sum to p^n.  H is summed
+    and rho(g_i) V turned into residuals in place, in CHUNK_BYTES column
+    blocks: beside the generators, at most two p^n x p^n arrays are alive.
     """
     d = torus.pm.dim
-    gens = list(ops)
     orders = torus.gen_orders
+    width = chunk_items(16 * d)
     worst = np.inf
     for row in MIX_COEFFICIENTS:
-        h = sum(c * g for c, g in zip(_mix_row(row, len(gens)), gens, strict=True))
-        _, vecs = np.linalg.eigh(h + h.conj().T)
+        h = np.zeros((d, d), dtype=complex)
+        for c, g in zip(_mix_row(row, len(ops)), ops, strict=True):
+            h += c * g
+        h += h.conj().T
+        _, vecs = np.linalg.eigh(h)
+        del h
         label = np.zeros(d, dtype=np.int64)
         dev = 0.0
-        for g, m in zip(gens, orders, strict=True):
+        for g, m in zip(ops, orders, strict=True):
             image = g @ vecs
-            quotient = np.einsum("ij,ij->j", vecs.conj(), image)
-            k = np.rint(np.angle(quotient) * m / (2 * np.pi)).astype(np.int64) % m
-            resid = image - vecs * np.exp(2j * np.pi * k / m)
-            dev = max(dev, float(np.linalg.norm(resid, axis=0).max()))
+            k = np.empty(d, dtype=np.int64)
+            for lo in range(0, d, width):
+                v, resid = vecs[:, lo:lo + width], image[:, lo:lo + width]
+                quotient = np.einsum("ij,ij->j", v.conj(), resid)
+                k[lo:lo + width] = np.rint(np.angle(quotient) * m / (2 * np.pi)) % m
+                resid -= v * np.exp(2j * np.pi * k[lo:lo + width] / m)
+                dev = max(dev, float(np.linalg.norm(resid, axis=0).max()))
+            del image, resid
             label = label * m + k              # characters() index order
         if dev <= EIGEN_TOL:
             break
@@ -370,8 +387,9 @@ def decompose(torus: HeckeTorus, ops: np.ndarray) -> EigenspaceDecomposition:
     else:
         raise RuntimeError(f"eigenvector certificate {worst:.2e} > {EIGEN_TOL:.0e} "
                            f"under every mixing coefficient row")
-    entries = []
-    for idx, chi in enumerate(characters(torus)):
-        basis = vecs[:, label == idx]
-        entries.append((chi, basis, basis.shape[1]))
-    return EigenspaceDecomposition(torus, entries, [e[2] for e in entries], dev)
+    # row-major, unlike vecs[:, order], for the table's products; mode "clip"
+    # writes into basis, where the default mode buffers a copy of it
+    basis = np.empty((d, d), dtype=complex)
+    np.take(vecs, np.argsort(label, kind="stable"), axis=1, out=basis, mode="clip")
+    dims = np.bincount(label, minlength=torus.order).tolist()
+    return EigenspaceDecomposition(torus, basis, dims, dev)

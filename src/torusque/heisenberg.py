@@ -131,16 +131,6 @@ class RelationReport:
     ok: bool
 
 
-def lattice_vectors(pm: PrimeModulus) -> np.ndarray:
-    """Array of shape (p^{2n}, 2n): row k is the lattice vector xi of flat index k.
-
-    Not cached, unlike index_vectors: a p^{2n}-row table created mid-sweep
-    and kept alive pins the freed heap below it (measured: +35 MB peak RSS
-    on the n = 2, p = 7..13 sweep).
-    """
-    return digits(np.arange(pm.dim ** 2), pm.p, 2 * pm.n)
-
-
 def _phase_deviation(lhs, target, phase, p: int) -> float:
     """max |T_lhs - psi(phase) T_target| from (src, expo) arrays (stacked
     alike), or inf when the permutations differ."""

@@ -67,8 +67,8 @@ from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
 from .heisenberg import (CHUNK_BYTES, BudgetExceeded, chunk_items, digits,
-                         flat_index, index_vectors, lattice_vectors,
-                         pi_exponents, pi_exponents_many, root_table)
+                         flat_index, index_vectors, pi_exponents,
+                         pi_exponents_many, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -97,8 +97,8 @@ def _trace_kernel(pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Per-modulus tables of `_trace_grid`, indexed [lam, x] and [lam, mu].
 
     rows[lam, x] = flat(x + lam), psi_dot[x, y] = psi(x.y) and
-    prefix[lam, mu] = psi(nu lam.mu).  Built per caller and not cached, for
-    the reason `heisenberg.lattice_vectors` gives.
+    prefix[lam, mu] = psi(nu lam.mu).  Built per caller and not cached: a
+    table kept alive mid-sweep pins the freed heap below it.
     """
     p = pm.p
     pts = index_vectors(pm)
@@ -147,14 +147,25 @@ class SplitTransport:
                   for i in range(2 * n))
         return mat_mul(mat_mul(self.s0, t, mod=p), self.s0_inv, mod=p)
 
-    def transport_all(self) -> np.ndarray:
-        """S0^-1 xi mod p for every xi, row k for row k of lattice_vectors."""
-        s0_inv = np.array(self.s0_inv, dtype=np.int64)
-        return (lattice_vectors(self.pm) @ s0_inv.T) % self.pm.p
-
     def generic_mask(self) -> np.ndarray:
-        """For every flat xi: True when no split-frame coordinate vanishes."""
-        return (self.transport_all() != 0).all(axis=1)
+        """For every flat xi, in chunks: True when no coordinate of S0^-1 xi vanishes."""
+        mask = np.empty(self.pm.dim ** 2, dtype=bool)
+        for flat in lattice_chunks(self.pm):
+            mask[flat] = lattice_image(self.s0_inv, flat, self.pm).all(axis=1)
+        return mask
+
+
+def lattice_chunks(pm: PrimeModulus):
+    """The flat xi in ascending arrays of CHUNK_BYTES of lattice vectors."""
+    total = pm.dim ** 2
+    step = chunk_items(16 * pm.n)
+    for start in range(0, total, step):
+        yield np.arange(start, min(start + step, total))
+
+
+def lattice_image(m: Mat, flat: np.ndarray, pm: PrimeModulus) -> np.ndarray:
+    """M xi mod p, one int64 row per flat index xi in flat."""
+    return digits(flat, pm.p, 2 * pm.n) @ np.array(m, dtype=np.int64).T % pm.p
 
 
 def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
@@ -331,16 +342,18 @@ class PrimeContext:
 
 def orbit_labels(torus: HeckeTorus) -> np.ndarray:
     """The least flat index in the T-orbit of every flat xi, under xi -> B xi.
-    Each generator g of order m permutes the flat indices; ceil(log2 m)
-    pointer-doubling steps take the least label along its powers, and as the
-    generators commute, one pass each labels whole T-orbits."""
-    p = torus.pm.p
-    xis = lattice_vectors(torus.pm)
-    labels = np.arange(len(xis))
+    Each generator g of order m permutes the flat indices (read in chunks,
+    `lattice_image`); ceil(log2 m) pointer-doubling steps take the least
+    label along its powers, and as the generators commute, one pass each
+    labels whole T-orbits.  It holds two arrays beside the labels."""
+    pm = torus.pm
+    labels = np.arange(pm.dim ** 2)
+    step = np.empty_like(labels)
     for g, m in torus.generators:
-        step = flat_index(xis @ np.array(g, dtype=np.int64).T % p, p)
+        for flat in lattice_chunks(pm):
+            step[flat] = flat_index(lattice_image(g, flat, pm), pm.p)
         for _ in range((m - 1).bit_length()):
-            labels = np.minimum(labels, labels[step])
+            np.minimum(labels, labels[step], out=labels)
             step = step[step]
     return labels
 
@@ -378,13 +391,13 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     over the eigenbasis of P.  Each orbit is read at its member of least
     shift (`least_shift_members`).  T(lam, mu) v[x] = psi(nu lam.mu + mu.x)
     v[x + lam], so every orbit read at shift lam shares the product
-    W_lam = conj(V) * V[x + lam] of the concatenated eigenbasis V, and its
-    row is its phase row psi(expo) times W_lam: one gather and one matmul
-    per distinct lam, not per orbit, with the sum over x taken before the
-    sum over each eigenspace's columns.  The columns of W_lam are cut at
+    W_lam = conj(V) * V[x + lam] of the character-sorted eigenbasis V, and
+    its row is its phase row psi(expo) times W_lam: one gather and one
+    matmul per distinct lam, not per orbit, with the sum over x taken before
+    the sum over each eigenspace's columns.  The columns of W_lam are cut at
     eigenspace boundaries into blocks of TABLE_BLOCK_BYTES, each reduced
-    straight into its characters' columns; the deadline is read before every
-    block.
+    straight into the columns of its characters' inverses; the deadline is
+    read before every block.
     """
     pm, dec = ctx.pm, ctx.decomposition
     d = pm.dim
@@ -393,13 +406,14 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     lam = members % d
     order = np.argsort(lam, kind="stable")
     cuts = np.flatnonzero(np.diff(lam[order])) + 1
-    basis = np.hstack([b for _, b, _ in dec.entries])
-    conj = basis.conj()
+    basis = dec.basis
     dims = np.array(dec.dims)
     occupied = np.flatnonzero(dims > 0)
+    column = np.array(ctx.inverse_index)[occupied]      # where H_chi's traces go
     starts = np.cumsum(dims[occupied]) - dims[occupied]
     blocks = _column_blocks(dims, max(1, TABLE_BLOCK_BYTES // (16 * d)))
-    traces = np.zeros((len(members), len(dims)), dtype=complex)
+    # column-major: the readers' reductions sum in this layout
+    traces = np.zeros((len(dims), len(members)), dtype=complex).T
     for done, rows in zip([0, *cuts], np.split(order, cuts)):
         src, expo = pi_exponents_many(digits(members[rows], pm.p, 2 * pm.n), pm)
         phases = root_table(pm.p)[expo]
@@ -408,10 +422,14 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
                 raise BudgetExceeded(f"deadline passed at orbit {done} of {len(members)}")
             c0 = starts[lo]
             c1 = starts[hi - 1] + dims[occupied[hi - 1]]
-            w = conj[:, c0:c1] * basis[src[0], c0:c1]
-            traces[rows[:, None], occupied[lo:hi]] = np.add.reduceat(
+            # numpy writes a large product into the gathered temporary, with
+            # the operands swapped; this form keeps the sums' last bits
+            conj = basis[:, c0:c1].conj()
+            w = conj * basis[src[0], c0:c1]
+            traces[rows[:, None], column[lo:hi]] = np.add.reduceat(
                 phases @ w, starts[lo:hi] - c0, axis=1)
-    return ctx.torus.order * traces[:, ctx.inverse_index]
+    traces *= ctx.torus.order
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -531,41 +549,62 @@ def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndar
 
 
 class ViolationRecords(Sequence):
-    """Bound violations (xi, chi_exps, |a|, bound) in row-major (xi, chi)
-    order, kept as index arrays: the flat xi, the character column and the
-    orbit row of each.  A record is built only when read, and a slice builds
-    only its own records; |a| is read from the character-sum table."""
+    """Bound violations (xi, chi_exps, |a|, bound), xi ascending, then chi,
+    kept as the violating (orbit row, chi) of a boolean orbit table, the row
+    of every flat xi and the orbit sizes.  A read scans the rows of xi in
+    chunks and expands only the xi its slice covers; |a| is read from the
+    character-sum table."""
 
-    def __init__(self, xi: np.ndarray, chi: np.ndarray, row: np.ndarray,
+    def __init__(self, table: np.ndarray, row: np.ndarray, sizes: np.ndarray,
                  sums: np.ndarray, chi_exps: list, bound: float, pm: PrimeModulus):
-        self.xi, self.chi, self.row = xi, chi, row
-        self._table, self._exps, self._bound, self._pm = sums, chi_exps, bound, pm
+        hot, self._chi = np.nonzero(table)
+        self._counts = np.bincount(hot, minlength=len(table))
+        self._first = np.cumsum(self._counts) - self._counts    # each row's first pair
+        self._len = int(sizes @ self._counts)
+        self._row, self._table, self._exps, self._bound, self._pm = row, sums, chi_exps, bound, pm
 
     def __len__(self) -> int:
-        return len(self.chi)
+        return self._len
 
     def __getitem__(self, which):
         if isinstance(which, slice):
-            return self._build(which)
-        i = range(len(self))[which]
-        return self._build(slice(i, i + 1))[0]
+            part = range(self._len)[which]
+            lo = min(part, default=0)
+            records = list(self._records(lo, max(part, default=-1) + 1))
+            return [records[i - lo] for i in part]
+        i = range(self._len)[which]
+        return next(self._records(i, i + 1))
 
     def __iter__(self):
-        return iter(self._build(slice(None)))
+        return self._records(0, self._len)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, (list, ViolationRecords)) and list(self) == list(other)
+        return isinstance(other, (list, ViolationRecords)) and len(self) == len(other) \
+            and all(a == b for a, b in zip(self, other))
 
-    def subset(self, keep: np.ndarray) -> "ViolationRecords":
-        return ViolationRecords(self.xi[keep], self.chi[keep], self.row[keep],
-                                self._table, self._exps, self._bound, self._pm)
-
-    def _build(self, part: slice) -> list:
-        xi, chi = self.xi[part], self.chi[part]
-        vecs = digits(xi, self._pm.p, 2 * self._pm.n)
-        mags = np.abs(self._table[self.row[part], chi])
-        return [(tuple(x), self._exps[c], m, self._bound)
-                for x, c, m in zip(vecs.tolist(), chi.tolist(), mags.tolist())]
+    def _records(self, start: int, stop: int):
+        """Yield the records at positions start..stop-1: whole chunks of xi,
+        then whole xi, are skipped by their record counts."""
+        pos = 0                                         # records before this xi
+        for flat in lattice_chunks(self._pm):
+            if pos >= stop:
+                return
+            per = self._counts[self._row[flat]]
+            if pos + int(per.sum()) <= start:
+                pos += int(per.sum())
+                continue
+            hot = per > 0
+            for x, r, count in zip(flat[hot].tolist(), self._row[flat[hot]].tolist(),
+                                   per[hot].tolist()):
+                if pos >= stop:
+                    return
+                if pos + count > start:
+                    first = self._first[r] + max(start - pos, 0)
+                    chi = self._chi[first:self._first[r] + min(count, stop - pos)]
+                    vec = tuple(digits([x], self._pm.p, 2 * self._pm.n)[0].tolist())
+                    for c, m in zip(chi.tolist(), np.abs(self._table[r, chi]).tolist()):
+                        yield vec, self._exps[c], m, self._bound
+                pos += count
 
 
 @dataclass
@@ -594,10 +633,10 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     Populations are reported separately: the verdict over all characters, the
     verdict over characters with one-dimensional eigenspaces (the regime the
     eigenvector derivation of the bound actually covers), and at split primes
-    the generic stratum of the order-2 character.  Only the violating rows of
-    the orbit table are expanded to their xi, as index arrays in row-major
-    (xi, chi) order; the records are built when read (`ViolationRecords`).
-    Raises RuntimeError when the table breaks the
+    the generic stratum of the order-2 character: `ViolationRecords` of the
+    orbit table of violations, masked by its dim-1 columns and its generic
+    rows, with nothing per xi formed until read.  Raises RuntimeError when
+    the table breaks the
     Parseval or the xi = 0 identity by more than IDENTITY_TOL: then the sums
     themselves are wrong, which is not a bound violation.
     """
@@ -609,30 +648,20 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     inv_dims = np.array([dims[i] for i in ctx.inverse_index])
     is_dim1 = inv_dims == 1
     bound = 2 ** n * p ** (n / 2)
-    generic = None if ctx.transport is None else ctx.generic_orbits
 
     _, row, sizes = ctx.orbits
     mags = np.abs(ctx.sums)                     # row 0 is the orbit {0}
     col_max = mags[1:].max(axis=0)              # max |a_chi(xi)| over xi != 0
     viol = mags > bound + bound * RTOL
     viol[0] = False                             # xi = 0 is outside the bound
-    # one record per violating (xi, chi), row-major: every flat xi of a
-    # violating orbit row, ascending, with each violating chi of its row
-    hot_mask = viol.any(axis=1)
-    hot = np.nonzero(hot_mask)[0]               # violating orbit rows
-    hot_r, hot_c = np.nonzero(viol[hot])        # (position in hot, chi), row-major
-    counts = np.bincount(hot_r, minlength=len(hot))
-    ks = np.nonzero(hot_mask[row])[0]           # their flat xi, ascending
-    which = np.searchsorted(hot, row[ks])       # each xi's position in hot
-    per = counts[which]
-    # xi number i takes the entries first[which[i]] + j, 0 <= j < per[i]
-    first = np.cumsum(counts) - counts
-    entry = np.repeat(first[which] - (np.cumsum(per) - per), per) + np.arange(per.sum())
-    rec_chi, rec_row = hot_c[entry], hot[hot_r[entry]]
-    violations = ViolationRecords(np.repeat(ks, per), rec_chi, rec_row, ctx.sums,
-                                  [chi.exps for chi in chis], bound, pm)
-    dim1_keep = is_dim1[rec_chi]
-    generic_keep = np.zeros(len(rec_row), dtype=bool) if generic is None else generic[rec_row]
+    exps = [chi.exps for chi in chis]
+
+    def records(keep):
+        return ViolationRecords(viol & keep, row, sizes, ctx.sums, exps, bound, pm)
+
+    generic = False if ctx.transport is None else ctx.generic_orbits[:, None]
+    violations, dim1_violations = records(True), records(is_dim1)
+    generic_violations = records(generic)
     max_ratio = float(col_max.max() / p ** (n / 2))
     dim1_max = float(col_max[is_dim1].max()) if is_dim1.any() else 0.0
 
@@ -642,7 +671,8 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     chi_total = ctx.sums.sum(axis=1)
     chi_total[0] -= unit
     parseval_max_dev = max(
-        float(np.abs(sizes @ mags ** 2 - order * unit * inv_dims).max() / (order * unit)),
+        float(np.abs(sizes @ np.square(mags, out=mags) - order * unit * inv_dims).max()
+              / (order * unit)),
         float(np.abs(chi_total).max() / unit))
     # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}
     xi0_dev = float(np.abs(ctx.sums[0] - order * inv_dims).max())
@@ -662,13 +692,13 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
         p=p, n=n, split_type=torus.split_type, torus_order=order,
         bound_constant=2.0 ** n, bound=bound,
         max_ratio=max_ratio, max_ratio_dim1=dim1_max / p ** (n / 2),
-        violations=violations, dim1_violations=violations.subset(dim1_keep),
-        generic_violations=violations.subset(generic_keep),
+        violations=violations, dim1_violations=dim1_violations,
+        generic_violations=generic_violations,
         exceptional_order2=exceptional,
         parseval_max_dev=parseval_max_dev,
         xi0_oracle_max_dev=xi0_dev,
-        ok=not len(rec_chi),
-        ok_dim1=not dim1_keep.any(),
+        ok=not violations,
+        ok_dim1=not dim1_violations,
     )
 
 
@@ -762,7 +792,7 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
 
     # transported coordinates of every orbit representative at once
     reps, _, sizes = ctx.orbits
-    lam1, lam2, mu1, mu2 = transport.transport_all()[reps].T
+    lam1, lam2, mu1, mu2 = lattice_image(transport.s0_inv, reps, pm).T
     weight = sizes * (reps > 0)                 # xi = 0 is no pair
     generic_weight = sizes * ctx.generic_orbits
 

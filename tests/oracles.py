@@ -33,7 +33,14 @@ trace function in the flat order of xi (`trace_column`), which the program
 reads on the [lam, mu] grid (`quevaluator._trace_grid`).  The
 orbit rows by sorting the labels (`orbits_by_unique`), the refined rows
 (`refined_rows_loop`) and the factorization counts
-(`factorization_counts_loop`) one character at a time.
+(`factorization_counts_loop`) one character at a time.  The whole
+p^(2n) x 2n lattice table (`lattice_vectors`) and the routes that read it
+whole, which the program replaces by chunks of flat indices
+(`quevaluator.lattice_chunks`): the split frame of every xi
+(`transport_all`, `generic_mask_full`) and the orbit labels from one full
+image per generator (`orbit_labels_full`).  The bound's violations as index
+arrays over every violating (xi, chi) (`eager_violations`), which the
+orbit-level `quevaluator.ViolationRecords` replace.
 
 Dense operators one element at a time, from the chunk stream
 `WeilRep.build_chunks` (`build_many`, `build`, `dense_ops`, and
@@ -90,9 +97,9 @@ from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
 from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_deviation,
-                                 compose_exponents, index_vectors, integral,
-                                 lattice_vectors, pi_exponents, pi_exponents_many,
-                                 quantize, root_table)
+                                 compose_exponents, digits, flat_index, index_vectors,
+                                 integral, pi_exponents, pi_exponents_many, quantize,
+                                 root_table)
 from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_grid,
                                   _trace_kernel, split_trace_formula, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
@@ -127,6 +134,12 @@ def generator_ops(rep: WeilRep, torus: HeckeTorus) -> np.ndarray:
 def is_palindromic(f) -> bool:
     f = ffcore.poly_trim(f)
     return all(f[i] == f[len(f) - 1 - i] for i in range(len(f)))
+
+
+def lattice_vectors(pm: PrimeModulus) -> np.ndarray:
+    """Array of shape (p^{2n}, 2n): row k is the lattice vector xi of flat
+    index k, the whole table at once."""
+    return digits(np.arange(pm.dim ** 2), pm.p, 2 * pm.n)
 
 
 def flatten_xi(xi, pm: PrimeModulus) -> int:
@@ -498,7 +511,8 @@ def decompose(torus: HeckeTorus, ops: dict, tol: float = 1e-8) -> EigenspaceDeco
         max_dev = max(max_dev, float(dev))
     if max_dev > 10 * tol:
         raise RuntimeError(f"eigenvector equation deviation {max_dev:.2e}")
-    return EigenspaceDecomposition(torus, entries, dims, max_dev)
+    return EigenspaceDecomposition(torus, np.hstack([b for _, b, _ in entries]), dims,
+                                   max_dev)
 
 
 def hecke_average(xi, torus: HeckeTorus, ops: dict) -> np.ndarray:
@@ -1071,7 +1085,7 @@ def factorization_counts_loop(ctx: PrimeContext) -> tuple[int, int, float]:
     pm = ctx.pm
     p = pm.p
     reps, _, sizes = ctx.orbits
-    lam1, lam2, mu1, mu2 = ctx.transport.transport_all()[reps].T
+    lam1, lam2, mu1, mu2 = transport_all(ctx.transport)[reps].T
     weight = sizes * (reps > 0)
     generic_weight = sizes * ctx.generic_orbits
     needed = sorted(set(ctx.transported.ravel().tolist()))
@@ -1093,3 +1107,59 @@ def factorization_counts_loop(ctx: PrimeContext) -> tuple[int, int, float]:
         matched_generic += int(generic_weight[rel_oracle <= RTOL].sum())
         max_rel = max(max_rel, float(rel[1:].max()))
     return matched_all, matched_generic, max_rel
+
+
+def transport_all(transport: SplitTransport) -> np.ndarray:
+    """S0^-1 xi mod p for every xi, row k for row k of `lattice_vectors`."""
+    s0_inv = np.array(transport.s0_inv, dtype=np.int64)
+    return (lattice_vectors(transport.pm) @ s0_inv.T) % transport.pm.p
+
+
+def generic_mask_full(transport: SplitTransport) -> np.ndarray:
+    """`SplitTransport.generic_mask` from the whole transported table."""
+    return (transport_all(transport) != 0).all(axis=1)
+
+
+def orbit_labels_full(torus: HeckeTorus) -> np.ndarray:
+    """`quevaluator.orbit_labels` from the whole p^{2n} x 2n lattice table,
+    one full image xis @ g^T mod p per generator."""
+    p = torus.pm.p
+    xis = lattice_vectors(torus.pm)
+    labels = np.arange(len(xis))
+    for g, m in torus.generators:
+        step = flat_index(xis @ np.array(g, dtype=np.int64).T % p, p)
+        for _ in range((m - 1).bit_length()):
+            labels = np.minimum(labels, labels[step])
+            step = step[step]
+    return labels
+
+
+def eager_violations(ctx: PrimeContext) -> tuple[list, list, list]:
+    """(violations, dim1, generic) record lists of `quevaluator.verify_que_bound`
+    from index arrays over every violating (xi, chi), in row-major (xi, chi)
+    order, which its orbit-level `ViolationRecords` replace."""
+    pm = ctx.pm
+    dims = ctx.decomposition.dims
+    is_dim1 = np.array([dims[i] for i in ctx.inverse_index]) == 1
+    bound = 2 ** pm.n * pm.p ** (pm.n / 2)
+    _, row, _ = ctx.orbits
+    mags = np.abs(ctx.sums)
+    viol = mags > bound + bound * RTOL
+    viol[0] = False
+    hot_mask = viol.any(axis=1)
+    hot = np.nonzero(hot_mask)[0]
+    hot_r, hot_c = np.nonzero(viol[hot])
+    counts = np.bincount(hot_r, minlength=len(hot))
+    ks = np.nonzero(hot_mask[row])[0]
+    which = np.searchsorted(hot, row[ks])
+    per = counts[which]
+    first = np.cumsum(counts) - counts
+    entry = np.repeat(first[which] - (np.cumsum(per) - per), per) + np.arange(per.sum())
+    rec_xi, rec_chi, rec_row = np.repeat(ks, per), hot_c[entry], hot[hot_r[entry]]
+    generic = (np.zeros(len(rec_row), dtype=bool) if ctx.transport is None
+               else ctx.generic_orbits[rec_row])
+    records = [(tuple(x), ctx.chis[c].exps, float(mags[r, c]), bound)
+               for x, c, r in zip(digits(rec_xi, pm.p, 2 * pm.n).tolist(),
+                                  rec_chi.tolist(), rec_row.tolist())]
+    return (records, [rec for rec, keep in zip(records, is_dim1[rec_chi]) if keep],
+            [rec for rec, keep in zip(records, generic) if keep])

@@ -22,11 +22,11 @@ import numpy as np
 from torusque import ffcore, hecke, quevaluator as q, weil
 from torusque.classical import birkhoff_many
 from torusque.ffcore import PrimeModulus, odd_primes
-from torusque.heisenberg import check_relations, lattice_vectors
+from torusque.heisenberg import check_relations
 
 from oracles import (SpFactor, build_many, build_trace_table, character_sum_table,
                      diagonal_factor_sum, egorov_deviation_loop, factor_coordinates,
-                     flatten_xi, generator_ops, linearize_on_torus, mat_det,
+                     flatten_xi, generator_ops, lattice_vectors, linearize_on_torus, mat_det,
                      relation_grid, transport_char, twisted_context, word_matrix,
                      word_operator)
 

@@ -13,10 +13,9 @@ import pytest
 import torusque
 from torusque import cli, hecke, heisenberg, weil
 from torusque.ffcore import PrimeModulus
-from torusque.heisenberg import lattice_vectors
 from torusque.quevaluator import PrimeContext
 
-from oracles import build_many, egorov_deviation_loop
+from oracles import build_many, egorov_deviation_loop, lattice_vectors
 
 
 def run_cli(args):

@@ -209,10 +209,9 @@ def test_flat_index_inverts_digits(p, k):
 @pytest.mark.parametrize("p,k", [(7, 2), (5, 4), (3, 6)])
 def test_range_digits_are_slices_of_the_full_table(p, k):
     # the full table is itertools' row-major order read least significant
-    # digit first, and so is lattice_vectors at n = k/2
+    # digit first
     table = digits(np.arange(p ** k), p, k)
     assert table.dtype == np.int64 and table.shape == (p ** k, k)
     assert table[:, ::-1].tolist() == [list(t) for t in product(range(p), repeat=k)]
-    assert np.array_equal(heisenberg.lattice_vectors(PrimeModulus(p, k // 2)), table)
     for start, stop in ((0, 1), (0, len(table)), (p - 1, 3 * p + 2), (len(table) - 5, len(table))):
         assert np.array_equal(digits(np.arange(start, stop), p, k), table[start:stop])

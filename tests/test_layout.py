@@ -15,7 +15,10 @@ every sample comes from the standard library's `random.Random`, so no sweep
 pays for importing numpy.random.  The base-p digit order and the symplectic
 form are each spelled out once: only `heisenberg` raises a base to
 `np.arange` (its `digits` and `flat_index`), and only `ffcore` reads
-`standard_j` (its `is_symplectic`).
+`standard_j` (its `is_symplectic`).  No module of `src/torusque/` defines,
+imports or reads `lattice_vectors` or `transport_all`: the whole
+p^{2n} x 2n lattice table lives only in `tests/oracles.py`, and the program
+maps xi in chunks of flat indices.
 """
 
 import ast
@@ -232,3 +235,48 @@ def test_convention_guard_flags_both_copies(tmp_path):
         "    j = ffcore.standard_j(n)\n"
         "    return (x @ (p ** np.arange(2 * n))) + w, j\n")
     assert convention_copies(tmp_path) == ["mod:3", "mod:8", "mod:9"]
+
+
+WHOLE_TABLE_NAMES = {"lattice_vectors", "transport_all"}
+
+
+def whole_table_names(src: Path = SRC) -> list[str]:
+    """module:line of every definition, import, name or attribute spelled
+    like a WHOLE_TABLE_NAMES entry in the code of src/ (docstrings and
+    comments may mention them)."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        lines = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name.split(".")[-1] for a in node.names]
+            if WHOLE_TABLE_NAMES.intersection(names):
+                lines.add(node.lineno)
+        flagged += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return flagged
+
+
+def test_no_module_builds_the_whole_lattice_table():
+    assert whole_table_names() == []
+
+
+def test_whole_table_guard_flags_every_use(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from .heisenberg import lattice_vectors\n"
+        "from . import heisenberg\n\n"
+        "def f(pm, transport):\n"
+        "    \"\"\"Not lattice_vectors, nor transport_all.\"\"\"\n"
+        "    xis = heisenberg.lattice_vectors(pm)  # lattice_vectors\n"
+        "    return xis, transport.transport_all()\n\n"
+        "class T:\n"
+        "    def transport_all(self):\n"
+        "        return np.arange(3)\n")
+    assert whole_table_names(tmp_path) == ["mod:2", "mod:7", "mod:8", "mod:11"]

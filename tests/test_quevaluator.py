@@ -7,16 +7,15 @@ import pytest
 
 from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
-from torusque.heisenberg import (BudgetExceeded, FourierPolynomial, lattice_vectors,
-                                 pi_exponents, root_table)
+from torusque.heisenberg import BudgetExceeded, FourierPolynomial, pi_exponents, root_table
 
 from oracles import (averaged_fixture_checks, build, build_many, build_trace_table,
                      character_sum, character_sum_table, check_invariance,
                      cyclic_average_loop, dense_ops, diagonal_factor_sum, dilate_op,
                      factor_coordinates, gauss_sum_oracle, generator_ops,
-                     hermitian_symmetry_dev, is_generic, matrix_order_modp,
-                     torus_average_loop, trace_column, transport_char, transport_xi,
-                     twisted_context, unflatten_xi)
+                     hermitian_symmetry_dev, is_generic, lattice_vectors,
+                     matrix_order_modp, torus_average_loop, trace_column, transport_all,
+                     transport_char, transport_xi, twisted_context, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
 
@@ -314,11 +313,10 @@ def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
 
 def _drop_one_vector(dec):
     """dec with the first vector of its first occupied eigenspace removed."""
-    i = next(i for i, (_, _, dim) in enumerate(dec.entries) if dim)
-    chi, basis, dim = dec.entries[i]
-    entries = list(dec.entries)
-    entries[i] = (chi, basis[:, 1:], dim - 1)
-    return replace(dec, entries=entries, dims=[e[2] for e in entries])
+    i = next(i for i, dim in enumerate(dec.dims) if dim)
+    dims = list(dec.dims)
+    dims[i] -= 1
+    return replace(dec, basis=np.delete(dec.basis, sum(dec.dims[:i]), axis=1), dims=dims)
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -498,6 +496,53 @@ def test_table_and_readers_form_no_xi_by_chi_array(sp4_inert23):
         tracemalloc.stop()
     print(f"tracemalloc peaks at n=2 p=23: {peaks}, limit {limit}")
     assert max(peaks.values()) < limit, (peaks, limit)
+
+
+def _traced_peak(step) -> int:
+    """tracemalloc peak of step() above what was traced before it, bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        step()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_bound_check_holds_no_record_arrays(sp4_product19):
+    # n = 2, p = 19: 127,680 violations, which the records keep at orbit
+    # level; the check's transient is the real |a| table (about 1 MiB) and
+    # small arrays, where index arrays per violating (xi, chi) held 8.4 MiB
+    ctx = sp4_product19
+    ctx.sums
+    peak = _traced_peak(lambda: q.verify_que_bound(ctx))
+    print(f"verify_que_bound at n=2 p=19: {peak / 2 ** 20:.2f} MiB")
+    assert peak < 2 * 2 ** 20
+
+
+def test_orbit_stage_holds_a_few_label_arrays(sp4_inert23):
+    # n = 2, p = 23: the labels, one generator's flat-index permutation and
+    # one temporary of their size, then the rows; the whole p^4 x 4 lattice
+    # table and its image held about 13 label arrays
+    torus = sp4_inert23.torus
+    labels_bytes = 8 * torus.pm.dim ** 2
+    fresh = q.PrimeContext(None, torus, None)
+    peaks = {"orbit_labels": _traced_peak(lambda: q.orbit_labels(torus)),
+             "orbits": _traced_peak(lambda: fresh.orbits)}
+    print(f"orbit stage at n=2 p=23, in label arrays: "
+          f"{ {k: round(v / labels_bytes, 2) for k, v in peaks.items()} }")
+    assert max(peaks.values()) < 5 * labels_bytes
+
+
+def test_decompose_holds_at_most_three_dense_arrays(sp4_inert23):
+    # beyond the generator stack: H, then the eigenbasis with rho(g) V, then
+    # the sorted basis; the eigenvalue solver's own workspace is not traced
+    ctx = sp4_inert23
+    ops = ctx.generator_ops
+    dense = 16 * ctx.pm.dim ** 2
+    peak = _traced_peak(lambda: hecke.decompose(ctx.torus, ops))
+    print(f"decompose at n=2 p=23: {peak / dense:.2f} dense arrays")
+    assert peak <= 3 * dense
 
 
 def test_cyclic_vs_hecke_demo_coincide_at_p7(cat_map, rep_cache, torus_cache):
@@ -716,7 +761,7 @@ def test_verify_que_bound_lists_match_per_xi_scan_n2(sp4_elem, sp4_split13):
     assert not rpt.generic_violations  # every violation is off the generic stratum
     # the vectorized split frame agrees with the per-xi transport
     transport = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
-    etas = transport.transport_all()
+    etas = transport_all(transport)
     mask = transport.generic_mask()
     for k in range(13 ** 4):
         xi = unflatten_xi(k, pm)

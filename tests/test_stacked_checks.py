@@ -9,7 +9,12 @@ operator at a time (`oracles.egorov_deviation_loop`), one a at a time
 batch (`oracles.pair_check_per_role`) and the dense pair products
 (`oracles.dense_pair_check`).  The same holds for the per-character report
 arrays of the refined and factorization checks, the orbit rows and the
-bound's violation records, which are built only when read.
+bound's violation records, which are built only when read.  The lattice
+maps read in chunks of flat indices (`quevaluator.orbit_labels`,
+`SplitTransport.generic_mask`) are compared with their whole-table oracles
+at a chunk size that cuts each map into at least three chunks and a partial
+last one, and the orbit-level `ViolationRecords` with the eager expansion
+of every violating (xi, chi) (`oracles.eager_violations`).
 """
 
 import random
@@ -18,13 +23,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusque import cli, quevaluator as q, weil
+from torusque import cli, ffcore, heisenberg, quevaluator as q, weil
 from torusque.ffcore import PrimeModulus
-from torusque.heisenberg import CHUNK_BYTES, lattice_vectors
+from torusque.heisenberg import CHUNK_BYTES
 from torusque.quevaluator import PrimeContext
 
-from oracles import (build_many, dense_pair_check, egorov_deviation_loop,
-                     factorization_counts_loop, orbits_by_unique, pair_check_per_role,
+from oracles import (build_many, dense_pair_check, eager_violations, egorov_deviation_loop,
+                     factorization_counts_loop, generic_mask_full, lattice_vectors,
+                     orbit_labels_full, orbits_by_unique, pair_check_per_role,
                      refined_rows_loop, split_trace_deviation_per_a, trace_column)
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
@@ -168,3 +174,73 @@ def test_bound_records_are_built_when_read(sp4_split13):
     assert list(rpt.dim1_violations) == dim1 and rpt.ok_dim1 == (not dim1)
     witnesses = cli._check_bound(sp4_split13, None).witnesses
     assert [(w["xi"], w["chi_exps"], w["abs_a"], w["bound"]) for w in witnesses[:8]] == full[:8]
+
+
+def _small_chunks(monkeypatch, pm):
+    """Shrink CHUNK_BYTES so `quevaluator.lattice_chunks` cuts the p^{2n}
+    flat indices into at least three chunks and a partial last one."""
+    total = pm.dim ** 2
+    rows = total // 3 - 1
+    monkeypatch.setattr(heisenberg, "CHUNK_BYTES", 16 * pm.n * rows)
+    chunks = list(q.lattice_chunks(pm))
+    assert len(chunks) >= 4 and 0 < len(chunks[-1]) < rows == len(chunks[0])
+    assert np.array_equal(np.concatenate(chunks), np.arange(total))
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 13), (2, 5), (2, 13)])
+def test_chunked_lattice_maps_equal_the_whole_table(n, p, torus_cache, cat_map,
+                                                    sp4_elem, monkeypatch):
+    # the split frame where p splits, else any invertible frame: the mask
+    # reads S0^-1 only
+    torus = torus_cache(p, n)
+    pm = torus.pm
+    elem = cat_map if n == 1 else sp4_elem
+    if torus.split_type == "split":
+        transport = q.build_split_transport(elem.matrix, pm, elem.charpoly)
+    else:
+        g = torus.generators[0][0]
+        transport = q.SplitTransport(pm, g, ffcore.mat_inv_modp(g, p), ())
+    labels, mask = orbit_labels_full(torus), generic_mask_full(transport)
+    assert mask.any() and not mask.all()
+    _small_chunks(monkeypatch, pm)
+    assert np.array_equal(q.orbit_labels(torus), labels)
+    assert np.array_equal(transport.generic_mask(), mask)
+
+
+def _assert_records_equal_the_eager_expansion(ctx, count):
+    rpt = q.verify_que_bound(ctx)
+    violations, dim1, generic = eager_violations(ctx)
+    assert len(rpt.violations) == len(violations) == count
+    for lazy, eager in ((rpt.violations, violations), (rpt.dim1_violations, dim1),
+                        (rpt.generic_violations, generic)):
+        assert len(lazy) == len(eager) and list(lazy) == eager and lazy == eager
+        assert lazy[:8] == eager[:8] and lazy[5:9] == eager[5:9]
+        assert lazy[len(eager):] == [] and lazy[3:3] == []
+        if eager:
+            assert lazy[-1] == eager[-1] and lazy[len(eager) // 2] == eager[len(eager) // 2]
+            assert lazy[::7] == eager[::7] and lazy[-3:1:-5] == eager[-3:1:-5]
+    assert rpt.ok == (not violations) and rpt.ok_dim1 == (not dim1)
+    return rpt
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_lazy_records_equal_the_eager_expansion_n1(small, cat_map, rep_cache, torus_cache,
+                                                   monkeypatch):
+    ctx = _context(1, 11, cat_map, None, rep_cache, torus_cache)
+    ctx.sums
+    if small:
+        _small_chunks(monkeypatch, ctx.pm)
+    rpt = _assert_records_equal_the_eager_expansion(ctx, 2 * (11 - 1))
+    assert len(rpt.dim1_violations) == 0 and len(rpt.generic_violations) == 0
+
+
+def test_lazy_records_equal_the_eager_expansion_split13(sp4_split13, monkeypatch):
+    sp4_split13.sums
+    _small_chunks(monkeypatch, sp4_split13.pm)
+    rpt = _assert_records_equal_the_eager_expansion(sp4_split13, 26928)
+    assert len(rpt.dim1_violations) == 8976 and rpt.violations != rpt.dim1_violations
+
+
+def test_lazy_records_equal_the_eager_expansion_product19(sp4_product19):
+    rpt = _assert_records_equal_the_eager_expansion(sp4_product19, 127680)
+    assert rpt.violations == rpt.dim1_violations
