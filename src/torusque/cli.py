@@ -193,14 +193,21 @@ def _conventions(ctx) -> dict:
     the context's rho; no other rho is built.
 
     The relation sign is read from the one pair that fixes it; the per-prime
-    `relations` check validates the pairs that prove the whole grid.  A
-    defect that keeps them from being read is recorded once, as the header's
-    `error`; the prime's own checks report it where it belongs.
+    `relations` check validates the pairs that prove the whole grid.  The
+    trace-formula sign is the -1 that `quevaluator.split_trace_formula`
+    fixes, once it matches the matrix trace at xi = (1, 1), a = 2, which
+    tells the orientations apart at every p > 3.  A defect that keeps them
+    from being read is recorded once, as the header's `error`; the prime's
+    own checks report it where it belongs.
     """
     try:
         out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
         if ctx.pm.n == 1:
-            out["trace_formula_sign"] = ctx.split_sign
+            diag = next(ctx.rep.build_chunks([((2, 0), (0, ctx.pm.nu))]))[0]
+            if abs(quevaluator.split_trace_formula(1, 1, 2, ctx.pm)
+                   - quevaluator.trace_pair((1, 1), diag, ctx.pm)) > 1e-9:
+                raise RuntimeError("closed-form diagonal trace does not match the matrix trace")
+            out["trace_formula_sign"] = -1
             out["fourier_normalization"] = {"re": ctx.rep.gamma.real,
                                             "im": ctx.rep.gamma.imag}
     except Exception as e:  # noqa: BLE001 - a header defect, not a dead sweep
@@ -360,11 +367,10 @@ def _check_trace_formula(ctx, rng):
     if ctx.pm.n != 1:
         return CheckResult("trace-formula", "skip",
                            witnesses=[{"reason": "n = 1 closed form only"}])
-    sign = ctx.split_sign
-    worst = quevaluator.split_trace_deviation(ctx.rep, sign, ctx.deadline)
+    worst = quevaluator.split_trace_deviation(ctx.rep, ctx.deadline)
     ok = worst <= 1e-10
     return CheckResult("trace-formula", "pass" if ok else "fail", max_dev=worst,
-                       witnesses=[{"sign": sign}])
+                       witnesses=[{"sign": -1}])
 
 
 def _check_factorization(ctx, rng):
@@ -479,16 +485,19 @@ def write_csv_summary(report: dict, path: str):
 
 
 def emit_plotdata(report_paths: list[str], out_path: str):
-    """CSV of (p, max |a_chi|/p^{n/2}, 2^n) rows across sweep reports."""
+    """CSV of (p, max |a_chi|/p^{n/2}, 2^n) rows across sweep reports, one per bound
+    check not skipped nor failed with an `error`; a non-report is a ConfigError."""
     rows = []
     for path in report_paths:
         with open(path) as fh:
-            rpt = json.load(fh)
-        n = rpt["meta"]["n"]
-        for prp in rpt["primes"]:
-            bound_checks = [c for c in prp["checks"] if c["name"] == "bound"]
-            for c in bound_checks:
-                rows.append((prp["p"], c["max_ratio"], 2 ** n))
+            try:
+                rpt = json.load(fh)
+                n, primes = rpt["meta"]["n"], rpt["primes"]
+            except (ValueError, KeyError, TypeError) as e:
+                raise ConfigError(f"{path} is not a sweep report: {e!r}") from e
+        rows += [(prp["p"], c["max_ratio"], 2 ** n) for prp in primes for c in prp["checks"]
+                 if c["name"] == "bound" and c["status"] != "skip"
+                 and not any("error" in w for w in c["witnesses"])]
     rows.sort()
     with open(out_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -585,7 +594,7 @@ def main(argv=None) -> int:
     if args.verb == "plotdata":
         try:
             count = emit_plotdata(args.reports, args.out)
-        except OSError as e:
+        except (ConfigError, OSError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2
         print(f"wrote {count} rows to {args.out}")

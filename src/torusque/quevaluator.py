@@ -46,11 +46,9 @@ the test suite, none assumed):
   attainable for characters with a one-dimensional eigenspace (equivalently,
   on the generic stratum for the order-2 character), and the reports separate
   these populations;
-* the closed-form diagonal trace carries orientation sign -1 under this
-  module's coordinate conventions.  The sign is measured at runtime, never
-  assumed, from the one rho the context holds at every n (at n >= 2 through
-  the embedded diag(a, 1, ..., 1/a, 1, ...); `measure_split_sign`), once
-  per context (`PrimeContext.split_sign`).
+* the closed-form diagonal trace has one orientation under these
+  conventions (`split_trace_formula` derives it); the tests measure it
+  against the other, its complex conjugate, by matrix traces of rho.
 """
 
 from __future__ import annotations
@@ -228,12 +226,12 @@ class PrimeContext:
 
     rho of the torus generators (`generator_ops`), the characters, the
     eigenspace decomposition, the T-orbits of xi, the character-sum table
-    (`sums`), the orientation sign (`split_sign`) and, at split primes, the
-    split frame (`transport` is None elsewhere) are built on first use and
-    then shared by every check.  A rho twisted on the torus is given by
-    assigning its `generator_ops`.  `deadline`, a `time.perf_counter()`
-    value, is checked before every block of the table, and in `build` before
-    every chunk of the centralizer's norm filter.
+    (`sums`) and, at split primes, the split frame (`transport` is None
+    elsewhere) are built on first use and then shared by every check.  A rho
+    twisted on the torus is given by assigning its `generator_ops`.
+    `deadline`, a `time.perf_counter()` value, is checked before every block
+    of the table, and in `build` before every chunk of the centralizer's
+    norm filter.
     """
 
     elem: ErgodicElement
@@ -281,12 +279,6 @@ class PrimeContext:
         if self.torus.split_type != "split":
             return None
         return build_split_transport(self.elem.matrix, self.pm, self.elem.charpoly)
-
-    @cached_property
-    def split_sign(self) -> int:
-        """`measure_split_sign` of this context's rho; a failed measurement
-        is not cached, so every reader sees its error."""
-        return measure_split_sign(self.pm, self.rep)
 
     @cached_property
     def transported(self) -> np.ndarray:
@@ -436,9 +428,12 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
 # closed-form diagonal trace and Gauss-sum oracles
 
 
-def split_trace_formula(lam, mu, a, pm: PrimeModulus,
-                        sign: int = -1) -> complex | np.ndarray:
-    """sigma(a) psi(sign * (lam mu / 2) (1+a)/(1-a)) for diag(a, 1/a), a not in {0, 1}.
+def split_trace_formula(lam, mu, a, pm: PrimeModulus) -> complex | np.ndarray:
+    """sigma(a) psi(-(lam mu / 2)(1+a)/(1-a)) = F((lam, mu), diag(a, 1/a)), a not in {0, 1}.
+
+    B - I is invertible, so F(xi, B) = sigma(-det(B - I)) psi(omega(y, B y) / 2)
+    with y = (B - I)^-1 xi = (lam/(a-1), a mu/(1-a)) and omega(x, y) = x^T J y:
+    omega(y, B y) / 2 = -(lam mu / 2)(1+a)/(1-a), and -det(B - I) = (1-a)^2 / a.
 
     lam, mu and a are integers (a complex is returned) or integer arrays (an
     array of their broadcast shape is returned), in exact int64 arithmetic.
@@ -449,13 +444,13 @@ def split_trace_formula(lam, mu, a, pm: PrimeModulus,
     a = np.asarray(a) % p
     if ((a == 0) | (a == 1)).any():
         raise ValueError("a must avoid 0 and 1 (identity excluded from the torus)")
-    c = sign * pm.nu * (1 + a) % p * ffcore.unit_inverses(p)[(1 - a) % p] % p
+    c = -pm.nu * (1 + a) % p * ffcore.unit_inverses(p)[(1 - a) % p] % p
     t = (c * (np.asarray(lam) % p) % p) * (np.asarray(mu) % p) % p
     vals = ffcore.legendre_signs(p)[a] * root_table(p)[t]
     return complex(vals) if vals.ndim == 0 else vals
 
 
-def split_trace_deviation(rep, sign: int, deadline: float | None = None) -> float:
+def split_trace_deviation(rep, deadline: float | None = None) -> float:
     """max |F(xi, diag(a, 1/a)) - split_trace_formula(xi, a)| over every xi
     and every a in 2..p-1, at n = 1.
 
@@ -479,51 +474,13 @@ def split_trace_deviation(rep, sign: int, deadline: float | None = None) -> floa
     for stack in rep.build_chunks(diagonal, deadline):
         for i in range(0, len(stack), step):
             dev = _trace_grid(stack[i:i + step], kernel)
-            dev -= split_trace_formula(lam, mu, a[lo:lo + len(dev), None, None], pm, sign)
+            dev -= split_trace_formula(lam, mu, a[lo:lo + len(dev), None, None], pm)
             worst = max(worst, float(np.abs(dev).max()))
             lo += len(dev)
     return worst
 
 
-def measure_split_sign(pm: PrimeModulus, rep) -> int:
-    """Pick the orientation sign of `split_trace_formula` by one
-    discriminating matrix trace, at any n.
-
-    The trace is the n = 1 value F((1, 1), diag(a, 1/a)).  At n >= 2 it is
-    read through the embedding t(a) = diag(a, 1, ..., 1/a, 1, ...): T(xi)
-    and rho(t(a)) both factor over the coordinates, so at xi = e_1 + e_{n+1}
-    Tr(T(xi) rho(t(a))) = p^(n-1) F((1, 1), diag(a, 1/a)).  At p = 3 the
-    torus leaves only a = -1, where the phase vanishes and both signs define
-    the same formula; the default -1 is returned after checking agreement on
-    every available sample.  Each rho(t(a)) is built through rep.build_chunks
-    and dropped.
-    """
-    p, n = pm.p, pm.n
-    pm1 = PrimeModulus(p, 1)
-    xi = (1,) + (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-
-    def trace(a: int) -> complex:
-        diag = (a,) + (1,) * (n - 1) + (pow(a, -1, p),) + (1,) * (n - 1)
-        b = tuple(tuple(x if i == j else 0 for j in range(2 * n))
-                  for i, x in enumerate(diag))
-        return trace_pair(xi, next(rep.build_chunks([b]))[0], pm) / p ** (n - 1)
-
-    for a in range(2, p):
-        t = (pm.nu * (1 + a) * pow((1 - a) % p, -1, p)) % p
-        if t == 0 or (2 * t) % p == 0:
-            continue  # both signs agree here; useless sample
-        ref = trace(a)
-        for sign in (-1, 1):
-            if abs(split_trace_formula(1, 1, a, pm1, sign) - ref) < 1e-9:
-                return sign
-        raise RuntimeError("neither orientation sign matches the matrix trace")
-    for a in range(2, p):
-        if abs(split_trace_formula(1, 1, a, pm1, -1) - trace(a)) > 1e-9:
-            raise RuntimeError("orientation-free sample disagrees with trace")
-    return -1
-
-
-def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndarray]:
+def diagonal_factor_tables(ks, pm: PrimeModulus) -> dict[int, np.ndarray]:
     """p x p tables of the n = 1 torus sums, one per character exponent k.
 
     tab_k[lam, mu] = sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a), with
@@ -534,7 +491,7 @@ def diagonal_factor_tables(ks, pm: PrimeModulus, sign: int) -> dict[int, np.ndar
     p = pm.p
     _, dlog = ffcore.dlog_table(p)
     a, lam, mu = np.ogrid[2:p, :p, :p]
-    terms = split_trace_formula(lam, mu, a, pm, sign)
+    terms = split_trace_formula(lam, mu, a, pm)
     logs = np.array(dlog[2:])
     tables = {}
     for k in ks:
@@ -771,8 +728,8 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     """a_chi factorizes into n = 1 diagonal-torus sums at fully split primes.
 
     ctx.rep must be the canonical rho (weil.linearize), as PrimeContext.build
-    makes it; the orientation sign of the one-factor sums is read from it
-    (`PrimeContext.split_sign`).  Because rho is a representation, rho(S0 t S0^-1) =
+    makes it: the one-factor sums are its n = 1 closed form
+    (`diagonal_factor_tables`).  Because rho is a representation, rho(S0 t S0^-1) =
     rho(S0) dilate(t) rho(S0)^-1 for the split frame S0 and every diagonal t,
     so the per-character transport to the diagonal frame is exact and needs
     no root choice.  Both routes are compared at every orbit representative
@@ -787,8 +744,6 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     transport = ctx.transport
     if transport is None:
         raise ValueError(f"p = {p} is not fully split for this element")
-    pm1 = PrimeModulus(p, 1)
-    sign = ctx.split_sign
 
     # transported coordinates of every orbit representative at once
     reps, _, sizes = ctx.orbits
@@ -799,7 +754,7 @@ def factorization_check(ctx: PrimeContext) -> FactorizationReport:
     # the p x p tables of the one-factor sums, one per needed exponent, and
     # the same tables with the a = 1 boundary term removed (pure oracle route)
     needed = sorted(set(ctx.transported.ravel().tolist()))
-    factor_tab = diagonal_factor_tables(needed, pm1, sign)
+    factor_tab = diagonal_factor_tables(needed, PrimeModulus(p, 1))
     tabs = np.stack([factor_tab[k] for k in needed])
     oracle_tabs = tabs.copy()
     oracle_tabs[:, 0, 0] -= p

@@ -20,8 +20,13 @@ The factorization's mask choice with every one of the 2^n masks inverted
 (`first_invertible_mask_all`), which `weil._first_invertible_mask`
 replaces by inverting Bb first.  The one-factor split sums one scalar
 term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
-(`gauss_sum_oracle`).  The split frame per xi (`transport_xi`,
-`factor_coordinates`, `is_generic`) and per character (`transport_char`).
+(`gauss_sum_oracle`).  The orientation of the closed-form diagonal trace
+measured by one discriminating matrix trace, at n >= 2 through the embedded
+diag(a, 1, ..., 1/a, 1, ...) (`measure_split_sign`), against both
+orientations (`oriented_split_trace`: the program's one, fixed in
+`quevaluator.split_trace_formula`, and its complex conjugate).  The split
+frame per xi (`transport_xi`, `factor_coordinates`, `is_generic`) and per
+character (`transport_char`).
 Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`), and
 on group pairs by dense products (`dense_pair_check`), which
 `weil.check_multiplicativity` replaces by products with a probe block; that
@@ -659,9 +664,56 @@ def torus_structure(elements: list, p: int) -> tuple[list, dict]:
     raise RuntimeError(f"no two-generator decomposition found for |T| = {n_t}")
 
 
+def oriented_split_trace(lam, mu, a, pm: PrimeModulus, sign: int):
+    """The closed-form diagonal trace in orientation sign:
+    sigma(a) psi(sign (lam mu / 2)(1+a)/(1-a)).  At -1 it is
+    `quevaluator.split_trace_formula`, the program's one orientation; at +1
+    its complex conjugate."""
+    val = split_trace_formula(lam, mu, a, pm)
+    return val if sign == -1 else val.conjugate()
+
+
+def measure_split_sign(pm: PrimeModulus, rep) -> int:
+    """The orientation sign under which `oriented_split_trace` matches one
+    discriminating matrix trace, at any n.
+
+    The trace is the n = 1 value F((1, 1), diag(a, 1/a)).  At n >= 2 it is
+    read through the embedding t(a) = diag(a, 1, ..., 1/a, 1, ...): T(xi)
+    and rho(t(a)) both factor over the coordinates, so at xi = e_1 + e_{n+1}
+    Tr(T(xi) rho(t(a))) = p^(n-1) F((1, 1), diag(a, 1/a)).  At p = 3 the
+    torus leaves only a = -1, where the phase vanishes and both signs define
+    the same formula; -1 is returned after checking agreement on every
+    available sample.
+    """
+    p, n = pm.p, pm.n
+    pm1 = PrimeModulus(p, 1)
+    xi = (1,) + (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+
+    def trace(a: int) -> complex:
+        diag = (a,) + (1,) * (n - 1) + (pow(a, -1, p),) + (1,) * (n - 1)
+        b = tuple(tuple(x if i == j else 0 for j in range(2 * n))
+                  for i, x in enumerate(diag))
+        return trace_pair(xi, build(rep, b), pm) / p ** (n - 1)
+
+    for a in range(2, p):
+        t = (pm.nu * (1 + a) * pow((1 - a) % p, -1, p)) % p
+        if t == 0 or (2 * t) % p == 0:
+            continue  # both signs agree here; useless sample
+        ref = trace(a)
+        for sign in (-1, 1):
+            if abs(oriented_split_trace(1, 1, a, pm1, sign) - ref) < 1e-9:
+                return sign
+        raise RuntimeError("neither orientation sign matches the matrix trace")
+    for a in range(2, p):
+        if abs(split_trace_formula(1, 1, a, pm1) - trace(a)) > 1e-9:
+            raise RuntimeError("orientation-free sample disagrees with trace")
+    return -1
+
+
 def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
-                        sign: int, dlog=None) -> complex:
-    """Full n = 1 torus sum sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a).
+                        sign: int = -1, dlog=None) -> complex:
+    """Full n = 1 torus sum sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a),
+    with F in orientation sign (`oriented_split_trace`).
 
     chi' is the multiplicative character of exponent k (base the smallest
     primitive root).  The a = 1 term is the trace of T((lam, mu)): p when
@@ -679,7 +731,7 @@ def diagonal_factor_sum(lam: int, mu: int, k: int, pm: PrimeModulus,
             if lam % p == 0 and mu % p == 0:
                 acc += p * chi_val
             continue
-        acc += split_trace_formula(lam, mu, a, pm, sign) * chi_val
+        acc += oriented_split_trace(lam, mu, a, pm, sign) * chi_val
     return complex(acc)
 
 
@@ -1028,7 +1080,7 @@ def pair_check_per_role(rep, pairs, probe: np.ndarray) -> float:
     return max_dev
 
 
-def split_trace_deviation_per_a(rep, sign: int) -> float:
+def split_trace_deviation_per_a(rep) -> float:
     """max |F(xi, diag(a, 1/a)) - closed form| one a at a time: rho(diag(a,
     1/a)) from `build_many`, one `trace_column` and one scalar-a
     `split_trace_formula` per a (`quevaluator.split_trace_deviation` reads a
@@ -1040,7 +1092,7 @@ def split_trace_deviation_per_a(rep, sign: int) -> float:
     worst = 0.0
     for a, dense in zip(range(2, p), build_many(rep, diagonal)):
         ref = trace_column(dense, pm)
-        worst = max(worst, float(np.abs(split_trace_formula(lam, mu, a, pm, sign) - ref).max()))
+        worst = max(worst, float(np.abs(split_trace_formula(lam, mu, a, pm) - ref).max()))
     return worst
 
 
@@ -1089,8 +1141,7 @@ def factorization_counts_loop(ctx: PrimeContext) -> tuple[int, int, float]:
     weight = sizes * (reps > 0)
     generic_weight = sizes * ctx.generic_orbits
     needed = sorted(set(ctx.transported.ravel().tolist()))
-    factor_tab = quevaluator.diagonal_factor_tables(needed, PrimeModulus(p, 1),
-                                                    ctx.split_sign)
+    factor_tab = quevaluator.diagonal_factor_tables(needed, PrimeModulus(p, 1))
     oracle_tab = {k: t.copy() for k, t in factor_tab.items()}
     for k in needed:
         oracle_tab[k][0, 0] -= p

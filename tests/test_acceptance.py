@@ -27,8 +27,8 @@ from torusque.heisenberg import check_relations
 from oracles import (SpFactor, build_many, build_trace_table, character_sum_table,
                      diagonal_factor_sum, egorov_deviation_loop, factor_coordinates,
                      flatten_xi, generator_ops, lattice_vectors, linearize_on_torus, mat_det,
-                     relation_grid, transport_char, twisted_context, word_matrix,
-                     word_operator)
+                     measure_split_sign, relation_grid, transport_char, twisted_context,
+                     word_matrix, word_operator)
 
 
 def _line(num, ok, detail):
@@ -303,21 +303,23 @@ def test_criterion_6_refined_bound(cat_map, rep_cache):
 def test_criterion_7_trace_formula(cat_map, rep_cache):
     worst = 0.0
     triples = 0
+    signs = set()
     for p in (11, 19):
         pm = PrimeModulus(p, 1)
         rep = rep_cache(p)
-        sign = q.measure_split_sign(pm, rep)
+        signs.add(measure_split_sign(pm, rep))
         diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
         for a, dense in zip(range(2, p), build_many(rep, diagonal)):
             for lam in range(p):
                 for mu in range(p):
                     ref = q.trace_pair((lam, mu), dense, pm)
-                    val = q.split_trace_formula(lam, mu, a, pm, sign)
+                    val = q.split_trace_formula(lam, mu, a, pm)
                     worst = max(worst, abs(val - ref))
                     triples += 1
-    ok = worst <= 1e-10
+    ok = worst <= 1e-10 and signs == {-1}
     _line(7, ok, f"{triples} (lam, mu, a) triples at split primes 11, 19; "
-                 f"max |closed form - matrix trace| = {worst:.2e} <= 1e-10")
+                 f"max |closed form - matrix trace| = {worst:.2e} <= 1e-10; "
+                 f"measured orientation {sorted(signs)}")
     assert ok
 
 
@@ -424,7 +426,7 @@ def test_supplement_split_n2_p13_canonical(sp4_elem, sp4_split13):
 
     transport = q.build_split_transport(sp4_elem.matrix, pm, sp4_elem.charpoly)
     pm1 = PrimeModulus(p, 1)
-    sign = q.measure_split_sign(pm1, weil.linearize(pm1))
+    sign = measure_split_sign(pm1, weil.linearize(pm1))
     chis = {chi.exps: chi for chi in hecke.characters(torus)}
     col = {exps: i for i, exps in enumerate(chis)}
     row = ctx.orbits[1]

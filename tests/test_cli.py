@@ -15,7 +15,7 @@ from torusque import cli, hecke, heisenberg, weil
 from torusque.ffcore import PrimeModulus
 from torusque.quevaluator import PrimeContext
 
-from oracles import build_many, egorov_deviation_loop, lattice_vectors
+from oracles import build_many, egorov_deviation_loop, lattice_vectors, measure_split_sign
 
 
 def run_cli(args):
@@ -227,6 +227,43 @@ def test_plotdata_empty(tmp_path):
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert rows == [["p", "max_ratio", "bound_constant"]]
+
+
+def _bound_check(status, max_ratio, witnesses):
+    return {"name": "bound", "status": status, "max_dev": 0.0, "max_ratio": max_ratio,
+            "witnesses": witnesses, "millis": 1}
+
+
+def test_plotdata_leaves_out_bound_checks_without_a_ratio(tmp_path):
+    # a bound check skipped for budget, or failed with an error witness, never
+    # produced a ratio, so it gives no (p, 0.0, 2^n) row
+    primes = [
+        (7, _bound_check("pass", 0.9, [{"max_ratio_dim1": 0.9}])),
+        (11, _bound_check("skip", 0.0, [{"reason": "budget exceeded"}])),
+        (13, _bound_check("fail", 0.0, [{"error": "RuntimeError: no eigenbasis"}])),
+        (19, _bound_check("fail", 2.3, [{"xi": [1, 0], "chi": [9], "abs_a": 17.0},
+                                         {"max_ratio_dim1": 1.2}])),
+    ]
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"meta": {"n": 1}, "primes": [
+        {"p": p, "checks": [check]} for p, check in primes]}))
+    out_csv = tmp_path / "plot.csv"
+    assert run_cli(["plotdata", "--reports", str(report), "--out", str(out_csv)]) == 0
+    with open(out_csv) as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["p", "max_ratio", "bound_constant"], ["7", "0.9", "2"], ["19", "2.3", "2"]]
+
+
+@pytest.mark.parametrize("text", ["not json", json.dumps({"primes": []}),
+                                  json.dumps({"meta": {"n": 1}}), json.dumps([1, 2])])
+def test_plotdata_of_a_non_report_is_a_config_error(text, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    out_csv = tmp_path / "plot.csv"
+    assert run_cli(["plotdata", "--reports", str(report), "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "is not a sweep report" in err
+    assert not out_csv.exists()
 
 
 def test_demo_verb(capsys):
@@ -585,8 +622,8 @@ def test_named_fixture_of_the_wrong_size_is_a_config_error(args, capsys):
                                            (1, "cat-map", 97), (2, "auto-sp4", 7)])
 def test_header_conventions_equal_those_of_a_fresh_rho(n, matrix, pmin, tmp_path):
     # the header reads the first prime's own rho; a second rho built for the
-    # purpose, as the header once did, gives the same values
-    from torusque import quevaluator
+    # purpose, as the header once did, gives the same values, and its
+    # trace-formula sign is the measured orientation
     from torusque.heisenberg import check_relations
     out_json = tmp_path / "conventions.json"
     run_cli(["sweep", "--n", str(n), "--matrix", matrix, "--pmin", str(pmin),
@@ -597,7 +634,7 @@ def test_header_conventions_equal_those_of_a_fresh_rho(n, matrix, pmin, tmp_path
     expected = {"relation_sign": check_relations(pm, exhaustive=False).epsilon}
     if n == 1:
         rep = weil.linearize(pm)
-        expected["trace_formula_sign"] = quevaluator.measure_split_sign(pm, rep)
+        expected["trace_formula_sign"] = measure_split_sign(pm, rep)
         expected["fourier_normalization"] = {"re": rep.gamma.real, "im": rep.gamma.imag}
     assert header == expected
 
@@ -624,56 +661,41 @@ def test_one_rho_per_built_prime(n, matrix, pmin, pmax, checks, tmp_path, monkey
     assert calls == [PrimeModulus(p, n) for p in primes]
 
 
-def test_split_sign_is_measured_once_per_prime(tmp_path, monkeypatch):
-    # the trace-formula check and the report header read one measurement
-    from torusque import quevaluator
-    calls = []
-    real = quevaluator.measure_split_sign
-
-    def counted(pm, rep):
-        calls.append(pm.p)
-        return real(pm, rep)
-
-    monkeypatch.setattr(quevaluator, "measure_split_sign", counted)
-    out_json = tmp_path / "sign.json"
-    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "43", "--checks", "trace-formula",
-                  "--out-json", str(out_json)])
-    assert rc == 0
-    report = json.loads(out_json.read_text())
-    primes = [rp["p"] for rp in report["primes"]]
-    assert len(primes) == 12 and calls == primes
-    assert report["meta"]["conventions"]["trace_formula_sign"] == -1
-
-
 def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):
     # conventions that cannot be read are recorded once in the header; every
-    # prime still runs its checks, and the check that uses the sign reports
-    # the defect
+    # prime still runs its checks, and the trace-formula check, which holds
+    # the same closed form to every matrix trace, reports the defect.  The
+    # closed form in the other orientation, its complex conjugate, stands for
+    # a convention the header cannot confirm; a = 2 shows it from p = 7 on
     from torusque import quevaluator
+    real, real_pair = quevaluator.split_trace_formula, quevaluator.trace_pair
     calls = []
 
-    def broken(pm, rep):
-        calls.append(pm.p)
-        raise RuntimeError("neither orientation sign matches the matrix trace")
+    def conjugated(lam, mu, a, pm):
+        return np.conj(real(lam, mu, a, pm))
 
-    monkeypatch.setattr(quevaluator, "measure_split_sign", broken)
+    def counted(xi, rho_dense, pm):
+        calls.append(pm.p)
+        return real_pair(xi, rho_dense, pm)
+
+    monkeypatch.setattr(quevaluator, "split_trace_formula", conjugated)
+    monkeypatch.setattr(quevaluator, "trace_pair", counted)
     out_json = tmp_path / "broken.json"
-    rc = run_cli(["sweep", "--pmin", "3", "--pmax", "7",
+    rc = run_cli(["sweep", "--pmin", "7", "--pmax", "11",
                   "--checks", "decomposition,trace-formula",
                   "--out-json", str(out_json)])
     assert rc == 1
     report = json.loads(out_json.read_text())
     assert report["meta"]["conventions"] == {
-        "error": "RuntimeError: neither orientation sign matches the matrix trace"}
-    assert [rp["p"] for rp in report["primes"]] == [3, 7]
-    # once per prime by the trace-formula check, once for the header
-    assert calls == [3, 3, 7]
+        "error": "RuntimeError: closed-form diagonal trace does not match the matrix trace"}
+    assert [rp["p"] for rp in report["primes"]] == [7, 11]
+    assert calls == [7]     # the header reads the first prime only
     for rp in report["primes"]:
         decomposition, trace_formula = rp["checks"]
         assert decomposition["name"] == "decomposition"
         assert decomposition["status"] == "pass"
         assert trace_formula["status"] == "fail"
-        assert trace_formula["witnesses"][0]["error"].startswith("RuntimeError: neither")
+        assert trace_formula["max_dev"] > 1e-3
 
 
 _SWEEPS_THEN_REPORT_NUMPY_RANDOM = """

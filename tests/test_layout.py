@@ -18,7 +18,10 @@ form are each spelled out once: only `heisenberg` raises a base to
 `standard_j` (its `is_symplectic`).  No module of `src/torusque/` defines,
 imports or reads `lattice_vectors` or `transport_all`: the whole
 p^{2n} x 2n lattice table lives only in `tests/oracles.py`, and the program
-maps xi in chunks of flat indices.
+maps xi in chunks of flat indices.  No function of `src/torusque/` takes a
+parameter named `sign`, and none defines or reads `measure_split_sign` or
+`split_sign`: the closed-form diagonal trace has one orientation, and its
+measurement against the other lives only in `tests/oracles.py`.
 """
 
 import ast
@@ -240,27 +243,33 @@ def test_convention_guard_flags_both_copies(tmp_path):
 WHOLE_TABLE_NAMES = {"lattice_vectors", "transport_all"}
 
 
+def _spelled(node) -> list[str]:
+    """The names node defines, imports or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [a.name.split(".")[-1] for a in node.names]
+    return []
+
+
+def _flagged_lines(src: Path, flags) -> list[str]:
+    """module:line of every node of the code of src/ that flags(node) holds for."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        lines = {node.lineno for node in ast.walk(ast.parse(path.read_text())) if flags(node)}
+        flagged += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return flagged
+
+
 def whole_table_names(src: Path = SRC) -> list[str]:
     """module:line of every definition, import, name or attribute spelled
     like a WHOLE_TABLE_NAMES entry in the code of src/ (docstrings and
     comments may mention them)."""
-    flagged = []
-    for path in sorted(src.glob("*.py")):
-        lines = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = []
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [a.name.split(".")[-1] for a in node.names]
-            if WHOLE_TABLE_NAMES.intersection(names):
-                lines.add(node.lineno)
-        flagged += [f"{path.stem}:{line}" for line in sorted(lines)]
-    return flagged
+    return _flagged_lines(src, lambda node: WHOLE_TABLE_NAMES.intersection(_spelled(node)))
 
 
 def test_no_module_builds_the_whole_lattice_table():
@@ -280,3 +289,37 @@ def test_whole_table_guard_flags_every_use(tmp_path):
         "    def transport_all(self):\n"
         "        return np.arange(3)\n")
     assert whole_table_names(tmp_path) == ["mod:2", "mod:7", "mod:8", "mod:11"]
+
+
+ORIENTATION_NAMES = {"measure_split_sign", "split_sign"}
+
+
+def orientation_options(src: Path = SRC) -> list[str]:
+    """module:line of every parameter named `sign` of a function or lambda,
+    and of every definition, import, name or attribute spelled like an
+    ORIENTATION_NAMES entry, in the code of src/ (docstrings and comments may
+    mention them).  The closed-form diagonal trace has one orientation,
+    fixed in `quevaluator.split_trace_formula`: nothing measures it or
+    passes it around."""
+    return _flagged_lines(src, lambda node: isinstance(node, ast.arg) and node.arg == "sign"
+                          or ORIENTATION_NAMES.intersection(_spelled(node)))
+
+
+def test_the_diagonal_trace_has_one_orientation():
+    assert orientation_options() == []
+
+
+def test_orientation_guard_flags_every_use(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from .quevaluator import measure_split_sign\n\n"
+        "def f(lam, a, *, sign=-1):\n"
+        "    \"\"\"Takes no sign from split_sign.\"\"\"\n"
+        "    return lam * a  # measure_split_sign\n\n"
+        "def g(ctx, pm, rep, relation_sign, signs):\n"
+        "    return ctx.split_sign, measure_split_sign(pm, rep), relation_sign\n\n"
+        "h = lambda x, sign: sign * x\n\n"
+        "class C:\n"
+        "    def split_sign(self, sign):\n"
+        "        return sign\n")
+    assert orientation_options(tmp_path) == ["mod:1", "mod:3", "mod:8", "mod:10",
+                                             "mod:13"]

@@ -14,7 +14,8 @@ from oracles import (averaged_fixture_checks, build, build_many, build_trace_tab
                      cyclic_average_loop, dense_ops, diagonal_factor_sum, dilate_op,
                      factor_coordinates, gauss_sum_oracle, generator_ops,
                      hermitian_symmetry_dev, is_generic, lattice_vectors,
-                     matrix_order_modp, torus_average_loop, trace_column, transport_all,
+                     matrix_order_modp, measure_split_sign, oriented_split_trace,
+                     torus_average_loop, trace_column, transport_all,
                      transport_char, transport_xi, twisted_context, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
@@ -134,14 +135,13 @@ def test_parseval_identity(cat_map, rep_cache, torus_cache):
     assert np.abs(lhs - rhs).max() < 1e-8 * max(1.0, rhs.max())
 
 
-def test_split_trace_formula_examples(rep_cache):
+def test_split_trace_formula_examples():
     pm = PrimeModulus(11, 1)
-    sign = q.measure_split_sign(pm, rep_cache(11))
     # lam * mu = 0 reduces to the quadratic symbol
     for a in (2, 3, 7):
-        assert abs(q.split_trace_formula(0, 4, a, pm, sign) - legendre(a, 11)) < 1e-12
+        assert abs(q.split_trace_formula(0, 4, a, pm) - legendre(a, 11)) < 1e-12
     # a = -1 makes the phase vanish: value sigma(-1)
-    assert abs(q.split_trace_formula(3, 5, 10, pm, sign) - legendre(-1, 11)) < 1e-12
+    assert abs(q.split_trace_formula(3, 5, 10, pm) - legendre(-1, 11)) < 1e-12
 
 
 def test_split_trace_formula_p5_example(rep_cache):
@@ -149,8 +149,9 @@ def test_split_trace_formula_p5_example(rep_cache):
     # value is sigma(2) psi(sign * 1) = -exp(sign * 2 pi i / 5)
     pm = PrimeModulus(5, 1)
     rep = rep_cache(5)
-    sign = q.measure_split_sign(pm, rep)
-    val = q.split_trace_formula(1, 1, 2, pm, sign)
+    sign = measure_split_sign(pm, rep)
+    assert sign == -1
+    val = q.split_trace_formula(1, 1, 2, pm)
     assert abs(val - (-np.exp(sign * 2j * np.pi / 5))) < 1e-12
     # and it equals the independent matrix trace
     b = ((2, 0), (0, 3))
@@ -172,7 +173,24 @@ def test_embedded_diagonal_trace_at_n2(p, rep_cache):
                                          (0, 0, ai, 0), (0, 0, 0, 1))), pm2)
         plane = col2[lam + p ** 2 * mu]
         assert np.abs(plane - p * col1[lam + p * mu]).max() < 1e-12
-    assert q.measure_split_sign(pm2, rep2) == q.measure_split_sign(pm1, rep1)
+    assert measure_split_sign(pm2, rep2) == measure_split_sign(pm1, rep1)
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 5), (1, 7), (1, 11), (1, 13), (1, 43), (1, 97),
+                                 (2, 5), (2, 7), (2, 13), (2, 19)])
+def test_measured_orientation_is_the_programs_one(n, p, rep_cache):
+    # the matrix trace picks -1, the orientation split_trace_formula fixes,
+    # over its complex conjugate, at n = 2 through the embedded diagonal
+    assert measure_split_sign(PrimeModulus(p, n), rep_cache(p, n)) == -1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_a2_tells_the_orientations_apart_above_3(p):
+    # the report header reads the orientation at xi = (1, 1), a = 2
+    pm = PrimeModulus(p, 1)
+    plus, minus = (oriented_split_trace(1, 1, 2, pm, sign) for sign in (1, -1))
+    assert minus == q.split_trace_formula(1, 1, 2, pm) and plus == minus.conjugate()
+    assert (abs(plus - minus) > 0.5) == (p > 3)
 
 
 def test_split_trace_formula_rejects_bad_a():
@@ -186,13 +204,13 @@ def test_split_trace_formula_rejects_bad_a():
 def test_split_trace_formula_exhaustive_p11(rep_cache):
     pm = PrimeModulus(11, 1)
     rep = rep_cache(11)
-    sign = q.measure_split_sign(pm, rep)
+    assert measure_split_sign(pm, rep) == -1
     worst = 0.0
     diagonal = [((a, 0), (0, pow(a, -1, 11))) for a in range(2, 11)]
     for a, dense in zip(range(2, 11), build_many(rep, diagonal)):
         for lam in range(11):
             for mu in range(11):
-                worst = max(worst, abs(q.split_trace_formula(lam, mu, a, pm, sign)
+                worst = max(worst, abs(q.split_trace_formula(lam, mu, a, pm)
                                        - q.trace_pair((lam, mu), dense, pm)))
     assert worst < 1e-10
 
@@ -202,12 +220,11 @@ def test_split_trace_formula_array_form_p11():
     pm = PrimeModulus(11, 1)
     lam, mu = np.meshgrid(np.arange(11), np.arange(-11, 11), indexing="ij")
     for a in range(2, 11):
-        for sign in (-1, 1):
-            vals = q.split_trace_formula(lam, mu, a, pm, sign)
-            assert vals.shape == lam.shape
-            ref = np.array([[q.split_trace_formula(int(l), int(m), a, pm, sign)
-                             for l, m in zip(lr, mr)] for lr, mr in zip(lam, mu)])
-            assert np.array_equal(vals, ref)
+        vals = q.split_trace_formula(lam, mu, a, pm)
+        assert vals.shape == lam.shape
+        ref = np.array([[q.split_trace_formula(int(l), int(m), a, pm)
+                         for l, m in zip(lr, mr)] for lr, mr in zip(lam, mu)])
+        assert np.array_equal(vals, ref)
     assert isinstance(q.split_trace_formula(3, 4, 5, pm), complex)
 
 
@@ -227,7 +244,7 @@ def test_gauss_sum_oracle_matches_character_sums(cat_map, rep_cache, torus_cache
     torus = torus_cache(11)
     table = build_trace_table(torus, dense_ops(rep, torus.elements))
     transport = q.build_split_transport(cat_map.matrix, pm, cat_map.charpoly)
-    sign = q.measure_split_sign(pm, rep)
+    sign = measure_split_sign(pm, rep)
     _, dl = ffcore.dlog_table(11)
     chis = hecke.characters(torus)
     worst = 0.0
@@ -670,12 +687,11 @@ def test_diagonal_factor_sum_boundary():
 @pytest.mark.parametrize("p", [7, 13])
 def test_diagonal_factor_tables_match_scalar_sums(p):
     pm = PrimeModulus(p, 1)
-    for sign in (-1, 1):
-        tables = q.diagonal_factor_tables(range(p - 1), pm, sign)
-        for k, tab in tables.items():
-            ref = np.array([[diagonal_factor_sum(lam, mu, k, pm, sign)
-                             for mu in range(p)] for lam in range(p)])
-            assert np.abs(tab - ref).max() < 1e-12
+    tables = q.diagonal_factor_tables(range(p - 1), pm)
+    for k, tab in tables.items():
+        ref = np.array([[diagonal_factor_sum(lam, mu, k, pm)
+                         for mu in range(p)] for lam in range(p)])
+        assert np.abs(tab - ref).max() < 1e-12
 
 
 def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):

@@ -31,7 +31,8 @@ from torusque.quevaluator import PrimeContext
 from oracles import (build_many, dense_pair_check, eager_violations, egorov_deviation_loop,
                      factorization_counts_loop, generic_mask_full, lattice_vectors,
                      orbit_labels_full, orbits_by_unique, pair_check_per_role,
-                     refined_rows_loop, split_trace_deviation_per_a, trace_column)
+                     measure_split_sign, refined_rows_loop, split_trace_deviation_per_a,
+                     trace_column)
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
 
@@ -85,20 +86,21 @@ def test_pair_check_equals_the_per_role_route(n, p, rep_cache):
 def test_trace_formula_equals_the_per_a_route(p, rep_cache):
     rep = rep_cache(p)
     pm = rep.pm
-    sign = q.measure_split_sign(pm, rep)
-    dev = q.split_trace_deviation(rep, sign)
-    assert dev <= 1e-10 and abs(dev - split_trace_deviation_per_a(rep, sign)) <= 1e-12
+    # the program's one orientation is the measured one
+    assert measure_split_sign(pm, rep) == -1
+    dev = q.split_trace_deviation(rep)
+    assert dev <= 1e-10 and abs(dev - split_trace_deviation_per_a(rep)) <= 1e-12
     # the stacked columns and the closed form over a stack of a, one a at a time
     a = np.arange(2, p)
     stack = np.stack(list(build_many(rep, [((int(x), 0), (0, pow(int(x), -1, p))) for x in a])))
     cols = trace_column(stack, pm)
     lam, mu = lattice_vectors(pm).T
-    vals = q.split_trace_formula(lam, mu, a[:, None], pm, sign)
+    vals = q.split_trace_formula(lam, mu, a[:, None], pm)
     assert cols.shape == vals.shape == (len(a), p * p)
     for i, ai in enumerate(a.tolist()):
         assert np.abs(cols[i] - trace_column(stack[i], pm)).max() <= 1e-12
-        assert np.array_equal(vals[i], q.split_trace_formula(lam, mu, ai, pm, sign))
-        assert q.split_trace_formula(1, 2, ai, pm, sign) == vals[i][1 + 2 * p]
+        assert np.array_equal(vals[i], q.split_trace_formula(lam, mu, ai, pm))
+        assert q.split_trace_formula(1, 2, ai, pm) == vals[i][1 + 2 * p]
 
 
 def test_egorov_deviation_stays_within_two_chunks_beyond_the_operator(rep_cache):
@@ -156,6 +158,8 @@ def test_refined_rows_equal_the_per_character_loop(cat_map, rep_cache, torus_cac
 
 
 def test_factorization_counts_equal_the_per_character_loop(sp4_split13):
+    # the one-factor tables' one orientation is the one measured at n = 2
+    assert measure_split_sign(sp4_split13.pm, sp4_split13.rep) == -1
     rpt = q.factorization_check(sp4_split13)
     assert ((rpt.matched_all_reconciled, rpt.matched_generic, rpt.max_rel_err)
             == factorization_counts_loop(sp4_split13))
