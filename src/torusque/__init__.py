@@ -7,7 +7,7 @@ from .ffcore import PrimeModulus, legendre
 from .hecke import HeckeTorus, TorusCharacter, centralizer, characters, decompose
 from .heisenberg import FourierPolynomial, check_relations, integral, pi_op, quantize
 from .quevaluator import (BoundReport, PrimeContext, factorization_check,
-                          refined_bound, split_trace_formula, trace_pair,
+                          TraceFormula, refined_bound, trace_pair,
                           verify_que_bound)
 from .weil import WeilRep, linearize
 
@@ -19,6 +19,6 @@ __all__ = [
     "legendre", "HeckeTorus", "TorusCharacter", "centralizer", "characters",
     "decompose", "FourierPolynomial", "check_relations", "integral", "pi_op",
     "quantize", "BoundReport", "PrimeContext", "factorization_check",
-    "refined_bound", "split_trace_formula", "trace_pair", "verify_que_bound",
+    "refined_bound", "TraceFormula", "trace_pair", "verify_que_bound",
     "WeilRep", "linearize", "__version__",
 ]

@@ -113,6 +113,8 @@ def build_config(file_vals: dict, overrides: dict) -> SweepConfig:
         raise ConfigError("n must be 1 or 2")
     if cfg.pmin < 3 or cfg.pmax < cfg.pmin:
         raise ConfigError("need 3 <= pmin <= pmax")
+    if not cfg.budget_seconds >= 0:         # nan compares false: no deadline would pass
+        raise ConfigError(f"budget_seconds must be >= 0, got {cfg.budget_seconds}")
     return cfg
 
 
@@ -194,18 +196,19 @@ def _conventions(ctx) -> dict:
 
     The relation sign is read from the one pair that fixes it; the per-prime
     `relations` check validates the pairs that prove the whole grid.  The
-    trace-formula sign is the -1 that `quevaluator.split_trace_formula`
-    fixes, once it matches the matrix trace at xi = (1, 1), a = 2, which
-    tells the orientations apart at every p > 3.  A defect that keeps them
+    trace-formula sign is the -1 of `quevaluator.TraceFormula`, once it
+    matches the matrix trace at xi = (1, 1), B = diag(2, 1/2), which tells
+    the orientations apart at every p > 3.  A defect that keeps them
     from being read is recorded once, as the header's `error`; the prime's
     own checks report it where it belongs.
     """
     try:
         out = {"relation_sign": check_relations(ctx.pm, exhaustive=False).epsilon}
         if ctx.pm.n == 1:
-            diag = next(ctx.rep.build_chunks([((2, 0), (0, ctx.pm.nu))]))[0]
-            if abs(quevaluator.split_trace_formula(1, 1, 2, ctx.pm)
-                   - quevaluator.trace_pair((1, 1), diag, ctx.pm)) > 1e-9:
+            diag = ((2, 0), (0, ctx.pm.nu))
+            op = next(ctx.rep.build_chunks([diag]))[0]
+            if abs(quevaluator.TraceFormula([diag], ctx.pm)(np.array([1 + ctx.pm.p]))[0, 0]
+                   - quevaluator.trace_pair((1, 1), op, ctx.pm)) > 1e-9:
                 raise RuntimeError("closed-form diagonal trace does not match the matrix trace")
             out["trace_formula_sign"] = -1
             out["fourier_normalization"] = {"re": ctx.rep.gamma.real,
@@ -323,11 +326,12 @@ def _check_multiplicativity(ctx, rng):
 
 
 def _check_decomposition(ctx, rng):
+    """The eigenbasis dims by the documented rule and against `PrimeContext.dims`."""
     dec = ctx.decomposition
     dims = dec.dims
     chis = ctx.chis
-    ok = sum(dims) == ctx.pm.dim
-    witnesses = []
+    ok = sum(dims) == ctx.pm.dim and dims == ctx.dims
+    witnesses = [] if dims == ctx.dims else [{"formula_dims": ctx.dims}]
     for chi, d in zip(chis, dims):
         if d > 1 and chi.order != 2:
             ok = False
@@ -364,10 +368,7 @@ def _check_refined(ctx, rng):
 
 
 def _check_trace_formula(ctx, rng):
-    if ctx.pm.n != 1:
-        return CheckResult("trace-formula", "skip",
-                           witnesses=[{"reason": "n = 1 closed form only"}])
-    worst = quevaluator.split_trace_deviation(ctx.rep, ctx.deadline)
+    worst = quevaluator.trace_formula_deviation(ctx)
     ok = worst <= 1e-10
     return CheckResult("trace-formula", "pass" if ok else "fail", max_dev=worst,
                        witnesses=[{"sign": -1}])

@@ -103,7 +103,7 @@ def mat_mul(a: Mat, b: Mat, mod: int | None = None) -> Mat:
 
 def mat_inv_modp(a: Mat, p: int) -> Mat:
     """Inverse mod p (`gauss_jordan_modp`); raises if singular."""
-    det, inv = gauss_jordan_modp(np.array(mat_mod(a, p), dtype=np.int64), p)
+    det, inv, _ = gauss_jordan_modp(np.array(mat_mod(a, p), dtype=np.int64), p)
     if det == 0:
         raise ZeroDivisionError("matrix is singular mod p")
     return mat(inv)
@@ -125,15 +125,17 @@ def legendre_signs(p: int) -> np.ndarray:
     return out
 
 
-def gauss_jordan_modp(m, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Determinants and inverses mod p of a stack of square matrices.
+def gauss_jordan_modp(m, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Determinants, row transforms and ranks mod p of a stack of square matrices.
 
     m is an integer array of shape (..., d, d).  One Gauss-Jordan elimination
     runs over the whole stack in exact int64 arithmetic (every product stays
     below p^2), with row pivoting: column c takes the first row at or below
-    c with a nonzero entry.  Returns (det, inv) of shapes (...) and
-    (..., d, d), det reduced to 0..p-1; where det is 0 the rows of inv are
-    meaningless.
+    the member's rank so far with a nonzero entry, and a column with none is
+    passed over.  Returns (det, x, rank) of shapes (...), (..., d, d) and
+    (...), det reduced to 0..p-1: x m mod p is the reduced row echelon form
+    of m, so x = m^-1 where det is nonzero, and the rows of x from rank on
+    span the left kernel of m.
     """
     m = np.asarray(m, dtype=np.int64) % p
     *batch, d, _ = m.shape
@@ -142,24 +144,21 @@ def gauss_jordan_modp(m, p: int) -> tuple[np.ndarray, np.ndarray]:
     aug = np.concatenate([m, np.broadcast_to(np.eye(d, dtype=np.int64), m.shape)],
                          axis=2)
     det = np.ones(k, dtype=np.int64)
+    rank = np.zeros(k, dtype=np.int64)
     inverse = unit_inverses(p)
     every = np.arange(k)
     for c in range(d):
-        nonzero = aug[:, c:, c] != 0
-        piv = c + nonzero.argmax(axis=1)        # c itself when the column is zero
-        swap = piv != c
-        if swap.any():
-            rows = aug[every, piv]
-            aug[every, piv] = aug[:, c]
-            aug[:, c] = rows
-            det[swap] = -det[swap]
-        pivot = aug[:, c, c]
-        det = det * pivot % p                   # a zero column leaves det 0
-        aug[:, c] = aug[:, c] * inverse[pivot][:, None] % p
-        factor = aug[:, :, c].copy()
-        factor[:, c] = 0
-        aug = (aug - factor[:, :, None] * aug[:, c, None, :]) % p
-    return det.reshape(batch), aug[:, :, d:].reshape(*batch, d, d)
+        below = (aug[:, :, c] != 0) & (np.arange(d) >= rank[:, None])
+        found = below.any(axis=1)
+        piv = np.where(found, below.argmax(axis=1), rank)
+        row = aug[every, piv]                   # moves to row rank, normalized
+        aug[every, piv] = aug[every, rank]
+        det = np.where(piv != rank, -det, det) * row[:, c] % p  # no pivot: det 0
+        row = row * np.where(found, inverse[row[:, c]], 1)[:, None] % p
+        aug = (aug - (aug[:, :, c] * found[:, None])[:, :, None] * row[:, None, :]) % p
+        aug[every, rank] = row
+        rank += found
+    return det.reshape(batch), aug[:, :, d:].reshape(*batch, d, d), rank.reshape(batch)
 
 
 def standard_j(n: int) -> Mat:

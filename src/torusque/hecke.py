@@ -387,9 +387,6 @@ def decompose(torus: HeckeTorus, ops: np.ndarray) -> EigenspaceDecomposition:
     else:
         raise RuntimeError(f"eigenvector certificate {worst:.2e} > {EIGEN_TOL:.0e} "
                            f"under every mixing coefficient row")
-    # row-major, unlike vecs[:, order], for the table's products; mode "clip"
-    # writes into basis, where the default mode buffers a copy of it
-    basis = np.empty((d, d), dtype=complex)
-    np.take(vecs, np.argsort(label, kind="stable"), axis=1, out=basis, mode="clip")
+    basis = vecs[:, np.argsort(label, kind="stable")]
     dims = np.bincount(label, minlength=torus.order).tolist()
     return EigenspaceDecomposition(torus, basis, dims, dev)

@@ -1,30 +1,30 @@
 """Hecke character sums, one orbit-reduced table per prime, and the bound checks.
 
-The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) is computed for
-every xi mod p at once from one dense matrix or a stack of them
-(`_trace_grid`: one gather along the shifts of T(xi), one matmul with the
-psi(x.y) matrix over the whole stack, one phase prefix); `trace_pair`, the
-per-value route through the generalized-permutation structure of T(xi), is
-the oracle it is tested against.  The character sums
+The two-variable trace function F(xi, B) = Tr(T(xi) rho(B)) has one closed
+form at every n (`TraceFormula`, the Weil character's Cayley-transform
+form): with D = B - I mod p of rank r, k = 2n - r and c the sum of the
+principal r x r minors of D,
 
-    a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1})
+    F(xi, B) = legendre((-1)^(r/2) c) p^(k/2) psi(nu omega(y, B y))   if xi = D y,
 
-need no operator of any torus element but the generators: P_{chi^-1} is the
-projector onto the joint eigenspace H_{chi^-1} (`hecke.decompose`).  As
+and 0 for xi outside im D.  It is checked against the traces of dense
+operators on the [lam, mu] grid (`_trace_grid`: one gather along the shifts
+of T(xi), one matmul with the psi(x.y) matrix over the whole stack, one
+phase prefix; `trace_pair` is the per-value oracle).  The character sums
+
+    a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1}),
+
+P_{chi^-1} the projector onto the joint eigenspace H_{chi^-1}, need no
+operator: over the torus exponent grid they are |T| times one inverse FFT
+of F (`character_sum_table`), and a_chi(0) = |T| dim H_{chi^-1}.  As
 rho(B) T(xi) rho(B)^-1 = T(B xi), they are constant on the T-orbits of xi
-(`orbit_labels`), so one xi per orbit suffices: its member (lam, mu) of
-least shift lam (`least_shift_members`).  T(lam, mu) shifts by lam, so the
-orbits read at one lam share one product of the eigenbasis with its
-translate by lam, and their rows come from one matmul by their phase rows
-(`character_sum_table`): one gather per distinct shift, not per orbit.
-They are checked against the p^{n/2}-scale bound and its split-prime refinement,
-and against the closed-form diagonal-torus trace.
+(`orbit_labels`): one row per orbit.  They are checked against the
+p^{n/2}-scale bound and its split-prime refinement, and factorized at
+fully split n = 2 primes into n = 1 diagonal-torus sums.
 
-A `PrimeContext` holds the torus and rho at one prime, and builds the
-characters, the eigenspace decomposition, the split frame, the orbits of xi
-and the table of sums, one row per orbit, at most once each; the bound and
-factorization checks read the table, weighting each row by its orbit's
-size, so no p^{2n} x |T| array is ever formed.
+A `PrimeContext` holds what the checks read at one prime, built once each;
+a sum over xi weights each row of the table by its orbit's size, so no
+p^{2n} x |T| array is ever formed.
 
 The averaging demo compares the time average over <A> with the torus
 average on eigenvectors of rho(A).  Egorov, rho(A) T(xi) rho(A)^-1 =
@@ -46,9 +46,9 @@ the test suite, none assumed):
   attainable for characters with a one-dimensional eigenspace (equivalently,
   on the generic stratum for the order-2 character), and the reports separate
   these populations;
-* the closed-form diagonal trace has one orientation under these
-  conventions (`split_trace_formula` derives it); the tests measure it
-  against the other, its complex conjugate, by matrix traces of rho.
+* the trace formula has one orientation, psi(+nu omega(y, B y)); at n = 1,
+  B = diag(a, 1/a) it is legendre(a) psi(-(lam mu / 2)(1 + a)/(1 - a)), and
+  the tests measure it against its complex conjugate by matrix traces.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import combinations
 from math import gcd, lcm
 
 import numpy as np
@@ -64,9 +65,8 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import (CHUNK_BYTES, BudgetExceeded, chunk_items, digits,
-                         flat_index, index_vectors, pi_exponents,
-                         pi_exponents_many, root_table)
+from .heisenberg import (BudgetExceeded, chunk_items, digits, flat_index,
+                         index_vectors, pi_exponents, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -74,10 +74,6 @@ RTOL = 1e-6
 # the Parseval and xi = 0 identities of the character-sum table must hold
 # to this (relative) deviation, or the sums are not trusted
 IDENTITY_TOL = 1e-9
-# bytes of one block of W_lam columns in character_sum_table: its matmul by
-# the phase rows gains from width, and CHUNK_BYTES-wide blocks (17 columns at
-# n = 2, p = 31) left it call-bound
-TABLE_BLOCK_BYTES = 16 * CHUNK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +118,64 @@ def _trace_grid(rho_dense: np.ndarray, kernel) -> np.ndarray:
     del g
     np.multiply(prefix, out, out=out)
     return out
+
+
+class TraceFormula:
+    """F(xi, B) = Tr(T(xi) rho(B)) in closed form (module docs) for a stack of B.
+
+    c != 0 exactly when F_p^{2n} = ker D + im D, two omega-orthogonal
+    symplectic spaces over which rho(B) and T(xi) factor: B is I on the
+    first (trace p^(k/2) at xi = 0) and has the Cayley-transform character
+    on the second.  y is free up to ker D, which B fixes, so the value is
+    not.  One `ffcore.gauss_jordan_modp` of the stack gives r, det D, the
+    left kernel rows (xi is in im D when they annihilate it) and a
+    generalized inverse G (D G xi = xi on im D), so omega(y, B y) = xi^T Q_B
+    xi with Q_B = G^T J B G; c is summed from principal minors where r < 2n.
+    Raises ValueError where c = 0 (B - I of odd rank, or not semisimple).
+    """
+
+    def __init__(self, elems, pm: PrimeModulus):
+        p, n = pm.p, pm.n
+        e = np.asarray(elems, dtype=np.int64) % p
+        dmat = (e - np.eye(2 * n, dtype=np.int64)) % p
+        c, x, rank = ffcore.gauss_jordan_modp(dmat, p)
+        c[rank == 0] = 1                        # B = I: the empty minor
+        for r in set(rank.tolist()) - {0, 2 * n}:
+            sel = np.flatnonzero(rank == r)
+            idx = np.array(list(combinations(range(2 * n), r)))
+            minors = dmat[sel][:, idx[:, :, None], idx[:, None, :]]
+            c[sel] = ffcore.gauss_jordan_modp(minors, p)[0].sum(axis=1) % p
+        if not c.all():
+            raise ValueError("trace formula needs B - I of even rank, semisimple at 1")
+        # G = S x, S moving row i < r of the echelon form x D to its pivot column
+        live = np.arange(2 * n) < rank[:, None]
+        lead = (x @ dmat % p != 0).argmax(axis=2)
+        s = np.zeros_like(x)
+        s[np.arange(len(e))[:, None], lead, np.arange(2 * n)] = live
+        g = s @ x % p
+        # Q_B[i, j] = omega(G e_i, B G e_j), over the columns of G and B G
+        quad = ffcore.symplectic_form(g.swapaxes(1, 2)[:, :, None],
+                                      (e @ g % p).swapaxes(1, 2)[:, None], mod=p)
+        self.pm, self.quad = pm, quad.reshape(len(e), -1).T.astype(float)
+        self.scale = (ffcore.legendre_signs(p)[(-1) ** (rank // 2) * c % p]
+                      * float(p) ** ((2 * n - rank) / 2))
+        self.kernel = x * ~live[:, :, None]     # left kernel rows of D
+
+    def __call__(self, flat: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """(len(flat), k) values at the flat xi, for the elements cols: the
+        quadratic forms as one float64 product of the pairs xi_i xi_j with
+        the Q_B, exact below 2^53 (4n^2 p^3 at most)."""
+        p = self.pm.p
+        xi = digits(flat, p, 2 * self.pm.n)
+        pairs = (xi[:, :, None] * xi[:, None, :]).reshape(len(xi), -1).astype(float)
+        out = root_table(p)[(pairs @ self.quad[:, cols] % p).astype(np.int64)
+                            * self.pm.nu % p]
+        out *= self.scale[cols]
+        singular = np.flatnonzero(self.kernel[cols].any(axis=(1, 2)))
+        if singular.size:
+            kernel = self.kernel[cols][singular]
+            out[:, singular] *= ~(np.tensordot(xi, kernel, axes=([1], [2])) % p).any(axis=2)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +278,15 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
 
-    rho of the torus generators (`generator_ops`), the characters, the
-    eigenspace decomposition, the T-orbits of xi, the character-sum table
-    (`sums`) and, at split primes, the split frame (`transport` is None
-    elsewhere) are built on first use and then shared by every check.  A rho
-    twisted on the torus is given by assigning its `generator_ops`.
-    `deadline`, a `time.perf_counter()` value, is checked before every block
-    of the table, and in `build` before every chunk of the centralizer's
-    norm filter.
+    The characters, the T-orbits of xi, the character-sum table (`sums`)
+    and the eigenspace dims read from it (`dims`), the split frame at split
+    primes (`transport` is None elsewhere), and, for the checks that read
+    operators only, rho of the torus generators (`generator_ops`) and the
+    eigenspace decomposition are built on first use and then shared.  The
+    table is the canonical rho's (the trace formula): a context of a rho
+    twisted on the torus is given its `generator_ops` and `sums` by
+    assignment.  `deadline`, a `time.perf_counter()` value, is checked
+    before every chunk of the table and of the centralizer's norm filter.
     """
 
     elem: ErgodicElement
@@ -322,6 +377,13 @@ class PrimeContext:
         return character_sum_table(self)
 
     @cached_property
+    def dims(self) -> list[int]:
+        """dim H_chi for each chi of chis: a_{chi^-1}(0) / |T|, rounded
+        (`verify_que_bound` checks that it is integral)."""
+        zero = self.sums[0, self.inverse_index].real / self.torus.order
+        return np.rint(zero).astype(int).tolist()
+
+    @cached_property
     def generic_orbits(self) -> np.ndarray:
         """`generic_mask` per orbit row; raises RuntimeError unless the mask
         is constant on orbits (T acts diagonally in the split frame)."""
@@ -350,133 +412,70 @@ def orbit_labels(torus: HeckeTorus) -> np.ndarray:
     return labels
 
 
-def least_shift_members(row: np.ndarray, pm: PrimeModulus) -> np.ndarray:
-    """The flat index of each orbit's member xi = (lam, mu) of least shift
-    lam, then least mu, for the orbit rows `row` of every flat xi.
-
-    The flat index is lam + p^n mu, so the key lam p^n + mu is the flat index
-    with its two halves swapped: one `np.minimum.at` over the p^{2n} labels.
-    """
-    d = pm.dim
-    keys = np.full(int(row.max()) + 1, d * d)
-    np.minimum.at(keys, row.reshape(d, d).T, np.arange(d * d).reshape(d, d))
-    return keys // d + d * (keys % d)
-
-
-def _column_blocks(dims: np.ndarray, width: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges of the occupied eigenspaces (indices into dims[dims > 0])
-    whose columns together stay within width, each at least one eigenspace."""
-    sizes = dims[dims > 0]
-    blocks, lo, cols = [], 0, 0
-    for i, size in enumerate(sizes.tolist()):
-        if cols and cols + size > width:
-            blocks.append((lo, i))
-            lo, cols = i, 0
-        cols += size
-    return blocks + [(lo, len(sizes))]
-
-
 def character_sum_table(ctx: PrimeContext) -> np.ndarray:
-    """a_chi(xi_r) on every orbit row r of `orbits`: row r, column chi.
+    """a_chi(xi_r) on every orbit row r of `orbits`, at its least flat index:
+    row r, column chi in `chis` order.
 
-    a_chi(xi) = |T| Tr(T(xi) P_{chi^-1}), and Tr(T(xi) P) sums <v|T(xi)|v>
-    over the eigenbasis of P.  Each orbit is read at its member of least
-    shift (`least_shift_members`).  T(lam, mu) v[x] = psi(nu lam.mu + mu.x)
-    v[x + lam], so every orbit read at shift lam shares the product
-    W_lam = conj(V) * V[x + lam] of the character-sorted eigenbasis V, and
-    its row is its phase row psi(expo) times W_lam: one gather and one
-    matmul per distinct lam, not per orbit, with the sum over x taken before
-    the sum over each eigenspace's columns.  The columns of W_lam are cut at
-    eigenspace boundaries into blocks of TABLE_BLOCK_BYTES, each reduced
-    straight into the columns of its characters' inverses; the deadline is
-    read before every block.
+    With the torus elements (the keys of `dlog`) in the C order of their
+    exponent grid over the generator orders, a_chi(xi) = sum_e chi(e) F(xi, e)
+    is |T| times the inverse FFT of F(xi, .) over the grid, at frequency chi.
+    One `TraceFormula` of the elements is read in chunks of orbits whose
+    (orbits, |T|) arrays hold CHUNK_BYTES, each transformed straight into its
+    rows of the table; the deadline is read before every chunk.
     """
-    pm, dec = ctx.pm, ctx.decomposition
-    d = pm.dim
-    row = ctx.orbits[1]
-    members = least_shift_members(row, pm)
-    lam = members % d
-    order = np.argsort(lam, kind="stable")
-    cuts = np.flatnonzero(np.diff(lam[order])) + 1
-    basis = dec.basis
-    dims = np.array(dec.dims)
-    occupied = np.flatnonzero(dims > 0)
-    column = np.array(ctx.inverse_index)[occupied]      # where H_chi's traces go
-    starts = np.cumsum(dims[occupied]) - dims[occupied]
-    blocks = _column_blocks(dims, max(1, TABLE_BLOCK_BYTES // (16 * d)))
-    # column-major: the readers' reductions sum in this layout
-    traces = np.zeros((len(dims), len(members)), dtype=complex).T
-    for done, rows in zip([0, *cuts], np.split(order, cuts)):
-        src, expo = pi_exponents_many(digits(members[rows], pm.p, 2 * pm.n), pm)
-        phases = root_table(pm.p)[expo]
-        for lo, hi in blocks:
-            if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
-                raise BudgetExceeded(f"deadline passed at orbit {done} of {len(members)}")
-            c0 = starts[lo]
-            c1 = starts[hi - 1] + dims[occupied[hi - 1]]
-            # numpy writes a large product into the gathered temporary, with
-            # the operands swapped; this form keeps the sums' last bits
-            conj = basis[:, c0:c1].conj()
-            w = conj * basis[src[0], c0:c1]
-            traces[rows[:, None], column[lo:hi]] = np.add.reduceat(
-                phases @ w, starts[lo:hi] - c0, axis=1)
-    traces *= ctx.torus.order
-    return traces
+    torus, reps = ctx.torus, ctx.orbits[0]
+    grid = np.ravel_multi_index(np.array(list(torus.dlog.values())).T, torus.gen_orders)
+    formula = TraceFormula(np.array(list(torus.dlog))[np.argsort(grid)], ctx.pm)
+    table = np.empty((len(reps), torus.order), dtype=complex)
+    step = chunk_items(16 * torus.order)
+    for lo in range(0, len(reps), step):
+        if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
+            raise BudgetExceeded(f"deadline passed at orbit {lo} of {len(reps)}")
+        rows = formula(reps[lo:lo + step]).reshape(-1, *torus.gen_orders)
+        np.fft.ifftn(rows, axes=range(1, rows.ndim), out=table[lo:lo + step].reshape(rows.shape))
+    table *= torus.order
+    return table
 
 
 # ---------------------------------------------------------------------------
-# closed-form diagonal trace and Gauss-sum oracles
+# the trace-formula check and the n = 1 diagonal-torus tables
 
 
-def split_trace_formula(lam, mu, a, pm: PrimeModulus) -> complex | np.ndarray:
-    """sigma(a) psi(-(lam mu / 2)(1+a)/(1-a)) = F((lam, mu), diag(a, 1/a)), a not in {0, 1}.
+def diagonal_stack(pm: PrimeModulus) -> np.ndarray:
+    """diag(a, 1/a) on the first coordinate pair and I on the rest, for every
+    a in 2..p-1: a (p - 2, 2n, 2n) int64 stack."""
+    p, n = pm.p, pm.n
+    a = np.arange(2, p)
+    out = np.tile(np.eye(2 * n, dtype=np.int64), (len(a), 1, 1))
+    out[:, 0, 0], out[:, n, n] = a, ffcore.unit_inverses(p)[a]
+    return out
 
-    B - I is invertible, so F(xi, B) = sigma(-det(B - I)) psi(omega(y, B y) / 2)
-    with y = (B - I)^-1 xi = (lam/(a-1), a mu/(1-a)) and omega(x, y) = x^T J y:
-    omega(y, B y) / 2 = -(lam mu / 2)(1+a)/(1-a), and -det(B - I) = (1-a)^2 / a.
 
-    lam, mu and a are integers (a complex is returned) or integer arrays (an
-    array of their broadcast shape is returned), in exact int64 arithmetic.
+def trace_formula_deviation(ctx: PrimeContext) -> float:
+    """max |F(xi, B) - TraceFormula| over every xi, for the B of
+    `diagonal_stack` and the torus generators.
+
+    The operators stream through rep.build_chunks (which reads the deadline)
+    and are dropped.  For each chunk the formula is read at every xi, in
+    chunks of flat indices, into one array of the chunk's size; the traces
+    come in blocks whose (k, p^n, p^n) arrays hold CHUNK_BYTES / 4, each
+    from one gather and one matmul (`_trace_grid`).
     """
-    if pm.n != 1:
-        raise ValueError("closed form is the n = 1 building block")
-    p = pm.p
-    a = np.asarray(a) % p
-    if ((a == 0) | (a == 1)).any():
-        raise ValueError("a must avoid 0 and 1 (identity excluded from the torus)")
-    c = -pm.nu * (1 + a) % p * ffcore.unit_inverses(p)[(1 - a) % p] % p
-    t = (c * (np.asarray(lam) % p) % p) * (np.asarray(mu) % p) % p
-    vals = ffcore.legendre_signs(p)[a] * root_table(p)[t]
-    return complex(vals) if vals.ndim == 0 else vals
-
-
-def split_trace_deviation(rep, deadline: float | None = None) -> float:
-    """max |F(xi, diag(a, 1/a)) - split_trace_formula(xi, a)| over every xi
-    and every a in 2..p-1, at n = 1.
-
-    The operators rho(diag(a, 1/a)) stream through rep.build_chunks (which
-    reads `deadline`) and are dropped.  Each chunk is read in blocks of
-    operators whose (k, p^n, p^n) arrays hold CHUNK_BYTES / 4, so that the
-    comparison holds about one chunk beyond the operators: per block, the
-    traces come from one gather and one matmul (`_trace_grid`), and the
-    closed form on the same [lam, mu] grid from one call over the block's a.
-    """
-    pm = rep.pm
-    a = np.arange(2, pm.p)
-    diagonal = np.zeros((len(a), 2, 2), dtype=np.int64)
-    diagonal[:, 0, 0] = a
-    diagonal[:, 1, 1] = ffcore.unit_inverses(pm.p)[a]
-    kernel = _trace_kernel(pm)
-    lam, mu = np.ogrid[:pm.p, :pm.p]        # the grid of _trace_grid at n = 1
-    # operators per block: each (k, p^n, p^n) temporary holds CHUNK_BYTES / 4
-    step = chunk_items(64 * pm.dim ** 2)
+    pm, d = ctx.pm, ctx.pm.dim
+    elems = np.concatenate([diagonal_stack(pm), [g for g, _ in ctx.torus.generators]])
+    formula = TraceFormula(elems, pm)
+    kernel, step = _trace_kernel(pm), chunk_items(64 * d ** 2)     # operators per block
     worst, lo = 0.0, 0
-    for stack in rep.build_chunks(diagonal, deadline):
+    for stack in ctx.rep.build_chunks(elems, ctx.deadline):
+        vals = np.empty((d * d, len(stack)), dtype=complex)
+        for flat in lattice_chunks(pm):
+            vals[flat[0]:flat[-1] + 1] = formula(flat, slice(lo, lo + len(stack)))
+        vals = vals.reshape(d, d, -1).T                     # flat lam + p^n mu: [B, lam, mu]
         for i in range(0, len(stack), step):
             dev = _trace_grid(stack[i:i + step], kernel)
-            dev -= split_trace_formula(lam, mu, a[lo:lo + len(dev), None, None], pm)
+            dev -= vals[i:i + step]
             worst = max(worst, float(np.abs(dev).max()))
-            lo += len(dev)
+        lo += len(stack)
     return worst
 
 
@@ -484,14 +483,15 @@ def diagonal_factor_tables(ks, pm: PrimeModulus) -> dict[int, np.ndarray]:
     """p x p tables of the n = 1 torus sums, one per character exponent k.
 
     tab_k[lam, mu] = sum_{a in F_p^x} F((lam, mu), diag(a, 1/a)) chi'(a), with
-    chi' of exponent k (base the smallest primitive root): one
-    `split_trace_formula` call over every a not in {0, 1}, shared by every
-    k, and the a = 1 term, the trace p of T(0), at (0, 0).
+    chi' of exponent k (base the smallest primitive root): one `TraceFormula`
+    of every diag(a, 1/a) with a not in {0, 1}, shared by every k, and the
+    a = 1 term, the trace p of T(0), at (0, 0).
     """
     p = pm.p
     _, dlog = ffcore.dlog_table(p)
-    a, lam, mu = np.ogrid[2:p, :p, :p]
-    terms = split_trace_formula(lam, mu, a, pm)
+    # flat xi = lam + p mu: [a, mu, lam], read as [a, lam, mu]
+    terms = TraceFormula(diagonal_stack(pm), pm)(np.arange(p * p)).T
+    terms = terms.reshape(p - 2, p, p).swapaxes(1, 2)
     logs = np.array(dlog[2:])
     tables = {}
     for k in ks:
@@ -592,15 +592,16 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     eigenvector derivation of the bound actually covers), and at split primes
     the generic stratum of the order-2 character: `ViolationRecords` of the
     orbit table of violations, masked by its dim-1 columns and its generic
-    rows, with nothing per xi formed until read.  Raises RuntimeError when
-    the table breaks the
-    Parseval or the xi = 0 identity by more than IDENTITY_TOL: then the sums
+    rows, with nothing per xi formed until read.  The eigenspace dimensions
+    are the table's own (`PrimeContext.dims`).  Raises RuntimeError when the
+    table breaks the Parseval identity, or the xi = 0 identity (a_chi(0) an
+    integer multiple of |T|), by more than IDENTITY_TOL: then the sums
     themselves are wrong, which is not a bound violation.
     """
     pm, torus, chis = ctx.pm, ctx.torus, ctx.chis
     p, n = pm.p, pm.n
     order = torus.order
-    dims = ctx.decomposition.dims
+    dims = ctx.dims
     # column chi of the sums belongs to H_{chi^-1} (see the xi = 0 oracle)
     inv_dims = np.array([dims[i] for i in ctx.inverse_index])
     is_dim1 = inv_dims == 1
@@ -631,7 +632,7 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
         float(np.abs(sizes @ np.square(mags, out=mags) - order * unit * inv_dims).max()
               / (order * unit)),
         float(np.abs(chi_total).max() / unit))
-    # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}
+    # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}, an integer multiple of |T|
     xi0_dev = float(np.abs(ctx.sums[0] - order * inv_dims).max())
     if parseval_max_dev > IDENTITY_TOL or xi0_dev / order > IDENTITY_TOL:
         raise RuntimeError(f"character sums break their identities: Parseval "

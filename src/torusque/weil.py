@@ -347,13 +347,13 @@ def _first_invertible_mask(a, bb, p: int):
     diagonal 0/1 S) that makes M invertible, for (k, n, n) block stacks A
     and Bb: Bb itself is inverted first, and the other masks are tried only
     for the rows where it is singular.  det is 0 where no mask works."""
-    det, inv = ffcore.gauss_jordan_modp(bb, p)
+    det, inv, _ = ffcore.gauss_jordan_modp(bb, p)
     mask = np.zeros(len(bb), dtype=np.int64)
     rows = np.flatnonzero(det == 0)
     if rows.size:
         # column j of A scaled by bit j, for every nonzero mask at once
         bits = _mask_bits(a.shape[-1])[1:]
-        dets, invs = ffcore.gauss_jordan_modp(
+        dets, invs, _ = ffcore.gauss_jordan_modp(
             bb[rows, None] + a[rows, None] * bits[None, :, None, :], p)
         first = (dets != 0).argmax(axis=1)
         every = np.arange(len(rows))

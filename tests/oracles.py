@@ -6,10 +6,13 @@ that table times the character table, and the eigenspaces come from the |T|
 character projectors (1/|T|) sum_B conj(chi(B)) rho(B).  Memory is
 O(p^{2n} |T|), so the comparisons stay at small p.  The character sums
 streamed one eigenspace at a time (`character_sum_columns`): one
-`trace_column` of each eigenspace projector, O(p^{4n}) in all, which the
-orbit table of `quevaluator.character_sum_table` replaces, and that table
-read at each orbit's least flat index, one gather per orbit
-(`orbit_table_at_reps`), which its reading at the least shift replaces.
+`trace_column` of each eigenspace projector, O(p^{4n}) in all; the orbit
+table from the eigenbasis (`eigenbasis_sum_table`, the W_lam route: each
+orbit read at its member of least shift, `least_shift_members`, one product
+of the eigenbasis with its translate per distinct shift), which
+`quevaluator.character_sum_table` replaces by the trace formula and one
+inverse FFT per orbit, and that table read at each orbit's least flat
+index, one gather per orbit (`orbit_table_at_reps`).
 
 The torus structure by element orders (`torus_structure`): an O(|T|^2)
 order scan, one or two generators.  The torus elements by the form filter
@@ -20,11 +23,14 @@ The factorization's mask choice with every one of the 2^n masks inverted
 (`first_invertible_mask_all`), which `weil._first_invertible_mask`
 replaces by inverting Bb first.  The one-factor split sums one scalar
 term at a time (`diagonal_factor_sum`), and the Gauss-type sums directly
-(`gauss_sum_oracle`).  The orientation of the closed-form diagonal trace
-measured by one discriminating matrix trace, at n >= 2 through the embedded
-diag(a, 1, ..., 1/a, 1, ...) (`measure_split_sign`), against both
-orientations (`oriented_split_trace`: the program's one, fixed in
-`quevaluator.split_trace_formula`, and its complex conjugate).  The split
+(`gauss_sum_oracle`).  The n = 1 closed form of the diagonal trace
+(`split_trace_formula`), the trace formula's case B = diag(a, 1/a), and the
+one-factor tables summed from it (`diagonal_factor_tables_closed_form`),
+which `quevaluator.diagonal_factor_tables` reads from the general formula.
+The orientation of the diagonal trace measured by one discriminating matrix
+trace, at n >= 2 through the embedded diag(a, 1, ..., 1/a, 1, ...)
+(`measure_split_sign`), against both orientations (`oriented_split_trace`:
+the program's one and its complex conjugate).  The split
 frame per xi (`transport_xi`, `factor_coordinates`, `is_generic`) and per
 character (`transport_char`).
 Multiplicativity on a torus by the |T|^2 pair scan (`torus_pair_scan`), and
@@ -32,8 +38,9 @@ on group pairs by dense products (`dense_pair_check`), which
 `weil.check_multiplicativity` replaces by products with a probe block; that
 check with one apply_many call per role and batch (`pair_check_per_role`),
 which it replaces by one factorization per run of pairs.  The trace-formula
-check one a at a time (`split_trace_deviation_per_a`), which
-`quevaluator.split_trace_deviation` replaces by one matmul per chunk; the
+check one a at a time against the n = 1 closed form
+(`split_trace_deviation_per_a`), which `quevaluator.trace_formula_deviation`
+replaces by one matmul per block against the general formula; the
 trace function in the flat order of xi (`trace_column`), which the program
 reads on the [lam, mu] grid (`quevaluator._trace_grid`).  The
 orbit rows by sorting the labels (`orbits_by_unique`), the refined rows
@@ -53,7 +60,8 @@ Dense operators one element at a time, from the chunk stream
 `PrimeContext.generator_ops` builds them).  Operators fixed another way:
 Schur-averaged intertwiners, up to a phase (`schur_intertwiner`), and rho on
 a torus twisted by a character (`linearize_on_torus`, and the context that
-reads it, `twisted_context`).  Operators built one element at a time
+reads it, `twisted_context`, whose character sums are the eigenbasis
+table of its own generators).  Operators built one element at a time
 along a word over the generators (`sp_word`, `word_operator`), which
 `WeilRep.build_chunks` replaces by one closed-form kernel per element, and the
 Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
@@ -89,6 +97,7 @@ fractions.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
@@ -101,12 +110,13 @@ from torusque.ffcore import (Mat, PrimeModulus, legendre, mat, mat_inv_modp, mat
                              mat_mul)
 from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
                             characters)
-from torusque.heisenberg import (FourierPolynomial, RelationReport, _phase_deviation,
+from torusque.heisenberg import (CHUNK_BYTES, BudgetExceeded, FourierPolynomial,
+                                 RelationReport, _phase_deviation,
                                  compose_exponents, digits, flat_index, index_vectors,
                                  integral, pi_exponents, pi_exponents_many, quantize,
                                  root_table)
 from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_grid,
-                                  _trace_kernel, split_trace_formula, trace_pair)
+                                  _trace_kernel, trace_pair)
 from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
                            fourier_matrix, fourier_op, shear_matrix)
 
@@ -373,10 +383,13 @@ def twisted_context(elem, torus: HeckeTorus, rep: WeilRep,
                     root_index: tuple | int = 0) -> PrimeContext:
     """The context of elem on the torus with rho twisted by the character of
     root_index (`linearize_on_torus`): its generators' stack is assigned to
-    `generator_ops`, which everything torus-side reads."""
+    `generator_ops`, and its character sums to `sums` from the eigenbasis of
+    that stack (`eigenbasis_sum_table`), as the program's trace formula is
+    the canonical rho's."""
     ops = linearize_on_torus(torus, rep, root_index)
     ctx = PrimeContext(elem, torus, rep)
     ctx.generator_ops = np.stack([ops[g] for g, _ in torus.generators])
+    ctx.sums = eigenbasis_sum_table(ctx)
     return ctx
 
 
@@ -451,6 +464,88 @@ def orbit_table_at_reps(ctx: PrimeContext) -> np.ndarray:
         vals = root_table(pm.p)[expo[0]] @ (conj * basis[src[0]])
         traces[r, dims > 0] = np.add.reduceat(vals, starts)
     return ctx.torus.order * traces[:, ctx.inverse_index]
+
+
+# bytes of one block of W_lam columns in eigenbasis_sum_table: its matmul by
+# the phase rows gains from width, and CHUNK_BYTES-wide blocks (17 columns at
+# n = 2, p = 31) left it call-bound
+TABLE_BLOCK_BYTES = 16 * CHUNK_BYTES
+
+
+def least_shift_members(row: np.ndarray, pm: PrimeModulus) -> np.ndarray:
+    """The flat index of each orbit's member xi = (lam, mu) of least shift
+    lam, then least mu, for the orbit rows `row` of every flat xi.
+
+    The flat index is lam + p^n mu, so the key lam p^n + mu is the flat index
+    with its two halves swapped: one `np.minimum.at` over the p^{2n} labels.
+    """
+    d = pm.dim
+    keys = np.full(int(row.max()) + 1, d * d)
+    np.minimum.at(keys, row.reshape(d, d).T, np.arange(d * d).reshape(d, d))
+    return keys // d + d * (keys % d)
+
+
+def _column_blocks(dims: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of the occupied eigenspaces (indices into dims[dims > 0])
+    whose columns together stay within width, each at least one eigenspace."""
+    sizes = dims[dims > 0]
+    blocks, lo, cols = [], 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if cols and cols + size > width:
+            blocks.append((lo, i))
+            lo, cols = i, 0
+        cols += size
+    return blocks + [(lo, len(sizes))]
+
+
+def eigenbasis_sum_table(ctx: PrimeContext) -> np.ndarray:
+    """`quevaluator.character_sum_table` from the context's eigenbasis (the
+    W_lam route, which the trace formula replaces): a_chi(xi_r) on every
+    orbit row r of `orbits`, row r, column chi.
+
+    a_chi(xi) = |T| Tr(T(xi) P_{chi^-1}), and Tr(T(xi) P) sums <v|T(xi)|v>
+    over the eigenbasis of P.  Each orbit is read at its member of least
+    shift (`least_shift_members`).  T(lam, mu) v[x] = psi(nu lam.mu + mu.x)
+    v[x + lam], so every orbit read at shift lam shares the product
+    W_lam = conj(V) * V[x + lam] of the character-sorted eigenbasis V, and
+    its row is its phase row psi(expo) times W_lam: one gather and one
+    matmul per distinct lam, not per orbit, with the sum over x taken before
+    the sum over each eigenspace's columns.  The columns of W_lam are cut at
+    eigenspace boundaries into blocks of TABLE_BLOCK_BYTES, each reduced
+    straight into the columns of its characters' inverses; the deadline is
+    read before every block.
+    """
+    pm, dec = ctx.pm, ctx.decomposition
+    d = pm.dim
+    row = ctx.orbits[1]
+    members = least_shift_members(row, pm)
+    lam = members % d
+    order = np.argsort(lam, kind="stable")
+    cuts = np.flatnonzero(np.diff(lam[order])) + 1
+    basis = dec.basis
+    dims = np.array(dec.dims)
+    occupied = np.flatnonzero(dims > 0)
+    column = np.array(ctx.inverse_index)[occupied]      # where H_chi's traces go
+    starts = np.cumsum(dims[occupied]) - dims[occupied]
+    blocks = _column_blocks(dims, max(1, TABLE_BLOCK_BYTES // (16 * d)))
+    # column-major: the readers' reductions sum in this layout
+    traces = np.zeros((len(dims), len(members)), dtype=complex).T
+    for done, rows in zip([0, *cuts], np.split(order, cuts)):
+        src, expo = pi_exponents_many(digits(members[rows], pm.p, 2 * pm.n), pm)
+        phases = root_table(pm.p)[expo]
+        for lo, hi in blocks:
+            if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
+                raise BudgetExceeded(f"deadline passed at orbit {done} of {len(members)}")
+            c0 = starts[lo]
+            c1 = starts[hi - 1] + dims[occupied[hi - 1]]
+            # numpy writes a large product into the gathered temporary, with
+            # the operands swapped; this form keeps the sums' last bits
+            conj = basis[:, c0:c1].conj()
+            w = conj * basis[src[0], c0:c1]
+            traces[rows[:, None], column[lo:hi]] = np.add.reduceat(
+                phases @ w, starts[lo:hi] - c0, axis=1)
+    traces *= ctx.torus.order
+    return traces
 
 
 def character_sum(xi, chi: TorusCharacter, table: TraceTable) -> complex:
@@ -601,7 +696,7 @@ def first_invertible_mask_all(a, bb, p: int):
     """(mask, det M, M^-1) of weil._first_invertible_mask, with M = Bb + A S
     inverted for every mask at once."""
     bits = weil._mask_bits(a.shape[-1])
-    det, inv = ffcore.gauss_jordan_modp(bb[:, None] + a[:, None] * bits[None, :, None, :], p)
+    det, inv, _ = ffcore.gauss_jordan_modp(bb[:, None] + a[:, None] * bits[None, :, None, :], p)
     mask = (det != 0).argmax(axis=1)
     every = np.arange(len(bb))
     return mask, det[every, mask], inv[every, mask]
@@ -664,11 +759,50 @@ def torus_structure(elements: list, p: int) -> tuple[list, dict]:
     raise RuntimeError(f"no two-generator decomposition found for |T| = {n_t}")
 
 
+def split_trace_formula(lam, mu, a, pm: PrimeModulus) -> complex | np.ndarray:
+    """sigma(a) psi(-(lam mu / 2)(1+a)/(1-a)) = F((lam, mu), diag(a, 1/a)), a not in {0, 1}:
+    the n = 1 diagonal case of `quevaluator.TraceFormula`.
+
+    B - I is invertible, so F(xi, B) = sigma(-det(B - I)) psi(omega(y, B y) / 2)
+    with y = (B - I)^-1 xi = (lam/(a-1), a mu/(1-a)) and omega(x, y) = x^T J y:
+    omega(y, B y) / 2 = -(lam mu / 2)(1+a)/(1-a), and -det(B - I) = (1-a)^2 / a.
+
+    lam, mu and a are integers (a complex is returned) or integer arrays (an
+    array of their broadcast shape is returned), in exact int64 arithmetic.
+    """
+    if pm.n != 1:
+        raise ValueError("closed form is the n = 1 building block")
+    p = pm.p
+    a = np.asarray(a) % p
+    if ((a == 0) | (a == 1)).any():
+        raise ValueError("a must avoid 0 and 1 (identity excluded from the torus)")
+    c = -pm.nu * (1 + a) % p * ffcore.unit_inverses(p)[(1 - a) % p] % p
+    t = (c * (np.asarray(lam) % p) % p) * (np.asarray(mu) % p) % p
+    vals = ffcore.legendre_signs(p)[a] * root_table(p)[t]
+    return complex(vals) if vals.ndim == 0 else vals
+
+
+def diagonal_factor_tables_closed_form(ks, pm: PrimeModulus) -> dict[int, np.ndarray]:
+    """`quevaluator.diagonal_factor_tables` from `split_trace_formula`, one
+    call over every a not in {0, 1}, in the layout the program sums."""
+    p = pm.p
+    _, dlog = ffcore.dlog_table(p)
+    a, lam, mu = np.ogrid[2:p, :p, :p]
+    terms = split_trace_formula(lam, mu, a, pm)
+    logs = np.array(dlog[2:])
+    tables = {}
+    for k in ks:
+        tab = np.tensordot(np.exp(2j * np.pi * k * logs / (p - 1)), terms, axes=1)
+        tab[0, 0] += p
+        tables[k] = tab
+    return tables
+
+
 def oriented_split_trace(lam, mu, a, pm: PrimeModulus, sign: int):
     """The closed-form diagonal trace in orientation sign:
     sigma(a) psi(sign (lam mu / 2)(1+a)/(1-a)).  At -1 it is
-    `quevaluator.split_trace_formula`, the program's one orientation; at +1
-    its complex conjugate."""
+    `split_trace_formula`, the program's one orientation; at +1 its complex
+    conjugate."""
     val = split_trace_formula(lam, mu, a, pm)
     return val if sign == -1 else val.conjugate()
 
@@ -1083,8 +1217,8 @@ def pair_check_per_role(rep, pairs, probe: np.ndarray) -> float:
 def split_trace_deviation_per_a(rep) -> float:
     """max |F(xi, diag(a, 1/a)) - closed form| one a at a time: rho(diag(a,
     1/a)) from `build_many`, one `trace_column` and one scalar-a
-    `split_trace_formula` per a (`quevaluator.split_trace_deviation` reads a
-    chunk of operators and its a at once)."""
+    `split_trace_formula` per a (`quevaluator.trace_formula_deviation` reads
+    a block of operators and the general formula at once)."""
     pm = rep.pm
     p = pm.p
     lam, mu = lattice_vectors(pm).T

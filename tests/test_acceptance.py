@@ -27,8 +27,8 @@ from torusque.heisenberg import check_relations
 from oracles import (SpFactor, build_many, build_trace_table, character_sum_table,
                      diagonal_factor_sum, egorov_deviation_loop, factor_coordinates,
                      flatten_xi, generator_ops, lattice_vectors, linearize_on_torus, mat_det,
-                     measure_split_sign, relation_grid, transport_char, twisted_context,
-                     word_matrix, word_operator)
+                     measure_split_sign, relation_grid, split_trace_formula, transport_char,
+                     twisted_context, word_matrix, word_operator)
 
 
 def _line(num, ok, detail):
@@ -301,6 +301,8 @@ def test_criterion_6_refined_bound(cat_map, rep_cache):
 
 
 def test_criterion_7_trace_formula(cat_map, rep_cache):
+    # the n = 1 closed form and the program's trace formula, at every
+    # (lam, mu) and every diag(a, 1/a), against the matrix trace
     worst = 0.0
     triples = 0
     signs = set()
@@ -309,12 +311,13 @@ def test_criterion_7_trace_formula(cat_map, rep_cache):
         rep = rep_cache(p)
         signs.add(measure_split_sign(pm, rep))
         diagonal = [((a, 0), (0, pow(a, -1, p))) for a in range(2, p)]
-        for a, dense in zip(range(2, p), build_many(rep, diagonal)):
+        formula = q.TraceFormula(diagonal, pm)(np.arange(p * p))    # flat lam + p mu
+        for i, (a, dense) in enumerate(zip(range(2, p), build_many(rep, diagonal))):
             for lam in range(p):
                 for mu in range(p):
                     ref = q.trace_pair((lam, mu), dense, pm)
-                    val = q.split_trace_formula(lam, mu, a, pm)
-                    worst = max(worst, abs(val - ref))
+                    val = split_trace_formula(lam, mu, a, pm)
+                    worst = max(worst, abs(val - ref), abs(formula[lam + p * mu, i] - ref))
                     triples += 1
     ok = worst <= 1e-10 and signs == {-1}
     _line(7, ok, f"{triples} (lam, mu, a) triples at split primes 11, 19; "

@@ -39,10 +39,8 @@ def _max_oracle_dev(rep, bs):
 
 
 def _top_right_rank(b, n, p):
-    """Rank of the upper-right n x n block mod p, for n <= 2."""
-    bb = np.array(b, dtype=np.int64)[:n, n:] % p
-    det, _ = ffcore.gauss_jordan_modp(bb, p)
-    return n if det else int(bb.any())
+    """Rank of the upper-right n x n block mod p."""
+    return int(ffcore.gauss_jordan_modp(np.array(b, dtype=np.int64)[:n, n:], p)[2])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -140,8 +138,8 @@ def test_factorization_is_reverified(rep_cache, monkeypatch):
     real = ffcore.gauss_jordan_modp
 
     def wrong_inverse(m, p):
-        det, inv = real(m, p)
-        return det, (inv + 1) % p
+        det, inv, rank = real(m, p)
+        return det, (inv + 1) % p, rank
 
     monkeypatch.setattr(ffcore, "gauss_jordan_modp", wrong_inverse)
     with pytest.raises(ConstructionError, match="does not reproduce"):

@@ -83,6 +83,18 @@ def test_config_rejects_a_malformed_number(key, value, tmp_path, capsys):
     assert f"config error: {key} must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_budget_must_be_a_nonnegative_number(value, tmp_path, capsys):
+    # every deadline comparison with nan is false: the sweep would have no
+    # budget at all.  0 stays valid: it skips every check
+    with pytest.raises(cli.ConfigError, match="budget_seconds must be >= 0"):
+        cli.build_config({"budget_seconds": value}, {})
+    assert run_cli(["sweep", "--pmin", "3", "--pmax", "3",
+                    f"--budget-seconds={value}"]) == 2
+    assert "config error: budget_seconds must be >= 0" in capsys.readouterr().err
+    assert cli.build_config({"budget_seconds": "0"}, {}).budget_seconds == 0.0
+
+
 def test_sweep_nonsymplectic_exit2(capsys, tmp_path):
     rc = run_cli(["sweep", "--matrix", "2,0;0,1", "--pmin", "3", "--pmax", "3"])
     assert rc == 2
@@ -482,41 +494,39 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
 
 
 def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
-    # a clock that advances one second per shift lam of the orbit members
-    # the table reads: the deadline passes in the middle of the table the
-    # bound check builds, which becomes a budget skip, and so does every later
-    # check of that prime
+    # a clock that advances one second per chunk of orbits the table reads,
+    # with chunks of 10 orbits: the deadline passes in the middle of the
+    # table the bound check builds, which becomes a budget skip, and so does
+    # every later check of that prime
     import time
 
-    from torusque import heisenberg, quevaluator
+    from torusque import quevaluator
     now = [0.0]
     chunks = []
-    real_gather = quevaluator.pi_exponents_many
 
-    def slow_gather(xis, pm):
-        now[0] += 1.0
-        chunks.append(len(xis))
-        return real_gather(xis, pm)
+    class Slow(quevaluator.TraceFormula):
+        def __call__(self, flat, cols=slice(None)):
+            now[0] += 1.0
+            chunks.append(len(flat))
+            return super().__call__(flat, cols)
 
     monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(quevaluator, "pi_exponents_many", slow_gather)
+    monkeypatch.setattr(quevaluator, "TraceFormula", Slow)
+    monkeypatch.setattr(heisenberg, "CHUNK_BYTES", 10 * 16 * 40)
     out_json = tmp_path / "budget.json"
     rc = run_cli(["sweep", "--pmin", "41", "--pmax", "41",
-                  "--checks", "decomposition,bound,refined",
+                  "--checks", "bound,refined",
                   "--budget-seconds", "2.5", "--out-json", str(out_json)])
     assert rc == 0
     (rp,) = json.loads(out_json.read_text())["primes"]
-    # split: the 41 + 2 orbits of xi have their least-shift members at
-    # lam = 0, 1, 2, 3, 4, 6 (21, 12, 6, 2, 1 and 1 orbits), each shift one
-    # block of all 41 eigenbasis columns, and 3 of the 6 shifts are read
-    # before the deadline
+    # split: 41 + 2 orbits of xi at |T| = 40, so 5 chunks of at most 10
+    # orbits, of which 3 are read before the deadline; then the report
+    # header reads the formula at one xi
     assert rp["split_type"] == "split" and rp["torus_order"] == 40
-    assert heisenberg.CHUNK_BYTES // (16 * 41) >= 41
-    assert chunks == [21, 12, 6]
+    assert chunks == [10, 10, 10, 1]
     skip = {"name": "", "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
             "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
-    decomposition, bound, refined = rp["checks"]
-    assert decomposition["status"] == "pass"
+    bound, refined = rp["checks"]
     assert bound == dict(skip, name="bound")
     assert refined == dict(skip, name="refined")
 
@@ -664,21 +674,23 @@ def test_one_rho_per_built_prime(n, matrix, pmin, pmax, checks, tmp_path, monkey
 def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):
     # conventions that cannot be read are recorded once in the header; every
     # prime still runs its checks, and the trace-formula check, which holds
-    # the same closed form to every matrix trace, reports the defect.  The
-    # closed form in the other orientation, its complex conjugate, stands for
-    # a convention the header cannot confirm; a = 2 shows it from p = 7 on
+    # the same formula to every matrix trace, reports the defect.  The
+    # formula in the other orientation, its complex conjugate, stands for a
+    # convention the header cannot confirm; B = diag(2, 1/2) shows it from
+    # p = 7 on
     from torusque import quevaluator
-    real, real_pair = quevaluator.split_trace_formula, quevaluator.trace_pair
+    real_pair = quevaluator.trace_pair
     calls = []
 
-    def conjugated(lam, mu, a, pm):
-        return np.conj(real(lam, mu, a, pm))
+    class Conjugated(quevaluator.TraceFormula):
+        def __call__(self, flat, cols=slice(None)):
+            return np.conj(super().__call__(flat, cols))
 
     def counted(xi, rho_dense, pm):
         calls.append(pm.p)
         return real_pair(xi, rho_dense, pm)
 
-    monkeypatch.setattr(quevaluator, "split_trace_formula", conjugated)
+    monkeypatch.setattr(quevaluator, "TraceFormula", Conjugated)
     monkeypatch.setattr(quevaluator, "trace_pair", counted)
     out_json = tmp_path / "broken.json"
     rc = run_cli(["sweep", "--pmin", "7", "--pmax", "11",
@@ -738,3 +750,48 @@ def test_no_sweep_imports_numpy_random():
     # a fresh interpreter: every check, the sampling ones too, draws from
     # random.Random, and so does the probe of the normalization
     assert _sweep_in_fresh_interpreter(",".join(cli.ALL_CHECKS)) == (True, False)
+
+
+def test_decomposition_fails_where_eigh_and_the_formula_disagree(cat_map, monkeypatch):
+    # the eigenbasis dims are held to the trace formula's a_chi(0) / |T|: a
+    # decomposition with two dims swapped fails with the formula's dims as a
+    # witness, and its dims_sorted witness is unchanged
+    ctx = PrimeContext.build(cat_map, PrimeModulus(11, 1))
+    res = cli._check_decomposition(ctx, random.Random(0))
+    assert res.status == "pass" and not any("formula_dims" in w for w in res.witnesses)
+    dec = ctx.decomposition
+    dims = list(dec.dims)
+    big = dims.index(2)
+    dims[big], dims[big - 1] = dims[big - 1], dims[big]
+    broken = PrimeContext(ctx.elem, ctx.torus, ctx.rep)
+    broken.decomposition = replace(dec, dims=dims)
+    res = cli._check_decomposition(broken, random.Random(0))
+    assert res.status == "fail"
+    assert res.witnesses[0] == {"formula_dims": ctx.dims}
+    assert res.witnesses[-1]["dims_sorted"] == sorted(ctx.dims)
+
+
+def test_table_sweep_builds_no_operator_of_the_torus(sp4_elem, tmp_path, monkeypatch):
+    # bound, refined and factorization read only the trace formula's table:
+    # no rho of a torus generator, no decomposition, no eigh
+    from torusque import quevaluator
+    contexts, decomposed = [], []
+    real_build = quevaluator.PrimeContext.build.__func__
+
+    def build(cls, *args, **kwargs):
+        contexts.append(real_build(cls, *args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(quevaluator.PrimeContext, "build", classmethod(build))
+    monkeypatch.setattr(hecke, "decompose", lambda *args: decomposed.append(args))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: decomposed.append(args))
+    out_json = tmp_path / "table.json"
+    run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "13", "--pmax", "13",
+             "--checks", "bound,refined,factorization", "--out-json", str(out_json)])
+    (rp,) = json.loads(out_json.read_text())["primes"]
+    assert rp["routes"] == {"generator-formula": 1}
+    assert [c["status"] for c in rp["checks"]] == ["fail", "pass", "pass"]
+    (ctx,) = contexts
+    assert "sums" in vars(ctx)
+    assert "generator_ops" not in vars(ctx) and "decomposition" not in vars(ctx)
+    assert decomposed == []

@@ -1,9 +1,10 @@
 """The program's routes against the routes they replaced (tests/oracles.py).
 
 The eigenbasis from the torus generators against the |T| character
-projectors.  The character sums |T| Tr(T(xi) P_{chi^-1}) four ways: the
-orbit table of the program expanded to every xi, the same table read at
-each orbit's least flat index, the stream of one `trace_column` per
+projectors.  The character sums |T| Tr(T(xi) P_{chi^-1}) five ways: the
+program's orbit table from the trace formula expanded to every xi, the
+eigenbasis table it replaced (`oracles.eigenbasis_sum_table`), the same read
+at each orbit's least flat index, the stream of one `trace_column` per
 eigenspace, and the trace table times the character table.
 """
 
@@ -58,17 +59,32 @@ def test_orbit_table_matches_stream(n, p, cat_map, sp4_elem, rep_cache, torus_ca
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 13), (1, 97), (2, 5), (2, 13), (2, 19)])
 def test_least_shift_table_matches_least_index_table(n, p, cat_map, sp4_elem,
                                                      rep_cache, torus_cache):
-    # the table reads each orbit at its member of least shift; the sums are
-    # constant on orbits, so the route that read it at its least flat index
-    # agrees, and every chosen member lies in its own orbit
+    # the eigenbasis table reads each orbit at its member of least shift; the
+    # sums are constant on orbits, so the route that read it at its least
+    # flat index agrees, and every chosen member lies in its own orbit
     torus, rep = torus_cache(p, n), rep_cache(p, n)
     ctx = q.PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
     reps, row, _ = ctx.orbits
-    members = q.least_shift_members(row, ctx.pm)
+    members = oracles.least_shift_members(row, ctx.pm)
     assert np.array_equal(row[members], np.arange(len(reps)))
     assert (members % p ** n <= reps % p ** n).all()
-    worst = float(np.abs(ctx.sums - oracles.orbit_table_at_reps(ctx)).max())
+    worst = float(np.abs(oracles.eigenbasis_sum_table(ctx)
+                         - oracles.orbit_table_at_reps(ctx)).max())
     assert worst <= 1e-9 * torus.order * p ** n
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 43), (1, 97), (2, 5), (2, 7), (2, 13),
+                                 (2, 19), (2, 23)])
+def test_formula_table_matches_eigenbasis_table(n, p, cat_map, sp4_elem, rep_cache,
+                                                torus_cache):
+    # the trace formula's table against the W_lam table of the eigenbasis it
+    # replaced, column for column in chis order, and its dims against eigh's
+    torus, rep = torus_cache(p, n), rep_cache(p, n)
+    ctx = q.PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
+    ref = oracles.eigenbasis_sum_table(ctx)
+    assert ctx.sums.shape == ref.shape == (len(ctx.orbits[0]), torus.order)
+    assert np.abs(ctx.sums - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert ctx.dims == ctx.decomposition.dims
 
 
 def test_every_coefficient_row_gives_the_same_eigenspaces(sp4_split13,

@@ -210,19 +210,31 @@ def test_poly_str():
 
 def test_gauss_jordan_modp_stack_with_pivoting_and_singular_members():
     # determinants against cofactor expansion, inverses against the identity;
-    # the stack holds matrices whose leading entry is 0 (a row swap) and
-    # singular ones (det 0)
+    # the stack holds matrices whose leading entry is 0 (a row swap), singular
+    # ones (det 0) and rank-deficient ones whose transform x gives the reduced
+    # row echelon form x m, with the rows of x from the rank on in the left
+    # kernel of m
     rng = np.random.default_rng(5)
     for p, d in ((3, 2), (7, 3), (43, 4)):
         stack = rng.integers(0, p, size=(200, d, d))
         stack[:20, 0, 0] = 0
         stack[20:40, 1] = stack[20:40, 0]
-        det, inv = ffcore.gauss_jordan_modp(stack, p)
-        assert det.shape == (200,) and inv.shape == (200, d, d)
-        for m, dt, mi in zip(stack, det, inv):
+        stack[40:60, :, 0] = 0
+        stack[60:70] = 0
+        det, x, rank = ffcore.gauss_jordan_modp(stack, p)
+        assert det.shape == rank.shape == (200,) and x.shape == (200, d, d)
+        for m, dt, mi, r in zip(stack, det, x, rank):
             assert dt == mat_det(mat(m)) % p
+            assert (dt != 0) == (r == d)
             if dt:
                 assert ((m @ mi) % p == np.eye(d, dtype=np.int64)).all()
-        assert not det[20:40].any() and det[:20].any()
-    det, inv = ffcore.gauss_jordan_modp(np.zeros((2, 3, 2, 2), dtype=np.int64), 5)
-    assert det.shape == (2, 3) and inv.shape == (2, 3, 2, 2) and not det.any()
+            echelon = mi @ m % p
+            assert not echelon[r:].any() and mat_det(mat(mi)) % p
+            lead = [int(np.flatnonzero(row)[0]) for row in echelon[:r]]
+            assert lead == sorted(set(lead))
+            assert (echelon[:, lead] == np.eye(d, dtype=np.int64)[:, :r]).all()
+        assert not det[20:70].any() and det[:20].any()
+        assert (rank[20:40] < d).all() and (rank[40:60] < d).all() and not rank[60:70].any()
+    det, inv, rank = ffcore.gauss_jordan_modp(np.zeros((2, 3, 2, 2), dtype=np.int64), 5)
+    assert det.shape == rank.shape == (2, 3) and inv.shape == (2, 3, 2, 2)
+    assert not det.any() and not rank.any()

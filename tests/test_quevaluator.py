@@ -7,15 +7,17 @@ import pytest
 
 from torusque import cli, ffcore, hecke, quevaluator as q
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod
-from torusque.heisenberg import BudgetExceeded, FourierPolynomial, pi_exponents, root_table
+from torusque.heisenberg import (CHUNK_BYTES, BudgetExceeded, FourierPolynomial, pi_exponents,
+                                 root_table)
 
 from oracles import (averaged_fixture_checks, build, build_many, build_trace_table,
                      character_sum, character_sum_table, check_invariance,
-                     cyclic_average_loop, dense_ops, diagonal_factor_sum, dilate_op,
+                     cyclic_average_loop, dense_ops, diagonal_factor_sum,
+                     diagonal_factor_tables_closed_form, dilate_op, eigenbasis_sum_table,
                      factor_coordinates, gauss_sum_oracle, generator_ops,
                      hermitian_symmetry_dev, is_generic, lattice_vectors,
                      matrix_order_modp, measure_split_sign, oriented_split_trace,
-                     torus_average_loop, trace_column, transport_all,
+                     split_trace_formula, torus_average_loop, trace_column, transport_all,
                      transport_char, transport_xi, twisted_context, unflatten_xi)
 from oracles import decompose as decompose_oracle
 
@@ -139,9 +141,9 @@ def test_split_trace_formula_examples():
     pm = PrimeModulus(11, 1)
     # lam * mu = 0 reduces to the quadratic symbol
     for a in (2, 3, 7):
-        assert abs(q.split_trace_formula(0, 4, a, pm) - legendre(a, 11)) < 1e-12
+        assert abs(split_trace_formula(0, 4, a, pm) - legendre(a, 11)) < 1e-12
     # a = -1 makes the phase vanish: value sigma(-1)
-    assert abs(q.split_trace_formula(3, 5, 10, pm) - legendre(-1, 11)) < 1e-12
+    assert abs(split_trace_formula(3, 5, 10, pm) - legendre(-1, 11)) < 1e-12
 
 
 def test_split_trace_formula_p5_example(rep_cache):
@@ -151,7 +153,7 @@ def test_split_trace_formula_p5_example(rep_cache):
     rep = rep_cache(5)
     sign = measure_split_sign(pm, rep)
     assert sign == -1
-    val = q.split_trace_formula(1, 1, 2, pm)
+    val = split_trace_formula(1, 1, 2, pm)
     assert abs(val - (-np.exp(sign * 2j * np.pi / 5))) < 1e-12
     # and it equals the independent matrix trace
     b = ((2, 0), (0, 3))
@@ -179,7 +181,7 @@ def test_embedded_diagonal_trace_at_n2(p, rep_cache):
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 5), (1, 7), (1, 11), (1, 13), (1, 43), (1, 97),
                                  (2, 5), (2, 7), (2, 13), (2, 19)])
 def test_measured_orientation_is_the_programs_one(n, p, rep_cache):
-    # the matrix trace picks -1, the orientation split_trace_formula fixes,
+    # the matrix trace picks -1, the orientation of the trace formula,
     # over its complex conjugate, at n = 2 through the embedded diagonal
     assert measure_split_sign(PrimeModulus(p, n), rep_cache(p, n)) == -1
 
@@ -189,16 +191,16 @@ def test_a2_tells_the_orientations_apart_above_3(p):
     # the report header reads the orientation at xi = (1, 1), a = 2
     pm = PrimeModulus(p, 1)
     plus, minus = (oriented_split_trace(1, 1, 2, pm, sign) for sign in (1, -1))
-    assert minus == q.split_trace_formula(1, 1, 2, pm) and plus == minus.conjugate()
+    assert minus == split_trace_formula(1, 1, 2, pm) and plus == minus.conjugate()
     assert (abs(plus - minus) > 0.5) == (p > 3)
 
 
 def test_split_trace_formula_rejects_bad_a():
     pm = PrimeModulus(7, 1)
     with pytest.raises(ValueError):
-        q.split_trace_formula(1, 1, 0, pm)
+        split_trace_formula(1, 1, 0, pm)
     with pytest.raises(ValueError):
-        q.split_trace_formula(1, 1, 1, pm)
+        split_trace_formula(1, 1, 1, pm)
 
 
 def test_split_trace_formula_exhaustive_p11(rep_cache):
@@ -210,7 +212,7 @@ def test_split_trace_formula_exhaustive_p11(rep_cache):
     for a, dense in zip(range(2, 11), build_many(rep, diagonal)):
         for lam in range(11):
             for mu in range(11):
-                worst = max(worst, abs(q.split_trace_formula(lam, mu, a, pm)
+                worst = max(worst, abs(split_trace_formula(lam, mu, a, pm)
                                        - q.trace_pair((lam, mu), dense, pm)))
     assert worst < 1e-10
 
@@ -220,12 +222,12 @@ def test_split_trace_formula_array_form_p11():
     pm = PrimeModulus(11, 1)
     lam, mu = np.meshgrid(np.arange(11), np.arange(-11, 11), indexing="ij")
     for a in range(2, 11):
-        vals = q.split_trace_formula(lam, mu, a, pm)
+        vals = split_trace_formula(lam, mu, a, pm)
         assert vals.shape == lam.shape
-        ref = np.array([[q.split_trace_formula(int(l), int(m), a, pm)
+        ref = np.array([[split_trace_formula(int(l), int(m), a, pm)
                          for l, m in zip(lr, mr)] for lr, mr in zip(lam, mu)])
         assert np.array_equal(vals, ref)
-    assert isinstance(q.split_trace_formula(3, 4, 5, pm), complex)
+    assert isinstance(split_trace_formula(3, 4, 5, pm), complex)
 
 
 def test_gauss_sum_oracle_examples():
@@ -328,36 +330,32 @@ def test_verify_que_bound_dim1_pairs_inverse_character(cat_map, rep_cache,
     assert abs(rpt.max_ratio_dim1 - canon.max_ratio_dim1) < 1e-9
 
 
-def _drop_one_vector(dec):
-    """dec with the first vector of its first occupied eigenspace removed."""
-    i = next(i for i, dim in enumerate(dec.dims) if dim)
-    dims = list(dec.dims)
-    dims[i] -= 1
-    return replace(dec, basis=np.delete(dec.basis, sum(dec.dims[:i]), axis=1), dims=dims)
+def _break_one_orbit(sums):
+    """sums with the row of one orbit xi != 0 scaled by 1.001."""
+    out = sums.copy()
+    out[1] *= 1.001
+    return out
 
 
 @pytest.mark.parametrize("p", [7, 11])
 def test_verify_que_bound_raises_on_broken_identities(p, cat_map, rep_cache,
                                                       torus_cache):
-    # one eigenvector short, the projectors no longer sum to I: the sums
-    # break Parseval, which is an error, not a bound verdict.  The broken
-    # context is fresh, so its table is summed from the broken decomposition
+    # one orbit's sums off by a factor 1.001 break Parseval, which is an
+    # error, not a bound verdict
     ctx = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
     rpt = q.verify_que_bound(ctx)
     assert rpt.parseval_max_dev <= q.IDENTITY_TOL
     assert rpt.xi0_oracle_max_dev / ctx.torus.order <= q.IDENTITY_TOL
     broken = q.PrimeContext(cat_map, torus_cache(p), rep_cache(p))
-    broken.decomposition = _drop_one_vector(ctx.decomposition)
+    broken.sums = _break_one_orbit(ctx.sums)
     with pytest.raises(RuntimeError, match="Parseval"):
         q.verify_que_bound(broken)
-    assert np.abs(broken.sums - ctx.sums).max() > q.IDENTITY_TOL
 
 
 def test_broken_identities_fail_the_bound_check_with_an_error(tmp_path, monkeypatch):
     # the raise reaches the sweep's error-witness path at every prime
-    real = hecke.decompose
-    monkeypatch.setattr(hecke, "decompose",
-                        lambda torus, rep: _drop_one_vector(real(torus, rep)))
+    real = q.character_sum_table
+    monkeypatch.setattr(q, "character_sum_table", lambda ctx: _break_one_orbit(real(ctx)))
     out_json = tmp_path / "broken.json"
     assert cli.main(["sweep", "--pmin", "7", "--pmax", "11", "--checks", "bound",
                      "--out-json", str(out_json)]) == 1
@@ -476,10 +474,9 @@ def test_context_keeps_one_dense_operator(sp4_elem):
 
 
 def test_table_raises_on_a_passed_deadline(cat_map, rep_cache, torus_cache):
-    # a passed deadline is a budget skip before the first block, and no
+    # a passed deadline is a budget skip before the first chunk, and no
     # partial table is kept for a later reader
     ctx = q.PrimeContext(cat_map, torus_cache(13), rep_cache(13))
-    ctx.decomposition
     ctx.deadline = -1.0
     with pytest.raises(BudgetExceeded):
         q.character_sum_table(ctx)
@@ -494,9 +491,11 @@ def test_table_and_readers_form_no_xi_by_chi_array(sp4_inert23):
     # tracemalloc peaks of the orbit labels, the table and each reader at
     # n = 2, p = 23 stay below half of one p^4 x |T| boolean array: a
     # reintroduced expansion of the table, or of a mask of its shape, to
-    # every xi would cross it
+    # every xi would cross it.  The table's own transients, beyond the table
+    # and the (|T|, 4n^2) arrays of its trace formula, are a few chunks of
+    # CHUNK_BYTES, not a multiple of the (orbits, |T|) table
     ctx = sp4_inert23
-    ctx.decomposition
+    ctx.orbits
     limit = ctx.pm.dim ** 2 * ctx.torus.order // 2
     steps = {"orbit_labels": lambda: q.orbit_labels(ctx.torus),
              "table": lambda: q.character_sum_table(ctx),
@@ -513,6 +512,10 @@ def test_table_and_readers_form_no_xi_by_chi_array(sp4_inert23):
         tracemalloc.stop()
     print(f"tracemalloc peaks at n=2 p=23: {peaks}, limit {limit}")
     assert max(peaks.values()) < limit, (peaks, limit)
+    table_bytes = ctx.sums.nbytes
+    formula_bytes = 8 * ctx.torus.order * (2 * ctx.pm.n) ** 2
+    assert table_bytes > 8 * CHUNK_BYTES
+    assert peaks["table"] < table_bytes + 4 * formula_bytes + 8 * CHUNK_BYTES, peaks
 
 
 def _traced_peak(step) -> int:
@@ -651,8 +654,9 @@ def test_demo_reads_one_gather_of_t_xi(sp4_product19, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in ("pi_exponents", "pi_exponents_many", "mat_mul"):
+    for name in ("pi_exponents", "mat_mul"):
         monkeypatch.setattr(q, name, counted(name))
+    assert not hasattr(q, "pi_exponents_many")      # no stacked gather to call
     rows, meta = q.cyclic_vs_hecke_demo(ctx)
     assert calls == ["pi_exponents"]
     assert meta["cyclic_order"] == 20 and len(rows) == 361 + 20
@@ -692,6 +696,57 @@ def test_diagonal_factor_tables_match_scalar_sums(p):
         ref = np.array([[diagonal_factor_sum(lam, mu, k, pm)
                          for mu in range(p)] for lam in range(p)])
         assert np.abs(tab - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_diagonal_factor_tables_equal_the_closed_form_route(p):
+    # the general formula at diag(a, 1/a) gives the closed form's residues
+    # and signs, so the tables are the same floats, bit for bit
+    pm = PrimeModulus(p, 1)
+    tables = q.diagonal_factor_tables(range(p - 1), pm)
+    ref = diagonal_factor_tables_closed_form(range(p - 1), pm)
+    assert tables.keys() == ref.keys()
+    assert all(np.array_equal(tables[k], ref[k]) for k in ref)
+
+
+@pytest.mark.parametrize("p", [13, 19])
+def test_trace_formula_at_singular_torus_elements(p, sp4_elem, rep_cache, torus_cache):
+    # the torus elements with B - I singular (a trivial factor of T = T_1 x
+    # T_2 at the product primes 13 and 19: 2 |T_1| - 1 of them) against the
+    # matrix trace of the dense rho(B) at every xi
+    pm = PrimeModulus(p, 2)
+    torus = torus_cache(p, 2)
+    elems = np.array(torus.elements, dtype=np.int64)
+    det = ffcore.gauss_jordan_modp(elems - np.eye(4, dtype=np.int64), p)[0]
+    singular = elems[det == 0]
+    assert len(singular) == 2 * torus.gen_orders[0] - 1 == {13: 23, 19: 39}[p]
+    vals = q.TraceFormula(singular, pm)(np.arange(pm.dim ** 2))
+    worst = max(float(np.abs(trace_column(op, pm) - vals[:, i]).max())
+                for i, op in enumerate(build_many(rep_cache(p, 2), singular)))
+    assert worst <= 1e-9, worst
+
+
+def test_trace_formula_raises_where_it_does_not_apply():
+    # a transvection has B - I of rank 1, and U(I) at n = 2 a nilpotent
+    # B - I of rank 2: no value is returned for either
+    with pytest.raises(ValueError, match="even rank"):
+        q.TraceFormula([((1, 1), (0, 1))], PrimeModulus(7, 1))
+    shear = ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="even rank"):
+        q.TraceFormula([shear], PrimeModulus(7, 2))
+    assert q.TraceFormula([identity_mat(4)], PrimeModulus(7, 2))(np.arange(3))[:, 0].tolist() \
+        == [49, 0, 0]
+
+
+def test_twisted_context_reads_the_eigenbasis_table(cat_map, rep_cache, torus_cache):
+    # the formula is the canonical rho's, so a twisted context is given the
+    # eigenbasis table of its own generators
+    torus = torus_cache(11)
+    twisted = twisted_context(cat_map, torus, rep_cache(11), root_index=1)
+    canon = q.PrimeContext(cat_map, torus, rep_cache(11))
+    assert np.array_equal(twisted.sums, eigenbasis_sum_table(twisted))
+    assert twisted.dims == twisted.decomposition.dims != canon.dims
+    assert np.abs(twisted.sums - canon.sums).max() > 1.0
 
 
 def test_factorization_conjugated_standard_oracle(sp4_elem, sp4_split13):

@@ -32,7 +32,7 @@ from oracles import (build_many, dense_pair_check, eager_violations, egorov_devi
                      factorization_counts_loop, generic_mask_full, lattice_vectors,
                      orbit_labels_full, orbits_by_unique, pair_check_per_role,
                      measure_split_sign, refined_rows_loop, split_trace_deviation_per_a,
-                     trace_column)
+                     split_trace_formula, trace_column)
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
 
@@ -83,24 +83,27 @@ def test_pair_check_equals_the_per_role_route(n, p, rep_cache):
 
 
 @pytest.mark.parametrize("p", [7, 43])
-def test_trace_formula_equals_the_per_a_route(p, rep_cache):
+def test_trace_formula_equals_the_per_a_route(p, cat_map, rep_cache, torus_cache):
     rep = rep_cache(p)
     pm = rep.pm
     # the program's one orientation is the measured one
     assert measure_split_sign(pm, rep) == -1
-    dev = q.split_trace_deviation(rep)
-    assert dev <= 1e-10 and abs(dev - split_trace_deviation_per_a(rep)) <= 1e-12
-    # the stacked columns and the closed form over a stack of a, one a at a time
+    dev = q.trace_formula_deviation(q.PrimeContext(cat_map, torus_cache(p), rep))
+    assert dev <= 1e-10 and split_trace_deviation_per_a(rep) <= 1e-10
+    # the stacked columns, one a at a time, and the general formula at every
+    # diag(a, 1/a), bit for bit the n = 1 closed form over a stack of a
     a = np.arange(2, p)
-    stack = np.stack(list(build_many(rep, [((int(x), 0), (0, pow(int(x), -1, p))) for x in a])))
+    diagonal = [((int(x), 0), (0, pow(int(x), -1, p))) for x in a]
+    stack = np.stack(list(build_many(rep, diagonal)))
     cols = trace_column(stack, pm)
     lam, mu = lattice_vectors(pm).T
-    vals = q.split_trace_formula(lam, mu, a[:, None], pm)
+    vals = split_trace_formula(lam, mu, a[:, None], pm)
     assert cols.shape == vals.shape == (len(a), p * p)
+    assert np.array_equal(q.TraceFormula(diagonal, pm)(np.arange(p * p)).T, vals)
     for i, ai in enumerate(a.tolist()):
         assert np.abs(cols[i] - trace_column(stack[i], pm)).max() <= 1e-12
-        assert np.array_equal(vals[i], q.split_trace_formula(lam, mu, ai, pm))
-        assert q.split_trace_formula(1, 2, ai, pm) == vals[i][1 + 2 * p]
+        assert np.array_equal(vals[i], split_trace_formula(lam, mu, ai, pm))
+        assert split_trace_formula(1, 2, ai, pm) == vals[i][1 + 2 * p]
 
 
 def test_egorov_deviation_stays_within_two_chunks_beyond_the_operator(rep_cache):
