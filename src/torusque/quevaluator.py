@@ -57,7 +57,6 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 from math import gcd, lcm
 
 import numpy as np
@@ -140,9 +139,10 @@ class TraceFormula:
         dmat = (e - np.eye(2 * n, dtype=np.int64)) % p
         c, x, rank = ffcore.gauss_jordan_modp(dmat, p)
         c[rank == 0] = 1                        # B = I: the empty minor
+        subsets = (np.arange(1 << 2 * n)[:, None] >> np.arange(2 * n)) & 1
         for r in set(rank.tolist()) - {0, 2 * n}:
             sel = np.flatnonzero(rank == r)
-            idx = np.array(list(combinations(range(2 * n), r)))
+            idx = np.nonzero(subsets[subsets.sum(axis=1) == r])[1].reshape(-1, r)
             minors = dmat[sel][:, idx[:, :, None], idx[:, None, :]]
             c[sel] = ffcore.gauss_jordan_modp(minors, p)[0].sum(axis=1) % p
         if not c.all():
@@ -278,15 +278,16 @@ def build_split_transport(elem_matrix: Mat, pm: PrimeModulus,
 class PrimeContext:
     """The Hecke torus of elem, rho, and what is derived from them, at one prime.
 
-    The characters, the T-orbits of xi, the character-sum table (`sums`)
-    and the eigenspace dims read from it (`dims`), the split frame at split
-    primes (`transport` is None elsewhere), and, for the checks that read
-    operators only, rho of the torus generators (`generator_ops`) and the
-    eigenspace decomposition are built on first use and then shared.  The
-    table is the canonical rho's (the trace formula): a context of a rho
-    twisted on the torus is given its `generator_ops` and `sums` by
-    assignment.  `deadline`, a `time.perf_counter()` value, is checked
-    before every chunk of the table and of the centralizer's norm filter.
+    The characters, the T-orbits of xi, the torus elements' trace formula
+    (`formula`), the character-sum table (`sums`), the eigenspace dims read
+    from the formula at xi = 0 (`dims`), the split frame at split primes
+    (`transport` is None elsewhere), and, for the checks that read operators
+    only, rho of the torus generators (`generator_ops`) and the eigenspace
+    decomposition are built on first use and then shared.  The formula is the
+    canonical rho's: a context of a rho twisted on the torus is given
+    `generator_ops`, `sums` and `dims` by assignment.  `deadline`, a
+    `time.perf_counter()` value, is checked before every chunk of the table and
+    of the centralizer's norm filter.
     """
 
     elem: ErgodicElement
@@ -372,16 +373,21 @@ class PrimeContext:
         return np.flatnonzero(is_rep), row, np.bincount(row)
 
     @cached_property
+    def formula(self) -> TraceFormula:
+        """`TraceFormula` of the torus elements in the C order of their exponent grid."""
+        grid = np.ravel_multi_index(np.array(list(self.torus.dlog.values())).T, self.torus.gen_orders)
+        return TraceFormula(np.array(list(self.torus.dlog))[np.argsort(grid)], self.pm)
+
+    @cached_property
     def sums(self) -> np.ndarray:
         """`character_sum_table` of this context."""
         return character_sum_table(self)
 
     @cached_property
     def dims(self) -> list[int]:
-        """dim H_chi for each chi of chis: a_{chi^-1}(0) / |T|, rounded
-        (`verify_que_bound` checks that it is integral)."""
-        zero = self.sums[0, self.inverse_index].real / self.torus.order
-        return np.rint(zero).astype(int).tolist()
+        """dim H_chi for each chi of chis: a_{chi^-1}(0) / |T|, rounded, from F at xi = 0 alone."""
+        zero = np.fft.ifftn(self.formula(np.array([0])).reshape(self.torus.gen_orders))
+        return np.rint(zero.ravel()[self.inverse_index].real).astype(int).tolist()
 
     @cached_property
     def generic_orbits(self) -> np.ndarray:
@@ -416,23 +422,21 @@ def character_sum_table(ctx: PrimeContext) -> np.ndarray:
     """a_chi(xi_r) on every orbit row r of `orbits`, at its least flat index:
     row r, column chi in `chis` order.
 
-    With the torus elements (the keys of `dlog`) in the C order of their
-    exponent grid over the generator orders, a_chi(xi) = sum_e chi(e) F(xi, e)
-    is |T| times the inverse FFT of F(xi, .) over the grid, at frequency chi.
-    One `TraceFormula` of the elements is read in chunks of orbits whose
-    (orbits, |T|) arrays hold CHUNK_BYTES, each transformed straight into its
-    rows of the table; the deadline is read before every chunk.
+    With the torus elements in the C order of their exponent grid over the
+    generator orders, a_chi(xi) = sum_e chi(e) F(xi, e) is |T| times the
+    inverse FFT of F(xi, .) over the grid, at frequency chi.  The context's
+    `formula` of the elements is read in chunks of orbits whose
+    (orbits, |T|) arrays hold CHUNK_BYTES, each transformed and copied into
+    its rows of the table; the deadline is read before every chunk.
     """
     torus, reps = ctx.torus, ctx.orbits[0]
-    grid = np.ravel_multi_index(np.array(list(torus.dlog.values())).T, torus.gen_orders)
-    formula = TraceFormula(np.array(list(torus.dlog))[np.argsort(grid)], ctx.pm)
     table = np.empty((len(reps), torus.order), dtype=complex)
-    step = chunk_items(16 * torus.order)
+    step, axes = chunk_items(16 * torus.order), tuple(range(1, len(torus.gen_orders) + 1))
     for lo in range(0, len(reps), step):
         if ctx.deadline is not None and time.perf_counter() > ctx.deadline:
             raise BudgetExceeded(f"deadline passed at orbit {lo} of {len(reps)}")
-        rows = formula(reps[lo:lo + step]).reshape(-1, *torus.gen_orders)
-        np.fft.ifftn(rows, axes=range(1, rows.ndim), out=table[lo:lo + step].reshape(rows.shape))
+        rows = ctx.formula(reps[lo:lo + step]).reshape(-1, *torus.gen_orders)
+        table[lo:lo + step] = np.fft.ifftn(rows, axes=axes).reshape(len(rows), -1)
     table *= torus.order
     return table
 
@@ -456,10 +460,10 @@ def trace_formula_deviation(ctx: PrimeContext) -> float:
     `diagonal_stack` and the torus generators.
 
     The operators stream through rep.build_chunks (which reads the deadline)
-    and are dropped.  For each chunk the formula is read at every xi, in
-    chunks of flat indices, into one array of the chunk's size; the traces
-    come in blocks whose (k, p^n, p^n) arrays hold CHUNK_BYTES / 4, each
-    from one gather and one matmul (`_trace_grid`).
+    and are dropped.  The traces come in blocks whose (k, p^n, p^n) arrays
+    hold CHUNK_BYTES / 4, each from one gather and one matmul (`_trace_grid`),
+    and the formula of the block's k elements is subtracted from them in
+    place, read in chunks of the grid: no array beside the block is its size.
     """
     pm, d = ctx.pm, ctx.pm.dim
     elems = np.concatenate([diagonal_stack(pm), [g for g, _ in ctx.torus.generators]])
@@ -467,15 +471,12 @@ def trace_formula_deviation(ctx: PrimeContext) -> float:
     kernel, step = _trace_kernel(pm), chunk_items(64 * d ** 2)     # operators per block
     worst, lo = 0.0, 0
     for stack in ctx.rep.build_chunks(elems, ctx.deadline):
-        vals = np.empty((d * d, len(stack)), dtype=complex)
-        for flat in lattice_chunks(pm):
-            vals[flat[0]:flat[-1] + 1] = formula(flat, slice(lo, lo + len(stack)))
-        vals = vals.reshape(d, d, -1).T                     # flat lam + p^n mu: [B, lam, mu]
         for i in range(0, len(stack), step):
-            dev = _trace_grid(stack[i:i + step], kernel)
-            dev -= vals[i:i + step]
+            dev = _trace_grid(stack[i:i + step], kernel).reshape(-1, d * d)
+            cols, lo = slice(lo, lo + len(dev)), lo + len(dev)
+            for j in lattice_chunks(pm):            # j = flat(lam) p^n + flat(mu)
+                dev[:, j[0]:j[-1] + 1] -= formula(j // d + d * (j % d), cols).T
             worst = max(worst, float(np.abs(dev).max()))
-        lo += len(stack)
     return worst
 
 
@@ -593,7 +594,7 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     the generic stratum of the order-2 character: `ViolationRecords` of the
     orbit table of violations, masked by its dim-1 columns and its generic
     rows, with nothing per xi formed until read.  The eigenspace dimensions
-    are the table's own (`PrimeContext.dims`).  Raises RuntimeError when the
+    are the formula's own (`PrimeContext.dims`).  Raises RuntimeError when the
     table breaks the Parseval identity, or the xi = 0 identity (a_chi(0) an
     integer multiple of |T|), by more than IDENTITY_TOL: then the sums
     themselves are wrong, which is not a bound violation.

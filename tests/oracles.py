@@ -383,13 +383,14 @@ def twisted_context(elem, torus: HeckeTorus, rep: WeilRep,
                     root_index: tuple | int = 0) -> PrimeContext:
     """The context of elem on the torus with rho twisted by the character of
     root_index (`linearize_on_torus`): its generators' stack is assigned to
-    `generator_ops`, and its character sums to `sums` from the eigenbasis of
-    that stack (`eigenbasis_sum_table`), as the program's trace formula is
-    the canonical rho's."""
+    `generator_ops`, its character sums to `sums` from the eigenbasis of that
+    stack (`eigenbasis_sum_table`) and their xi = 0 row over |T| to `dims`,
+    as the program's trace formula is the canonical rho's."""
     ops = linearize_on_torus(torus, rep, root_index)
     ctx = PrimeContext(elem, torus, rep)
     ctx.generator_ops = np.stack([ops[g] for g, _ in torus.generators])
     ctx.sums = eigenbasis_sum_table(ctx)
+    ctx.dims = np.rint(ctx.sums[0, ctx.inverse_index].real / torus.order).astype(int).tolist()
     return ctx
 
 

@@ -494,10 +494,11 @@ def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
 
 
 def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
-    # a clock that advances one second per chunk of orbits the table reads,
-    # with chunks of 10 orbits: the deadline passes in the middle of the
-    # table the bound check builds, which becomes a budget skip, and so does
-    # every later check of that prime
+    # a clock that advances one second per reading of the formula, with
+    # chunks of 10 orbits: the decomposition check reads it at xi = 0 alone,
+    # and the deadline passes in the middle of the table the bound check
+    # builds, which becomes a budget skip, and so does every later check of
+    # that prime
     import time
 
     from torusque import quevaluator
@@ -515,18 +516,19 @@ def test_budget_read_between_orbit_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(heisenberg, "CHUNK_BYTES", 10 * 16 * 40)
     out_json = tmp_path / "budget.json"
     rc = run_cli(["sweep", "--pmin", "41", "--pmax", "41",
-                  "--checks", "bound,refined",
+                  "--checks", "decomposition,bound,refined",
                   "--budget-seconds", "2.5", "--out-json", str(out_json)])
     assert rc == 0
     (rp,) = json.loads(out_json.read_text())["primes"]
-    # split: 41 + 2 orbits of xi at |T| = 40, so 5 chunks of at most 10
-    # orbits, of which 3 are read before the deadline; then the report
-    # header reads the formula at one xi
+    # split: the dims read xi = 0, then 41 + 2 orbits of xi at |T| = 40 make
+    # 5 chunks of at most 10 orbits, of which 2 are read before the
+    # deadline; then the report header reads the formula at one xi
     assert rp["split_type"] == "split" and rp["torus_order"] == 40
-    assert chunks == [10, 10, 10, 1]
+    assert chunks == [1, 10, 10, 1]
     skip = {"name": "", "status": "skip", "max_dev": 0.0, "max_ratio": 0.0,
             "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
-    bound, refined = rp["checks"]
+    decomposition, bound, refined = rp["checks"]
+    assert decomposition["status"] == "pass"
     assert bound == dict(skip, name="bound")
     assert refined == dict(skip, name="refined")
 

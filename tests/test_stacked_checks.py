@@ -88,8 +88,14 @@ def test_trace_formula_equals_the_per_a_route(p, cat_map, rep_cache, torus_cache
     pm = rep.pm
     # the program's one orientation is the measured one
     assert measure_split_sign(pm, rep) == -1
-    dev = q.trace_formula_deviation(q.PrimeContext(cat_map, torus_cache(p), rep))
-    assert dev <= 1e-10 and split_trace_deviation_per_a(rep) <= 1e-10
+    torus = torus_cache(p)
+    dev = q.trace_formula_deviation(q.PrimeContext(cat_map, torus, rep))
+    # the check's elements are the diag(a, 1/a) of the per-a route and the
+    # torus generators, each held to the formula at every xi on its own
+    gens = [g for g, _ in torus.generators]
+    gen_cols = trace_column(np.stack(list(build_many(rep, gens))), pm)
+    gen_dev = float(np.abs(gen_cols - q.TraceFormula(gens, pm)(np.arange(p * p)).T).max())
+    assert dev <= 1e-10 and abs(dev - max(split_trace_deviation_per_a(rep), gen_dev)) <= 1e-12
     # the stacked columns, one a at a time, and the general formula at every
     # diag(a, 1/a), bit for bit the n = 1 closed form over a stack of a
     a = np.arange(2, p)
