@@ -180,13 +180,11 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
     if not conventions:
         conventions.update(_conventions(ctx))
 
-    # the dense operators the context keeps, by route: rho(fourier), and
-    # rho of the torus generators once a check has read them
-    routes = {"generator-formula": 1}
-    if "generator_ops" in vars(ctx):
-        routes["closed-form"] = len(ctx.generator_ops)
+    # the dense operators the context keeps: rho of the torus generators,
+    # once a check has read them
+    routes = {"closed-form": len(ctx.generator_ops)} if "generator_ops" in vars(ctx) else {}
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
-            "torus_order": ctx.torus.order, "routes": dict(sorted(routes.items())),
+            "torus_order": ctx.torus.order, "routes": routes,
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
 
 
@@ -278,6 +276,7 @@ def _check_egorov(ctx, rng):
     for stack in rep.build_chunks(elements, ctx.deadline):
         devs.append(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
         lo += len(stack)
+        del stack                       # not held while the next chunk is built
     devs = np.concatenate(devs)
     worst = float(devs.max())
     witness = []
@@ -302,12 +301,10 @@ def _check_multiplicativity(ctx, rng):
     seeded with rng.getrandbits(63) after the pairs; rng is the prime's
     random.Random, shared with the egorov check in check order.  max_dev is
     the per-probe deviation max |M X| of the pair identities and of the torus
-    identities rho(B) = prod_i R_i^e_i(B) and R_i^m_i = I, R_i = rho(g_i),
-    M = 0 (the commutators of the R_i are read densely): an entry of M of
-    modulus eps passes the tolerance tol with probability at most
-    (tol/eps)^(2r), r = PROBE_COLUMNS (`weil` module docs).  No operator but
-    rho of the torus generators is kept, and none but those and
-    rho(fourier) is formed."""
+    identities rho(B) = prod_i R_i^e_i(B), R_i^m_i = I and R_i R_j = R_j R_i,
+    R_i = rho(g_i), M = 0: an entry of M of modulus eps passes the tolerance
+    tol with probability at most (tol/eps)^(2r), r = PROBE_COLUMNS (`weil`
+    module docs).  No p^n x p^n operator is formed or read."""
     pm, rep = ctx.pm, ctx.rep
     pairs = None                                # every pair of the group
     if sp_group_order(pm.p, pm.n) > EXHAUSTIVE_GROUP_ORDER:
@@ -319,8 +316,7 @@ def _check_multiplicativity(ctx, rng):
     # the exhaustive pair scan is held to 1e-9, everything else to 1e-8
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-9 if pairs is None else 1e-8,
                                       deadline=ctx.deadline, probe=probe)
-    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.generator_ops,
-                                              ctx.deadline, probe))
+    dev = max(rpt.max_dev, weil.certify_torus(rep, ctx.torus, ctx.deadline, probe))
     ok = rpt.ok and dev <= 1e-8
     return CheckResult("multiplicativity", "pass" if ok else "fail", max_dev=dev)
 

@@ -72,6 +72,37 @@ def flat_index(vecs, p: int) -> np.ndarray:
     return vecs @ p ** np.arange(vecs.shape[-1])
 
 
+def digit_kernel(p: int) -> np.ndarray:
+    """[psi(a b)] for a, b in 0..p-1, the one-digit factor of psi(x.y)."""
+    a = np.arange(p)
+    return root_table(p)[np.outer(a, a) % p]
+
+
+def on_digits(m: np.ndarray, w: np.ndarray, pm: PrimeModulus, axis: int = 0,
+              which=None) -> np.ndarray:
+    """A new array: m applied along digit j of axis `axis` (of length p^n) of
+    w, sum_{y_j} m[x_j, y_j] w[..., y, ...], for every j in `which` (all by
+    default).  Digit j has stride p^j: the middle axis of (p^(n-1-j), p, p^j)."""
+    p, n = pm.p, pm.n
+    lead, tail = int(np.prod(w.shape[:axis % w.ndim])), int(np.prod(w.shape[axis % w.ndim + 1:]))
+    out = w
+    for j in range(n) if which is None else which:
+        pre, post = lead * p ** (n - 1 - j), p ** j * tail
+        out = out.reshape(pre, p) @ m.T if post == 1 else m @ out.reshape(pre, p, post)
+    return out.reshape(w.shape)
+
+
+def digit_rows(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows of table^(x)n at the flat indices whose n digits are idx (least
+    significant first): out[..., y] = prod_j table[idx[..., j], y_j], a
+    (..., p^n) array for a (m, p) table and (..., n) idx, built one outer
+    product per digit, digit 0 varying fastest as in the flat order."""
+    out = table[idx[..., -1]]
+    for j in range(idx.shape[-1] - 2, -1, -1):
+        out = (out[..., None] * table[idx[..., j]][..., None, :]).reshape(*idx.shape[:-1], -1)
+    return out
+
+
 @lru_cache(maxsize=_CACHED_MODULI)
 def index_vectors(pm: PrimeModulus) -> np.ndarray:
     """Array of shape (p^n, n): row i is the base-p digit vector of i (read-only)."""

@@ -8,8 +8,8 @@ principal r x r minors of D,
     F(xi, B) = legendre((-1)^(r/2) c) p^(k/2) psi(nu omega(y, B y))   if xi = D y,
 
 and 0 for xi outside im D.  It is checked against the traces of dense
-operators on the [lam, mu] grid (`_trace_grid`: one gather along the shifts
-of T(xi), one matmul with the psi(x.y) matrix over the whole stack, one
+operators on rows of the [lam, mu] grid (`_trace_rows`: one gather along
+the shifts of T(xi), one product with psi(x.y) one digit at a time, one
 phase prefix; `trace_pair` is the per-value oracle).  The character sums
 
     a_chi(xi) = sum_{B in C_A} F(xi, B) chi(B) = |T| Tr(T(xi) P_{chi^-1}),
@@ -64,8 +64,8 @@ import numpy as np
 from . import ffcore, hecke, weil
 from .classical import ErgodicElement
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
-from .heisenberg import (BudgetExceeded, chunk_items, digits, flat_index,
-                         index_vectors, pi_exponents, root_table)
+from .heisenberg import (BudgetExceeded, chunk_items, digit_kernel, digit_rows, digits,
+                         flat_index, index_vectors, on_digits, pi_exponents, root_table)
 from .hecke import HeckeTorus, TorusCharacter
 
 # relative slack of every bound comparison and of the factorization match
@@ -86,36 +86,22 @@ def trace_pair(xi, rho_dense: np.ndarray, pm: PrimeModulus) -> complex:
     return complex((phases * rho_dense[src, np.arange(pm.dim)]).sum())
 
 
-def _trace_kernel(pm: PrimeModulus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-modulus tables of `_trace_grid`, indexed [lam, x] and [lam, mu].
-
-    rows[lam, x] = flat(x + lam), psi_dot[x, y] = psi(x.y) and
-    prefix[lam, mu] = psi(nu lam.mu).  Built per caller and not cached: a
-    table kept alive mid-sweep pins the freed heap below it.
-    """
-    p = pm.p
-    pts = index_vectors(pm)
-    rows = flat_index((pts[:, None, :] + pts[None, :, :]) % p, p)
-    dots = (pts @ pts.T) % p
-    psi = root_table(p)
-    return rows, psi[dots], psi[(pm.nu * dots) % p]
-
-
-def _trace_grid(rho_dense: np.ndarray, kernel) -> np.ndarray:
-    """F((lam, mu), B) on the grid [flat(lam), flat(mu)] from rho(B), a
-    p^n x p^n operator, or from a (k, p^n, p^n) stack: (..., p^n, p^n).
+def _trace_rows(rho_dense: np.ndarray, lam: np.ndarray, pm: PrimeModulus) -> np.ndarray:
+    """F((lam, mu), B) for the flat lam in lam and every flat mu, from rho(B),
+    a p^n x p^n operator, or from a (k, p^n, p^n) stack: (..., len(lam), p^n).
 
     F((lam, mu), B) = psi(nu lam.mu) sum_x psi(mu.x) rho(B)[x + lam, x]: one
-    gather G[lam, x] = rho(B)[x + lam, x], one matmul with the psi(x.y)
-    matrix over the whole stack, one psi(nu lam.mu) prefix, in place.
-    `trace_pair` is the per-value oracle.
-    """
-    rows, psi_dot, prefix = kernel
-    d = len(rows)
-    g = rho_dense[..., rows, np.arange(d)]
-    out = (g.reshape(-1, d) @ psi_dot).reshape(g.shape)
-    del g
-    np.multiply(prefix, out, out=out)
+    gather G[lam, x] = rho(B)[x + lam, x], its product with psi(x.y) one
+    digit at a time (`digit_kernel`), and the psi(nu lam.mu) prefix.
+    `trace_pair` is the per-value oracle."""
+    p, n = pm.p, pm.n
+    lv = index_vectors(pm)[lam]
+    shift = np.zeros((len(lam), 1), dtype=np.intp)          # flat(x + lam)
+    for j in range(n - 1, -1, -1):
+        digit = (lv[:, j, None] + np.arange(p)) % p
+        shift = (shift[:, :, None] * p + digit[:, None]).reshape(len(lam), -1)
+    out = on_digits(digit_kernel(p), rho_dense[..., shift, np.arange(pm.dim)], pm, axis=-1)
+    out *= digit_rows(digit_kernel(p), lv * pm.nu % p)       # psi(nu lam.mu)
     return out
 
 
@@ -156,7 +142,7 @@ class TraceFormula:
         # Q_B[i, j] = omega(G e_i, B G e_j), over the columns of G and B G
         quad = ffcore.symplectic_form(g.swapaxes(1, 2)[:, :, None],
                                       (e @ g % p).swapaxes(1, 2)[:, None], mod=p)
-        self.pm, self.quad = pm, quad.reshape(len(e), -1).T.astype(float)
+        self.pm, self.q = pm, quad
         self.scale = (ffcore.legendre_signs(p)[(-1) ** (rank // 2) * c % p]
                       * float(p) ** ((2 * n - rank) / 2))
         self.kernel = x * ~live[:, :, None]     # left kernel rows of D
@@ -168,14 +154,42 @@ class TraceFormula:
         p = self.pm.p
         xi = digits(flat, p, 2 * self.pm.n)
         pairs = (xi[:, :, None] * xi[:, None, :]).reshape(len(xi), -1).astype(float)
-        out = root_table(p)[(pairs @ self.quad[:, cols] % p).astype(np.int64)
-                            * self.pm.nu % p]
+        out = root_table(p)[(pairs @ self.q[cols].reshape(-1, pairs.shape[1]).T % p)
+                            .astype(np.int64) * self.pm.nu % p]
         out *= self.scale[cols]
         singular = np.flatnonzero(self.kernel[cols].any(axis=(1, 2)))
         if singular.size:
             kernel = self.kernel[cols][singular]
             out[:, singular] *= ~(np.tensordot(xi, kernel, axes=([1], [2])) % p).any(axis=2)
         return out
+
+    def rows(self, lam: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """(k, len(lam), p^n) values at xi = (lam, mu) for the flat lam, every
+        flat mu and the elements cols.  psi(nu xi^T Q_B xi) is read as a lam
+        part, a mu part (`_mu_phases`, once per formula) and the cross term
+        psi(nu lam^T C mu) = prod_j psi(nu (C^T lam)_j mu_j), C = Q_lm + Q_ml^T,
+        one outer product per digit of mu (`heisenberg.digit_rows`)."""
+        p, n, nu = self.pm.p, self.pm.n, self.pm.nu
+        pts = index_vectors(self.pm)
+        lv, q = pts[lam], self.q[cols]
+        cross = q[:, :n, n:] + q[:, n:, :n].swapaxes(1, 2)
+        out = digit_rows(digit_kernel(p), lv @ cross * nu % p)
+        lam_part = root_table(p)[np.einsum("li,kij,lj->kl", lv, q[:, :n, :n], lv) * nu % p]
+        out *= (lam_part * self.scale[cols][:, None])[:, :, None]
+        out *= self._mu_phases[cols][:, None, :]
+        singular = np.flatnonzero(self.kernel[cols].any(axis=(1, 2)))
+        if singular.size:       # xi in im D: K_mu mu = -K_lam lam for the kernel rows K
+            kern = self.kernel[cols][singular].swapaxes(1, 2)
+            on_lam = flat_index(-lv @ kern[:, :n] % p, p)
+            out[singular] *= on_lam[:, :, None] == flat_index(pts @ kern[:, n:] % p, p)[:, None]
+        return out
+
+    @cached_property
+    def _mu_phases(self) -> np.ndarray:
+        """(k, p^n) psi(nu mu^T Q_mm mu) for every element and flat mu."""
+        n, pts = self.pm.n, index_vectors(self.pm)
+        return root_table(self.pm.p)[np.einsum("xi,kij,xj->kx", pts, self.q[:, n:, n:], pts)
+                                     * self.pm.nu % self.pm.p]
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +474,23 @@ def trace_formula_deviation(ctx: PrimeContext) -> float:
     `diagonal_stack` and the torus generators.
 
     The operators stream through rep.build_chunks (which reads the deadline)
-    and are dropped.  The traces come in blocks whose (k, p^n, p^n) arrays
-    hold CHUNK_BYTES / 4, each from one gather and one matmul (`_trace_grid`),
-    and the formula of the block's k elements is subtracted from them in
-    place, read in chunks of the grid: no array beside the block is its size.
-    """
+    and are dropped; each chunk is read in blocks of lam rows whose
+    (k, rows, p^n) arrays hold CHUNK_BYTES / 4, but at least p^(n-1) rows, as
+    a block's numpy overhead would outweigh one row of a large operator: the
+    traces (`_trace_rows`) less the formula on the same rows (`TraceFormula.rows`)."""
     pm, d = ctx.pm, ctx.pm.dim
     elems = np.concatenate([diagonal_stack(pm), [g for g, _ in ctx.torus.generators]])
     formula = TraceFormula(elems, pm)
-    kernel, step = _trace_kernel(pm), chunk_items(64 * d ** 2)     # operators per block
     worst, lo = 0.0, 0
     for stack in ctx.rep.build_chunks(elems, ctx.deadline):
-        for i in range(0, len(stack), step):
-            dev = _trace_grid(stack[i:i + step], kernel).reshape(-1, d * d)
-            cols, lo = slice(lo, lo + len(dev)), lo + len(dev)
-            for j in lattice_chunks(pm):            # j = flat(lam) p^n + flat(mu)
-                dev[:, j[0]:j[-1] + 1] -= formula(j // d + d * (j % d), cols).T
+        cols, lo = slice(lo, lo + len(stack)), lo + len(stack)
+        step = max(chunk_items(64 * len(stack) * d), d // pm.p)   # lam rows per block
+        for start in range(0, d, step):
+            lam = np.arange(start, min(start + step, d))
+            dev = _trace_rows(stack, lam, pm)
+            dev -= formula.rows(lam, cols)
             worst = max(worst, float(np.abs(dev).max()))
+        del stack                       # not held while the next chunk is built
     return worst
 
 
@@ -508,15 +522,15 @@ def diagonal_factor_tables(ks, pm: PrimeModulus) -> dict[int, np.ndarray]:
 
 class ViolationRecords(Sequence):
     """Bound violations (xi, chi_exps, |a|, bound), xi ascending, then chi,
-    kept as the violating (orbit row, chi) of a boolean orbit table, the row
-    of every flat xi and the orbit sizes.  A read scans the rows of xi in
-    chunks and expands only the xi its slice covers; |a| is read from the
-    character-sum table."""
+    kept as the violating (orbit row, chi) pairs, rows ascending and chi
+    ascending within a row, the row of every flat xi and the orbit sizes.
+    A read scans the rows of xi in chunks and expands only the xi its slice
+    covers; |a| is read from the character-sum table."""
 
-    def __init__(self, table: np.ndarray, row: np.ndarray, sizes: np.ndarray,
+    def __init__(self, hot: np.ndarray, chi: np.ndarray, row: np.ndarray, sizes: np.ndarray,
                  sums: np.ndarray, chi_exps: list, bound: float, pm: PrimeModulus):
-        hot, self._chi = np.nonzero(table)
-        self._counts = np.bincount(hot, minlength=len(table))
+        self._chi = chi
+        self._counts = np.bincount(hot, minlength=len(sizes))
         self._first = np.cumsum(self._counts) - self._counts    # each row's first pair
         self._len = int(sizes @ self._counts)
         self._row, self._table, self._exps, self._bound, self._pm = row, sums, chi_exps, bound, pm
@@ -592,8 +606,9 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     verdict over characters with one-dimensional eigenspaces (the regime the
     eigenvector derivation of the bound actually covers), and at split primes
     the generic stratum of the order-2 character: `ViolationRecords` of the
-    orbit table of violations, masked by its dim-1 columns and its generic
-    rows, with nothing per xi formed until read.  The eigenspace dimensions
+    violating (orbit row, chi) pairs, kept where chi is dim-1 or the row
+    generic, with nothing per xi formed until read.  |a| is read in chunks
+    of orbit rows, so no array beside the table is its size.  The eigenspace dimensions
     are the formula's own (`PrimeContext.dims`).  Raises RuntimeError when the
     table breaks the Parseval identity, or the xi = 0 identity (a_chi(0) an
     integer multiple of |T|), by more than IDENTITY_TOL: then the sums
@@ -608,18 +623,26 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     is_dim1 = inv_dims == 1
     bound = 2 ** n * p ** (n / 2)
 
+    # |a| a chunk of orbit rows at a time: the orbit-weighted sum of |a|^2,
+    # then the column maxima and the violating (row, chi) pairs over xi != 0
     _, row, sizes = ctx.orbits
-    mags = np.abs(ctx.sums)                     # row 0 is the orbit {0}
-    col_max = mags[1:].max(axis=0)              # max |a_chi(xi)| over xi != 0
-    viol = mags > bound + bound * RTOL
-    viol[0] = False                             # xi = 0 is outside the bound
+    col_max, square, pairs = np.zeros(order), np.zeros(order), []
+    step = chunk_items(16 * order)
+    for lo in range(0, len(sizes), step):
+        mags = np.abs(ctx.sums[lo:lo + step])
+        square += sizes[lo:lo + step] @ np.square(mags)
+        if lo == 0:
+            mags[0] = 0                         # xi = 0 is outside the bound
+        np.maximum(col_max, mags.max(axis=0), out=col_max)
+        pairs.append(np.argwhere(mags > bound + bound * RTOL) + (lo, 0))
+    hot, hot_chi = np.concatenate(pairs).T
     exps = [chi.exps for chi in chis]
 
     def records(keep):
-        return ViolationRecords(viol & keep, row, sizes, ctx.sums, exps, bound, pm)
+        return ViolationRecords(hot[keep], hot_chi[keep], row, sizes, ctx.sums, exps, bound, pm)
 
-    generic = False if ctx.transport is None else ctx.generic_orbits[:, None]
-    violations, dim1_violations = records(True), records(is_dim1)
+    generic = np.zeros(len(hot), dtype=bool) if ctx.transport is None else ctx.generic_orbits[hot]
+    violations, dim1_violations = records(slice(None)), records(is_dim1[hot_chi])
     generic_violations = records(generic)
     max_ratio = float(col_max.max() / p ** (n / 2))
     dim1_max = float(col_max[is_dim1].max()) if is_dim1.any() else 0.0
@@ -630,8 +653,7 @@ def verify_que_bound(ctx: PrimeContext) -> BoundReport:
     chi_total = ctx.sums.sum(axis=1)
     chi_total[0] -= unit
     parseval_max_dev = max(
-        float(np.abs(sizes @ np.square(mags, out=mags) - order * unit * inv_dims).max()
-              / (order * unit)),
+        float(np.abs(square - order * unit * inv_dims).max() / (order * unit)),
         float(np.abs(chi_total).max() / unit))
     # xi = 0 oracle: a_chi(0) = |T| * dim H_{chi^-1}, an integer multiple of |T|
     xi0_dev = float(np.abs(ctx.sums[0] - order * inv_dims).max())

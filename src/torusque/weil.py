@@ -6,63 +6,63 @@ Generators and their operators, acting on functions F_p^n -> C:
     shear(S)   [[I, 0], [-S, I]], S = S^T   f(x) |-> psi(nu x^T S x) f(x)
     fourier    [[0, I], [-I, 0]]            f(x) |-> gamma p^{-n/2} sum_y psi(x.y) f(y)
 
+psi(x.y) = prod_j psi(x_j y_j), so rho(fourier) = gamma F1^(x)n with the
+one-digit kernel F1 = p^{-1/2} [psi(a b)], p x p: a product by it is one
+product by F1 along each digit axis (`heisenberg.on_digits`), n p^(n+1)
+work per column against p^(2n), and at n = 1 the same single product.  No
+p^n x p^n Fourier matrix is formed.
+
 Each operator conjugates the lattice translations exactly as its matrix acts
-on lattice vectors (the Egorov identity).  `egorov_deviation` measures it at
-the 2n unit vectors only: they span F_p^2n, and the Heisenberg relation
-carries the identity from them to every xi.  The free normalization gamma of
-the Fourier element is solved, not assumed: with K = F D_I (D_I the shear of
-the identity block), the matrix (fourier * shear(I))^3 is the identity in
+on lattice vectors (the Egorov identity).  The translations factor over the
+coordinates too, T(xi) = (x)_j T_1(lam_j, mu_j), and fourier and shear(I)
+act on each pair (lam_j, mu_j) as the n = 1 fourier and shear(1) do, so
+their identity is the tensor power of its n = 1 case (gamma cancels):
+`linearize` certifies it on F1 and diag(psi(nu a^2)) at p x p size, at the
+unit vectors, which the Heisenberg relation carries to every xi.  The
+normalization gamma is solved, not assumed: with K = F D_I (D_I the shear
+of the identity block), (fourier * shear(I))^3 is the identity in
 Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
 
-    gamma^3 = 1/c,   gamma^2 = legendre((-1)^n, p)   =>   gamma = sigma((-1)^n)/c,
+    gamma^3 = 1/c,   gamma^2 = legendre((-1)^n, p)   =>   gamma = sigma((-1)^n)/c.
 
-with c and the scalar test read on a probe block (`solve_gamma`).
+K = gamma (F1 diag(psi(nu a^2)))^(x)n is a tensor power too, so its cube is
+scalar at every n once it is at n = 1; `solve_gamma` reads c on a probe
+block, one digit at a time.
 
-Every group element, at every n, has a closed-form kernel.  Write
+Every group element has a closed-form kernel of one of three kinds.  Write
 B = [[A, Bb], [C, D]] in n x n blocks and U(S) = [[I, S], [0, I]] =
-fourier shear(S) fourier^3.  Let S be the first diagonal 0/1 matrix (bit j
-of 0, 1, ..., 2^n - 1 on diagonal entry j) for which M = Bb + A S is
-invertible mod p, so S = 0 when Bb is.  One exists: by Arnold's lemma the
-Lagrangian row space of [A | Bb] is transverse to some coordinate
-Lagrangian, so some choice of columns from A and Bb is invertible, and
-det(Bb + A S) is the sum of the column choices inside the support of S
-(Moebius inversion over the 2^n choices of S).  Then
+fourier shear(S) fourier^3.
 
-    B U(S) = shear(s1) dilate(M) fourier shear(s2),
-    s1 = -(C S + D) M^-1,   s2 = -M^-1 A,
+* Monomial, Bb = 0: D = A^-T, C A^-1 is symmetric and B = shear(s1)
+  dilate(A), s1 = -C A^-1, so rho(B)[x, y] = legendre(det A)
+  psi(nu x^T s1 x) [y = A^-1 x], a row gather of the identity and a phase.
+* Big cell (Bb invertible) and U(-S) (Bb singular and nonzero, n >= 2).
+  Let S be the first diagonal 0/1 matrix (bit j of 0, 1, ..., 2^n - 1 on
+  entry j) for which M = Bb + A S is invertible mod p, so S = 0 in the big
+  cell.  One exists: by Arnold's lemma the Lagrangian row space of
+  [A | Bb] is transverse to some coordinate Lagrangian, so some choice of
+  columns from A and Bb is invertible, and det(Bb + A S) is the sum of the
+  column choices inside the support of S (Moebius inversion).  Then
 
-and the product of the generator operators is
+      B U(S) = shear(s1) dilate(M) fourier shear(s2),  s1 = -(C S + D) M^-1,  s2 = -M^-1 A,
+      rho(B U(S))[x, y] = gamma legendre(det M) psi(nu x^T s1 x) F1^(x)n[M^-1 x, y] psi(nu y^T s2 y)
 
-    rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y)
+  each row the outer product of n one-digit rows of F1.  Where S != 0,
+  rho(B) = rho(B U(S)) rho(U(-S)), and rho(U(-S)) = F diag(psi(-nu x^T S
+  x)) F^H = (x)_j V_{S_jj} with V_0 = I and V_1 = F1 diag(psi(-nu a^2))
+  F1^H: V_1 along the digit axes where S_jj = 1.
 
-with F = rho(fourier): one row gather of F and two phase scalings.  When
-S != 0, rho(B) = rho(B U(S)) rho(U(-S)), and rho(U(-S)) is never formed: F
-is symmetric, unitary and F^4 = I, so
+One exact factorization per element stack (`factorize`, int64, (k, n, n)
+arrays), re-verified exactly: s1 and s2 must be symmetric and the integer
+product of the factors must equal B mod p.  Then a kernel per batch
+(`_kernel`): the row sources M^-1 x and both phase vectors, (k, p^n).
+`WeilRep.build_chunks` streams elements through this route, the one route
+to dense rho(B), in chunks of CHUNK_BYTES of operators, and
+`WeilRep.apply_many` applies rho(B) to a p^n x r block Z without forming it,
 
-    rho(U(-S)) = F diag(psi(-nu x^T S x)) F^H,   F^H Z = conj(F conj(Z)),
+    rho(B) Z = row * (F1^(x)n (col * rho(U(-S)) Z))[src]   (row * Z[src] where monomial),
 
-two products by F itself, and no second p^n x p^n operator is kept.  Each
-factorization is re-verified exactly before its kernel is formed: s1 and s2
-must be symmetric, and the integer product shear(s1) dilate(M) fourier
-shear(s2) U(-S) must equal B mod p.
-
-The route has two parts.  One exact factorization per element stack
-(`factorize`): the symplectic test, the mask, M^-1, s1, s2 and the integer
-re-verification, all in int64 over the whole stack, with (k, n, n) arrays
-and nothing of length p^n.  Then a kernel per batch (`_kernel`): the row
-sources M^-1 x and both phase vectors, (k, p^n) arrays formed from the
-batch's rows of the factorization.  `WeilRep.build_chunks` streams any
-sequence of elements through this route, the one route to dense rho(B):
-factored factor_length(pm) elements at a time, emitted in chunks of
-CHUNK_BYTES of operators (the gather, the two scalings, and for the
-chunk's operators with S != 0 the two products by F of rho(U(-S)), each one
-stacked product).  `WeilRep.apply_many` applies rho(B) to a p^n x r block Z
-from the same factorization, without forming rho(B):
-
-    rho(B) Z = row * (F (col * rho(U(-S)) Z))[src],
-
-one product by F over each batch's stacked blocks, two more over the blocks
-with S != 0, O(p^(2n) r) per element against p^(3n) for a dense product.
+O(n p^(n+1) r) per element against p^(3n) for a dense product.
 The map is certified multiplicative on a probe block X of r =
 PROBE_COLUMNS i.i.d. standard complex Gaussian columns (probe_block):
 rho(B1) (rho(B2) X) = rho(B1 B2) X for every pair of a small group, and
@@ -86,16 +86,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice, product
 
 import numpy as np
 
 from . import ffcore
 from .ffcore import Mat, PrimeModulus, legendre
-from .heisenberg import (BudgetExceeded, chunk_items, digits, flat_index,
-                         index_vectors, pi_exponents_many, root_table)
+from .heisenberg import (BudgetExceeded, chunk_items, digit_kernel, digit_rows, digits,
+                         flat_index, index_vectors, on_digits, pi_exponents_many,
+                         root_table)
 # bound here too, unused: perfbench's tracer test reads weil.pi_op and
 # weil.mat_mul as its examples of functions bound in two modules
 from .ffcore import mat_mul  # noqa: F401
@@ -120,8 +121,8 @@ def factor_length(pm: PrimeModulus) -> int:
 
 def apply_length(pm: PrimeModulus, columns: int) -> int:
     """How many elements one batch of WeilRep.apply_many covers within
-    CHUNK_BYTES: their p^n x columns complex blocks fit twice, as the product
-    by rho(fourier) holds its operand and its result, and so does their
+    CHUNK_BYTES: their p^n x columns complex blocks fit twice, as each
+    digit's product by F1 holds its operand and its result, and so does their
     kernel (p^n int64 row sources, 2 p^n complex phases and at most 2n p^n
     int64 intermediates per element)."""
     return chunk_items(max(32 * pm.dim * columns, 8 * pm.dim * (5 + 2 * pm.n)))
@@ -133,73 +134,29 @@ def egorov_tol(pm: PrimeModulus) -> float:
 
 
 # ---------------------------------------------------------------------------
-# generator operators
-
-
-def shear_matrix(s_block: Mat, pm: PrimeModulus) -> Mat:
-    p, n = pm.p, pm.n
-    rows = []
-    for i in range(n):
-        rows.append(tuple(1 if i == j else 0 for j in range(n)) + (0,) * n)
-    for i in range(n):
-        rows.append(tuple((-s_block[i][j]) % p for j in range(n))
-                    + tuple(1 if i == j else 0 for j in range(n)))
-    return tuple(rows)
-
-
-def fourier_matrix(pm: PrimeModulus) -> Mat:
-    n = pm.n
-    rows = []
-    for i in range(n):
-        rows.append((0,) * n + tuple(1 if i == j else 0 for j in range(n)))
-    for i in range(n):
-        rows.append(tuple((-1) % pm.p if i == j else 0 for j in range(n)) + (0,) * n)
-    return tuple(rows)
-
-
-def _psi_dots(pm: PrimeModulus) -> np.ndarray:
-    """[psi(x.y)]_{x,y}, dense, with one int64 p^n x p^n temporary."""
-    pts = index_vectors(pm)
-    dots = pts @ pts.T
-    dots %= pm.p
-    return root_table(pm.p)[dots]
-
-
-def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
-    """gamma * p^{-n/2} [psi(x.y)]_{x,y}, dense, scaled in place."""
-    out = _psi_dots(pm)
-    np.multiply(gamma, out, out=out)
-    out /= pm.p ** (pm.n / 2)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # the linearized representation
 
 
 @dataclass
 class WeilRep:
-    """B -> rho(B) with the solved normalization, by two routes from the one
-    operator kept, rho(fourier): dense stacks (`build_chunks`) and rho(B)
-    applied to a block (`apply_many`)."""
+    """B -> rho(B) with the solved normalization, by two routes from the
+    p x p one-digit kernels kept, F1 and V_1 (module docs): dense stacks
+    (`build_chunks`) and rho(B) applied to a block (`apply_many`)."""
 
     pm: PrimeModulus
     gamma: complex
+    # F1 = p^{-1/2} [psi(a b)] and V_1 = F1 diag(psi(-nu a^2)) F1^H (read-only)
+    f1: np.ndarray = field(init=False, repr=False, compare=False)
+    v1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def build_chunks(self, bs, deadline: float | None = None):
         """Yield (k, p^n, p^n) stacks of rho(B) for consecutive elements of
-        bs, in order; nothing is cached.
-
-        bs may be any iterable of 2n x 2n integer matrices; it is read
-        factor_length(pm) elements at a time, and each such batch is
-        factored once (`factorize`: the symplectic test, the factorization
-        and its re-verification).  Its operators are emitted
-        chunk_length(pm) at a time, each chunk from its kernel (`_kernel`).
-        Raises ValueError for a non-symplectic element, ConstructionError
-        when a factorization fails its re-verification, and BudgetExceeded
-        when `deadline`, a `time.perf_counter()` value, has passed before a
-        chunk.
-        """
+        bs, any iterable of 2n x 2n integer matrices, in order; nothing is
+        cached.  bs is factored factor_length(pm) elements at a time
+        (`factorize`, with its ValueError and ConstructionError), and the
+        operators are emitted chunk_length(pm) at a time, each chunk from its
+        kernel (`_kernel`).  Raises BudgetExceeded when `deadline`, a
+        `time.perf_counter()` value, has passed before a chunk."""
         elements = iter(bs)
         step = chunk_length(self.pm)
         while batch := list(islice(elements, factor_length(self.pm))):
@@ -207,7 +164,7 @@ class WeilRep:
             for lo in range(0, len(fac), step):
                 if deadline is not None and time.perf_counter() > deadline:
                     raise BudgetExceeded("deadline passed inside the operator stream")
-                yield _dense_chunk(self, *_kernel(self.pm, fac[lo:lo + step]))
+                yield _dense_chunk(self, *_kernel(self, fac[lo:lo + step]))
 
     def apply_many(self, bs, z: np.ndarray, deadline: float | None = None) -> np.ndarray:
         """(k, p^n, r) stack of rho(B_i) Z_i for the k elements of bs; no
@@ -217,8 +174,7 @@ class WeilRep:
         that is factored here (`factorize`, with its ValueError and
         ConstructionError).  z is one p^n x r block shared by every element
         or a (k, p^n, r) stack, block i for element i.  The elements go
-        apply_length(pm, r) at a time; each such batch forms its kernel and
-        is applied to its blocks in one product by rho(fourier)
+        apply_length(pm, r) at a time, each batch from its kernel
         (`_apply_plan`).  Raises BudgetExceeded when `deadline`, a
         `time.perf_counter()` value, has passed before a batch.
         """
@@ -231,16 +187,17 @@ class WeilRep:
                 raise BudgetExceeded("deadline passed inside the probe stream")
             part = slice(lo, lo + step)
             _apply_plan(self, z if z.ndim == 2 else z[part], out[part],
-                        *_kernel(self.pm, fac[part]))
+                        *_kernel(self, fac[part]))
         return out
 
-    @cached_property
-    def fourier(self) -> np.ndarray:
-        """rho(fourier) = gamma p^{-n/2} [psi(x.y)], the kernel every operator
-        gathers its rows from (read-only)."""
-        out = fourier_op(self.pm, self.gamma)
-        out.setflags(write=False)
-        return out
+    def __post_init__(self):
+        # V_1[x, y] = (1/p) sum_a psi(a (x - y) - nu a^2) = (g/p) psi(nu (x - y)^2),
+        # g = sum_b psi(-nu b^2), completing the square (2 nu = 1 mod p)
+        p, nu, a, psi = self.pm.p, self.pm.nu, np.arange(self.pm.p), root_table(self.pm.p)
+        self.f1 = digit_kernel(p) / np.sqrt(p)
+        self.v1 = psi[nu * (a[:, None] - a) ** 2 % p] * psi[-nu * a * a % p].mean()
+        self.f1.setflags(write=False)
+        self.v1.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -262,11 +219,13 @@ def _diagonal_shear_expo(pm: PrimeModulus, mask) -> np.ndarray:
 @dataclass
 class Factorization:
     """The exact closed-form factorization of a stack of k elements (module
-    docs): the elements mod p, the masks of S, det M, M^-1, s1 and s2, each
-    an array with k rows and none of length p^n.  Indexing by a slice or an
-    index array takes those rows of every array."""
+    docs): the elements mod p, which are monomial (Bb = 0), the masks of S,
+    det M, M^-1, s1 and s2 (M = A and s2 = 0 where monomial), each an array
+    with k rows and none of length p^n.  Indexing by a slice or an index
+    array takes those rows of every array."""
 
     elements: np.ndarray        # (k, 2n, 2n)
+    monomial: np.ndarray        # (k,) bool
     mask: np.ndarray            # (k,)
     det: np.ndarray             # (k,)
     m_inv: np.ndarray           # (k, n, n), and s1, s2 too
@@ -277,17 +236,17 @@ class Factorization:
         return len(self.mask)
 
     def __getitem__(self, rows) -> "Factorization":
-        return Factorization(self.elements[rows], self.mask[rows], self.det[rows],
-                             self.m_inv[rows], self.s1[rows], self.s2[rows])
+        return Factorization(self.elements[rows], self.monomial[rows], self.mask[rows],
+                             self.det[rows], self.m_inv[rows], self.s1[rows], self.s2[rows])
 
 
 def factorize(pm: PrimeModulus, bs) -> Factorization:
     """The exact factorization of every element of bs, a sequence or stack of
     2n x 2n integer matrices, in int64 arithmetic over the whole stack: the
-    symplectic test, the first mask that makes M invertible, s1, s2 and the
-    re-verification (module docs).  Raises ValueError for a non-symplectic
-    element and ConstructionError when a factorization fails its
-    re-verification."""
+    symplectic test, shear(s1) dilate(A) where Bb = 0, elsewhere the first
+    mask that makes M invertible, s1 and s2, and the re-verification (module
+    docs).  Raises ValueError for a non-symplectic element and
+    ConstructionError when a factorization fails its re-verification."""
     p, n = pm.p, pm.n
     b = np.array(bs, dtype=np.int64) % p
     if not b.size:
@@ -298,35 +257,35 @@ def factorize(pm: PrimeModulus, bs) -> Factorization:
         raise ValueError("matrix is not symplectic mod p")
     a, bb, c, d = b[:, :n, :n], b[:, :n, n:], b[:, n:, :n], b[:, n:, n:]
 
-    mask, det, m_inv = _first_invertible_mask(a, bb, p)
+    monomial = ~bb.any(axis=(1, 2))
+    mask, det, m_inv = _first_invertible_mask(a, bb, monomial, p)
     if (det == 0).any():
         bad = b[np.argmax(det == 0)]
         raise ConstructionError(f"no diagonal 0/1 S makes Bb + A S invertible for {bad.tolist()}")
+    mono = monomial[:, None, None]
     s = _mask_bits(n)[mask][:, None, :]             # (k, 1, n) diagonals of S
-    m = (bb + a * s) % p
-    s1 = -((c * s + d) @ m_inv) % p
-    s2 = -(m_inv @ a) % p
+    m = np.where(mono, a, (bb + a * s) % p)
+    s1 = -(np.where(mono, c, c * s + d) @ m_inv) % p
+    s2 = np.where(mono, 0, -(m_inv @ a) % p)
 
-    # exact re-verification: shear(s1) dilate(M) fourier shear(s2) U(-S) = B
-    x_blk = -(m @ s2) % p
-    z_blk = ((s1 @ m % p) @ s2 - m_inv.transpose(0, 2, 1)) % p
-    w_blk = -(s1 @ m) % p
-    rebuilt = np.concatenate(
-        [np.concatenate([x_blk, m - x_blk * s], axis=2),
-         np.concatenate([z_blk, w_blk - z_blk * s], axis=2)], axis=1) % p
+    # exact re-verification: shear(s1) dilate(A) = B where monomial, else
+    # shear(s1) dilate(M) fourier shear(s2) U(-S) = B
+    m_inv_t, s1m = m_inv.transpose(0, 2, 1), s1 @ m % p
+    x_blk, z_blk = -(m @ s2) % p, s1m @ s2 - m_inv_t
+    rebuilt = np.where(mono, _assemble(m, 0 * m, -s1m, m_inv_t, p),
+                       _assemble(x_blk, m - x_blk * s, z_blk, -s1m - z_blk * s, p))
     symmetric = (s1 == s1.transpose(0, 2, 1)).all() and (s2 == s2.transpose(0, 2, 1)).all()
     if not symmetric or (rebuilt != b).any():
         raise ConstructionError("closed-form factorization does not reproduce its element")
-    return Factorization(b, mask, det, m_inv, s1, s2)
+    return Factorization(b, monomial, mask, det, m_inv, s1, s2)
 
 
-def _kernel(pm: PrimeModulus, fac: Factorization):
-    """(src, row, col, mask) of rho(B) for the k elements of fac: the (k, p^n)
-    row sources M^-1 x and the row and column phases of
-
-        rho(B U(S))[x, y] = legendre(det M) psi(nu x^T s1 x) F[M^-1 x, y] psi(nu y^T s2 y),
-
-    and the (k,) masks of S."""
+def _kernel(rep: WeilRep, fac: Factorization):
+    """(src, row, col, mask, monomial) of rho(B) for the k elements of fac: the
+    (k, p^n) row sources M^-1 x, the row and column phases of rho(B U(S))
+    (module docs; gamma left out where monomial, whose s2 is 0), and the
+    (k,) masks of S and monomial flags."""
+    pm = rep.pm
     p, n, k = pm.p, pm.n, len(fac)
     pts = index_vectors(pm)
     src = flat_index((fac.m_inv @ pts.T % p).swapaxes(1, 2), p)
@@ -338,16 +297,17 @@ def _kernel(pm: PrimeModulus, fac: Factorization):
     forms %= p
     phases = root_table(p)[forms]
     row, col = phases[:k], phases[k:]
-    row *= ffcore.legendre_signs(p)[fac.det][:, None]
-    return src, row, col, fac.mask
+    scale = np.where(fac.monomial, 1, rep.gamma) * ffcore.legendre_signs(p)[fac.det]
+    row *= scale[:, None]
+    return src, row, col, fac.mask, fac.monomial
 
 
-def _first_invertible_mask(a, bb, p: int):
-    """(mask, det M, M^-1) for M = Bb + A S and the first mask (bits of the
-    diagonal 0/1 S) that makes M invertible, for (k, n, n) block stacks A
-    and Bb: Bb itself is inverted first, and the other masks are tried only
-    for the rows where it is singular.  det is 0 where no mask works."""
-    det, inv, _ = ffcore.gauss_jordan_modp(bb, p)
+def _first_invertible_mask(a, bb, monomial, p: int):
+    """(mask, det M, M^-1) for the (k, n, n) block stacks A and Bb: M = A, mask
+    0, where `monomial` (Bb = 0), else M = Bb + A S for the first mask (bits
+    of the diagonal 0/1 S) that makes M invertible, the nonzero masks tried
+    only where Bb is singular.  det is 0 where no mask works."""
+    det, inv, _ = ffcore.gauss_jordan_modp(np.where(monomial[:, None, None], a, bb), p)
     mask = np.zeros(len(bb), dtype=np.int64)
     rows = np.flatnonzero(det == 0)
     if rows.size:
@@ -363,56 +323,49 @@ def _first_invertible_mask(a, bb, p: int):
     return mask, det, inv
 
 
-def _inverse_shear_phases(pm: PrimeModulus, masks: np.ndarray) -> np.ndarray:
-    """(k, p^n) diagonals psi(-nu x^T S x) of rho(shear(-S)), one row per mask
-    of masks: rho(U(-S)) = F diag(row) F^H (module docs)."""
-    return root_table(pm.p)[-_diagonal_shear_expo(pm, masks) % pm.p]
+def _mask_groups(mask: np.ndarray):
+    """(digits j with S_jj = 1, positions) for each nonzero mask in mask."""
+    for m in sorted(set(mask.tolist()) - {0}):
+        yield [j for j in range(m.bit_length()) if m >> j & 1], np.flatnonzero(mask == m)
 
 
-def _dense_chunk(rep: WeilRep, src, row, col, mask) -> np.ndarray:
-    """(k, p^n, p^n) stack of rho(B) from the kernel of k elements: one row gather of
-    rho(fourier), two phase scalings, and where S != 0 the product by
-    rho(U(-S)) = F diag(phase) F^H, as two products of the stacked operators
-    by F: A F^H = conj(conj(A) F), F being symmetric."""
-    out = rep.fourier[src]
+def _dense_chunk(rep: WeilRep, src, row, col, mask, monomial) -> np.ndarray:
+    """(k, p^n, p^n) stack of rho(B) from the kernel of k elements: the rows of
+    F1^(x)n, or of the identity where monomial, at the row sources, each the
+    outer product of n one-digit rows (`heisenberg.digit_rows`); two
+    phase scalings; and where S != 0 the product by rho(U(-S)), V_1 on the
+    column digits where S_jj = 1."""
+    p, n = rep.pm.p, rep.pm.n
+    kinds = np.concatenate([rep.f1, np.eye(p)])           # F1's rows, then the identity's
+    out = digit_rows(kinds, digits(src.ravel(), p, n).reshape(*src.shape, n)
+                     + p * monomial[:, None, None])
     out *= row[:, :, None]
     out *= col[:, None, :]
-    sel = np.flatnonzero(mask)
-    if sel.size:
-        d = rep.pm.dim
-        # on out itself when every operator has S != 0 (a chunk of one, or
-        # of shears and dilations), else on a copy of those operators
-        part = out if sel.size == len(out) else out[sel]
-        w = (part.reshape(-1, d) @ rep.fourier).reshape(part.shape)
-        w *= _inverse_shear_phases(rep.pm, mask[sel])[:, None, :]
-        np.conjugate(w, out=w)
-        np.matmul(w.reshape(-1, d), rep.fourier, out=part.reshape(-1, d))
-        np.conjugate(part, out=part)
-        if part is not out:
-            out[sel] = part
+    step = chunk_items(16 * rep.pm.dim)
+    for which, sel in _mask_groups(mask):   # A rho(U(-S)): V_1^T on the column digits,
+        for i, lo in product(sel, range(0, rep.pm.dim, step)):       # in blocks of rows
+            out[i, lo:lo + step] = on_digits(rep.v1.T, out[i, lo:lo + step], rep.pm, -1, which)
     return out
 
 
-def _apply_plan(rep: WeilRep, z, out, src, row, col, mask):
-    """Write rho(B) Z for the kernel of k elements into the (k, p^n, r) array out,
-    rho(B) never formed: rho(U(-S)) Z = F (phase * conj(F conj(Z))) where
-    S != 0, two products by rho(fourier) over those blocks side by side, the
-    column phases, one product by rho(fourier) over the k blocks side by
-    side, then the row gather and the row phases."""
+def _apply_plan(rep: WeilRep, z, out, src, row, col, mask, monomial):
+    """Write rho(B) Z for the kernel of k elements into the (k, p^n, r) array
+    out, and return it, rho(B) never formed: rho(U(-S)) Z by V_1 on the
+    digits where S_jj = 1, the column phases, one digit-by-digit product by F1
+    over the blocks side by side (the monomial blocks put back unchanged),
+    then the row gather and the row phases."""
     k, d, r = out.shape
     w = np.empty((d, k, r), dtype=complex)          # block i in column i
     w[:] = z[:, None] if z.ndim == 2 else z.transpose(1, 0, 2)
-    sel = np.flatnonzero(mask)
-    if sel.size:
-        f = rep.fourier
-        u = f @ np.conjugate(w[:, sel]).reshape(d, -1)
-        u = np.conjugate(u, out=u).reshape(d, len(sel), r)
-        u *= _inverse_shear_phases(rep.pm, mask[sel]).T[:, :, None]
-        w[:, sel] = (f @ u.reshape(d, -1)).reshape(d, -1, r)
+    for which, sel in _mask_groups(mask):
+        w[:, sel] = on_digits(rep.v1, w[:, sel], rep.pm, which=which)
     w *= col.T[:, :, None]
-    w = rep.fourier @ w.reshape(d, k * r)          # rebound: the operand is freed
+    if not monomial.all():      # F1 on every block, then the monomial ones put back
+        w, before = on_digits(rep.f1, w, rep.pm), w
+        w[:, monomial] = before[:, monomial]
     np.take(w.reshape(d * k, r), src * k + np.arange(k)[:, None], axis=0, out=out)
     out *= row[:, :, None]
+    return out
 
 
 def egorov_deviation(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
@@ -452,20 +405,21 @@ def egorov_deviation(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
     return dev
 
 
-def solve_gamma(pm: PrimeModulus, f0: np.ndarray) -> complex:
+def solve_gamma(pm: PrimeModulus) -> complex:
     """Fix the Fourier normalization from the cube relation (see module docs).
 
-    K = F D_I is applied three times to a probe block X (`probe_block` with
-    seed 0, so no numpy.random), and K^3 = c I is read per column as
+    K = F1^(x)n D_I, the unnormalized K of gamma = 1, is applied three
+    times to a probe block X (`probe_block` with seed 0, so no
+    numpy.random), one digit at a time, and K^3 = c I is read per column as
     c = <X, K^3 X> / <X, X> and certified by max |K^3 X - c X| <= 1e-8 |c|:
-    by Freivalds' argument (module docs), with no d^3 product.  F is f0,
-    the unnormalized kernel fourier_op(pm, 1.0).
+    by Freivalds' argument (module docs), with no d^3 product.
     """
+    f1 = digit_kernel(pm.p) / np.sqrt(pm.p)
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
     x = probe_block(pm, 0)
     y = x
     for _ in range(3):
-        y = f0 @ (d1[:, None] * y)  # K = F @ D_I, D_I diagonal
+        y = on_digits(f1, d1[:, None] * y, pm)      # K = F @ D_I, D_I diagonal
     cs = (x.conj() * y).sum(axis=0) / (x.conj() * x).sum(axis=0)
     if np.abs(y - x * cs).max() > 1e-8 * np.abs(cs).min():
         raise ConstructionError("cube of Fourier*shear is not scalar")
@@ -493,23 +447,18 @@ def check_egorov(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
 
 
 def linearize(pm: PrimeModulus) -> WeilRep:
-    """Build the representation with all free phases pinned.  The dense
-    kernel psi(x.y) is built once: solve_gamma reads it scaled by p^(-n/2),
-    and that array is then overwritten with rho(fourier), the kernel scaled
-    by gamma p^(-n/2) as in fourier_op.  It and rho(shear(I)) must pass
-    `check_egorov`; only rho(fourier) is kept."""
-    unit = _psi_dots(pm)
-    scale = pm.p ** (pm.n / 2)
-    f = unit / scale
-    rep = WeilRep(pm, solve_gamma(pm, f))
-    np.multiply(rep.gamma, unit, out=f)
-    del unit
-    f /= scale
-    f.setflags(write=False)
-    rep.fourier = f                     # the value of the cached property
-    check_egorov(f[None], [fourier_matrix(pm)], pm)
-    d1 = root_table(pm.p)[_diagonal_shear_expo(pm, 2 ** pm.n - 1)]
-    check_egorov(np.diag(d1)[None], [shear_matrix(ffcore.identity_mat(pm.n), pm)], pm)
+    """Build the representation with all free phases pinned: gamma from
+    `solve_gamma`, then the Egorov identity of the two generators it reads,
+    fourier and shear(I), on their one-digit factors F1 and
+    diag(psi(nu a^2)) at n = 1 (`check_egorov`).  Both operators are
+    tensor powers of these factors, and so are the translations, so the
+    identity at n = 1 is the identity in every factor (module docs).  Only
+    the p x p factors are kept; nothing of size p^n x p^n is formed."""
+    rep = WeilRep(pm, solve_gamma(pm))
+    pm1 = PrimeModulus(pm.p, 1)
+    check_egorov(rep.f1[None], [((0, 1), (-1, 0))], pm1)                 # fourier
+    d1 = root_table(pm.p)[_diagonal_shear_expo(pm1, 1)]
+    check_egorov(np.diag(d1)[None], [((1, 0), (-1, 1))], pm1)            # shear(1)
     return rep
 
 
@@ -602,12 +551,12 @@ def relation_pairs(pm: PrimeModulus, rng: random.Random) -> np.ndarray:
     (dilate(M1), dilate(M2)), and dilate(M) shear(S) dilate(M)^-1 =
     shear(M^-T S M^-1) as
     (dilate(M1), shear(S1)) and (dilate(M1) shear(S1), dilate(M1^-1)).
-    Shears and dilations have Bb = 0, so every one takes the S = I branch
-    of `factorize`.
+    Shears and dilations have Bb = 0, so every one takes the monomial
+    kernel of `factorize`.
     """
     p, n = pm.p, pm.n
-    f = np.array(fourier_matrix(pm), dtype=np.int64)
-    d = np.array(shear_matrix(ffcore.identity_mat(n), pm), dtype=np.int64)
+    one, nil = np.eye(n, dtype=np.int64)[None], np.zeros((1, n, n), dtype=np.int64)
+    f, d = _assemble(nil, one, -one, nil, p)[0], _assemble(one, nil, -one, one, p)[0]
     f2, k = f @ f % p, f @ d % p
     k2 = k @ k % p
     fixed = np.array([(f, f), (f2, f2), (f, d), (k, k), (k2, k)])
@@ -676,7 +625,7 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     in pairs, or for every pair of Sp(2n, F_p) when pairs is None.
 
     Y = rho(B2) X, then rho(B1) Y against rho(B1 B2) X, all from
-    rep.apply_many: no operator but rho(fourier) is formed.  max_dev is the
+    rep.apply_many: no operator is formed.  max_dev is the
     per-probe deviation max |M X|, M = rho(B1) rho(B2) - rho(B1 B2); an entry of M of
     modulus eps passes tol with probability at most (tol/eps)^(2r) over X
     (module docs).  pairs, a (k, 2, 2n, 2n) int64 stack or a list of matrix
@@ -684,7 +633,7 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     batch of pairs, apply_length(pm, r) // 2, and in runs of whole rounds of
     about factor_length(pm) elements.  Each run is factored once, as the
     stack (B2, B1 B2, B1) of its pairs.  Per round, rho(B2) X and
-    rho(B1 B2) X fill one apply batch, one product by rho(fourier), and
+    rho(B1 B2) X fill one apply batch, one product by F1 per digit, and
     rho(B1) Y takes a second.  The exhaustive mode is the int64 stack of all
     |Sp(2n, F_p)|^2 pairs.  probe defaults to probe_block(pm, 0), so
     nothing here imports numpy.random; `deadline` is passed to apply_many.
@@ -711,55 +660,55 @@ def check_multiplicativity(rep: WeilRep, pairs: list | None = None,
     return MultiplicativityReport(len(pairs), max_dev, max_dev <= tol)
 
 
-def _power_products(ops: list, orders: tuple, acc: np.ndarray, wrap: list):
-    """prod_i ops_i^e_i acc for every e with 0 <= e_i < orders_i, in
-    lexicographic order of e, one product by an ops_i per yielded block.
-    Each loop over e_i takes one step more, to ops_i^orders_i times the block
-    it started from, and appends max |ops_i^orders_i Y - Y| for that block Y
-    to wrap; the first such Y of every i is acc itself."""
-    if not ops:
+def _power_products(steps: list, orders: tuple, acc: np.ndarray, wrap: list):
+    """prod_i R_i^e_i acc for every e with 0 <= e_i < orders_i, in
+    lexicographic order of e, one step Y -> R_i Y (steps_i) per yielded
+    block.  Each loop over e_i takes one step more, to R_i^orders_i times
+    the block it started from, and appends max |R_i^orders_i Y - Y| for that
+    block Y to wrap; the first such Y of every i is acc itself."""
+    if not steps:
         yield acc
         return
     start = acc
     for _ in range(orders[0]):
-        yield from _power_products(ops[1:], orders[1:], acc, wrap)
-        acc = ops[0] @ acc
+        yield from _power_products(steps[1:], orders[1:], acc, wrap)
+        acc = steps[0](acc)
     wrap.append(float(np.abs(acc - start).max()))
 
 
-def certify_torus(rep: WeilRep, torus, ops: np.ndarray, deadline: float | None = None,
+def certify_torus(rep: WeilRep, torus, deadline: float | None = None,
                   probe: np.ndarray | None = None) -> float:
     """Max deviation of the certificate that rho restricted to a Hecke torus T
-    is a representation, in O(|T|) block products.
+    is a representation, in O(|T|) block products, all on a probe block X.
 
     With R_i = rho(g_i) for the generators g_i of orders m_i, the certificate
-    checks R_i R_j = R_j R_i densely, and on a probe block X: R_i^m_i X = X,
-    and rho(B) X = prod_i R_i^e_i(B) X for every B in T, e = torus.dlog[B].
-    Together these are equivalent to all |T|^2 pair identities
-    rho(B1) rho(B2) = rho(B1 B2): dlog is additive mod m_i, so
-    rho(B1) rho(B2) = prod_i R_i^(e_i(B1) + e_i(B2)) = rho(B1 B2).  The
-    products step X by one R_i at a time (`_power_products`, p^(2n) r each),
-    with one step more at the end of each loop over e_i to reach R_i^m_i,
-    and rho(B) X comes from rep.apply_many (which reads `deadline`), so all
-    but the commutators are per-probe deviations (module docs).  The R_i are
-    ops, a (k, p^n, p^n) stack in the order of torus.generators
-    (`quevaluator.PrimeContext.generator_ops`, which the eigenspace
-    decomposition reads); no other operator is formed.  probe defaults to
-    probe_block(pm, 0), so nothing here imports numpy.random.
-    """
-    gens = list(ops)
-    dev = 0.0
-    for i, r in enumerate(gens):
-        for s in gens[:i]:
-            dev = max(dev, float(np.abs(r @ s - s @ r).max()))
+    checks R_i R_j X = R_j R_i X, R_i^m_i X = X, and rho(B) X =
+    prod_i R_i^e_i(B) X for every B in T, e = torus.dlog[B].  Together these
+    are equivalent to all |T|^2 pair identities rho(B1) rho(B2) = rho(B1 B2):
+    dlog is additive mod m_i, so rho(B1) rho(B2) = prod_i R_i^(e_i(B1) +
+    e_i(B2)) = rho(B1 B2).  The products step X by one R_i at a time
+    (`_power_products`), each step an apply of the generator's closed-form
+    kernel (`_apply_plan`), formed once per certificate; one step more at
+    the end of each loop over e_i reaches R_i^m_i.  rho(B) X comes from
+    rep.apply_many (which reads `deadline`).  Every deviation is per-probe
+    (module docs); no p^n x p^n operator is formed.  probe defaults to
+    probe_block(pm, 0), so nothing here imports numpy.random."""
     x = probe_block(rep.pm, 0) if probe is None else probe
+    fac = factorize(rep.pm, [g for g, _ in torus.generators])
+    steps = [lambda y, kern=_kernel(rep, fac[i:i + 1]):
+             _apply_plan(rep, y, np.empty((1, *y.shape), dtype=complex), *kern)[0]
+             for i in range(len(fac))]
+    dev = 0.0
+    for i, r in enumerate(steps):
+        for s in steps[:i]:
+            dev = max(dev, float(np.abs(r(s(x)) - s(r(x))).max()))
     element = {exps: b for b, exps in torus.dlog.items()}
     exps = product(*map(range, torus.gen_orders))
     wrap = []
-    steps = _power_products(gens, torus.gen_orders, x, wrap)
+    blocks = _power_products(steps, torus.gen_orders, x, wrap)
     while batch := list(islice(exps, apply_length(rep.pm, x.shape[1]))):
-        want = np.stack(list(islice(steps, len(batch))))
+        want = np.stack(list(islice(blocks, len(batch))))
         got = rep.apply_many([element[e] for e in batch], x, deadline)
         dev = max(dev, float(np.abs(got - want).max()))
-    next(steps, None)       # nothing is left to yield: runs the last wrap-arounds
+    next(blocks, None)      # nothing is left to yield: runs the last wrap-arounds
     return max([dev, *wrap])

@@ -40,9 +40,9 @@ check with one apply_many call per role and batch (`pair_check_per_role`),
 which it replaces by one factorization per run of pairs.  The trace-formula
 check one a at a time against the n = 1 closed form
 (`split_trace_deviation_per_a`), which `quevaluator.trace_formula_deviation`
-replaces by one matmul per block against the general formula; the
+replaces by blocks of lam rows against the general formula; the
 trace function in the flat order of xi (`trace_column`), which the program
-reads on the [lam, mu] grid (`quevaluator._trace_grid`).  The
+reads on rows of the [lam, mu] grid (`quevaluator._trace_rows`).  The
 orbit rows by sorting the labels (`orbits_by_unique`), the refined rows
 (`refined_rows_loop`) and the factorization counts
 (`factorization_counts_loop`) one character at a time.  The whole
@@ -78,13 +78,23 @@ the translations on the whole p^(4n) pair grid (`relation_grid`), which the
 2n p^(2n) pairs at the unit vectors prove.
 
 The generator operators as dense matrices (`shear_op`, `dilate_op`),
-which the closed-form kernel reproduces, the Fourier normalization from
+which the closed-form kernel reproduces, and as integer matrices
+(`shear_matrix`, `fourier_matrix`).  The dense Fourier route that
+`weil` replaces by one product by the p x p kernel F1 per digit axis:
+rho(fourier) as a dense p^n x p^n matrix (`fourier_op`, from the table
+psi(x.y), `_psi_dots`), rho(B) and rho(B) Z along it (`dense_route_ops`,
+`dense_route_apply`: rows of the dense F at the row sources, two phases,
+and rho(U(-S)) = F diag F^H as dense products, every element factored as
+B U(S), Bb = 0 taking S = I where the program takes its monomial kernel),
+and the torus certificate stepping its probe by dense generator operators
+(`certify_torus_dense`), which `weil.certify_torus` steps by the
+generators' kernels.  The Fourier normalization from
 the dense cube of F D_I (`solve_gamma_dense`), which `weil.solve_gamma`
 reads on a probe block, the probe block from numpy's generator
 (`numpy_probe_block`), which `weil.probe_block` replaces by uniforms from
 the standard library's `random.Random`, rho(U(-S)) as the dense product
 rho(fourier) rho(shear(-S)) rho(fourier)^3 (`upper_shear_dense`), which
-the program applies as two products by rho(fourier) without forming it,
+the program applies as V_1 along the digit axes where S_jj = 1,
 the cofactor determinant and transpose of integer matrices (`mat_det`,
 `mat_transpose`), the symplectic test one pair of columns at a time
 (`is_symplectic_pairwise`) and the group scanned one tuple at a time
@@ -115,10 +125,8 @@ from torusque.heisenberg import (CHUNK_BYTES, BudgetExceeded, FourierPolynomial,
                                  compose_exponents, digits, flat_index, index_vectors,
                                  integral, pi_exponents, pi_exponents_many, quantize,
                                  root_table)
-from torusque.quevaluator import (RTOL, PrimeContext, SplitTransport, _trace_grid,
-                                  _trace_kernel, trace_pair)
-from torusque.weil import (ConstructionError, MultiplicativityReport, WeilRep,
-                           fourier_matrix, fourier_op, shear_matrix)
+from torusque.quevaluator import RTOL, PrimeContext, SplitTransport, _trace_rows, trace_pair
+from torusque.weil import ConstructionError, MultiplicativityReport, WeilRep
 
 
 def build_many(rep: WeilRep, bs, deadline: float | None = None):
@@ -273,18 +281,12 @@ def transport_char(transport: SplitTransport, chi: TorusCharacter,
     return tuple(out)
 
 
-def _trace_column(rho_dense: np.ndarray, kernel) -> np.ndarray:
-    """`quevaluator._trace_grid` read in the flat order lam + p^n mu of xi:
-    (p^(2n),) for one operator, (k, p^(2n)) for a stack."""
-    out = _trace_grid(rho_dense, kernel)
-    # [lam, mu] transposed to [mu, lam] and read row-major: lam + p^n mu
-    return out.swapaxes(-1, -2).reshape(*out.shape[:-2], -1)
-
-
 def trace_column(rho_dense: np.ndarray, pm: PrimeModulus) -> np.ndarray:
     """F(xi, B) for every xi mod p, in flat order lam + p^n mu, from rho(B)
-    or a stack of operators (`_trace_column`, with the tables built here)."""
-    return _trace_column(rho_dense, _trace_kernel(pm))
+    or a stack of operators: `quevaluator._trace_rows` at every lam."""
+    out = _trace_rows(rho_dense, np.arange(pm.dim), pm)
+    # [lam, mu] transposed to [mu, lam] and read row-major: lam + p^n mu
+    return out.swapaxes(-1, -2).reshape(*out.shape[:-2], -1)
 
 
 def torus_pair_scan(rep, torus: HeckeTorus, tol: float = 1e-8) -> MultiplicativityReport:
@@ -425,10 +427,9 @@ def build_trace_table(torus: HeckeTorus, ops: dict) -> TraceTable:
     """Tabulate F for every (xi, B): one trace column per torus element, from
     ops = {B: rho(B)} over the torus (`dense_ops`, `linearize_on_torus`)."""
     pm = torus.pm
-    kernel = _trace_kernel(pm)
     table = np.empty((pm.dim ** 2, torus.order), dtype=complex)
     for bi, b in enumerate(torus.elements):
-        table[:, bi] = _trace_column(ops[b], kernel)
+        table[:, bi] = trace_column(ops[b], pm)
     return TraceTable(pm, torus, table)
 
 
@@ -439,14 +440,13 @@ def character_sum_columns(ctx: PrimeContext):
     eigenspace H_{chi^-1}: one `trace_column` gather and matmul per occupied
     eigenspace, and zeros for the empty ones.
     """
-    kernel = _trace_kernel(ctx.pm)
     entries = ctx.decomposition.entries
     for i, inv in enumerate(ctx.inverse_index):
         _, basis, dim = entries[inv]
         if dim == 0:
             yield i, np.zeros(ctx.pm.dim ** 2, dtype=complex)
         else:
-            yield i, ctx.torus.order * _trace_column(basis @ basis.conj().T, kernel)
+            yield i, ctx.torus.order * trace_column(basis @ basis.conj().T, ctx.pm)
 
 
 def orbit_table_at_reps(ctx: PrimeContext) -> np.ndarray:
@@ -693,14 +693,18 @@ def centralizer_elements(a: Mat, pm: PrimeModulus) -> list[Mat]:
     return [tuple(map(tuple, b)) for b in cands[keep].tolist()]
 
 
-def first_invertible_mask_all(a, bb, p: int):
+def first_invertible_mask_all(a, bb, monomial, p: int):
     """(mask, det M, M^-1) of weil._first_invertible_mask, with M = Bb + A S
-    inverted for every mask at once."""
+    inverted for every mask at once, and M = A with mask 0 where monomial."""
     bits = weil._mask_bits(a.shape[-1])
     det, inv, _ = ffcore.gauss_jordan_modp(bb[:, None] + a[:, None] * bits[None, :, None, :], p)
     mask = (det != 0).argmax(axis=1)
     every = np.arange(len(bb))
-    return mask, det[every, mask], inv[every, mask]
+    det, inv = det[every, mask], inv[every, mask]
+    if monomial.any():
+        mask[monomial] = 0
+        det[monomial], inv[monomial], _ = ffcore.gauss_jordan_modp(a[monomial], p)
+    return mask, det, inv
 
 
 def torus_structure(elements: list, p: int) -> tuple[list, dict]:
@@ -973,12 +977,129 @@ def upper_shear_dense(rep: WeilRep, mask: int) -> np.ndarray:
     """rho(U(-S)) = rho(fourier) rho(shear(-S)) rho(fourier)^3 for the
     diagonal 0/1 matrix S with bits mask, dense: three d^3 products."""
     phase = root_table(rep.pm.p)[-weil._diagonal_shear_expo(rep.pm, mask) % rep.pm.p]
-    f = rep.fourier
+    f = fourier_op(rep.pm, rep.gamma)
     return (f * phase[None, :]) @ f @ f @ f
+
+
+def _psi_dots(pm: PrimeModulus) -> np.ndarray:
+    """[psi(x.y)]_{x,y}, dense, with one int64 p^n x p^n temporary."""
+    pts = index_vectors(pm)
+    dots = pts @ pts.T
+    dots %= pm.p
+    return root_table(pm.p)[dots]
+
+
+def fourier_op(pm: PrimeModulus, gamma: complex = 1.0) -> np.ndarray:
+    """rho(fourier) = gamma * p^{-n/2} [psi(x.y)]_{x,y}, the dense p^n x p^n
+    matrix that `weil` applies one digit at a time."""
+    out = _psi_dots(pm)
+    np.multiply(gamma, out, out=out)
+    out /= pm.p ** (pm.n / 2)
+    return out
+
+
+def _dense_route_kernel(rep: WeilRep, bs):
+    """(F, src, row, col, mask) of rho(B) along the route before the
+    monomial kernel and the one-digit products: every element factored as
+    B U(S) = shear(s1) dilate(M) fourier shear(s2), Bb = 0 included (it
+    takes S = I), with F = rho(fourier) dense (`fourier_op`)."""
+    pm = rep.pm
+    p, n = pm.p, pm.n
+    b = np.asarray(bs, dtype=np.int64) % p
+    a, bb, c, d = b[:, :n, :n], b[:, :n, n:], b[:, n:, :n], b[:, n:, n:]
+    mask, det, m_inv = first_invertible_mask_all(a, bb, np.zeros(len(b), dtype=bool), p)
+    s = weil._mask_bits(n)[mask][:, None, :]
+    s1, s2 = -((c * s + d) @ m_inv) % p, -(m_inv @ a) % p
+    pts = index_vectors(pm)
+    src = flat_index((m_inv @ pts.T % p).swapaxes(1, 2), p)
+    psi = root_table(p)
+    row = psi[pm.nu * np.einsum("xi,kij,xj->kx", pts, s1, pts) % p]
+    row *= ffcore.legendre_signs(p)[det][:, None]
+    col = psi[pm.nu * np.einsum("xi,kij,xj->kx", pts, s2, pts) % p]
+    return fourier_op(pm, rep.gamma), src, row, col, mask
+
+
+def _dense_upper_shear(rep: WeilRep, f: np.ndarray, mask: int) -> np.ndarray:
+    """rho(U(-S)) = F diag(psi(-nu x^T S x)) F^H, dense."""
+    phase = root_table(rep.pm.p)[-weil._diagonal_shear_expo(rep.pm, mask) % rep.pm.p]
+    return (f * phase) @ f.conj().T
+
+
+def dense_route_ops(rep: WeilRep, bs) -> np.ndarray:
+    """(k, p^n, p^n) stack of rho(B) along the dense route: rows of the dense
+    F gathered at M^-1 x, two phases, and rho(U(-S)) = F diag F^H as a dense
+    product where S != 0 (`WeilRep.build_chunks` forms the rows one digit
+    at a time, and monomial where Bb = 0)."""
+    f, src, row, col, mask = _dense_route_kernel(rep, bs)
+    out = f[src] * row[:, :, None] * col[:, None, :]
+    for i in np.flatnonzero(mask):
+        out[i] = out[i] @ _dense_upper_shear(rep, f, mask[i])
+    return out
+
+
+def dense_route_apply(rep: WeilRep, bs, z: np.ndarray) -> np.ndarray:
+    """(k, p^n, r) stack of rho(B) Z along the dense route, one element at a
+    time: row * (F (col * rho(U(-S)) Z))[src], each product by F a dense
+    p^n x p^n product (`WeilRep.apply_many` takes them one digit at a time);
+    z is one block or one per element."""
+    f, src, row, col, mask = _dense_route_kernel(rep, bs)
+    out = []
+    for i in range(len(src)):
+        w = z if z.ndim == 2 else z[i]
+        if mask[i]:
+            w = _dense_upper_shear(rep, f, mask[i]) @ w
+        w = f @ (col[i][:, None] * w)
+        out.append(row[i][:, None] * w[src[i]])
+    return np.stack(out)
+
+
+def certify_torus_dense(rep: WeilRep, torus: HeckeTorus, ops: np.ndarray,
+                        deadline: float | None = None, probe: np.ndarray | None = None) -> float:
+    """`weil.certify_torus` with the generators as the dense stack ops
+    (`generator_ops`): the commutators R_i R_j - R_j R_i entrywise, and the
+    probe stepped by one dense product R_i Y per step."""
+    gens = list(ops)
+    dev = 0.0
+    for i, r in enumerate(gens):
+        for s in gens[:i]:
+            dev = max(dev, float(np.abs(r @ s - s @ r).max()))
+    x = weil.probe_block(rep.pm, 0) if probe is None else probe
+    element = {exps: b for b, exps in torus.dlog.items()}
+    exps = product(*map(range, torus.gen_orders))
+    wrap = []
+    steps = weil._power_products([r.__matmul__ for r in gens], torus.gen_orders, x, wrap)
+    for e in exps:
+        want = next(steps)
+        dev = max(dev, float(np.abs(rep.apply_many([element[e]], x, deadline)[0] - want).max()))
+    next(steps, None)
+    return max([dev, *wrap])
 
 
 # ---------------------------------------------------------------------------
 # rho(B) along a word over the generators, one element at a time
+
+
+def shear_matrix(s_block: Mat, pm: PrimeModulus) -> Mat:
+    """shear(S) = [[I, 0], [-S, I]] as a Mat."""
+    p, n = pm.p, pm.n
+    rows = []
+    for i in range(n):
+        rows.append(tuple(1 if i == j else 0 for j in range(n)) + (0,) * n)
+    for i in range(n):
+        rows.append(tuple((-s_block[i][j]) % p for j in range(n))
+                    + tuple(1 if i == j else 0 for j in range(n)))
+    return tuple(rows)
+
+
+def fourier_matrix(pm: PrimeModulus) -> Mat:
+    """fourier = [[0, I], [-I, 0]] as a Mat."""
+    n = pm.n
+    rows = []
+    for i in range(n):
+        rows.append((0,) * n + tuple(1 if i == j else 0 for j in range(n)))
+    for i in range(n):
+        rows.append(tuple((-1) % pm.p if i == j else 0 for j in range(n)) + (0,) * n)
+    return tuple(rows)
 
 
 def mat_neg(a: Mat, mod: int | None = None) -> Mat:

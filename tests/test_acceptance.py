@@ -85,7 +85,7 @@ def test_criterion_2_egorov(cat_map, sp4_elem, rep_cache):
         for b in torus.elements:
             dev = egorov_deviation_loop(trep[b], b, pm, xis)
             worst_rel = max(worst_rel, dev / tol)
-        gamma = weil.solve_gamma(pm, weil.fourier_op(pm, 1.0))
+        gamma = weil.solve_gamma(pm)
         for _ in range(20):
             word = _random_word(pm, rng)
             b = word_matrix(word, pm)

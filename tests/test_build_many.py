@@ -20,7 +20,7 @@ from torusque.ffcore import PrimeModulus, mat_mul
 from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
 
 from oracles import (build, build_many, egorov_deviation_loop, first_invertible_mask_all,
-                     generator_ops, mats, sp_word, upper_shear_dense, word_operator)
+                     mats, sp_word, upper_shear_dense, word_operator)
 
 # the trace-formula check's traced peak at n = 1, p = 43 while it cached its
 # 41 operators one at a time (about 1.4 MB, measured with tracemalloc)
@@ -167,22 +167,25 @@ def test_batched_egorov_equals_per_xi_loop(n, p):
 
 
 @pytest.mark.parametrize("n,p", [(1, 43), (2, 13)])
-def test_plan_inverts_only_the_masks_it_needs(n, p, monkeypatch):
-    # Bb first, the other masks only where Bb is singular: the same
-    # factorizations and kernels as inverting every mask of every element,
-    # on the relation pairs (the U(-S) branch) and on sampled pairs with
-    # their products
+def test_plan_inverts_only_the_masks_it_needs(n, p, rep_cache, monkeypatch):
+    # Bb (or A where Bb = 0) first, the other masks only where Bb is
+    # singular and nonzero: the same factorizations and kernels as inverting
+    # every mask of every element, on the relation pairs (the monomial
+    # kernel) and on sampled pairs with their products (the U(-S) branch at
+    # n = 2; at n = 1 a singular Bb is 0)
     pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
     rng = random.Random(p)
     d = 2 * n
     batch = np.concatenate([weil.relation_pairs(pm, rng).reshape(-1, d, d),
                             weil.pair_triples(random_sp(pm, rng, 80).reshape(-1, 2, d, d), pm)])
     fac = weil.factorize(pm, batch)
-    assert fac.mask.any() and not fac.mask.all()
+    assert fac.monomial.any() and not fac.monomial.all()
+    assert fac.mask.any() == (n > 1) and not fac.mask[fac.monomial].any()
     monkeypatch.setattr(weil, "_first_invertible_mask", first_invertible_mask_all)
     ref = weil.factorize(pm, batch)
-    got = [getattr(fac, f.name) for f in fields(fac)] + list(weil._kernel(pm, fac))
-    want = [getattr(ref, f.name) for f in fields(ref)] + list(weil._kernel(pm, ref))
+    got = [getattr(fac, f.name) for f in fields(fac)] + list(weil._kernel(rep, fac))
+    want = [getattr(ref, f.name) for f in fields(ref)] + list(weil._kernel(rep, ref))
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
@@ -217,7 +220,11 @@ def test_upper_shear_route_equals_the_dense_product(n, p, rep_cache):
     bs = np.concatenate([_elements_with_mask(pm, m, 5, rng) for m in range(2 ** n)])
     order = rng.sample(range(len(bs)), len(bs))
     bs, masks = bs[order], masks[order]
-    assert np.array_equal(weil.factorize(pm, bs).mask, masks)
+    # the full mask is Bb = 0: the monomial kernel, with mask 0
+    full = masks == 2 ** n - 1
+    fac = weil.factorize(pm, bs)
+    assert np.array_equal(fac.mask, np.where(full, 0, masks))
+    assert np.array_equal(fac.monomial, full)
     eye, zero = np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
     ups = np.stack([weil._assemble(eye[None], np.diag(weil._mask_bits(n)[m])[None],
                                    zero[None], eye[None], p)[0] for m in masks])
@@ -237,7 +244,7 @@ def test_upper_shear_route_equals_the_dense_product(n, p, rep_cache):
 def test_certify_torus_reads_its_deadline(rep_cache, torus_cache):
     with pytest.raises(BudgetExceeded):
         rep, torus = rep_cache(11), torus_cache(11)
-        weil.certify_torus(rep, torus, generator_ops(rep, torus), deadline=-1.0,
+        weil.certify_torus(rep, torus, deadline=-1.0,
                            probe=weil.probe_block(PrimeModulus(11, 1), 11))
 
 

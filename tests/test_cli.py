@@ -178,9 +178,10 @@ def test_sweep_n2_bound(tmp_path):
 
 
 def test_sweep_n2_reports_construction_routes(tmp_path):
-    # every operator of an n = 2 sweep is a generator formula or a
-    # closed-form kernel; none comes from Schur averaging.  The decomposition and the bound
-    # need rho of the torus generators only, and both tori here are cyclic
+    # every operator of an n = 2 sweep is a closed-form kernel; none comes
+    # from Schur averaging, and no dense rho(fourier) is kept.  The
+    # decomposition needs rho of the torus generators only, and both tori
+    # here are cyclic
     out_json = tmp_path / "routes.json"
     rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
                   "--pmax", "5", "--checks", "decomposition,bound",
@@ -189,7 +190,7 @@ def test_sweep_n2_reports_construction_routes(tmp_path):
     report = json.loads(out_json.read_text())
     assert [rp["p"] for rp in report["primes"]] == [3, 5]
     for rp in report["primes"]:
-        assert rp["routes"] == {"closed-form": 1, "generator-formula": 1}
+        assert rp["routes"] == {"closed-form": 1}
 
 
 def test_budget_skips_checks(tmp_path):
@@ -332,7 +333,8 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
 def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
     # every rho(B) the egorov and multiplicativity checks build is dropped
     # after its deviation is read; the context keeps rho of the torus
-    # generators, which the decomposition reads, and rho keeps rho(fourier)
+    # generators, which the decomposition reads, and rho keeps its p x p
+    # one-digit factors
     for elem, pm in ((cat_map, PrimeModulus(11, 1)), (sp4_elem, PrimeModulus(7, 2))):
         ctx = PrimeContext.build(elem, pm)
         ctx.decomposition
@@ -342,7 +344,8 @@ def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
             res = runner(ctx, random.Random(0))
             assert res.status == "pass"
             assert vars(ctx).keys() | vars(ctx.rep).keys() == before
-            assert vars(ctx.rep).keys() == {"pm", "gamma", "fourier"}
+            assert vars(ctx.rep).keys() == {"pm", "gamma", "f1", "v1"}
+            assert ctx.rep.f1.shape == ctx.rep.v1.shape == (pm.p, pm.p)
             assert ctx.generator_ops is gens
 
 
@@ -357,8 +360,7 @@ def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem
     res = cli._check_egorov(ctx, random.Random(p))
     assert res.status == "pass" and res.max_dev > 0
     torus, rep = ctx.torus, ctx.rep
-    cert = weil.certify_torus(rep, torus, ctx.generator_ops,
-                              probe=weil.probe_block(pm, p))
+    cert = weil.certify_torus(rep, torus, probe=weil.probe_block(pm, p))
     per_factor = 2 * n * (p - 1) * pm.dim * res.max_dev
     xis = lattice_vectors(pm)
     for b, dense in zip(torus.elements, build_many(rep, torus.elements)):
@@ -444,8 +446,9 @@ def test_relation_pairs_join_only_the_sampled_check(cat_map, monkeypatch):
 
 
 def test_sweep_n2_identity_checks(tmp_path):
-    # egorov and multiplicativity take the n = 1 route at n = 2: the only
-    # operators left in the context are rho of the torus generators
+    # egorov and multiplicativity take the n = 1 route at n = 2, and neither
+    # leaves an operator in the context: the torus certificate steps its
+    # probe by the generators' kernels
     out_json = tmp_path / "n2-identities.json"
     rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
                   "--pmax", "5", "--checks", "egorov,multiplicativity",
@@ -455,9 +458,7 @@ def test_sweep_n2_identity_checks(tmp_path):
     assert [rp["p"] for rp in report["primes"]] == [3, 5]
     for rp in report["primes"]:
         assert [c["status"] for c in rp["checks"]] == ["pass", "pass"]
-        torus = PrimeContext.build(cli.validate_ergodic(cli.SP4_FIXTURE),
-                                   PrimeModulus(rp["p"], 2)).torus
-        assert rp["routes"]["closed-form"] == len(torus.generators)
+        assert rp["routes"] == {}
 
 
 def test_shared_artifacts_built_once_per_prime(tmp_path, monkeypatch):
@@ -688,6 +689,9 @@ def test_unmeasurable_conventions_are_one_header_error(tmp_path, monkeypatch):
         def __call__(self, flat, cols=slice(None)):
             return np.conj(super().__call__(flat, cols))
 
+        def rows(self, lam, cols=slice(None)):
+            return np.conj(super().rows(lam, cols))
+
     def counted(xi, rho_dense, pm):
         calls.append(pm.p)
         return real_pair(xi, rho_dense, pm)
@@ -791,7 +795,7 @@ def test_table_sweep_builds_no_operator_of_the_torus(sp4_elem, tmp_path, monkeyp
     run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "13", "--pmax", "13",
              "--checks", "bound,refined,factorization", "--out-json", str(out_json)])
     (rp,) = json.loads(out_json.read_text())["primes"]
-    assert rp["routes"] == {"generator-formula": 1}
+    assert rp["routes"] == {}
     assert [c["status"] for c in rp["checks"]] == ["fail", "pass", "pass"]
     (ctx,) = contexts
     assert "sums" in vars(ctx)

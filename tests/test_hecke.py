@@ -11,8 +11,8 @@ from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
 from torusque.heisenberg import pi_op
 
 from oracles import (centralizer_elements, character_table, character_value,
-                     character_value_of_exps, dense_ops, generator_ops, hecke_average,
-                     linearize_on_torus, projector)
+                     character_value_of_exps, dense_ops, fourier_matrix, generator_ops,
+                     hecke_average, linearize_on_torus, projector, shear_matrix)
 from oracles import torus_structure as torus_structure_oracle
 
 
@@ -62,10 +62,10 @@ def test_centralizer_against_full_group_scan_n2(sp4_elem):
     # element (closure size must be the full group order 51840)
     p = 3
     pm = PrimeModulus(p, 2)
-    gens = [weil.shear_matrix(((1, 0), (0, 0)), pm),
-            weil.shear_matrix(((0, 0), (0, 1)), pm),
-            weil.shear_matrix(((0, 1), (1, 0)), pm),
-            weil.fourier_matrix(pm)]
+    gens = [shear_matrix(((1, 0), (0, 0)), pm),
+            shear_matrix(((0, 0), (0, 1)), pm),
+            shear_matrix(((0, 1), (1, 0)), pm),
+            fourier_matrix(pm)]
     seen = {identity_mat(4)}
     frontier = [identity_mat(4)]
     while frontier:

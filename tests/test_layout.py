@@ -21,7 +21,13 @@ p^{2n} x 2n lattice table lives only in `tests/oracles.py`, and the program
 maps xi in chunks of flat indices.  No function of `src/torusque/` takes a
 parameter named `sign`, and none defines or reads `measure_split_sign` or
 `split_sign`: the closed-form diagonal trace has one orientation, and its
-measurement against the other lives only in `tests/oracles.py`.
+measurement against the other lives only in `tests/oracles.py`.  No module
+of `src/torusque/` forms or multiplies by a p^n x p^n Fourier matrix: none
+defines, imports or reads `fourier_op`, `_psi_dots` or an attribute
+`fourier` (the dense rho(fourier) a `WeilRep` once kept), and none takes a
+product `a @ a.T` of an array with its own transpose (the p^n x p^n table
+of x.y over `index_vectors`); the Fourier kernel is applied one digit at a
+time.
 """
 
 import ast
@@ -323,3 +329,37 @@ def test_orientation_guard_flags_every_use(tmp_path):
         "        return sign\n")
     assert orientation_options(tmp_path) == ["mod:1", "mod:3", "mod:8", "mod:10",
                                              "mod:13"]
+
+
+DENSE_FOURIER_NAMES = {"fourier_op", "_psi_dots", "fourier"}
+
+
+def _is_self_gram(node) -> bool:
+    """`a @ a.T`: an array times its own transpose."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+        and isinstance(node.right, ast.Attribute) and node.right.attr == "T" \
+        and ast.dump(node.right.value) == ast.dump(node.left)
+
+
+def dense_fourier_uses(src: Path = SRC) -> list[str]:
+    """module:line of every definition, import, name or attribute spelled
+    like a DENSE_FOURIER_NAMES entry, and of every product `a @ a.T`, in the
+    code of src/ (docstrings and comments may mention them)."""
+    return _flagged_lines(src, lambda node: DENSE_FOURIER_NAMES.intersection(_spelled(node))
+                          or _is_self_gram(node))
+
+
+def test_no_module_forms_a_dense_fourier_matrix():
+    assert dense_fourier_uses() == []
+
+
+def test_dense_fourier_guard_flags_every_use(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from .weil import fourier_op\n\n"
+        "def _psi_dots(pts):\n"
+        "    return pts @ pts.T  # pts @ pts.T\n\n"
+        "def f(rep, z, w, f1):\n"
+        "    \"\"\"Not rep.fourier, nor w @ w.T.\"\"\"\n"
+        "    return rep.fourier @ z, w @ z.T, f1 @ w, np.outer(w, w)\n")
+    assert dense_fourier_uses(tmp_path) == ["mod:2", "mod:4", "mod:5", "mod:9"]

@@ -18,7 +18,7 @@ from torusque.ffcore import PrimeModulus
 from torusque.quevaluator import PrimeContext
 from torusque.weil import linearize, random_sp
 
-from oracles import build_many, dense_pair_check, generator_ops, numpy_probe_block
+from oracles import build_many, dense_pair_check, numpy_probe_block
 
 CASES = [(1, 7), (1, 43), (2, 5), (2, 13)]
 
@@ -34,13 +34,15 @@ def _pairs(pm, seed, sampled=20):
 
 @pytest.mark.parametrize("n,p", CASES)
 def test_apply_many_equals_dense_products(n, p, rep_cache):
-    # the triples span several batches and include the U(-S) branch of the
-    # relation pairs; each element's block is its own or the shared one
+    # the triples span several batches and include the monomial kernel of
+    # the relation pairs and, at n = 2, the U(-S) branch of sampled
+    # products; each element's block is its own or the shared one
     pm = PrimeModulus(p, n)
     rep = rep_cache(p, n)
     bs = weil.pair_triples(_pairs(pm, p, sampled=100), pm)
     assert len(bs) > weil.apply_length(pm, weil.PROBE_COLUMNS)
-    assert weil.factorize(pm, bs).mask.any()
+    fac = weil.factorize(pm, bs)
+    assert fac.monomial.any() and fac.mask.any() == (n > 1)
     rng = np.random.default_rng(p)
     shared = weil.probe_block(pm, p)
     own = rng.standard_normal((len(bs), pm.dim, 3)) + 1j * rng.standard_normal(
@@ -78,7 +80,7 @@ def test_gamma_equals_the_numpy_probe_gamma(n, pmax, monkeypatch):
     monkeypatch.setattr(weil, "probe_block", numpy_probe_block)
     for p in primes:
         pm = PrimeModulus(p, n)
-        assert abs(got[p] - weil.solve_gamma(pm, weil.fourier_op(pm, 1.0))) <= 1e-12
+        assert abs(got[p] - weil.solve_gamma(pm)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -155,44 +157,41 @@ def test_one_entry_corruption_fails_the_torus_certificate(n, p, rep_cache,
                                                           torus_cache, monkeypatch):
     torus = torus_cache(p, n)
     rep = linearize(PrimeModulus(p, n))
-    ops = generator_ops(rep, torus)
     x = weil.probe_block(rep.pm, p)
-    assert weil.certify_torus(rep, torus, ops, probe=x) <= 1e-8
+    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
     _corrupt(rep, torus.elements[3], monkeypatch)
-    assert weil.certify_torus(rep, torus, ops, probe=x) > 1e-8
+    assert weil.certify_torus(rep, torus, probe=x) > 1e-8
 
 
 @pytest.mark.parametrize("n,p", [(1, 11), (2, 13)])
 def test_generator_of_the_wrong_order_fails_the_torus_certificate(n, p, torus_cache,
                                                                   monkeypatch):
-    # R_1 = rho(g_1) scaled by e^(i pi/m_1), and every rho(B) X by
-    # e^(i pi e_1(B)/m_1) to match: the R_i commute and rho(B) X =
-    # prod_i R_i^e_i(B) X still hold, but R_1^m_1 = -I, which only the
-    # wrap-around step of the certificate reads
+    # every kernel's row phases, the stepping generators' and apply_many's,
+    # scaled by e^(i pi e_1(B)/m_1): R_1 = rho(g_1) e^(i pi/m_1), and the
+    # R_i commute and rho(B) X = prod_i R_i^e_i(B) X still hold, but
+    # R_1^m_1 = -I, which only the wrap-around step of the certificate reads
     torus = torus_cache(p, n)
     rep = linearize(PrimeModulus(p, n))
-    ops = generator_ops(rep, torus)
     x = weil.probe_block(rep.pm, p)
-    assert weil.certify_torus(rep, torus, ops, probe=x) <= 1e-8
+    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
     m = torus.generators[0][1]
     twist = np.exp(1j * np.pi / m)
-    ops[0] *= twist
-    real = rep.apply_many
+    real = weil._kernel
 
-    def twisted(bs, z, deadline=None):
-        e1 = [torus.dlog[tuple(map(tuple, np.asarray(b).tolist()))][0] for b in bs]
-        return real(bs, z, deadline) * twist ** np.array(e1)[:, None, None]
+    def twisted(rep, fac):
+        src, row, *rest = real(rep, fac)
+        e1 = [torus.dlog[tuple(map(tuple, b.tolist()))][0] for b in fac.elements]
+        return (src, row * twist ** np.array(e1)[:, None], *rest)
 
-    monkeypatch.setattr(rep, "apply_many", twisted)
-    assert abs(weil.certify_torus(rep, torus, ops, probe=x) - 2 * np.abs(x).max()) < 1e-8
+    monkeypatch.setattr(weil, "_kernel", twisted)
+    assert abs(weil.certify_torus(rep, torus, probe=x) - 2 * np.abs(x).max()) < 1e-8
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5)])
 def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_elem,
                                                           torus_cache, monkeypatch):
-    # the pair check builds no dense rho(B), and the torus certificate none
-    # but the generator stack it is given; the context builds that stack in
-    # one chunk, once
+    # neither the pair check nor the torus certificate builds a dense
+    # rho(B): the certificate steps its probe by the generators' kernels
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     torus = torus_cache(p, n)
@@ -207,15 +206,10 @@ def test_probe_checks_form_no_operator_but_the_generators(n, p, cat_map, sp4_ele
     x = weil.probe_block(pm, p)
     sampled = None if p == 3 else _pairs(pm, p)
     assert weil.check_multiplicativity(rep, sampled, probe=x).ok
-    assert built == [] and vars(rep).keys() == {"pm", "gamma", "fourier"}
-    ctx = PrimeContext(cat_map if n == 1 else sp4_elem, torus, rep)
-    assert weil.certify_torus(rep, torus, ctx.generator_ops, probe=x) <= 1e-8
-    assert built == [len(torus.generators)]
-    assert ctx.generator_ops.shape == (len(torus.generators), pm.dim, pm.dim)
+    assert weil.certify_torus(rep, torus, probe=x) <= 1e-8
+    assert built == [] and vars(rep).keys() == {"pm", "gamma", "f1", "v1"}
     # the sweep's check on a built context builds nothing and keeps nothing
     ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
-    ctx.decomposition                       # reads rho of the generators
-    built.clear()
     before = dict(vars(ctx))
     assert cli._check_multiplicativity(ctx, random.Random(p)).status == "pass"
     assert built == [] and vars(ctx).keys() == before.keys()

@@ -95,7 +95,8 @@ def test_invariance_identity_conjugator(cat_map, rep_cache, torus_cache):
 
 def test_invariance_under_fourier_element(rep_cache):
     # S = the Fourier element, random xi, every B in SL2(F_5)
-    from torusque.weil import fourier_matrix, sp_elements
+    from oracles import fourier_matrix
+    from torusque.weil import sp_elements
     pm = PrimeModulus(5, 1)
     rep = rep_cache(5)
     s = fourier_matrix(pm)

@@ -29,7 +29,8 @@ from torusque.heisenberg import CHUNK_BYTES
 from torusque.quevaluator import PrimeContext
 
 from oracles import (build_many, dense_pair_check, eager_violations, egorov_deviation_loop,
-                     factorization_counts_loop, generic_mask_full, lattice_vectors,
+                     factorization_counts_loop, fourier_matrix, fourier_op, generic_mask_full,
+                     lattice_vectors,
                      orbit_labels_full, orbits_by_unique, pair_check_per_role,
                      measure_split_sign, refined_rows_loop, split_trace_deviation_per_a,
                      split_trace_formula, trace_column)
@@ -117,8 +118,8 @@ def test_egorov_deviation_stays_within_two_chunks_beyond_the_operator(rep_cache)
     # comparison cuts its rows instead of forming p^n x p^n temporaries
     pm = PrimeModulus(13, 2)
     rep = rep_cache(13, 2)
-    f = rep.fourier[None]
-    b = weil.fourier_matrix(pm)
+    b = fourier_matrix(pm)
+    f = next(rep.build_chunks([b]))
     assert f.nbytes > CHUNK_BYTES
     tracemalloc.start()
     try:
@@ -127,25 +128,26 @@ def test_egorov_deviation_stays_within_two_chunks_beyond_the_operator(rep_cache)
     finally:
         tracemalloc.stop()
     assert dev <= weil.egorov_tol(pm)
-    assert dev == egorov_deviation_loop(rep.fourier, b, pm)
+    assert dev == egorov_deviation_loop(f[0], b, pm)
     assert peak <= 2 * CHUNK_BYTES
 
 
-def test_linearize_builds_the_fourier_kernel_once(monkeypatch):
-    pm = PrimeModulus(11, 2)
-    real = weil._psi_dots
-    calls = []
-
-    def counted(pm):
-        calls.append(pm)
-        return real(pm)
-
-    monkeypatch.setattr(weil, "_psi_dots", counted)
-    rep = weil.linearize(pm)
-    assert calls == [pm]
-    assert rep.gamma == weil.solve_gamma(pm, weil.fourier_op(pm, 1.0))
-    assert np.array_equal(rep.fourier, weil.fourier_op(pm, rep.gamma))
-    assert not rep.fourier.flags.writeable
+def test_linearize_forms_only_one_digit_kernels():
+    # gamma from the probe block, F1 and V_1 kept read-only at p x p, and no
+    # array of a dense p^n x p^n operator's size (14.8 MB here) formed
+    pm = PrimeModulus(31, 2)
+    tracemalloc.start()
+    try:
+        rep = weil.linearize(pm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * pm.dim ** 2 / 16
+    assert rep.gamma == weil.solve_gamma(pm)
+    assert np.array_equal(rep.f1, heisenberg.digit_kernel(31) / np.sqrt(31))
+    assert rep.f1.shape == rep.v1.shape == (31, 31)
+    assert not rep.f1.flags.writeable and not rep.v1.flags.writeable
+    assert np.abs(np.kron(rep.f1, rep.f1) * rep.gamma - fourier_op(pm, rep.gamma)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (1, 97), (2, 5), (2, 13)])

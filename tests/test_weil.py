@@ -9,14 +9,14 @@ from torusque import cli, ffcore, weil
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod, mat_mul
 from torusque.heisenberg import pi_op
 from torusque.quevaluator import PrimeContext
-from torusque.weil import (ConstructionError, fourier_op, egorov_deviation, linearize,
-                           random_sp, solve_gamma, sp_elements)
+from torusque.weil import (ConstructionError, egorov_deviation, linearize, random_sp,
+                           solve_gamma, sp_elements)
 
-from oracles import (SpFactor, build, build_many, dense_ops, dilate_matrix, dilate_op,
-                     egorov_deviation_loop, generator_ops, linearize_on_torus, mat_det,
-                     mat_neg, mat_transpose, mats, schur_intertwiner, shear_op,
-                     solve_gamma_dense, sp_blocks, sp_word, torus_pair_scan, word_matrix,
-                     word_operator)
+from oracles import (SpFactor, build, build_many, certify_torus_dense, dense_ops, dilate_matrix,
+                     dilate_op, egorov_deviation_loop, fourier_matrix, fourier_op, generator_ops,
+                     linearize_on_torus, mat_det, mat_neg, mat_transpose, mats,
+                     schur_intertwiner, shear_matrix, shear_op, solve_gamma_dense, sp_blocks,
+                     sp_word, torus_pair_scan, word_matrix, word_operator)
 
 
 def test_dilate_identity():
@@ -62,8 +62,8 @@ def test_rep_fourier_powers(rep_cache):
     # rho(w)^2 = gamma^2 * parity, rho(w)^4 proportional to the identity
     pm = PrimeModulus(7, 1)
     rep = rep_cache(7)
-    w = rep.fourier
-    assert np.abs(build(rep, weil.fourier_matrix(pm)) - w).max() < 1e-12
+    w = build(rep, fourier_matrix(pm))
+    assert np.abs(w - rep.gamma * rep.f1).max() < 1e-12
     parity = np.zeros((7, 7))
     for x in range(7):
         parity[x, (-x) % 7] = 1.0
@@ -98,23 +98,23 @@ def test_gamma_solved_values():
     # gamma is a unimodular solution of gamma^2 = legendre(-1), gamma^3 = 1/c
     for p in (3, 5, 7, 11):
         pm = PrimeModulus(p, 1)
-        gamma = solve_gamma(pm, fourier_op(pm, 1.0))
+        gamma = solve_gamma(pm)
         assert abs(abs(gamma) - 1) < 1e-12
         assert abs(gamma * gamma - legendre(-1, p)) < 1e-9
     pm3 = PrimeModulus(3, 1)
-    assert abs(solve_gamma(pm3, fourier_op(pm3, 1.0)) - (-1j)) < 1e-12
+    assert abs(solve_gamma(pm3) - (-1j)) < 1e-12
 
 
 @pytest.mark.parametrize("n,p", [(1, p) for p in ffcore.odd_primes(3, 97)]
                          + [(2, p) for p in (3, 5, 7, 11, 13)])
 def test_gamma_matches_dense_cube(n, p):
     pm = PrimeModulus(p, n)
-    assert abs(solve_gamma(pm, fourier_op(pm, 1.0)) - solve_gamma_dense(pm)) < 1e-12
+    assert abs(solve_gamma(pm) - solve_gamma_dense(pm)) < 1e-12
 
 
 def test_gamma_rejects_a_cube_that_is_not_scalar(monkeypatch):
-    # one root of unity off by a 1e-6 phase, in F and in D_I: K^3 is no
-    # longer scalar, and the probe block sees it
+    # one root of unity off by a 1e-6 phase in D_I (F1 reads heisenberg's
+    # table): K^3 is no longer scalar, and the probe block sees it
     real = weil.root_table
 
     def corrupted(p):
@@ -125,7 +125,7 @@ def test_gamma_rejects_a_cube_that_is_not_scalar(monkeypatch):
     monkeypatch.setattr(weil, "root_table", corrupted)
     pm = PrimeModulus(7, 1)
     with pytest.raises(ConstructionError, match="not scalar"):
-        solve_gamma(pm, fourier_op(pm, 1.0))
+        solve_gamma(pm)
 
 
 def test_linearize_identity(rep_cache):
@@ -225,7 +225,7 @@ def test_schur_intertwiner_seed_independence_up_to_phase():
 def test_schur_intertwiner_fourier_proportional():
     pm = PrimeModulus(5, 1)
     rng = np.random.default_rng(3)
-    w = schur_intertwiner(weil.fourier_matrix(pm), pm, rng)
+    w = schur_intertwiner(fourier_matrix(pm), pm, rng)
     f = fourier_op(pm, 1.0)
     ratio = w @ np.linalg.inv(f)
     phase = ratio[0, 0]
@@ -261,7 +261,7 @@ def test_corrupted_generator_operator_fails_the_egorov_check(cat_map, torus_cach
     (res,) = report["checks"]
     assert res["status"] == "fail"
     assert res["witnesses"][0]["error"].startswith("ConstructionError: Egorov deviation")
-    assert report["routes"] == {"generator-formula": 1}
+    assert report["routes"] == {}
 
 
 def test_corrupted_shear_diagonal_fails_linearize(monkeypatch):
@@ -296,19 +296,21 @@ def test_weilrep_n2_dispatch(sp4_elem):
     pm = PrimeModulus(3, 2)
     rep = linearize(pm)
     s = ((1, 2), (2, 0))
-    b_shear = weil.shear_matrix(s, pm)
+    b_shear = shear_matrix(s, pm)
     m = ((2, 1), (0, 1))
     b_dil = dilate_matrix(m, pm)
-    b_f = mat_mod(weil.fourier_matrix(pm), 3)
+    b_f = mat_mod(fourier_matrix(pm), 3)
     b = mat_mod(sp4_elem.matrix, 3)
     op_shear, op_dil, op_f, w = build_many(rep, [b_shear, b_dil, b_f, b])
     assert np.abs(op_shear - shear_op(s, pm)).max() < 1e-12
     assert np.abs(op_dil - dilate_op(m, pm)).max() < 1e-12
-    # the closed-form kernel of fourier equals the generator formula rep keeps
+    # the closed-form kernel of fourier equals the generator formula, which
+    # rep keeps as its one-digit factor F1
     assert np.abs(op_f - fourier_op(pm, rep.gamma)).max() < 1e-12
-    assert np.abs(rep.fourier - fourier_op(pm, rep.gamma)).max() < 1e-12
-    # shears and dilations (Bb = 0) take the S = I branch, fourier S = 0
-    assert weil.factorize(pm, [b_shear, b_dil, b_f]).mask.tolist() == [3, 3, 0]
+    assert np.abs(np.kron(rep.f1, rep.f1) - fourier_op(pm)).max() < 1e-12
+    # shears and dilations (Bb = 0) take the monomial kernel, fourier S = 0
+    fac = weil.factorize(pm, [b_shear, b_dil, b_f])
+    assert fac.monomial.tolist() == [True, True, False] and fac.mask.tolist() == [0, 0, 0]
     assert np.abs(w @ w.conj().T - np.eye(9)).max() < 1e-9
     assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * 3
     assert _phase_dev(w, schur_intertwiner(b, pm, np.random.default_rng(0))) < 1e-9
@@ -581,18 +583,19 @@ def test_random_blocks_reach_every_allowed_residue(n):
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (2, 5), (2, 7)])
 def test_torus_certificate_agrees_with_pair_scan(n, p, rep_cache, torus_cache):
     rep, torus = rep_cache(p, n), torus_cache(p, n)
-    cert = weil.certify_torus(rep, torus, generator_ops(rep, torus),
-                              probe=weil.probe_block(rep.pm, 0))
+    probe = weil.probe_block(rep.pm, 0)
+    cert = weil.certify_torus(rep, torus, probe=probe)
+    dense = certify_torus_dense(rep, torus, generator_ops(rep, torus), probe=probe)
     scan = torus_pair_scan(rep, torus)
     assert scan.ok and scan.pairs_checked == torus.order ** 2
     assert cert <= 1e-8
-    assert abs(cert - scan.max_dev) <= 1e-12
+    assert abs(cert - scan.max_dev) <= 1e-12 and abs(cert - dense) <= 1e-12
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 43), (2, 5), (2, 13)])
 def test_relation_pairs_hold(n, p):
     # every defining relation, as a pair of check_multiplicativity, holds to 1e-12;
-    # the shears and dilations (Bb = 0) take the S = I branch, mask 2^n - 1
+    # the shears and dilations (Bb = 0) take the monomial kernel, mask 0
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     pairs = weil.relation_pairs(pm, random.Random(p))
@@ -604,7 +607,8 @@ def test_relation_pairs_hold(n, p):
     rpt = weil.check_multiplicativity(rep, pairs, tol=1e-12,
                                       probe=weil.probe_block(pm, p))
     assert rpt.ok and rpt.pairs_checked == len(pairs)
-    assert (weil.factorize(pm, zero_bb).mask == 2 ** n - 1).all()
+    fac = weil.factorize(pm, zero_bb)
+    assert fac.monomial.all() and not fac.mask.any()
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (2, 5)])
@@ -615,7 +619,8 @@ def test_relation_pairs_catch_a_wrong_fourier_normalization(n, p, rep_cache):
     rep = rep_cache(p, n)
     omega = np.exp(2j * np.pi / 3)
     twisted = weil.WeilRep(pm, rep.gamma * omega)
-    assert np.abs(twisted.fourier - omega * rep.fourier).max() < 1e-15
+    f = fourier_matrix(pm)
+    assert np.abs(build(twisted, f) - omega * build(rep, f)).max() < 1e-15
     pairs = weil.relation_pairs(pm, random.Random(0))
     assert weil.check_multiplicativity(rep, pairs, probe=weil.probe_block(pm, 0)).ok
     rpt = weil.check_multiplicativity(twisted, pairs, probe=weil.probe_block(pm, 0))
@@ -628,4 +633,4 @@ def test_torus_certificate_catches_swapped_dlog(rep_cache, torus_cache):
     dlog = dict(torus.dlog)
     dlog[b1], dlog[b2] = dlog[b2], dlog[b1]
     rep = rep_cache(7, 2)
-    assert weil.certify_torus(rep, replace(torus, dlog=dlog), generator_ops(rep, torus)) > 0.1
+    assert weil.certify_torus(rep, replace(torus, dlog=dlog)) > 0.1
