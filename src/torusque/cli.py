@@ -182,7 +182,7 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
 
     # the dense operators the context keeps: rho of the torus generators,
     # once a check has read them
-    routes = {"closed-form": len(ctx.generator_ops)} if "generator_ops" in vars(ctx) else {}
+    routes = {"closed-form": len(ctx.torus.generators)} if "generator_ops" in vars(ctx) else {}
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
             "torus_order": ctx.torus.order, "routes": routes,
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
@@ -242,48 +242,45 @@ def _check_relations(ctx, rng):
 
 def _check_egorov(ctx, rng):
     """rho(B) T(xi) = T(B xi) rho(B) at the 2n unit vectors xi, for the torus
-    generators g_i, 25 random_sp samples and 5 products of them.
+    generators g_i, 25 random_sp samples and 5 products of them, on a probe
+    block X of weil.PROBE_COLUMNS i.i.d. standard complex Gaussian columns,
+    seeded with rng.getrandbits(63) after the samples; rng is the prime's
+    random.Random, shared with the multiplicativity check in check order.
+    Both sides come from one rep.apply_many of the stacked block
+    (`weil.egorov_on_probe`), so no rho(B) is formed.
 
-    With what the `relations` and `multiplicativity` checks certify, this
-    proves the identity for every B in T at every xi.  Let D be the largest
-    deviation measured here.  Write xi = sum_j c_j e_j with 0 <= c_j < p.
-    By the relation T(xi) T(eta) = psi(eps nu omega(xi, eta)) T(xi + eta),
-    T(xi) is a phase times a product of sum_j c_j <= 2n(p - 1) unit
-    translations, and T(B xi) is the same phase times the product of their
-    images, as B preserves omega.  Conjugation by a unitary moves each
-    factor by at most p^n D in operator norm (a p^n x p^n matrix has norm
-    at most p^n times its largest entry).  So, to first order, rho(g_i)
-    deviates by at most 2n(p - 1) p^n D at any xi.  `certify_torus` reads
-    rho(B) - prod_i rho(g_i)^e_i(B) on a Gaussian probe block of r columns,
-    a per-probe deviation.  If that passes tol, every entry of the
-    difference is below C except with probability at most (tol/C)^(2r)
-    over the probe (`weil` module docs; 1e-16 for tol = 1e-8, C = 1e-6 and
-    r = 4).  With that probability, rho(B) for B in T deviates by at most
-    |e(B)| 2n(p - 1) p^n D + 2 p^n C at any xi, with |e(B)| = sum_i e_i(B).
-    Every operator is built through rep.build_chunks, checked a chunk at a
-    time (`weil.egorov_deviation`) and dropped.
+    max_dev is the per-probe deviation max |M X| over the elements and unit
+    vectors, M = rho(B) T(e_j) - T(B e_j) rho(B).  If it passes tol = 1e-8,
+    every entry of every M is below C except with probability at most
+    (tol/C)^(2r) over X, r = PROBE_COLUMNS (`weil` module docs; 1e-16 for
+    C = 1e-6 and r = 4).  With what the `relations` and `multiplicativity`
+    checks certify, this proves the identity for every B in T at every xi.
+    Write xi = sum_j c_j e_j with 0 <= c_j < p.  By the relation T(xi) T(eta)
+    = psi(eps nu omega(xi, eta)) T(xi + eta), T(xi) is a phase times a
+    product of sum_j c_j <= 2n(p - 1) unit translations, and T(B xi) is the
+    same phase times the product of their images, as B preserves omega.
+    Conjugation by a unitary moves each factor by at most p^n C in operator
+    norm (a p^n x p^n matrix has norm at most p^n times its largest entry).
+    So, to first order, rho(g_i) deviates by at most 2n(p - 1) p^n C at any
+    xi.  `certify_torus` holds rho(B) - prod_i rho(g_i)^e_i(B) to the same
+    per-probe tol, so its entries are below C with the same probability.
+    Then rho(B) for B in T deviates by at most |e(B)| 2n(p - 1) p^n C +
+    2 p^n C at any xi, with |e(B)| = sum_i e_i(B).
     """
     pm, rep = ctx.pm, ctx.rep
-    tol = weil.egorov_tol(pm)
     # the samples have an invertible upper-right block; a few products of
     # them also reach a zero and a singular nonzero one
     samples = weil.random_sp(pm, rng, 25)
     products = samples[:5] @ samples[5:10] % pm.p     # entries below 2n p^2
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, products])
-    # built, checked and dropped: the context keeps none of them
-    devs, lo = [], 0
-    for stack in rep.build_chunks(elements, ctx.deadline):
-        devs.append(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
-        lo += len(stack)
-        del stack                       # not held while the next chunk is built
-    devs = np.concatenate(devs)
+    probe = weil.probe_block(pm, rng.getrandbits(63))
+    devs = weil.egorov_on_probe(lambda z: rep.apply_many(elements, z, ctx.deadline),
+                                elements, pm, probe)
     worst = float(devs.max())
-    witness = []
-    if worst > tol:
-        b = elements[devs.argmax()]
-        witness = [{"B": tuple(map(tuple, b.tolist())), "dev": worst}]
-    ok = worst <= tol
+    ok = worst <= 1e-8
+    witness = [] if ok else [{"B": tuple(map(tuple, elements[devs.argmax()].tolist())),
+                              "dev": worst}]
     return CheckResult("egorov", "pass" if ok else "fail", max_dev=worst,
                        witnesses=witness)
 

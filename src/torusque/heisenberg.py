@@ -33,8 +33,8 @@ from .ffcore import PrimeModulus, symplectic_form
 _CACHED_MODULI = 64
 
 # bytes built or compared at once: a chunk of operators or a factorization
-# (weil's build_chunks), of rows (egorov_deviation), of eta (check_relations)
-# or of orbits (quevaluator's character-sum table)
+# (weil's build_chunks), of eta (check_relations) or of orbits
+# (quevaluator's character-sum table)
 CHUNK_BYTES = 1 << 18
 
 

@@ -334,11 +334,16 @@ class PrimeContext:
     @cached_property
     def generator_ops(self) -> np.ndarray:
         """(k, p^n, p^n) stack of rho(g_i) for the torus generators, in their
-        order: one `build_chunks` stream, through `weil.check_egorov`."""
+        order: one `build_chunks` stream, Egorov-checked by products of the
+        stack with the probe (`weil.egorov_on_probe`, held to 1e-8)."""
         gens = [g for g, _ in self.torus.generators]
         stacks = list(self.rep.build_chunks(gens))
         ops = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        return weil.check_egorov(ops, gens, self.pm)
+        dev = weil.egorov_on_probe(lambda z: ops @ z, gens, self.pm)
+        if dev.max() > 1e-8:
+            raise weil.ConstructionError(
+                f"Egorov deviation {dev.max():.2e} for {gens[dev.argmax()]}")
+        return ops
 
     @cached_property
     def decomposition(self) -> hecke.EigenspaceDecomposition:
@@ -703,7 +708,8 @@ def refined_bound(ctx: PrimeContext) -> RefinedReport:
 
     Non-generic xi are outside the refinement's stratum; their maxima are
     recorded without assertion.  Both maxima are read per orbit row of the
-    table (`PrimeContext.generic_orbits`).  Nonsplit primes return
+    table (`PrimeContext.generic_orbits`), |a| a chunk of orbit rows at a
+    time, as `verify_que_bound` reads it.  Nonsplit primes return
     applicable=False.
     """
     transport = ctx.transport
@@ -714,9 +720,13 @@ def refined_bound(ctx: PrimeContext) -> RefinedReport:
     generic = ctx.generic_orbits
     nongeneric = ~generic
     nongeneric[0] = False
-    mags = np.abs(ctx.sums)
-    gmaxs = mags.max(axis=0, where=generic[:, None], initial=0.0)
-    ngmaxs = mags.max(axis=0, where=nongeneric[:, None], initial=0.0)
+    gmaxs, ngmaxs = np.zeros(ctx.torus.order), np.zeros(ctx.torus.order)
+    step = chunk_items(16 * ctx.torus.order)
+    for lo in range(0, len(generic), step):
+        mags = np.abs(ctx.sums[lo:lo + step])
+        for maxs, rows in ((gmaxs, generic), (ngmaxs, nongeneric)):
+            np.maximum(maxs, mags.max(axis=0, where=rows[lo:lo + step, None], initial=0.0),
+                       out=maxs)
 
     # per character, as arrays: transported and effective exponents, m and
     # the refined bound for that m

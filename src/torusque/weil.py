@@ -18,7 +18,8 @@ coordinates too, T(xi) = (x)_j T_1(lam_j, mu_j), and fourier and shear(I)
 act on each pair (lam_j, mu_j) as the n = 1 fourier and shear(1) do, so
 their identity is the tensor power of its n = 1 case (gamma cancels):
 `linearize` certifies it on F1 and diag(psi(nu a^2)) at p x p size, at the
-unit vectors, which the Heisenberg relation carries to every xi.  The
+unit vectors and on a probe block (`egorov_on_probe`), which the
+Heisenberg relation carries to every xi.  The
 normalization gamma is solved, not assumed: with K = F D_I (D_I the shear
 of the identity block), (fourier * shear(I))^3 is the identity in
 Sp(2n, F_p), so K^3 must be a scalar c by irreducibility, and
@@ -76,10 +77,11 @@ numpy.random.
 
 The certificates' max_dev is therefore a per-probe deviation max |M X|,
 M = rho(B1) rho(B2) - rho(B1 B2), not the entrywise max |M| (Freivalds'
-argument).  If some entry of M has modulus >= eps, the r entries of its row
-of M X are independent CN(0, s^2) with s >= eps, so all of them stay
-within tol with probability at most (tol/eps)^(2r): 1e-16 for tol = 1e-8,
-eps = 1e-6 and r = 4.
+argument), and so is the Egorov deviation (`egorov_on_probe`), M =
+rho(B) T(e_j) - T(B e_j) rho(B).  If some entry of M has modulus >= eps,
+the r entries of its row of M X are independent CN(0, s^2) with s >= eps,
+so all of them stay within tol with probability at most (tol/eps)^(2r):
+1e-16 for tol = 1e-8, eps = 1e-6 and r = 4.
 """
 
 from __future__ import annotations
@@ -126,11 +128,6 @@ def apply_length(pm: PrimeModulus, columns: int) -> int:
     kernel (p^n int64 row sources, 2 p^n complex phases and at most 2n p^n
     int64 intermediates per element)."""
     return chunk_items(max(32 * pm.dim * columns, 8 * pm.dim * (5 + 2 * pm.n)))
-
-
-def egorov_tol(pm: PrimeModulus) -> float:
-    """Largest Egorov deviation accepted for an operator: 1e-9 p^(n/2)."""
-    return 1e-9 * pm.p ** (pm.n / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,43 +365,6 @@ def _apply_plan(rep: WeilRep, z, out, src, row, col, mask, monomial):
     return out
 
 
-def egorov_deviation(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
-    """max | rho(B) T(xi) - T(B xi) rho(B) | over the 2n unit vectors xi, for
-    every operator of a (k, p^n, p^n) stack and its element B of bs (a
-    sequence or stack of k matrices): a (k,) array.
-
-    Every element at once from integer (src, expo) arrays: with T(xi)
-    f(x) = psi(e[x]) f(s[x]) and T(B xi) f(x) = psi(e'[x]) f(s'[x]), entry
-    (r, s[i]) of the two sides is rho[r, i] psi(e[i]) and
-    psi(e'[r]) rho[s'[r], s[i]].  Compared one xi and one block of rows r at
-    a time, the rows cut so that each (k, rows, p^n) complex temporary holds
-    CHUNK_BYTES / 4: beyond the stack, the comparison holds two of them, one
-    half as large (the flat gather indices, then the moduli) and numpy's
-    ufunc buffers, about 1.2 CHUNK_BYTES at n = 2, p = 13 and 19.
-    `cli._check_egorov` states what the unit vectors prove for every xi.
-    """
-    p, n, d = pm.p, pm.n, pm.dim
-    k = len(stack)
-    src, expo = pi_exponents_many(np.eye(2 * n, dtype=np.int64), pm)
-    # B e_j is column j of B
-    images = (np.asarray(bs, dtype=np.int64) % p).transpose(0, 2, 1).reshape(-1, 2 * n)
-    bsrc, bexpo = (a.reshape(k, 2 * n, d) for a in pi_exponents_many(images, pm))
-    roots = root_table(p)
-    first = (np.arange(k) * d * d)[:, None, None]   # flat offset of each operator
-    step = chunk_items(64 * max(k, 1) * d)
-    dev = np.zeros(k)
-    for j in range(2 * n):
-        phase = roots[expo[j]]
-        for lo in range(0, d, step):
-            rows = slice(lo, lo + step)
-            lhs = stack[:, rows] * phase
-            rhs = np.take(stack, (bsrc[:, j, rows, None] * d + first) + src[j])
-            np.multiply(roots[bexpo[:, j, rows, None]], rhs, out=rhs)
-            lhs -= rhs
-            np.maximum(dev, np.abs(lhs).max(axis=(1, 2)), out=dev)
-    return dev
-
-
 def solve_gamma(pm: PrimeModulus) -> complex:
     """Fix the Fourier normalization from the cube relation (see module docs).
 
@@ -435,31 +395,56 @@ def solve_gamma(pm: PrimeModulus) -> complex:
     return complex(gamma)
 
 
-def check_egorov(stack: np.ndarray, bs, pm: PrimeModulus) -> np.ndarray:
-    """stack, a (k, p^n, p^n) stack of rho(B) for the k elements of bs, once
-    every operator passes the Egorov identity (`egorov_deviation`) to
-    egorov_tol(pm); raises ConstructionError otherwise."""
-    dev = egorov_deviation(stack, bs, pm)
-    if dev.max() > egorov_tol(pm):
-        i = int(dev.argmax())
-        raise ConstructionError(f"Egorov deviation {dev[i]:.2e} for {np.asarray(bs)[i].tolist()}")
-    return stack
-
-
 def linearize(pm: PrimeModulus) -> WeilRep:
     """Build the representation with all free phases pinned: gamma from
     `solve_gamma`, then the Egorov identity of the two generators it reads,
     fourier and shear(I), on their one-digit factors F1 and
-    diag(psi(nu a^2)) at n = 1 (`check_egorov`).  Both operators are
-    tensor powers of these factors, and so are the translations, so the
-    identity at n = 1 is the identity in every factor (module docs).  Only
-    the p x p factors are kept; nothing of size p^n x p^n is formed."""
+    diag(psi(nu a^2)) at n = 1, each applied to a p x PROBE_COLUMNS probe
+    (`egorov_on_probe`, held to 1e-8).  Both operators are tensor powers of
+    these factors, and so are the translations, so the identity at n = 1 is
+    the identity in every factor (module docs).  Only the p x p factors are
+    kept; nothing of size p^n x p^n is formed."""
     rep = WeilRep(pm, solve_gamma(pm))
     pm1 = PrimeModulus(pm.p, 1)
-    check_egorov(rep.f1[None], [((0, 1), (-1, 0))], pm1)                 # fourier
     d1 = root_table(pm.p)[_diagonal_shear_expo(pm1, 1)]
-    check_egorov(np.diag(d1)[None], [((1, 0), (-1, 1))], pm1)            # shear(1)
+    gens = [((0, 1), (-1, 0)), ((1, 0), (-1, 1))]                       # fourier, shear(1)
+    dev = egorov_on_probe(lambda z: np.stack([rep.f1 @ z, d1[:, None] * z]), gens, pm1)
+    if dev.max() > 1e-8:
+        raise ConstructionError(f"Egorov deviation {dev.max():.2e} for {gens[dev.argmax()]}")
     return rep
+
+
+def egorov_on_probe(apply, bs, pm: PrimeModulus, probe: np.ndarray | None = None) -> np.ndarray:
+    """The Egorov identity rho(B) T(xi) = T(B xi) rho(B) at the 2n unit
+    vectors xi = e_j, read on a probe block X for each of the k elements B
+    of bs (a sequence or stack of 2n x 2n matrices): the (k,) per-probe
+    deviations max_j |rho(B) (T(e_j) X) - T(B e_j) (rho(B) X)|.
+
+    apply(Z) returns the (k, p^n, c) stack of rho(B) Z for one p^n x c block
+    Z: rep.apply_many, or a product by a dense stack.  It is called once, on
+    X and the 2n blocks T(e_j) X side by side, which gives both sides;
+    T(B e_j) is then a row gather and a phase per element
+    (`pi_exponents_many`).  An entry of rho(B) T(e_j) - T(B e_j) rho(B) of
+    modulus eps keeps its deviation within tol with probability at most
+    (tol/eps)^(2r) over X (module docs).  probe defaults to
+    probe_block(pm, 0).  `cli._check_egorov` states what the unit vectors
+    prove for every xi."""
+    x = probe_block(pm, 0) if probe is None else probe
+    r, roots = x.shape[1], root_table(pm.p)
+    src, expo = pi_exponents_many(np.eye(2 * pm.n, dtype=np.int64), pm)
+    out = apply(np.concatenate([x, *(roots[e][:, None] * x[s] for s, e in zip(src, expo))],
+                               axis=1))
+    b = np.asarray(bs, dtype=np.int64)
+    every = np.arange(len(b))[:, None]
+    dev = np.zeros(len(b))
+    for j in range(2 * pm.n):
+        # T(B e_j) rho(B) X, B e_j column j of B: a row gather and a phase
+        bsrc, bexpo = pi_exponents_many(b[:, :, j], pm)
+        rhs = out[every, bsrc, :r]
+        rhs *= roots[bexpo][:, :, None]
+        rhs -= out[:, :, (j + 1) * r:(j + 2) * r]
+        np.maximum(dev, np.abs(rhs).max(axis=(1, 2)), out=dev)
+    return dev
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +582,16 @@ class MultiplicativityReport:
     ok: bool
 
 
-# columns of the Gaussian probe block the multiplicativity certificates read
+# columns of the Gaussian probe block the Egorov and multiplicativity
+# certificates read
 PROBE_COLUMNS = 4
 
 
 def probe_block(pm: PrimeModulus, seed: int) -> np.ndarray:
     """(p^n, PROBE_COLUMNS) block of i.i.d. standard complex Gaussians
-    CN(0, 1), the probe X of solve_gamma, check_multiplicativity and
-    certify_torus (module docs), the same block for the same seed.
+    CN(0, 1), the probe X of solve_gamma, egorov_on_probe,
+    check_multiplicativity and certify_torus (module docs), the same block
+    for the same seed.
 
     Two uniforms u1, u2 in (0, 1] per entry are the top 53 bits of
     little-endian 64-bit words of random.Random(seed).randbytes, and

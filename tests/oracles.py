@@ -64,7 +64,9 @@ reads it, `twisted_context`, whose character sums are the eigenbasis
 table of its own generators).  Operators built one element at a time
 along a word over the generators (`sp_word`, `word_operator`), which
 `WeilRep.build_chunks` replaces by one closed-form kernel per element, and the
-Egorov identity checked one xi at a time (`egorov_deviation_loop`).  The
+Egorov identity checked one xi at a time, entrywise on a dense operator
+(`egorov_deviation_loop`) or on a probe block through dense products by
+T(xi) (`egorov_probe_loop`, which `weil.egorov_on_probe` replaces).  The
 cyclic orbit average of the demo, one vector and one T(xi) per power at a
 time (`cyclic_average_loop`), which the demo reads by Egorov from one
 T(xi), its torus average one eigenspace projection at a time
@@ -123,8 +125,8 @@ from torusque.hecke import (EigenspaceDecomposition, HeckeTorus, TorusCharacter,
 from torusque.heisenberg import (CHUNK_BYTES, BudgetExceeded, FourierPolynomial,
                                  RelationReport, _phase_deviation,
                                  compose_exponents, digits, flat_index, index_vectors,
-                                 integral, pi_exponents, pi_exponents_many, quantize,
-                                 root_table)
+                                 integral, pi_exponents, pi_exponents_many, pi_op,
+                                 quantize, root_table)
 from torusque.quevaluator import RTOL, PrimeContext, SplitTransport, _trace_rows, trace_pair
 from torusque.weil import ConstructionError, MultiplicativityReport, WeilRep
 
@@ -368,8 +370,8 @@ def linearize_on_torus(torus, rep: WeilRep, root_index: tuple | int = 0) -> dict
     of order N_i.  Root index k = (k_1, ...) rescales rho(g_i) by
     exp(-2 pi i k_i / N_i), so every torus element B is multiplied by
     conj(chi_k(B)), chi_k the character with exponents k; k = 0 is the
-    canonical rho.  Every twisted operator passes the Egorov check
-    (`weil.check_egorov`).  rep is the canonical rho.
+    canonical rho.  Every twisted operator passes the Egorov check on the
+    probe (`weil.egorov_on_probe`, to 1e-8).  rep is the canonical rho.
     """
     if isinstance(root_index, int):
         root_index = (root_index,) * len(torus.generators)
@@ -377,7 +379,9 @@ def linearize_on_torus(torus, rep: WeilRep, root_index: tuple | int = 0) -> dict
     ops = np.concatenate(list(rep.build_chunks(torus.elements)))
     ops *= np.conj([character_value_of_exps(chi, torus.dlog[b])
                     for b in torus.elements])[:, None, None]
-    weil.check_egorov(ops, torus.elements, rep.pm)
+    dev = weil.egorov_on_probe(lambda z: ops @ z, torus.elements, rep.pm)
+    if dev.max() > 1e-8:
+        raise ConstructionError(f"Egorov deviation {dev.max():.2e} of a twisted operator")
     return dict(zip(torus.elements, ops))
 
 
@@ -1233,8 +1237,7 @@ def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
                           xis=None) -> float:
     """max | rho(B) T(xi) - T(B xi) rho(B) | over the xi of xis (the unit
     vectors when None), compared one xi at a time: B xi by `mat_vec`,
-    each side gathered from the `pi_exponents_many` arrays in O(p^(2n))
-    (`weil.egorov_deviation` compares the unit vectors in chunks)."""
+    each side gathered from the `pi_exponents_many` arrays in O(p^(2n))."""
     p, n = pm.p, pm.n
     if xis is None:
         xis = [tuple(1 if i == j else 0 for i in range(2 * n)) for j in range(2 * n)]
@@ -1249,6 +1252,20 @@ def egorov_deviation_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus,
         lhs[:, src[k]] = dense * roots[expo[k]][None, :]    # rho(B) @ T(xi)
         rhs = roots[bexpo[k]][:, None] * dense[bsrc[k], :]  # T(B xi) @ rho(B)
         dev = max(dev, float(np.abs(lhs - rhs).max()))
+    return dev
+
+
+def egorov_probe_loop(dense: np.ndarray, b: Mat, pm: PrimeModulus, x: np.ndarray) -> float:
+    """max |(rho(B) T(e_j) - T(B e_j) rho(B)) X| over the 2n unit vectors
+    e_j, one e_j at a time, with T(e_j) and T(B e_j) as dense matrices
+    (`pi_op`) and B e_j by `mat_vec`: the per-probe deviation that
+    `weil.egorov_on_probe` reads for one element from one stacked apply."""
+    n, b = pm.n, mat(b)
+    dev = 0.0
+    for j in range(2 * n):
+        e = tuple(int(i == j) for i in range(2 * n))
+        m = dense @ pi_op(e, pm) - pi_op(mat_vec(b, e, mod=pm.p), pm) @ dense
+        dev = max(dev, float(np.abs(m @ x).max()))
     return dev
 
 

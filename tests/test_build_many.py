@@ -3,8 +3,9 @@
 `WeilRep.build_chunks` forms each rho(B) from one closed-form kernel, read
 one operator at a time through `oracles.build_many`;
 `oracles.sp_word` and `oracles.word_operator` multiply the generator
-operators along a word, one element at a time.  The batched Egorov
-deviation is held to the per-xi loop exactly.
+operators along a word, one element at a time.  The Egorov deviations on
+a probe, every element from one stacked apply, are held to the per-xi loop
+over dense operators.
 """
 
 import random
@@ -19,8 +20,9 @@ from torusque import ffcore, weil
 from torusque.ffcore import PrimeModulus, mat_mul
 from torusque.weil import BudgetExceeded, ConstructionError, linearize, random_sp
 
-from oracles import (build, build_many, egorov_deviation_loop, first_invertible_mask_all,
-                     mats, sp_word, upper_shear_dense, word_operator)
+from oracles import (build, build_many, egorov_deviation_loop, egorov_probe_loop,
+                     first_invertible_mask_all, mats, sp_word, upper_shear_dense,
+                     word_operator)
 
 # the trace-formula check's traced peak at n = 1, p = 43 while it cached its
 # 41 operators one at a time (about 1.4 MB, measured with tracemalloc)
@@ -148,22 +150,25 @@ def test_factorization_is_reverified(rep_cache, monkeypatch):
 
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 43), (2, 5), (2, 11)])
 def test_batched_egorov_equals_per_xi_loop(n, p):
-    # the deviations of a whole stack and of one operator at a time against
-    # the per-xi loop, exactly; at n = 2, p = 11 the stack's rows are compared
-    # one at a time and a lone operator's in blocks of 33
+    # the probe deviations of a whole stack, on the apply route and on the
+    # dense stack, and of one operator at a time, against the per-xi loop
     pm = PrimeModulus(p, n)
     rep = linearize(pm)
     draws = mats(random_sp(pm, random.Random(7), 20))
     bs = draws[:10] + [mat_mul(b1, b2, mod=p) for b1, b2 in zip(draws[:10], draws[10:])]
     ops = np.stack(list(build_many(rep, bs)))
-    want = [egorov_deviation_loop(dense, b, pm) for b, dense in zip(bs, ops)]
-    assert weil.egorov_deviation(ops, bs, pm).tolist() == want
-    assert [weil.egorov_deviation(dense[None], [b], pm)[0]
-            for b, dense in zip(bs, ops)] == want
+    x = weil.probe_block(pm, p)
+    want = np.array([egorov_probe_loop(dense, b, pm, x) for b, dense in zip(bs, ops)])
+    assert want.max() <= 1e-8
+    for got in (weil.egorov_on_probe(lambda z: rep.apply_many(bs, z), bs, pm, x),
+                weil.egorov_on_probe(lambda z: ops @ z, bs, pm, x),
+                [weil.egorov_on_probe(lambda z: dense[None] @ z, [b], pm, x)[0]
+                 for b, dense in zip(bs, ops)]):
+        assert np.abs(got - want).max() <= 1e-12
     # a wrong operator is caught by both, with the same deviation
     dense = np.eye(pm.dim, dtype=complex)
-    (dev,) = weil.egorov_deviation(dense[None], bs[:1], pm)
-    assert dev > 0.1 and dev == egorov_deviation_loop(dense, bs[0], pm)
+    (dev,) = weil.egorov_on_probe(lambda z: dense[None] @ z, bs[:1], pm, x)
+    assert dev > 0.1 and abs(dev - egorov_probe_loop(dense, bs[0], pm, x)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,p", [(1, 43), (2, 13)])

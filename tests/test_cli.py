@@ -331,10 +331,9 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
 
 
 def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
-    # every rho(B) the egorov and multiplicativity checks build is dropped
-    # after its deviation is read; the context keeps rho of the torus
-    # generators, which the decomposition reads, and rho keeps its p x p
-    # one-digit factors
+    # the egorov and multiplicativity checks read rho(B) on a probe block
+    # and keep nothing; the context keeps rho of the torus generators, which
+    # the decomposition reads, and rho keeps its p x p one-digit factors
     for elem, pm in ((cat_map, PrimeModulus(11, 1)), (sp4_elem, PrimeModulus(7, 2))):
         ctx = PrimeContext.build(elem, pm)
         ctx.decomposition
@@ -351,48 +350,52 @@ def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 7)])
 def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem):
-    # the check reads the torus generators at the unit vectors; then every
-    # torus element at every xi stays within egorov_tol and within the bound
-    # the check states: |e(B)| 2n(p - 1) p^n D + 2 p^n C, D the check's
-    # max_dev and C the torus certificate's deviation
+    # the check reads the torus generators at the unit vectors on a probe,
+    # and the torus certificate reads rho(B) - prod_i rho(g_i)^e_i(B) on one;
+    # both pass 1e-8, so (Freivalds) every entry of either difference is
+    # below C = 1e-6 but with probability (1e-8 / C)^(2r).  Then every torus
+    # element at every xi stays within the bound the check states,
+    # |e(B)| 2n(p - 1) p^n C + 2 p^n C, and within 1e-9 p^(n/2); the
+    # generators' entries at the unit vectors are below C too
+    c = 1e-6
     pm = PrimeModulus(p, n)
     ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
     res = cli._check_egorov(ctx, random.Random(p))
-    assert res.status == "pass" and res.max_dev > 0
+    assert res.status == "pass" and 0 < res.max_dev <= 1e-8
     torus, rep = ctx.torus, ctx.rep
-    cert = weil.certify_torus(rep, torus, probe=weil.probe_block(pm, p))
-    per_factor = 2 * n * (p - 1) * pm.dim * res.max_dev
+    assert weil.certify_torus(rep, torus, probe=weil.probe_block(pm, p)) <= 1e-8
+    for g, dense in zip(ctx.torus.generators, ctx.generator_ops):
+        assert egorov_deviation_loop(dense, g[0], pm) <= c
+    per_factor = 2 * n * (p - 1) * pm.dim * c
     xis = lattice_vectors(pm)
     for b, dense in zip(torus.elements, build_many(rep, torus.elements)):
         dev = egorov_deviation_loop(dense, b, pm, xis)
-        assert dev <= weil.egorov_tol(pm)
-        assert dev <= sum(torus.dlog[b]) * per_factor + 2 * pm.dim * cert
+        assert dev <= 1e-9 * p ** (n / 2)
+        assert dev <= sum(torus.dlog[b]) * per_factor + 2 * pm.dim * c
 
 
 @pytest.mark.parametrize("n,p", [(1, 11), (2, 13)])
 def test_egorov_check_names_a_corrupted_generator(n, p, cat_map, sp4_elem,
                                                   monkeypatch):
-    # rho(g) times a non-scalar diagonal unitary breaks Egorov at a unit
-    # vector whose image under g shifts; the check fails with g as witness
+    # rho(g) times a non-scalar diagonal unitary, on the apply route the
+    # check reads, breaks Egorov at a unit vector whose image under g
+    # shifts; the check fails with g as witness
     pm = PrimeModulus(p, n)
     ctx = PrimeContext.build(cat_map if n == 1 else sp4_elem, pm)
     g = ctx.torus.generators[-1][0]
     phases = np.exp(2j * np.pi * np.random.default_rng(p).random(pm.dim))
-    real = ctx.rep.build_chunks
+    real = ctx.rep.apply_many
 
-    def corrupted(bs, deadline=None):
-        bs = list(bs)
-        lo = 0
-        for stack in real(bs, deadline):
-            for k, b in enumerate(bs[lo:lo + len(stack)]):
-                if np.array_equal(b, g):
-                    stack[k] = phases[:, None] * stack[k]
-            lo += len(stack)
-            yield stack
+    def corrupted(bs, z, deadline=None):
+        out = real(bs, z, deadline)
+        for k, b in enumerate(bs):
+            if np.array_equal(b, g):
+                out[k] = phases[:, None] * out[k]
+        return out
 
-    monkeypatch.setattr(ctx.rep, "build_chunks", corrupted)
+    monkeypatch.setattr(ctx.rep, "apply_many", corrupted)
     res = cli._check_egorov(ctx, random.Random(0))
-    assert res.status == "fail"
+    assert res.status == "fail" and res.max_dev > 0.1
     assert [w["B"] for w in res.witnesses] == [g]
 
 
@@ -568,33 +571,29 @@ def test_budget_read_between_norm_filter_chunks(tmp_path, monkeypatch):
                                            dict(skip, name="bound")]}
 
 
-@pytest.mark.parametrize("check,step,length", [
-    ("egorov", "_dense_chunk", weil.chunk_length),
-    ("multiplicativity", "_apply_plan",
-     lambda pm: 2 * (weil.apply_length(pm, weil.PROBE_COLUMNS) // 2)),
+@pytest.mark.parametrize("check,length", [
+    ("egorov", lambda pm: weil.apply_length(pm, (2 * pm.n + 1) * weil.PROBE_COLUMNS)),
+    ("multiplicativity", lambda pm: 2 * (weil.apply_length(pm, weil.PROBE_COLUMNS) // 2)),
 ], ids=["egorov", "multiplicativity"])
-def test_budget_read_between_operator_chunks(check, step, length, tmp_path,
-                                             monkeypatch):
-    # a clock that advances one second per chunk of operators (egorov) or
-    # per batch of probe blocks (multiplicativity, whose first batch holds
-    # rho(B2) and rho(B1 B2) of half a batch of pairs): the deadline passes
-    # after the first one, the check becomes a budget skip, and no second one
-    # is built
+def test_budget_read_between_operator_chunks(check, length, tmp_path, monkeypatch):
+    # a clock that advances one second per batch of probe blocks (egorov,
+    # whose block stacks the probe and its 2n translates; multiplicativity,
+    # whose first batch holds rho(B2) and rho(B1 B2) of half a batch of
+    # pairs): the deadline passes after the first one, the check becomes a
+    # budget skip, and no second one is built
     import time
 
     now = [0.0]
     chunks = []
-    real_step = getattr(weil, step)
+    real_step = weil._apply_plan
 
     def slow_step(rep, *plan):
-        mask = plan[-1]                     # one entry per element
-        if len(mask) > 1:                   # not the header's lone rho(diag(a, 1/a))
-            now[0] += 1.0
-            chunks.append(len(mask))
+        now[0] += 1.0
+        chunks.append(len(plan[-1]))        # one entry per element
         return real_step(rep, *plan)
 
     monkeypatch.setattr(time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(weil, step, slow_step)
+    monkeypatch.setattr(weil, "_apply_plan", slow_step)
     out_json = tmp_path / "budget.json"
     rc = run_cli(["sweep", "--pmin", "43", "--pmax", "43", "--checks", check,
                   "--budget-seconds", "0.5", "--out-json", str(out_json)])

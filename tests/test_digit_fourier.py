@@ -1,12 +1,13 @@
 """rho(fourier) one digit at a time, and the monomial kernel where Bb = 0.
 
 `WeilRep` keeps the p x p one-digit kernels F1 and V_1 and never forms the
-p^n x p^n rho(fourier).  Its applies, its dense operators and the torus
-certificate are held here to the dense route they replace
-(`oracles.dense_route_apply`, `oracles.dense_route_ops`: every element
-factored as B U(S) with the dense F and rho(U(-S)) = F diag F^H, Bb = 0
-included; `oracles.certify_torus_dense`: the probe stepped by dense
-generator operators) at n = 1, 2 and 3.  The elements mix the three
+p^n x p^n rho(fourier).  Its applies, its dense operators, the Egorov
+probe and the torus certificate are held here to the dense route they
+replace (`oracles.dense_route_apply`, `oracles.dense_route_ops`: every
+element factored as B U(S) with the dense F and rho(U(-S)) = F diag F^H,
+Bb = 0 included; `weil.egorov_on_probe` read by dense operators and
+`oracles.egorov_probe_loop`; `oracles.certify_torus_dense`: the probe
+stepped by dense generator operators) at n = 1, 2 and 3.  The elements mix the three
 kernel kinds: big-cell samples, products of them and elements built with a
 singular nonzero Bb (n >= 2), and every element with Bb = 0 of the
 relation pairs.
@@ -25,7 +26,7 @@ from torusque.heisenberg import root_table
 from torusque.quevaluator import PrimeContext
 
 from oracles import (build_many, certify_torus_dense, dense_route_apply, dense_route_ops,
-                     generator_ops, mats)
+                     egorov_probe_loop, generator_ops, mats)
 
 CASES = [(1, 3), (1, 7), (1, 43), (2, 5), (2, 7), (2, 13), (3, 3), (3, 5)]
 
@@ -73,6 +74,39 @@ def test_applies_and_dense_operators_equal_the_dense_route(n, p, rep_cache):
         part = bs[lo:lo + 32]
         dense = np.stack(list(build_many(rep, part)))
         assert np.abs(dense - dense_route_ops(rep, part)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_egorov_on_the_probe_equals_the_dense_reading(n, p, rep_cache):
+    # the Egorov probe on the apply route against the same probe read by
+    # dense operators (build_many's rho(B) times the stacked block) and, one
+    # unit vector at a time, by the per-xi loop; then with one operator's
+    # rows scaled by non-scalar phases on both routes
+    pm = PrimeModulus(p, n)
+    rep = rep_cache(p, n)
+    bs = _mixed_elements(pm, 10 * p + n)[::4]
+    fac = weil.factorize(pm, bs)
+    assert fac.monomial.any() and fac.mask.any() == (n > 1)
+    x = weil.probe_block(pm, p)
+    dense = np.stack(list(build_many(rep, bs)))
+    got = weil.egorov_on_probe(lambda z: rep.apply_many(bs, z), bs, pm, x)
+    want = weil.egorov_on_probe(lambda z: dense @ z, bs, pm, x)
+    assert got.max() <= 1e-8 and np.abs(got - want).max() <= 1e-12
+    loop = [egorov_probe_loop(op, b, pm, x) for b, op in zip(bs[:4], dense)]
+    assert np.abs(got[:4] - loop).max() <= 1e-12
+    phases = np.exp(2j * np.pi * np.arange(pm.dim) / pm.dim)[:, None]
+    dense[1] *= phases
+
+    def corrupted(z):
+        out = rep.apply_many(bs, z)
+        out[1] *= phases
+        return out
+
+    got = weil.egorov_on_probe(corrupted, bs, pm, x)
+    want = weil.egorov_on_probe(lambda z: dense @ z, bs, pm, x)
+    assert got[1] > 0.1 and np.delete(got, 1).max() <= 1e-8
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(got[1] - egorov_probe_loop(dense[1], bs[1], pm, x)) <= 1e-12
 
 
 def _conjugated_diagonal_torus(pm, seed):

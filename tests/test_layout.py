@@ -27,14 +27,23 @@ defines, imports or reads `fourier_op`, `_psi_dots` or an attribute
 `fourier` (the dense rho(fourier) a `WeilRep` once kept), and none takes a
 product `a @ a.T` of an array with its own transpose (the p^n x p^n table
 of x.y over `index_vectors`); the Fourier kernel is applied one digit at a
-time.
+time.  The dense operators have few readers: only
+`PrimeContext.decomposition` reads `generator_ops`, so only the
+decomposition check and the demo use that stack, and only
+`PrimeContext.generator_ops`, `trace_formula_deviation` and
+`cli._conventions` read `build_chunks`; a spy checks that the egorov check
+forms no dense operator chunk (`weil._dense_chunk`).
 """
 
 import ast
+import random
 from collections import Counter
 from pathlib import Path
 
 import torusque
+from torusque import cli, weil
+from torusque.ffcore import PrimeModulus
+from torusque.quevaluator import PrimeContext
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "torusque"
 
@@ -363,3 +372,83 @@ def test_dense_fourier_guard_flags_every_use(tmp_path):
         "    \"\"\"Not rep.fourier, nor w @ w.T.\"\"\"\n"
         "    return rep.fourier @ z, w @ z.T, f1 @ w, np.outer(w, w)\n")
     assert dense_fourier_uses(tmp_path) == ["mod:2", "mod:4", "mod:5", "mod:9"]
+
+
+def reads_outside(src: Path, name: str, allowed: set) -> list[str]:
+    """module:line of every name or attribute `name` read in the code of src/
+    outside the functions in allowed, qualified as module.function or
+    module.Class.function (functions nested in them included).  A definition
+    of `name` is no read, and docstrings and comments may mention it."""
+    flagged = []
+    for path in sorted(src.glob("*.py")):
+        lines, stack = set(), [(ast.parse(path.read_text()), path.stem)]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            read = isinstance(node, ast.Name) and node.id == name \
+                or isinstance(node, ast.Attribute) and node.attr == name
+            if read and not any(scope == a or scope.startswith(a + ".") for a in allowed):
+                lines.add(node.lineno)
+            stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+        flagged += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return flagged
+
+
+GENERATOR_OPS_READERS = {"quevaluator.PrimeContext.decomposition"}
+BUILD_CHUNKS_READERS = {"quevaluator.PrimeContext.generator_ops",
+                        "quevaluator.trace_formula_deviation", "cli._conventions"}
+
+
+def test_only_the_decomposition_reads_the_generator_stack():
+    assert reads_outside(SRC, "generator_ops", GENERATOR_OPS_READERS) == []
+
+
+def test_only_three_readers_build_dense_operators():
+    assert reads_outside(SRC, "build_chunks", BUILD_CHUNKS_READERS) == []
+
+
+def test_reader_guards_flag_every_other_reader(tmp_path):
+    (tmp_path / "quevaluator.py").write_text(
+        "class PrimeContext:\n"
+        "    def generator_ops(self):\n"
+        "        \"\"\"Not self.generator_ops.\"\"\"\n"
+        "        return list(self.rep.build_chunks(self.gens))\n\n"
+        "    def decomposition(self):\n"
+        "        return decompose(lambda: self.generator_ops)\n\n"
+        "    def transport(self):\n"
+        "        return self.generator_ops  # generator_ops\n\n"
+        "def trace_formula_deviation(ctx):\n"
+        "    def chunks(bs):\n"
+        "        return ctx.rep.build_chunks(bs)\n"
+        "    return chunks\n")
+    (tmp_path / "cli.py").write_text(
+        "def _check_demo(ctx, generator_ops):\n"
+        "    return len(ctx.generator_ops), generator_ops, 'generator_ops' in vars(ctx)\n\n"
+        "def _check_egorov(ctx, build_chunks):\n"
+        "    return build_chunks, next(ctx.rep.build_chunks([]))\n\n"
+        "def _conventions(ctx):\n"
+        "    return ctx.rep.build_chunks\n")
+    assert reads_outside(tmp_path, "generator_ops", GENERATOR_OPS_READERS) == [
+        "cli:2", "quevaluator:10"]
+    assert reads_outside(tmp_path, "build_chunks", BUILD_CHUNKS_READERS) == ["cli:5"]
+
+
+def test_egorov_check_forms_no_dense_operator(cat_map, sp4_elem, monkeypatch):
+    # the spy sees the generators' chunk that generator_ops forms, and
+    # nothing from the egorov check, which reads rho(B) on the probe
+    built = []
+    real = weil._dense_chunk
+
+    def spy(rep, src, *plan):
+        built.append(len(src))
+        return real(rep, src, *plan)
+
+    monkeypatch.setattr(weil, "_dense_chunk", spy)
+    for elem, pm in ((cat_map, PrimeModulus(7, 1)), (sp4_elem, PrimeModulus(5, 2))):
+        ctx = PrimeContext.build(elem, pm)
+        built.clear()
+        assert cli._check_egorov(ctx, random.Random(pm.p)).status == "pass"
+        assert built == []
+        ctx.generator_ops
+        assert built == [len(ctx.torus.generators)]

@@ -1,10 +1,11 @@
 """The identity checks on element stacks against the routes they replace.
 
 Each check factors its elements once (`weil.factorize`) and compares whole
-stacks: the Egorov deviations of a chunk of operators at once, the trace
-columns of a chunk in one matmul, and the pair check with one factorization
-per run of pairs.  The routes they replace are the oracles here: one
-operator at a time (`oracles.egorov_deviation_loop`), one a at a time
+stacks: the Egorov deviations of every element on one stacked probe block,
+the trace columns of a chunk in one matmul, and the pair check with one
+factorization per run of pairs.  The routes they replace are the oracles
+here: one dense operator and one xi at a time (`oracles.egorov_probe_loop`),
+one a at a time
 (`oracles.split_trace_deviation_per_a`), one apply_many call per role and
 batch (`oracles.pair_check_per_role`) and the dense pair products
 (`oracles.dense_pair_check`).  The same holds for the per-character report
@@ -25,11 +26,10 @@ import pytest
 
 from torusque import cli, ffcore, heisenberg, quevaluator as q, weil
 from torusque.ffcore import PrimeModulus
-from torusque.heisenberg import CHUNK_BYTES
 from torusque.quevaluator import PrimeContext
 
-from oracles import (build_many, dense_pair_check, eager_violations, egorov_deviation_loop,
-                     factorization_counts_loop, fourier_matrix, fourier_op, generic_mask_full,
+from oracles import (build_many, dense_pair_check, eager_violations, egorov_probe_loop,
+                     factorization_counts_loop, fourier_op, generic_mask_full,
                      lattice_vectors,
                      orbit_labels_full, orbits_by_unique, pair_check_per_role,
                      measure_split_sign, refined_rows_loop, split_trace_deviation_per_a,
@@ -45,22 +45,23 @@ def _context(n, p, cat_map, sp4_elem, rep_cache, torus_cache):
 @pytest.mark.parametrize("n,p", CASES)
 def test_egorov_check_equals_the_per_element_route(n, p, cat_map, sp4_elem,
                                                     rep_cache, torus_cache):
-    # the elements of cli._check_egorov, drawn from the same rng: the torus
-    # generators, 25 samples and 5 products of them
+    # the elements and probe of cli._check_egorov, drawn from the same rng:
+    # the torus generators, 25 samples and 5 products of them, then the
+    # probe's seed; each element's deviation one dense operator and one unit
+    # vector at a time
     ctx = _context(n, p, cat_map, sp4_elem, rep_cache, torus_cache)
     pm, rep = ctx.pm, ctx.rep
     res = cli._check_egorov(ctx, random.Random(p))
-    samples = weil.random_sp(pm, random.Random(p), 25)
+    rng = random.Random(p)
+    samples = weil.random_sp(pm, rng, 25)
+    x = weil.probe_block(pm, rng.getrandbits(63))
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, samples[:5] @ samples[5:10] % p])
-    want = [egorov_deviation_loop(dense, b, pm)
+    want = [egorov_probe_loop(dense, b, pm, x)
             for b, dense in zip(elements, build_many(rep, elements))]
-    got, lo = [], 0
-    for stack in rep.build_chunks(elements):
-        got.extend(weil.egorov_deviation(stack, elements[lo:lo + len(stack)], pm))
-        lo += len(stack)
-    assert np.abs(np.array(got) - want).max() <= 1e-12
-    assert res.status == "pass" and abs(res.max_dev - max(want)) <= 1e-12
+    got = weil.egorov_on_probe(lambda z: rep.apply_many(elements, z), elements, pm, x)
+    assert np.abs(got - want).max() <= 1e-12
+    assert res.status == "pass" and res.max_dev == got.max()
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -111,25 +112,6 @@ def test_trace_formula_equals_the_per_a_route(p, cat_map, rep_cache, torus_cache
         assert np.abs(cols[i] - trace_column(stack[i], pm)).max() <= 1e-12
         assert np.array_equal(vals[i], split_trace_formula(lam, mu, ai, pm))
         assert split_trace_formula(1, 2, ai, pm) == vals[i][1 + 2 * p]
-
-
-def test_egorov_deviation_stays_within_two_chunks_beyond_the_operator(rep_cache):
-    # rho(fourier) at n = 2, p = 13 is 457 KB, more than CHUNK_BYTES: the
-    # comparison cuts its rows instead of forming p^n x p^n temporaries
-    pm = PrimeModulus(13, 2)
-    rep = rep_cache(13, 2)
-    b = fourier_matrix(pm)
-    f = next(rep.build_chunks([b]))
-    assert f.nbytes > CHUNK_BYTES
-    tracemalloc.start()
-    try:
-        (dev,) = weil.egorov_deviation(f, [b], pm)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert dev <= weil.egorov_tol(pm)
-    assert dev == egorov_deviation_loop(f[0], b, pm)
-    assert peak <= 2 * CHUNK_BYTES
 
 
 def test_linearize_forms_only_one_digit_kernels():

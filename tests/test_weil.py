@@ -9,14 +9,15 @@ from torusque import cli, ffcore, weil
 from torusque.ffcore import PrimeModulus, identity_mat, legendre, mat_mod, mat_mul
 from torusque.heisenberg import pi_op
 from torusque.quevaluator import PrimeContext
-from torusque.weil import (ConstructionError, egorov_deviation, linearize, random_sp,
-                           solve_gamma, sp_elements)
+from torusque.weil import (ConstructionError, linearize, random_sp, solve_gamma,
+                           sp_elements)
 
 from oracles import (SpFactor, build, build_many, certify_torus_dense, dense_ops, dilate_matrix,
-                     dilate_op, egorov_deviation_loop, fourier_matrix, fourier_op, generator_ops,
-                     linearize_on_torus, mat_det, mat_neg, mat_transpose, mats,
-                     schur_intertwiner, shear_matrix, shear_op, solve_gamma_dense, sp_blocks,
-                     sp_word, torus_pair_scan, word_matrix, word_operator)
+                     dilate_op, egorov_deviation_loop, egorov_probe_loop, fourier_matrix,
+                     fourier_op, generator_ops, linearize_on_torus, mat_det, mat_neg,
+                     mat_transpose, mats, schur_intertwiner, shear_matrix, shear_op,
+                     solve_gamma_dense, sp_blocks, sp_word, torus_pair_scan, word_matrix,
+                     word_operator)
 
 
 def test_dilate_identity():
@@ -233,17 +234,24 @@ def test_schur_intertwiner_fourier_proportional():
 
 
 def test_egorov_failure_detected():
-    # the identity is no rho of a shear: the Egorov check rejects it
+    # the identity is no rho of a shear: the Egorov check on the probe
+    # rejects it, and holds the true rho of the shear to 1e-8
     pm = PrimeModulus(5, 1)
-    with pytest.raises(ConstructionError, match="Egorov deviation"):
-        weil.check_egorov(np.eye(5, dtype=complex)[None], [((1, 1), (0, 1))], pm)
+    b = ((1, 1), (0, 1))
+    (dev,) = weil.egorov_on_probe(lambda z: z[None], [b], pm)
+    assert dev > 0.1
+    x = weil.probe_block(pm, 0)
+    assert abs(dev - egorov_probe_loop(np.eye(5, dtype=complex), b, pm, x)) <= 1e-12
+    shear = build(linearize(pm), b)
+    assert weil.egorov_on_probe(lambda z: shear[None] @ z, [b], pm)[0] <= 1e-8
 
 
 def test_corrupted_generator_operator_fails_the_egorov_check(cat_map, torus_cache,
                                                              monkeypatch):
-    # one entry of rho(g_1) scaled: the context's generator stack raises, and
-    # the sweep check that reads it reports the error as a failure, with no
-    # generator kept
+    # one entry of rho(g_1) scaled in the dense stack: the context's
+    # generator stack fails its Egorov check on the probe (products of the
+    # stack with the probe) and raises, and the sweep check that reads it
+    # reports the error as a failure, with no generator kept
     pm = PrimeModulus(7, 1)
     ctx = PrimeContext(cat_map, torus_cache(7), linearize(pm))
     real = weil.WeilRep.build_chunks
@@ -282,6 +290,25 @@ def test_corrupted_shear_diagonal_fails_linearize(monkeypatch):
     assert len(calls) == 2
 
 
+def test_corrupted_fourier_kernel_fails_linearize(monkeypatch):
+    # F1 with one column phase-shifted is no rho(fourier) factor: linearize
+    # rejects it on the probe; solve_gamma still reads the true kernel
+    real = weil.digit_kernel
+    calls = []
+
+    def corrupted(p):
+        calls.append(p)
+        out = real(p)
+        if len(calls) == 2:             # the kernel WeilRep keeps as F1
+            out[:, 1] *= np.exp(0.5j)
+        return out
+
+    monkeypatch.setattr(weil, "digit_kernel", corrupted)
+    with pytest.raises(ConstructionError, match="Egorov deviation"):
+        linearize(PrimeModulus(7, 1))
+    assert calls == [7, 7]
+
+
 def _phase_dev(a, b):
     """Distance of a b^dagger from a unimodular multiple of the identity."""
     ratio = a @ b.conj().T
@@ -312,7 +339,7 @@ def test_weilrep_n2_dispatch(sp4_elem):
     fac = weil.factorize(pm, [b_shear, b_dil, b_f])
     assert fac.monomial.tolist() == [True, True, False] and fac.mask.tolist() == [0, 0, 0]
     assert np.abs(w @ w.conj().T - np.eye(9)).max() < 1e-9
-    assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * 3
+    assert egorov_deviation_loop(w, b, pm) < 1e-9 * 3
     assert _phase_dev(w, schur_intertwiner(b, pm, np.random.default_rng(0))) < 1e-9
 
 
@@ -361,7 +388,7 @@ def test_sp_word_bruhat_cells():
             assert word_matrix(word, pm) == b
             assert sum(f.kind == "fourier" for f in word) == {0: 0, 1: 5, 2: 1}[rank]
             assert np.abs(w @ w.conj().T - np.eye(p * p)).max() < 1e-9
-            assert egorov_deviation(w[None], [b], pm)[0] < 1e-9 * p
+            assert egorov_deviation_loop(w, b, pm) < 1e-9 * p
         assert seen == {0, 1, 2}
 
 
