@@ -180,11 +180,10 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
     if not conventions:
         conventions.update(_conventions(ctx))
 
-    # the dense operators the context keeps: rho of the torus generators,
-    # once a check has read them
-    routes = {"closed-form": len(ctx.torus.generators)} if "generator_ops" in vars(ctx) else {}
+    # routes counts the dense operators the context keeps: none, as the
+    # decomposition reads rho of the torus generators one at a time
     return {"p": p, "n": n, "split_type": ctx.torus.split_type,
-            "torus_order": ctx.torus.order, "routes": routes,
+            "torus_order": ctx.torus.order, "routes": {},
             "checks": [r.to_dict(cfg.deterministic) for r in results]}
 
 
@@ -247,7 +246,8 @@ def _check_egorov(ctx, rng):
     seeded with rng.getrandbits(63) after the samples; rng is the prime's
     random.Random, shared with the multiplicativity check in check order.
     Both sides come from one rep.apply_many of the stacked block
-    (`weil.egorov_on_probe`), so no rho(B) is formed.
+    (`weil.egorov_on_probe`), so no rho(B) is formed; the elements go one
+    apply batch at a time, so one batch's images of the block are alive.
 
     max_dev is the per-probe deviation max |M X| over the elements and unit
     vectors, M = rho(B) T(e_j) - T(B e_j) rho(B).  If it passes tol = 1e-8,
@@ -275,8 +275,12 @@ def _check_egorov(ctx, rng):
     gens = np.array([g for g, _ in ctx.torus.generators], dtype=np.int64)
     elements = np.concatenate([gens, samples, products])
     probe = weil.probe_block(pm, rng.getrandbits(63))
-    devs = weil.egorov_on_probe(lambda z: rep.apply_many(elements, z, ctx.deadline),
-                                elements, pm, probe)
+    step = weil.apply_length(pm, (2 * pm.n + 1) * weil.PROBE_COLUMNS)
+    devs = np.concatenate([     # one apply batch of elements, and its stack, at a time
+        weil.egorov_on_probe(lambda z, part=elements[lo:lo + step]:
+                             rep.apply_many(part, z, ctx.deadline),
+                             elements[lo:lo + step], pm, probe)
+        for lo in range(0, len(elements), step)])
     worst = float(devs.max())
     ok = worst <= 1e-8
     witness = [] if ok else [{"B": tuple(map(tuple, elements[devs.argmax()].tolist())),

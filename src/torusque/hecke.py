@@ -18,8 +18,8 @@ not a search through |Sp(2n, F_p)|.
 The torus is a direct product of cyclic groups <g_1> x ... x <g_k>, found
 by one greedy pass over its elements (`torus_structure`), vectorized over
 the int64 stack of the elements.  The joint eigenbasis is read from rho of
-the torus generators (`decompose`); no operator of any other torus element
-is built for it.
+the torus generators, one operator at a time (`decompose`); no operator is
+kept, and none of any other torus element is built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from . import ffcore
+from . import ffcore, weil
 from .ffcore import Mat, PrimeModulus, mat, mat_mod, mat_mul
 from .heisenberg import BudgetExceeded, chunk_items, digits
 
@@ -343,44 +343,53 @@ def _mix_row(row: tuple, k: int) -> tuple:
     return tuple(coeffs)
 
 
-def decompose(torus: HeckeTorus, ops: np.ndarray) -> EigenspaceDecomposition:
-    """Joint eigenbasis of the torus from ops, the stack of rho(g_i) for its
-    generators g_i (`quevaluator.PrimeContext.generator_ops`).
+def decompose(torus: HeckeTorus, rep: weil.WeilRep) -> EigenspaceDecomposition:
+    """Joint eigenbasis of the torus from rep, rho of its generators g_i.
 
     rho(g_i) are commuting unitaries, so the eigenvectors of the Hermitian
     H = sum_i (c_i rho(g_i) + conj(c_i) rho(g_i)^dagger) are joint
-    eigenvectors once c separates the occupied characters.  Each vector's
-    exponent k_i is its Rayleigh quotient <v|rho(g_i)|v> rounded to the
-    nearest m_i-th root of unity, and every vector is certified by
-    || rho(g_i) v - e(k_i/m_i) v || <= EIGEN_TOL for every generator.  The basis
-    is orthonormal and complete (eigh), so the dims sum to p^n.  H is summed
-    and rho(g_i) V turned into residuals in place, in CHUNK_BYTES column
-    blocks: beside the generators, at most two p^n x p^n arrays are alive.
+    eigenvectors once c separates the occupied characters.  H is summed one
+    generator at a time: rho(g_i) from rep.build_chunks, scaled in place,
+    added and dropped.  Each vector's exponent k_i is its Rayleigh quotient
+    <v|rho(g_i)|v> rounded to the nearest m_i-th root of unity, and every
+    vector is certified by || rho(g_i) v - e(k_i/m_i) v || <= EIGEN_TOL for
+    every generator, rho(g_i) V read in CHUNK_BYTES column blocks by
+    rep.apply_many, the other route to rho, Egorov-checked first on the
+    generators (`weil.egorov_on_probe`, held to 1e-8).  The basis is
+    orthonormal and complete (eigh), so the dims sum to p^n.  At most two
+    p^n x p^n arrays are alive at once, and no p^n x p^n product is taken.
     """
     d = torus.pm.dim
-    orders = torus.gen_orders
+    gens = [g for g, _ in torus.generators]
+    fac = weil.factorize(torus.pm, gens)            # factored once for apply_many
+    egorov = weil.egorov_on_probe(lambda z: rep.apply_many(fac, z), gens, torus.pm)
+    if egorov.max() > 1e-8:
+        raise weil.ConstructionError(
+            f"Egorov deviation {egorov.max():.2e} for {gens[egorov.argmax()]}")
     width = chunk_items(16 * d)
     worst = np.inf
     for row in MIX_COEFFICIENTS:
         h = np.zeros((d, d), dtype=complex)
-        for c, g in zip(_mix_row(row, len(ops)), ops, strict=True):
-            h += c * g
+        for c, g in zip(_mix_row(row, len(gens)), gens):
+            op = next(rep.build_chunks([g]))[0]
+            op *= c
+            h += op
+            del op              # not held while the next one is built
         h += h.conj().T
         _, vecs = np.linalg.eigh(h)
         del h
         label = np.zeros(d, dtype=np.int64)
         dev = 0.0
-        for g, m in zip(ops, orders, strict=True):
-            image = g @ vecs
-            k = np.empty(d, dtype=np.int64)
-            for lo in range(0, d, width):
-                v, resid = vecs[:, lo:lo + width], image[:, lo:lo + width]
+        for lo in range(0, d, width):
+            v = vecs[:, lo:lo + width]
+            for i, m in enumerate(torus.gen_orders):
+                (resid,) = rep.apply_many(fac[i:i + 1], v)
                 quotient = np.einsum("ij,ij->j", v.conj(), resid)
-                k[lo:lo + width] = np.rint(np.angle(quotient) * m / (2 * np.pi)) % m
-                resid -= v * np.exp(2j * np.pi * k[lo:lo + width] / m)
+                k = np.rint(np.angle(quotient) * m / (2 * np.pi)).astype(np.int64) % m
+                resid -= v * np.exp(2j * np.pi * k / m)
                 dev = max(dev, float(np.linalg.norm(resid, axis=0).max()))
-            del image, resid
-            label = label * m + k              # characters() index order
+                label[lo:lo + width] = label[lo:lo + width] * m + k   # characters() order
+                del resid               # not held while the next block is applied
         if dev <= EIGEN_TOL:
             break
         worst = min(worst, dev)

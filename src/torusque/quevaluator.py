@@ -296,10 +296,10 @@ class PrimeContext:
     (`formula`), the character-sum table (`sums`), the eigenspace dims read
     from the formula at xi = 0 (`dims`), the split frame at split primes
     (`transport` is None elsewhere), and, for the checks that read operators
-    only, rho of the torus generators (`generator_ops`) and the eigenspace
-    decomposition are built on first use and then shared.  The formula is the
-    canonical rho's: a context of a rho twisted on the torus is given
-    `generator_ops`, `sums` and `dims` by assignment.  `deadline`, a
+    only, the eigenspace decomposition are built on first use and then
+    shared; no operator is kept.  The formula is the canonical rho's: a
+    context of a rho twisted on the torus is given `decomposition`, `sums`
+    and `dims` by assignment.  `deadline`, a
     `time.perf_counter()` value, is checked before every chunk of the table and
     of the centralizer's norm filter.
     """
@@ -332,22 +332,8 @@ class PrimeContext:
         return [col[chi.inverse().exps] for chi in self.chis]
 
     @cached_property
-    def generator_ops(self) -> np.ndarray:
-        """(k, p^n, p^n) stack of rho(g_i) for the torus generators, in their
-        order: one `build_chunks` stream, Egorov-checked by products of the
-        stack with the probe (`weil.egorov_on_probe`, held to 1e-8)."""
-        gens = [g for g, _ in self.torus.generators]
-        stacks = list(self.rep.build_chunks(gens))
-        ops = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        dev = weil.egorov_on_probe(lambda z: ops @ z, gens, self.pm)
-        if dev.max() > 1e-8:
-            raise weil.ConstructionError(
-                f"Egorov deviation {dev.max():.2e} for {gens[dev.argmax()]}")
-        return ops
-
-    @cached_property
     def decomposition(self) -> hecke.EigenspaceDecomposition:
-        return hecke.decompose(self.torus, self.generator_ops)
+        return hecke.decompose(self.torus, self.rep)
 
     @cached_property
     def transport(self) -> SplitTransport | None:

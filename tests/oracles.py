@@ -56,8 +56,11 @@ orbit-level `quevaluator.ViolationRecords` replace.
 
 Dense operators one element at a time, from the chunk stream
 `WeilRep.build_chunks` (`build_many`, `build`, `dense_ops`, and
-`generator_ops` for rho of a torus's generators as
-`PrimeContext.generator_ops` builds them).  Operators fixed another way:
+`generator_ops` for the dense stack of rho of a torus's generators), and
+the joint eigenbasis from that stack (`decompose_stack`: H summed from the
+stack, each rho(g_i) V a dense product), which `hecke.decompose` reads
+from rho one generator at a time and certifies on `WeilRep.apply_many`.
+Operators fixed another way:
 Schur-averaged intertwiners, up to a phase (`schur_intertwiner`), and rho on
 a torus twisted by a character (`linearize_on_torus`, and the context that
 reads it, `twisted_context`, whose character sums are the eigenbasis
@@ -152,8 +155,39 @@ def dense_ops(rep: WeilRep, bs) -> dict:
 
 def generator_ops(rep: WeilRep, torus: HeckeTorus) -> np.ndarray:
     """(k, p^n, p^n) stack of rho(g_i) for the generators of the torus, in
-    their order, as `PrimeContext.generator_ops` builds it."""
+    their order, the dense stack `decompose_stack` reads."""
     return np.concatenate(list(rep.build_chunks([g for g, _ in torus.generators])))
+
+
+def decompose_stack(torus: HeckeTorus, ops: np.ndarray) -> EigenspaceDecomposition:
+    """`hecke.decompose` from a dense (k, p^n, p^n) stack ops of rho(g_i) for
+    the torus generators: H = sum_i (c_i ops_i + h.c.) summed from the stack,
+    and each ops_i V a dense p^n x p^n product, with the same coefficient
+    rows (`hecke.MIX_COEFFICIENTS`), labels and certificate (EIGEN_TOL)."""
+    d = torus.pm.dim
+    orders = torus.gen_orders
+    worst = np.inf
+    for row in hecke.MIX_COEFFICIENTS:
+        h = sum(c * g for c, g in zip(hecke._mix_row(row, len(ops)), ops, strict=True))
+        _, vecs = np.linalg.eigh(h + h.conj().T)
+        label = np.zeros(d, dtype=np.int64)
+        dev = 0.0
+        for g, m in zip(ops, orders, strict=True):
+            image = g @ vecs
+            quotient = np.einsum("ij,ij->j", vecs.conj(), image)
+            k = np.rint(np.angle(quotient) * m / (2 * np.pi)).astype(np.int64) % m
+            dev = max(dev, float(np.linalg.norm(image - vecs * np.exp(2j * np.pi * k / m),
+                                                axis=0).max()))
+            label = label * m + k
+        if dev <= hecke.EIGEN_TOL:
+            break
+        worst = min(worst, dev)
+    else:
+        raise RuntimeError(f"eigenvector certificate {worst:.2e} > {hecke.EIGEN_TOL:.0e} "
+                           f"under every mixing coefficient row")
+    order = np.argsort(label, kind="stable")
+    return EigenspaceDecomposition(torus, vecs[:, order],
+                                   np.bincount(label, minlength=torus.order).tolist(), dev)
 
 
 def is_palindromic(f) -> bool:
@@ -388,13 +422,14 @@ def linearize_on_torus(torus, rep: WeilRep, root_index: tuple | int = 0) -> dict
 def twisted_context(elem, torus: HeckeTorus, rep: WeilRep,
                     root_index: tuple | int = 0) -> PrimeContext:
     """The context of elem on the torus with rho twisted by the character of
-    root_index (`linearize_on_torus`): its generators' stack is assigned to
-    `generator_ops`, its character sums to `sums` from the eigenbasis of that
-    stack (`eigenbasis_sum_table`) and their xi = 0 row over |T| to `dims`,
-    as the program's trace formula is the canonical rho's."""
+    root_index (`linearize_on_torus`): the eigenbasis of its generators' stack
+    (`decompose_stack`) is assigned to `decomposition`, its character sums to
+    `sums` from that eigenbasis (`eigenbasis_sum_table`) and their xi = 0 row
+    over |T| to `dims`, as the program's decomposition and trace formula read
+    the canonical rho."""
     ops = linearize_on_torus(torus, rep, root_index)
     ctx = PrimeContext(elem, torus, rep)
-    ctx.generator_ops = np.stack([ops[g] for g, _ in torus.generators])
+    ctx.decomposition = decompose_stack(torus, np.stack([ops[g] for g, _ in torus.generators]))
     ctx.sums = eigenbasis_sum_table(ctx)
     ctx.dims = np.rint(ctx.sums[0, ctx.inverse_index].real / torus.order).astype(int).tolist()
     return ctx

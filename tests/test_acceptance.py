@@ -26,7 +26,7 @@ from torusque.heisenberg import check_relations
 
 from oracles import (SpFactor, build_many, build_trace_table, character_sum_table,
                      diagonal_factor_sum, egorov_deviation_loop, factor_coordinates,
-                     flatten_xi, generator_ops, lattice_vectors, linearize_on_torus, mat_det,
+                     flatten_xi, lattice_vectors, linearize_on_torus, mat_det,
                      measure_split_sign, relation_grid, split_trace_formula, transport_char,
                      twisted_context, word_matrix, word_operator)
 
@@ -168,7 +168,7 @@ def test_criterion_4_decomposition(cat_map, sp4_elem, rep_cache):
         torus = hecke.centralizer(cat_map.matrix, pm, cat_map.charpoly)
         split = torus.split_type == "split"
         assert split == (p in SPLIT_N1)
-        dec = hecke.decompose(torus, generator_ops(rep_cache(p), torus))
+        dec = hecke.decompose(torus, rep_cache(p))
         sums_ok = sums_ok and sum(dec.dims) == p
         chis = hecke.characters(torus)
         assert sum(chi.order == 2 for chi in chis) == 1

@@ -180,8 +180,8 @@ def test_sweep_n2_bound(tmp_path):
 def test_sweep_n2_reports_construction_routes(tmp_path):
     # every operator of an n = 2 sweep is a closed-form kernel; none comes
     # from Schur averaging, and no dense rho(fourier) is kept.  The
-    # decomposition needs rho of the torus generators only, and both tori
-    # here are cyclic
+    # decomposition reads rho of the torus generators one at a time and
+    # keeps none, so no operator is counted
     out_json = tmp_path / "routes.json"
     rc = run_cli(["sweep", "--n", "2", "--matrix", "auto-sp4", "--pmin", "3",
                   "--pmax", "5", "--checks", "decomposition,bound",
@@ -190,7 +190,7 @@ def test_sweep_n2_reports_construction_routes(tmp_path):
     report = json.loads(out_json.read_text())
     assert [rp["p"] for rp in report["primes"]] == [3, 5]
     for rp in report["primes"]:
-        assert rp["routes"] == {"closed-form": 1}
+        assert rp["routes"] == {}
 
 
 def test_budget_skips_checks(tmp_path):
@@ -332,12 +332,11 @@ def test_construction_failure_becomes_failed_prime(tmp_path, monkeypatch):
 
 def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
     # the egorov and multiplicativity checks read rho(B) on a probe block
-    # and keep nothing; the context keeps rho of the torus generators, which
-    # the decomposition reads, and rho keeps its p x p one-digit factors
+    # and keep nothing; the context keeps the decomposition, which keeps no
+    # operator, and rho keeps its p x p one-digit factors
     for elem, pm in ((cat_map, PrimeModulus(11, 1)), (sp4_elem, PrimeModulus(7, 2))):
         ctx = PrimeContext.build(elem, pm)
-        ctx.decomposition
-        gens = ctx.generator_ops
+        dec = ctx.decomposition
         for runner in (cli._check_egorov, cli._check_multiplicativity):
             before = vars(ctx).keys() | vars(ctx.rep).keys()
             res = runner(ctx, random.Random(0))
@@ -345,7 +344,7 @@ def test_egorov_check_keeps_no_operator(cat_map, sp4_elem):
             assert vars(ctx).keys() | vars(ctx.rep).keys() == before
             assert vars(ctx.rep).keys() == {"pm", "gamma", "f1", "v1"}
             assert ctx.rep.f1.shape == ctx.rep.v1.shape == (pm.p, pm.p)
-            assert ctx.generator_ops is gens
+            assert ctx.decomposition is dec
 
 
 @pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 13), (2, 5), (2, 7)])
@@ -364,8 +363,9 @@ def test_egorov_on_generators_bounds_every_torus_element(n, p, cat_map, sp4_elem
     assert res.status == "pass" and 0 < res.max_dev <= 1e-8
     torus, rep = ctx.torus, ctx.rep
     assert weil.certify_torus(rep, torus, probe=weil.probe_block(pm, p)) <= 1e-8
-    for g, dense in zip(ctx.torus.generators, ctx.generator_ops):
-        assert egorov_deviation_loop(dense, g[0], pm) <= c
+    gens = [g for g, _ in torus.generators]
+    for g, dense in zip(gens, build_many(rep, gens)):
+        assert egorov_deviation_loop(dense, g, pm) <= c
     per_factor = 2 * n * (p - 1) * pm.dim * c
     xis = lattice_vectors(pm)
     for b, dense in zip(torus.elements, build_many(rep, torus.elements)):
@@ -605,9 +605,9 @@ def test_budget_read_between_operator_chunks(check, length, tmp_path, monkeypatc
                    "witnesses": [{"reason": "budget exceeded"}], "millis": 0}
 
 
-def test_sweep_routes_count_only_context_operators(tmp_path, cat_map, torus_cache):
+def test_sweep_routes_count_only_context_operators(tmp_path):
     # trace-formula, egorov and multiplicativity drop every operator they
-    # build; the context keeps rho of the torus generators
+    # build, and the demo's decomposition keeps none: routes stays empty
     out_json = tmp_path / "routes.json"
     rc = run_cli(["sweep", "--pmin", "7", "--pmax", "13", "--checks",
                   "trace-formula,egorov,multiplicativity,demo",
@@ -616,7 +616,7 @@ def test_sweep_routes_count_only_context_operators(tmp_path, cat_map, torus_cach
     report = json.loads(out_json.read_text())
     assert [rp["p"] for rp in report["primes"]] == [7, 11, 13]
     for rp in report["primes"]:
-        assert rp["routes"]["closed-form"] == len(torus_cache(rp["p"]).generators)
+        assert rp["routes"] == {}
 
 
 @pytest.mark.parametrize("args", [
@@ -798,5 +798,5 @@ def test_table_sweep_builds_no_operator_of_the_torus(sp4_elem, tmp_path, monkeyp
     assert [c["status"] for c in rp["checks"]] == ["fail", "pass", "pass"]
     (ctx,) = contexts
     assert "sums" in vars(ctx)
-    assert "generator_ops" not in vars(ctx) and "decomposition" not in vars(ctx)
+    assert "decomposition" not in vars(ctx)
     assert decomposed == []

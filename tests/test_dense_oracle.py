@@ -94,7 +94,7 @@ def test_every_coefficient_row_gives_the_same_eigenspaces(sp4_split13,
     ref = oracles.projector_stack(ctx.decomposition)
     for row in hecke.MIX_COEFFICIENTS[1:]:
         monkeypatch.setattr(hecke, "MIX_COEFFICIENTS", (row,))
-        dec = hecke.decompose(ctx.torus, ctx.generator_ops)
+        dec = hecke.decompose(ctx.torus, ctx.rep)
         assert dec.dims == ctx.decomposition.dims
         worst = max(float(np.abs(a - b).max())
                     for a, b in zip(oracles.projector_stack(dec), ref))
@@ -107,11 +107,10 @@ def test_failed_certificate_retries_then_raises(torus_cache, rep_cache,
     # chi^-1 share an eigenvalue: that row fails its certificate and the next
     # one is used; with real rows only, the decomposition raises
     torus, rep = torus_cache(11), rep_cache(11)
-    gens = oracles.generator_ops(rep, torus)
     generic = hecke.MIX_COEFFICIENTS[0]
     monkeypatch.setattr(hecke, "MIX_COEFFICIENTS", ((1.0, 1.0), generic))
     dense = oracles.decompose(torus, oracles.dense_ops(rep, torus.elements))
-    assert hecke.decompose(torus, gens).dims == dense.dims
+    assert hecke.decompose(torus, rep).dims == dense.dims
     monkeypatch.setattr(hecke, "MIX_COEFFICIENTS", ((1.0, 1.0), (0.5, 0.5)))
     with pytest.raises(RuntimeError, match="certificate"):
-        hecke.decompose(torus, gens)
+        hecke.decompose(torus, rep)

@@ -11,8 +11,9 @@ from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
 from torusque.heisenberg import pi_op
 
 from oracles import (centralizer_elements, character_table, character_value,
-                     character_value_of_exps, dense_ops, fourier_matrix, generator_ops,
-                     hecke_average, linearize_on_torus, projector, shear_matrix)
+                     character_value_of_exps, decompose_stack, dense_ops, fourier_matrix,
+                     generator_ops, hecke_average, linearize_on_torus, projector,
+                     projector_stack, shear_matrix)
 from oracles import torus_structure as torus_structure_oracle
 
 
@@ -251,9 +252,28 @@ def test_three_generator_torus():
 def test_decompose_three_generator_torus():
     # every generator enters the Hermitian combination, rho(g_3) included
     t = _diagonal_sp6_torus(7)
-    dec = decompose(t, generator_ops(weil.linearize(PrimeModulus(7, 3)), t))
+    dec = decompose(t, weil.linearize(PrimeModulus(7, 3)))
     assert sum(dec.dims) == 343
     assert dec.max_eigen_dev <= 1e-8
+
+
+@pytest.mark.parametrize("n,p", [(1, 7), (1, 11), (1, 43), (2, 5), (2, 13), (3, 7)])
+def test_decompose_matches_the_dense_stack_route(n, p, rep_cache, torus_cache):
+    # rho of the generators summed one at a time and read on the apply route,
+    # against the same eigenbasis from their dense stack: the same dims, the
+    # same character labels and the same eigenspace projectors; n = 3 is the
+    # diagonal torus of Sp(6, F_7)
+    t = _diagonal_sp6_torus(p) if n == 3 else torus_cache(p, n)
+    rep = rep_cache(p, n)
+    dec = decompose(t, rep)
+    ref = decompose_stack(t, generator_ops(rep, t))
+    assert dec.dims == ref.dims and sum(dec.dims) == p ** n
+    assert [(chi.exps, dim) for chi, _, dim in dec.entries] == \
+        [(chi.exps, dim) for chi, _, dim in ref.entries]
+    assert max(dec.max_eigen_dev, ref.max_eigen_dev) <= hecke.EIGEN_TOL
+    worst = max(float(np.abs(a - b).max())
+                for a, b in zip(projector_stack(dec), projector_stack(ref)))
+    assert worst <= 1e-10
 
 
 def test_characters_orthogonality(cat_map, torus_cache):
@@ -283,7 +303,7 @@ def test_character_multiplicativity_exact(torus_cache):
 
 def test_decompose_cat_map_p7(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
-    dec = decompose(t, generator_ops(rep_cache(7), t))
+    dec = decompose(t, rep_cache(7))
     assert sum(dec.dims) == 7
     assert sorted(dec.dims) == [0, 1, 1, 1, 1, 1, 1, 1]
     # the empty slot sits at the order-2 character; the trivial one has a line
@@ -297,7 +317,7 @@ def test_decompose_cat_map_p7(cat_map, rep_cache, torus_cache):
 
 def test_decompose_split_prime_exceptional(cat_map, rep_cache, torus_cache):
     t = torus_cache(11)
-    dec = decompose(t, generator_ops(rep_cache(11), t))
+    dec = decompose(t, rep_cache(11))
     assert sum(dec.dims) == 11
     chis = characters(t)
     two_dim = [chi for chi, d in zip(chis, dec.dims) if d == 2]
@@ -338,7 +358,7 @@ def test_hecke_average_xi_zero_is_identity(cat_map, rep_cache, torus_cache):
 def test_hecke_average_block_diagonal(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
     rep = rep_cache(7)
-    dec = decompose(t, generator_ops(rep, t))
+    dec = decompose(t, rep)
     avg = hecke_average((1, 0), t, dense_ops(rep, t.elements))
     # off-diagonal blocks between distinct characters vanish
     for i, (chi_i, basis_i, dim_i) in enumerate(dec.entries):
@@ -352,7 +372,7 @@ def test_hecke_average_block_diagonal(cat_map, rep_cache, torus_cache):
 def test_hecke_average_diagonal_is_matrix_element(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
     rep = rep_cache(7)
-    dec = decompose(t, generator_ops(rep, t))
+    dec = decompose(t, rep)
     xi = (1, 0)
     avg = hecke_average(xi, t, dense_ops(rep, t.elements))
     t_xi = pi_op(xi, PrimeModulus(7, 1))
@@ -368,7 +388,7 @@ def test_decompose_n2_cyclic_torus(sp4_elem):
     t = centralizer(sp4_elem.matrix, pm, sp4_elem.charpoly)
     assert t.order == 10
     trep = linearize_on_torus(t, weil.linearize(pm))
-    dec = decompose(t, np.stack([trep[g] for g, _ in t.generators]))
+    dec = decompose_stack(t, np.stack([trep[g] for g, _ in t.generators]))
     assert sum(dec.dims) == 9
     assert all(d <= 1 for d in dec.dims)
 

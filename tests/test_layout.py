@@ -27,12 +27,13 @@ defines, imports or reads `fourier_op`, `_psi_dots` or an attribute
 `fourier` (the dense rho(fourier) a `WeilRep` once kept), and none takes a
 product `a @ a.T` of an array with its own transpose (the p^n x p^n table
 of x.y over `index_vectors`); the Fourier kernel is applied one digit at a
-time.  The dense operators have few readers: only
-`PrimeContext.decomposition` reads `generator_ops`, so only the
-decomposition check and the demo use that stack, and only
-`PrimeContext.generator_ops`, `trace_formula_deviation` and
-`cli._conventions` read `build_chunks`; a spy checks that the egorov check
-forms no dense operator chunk (`weil._dense_chunk`).
+time.  The dense operators have few readers: no module of `src/torusque/`
+defines or reads `generator_ops` (the dense stack of rho of the torus
+generators, which the decomposition no longer reads), and only
+`hecke.decompose`, `trace_formula_deviation` and `cli._conventions` read
+`build_chunks`; a spy checks that the egorov check forms no dense operator
+chunk (`weil._dense_chunk`), and that the decomposition forms one chunk
+of one operator per torus generator.
 """
 
 import ast
@@ -395,13 +396,19 @@ def reads_outside(src: Path, name: str, allowed: set) -> list[str]:
     return flagged
 
 
-GENERATOR_OPS_READERS = {"quevaluator.PrimeContext.decomposition"}
-BUILD_CHUNKS_READERS = {"quevaluator.PrimeContext.generator_ops",
-                        "quevaluator.trace_formula_deviation", "cli._conventions"}
+BUILD_CHUNKS_READERS = {"hecke.decompose", "quevaluator.trace_formula_deviation",
+                        "cli._conventions"}
 
 
-def test_only_the_decomposition_reads_the_generator_stack():
-    assert reads_outside(SRC, "generator_ops", GENERATOR_OPS_READERS) == []
+def generator_stack_names(src: Path = SRC) -> list[str]:
+    """module:line of every definition, import, name or attribute spelled
+    `generator_ops` in the code of src/ (docstrings and comments may
+    mention it)."""
+    return _flagged_lines(src, lambda node: "generator_ops" in _spelled(node))
+
+
+def test_no_module_keeps_a_generator_stack():
+    assert generator_stack_names() == []
 
 
 def test_only_three_readers_build_dense_operators():
@@ -422,6 +429,11 @@ def test_reader_guards_flag_every_other_reader(tmp_path):
         "    def chunks(bs):\n"
         "        return ctx.rep.build_chunks(bs)\n"
         "    return chunks\n")
+    (tmp_path / "hecke.py").write_text(
+        "def decompose(torus, rep):\n"
+        "    return next(rep.build_chunks(torus.generators))\n\n"
+        "def centralizer(rep):\n"
+        "    return rep.build_chunks\n")
     (tmp_path / "cli.py").write_text(
         "def _check_demo(ctx, generator_ops):\n"
         "    return len(ctx.generator_ops), generator_ops, 'generator_ops' in vars(ctx)\n\n"
@@ -429,14 +441,16 @@ def test_reader_guards_flag_every_other_reader(tmp_path):
         "    return build_chunks, next(ctx.rep.build_chunks([]))\n\n"
         "def _conventions(ctx):\n"
         "    return ctx.rep.build_chunks\n")
-    assert reads_outside(tmp_path, "generator_ops", GENERATOR_OPS_READERS) == [
-        "cli:2", "quevaluator:10"]
-    assert reads_outside(tmp_path, "build_chunks", BUILD_CHUNKS_READERS) == ["cli:5"]
+    assert generator_stack_names(tmp_path) == ["cli:2", "quevaluator:2", "quevaluator:7",
+                                               "quevaluator:10"]
+    assert reads_outside(tmp_path, "build_chunks", BUILD_CHUNKS_READERS) == [
+        "cli:5", "hecke:5", "quevaluator:4"]
 
 
 def test_egorov_check_forms_no_dense_operator(cat_map, sp4_elem, monkeypatch):
-    # the spy sees the generators' chunk that generator_ops forms, and
-    # nothing from the egorov check, which reads rho(B) on the probe
+    # the spy sees nothing from the egorov check, which reads rho(B) on the
+    # probe, and one chunk of one operator per torus generator from the
+    # decomposition
     built = []
     real = weil._dense_chunk
 
@@ -450,5 +464,5 @@ def test_egorov_check_forms_no_dense_operator(cat_map, sp4_elem, monkeypatch):
         built.clear()
         assert cli._check_egorov(ctx, random.Random(pm.p)).status == "pass"
         assert built == []
-        ctx.generator_ops
-        assert built == [len(ctx.torus.generators)]
+        ctx.decomposition
+        assert built == [1] * len(ctx.torus.generators)

@@ -14,7 +14,7 @@ from oracles import (averaged_fixture_checks, build, build_many, build_trace_tab
                      character_sum, character_sum_table, check_invariance,
                      cyclic_average_loop, dense_ops, diagonal_factor_sum,
                      diagonal_factor_tables_closed_form, dilate_op, eigenbasis_sum_table,
-                     factor_coordinates, gauss_sum_oracle, generator_ops,
+                     factor_coordinates, gauss_sum_oracle,
                      hermitian_symmetry_dev, is_generic, lattice_vectors,
                      matrix_order_modp, measure_split_sign, oriented_split_trace,
                      split_trace_formula, torus_average_loop, trace_column, transport_all,
@@ -122,7 +122,7 @@ def test_character_sum_xi_zero_oracle(cat_map, rep_cache, torus_cache):
     torus = torus_cache(7)
     rep = rep_cache(7)
     table = build_trace_table(torus, dense_ops(rep, torus.elements))
-    dec = hecke.decompose(torus, generator_ops(rep, torus))
+    dec = hecke.decompose(torus, rep)
     chis = hecke.characters(torus)
     for chi, dim in zip(chis, dec.dims):
         val = character_sum((0, 0), chi.inverse(), table)
@@ -458,9 +458,9 @@ def test_refined_bound_raises_on_labels_that_break_the_generic_mask(
 
 
 def test_context_keeps_one_dense_operator(sp4_elem):
-    # after construction the context holds rho(fourier) and no second
-    # p^n x p^n array; rho of the torus generators is built on the first read
-    # of the decomposition, one operator per generator
+    # after construction the context holds no p^n x p^n array, as rho keeps
+    # its p x p one-digit kernels; the decomposition is built on first read
+    # and is all it adds: no operator of a torus generator is kept
     pm = PrimeModulus(13, 2)
     tracemalloc.start()
     try:
@@ -469,9 +469,32 @@ def test_context_keeps_one_dense_operator(sp4_elem):
     finally:
         tracemalloc.stop()
     assert traced < 1.5 * 16 * pm.dim ** 2
-    assert "generator_ops" not in vars(ctx)
+    built = vars(ctx).keys() - {"decomposition"}
     ctx.decomposition
-    assert ctx.generator_ops.shape == (len(ctx.torus.generators), pm.dim, pm.dim)
+    assert vars(ctx).keys() - built == {"decomposition"}
+    assert vars(ctx.rep).keys() == {"pm", "gamma", "f1", "v1"}
+
+
+def test_decomposition_keeps_only_its_basis(sp4_elem):
+    # n = 2, p = 13 (k = 2 generators): the decomposition leaves its
+    # p^n x p^n basis in the context and nothing of a generator's operator
+    # (the dense stack left 3.02 arrays); while it runs, H, one rho(g_i),
+    # the eigenvectors and one column block are alive (the stack route
+    # peaked at 5.45 arrays); the eigenvalue solver's workspace is not traced
+    pm = PrimeModulus(13, 2)
+    dense = 16 * pm.dim ** 2
+    ctx = q.PrimeContext.build(sp4_elem, pm)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx.decomposition
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"decomposition at n=2 p=13: holds {(held - before) / dense:.2f}, "
+          f"peaks at {(peak - before) / dense:.2f} dense arrays")
+    assert held - before <= 1.05 * dense
+    assert peak - before < 4 * dense
 
 
 def test_table_raises_on_a_passed_deadline(cat_map, rep_cache, torus_cache):
@@ -556,12 +579,12 @@ def test_orbit_stage_holds_a_few_label_arrays(sp4_inert23):
 
 
 def test_decompose_holds_at_most_three_dense_arrays(sp4_inert23):
-    # beyond the generator stack: H, then the eigenbasis with rho(g) V, then
-    # the sorted basis; the eigenvalue solver's own workspace is not traced
+    # H with one rho(g) being added, then the eigenbasis with one column
+    # block of rho(g) V, then the sorted basis; the eigenvalue solver's own
+    # workspace is not traced
     ctx = sp4_inert23
-    ops = ctx.generator_ops
     dense = 16 * ctx.pm.dim ** 2
-    peak = _traced_peak(lambda: hecke.decompose(ctx.torus, ops))
+    peak = _traced_peak(lambda: hecke.decompose(ctx.torus, ctx.rep))
     print(f"decompose at n=2 p=23: {peak / dense:.2f} dense arrays")
     assert peak <= 3 * dense
 

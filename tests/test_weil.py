@@ -246,30 +246,70 @@ def test_egorov_failure_detected():
     assert weil.egorov_on_probe(lambda z: shear[None] @ z, [b], pm)[0] <= 1e-8
 
 
-def test_corrupted_generator_operator_fails_the_egorov_check(cat_map, torus_cache,
-                                                             monkeypatch):
-    # one entry of rho(g_1) scaled in the dense stack: the context's
-    # generator stack fails its Egorov check on the probe (products of the
-    # stack with the probe) and raises, and the sweep check that reads it
-    # reports the error as a failure, with no generator kept
-    pm = PrimeModulus(7, 1)
-    ctx = PrimeContext(cat_map, torus_cache(7), linearize(pm))
-    real = weil.WeilRep.build_chunks
-
-    def corrupted(self, bs, deadline=None):
-        for stack in real(self, bs, deadline):
-            stack[0, 1, 2] *= 1.5
-            yield stack
-
-    monkeypatch.setattr(weil.WeilRep, "build_chunks", corrupted)
-    with pytest.raises(ConstructionError, match="Egorov deviation"):
-        ctx.generator_ops
-    cfg = cli.SweepConfig(pmin=7, pmax=7, checks=("decomposition",), deterministic=True)
-    report = cli.run_prime(cat_map, 7, cfg, {"relation_sign": 1})
-    (res,) = report["checks"]
-    assert res["status"] == "fail"
-    assert res["witnesses"][0]["error"].startswith("ConstructionError: Egorov deviation")
+def _decomposition_check_with(monkeypatch, elem, pm, name, corrupted):
+    """The decomposition of elem at pm, and its sweep check, with the
+    WeilRep method name replaced by corrupted: the exception it raises and
+    the check's one result."""
+    monkeypatch.setattr(weil.WeilRep, name, corrupted)
+    with pytest.raises(Exception) as raised:
+        PrimeContext.build(elem, pm).decomposition
+    cfg = cli.SweepConfig(n=pm.n, pmin=pm.p, pmax=pm.p, checks=("decomposition",),
+                          deterministic=True)
+    report = cli.run_prime(elem, pm.p, cfg, {"relation_sign": 1})
+    monkeypatch.undo()
     assert report["routes"] == {}
+    (res,) = report["checks"]
+    return raised.value, res
+
+
+def test_corrupted_generator_operator_fails_the_egorov_check(cat_map, sp4_elem,
+                                                             monkeypatch):
+    # rho(g) times a non-scalar diagonal unitary in apply_many's output, for
+    # the last torus generator only (n = 1, p = 7: the one generator; n = 2,
+    # p = 13: the second of two): the decomposition's Egorov certificate on
+    # the apply route raises, and the sweep check that reads it reports the
+    # error as a failure
+    real = weil.WeilRep.apply_many
+    for elem, pm in ((cat_map, PrimeModulus(7, 1)), (sp4_elem, PrimeModulus(13, 2))):
+        g = PrimeContext.build(elem, pm).torus.generators[-1][0]
+        phases = np.exp(2j * np.pi * np.random.default_rng(pm.p).random(pm.dim))
+
+        def corrupted(self, bs, z, deadline=None):
+            out = real(self, bs, z, deadline)
+            for k, b in enumerate(bs.elements if isinstance(bs, weil.Factorization) else bs):
+                if np.array_equal(b, g):
+                    out[k] = phases[:, None] * out[k]
+            return out
+
+        err, res = _decomposition_check_with(monkeypatch, elem, pm, "apply_many", corrupted)
+        assert isinstance(err, ConstructionError) and "Egorov deviation" in str(err)
+        assert res["status"] == "fail"
+        assert res["witnesses"][0]["error"].startswith("ConstructionError: Egorov deviation")
+
+
+def test_corrupted_dense_generator_fails_the_decomposition_check(cat_map, sp4_elem,
+                                                                monkeypatch):
+    # one entry of rho(g) scaled in the operator build_chunks forms, for the
+    # last torus generator only: H is summed from it, and its eigenvectors
+    # fail the certificate read on the apply route under every coefficient
+    # row; the sweep check reports the error as a failure, not a pass
+    real = weil.WeilRep.build_chunks
+    for elem, pm in ((cat_map, PrimeModulus(7, 1)), (sp4_elem, PrimeModulus(13, 2))):
+        g = PrimeContext.build(elem, pm).torus.generators[-1][0]
+
+        def corrupted(self, bs, deadline=None):
+            bs, lo = list(bs), 0
+            for stack in real(self, bs, deadline):
+                for k, b in enumerate(bs[lo:lo + len(stack)]):
+                    if np.array_equal(b, g):
+                        stack[k, 1, 2] *= 1.5
+                lo += len(stack)
+                yield stack
+
+        err, res = _decomposition_check_with(monkeypatch, elem, pm, "build_chunks", corrupted)
+        assert isinstance(err, RuntimeError) and "eigenvector certificate" in str(err)
+        assert res["status"] == "fail"
+        assert res["witnesses"][0]["error"].startswith("RuntimeError: eigenvector certificate")
 
 
 def test_corrupted_shear_diagonal_fails_linearize(monkeypatch):
