@@ -140,26 +140,13 @@ def _lower_unipotent4(s: Mat) -> Mat:
 
 
 def birkhoff_average(elem: ErgodicElement, xi, x, n_steps: int) -> complex:
-    """(1/N) sum_{k=1..N} exp(2 pi i <xi, A^k x>).
-
-    The orbit is iterated with mod-1 reduction at every step (A is integral,
-    so this equals A^k x mod 1 up to float rounding); powering A directly
-    would overflow.  xi = 0 returns exactly 1.
-    """
-    xi = np.array([float(c) for c in xi])
-    if not xi.any():
-        return 1.0 + 0.0j
-    a = np.array(elem.matrix, dtype=float)
-    pt = np.array([float(c) for c in x]) % 1.0
-    acc = 0.0 + 0.0j
-    for _ in range(n_steps):
-        pt = (a @ pt) % 1.0
-        acc += np.exp(2j * np.pi * float(xi @ pt))
-    return acc / n_steps
+    """(1/N) sum_{k=1..N} exp(2 pi i <xi, A^k x>): `birkhoff_many` at one point."""
+    return complex(birkhoff_many(elem, xi, [x], n_steps)[0])
 
 
 def birkhoff_many(elem: ErgodicElement, xi, xs: np.ndarray, n_steps: int) -> np.ndarray:
-    """Birkhoff averages of one character over a batch of start points."""
+    """Birkhoff averages of one character over a batch of start points; the
+    orbits are reduced mod 1 at every step, as powering A would overflow."""
     xi = np.array([float(c) for c in xi])
     a = np.array(elem.matrix, dtype=float)
     pts = np.array(xs, dtype=float) % 1.0          # (k, 2n)

@@ -7,10 +7,10 @@ Verbs:
     demo       cyclic vs torus averaging table for one prime
     plotdata   reduce sweep JSON reports to a plotting CSV
 
-Configuration is plain key=value lines (see SweepConfig.FIELDS) with
-command-line flags overriding file values.  Exit codes: 0 all checks passed,
-1 at least one assertion failed (witnesses in the JSON), 2 configuration
-error.
+Configuration is plain key=value lines, one key per SweepConfig field, with
+command-line flags (one per field too) overriding file values.  Exit codes:
+0 all checks passed, 1 at least one assertion failed (witnesses in the
+JSON), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class SweepConfig:
+    """The sweep settings.  Each field is a config-file key and, with dashes,
+    a `sweep` flag; `build_config` converts both by the type of its default."""
     n: int = 1
     matrix: str = "2,1;1,1"
     pmin: int = 3
@@ -52,9 +54,6 @@ class SweepConfig:
     out_json: str | None = None
     out_csv: str | None = None
     budget_seconds: float = 600.0
-
-    FIELDS = ("n", "matrix", "pmin", "pmax", "checks", "seed", "deterministic",
-              "out_json", "out_csv", "budget_seconds")
 
 
 def parse_matrix(text: str, n: int):
@@ -89,26 +88,25 @@ def build_config(file_vals: dict, overrides: dict) -> SweepConfig:
     merged = dict(file_vals)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     cfg = SweepConfig()
+    defaults = {f.name: f.default for f in fields(SweepConfig)}
     for key, val in merged.items():
-        if key not in SweepConfig.FIELDS:
+        if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in ("n", "pmin", "pmax", "seed", "budget_seconds"):
+        default = defaults[key]
+        if isinstance(default, bool):
+            val = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
+        elif isinstance(default, (int, float)):
             try:
-                setattr(cfg, key, (float if key == "budget_seconds" else int)(val))
+                val = type(default)(val)
             except ValueError:
                 raise ConfigError(f"{key} must be a number, got {val!r}") from None
-        elif key == "deterministic":
-            setattr(cfg, key, val if isinstance(val, bool) else
-                    str(val).lower() in ("1", "true", "yes"))
-        elif key == "checks":
-            names = tuple(s.strip() for s in str(val).split(",") if s.strip()) \
-                if val != "all" else ALL_CHECKS
-            for name in names:
+        elif isinstance(default, tuple):
+            val = ALL_CHECKS if val == "all" else \
+                tuple(s.strip() for s in str(val).split(",") if s.strip())
+            for name in val:
                 if name not in ALL_CHECKS:
                     raise ConfigError(f"unknown check {name!r}")
-            setattr(cfg, key, names)
-        else:
-            setattr(cfg, key, val)
+        setattr(cfg, key, val)
     if cfg.n not in (1, 2):
         raise ConfigError("n must be 1 or 2")
     if cfg.pmin < 3 or cfg.pmax < cfg.pmin:
@@ -138,12 +136,6 @@ class CheckResult:
                 "millis": -1 if deterministic else self.millis}
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, int(1000 * (time.perf_counter() - t0))
-
-
 def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
               conventions: dict) -> dict:
     """The prime's report.  If `conventions`, the report header's, is still
@@ -159,7 +151,8 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
     except BudgetExceeded:          # the deadline passed while building the torus
         return _unbuilt_prime(p, cfg, [_budget_skip(name) for name in cfg.checks])
     except Exception as e:  # noqa: BLE001 - a failed prime, not a dead sweep
-        return _failed_prime(p, cfg, e)
+        return _unbuilt_prime(p, cfg, [CheckResult(
+            "construction", "fail", witnesses=[{"error": f"{type(e).__name__}: {e}"}])])
     # the sampling checks (egorov, multiplicativity) draw from it in check order
     rng = random.Random(cfg.seed + p)
 
@@ -167,10 +160,10 @@ def run_prime(elem: ErgodicElement, p: int, cfg: SweepConfig,
         if time.perf_counter() > ctx.deadline:
             results.append(_budget_skip(name))
             continue
-        runner = _CHECK_RUNNERS[name]
         try:
-            res, ms = _timed(lambda: runner(ctx, rng))
-            res.millis = ms
+            t0 = time.perf_counter()
+            res = _CHECK_RUNNERS[name](ctx, rng)
+            res.millis = int(1000 * (time.perf_counter() - t0))
         except BudgetExceeded:      # the deadline passed mid-check
             res = _budget_skip(name)
         except Exception as e:  # noqa: BLE001 - report, do not crash the sweep
@@ -217,13 +210,6 @@ def _conventions(ctx) -> dict:
 
 def _budget_skip(name: str) -> CheckResult:
     return CheckResult(name, "skip", witnesses=[{"reason": "budget exceeded"}])
-
-
-def _failed_prime(p: int, cfg: SweepConfig, err: Exception) -> dict:
-    """Prime entry for a torus or representation that could not be built."""
-    check = CheckResult("construction", "fail",
-                        witnesses=[{"error": f"{type(err).__name__}: {err}"}])
-    return _unbuilt_prime(p, cfg, [check])
 
 
 def _unbuilt_prime(p: int, cfg: SweepConfig, checks: list) -> dict:
@@ -525,16 +511,10 @@ def main(argv=None) -> int:
 
     ps = sub.add_parser("sweep", help="run checks over a prime range")
     ps.add_argument("--config")
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--matrix")
-    ps.add_argument("--pmin", type=int)
-    ps.add_argument("--pmax", type=int)
-    ps.add_argument("--checks")
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--deterministic", action="store_const", const=True)
-    ps.add_argument("--out-json", dest="out_json")
-    ps.add_argument("--out-csv", dest="out_csv")
-    ps.add_argument("--budget-seconds", dest="budget_seconds", type=float)
+    for f in fields(SweepConfig):           # build_config converts the strings
+        ps.add_argument("--" + f.name.replace("_", "-"),
+                        **({"action": "store_const", "const": True}
+                           if isinstance(f.default, bool) else {}))
 
     pd = sub.add_parser("demo", help="cyclic vs torus averaging table")
     pd.add_argument("--p", type=int, required=True)
@@ -565,8 +545,8 @@ def main(argv=None) -> int:
     if args.verb == "sweep":
         try:
             file_vals = load_config_file(args.config) if args.config else {}
-            overrides = {k: getattr(args, k) for k in SweepConfig.FIELDS}
-            cfg = build_config(file_vals, overrides)
+            cfg = build_config(file_vals, {f.name: getattr(args, f.name)
+                                           for f in fields(SweepConfig)})
         except (ConfigError, OSError) as e:
             print(f"config error: {e}", file=sys.stderr)
             return 2

@@ -343,7 +343,8 @@ def _mix_row(row: tuple, k: int) -> tuple:
     return tuple(coeffs)
 
 
-def decompose(torus: HeckeTorus, rep: weil.WeilRep) -> EigenspaceDecomposition:
+def decompose(torus: HeckeTorus, rep: weil.WeilRep,
+              deadline: float | None = None) -> EigenspaceDecomposition:
     """Joint eigenbasis of the torus from rep, rho of its generators g_i.
 
     rho(g_i) are commuting unitaries, so the eigenvectors of the Hermitian
@@ -358,11 +359,13 @@ def decompose(torus: HeckeTorus, rep: weil.WeilRep) -> EigenspaceDecomposition:
     generators (`weil.egorov_on_probe`, held to 1e-8).  The basis is
     orthonormal and complete (eigh), so the dims sum to p^n.  At most two
     p^n x p^n arrays are alive at once, and no p^n x p^n product is taken.
+    `deadline`, a `time.perf_counter()` value, is read before every operator
+    and every apply batch (BudgetExceeded); eigh itself runs to its end.
     """
     d = torus.pm.dim
     gens = [g for g, _ in torus.generators]
     fac = weil.factorize(torus.pm, gens)            # factored once for apply_many
-    egorov = weil.egorov_on_probe(lambda z: rep.apply_many(fac, z), gens, torus.pm)
+    egorov = weil.egorov_on_probe(lambda z: rep.apply_many(fac, z, deadline), gens, torus.pm)
     if egorov.max() > 1e-8:
         raise weil.ConstructionError(
             f"Egorov deviation {egorov.max():.2e} for {gens[egorov.argmax()]}")
@@ -371,7 +374,7 @@ def decompose(torus: HeckeTorus, rep: weil.WeilRep) -> EigenspaceDecomposition:
     for row in MIX_COEFFICIENTS:
         h = np.zeros((d, d), dtype=complex)
         for c, g in zip(_mix_row(row, len(gens)), gens):
-            op = next(rep.build_chunks([g]))[0]
+            op = next(rep.build_chunks([g], deadline))[0]
             op *= c
             h += op
             del op              # not held while the next one is built
@@ -383,7 +386,7 @@ def decompose(torus: HeckeTorus, rep: weil.WeilRep) -> EigenspaceDecomposition:
         for lo in range(0, d, width):
             v = vecs[:, lo:lo + width]
             for i, m in enumerate(torus.gen_orders):
-                (resid,) = rep.apply_many(fac[i:i + 1], v)
+                (resid,) = rep.apply_many(fac[i:i + 1], v, deadline)
                 quotient = np.einsum("ij,ij->j", v.conj(), resid)
                 k = np.rint(np.angle(quotient) * m / (2 * np.pi)).astype(np.int64) % m
                 resid -= v * np.exp(2j * np.pi * k / m)

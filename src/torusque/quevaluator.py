@@ -299,9 +299,8 @@ class PrimeContext:
     only, the eigenspace decomposition are built on first use and then
     shared; no operator is kept.  The formula is the canonical rho's: a
     context of a rho twisted on the torus is given `decomposition`, `sums`
-    and `dims` by assignment.  `deadline`, a
-    `time.perf_counter()` value, is checked before every chunk of the table and
-    of the centralizer's norm filter.
+    and `dims` by assignment.  `deadline`, a `time.perf_counter()` value, is
+    read by the centralizer, the orbit labels, the table and the decomposition.
     """
 
     elem: ErgodicElement
@@ -333,7 +332,7 @@ class PrimeContext:
 
     @cached_property
     def decomposition(self) -> hecke.EigenspaceDecomposition:
-        return hecke.decompose(self.torus, self.rep)
+        return hecke.decompose(self.torus, self.rep, self.deadline)
 
     @cached_property
     def transport(self) -> SplitTransport | None:
@@ -372,7 +371,7 @@ class PrimeContext:
         orbit sizes, which divide |T| but need not equal it.  The labels
         are the least indices, so the reps are the fixed points of the
         labels, and a running count of them numbers the rows."""
-        labels = orbit_labels(self.torus)
+        labels = orbit_labels(self.torus, self.deadline)
         is_rep = labels == np.arange(len(labels))
         row = (np.cumsum(is_rep) - 1)[labels]
         return np.flatnonzero(is_rep), row, np.bincount(row)
@@ -405,17 +404,20 @@ class PrimeContext:
         return generic[reps]
 
 
-def orbit_labels(torus: HeckeTorus) -> np.ndarray:
+def orbit_labels(torus: HeckeTorus, deadline: float | None = None) -> np.ndarray:
     """The least flat index in the T-orbit of every flat xi, under xi -> B xi.
     Each generator g of order m permutes the flat indices (read in chunks,
-    `lattice_image`); ceil(log2 m) pointer-doubling steps take the least
-    label along its powers, and as the generators commute, one pass each
-    labels whole T-orbits.  It holds two arrays beside the labels."""
+    `lattice_image`, the deadline read before each); ceil(log2 m)
+    pointer-doubling steps take the least label along its powers, and as the
+    generators commute, one pass each labels whole T-orbits.  It holds two
+    arrays beside the labels."""
     pm = torus.pm
     labels = np.arange(pm.dim ** 2)
     step = np.empty_like(labels)
     for g, m in torus.generators:
         for flat in lattice_chunks(pm):
+            if deadline is not None and time.perf_counter() > deadline:
+                raise BudgetExceeded(f"deadline passed at flat index {flat[0]}")
             step[flat] = flat_index(lattice_image(g, flat, pm), pm.p)
         for _ in range((m - 1).bit_length()):
             np.minimum(labels, labels[step], out=labels)

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -45,13 +45,32 @@ def test_quantize_bad_terms_exit2(capsys):
     assert run_cli(["quantize", "--p", "7", "--terms", "1,0,0:1"]) == 2
 
 
-def test_config_parsing(tmp_path):
+def test_config_parsing(tmp_path, monkeypatch):
     cfgfile = tmp_path / "sweep.cfg"
     cfgfile.write_text("n = 1\npmin = 3\npmax = 7\nchecks = relations,bound\n"
                        "# comment\nseed = 42\n")
     cfg = cli.build_config(cli.load_config_file(str(cfgfile)), {})
     assert cfg.n == 1 and cfg.pmin == 3 and cfg.pmax == 7 and cfg.seed == 42
     assert cfg.checks == ("relations", "bound")
+    # every field, none at its default, as a config-file line and as its flag
+    text = {"n": "2", "matrix": "auto-sp4", "pmin": "5", "pmax": "11",
+            "checks": "relations,bound", "seed": "42", "deterministic": "true",
+            "out_json": str(tmp_path / "r.json"), "out_csv": str(tmp_path / "r.csv"),
+            "budget_seconds": "2.5"}
+    assert list(text) == [f.name for f in fields(cli.SweepConfig)]
+    want = cli.SweepConfig(n=2, matrix="auto-sp4", pmin=5, pmax=11,
+                           checks=("relations", "bound"), seed=42, deterministic=True,
+                           out_json=text["out_json"], out_csv=text["out_csv"],
+                           budget_seconds=2.5)
+    assert all(getattr(want, k) != getattr(cli.SweepConfig(), k) for k in text)
+    cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    assert run_cli(["sweep", "--config", str(cfgfile)]) == 0
+    flags = [a for k, v in text.items() if k != "deterministic"
+             for a in ("--" + k.replace("_", "-"), v)]
+    assert run_cli(["sweep", *flags, "--deterministic"]) == 0
+    assert seen == [want, want]
 
 
 def test_validate_beyond_degree_four_is_a_config_error(capsys):
@@ -73,14 +92,18 @@ def test_config_rejects_unknown_key(tmp_path):
         cli.build_config({"pmin": "9", "pmax": "3"}, {})
 
 
-@pytest.mark.parametrize("key,value", [("pmin", "abc"), ("budget_seconds", "soon")])
+@pytest.mark.parametrize("key,value", [("pmin", "abc"), ("budget_seconds", "soon"),
+                                       ("n", "two"), ("pmax", ""), ("seed", "1.5")])
 def test_config_rejects_a_malformed_number(key, value, tmp_path, capsys):
+    # every numeric field, from the file and from its flag, is one config error
     with pytest.raises(cli.ConfigError, match=key):
         cli.build_config({key: value}, {})
     cfgfile = tmp_path / "sweep.cfg"
     cfgfile.write_text(f"{key} = {value}\n")
     assert run_cli(["sweep", "--config", str(cfgfile)]) == 2
     assert f"config error: {key} must be a number" in capsys.readouterr().err
+    assert run_cli(["sweep", f"--{key.replace('_', '-')}={value}"]) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be a number, got {value!r}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
@@ -574,13 +597,15 @@ def test_budget_read_between_norm_filter_chunks(tmp_path, monkeypatch):
 @pytest.mark.parametrize("check,length", [
     ("egorov", lambda pm: weil.apply_length(pm, (2 * pm.n + 1) * weil.PROBE_COLUMNS)),
     ("multiplicativity", lambda pm: 2 * (weil.apply_length(pm, weil.PROBE_COLUMNS) // 2)),
-], ids=["egorov", "multiplicativity"])
+    ("decomposition", lambda pm: 1),
+], ids=["egorov", "multiplicativity", "decomposition"])
 def test_budget_read_between_operator_chunks(check, length, tmp_path, monkeypatch):
     # a clock that advances one second per batch of probe blocks (egorov,
     # whose block stacks the probe and its 2n translates; multiplicativity,
     # whose first batch holds rho(B2) and rho(B1 B2) of half a batch of
-    # pairs): the deadline passes after the first one, the check becomes a
-    # budget skip, and no second one is built
+    # pairs; decomposition, whose Egorov check of the one generator at n = 1
+    # comes first): the deadline passes after the first one, the check
+    # becomes a budget skip, and no second one is built
     import time
 
     now = [0.0]

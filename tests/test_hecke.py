@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import product
 
@@ -8,7 +9,7 @@ from torusque import ffcore, hecke, weil
 from torusque.ffcore import PrimeModulus, identity_mat, mat_inv_modp, mat_mod, mat_mul
 from torusque.hecke import (DegeneratePrimeError, HeckeTorus, centralizer,
                             characters, decompose, torus_structure)
-from torusque.heisenberg import pi_op
+from torusque.heisenberg import BudgetExceeded, pi_op
 
 from oracles import (centralizer_elements, character_table, character_value,
                      character_value_of_exps, decompose_stack, dense_ops, fourier_matrix,
@@ -304,6 +305,8 @@ def test_character_multiplicativity_exact(torus_cache):
 def test_decompose_cat_map_p7(cat_map, rep_cache, torus_cache):
     t = torus_cache(7)
     dec = decompose(t, rep_cache(7))
+    with pytest.raises(BudgetExceeded):        # read before rho is first applied
+        decompose(t, rep_cache(7), time.perf_counter() - 1.0)
     assert sum(dec.dims) == 7
     assert sorted(dec.dims) == [0, 1, 1, 1, 1, 1, 1, 1]
     # the empty slot sits at the order-2 character; the trivial one has a line

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -409,6 +410,8 @@ def test_orbit_labels_match_brute_force_scan(n, p, torus_cache):
     torus = torus_cache(p, n)
     labels = q.orbit_labels(torus)
     assert np.array_equal(labels, _brute_force_labels(torus))
+    with pytest.raises(BudgetExceeded):
+        q.orbit_labels(torus, time.perf_counter() - 1.0)
     ctx = q.PrimeContext(None, torus, None)
     reps, row, sizes = ctx.orbits
     assert np.array_equal(reps[row], labels) and reps[0] == 0 and sizes[0] == 1
@@ -444,8 +447,8 @@ def test_refined_bound_raises_on_labels_that_break_the_generic_mask(
     real = q.orbit_labels
     generic = ctx.transport.generic_mask()
 
-    def corrupted(torus):
-        labels = real(torus)
+    def corrupted(torus, deadline=None):
+        labels = real(torus, deadline)
         k = next(k for k in range(len(labels)) if generic[k] and labels[k] != k)
         axis = next(k for k in range(1, len(labels)) if not generic[k])
         labels[k] = labels[axis]
